@@ -12,10 +12,18 @@ type Sink interface {
 
 // Port is a store-and-forward link transmitter: it drains its Queue one
 // packet at a time at RateBps, then delivers each packet to the peer Sink
-// after the link propagation Delay. Because delivery is scheduled at
+// after the link propagation Delay. Because delivery is due at
 // serialization-end + propagation, downstream nodes see packets only when
 // fully received, which is the store-and-forward behaviour the paper's RTT
 // arithmetic (7.2µs per 9KB hop at 10Gb/s) assumes.
+//
+// Both times are known when transmission starts, so the delivery is emitted
+// then, and the serialization-end event exists only when it has work: its
+// heap key (freeAt, freeOrd) is always reserved, but it is scheduled only
+// once the queue holds a packet the port may send next. A port whose queue
+// stays empty just becomes idle when that key passes (sim.EventList.Fired).
+// Every scheduled event keeps the key it would have had with the event
+// always present, so eliding the idle ones changes no result.
 type Port struct {
 	Name    string
 	Q       Queue
@@ -29,6 +37,12 @@ type Port struct {
 	// built outside a topology (unit tests) may leave it zero.
 	UID uint32
 
+	// Transmitter state bits, kept here so they share UID's word (a FatTree
+	// has six ports per host, and this keeps Port in its allocation size
+	// class). paused is the PFC state. wake says the serialization-end
+	// event is in the heap; armed says a delivery event is.
+	paused, wake, armed bool
+
 	// Cross, when set, routes this port's deliveries through a cross-shard
 	// mailbox instead of the local event list: the peer sink lives in
 	// another shard, and the windowed runner injects the delivery at the
@@ -39,23 +53,28 @@ type Port struct {
 	// lossless switch uses it to pull held ingress packets forward.
 	OnDequeue func()
 
-	el     *sim.EventList
-	peer   Sink
-	busy   bool
-	paused bool
+	el   *sim.EventList
+	peer Sink
 
-	// serializing is the packet currently on the wire; flight holds packets
-	// in propagation toward the peer, in serialization-end order, each with
-	// its due time and emission sequence. Only the head of flight has a
-	// delivery event in the heap: the delivery handler re-arms for the next
-	// entry when it fires, and drains consecutive entries due at the same
-	// instant in one event (burst). Keyed order depends only on (time, ord)
-	// and per-port ords are consecutive, so chaining is bit-identical to
-	// scheduling every delivery up front — while keeping heap residency at
-	// one event per busy port instead of one per in-flight packet.
-	serializing *Packet
-	flight      flightRing
-	emitSeq     uint64
+	// The packet on the wire finishes serializing at the key (freeAt,
+	// freeOrd): the port is busy until that key has fired, and the
+	// serialization-end event is scheduled under it when there is one.
+	freeAt  sim.Time
+	freeOrd uint64
+
+	// flight holds packets on the wire or in propagation toward the peer,
+	// in transmission order, each with its due time and emission sequence.
+	// At most the head of flight has a delivery event in the heap (armed):
+	// the delivery handler re-arms for the next entry when it fires, and
+	// drains consecutive entries due at the same instant in one event
+	// (burst). Keyed order depends only on (time, ord) and per-port ords are
+	// consecutive, so chaining is bit-identical to scheduling every delivery
+	// up front — while keeping heap residency at one event per busy port
+	// instead of one per in-flight packet. While a wake is pending the
+	// packet still serializing is left for the wake to arm, so the port
+	// never has more heap entries than a wake plus one delivery.
+	flight  flightRing
+	emitSeq uint64
 
 	// Telemetry.
 	BytesSent   int64
@@ -100,16 +119,25 @@ func (p *Port) SetPaused(paused bool) {
 func (p *Port) Paused() bool { return p.paused }
 
 // Busy reports whether a packet is currently serializing.
-func (p *Port) Busy() bool { return p.busy }
+func (p *Port) Busy() bool { return !p.el.Fired(p.freeAt, p.freeOrd) }
 
 // Port event kinds (the arg of sim.Handler events).
 const (
-	portSerEnd  = iota // the serializing packet has fully left the NIC
+	portSerEnd  = iota // the serializing packet has fully left the NIC and another waits
 	portDeliver        // the oldest in-flight packet reached the peer
 )
 
+// kick starts the next transmission if the line is idle, or makes sure the
+// serialization-end event will if it is not.
 func (p *Port) kick() {
-	if p.busy || p.paused || p.Q.Empty() {
+	if p.paused || p.Q.Empty() {
+		return
+	}
+	if p.Busy() {
+		if !p.wake {
+			p.wake = true
+			p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
+		}
 		return
 	}
 	pkt := p.Q.Dequeue()
@@ -117,12 +145,19 @@ func (p *Port) kick() {
 		return
 	}
 	ser := sim.TransmissionTime(int(pkt.Size), p.RateBps)
-	// Mark busy (and stash the packet) before invoking OnDequeue: the
-	// lossless drain hook can re-enter Enqueue -> kick on this same port.
-	p.busy = true
-	p.serializing = pkt
+	// Busy, and the wake spoken for, before invoking OnDequeue: the lossless
+	// drain hook can re-enter Enqueue -> kick on this same port, which must
+	// neither start a second packet nor schedule the wake before its ord is
+	// reserved. The ord is taken after the hook so that events the hook
+	// schedules keep their place ahead of the serialization end.
+	p.freeAt, p.freeOrd, p.wake = p.el.Now()+ser, ^uint64(0), true
 	if p.OnDequeue != nil {
 		p.OnDequeue()
+	}
+	p.freeOrd = p.el.ReserveOrd()
+	p.wake = !p.paused && !p.Q.Empty()
+	if p.wake {
+		p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
 	}
 	p.BytesSent += int64(pkt.Size)
 	p.PacketsSent++
@@ -130,31 +165,37 @@ func (p *Port) kick() {
 		p.DataBytes += int64(pkt.Size)
 	}
 	p.BusyTime += ser
-	p.el.ScheduleAfter(ser, p, portSerEnd)
+
+	p.emitSeq++
+	due := p.freeAt + p.Delay
+	if p.Cross != nil {
+		p.Cross.AddDelivery(due, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
+		return
+	}
+	p.flight.push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq})
+	if !p.armed && !p.wake {
+		p.arm()
+	}
+}
+
+// arm schedules the delivery event for the head of flight.
+func (p *Port) arm() {
+	e, _ := p.flight.peek()
+	p.armed = true
+	p.el.ScheduleKeyed(e.due, sim.DeliveryOrd(p.UID, e.seq), p, portDeliver)
 }
 
 // OnEvent advances the port's transmit pipeline (sim.Handler).
 func (p *Port) OnEvent(arg uint64) {
 	switch arg {
 	case portSerEnd:
-		p.busy = false
-		pkt := p.serializing
-		p.serializing = nil
-		p.emitSeq++
-		at := p.el.Now() + p.Delay
-		if p.Cross != nil {
-			p.Cross.AddDelivery(at, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
-		} else {
-			// Only the flight head keeps a heap entry; later entries are
-			// armed by the delivery handler as it pops.
-			arm := p.flight.n == 0
-			p.flight.push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq})
-			if arm {
-				p.el.ScheduleKeyed(at, sim.DeliveryOrd(p.UID, p.emitSeq), p, portDeliver)
-			}
+		p.wake = false
+		if !p.armed && p.flight.n > 0 {
+			p.arm()
 		}
 		p.kick()
 	case portDeliver:
+		p.armed = false
 		now := p.el.Now()
 		for {
 			e := p.flight.pop()
@@ -164,11 +205,17 @@ func (p *Port) OnEvent(arg uint64) {
 				Free(e.pkt)
 			}
 			next, ok := p.flight.peek()
-			if !ok {
+			if !ok || p.armed {
+				// armed: the peer sent on this very port (a loopback) and
+				// kick has armed the flight already.
 				return
 			}
 			if next.due != now {
-				p.el.ScheduleKeyed(next.due, sim.DeliveryOrd(p.UID, next.seq), p, portDeliver)
+				// The last entry is still serializing while a wake is
+				// pending; the wake arms it.
+				if !(p.wake && p.flight.n == 1) {
+					p.arm()
+				}
 				return
 			}
 			// Burst: the next delivery is due at this same instant with the
@@ -179,15 +226,11 @@ func (p *Port) OnEvent(arg uint64) {
 	}
 }
 
-// ReleasePackets frees every packet the port still holds — the one on the
-// wire, the propagation flight, and the queued backlog — so a run stopped
-// mid-traffic still accounts for every arena packet. Teardown only.
+// ReleasePackets frees every packet the port still holds — the flight (the
+// packet on the wire and those in propagation) and the queued backlog — so
+// a run stopped mid-traffic still accounts for every arena packet. Teardown
+// only.
 func (p *Port) ReleasePackets() {
-	if p.serializing != nil {
-		Free(p.serializing)
-		p.serializing = nil
-		p.busy = false
-	}
 	for {
 		e, ok := p.flight.peek()
 		if !ok {
@@ -203,8 +246,8 @@ func (p *Port) ReleasePackets() {
 	}
 }
 
-// flightEntry is one packet in propagation: what to deliver, when it
-// arrives, and the emission sequence that keys its delivery order.
+// flightEntry is one packet on the wire or in propagation: what to deliver,
+// when it arrives, and the emission sequence that keys its delivery order.
 type flightEntry struct {
 	pkt *Packet
 	due sim.Time
@@ -212,7 +255,7 @@ type flightEntry struct {
 }
 
 // flightRing is a growable power-of-two FIFO of flight entries, the
-// propagation pipeline between serialization end and delivery.
+// pipeline between transmit start and delivery.
 type flightRing struct {
 	buf        []flightEntry
 	head, tail int

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // EventList is the simulation scheduler: a 4-ary indexed min-heap of
 // timestamped event records. All components of a simulation share one
 // EventList; Run drains it in timestamp order, advancing the virtual clock
@@ -28,11 +30,15 @@ package sim
 //
 // Layout notes, because this is the innermost loop of every simulation:
 // the heap is split into parallel key/value arrays so that sift comparisons
-// touch only 16-byte (time, seq) keys — the four children examined per
-// 4-ary sift-down level share one cache line — and the 4-ary shape halves
-// the levels per pop versus a binary heap. Sifts move a hole instead of
-// swapping, writing each displaced record once. Events removed or
-// rescheduled in place (Cancel, Reschedule) never leave ghost entries.
+// touch only 16-byte (time, ord) keys, and the 4-ary shape halves the levels
+// per pop versus a binary heap. A sibling group keys[4i+1 : 4i+5] is 64
+// bytes but starts 16 bytes into a cache line, so it straddles two lines;
+// at simulation depths (~1000 pending events, 16 KB of keys) the whole key
+// array is cache-resident and what a pop pays for is mispredicted compares,
+// which is why minChild picks the smallest sibling without branching.
+// Sifts move a hole instead of swapping, writing each displaced record
+// once. Events removed or rescheduled in place (Cancel, Reschedule) never
+// leave ghost entries.
 type EventList struct {
 	now      Time
 	seq      uint64
@@ -41,7 +47,10 @@ type EventList struct {
 	slots    []int32 // EventID -> heap index, -1 when the id is free
 	free     []int32 // recycled EventIDs
 	executed uint64
-	halted   bool
+
+	// firing is the ord of the event being executed, firingNone between
+	// events; with now it is the key Fired compares against.
+	firing uint64
 
 	// allocator is an opaque slot for the resource allocator owned by this
 	// list's scheduling domain (the per-shard packet arena in practice).
@@ -83,6 +92,39 @@ func (a *eventKey) less(b *eventKey) bool {
 		return a.at < b.at
 	}
 	return a.ord < b.ord
+}
+
+// lessWord is less as a 0/1 word with no branch: the borrow out of the
+// 128-bit subtraction (a.at:a.ord) - (b.at:b.ord). Heap keys are clamped to
+// at >= now >= 0, so comparing at as unsigned is exact (Infinity included).
+func lessWord(a, b eventKey) int {
+	_, borrow := bits.Sub64(a.ord, b.ord, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
+}
+
+// minChild returns the index of the smallest key in keys[first:end], a
+// sibling group of one to four children; ties go to the lowest index. The
+// sift loops spend their time here, and which sibling wins is close to
+// random, so a full group is decided by a two-round tournament on index
+// arithmetic and masks instead of three data-dependent branches. Only the
+// heap's last group can be partial, and it keeps the scalar scan.
+func minChild(keys []eventKey, first, end int) int {
+	if end-first == 4 {
+		c := (*[4]eventKey)(keys[first:end])
+		w01 := lessWord(c[1], c[0])
+		w23 := 2 + lessWord(c[3], c[2])
+		// The &3 and &1 only tell the compiler the indices are in range.
+		pick23 := -lessWord(c[w23&3], c[w01&1]) // all ones when the 2/3 winner is smaller
+		return first + (w01 ^ (w01^w23)&pick23)
+	}
+	smallest := first
+	for c := first + 1; c < end; c++ {
+		if keys[c].less(&keys[smallest]) {
+			smallest = c
+		}
+	}
+	return smallest
 }
 
 // Ord classes, highest bits of the ord word. Lower ord fires first at equal
@@ -150,8 +192,13 @@ type funcEvent func()
 
 func (f funcEvent) OnEvent(uint64) { f() }
 
+// firingNone is the firing ord between events: higher than any event's, so
+// code running outside the event loop (set-up between RunUntil slices) sees
+// everything keyed at or before now as fired.
+const firingNone = ^uint64(0)
+
 // NewEventList returns an empty scheduler with the clock at zero.
-func NewEventList() *EventList { return &EventList{} }
+func NewEventList() *EventList { return &EventList{firing: firingNone} }
 
 // Now returns the current simulated time.
 func (el *EventList) Now() Time { return el.now }
@@ -231,8 +278,7 @@ func (el *EventList) Reschedule(id EventID, t Time) bool {
 		t = el.now
 	}
 	i := int(el.slots[id])
-	el.seq++
-	el.keys[i] = eventKey{at: t, ord: ordNormal | el.seq}
+	el.keys[i] = eventKey{at: t, ord: el.ReserveOrd()}
 	if !el.down(i) {
 		el.up(i)
 	}
@@ -255,25 +301,45 @@ func (el *EventList) live(id EventID) bool {
 	return id >= 0 && int(id) < len(el.slots) && el.slots[id] >= 0
 }
 
+// ReserveOrd takes the FIFO ord the next plainly-scheduled event would get,
+// without scheduling anything. An event later scheduled under it with
+// ScheduleKeyed fires exactly where a Schedule call made now would have put
+// it; a component that only sometimes needs the event (Fired tells it
+// whether the moment has passed) can leave it out of the heap otherwise.
+func (el *EventList) ReserveOrd() uint64 {
+	el.seq++
+	return ordNormal | el.seq
+}
+
+// Fired reports whether an event keyed (at, ord) — a reserved one, whether
+// or not it was ever put in the heap — would have fired by now: its key is
+// at or before that of the event executing. Outside the event loop
+// everything keyed at or before Now has.
+func (el *EventList) Fired(at Time, ord uint64) bool {
+	return at < el.now || (at == el.now && ord <= el.firing)
+}
+
 // Step runs the earliest pending event and returns true, or returns false if
-// the list is empty or the simulation was halted.
+// the list is empty.
 func (el *EventList) Step() bool {
-	if el.halted || len(el.keys) == 0 {
+	if len(el.keys) == 0 {
 		return false
 	}
-	at := el.keys[0].at
+	k := el.keys[0]
 	v := el.vals[0]
 	el.popMin()
 	if v.id >= 0 {
 		el.freeSlot(EventID(v.id))
 	}
-	el.now = at
+	el.now = k.at
+	el.firing = k.ord
 	el.executed++
 	v.h.OnEvent(v.arg)
+	el.firing = firingNone
 	return true
 }
 
-// Run drains the event list until it is empty or Halt is called.
+// Run drains the event list.
 func (el *EventList) Run() {
 	for el.Step() {
 	}
@@ -282,7 +348,7 @@ func (el *EventList) Run() {
 // RunUntil processes events with timestamps <= deadline, then sets the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (el *EventList) RunUntil(deadline Time) {
-	for !el.halted && len(el.keys) > 0 && el.keys[0].at <= deadline {
+	for len(el.keys) > 0 && el.keys[0].at <= deadline {
 		el.Step()
 	}
 	if el.now < deadline {
@@ -295,7 +361,7 @@ func (el *EventList) RunUntil(deadline Time) {
 // which must not advance an idle shard's clock past events another shard
 // may still inject at the window boundary.
 func (el *EventList) RunBefore(limit Time) {
-	for !el.halted && len(el.keys) > 0 && el.keys[0].at < limit {
+	for len(el.keys) > 0 && el.keys[0].at < limit {
 		el.Step()
 	}
 }
@@ -312,16 +378,6 @@ func (el *EventList) AdvanceTo(t Time) {
 	}
 }
 
-// Halt stops Run/RunUntil after the current event returns. Pending events
-// are retained; Resume allows stepping again.
-func (el *EventList) Halt() { el.halted = true }
-
-// Resume clears a previous Halt.
-func (el *EventList) Resume() { el.halted = false }
-
-// Halted reports whether Halt has been called without a matching Resume.
-func (el *EventList) Halted() bool { return el.halted }
-
 // NextAt returns the timestamp of the earliest pending event, or Infinity if
 // none is pending.
 func (el *EventList) NextAt() Time {
@@ -333,8 +389,7 @@ func (el *EventList) NextAt() Time {
 
 // push clamps, stamps the FIFO sequence number, and sifts the record in.
 func (el *EventList) push(at Time, v eventVal) {
-	el.seq++
-	el.pushKeyed(at, ordNormal|el.seq, v)
+	el.pushKeyed(at, el.ReserveOrd(), v)
 }
 
 // pushKeyed clamps and sifts a record in under an explicit ord word.
@@ -371,18 +426,12 @@ func (el *EventList) popMin() {
 			if first >= last {
 				break
 			}
-			smallest := first
-			sk := keys[first]
 			end := first + 4
 			if end > last {
 				end = last
 			}
-			for c := first + 1; c < end; c++ {
-				if keys[c].at < sk.at || (keys[c].at == sk.at && keys[c].ord < sk.ord) {
-					smallest, sk = c, keys[c]
-				}
-			}
-			el.set(i, sk, vals[smallest])
+			smallest := minChild(keys, first, end)
+			el.set(i, keys[smallest], vals[smallest])
 			i = smallest
 		}
 		el.set(i, keys[last], vals[last])
@@ -472,9 +521,7 @@ func (el *EventList) up(i int) {
 
 // down sifts index i toward the leaves (children of i are 4i+1 .. 4i+4),
 // with the same single-write hole technique as up, and reports whether the
-// record moved. Only 16-byte keys are read while scanning children — the
-// four children of one node share a cache line — and the running minimum is
-// kept in registers.
+// record moved. Only 16-byte keys are read while choosing a child.
 func (el *EventList) down(i int) bool {
 	keys := el.keys
 	n := len(keys)
@@ -485,21 +532,15 @@ func (el *EventList) down(i int) bool {
 		if first >= n {
 			break
 		}
-		smallest := first
-		sk := keys[first]
 		end := first + 4
 		if end > n {
 			end = n
 		}
-		for c := first + 1; c < end; c++ {
-			if keys[c].at < sk.at || (keys[c].at == sk.at && keys[c].ord < sk.ord) {
-				smallest, sk = c, keys[c]
-			}
-		}
-		if !sk.less(&k) {
+		smallest := minChild(keys, first, end)
+		if !keys[smallest].less(&k) {
 			break
 		}
-		el.set(i, sk, el.vals[smallest])
+		el.set(i, keys[smallest], el.vals[smallest])
 		i = smallest
 		moved = true
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 )
 
@@ -213,12 +214,142 @@ func FuzzEventList(f *testing.F) {
 	f.Add([]byte{0, 20, 3, 10, 7, 0, 5, 0, 7, 0})
 	f.Add([]byte{3, 5, 3, 5, 6, 1, 6, 200, 7, 0, 7, 0})
 	f.Add([]byte{2, 30, 0, 30, 3, 30, 5, 1, 7, 9})
+	for n := 1; n <= 70; n++ {
+		f.Add(heapShapeOps(n))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
 		runSchedulerOps(t, ops)
 	})
+}
+
+// heapShapeOps is an op stream that builds a heap of exactly n events tied
+// at one timestamp (offsets below 16 lie in the past and clamp to now),
+// sinks one of them with a reschedule, and drains it: n = 1…70 walks the
+// sift kernel through every shape of last sibling group, one to four
+// children, at one to four levels.
+func heapShapeOps(n int) []byte {
+	ops := make([]byte, 0, 4*n+2)
+	for i := 0; i < n; i++ {
+		ops = append(ops, 3, byte(i%16)) // cancellable, clamped to now
+	}
+	ops = append(ops, 6, 200) // reschedule one to far later: a full sift-down
+	for i := 0; i < n; i++ {
+		ops = append(ops, 7, 0)
+	}
+	return ops
+}
+
+func TestHeapShapesVsReference(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		runSchedulerOps(t, heapShapeOps(n))
+	}
+}
+
+// TestPopOrderEveryHeapSize checks pop order against a sorted slice for
+// every heap size 1…70, with three timestamps shared among all events (so
+// most comparisons are decided by ord) and keys from all four ord classes.
+func TestPopOrderEveryHeapSize(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		r := NewRand(uint64(n))
+		el := NewEventList()
+		rec := &tagRecorder{}
+		type keyed struct {
+			key eventKey
+			tag uint64
+		}
+		want := make([]keyed, n)
+		for i := range want {
+			at, tag := Time(r.Intn(3)), uint64(i)
+			uid, seq := uint32(r.Intn(4)), uint64(i)
+			var ord uint64
+			switch r.Intn(5) {
+			case 0:
+				ord = DeliveryOrd(uid, seq)
+			case 1:
+				ord = CommandOrd(uid, seq)
+			case 2:
+				ord = PFCOrd(uid, seq)
+			}
+			if ord != 0 {
+				el.ScheduleKeyed(at, ord, rec, tag)
+			} else {
+				el.Schedule(at, rec, tag)
+				ord = ordNormal | el.seq
+			}
+			want[i] = keyed{eventKey{at: at, ord: ord}, tag}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].key.less(&want[j].key) })
+		el.Run()
+		if len(rec.log) != n {
+			t.Fatalf("n=%d: fired %d events", n, len(rec.log))
+		}
+		for i := range want {
+			if rec.log[i] != want[i].tag {
+				t.Fatalf("n=%d: pop %d fired tag %d, sorted reference says %d", n, i, rec.log[i], want[i].tag)
+			}
+		}
+	}
+}
+
+// TestLessWordMatchesLess: the branch-free compare is the branchy one, on
+// every pair of a table that has equal keys, timestamp ties across all four
+// ord classes, Infinity and the largest ord.
+func TestLessWordMatchesLess(t *testing.T) {
+	var keys []eventKey
+	for _, at := range []Time{0, 1, Microsecond, Infinity - 1, Infinity} {
+		for _, ord := range []uint64{
+			0, DeliveryOrd(0, 1), DeliveryOrd(ordUIDMax-1, 1<<ordSeqBits-1),
+			CommandOrd(0, 0), CommandOrd(3, 9),
+			ordNormal, ordNormal | 1, ordNormal | (1<<62 - 1),
+			PFCOrd(0, 0), PFCOrd(ordUIDMax-1, 1<<ordSeqBits-1), ^uint64(0),
+		} {
+			keys = append(keys, eventKey{at: at, ord: ord})
+		}
+	}
+	if last := keys[len(keys)-1]; last.at != Infinity || last.ord != PFCOrd(ordUIDMax-1, 1<<ordSeqBits-1) {
+		t.Fatalf("table does not end on the largest key: %+v", last)
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			want := 0
+			if a.less(&b) {
+				want = 1
+			}
+			if got := lessWord(a, b); got != want {
+				t.Errorf("lessWord(%+v, %+v) = %d, less says %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestMinChildTiesGoLeft: with duplicate keys in a sibling group (keyed
+// events may share a key) the tournament picks the same child the scalar
+// scan does — the leftmost minimum — so which of two equal events pops
+// first never depended on the group being full.
+func TestMinChildTiesGoLeft(t *testing.T) {
+	lo, hi := eventKey{at: 1, ord: 5}, eventKey{at: 1, ord: 6}
+	for mask := 0; mask < 16; mask++ {
+		group := make([]eventKey, 5) // index 0 stands for the parent
+		want := 0
+		for c := 1; c <= 4; c++ {
+			group[c] = hi
+			if mask&(1<<(c-1)) != 0 {
+				group[c] = lo
+				if want == 0 {
+					want = c
+				}
+			}
+		}
+		if want == 0 {
+			want = 1
+		}
+		if got := minChild(group, 1, 5); got != want {
+			t.Errorf("minimum at children %04b: minChild = %d, want %d", mask, got, want)
+		}
+	}
 }
 
 // TestTimerResetBoundedHeap is the regression test for the ghost-entry leak:

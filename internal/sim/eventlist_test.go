@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -106,19 +107,33 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
+// TestReserveOrdAndFired: a reserved ord sits in the FIFO order exactly
+// where a Schedule call would have put the event, whether or not the event
+// is ever scheduled, and Fired answers for it as if it always were.
+func TestReserveOrdAndFired(t *testing.T) {
 	el := NewEventList()
-	fired := 0
-	el.At(1, func() { fired++; el.Halt() })
-	el.At(2, func() { fired++ })
-	el.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (halt should stop the loop)", fired)
+	var order []string
+	var reserved uint64
+	fired := func() bool { return el.Fired(2*Microsecond, reserved) }
+	note := func(name string) func() {
+		return func() { order = append(order, name, fmt.Sprint(fired())) }
 	}
-	el.Resume()
-	el.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d after resume, want 2", fired)
+	el.At(2*Microsecond, note("before"))
+	el.At(Microsecond, func() {
+		reserved = el.ReserveOrd()
+		el.At(2*Microsecond, note("after"))
+	})
+	el.RunUntil(Microsecond)
+	if fired() {
+		t.Fatal("a key later than now counts as fired")
+	}
+	el.AtKeyed(2*Microsecond, reserved, note("reserved"))
+	el.RunUntil(2 * Microsecond)
+	if got, want := fmt.Sprint(order), "[before false reserved true after true]"; got != want {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+	if !fired() {
+		t.Error("outside the event loop a key at now must count as fired")
 	}
 }
 

@@ -19,8 +19,8 @@ func AttachArena(el *sim.EventList) *Arena {
 // free-list stack. Each shard's event list owns exactly one Arena
 // (AttachArena), and every component scheduled on that list allocates from
 // it, so packets are freed by the same goroutine that allocated them —
-// after a cross-shard handoff, by the goroutine the ownership was
-// transferred to at the window barrier. That single-owner discipline is
+// after a cross-shard handoff, by the goroutine that adopted them out of
+// the mailbox. That single-owner discipline is
 // what lets Get/Free run without locks, without sync.Pool's per-P caches,
 // and without the GC draining the pool between runs.
 //
@@ -103,15 +103,21 @@ func (a *Arena) put(p *Packet) {
 // Zero after a completed run means no packet leaked.
 func (a *Arena) InUse() int64 { return a.inUse }
 
-// transferTo moves the packet's ownership to another arena: the packet will
-// be freed into dst's free-list by dst's goroutine. Called only at window
-// barriers (CrossBox.Drain), where the coordinator is the sole runner, so
-// the counter updates need no atomics.
-func (p *Packet) transferTo(dst *Arena) {
-	if p.owner == dst || p.owner == nil || dst == nil {
-		return
+// park takes a packet that is leaving its shard off its arena's books, and
+// adopt puts it on the books of the arena whose goroutine will free it. The
+// source shard parks (CrossBox.AddDelivery) and the destination shard
+// adopts (CrossBox.DrainPublished), each on its own goroutine, so every
+// counter keeps a single writer; in between the mailbox accounts for the
+// packet (CrossBox.Packets). Pool packets (no owner) stay pool packets.
+func (p *Packet) park() {
+	if p.owner != nil {
+		p.owner.inUse--
 	}
-	p.owner.inUse--
-	dst.inUse++
-	p.owner = dst
+}
+
+func (p *Packet) adopt(a *Arena) {
+	if p != nil && p.owner != nil {
+		p.owner = a
+		a.inUse++
+	}
 }

@@ -82,18 +82,19 @@ func TestArenaDoubleFreePanics(t *testing.T) {
 }
 
 // TestArenaTransferMovesAccounting checks the cross-shard ownership move:
-// the packet leaves the source arena's books, lands on the destination's,
-// and is freed into the destination's free-list.
+// the packet leaves the source arena's books when parked, lands on the
+// destination's when adopted, and is freed into the destination's
+// free-list.
 func TestArenaTransferMovesAccounting(t *testing.T) {
 	src, dst := NewArena(), NewArena()
 	p := src.Get()
-	p.transferTo(dst)
+	p.park()
+	if src.InUse() != 0 || dst.InUse() != 0 {
+		t.Fatalf("parked: src InUse=%d dst InUse=%d, want 0/0", src.InUse(), dst.InUse())
+	}
+	p.adopt(dst)
 	if src.InUse() != 0 || dst.InUse() != 1 {
 		t.Fatalf("after transfer: src InUse=%d dst InUse=%d, want 0/1", src.InUse(), dst.InUse())
-	}
-	p.transferTo(dst) // self-transfer must be a no-op
-	if dst.InUse() != 1 {
-		t.Fatalf("self-transfer changed accounting: dst InUse=%d", dst.InUse())
 	}
 	Free(p)
 	if dst.InUse() != 0 {

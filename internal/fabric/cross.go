@@ -4,14 +4,25 @@ import (
 	"ndp/internal/sim"
 )
 
-// CrossBox is a single-writer mailbox for one directed shard pair in a
-// sharded simulation: ports (and the command layer) of the source shard
-// append entries during a window, and the coordinator drains the box into
-// the destination shard's event list at the window boundary. No locking is
-// needed: exactly one shard goroutine writes between barriers, and the
-// barrier's happens-before edge publishes the entries to the coordinator.
+// CrossBox is the mailbox of one directed shard pair in a sharded
+// simulation, double-buffered so that each side is only ever touched from
+// one core at a time: ports (and the command layer) of the source shard
+// append to the write side during a window; at the window boundary the
+// coordinator publishes the write side as the read side (Publish, a slice
+// swap); and the destination shard moves the read side into its own event
+// list on its own goroutine when its next window starts (DrainPublished),
+// so the heap pushes land in the cache that will pop them. No locking is
+// needed: the window barrier's happens-before edges order the three.
 type CrossBox struct {
-	entries []CrossEntry
+	// entries is the write side and earliest the smallest At in it.
+	entries  []CrossEntry
+	earliest sim.Time
+	// The source appends while the destination drains: keep the two sides
+	// on different cache lines.
+	_ [64]byte
+	// ready is the read side and readyAt the smallest At in it.
+	ready   []CrossEntry
+	readyAt sim.Time
 }
 
 // CrossEntry is one boundary crossing: a packet delivery into a Sink, a
@@ -29,14 +40,25 @@ type CrossEntry struct {
 	Pause bool
 }
 
-// AddDelivery appends a packet delivery crossing the shard boundary.
+func (b *CrossBox) add(e CrossEntry) {
+	if len(b.entries) == 0 || e.At < b.earliest {
+		b.earliest = e.At
+	}
+	b.entries = append(b.entries, e) //simlint:allow hotalloc — cross-shard mailbox: amortized doubling, the two sides swap and are reused every lookahead window
+}
+
+// AddDelivery appends a packet delivery crossing the shard boundary. The
+// packet leaves the source shard's arena here, on the source's goroutine,
+// and joins the destination's when it is drained there; in between the
+// mailbox holds it (Packets).
 func (b *CrossBox) AddDelivery(at sim.Time, ord uint64, pkt *Packet, sink Sink) {
-	b.entries = append(b.entries, CrossEntry{At: at, Ord: ord, Pkt: pkt, Sink: sink}) //simlint:allow hotalloc — cross-shard mailbox: amortized doubling, drained in place and reused every lookahead window
+	pkt.park()
+	b.add(CrossEntry{At: at, Ord: ord, Pkt: pkt, Sink: sink})
 }
 
 // AddCommand appends a deferred cross-shard command.
 func (b *CrossBox) AddCommand(at sim.Time, ord uint64, fn func()) {
-	b.entries = append(b.entries, CrossEntry{At: at, Ord: ord, Fn: fn})
+	b.add(CrossEntry{At: at, Ord: ord, Fn: fn})
 }
 
 // AddPFC appends a PFC pause/resume transition crossing the shard boundary
@@ -46,46 +68,92 @@ func (b *CrossBox) AddCommand(at sim.Time, ord uint64, fn func()) {
 // channel is itself registered as a cross link, so the conservative
 // window never needs to be narrowed for pause state.
 func (b *CrossBox) AddPFC(at sim.Time, ord uint64, upstream *Port, pause bool) {
-	b.entries = append(b.entries, CrossEntry{At: at, Ord: ord, PFC: upstream, Pause: pause}) //simlint:allow hotalloc — cross-shard mailbox: amortized doubling, drained in place and reused every lookahead window
+	b.add(CrossEntry{At: at, Ord: ord, PFC: upstream, Pause: pause})
 }
 
-// Drain moves every pending entry into the destination shard's inbox and
-// empties the box. Injection order is irrelevant — the heap orders by
-// (At, Ord) — so no sort is needed. An entry timed before the destination
-// clock means the emitter violated the conservative lookahead contract
-// (delivery at least one lookahead after emission); the event-list clamp
-// would silently turn that into shard-layout-dependent timing, so it
-// panics instead.
-func (b *CrossBox) Drain(dst *Inbox) {
-	for i := range b.entries {
-		e := b.entries[i]
-		b.entries[i] = CrossEntry{}
+// Publish hands everything added since the last Publish to the read side
+// and returns the earliest At waiting there (Infinity when nothing is).
+// The coordinator calls it at the window boundary. Normally the destination
+// has drained the read side and the two slices just swap; entries it has
+// not drained yet (published between runs) are kept and appended to.
+func (b *CrossBox) Publish() sim.Time {
+	if len(b.entries) > 0 {
+		if len(b.ready) == 0 {
+			b.ready, b.entries = b.entries, b.ready
+			b.readyAt = b.earliest
+		} else {
+			b.ready = append(b.ready, b.entries...)
+			clear(b.entries)
+			b.entries = b.entries[:0]
+			b.readyAt = min(b.readyAt, b.earliest)
+		}
+	}
+	if len(b.ready) == 0 {
+		return sim.Infinity
+	}
+	return b.readyAt
+}
+
+// DrainPublished moves the read side into the destination shard's inbox;
+// entries added since the last Publish stay where they are. It runs on the
+// destination's goroutine. Injection order is irrelevant — the heap orders
+// by (At, Ord) — so no sort is needed. An entry timed before the
+// destination clock means the emitter violated the conservative lookahead
+// contract (delivery at least one lookahead after emission); the
+// event-list clamp would silently turn that into shard-layout-dependent
+// timing, so it panics instead.
+func (b *CrossBox) DrainPublished(dst *Inbox) {
+	for i := range b.ready {
+		e := b.ready[i]
+		b.ready[i] = CrossEntry{}
 		if e.At < dst.el.Now() {
 			panic("fabric: cross-shard entry timed before the destination clock (lookahead contract violated)")
 		}
-		if e.Pkt != nil {
-			// Ownership transfer: from here on the destination shard's
-			// goroutine delivers and frees the packet, so it must free
-			// into the destination arena. The barrier is single-threaded,
-			// which is what makes the two counter updates safe.
-			e.Pkt.transferTo(dst.arena)
-		}
+		// From here on the destination shard's goroutine delivers and
+		// frees the packet, so it must free into the destination arena.
+		e.Pkt.adopt(dst.arena)
 		dst.inject(e)
 	}
-	b.entries = b.entries[:0]
+	b.ready = b.ready[:0]
 }
 
-// Len reports pending entries (tests and telemetry).
-func (b *CrossBox) Len() int { return len(b.entries) }
+// Drain publishes and drains in one step: every pending entry moves into
+// the destination shard's inbox. For callers that own both sides.
+func (b *CrossBox) Drain(dst *Inbox) {
+	b.Publish()
+	b.DrainPublished(dst)
+}
+
+// Len reports pending entries on both sides (tests and telemetry).
+func (b *CrossBox) Len() int { return len(b.entries) + len(b.ready) }
+
+// Packets reports the packets waiting in the box: they have left the
+// source arena's InUse count and not yet joined the destination's.
+func (b *CrossBox) Packets() int64 {
+	var n int64
+	for _, side := range [2][]CrossEntry{b.entries, b.ready} {
+		for i := range side {
+			if side[i].Pkt != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // ReleasePackets frees any packets still waiting in the box (a run stopped
 // mid-traffic before the next barrier) and empties it.
 func (b *CrossBox) ReleasePackets() {
-	for i := range b.entries {
-		Free(b.entries[i].Pkt)
-		b.entries[i] = CrossEntry{}
+	for _, side := range [2][]CrossEntry{b.entries, b.ready} {
+		for i := range side {
+			if p := side[i].Pkt; p != nil {
+				p.adopt(p.owner)
+				Free(p)
+			}
+			side[i] = CrossEntry{}
+		}
 	}
-	b.entries = b.entries[:0]
+	b.entries, b.ready = b.entries[:0], b.ready[:0]
 }
 
 // Inbox is one shard's receiving side of the cross-shard exchange: a slot

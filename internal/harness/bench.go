@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"ndp/internal/sim"
 )
 
 // This file is the benchmark harness behind `ndpsim -bench`: it runs a
@@ -24,6 +26,9 @@ type BenchCounts struct {
 	Events int64
 	// PacketHops is the number of packet wire-traversals simulated.
 	PacketHops int64
+	// Windows is what the sharded runner's windows did; zero for a case
+	// that runs on one event list.
+	Windows sim.WindowStats
 }
 
 // BenchCase is one pinned benchmark: a stable name (the unit of comparison
@@ -51,6 +56,16 @@ type BenchResult struct {
 	NsPerEvent    float64 `json:"ns_per_event"`
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 	BytesPerOp    int64   `json:"bytes_per_op"`
+	// Procs is the GOMAXPROCS the case pinned (absent: the process's own).
+	Procs int `json:"procs,omitempty"`
+	// Sharded cases only — deterministic counts of the windowed runner
+	// (sim.WindowStats): windows run, windows with a single busy shard,
+	// events per shard, and the share of all events on the windows'
+	// critical path (1/shards is ideal; its inverse caps the speedup).
+	Windows       uint64   `json:"windows,omitempty"`
+	SingleBusy    uint64   `json:"single_busy_windows,omitempty"`
+	ShardEvents   []uint64 `json:"shard_events,omitempty"`
+	CriticalShare float64  `json:"critical_share,omitempty"`
 }
 
 // BenchReport is a full suite run: what was measured, and on what.
@@ -128,6 +143,11 @@ func RunBenchSuite(cases []BenchCase, label string, logf func(format string, arg
 			PacketHops:  counts.PacketHops,
 			AllocsPerOp: allocs,
 			BytesPerOp:  bytes,
+			Procs:       c.Procs,
+		}
+		if w := counts.Windows; w.Windows > 0 {
+			r.Windows, r.SingleBusy, r.ShardEvents = w.Windows, w.SingleBusy, w.Events
+			r.CriticalShare = w.CriticalShare()
 		}
 		if secs := wall.Seconds(); secs > 0 {
 			r.EventsPerSec = float64(counts.Events) / secs
@@ -174,6 +194,10 @@ func (r *BenchReport) String() string {
 		fmt.Fprintf(&b, "%-16s %10.1f %12d %12d %14.0f %12d %10.1f\n",
 			res.Name, res.WallMs, res.Events, res.PacketHops,
 			res.EventsPerSec, res.AllocsPerOp, res.NsPerEvent)
+		if res.Windows > 0 {
+			fmt.Fprintf(&b, "%-16s windows=%d single_busy=%d critical_share=%.3f shard_events=%v\n",
+				"", res.Windows, res.SingleBusy, res.CriticalShare, res.ShardEvents)
+		}
 	}
 	return b.String()
 }

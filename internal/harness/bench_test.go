@@ -2,8 +2,11 @@ package harness
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ndp/internal/sim"
 )
 
 func report(results ...BenchResult) *BenchReport {
@@ -89,8 +92,12 @@ func TestCompareBench(t *testing.T) {
 func TestBenchReportRoundTrip(t *testing.T) {
 	rep := RunBenchSuite([]BenchCase{
 		{Name: "unit", Run: func() BenchCounts { return BenchCounts{Events: 42, PacketHops: 7} }},
+		{Name: "unit-shards2", Procs: 1, Run: func() BenchCounts {
+			return BenchCounts{Events: 42, PacketHops: 7,
+				Windows: sim.WindowStats{Windows: 5, SingleBusy: 1, Events: []uint64{30, 10}, Critical: 30}}
+		}},
 	}, "test", nil)
-	if len(rep.Results) != 1 || rep.Results[0].Events != 42 || rep.Results[0].PacketHops != 7 {
+	if len(rep.Results) != 2 || rep.Results[0].Events != 42 || rep.Results[0].PacketHops != 7 {
 		t.Fatalf("suite result mangled: %+v", rep.Results)
 	}
 	if rep.Results[0].Name != "unit" || rep.Schema != benchSchema || rep.GoVersion == "" {
@@ -104,7 +111,14 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Results[0] != rep.Results[0] || back.Label != "test" {
+	if r := rep.Results[1]; r.Windows != 5 || r.SingleBusy != 1 || r.CriticalShare != 0.75 || r.Procs != 1 ||
+		!strings.Contains(rep.String(), "critical_share=0.750") {
+		t.Errorf("sharded row lost its window counters: %+v\n%s", r, rep)
+	}
+	if rep.Results[0].Windows != 0 || strings.Count(rep.String(), "windows=") != 1 {
+		t.Errorf("unsharded row must not print window counters:\n%s", rep)
+	}
+	if !reflect.DeepEqual(back.Results, rep.Results) || back.Label != "test" {
 		t.Errorf("report changed over file round-trip:\nbefore %+v\nafter  %+v", rep, back)
 	}
 	if _, err := LoadBenchReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {

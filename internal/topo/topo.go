@@ -131,8 +131,11 @@ type Network struct {
 	// boxes[src][dst] is the cross-shard mailbox for each directed shard
 	// pair; inboxes[dst] is the receiving slot arena. Both nil when
 	// unsharded.
-	boxes     [][]fabric.CrossBox
-	inboxes   []*fabric.Inbox
+	boxes   [][]fabric.CrossBox
+	inboxes []*fabric.Inbox
+	// inboundAt[dst] is the earliest entry published to shard dst at the
+	// last exchange (sim.Mailboxes).
+	inboundAt []sim.Time
 	lookahead sim.Time
 	// crossDelay[src][dst] is the minimum delay of any single cut edge
 	// from shard src to shard dst reported via noteCrossLink (Infinity
@@ -271,12 +274,18 @@ func (n *Network) Close() {
 	}
 }
 
-// PacketsInUse implements Cluster: outstanding packets across shard arenas.
+// PacketsInUse implements Cluster: outstanding packets across shard arenas,
+// plus those in flight between two of them in a cross-shard mailbox.
 func (n *Network) PacketsInUse() int64 {
 	var total int64
 	for _, el := range n.els {
 		if a, ok := el.Allocator().(*fabric.Arena); ok {
 			total += a.InUse()
+		}
+	}
+	for i := range n.boxes {
+		for j := range n.boxes[i] {
+			total += n.boxes[i][j].Packets()
 		}
 	}
 	return total
@@ -308,6 +317,7 @@ func (n *Network) initShards(cfg Config, shards int) {
 	if shards > 1 {
 		n.boxes = make([][]fabric.CrossBox, shards)
 		n.inboxes = make([]*fabric.Inbox, shards)
+		n.inboundAt = make([]sim.Time, shards)
 		n.crossDelay = make([][]sim.Time, shards)
 		for i := range n.boxes {
 			n.boxes[i] = make([]fabric.CrossBox, shards)
@@ -319,7 +329,9 @@ func (n *Network) initShards(cfg Config, shards int) {
 				}
 			}
 		}
-		n.runner = sim.NewMultiRunner(n.els, cfg.LinkDelay, n.exchange)
+		mr := sim.NewMultiRunner(n.els, cfg.LinkDelay, n.exchange)
+		mr.Inbound = n
+		n.runner = mr
 	} else {
 		n.runner = n.els[0]
 	}
@@ -388,15 +400,30 @@ func (n *Network) noteCrossLink(from, to int, delay sim.Time) *fabric.CrossBox {
 	return &n.boxes[from][to]
 }
 
-// exchange drains every cross-shard mailbox into its destination list; the
-// windowed runner calls it single-threaded at each window boundary.
+// exchange publishes every cross-shard mailbox to its destination shard and
+// notes the earliest entry each shard now has waiting; the windowed runner
+// calls it single-threaded at each window boundary.
 func (n *Network) exchange() {
+	for dst := range n.inboundAt {
+		n.inboundAt[dst] = sim.Infinity
+	}
 	for src := range n.boxes {
 		for dst := range n.boxes[src] {
-			if n.boxes[src][dst].Len() > 0 {
-				n.boxes[src][dst].Drain(n.inboxes[dst])
+			if at := n.boxes[src][dst].Publish(); at < n.inboundAt[dst] {
+				n.inboundAt[dst] = at
 			}
 		}
+	}
+}
+
+// InboundAt implements sim.Mailboxes.
+func (n *Network) InboundAt(shard int) sim.Time { return n.inboundAt[shard] }
+
+// DrainInbound implements sim.Mailboxes: shard's own goroutine moves what
+// was published to it into its event list.
+func (n *Network) DrainInbound(shard int) {
+	for src := range n.boxes {
+		n.boxes[src][shard].DrainPublished(n.inboxes[shard])
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ndp/internal/harness"
@@ -77,27 +78,17 @@ func BenchSuite() []harness.BenchCase {
 		out = append(out, harness.BenchCase{
 			Name: c.name,
 			Tiny: c.tiny,
-			Run: func() harness.BenchCounts {
-				m, stats, err := RunWithStats(spec)
-				if err != nil {
-					panic(fmt.Sprintf("bench case: %v", err))
-				}
-				if m.FlowsLaunched == 0 {
-					panic("bench case launched no flows")
-				}
-				return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops}
-			},
+			Run:  func() harness.BenchCounts { return benchRun(spec) },
 		})
 	}
 	return out
 }
 
-// benchScalingProcs pins GOMAXPROCS for the scaling curves: the 8-shard
-// point needs 8 schedulable workers to mean anything, and pinning makes
-// the curve shape comparable across reports regardless of the recording
-// machine's core count (small machines oversubscribe, which the per-point
-// cpu label in the report already caveats).
-const benchScalingProcs = 8
+// benchScalingProcs pins GOMAXPROCS for the scaling curves at what the
+// 8-shard point can use, but never above the machine's CPUs: more Ps than
+// cores measures oversubscription, not scaling. The value used is recorded
+// in each report row (procs).
+func benchScalingProcs() int { return min(8, runtime.NumCPU()) }
 
 // BenchScalingSuite is the shard-scaling trajectory behind
 // `ndpsim -bench -scaling`: two event-profile extremes — the lossless
@@ -127,21 +118,24 @@ func BenchScalingSuite() []harness.BenchCase {
 			out = append(out, harness.BenchCase{
 				Name:  fmt.Sprintf("%s-shards%d", f.name, shards),
 				Tiny:  false,
-				Procs: benchScalingProcs,
-				Run: func() harness.BenchCounts {
-					m, stats, err := RunWithStats(spec)
-					if err != nil {
-						panic(fmt.Sprintf("bench scaling case: %v", err))
-					}
-					if m.FlowsLaunched == 0 {
-						panic("bench scaling case launched no flows")
-					}
-					return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops}
-				},
+				Procs: benchScalingProcs(),
+				Run:   func() harness.BenchCounts { return benchRun(spec) },
 			})
 		}
 	}
 	return out
+}
+
+// benchRun is one run of a suite member.
+func benchRun(spec Spec) harness.BenchCounts {
+	m, stats, windows, err := runWithWindows(spec)
+	if err != nil {
+		panic(fmt.Sprintf("bench case: %v", err))
+	}
+	if m.FlowsLaunched == 0 {
+		panic("bench case launched no flows")
+	}
+	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops, Windows: windows}
 }
 
 // benchSpec builds one pinned suite member; registry names are known good

@@ -41,10 +41,18 @@ type RunStats struct {
 
 // RunWithStats is Run plus the engine observables the bench harness
 // reports throughput against.
-func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
+func RunWithStats(spec Spec) (*Metrics, RunStats, error) {
+	m, stats, _, err := runWithWindows(spec)
+	return m, stats, err
+}
+
+// runWithWindows is RunWithStats plus the sharded runner's window counters,
+// summed across repeats (zero when unsharded). They stay out of RunStats,
+// which is compared across shard counts.
+func runWithWindows(spec Spec) (m *Metrics, stats RunStats, windows sim.WindowStats, err error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return nil, RunStats{}, err
+		return nil, RunStats{}, sim.WindowStats{}, err
 	}
 	name := spec.name
 	if name == "" {
@@ -55,7 +63,7 @@ func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
 	// promises.
 	defer func() {
 		if p := recover(); p != nil {
-			m, stats, err = nil, RunStats{}, fmt.Errorf("scenario: run failed: %v", p)
+			m, stats, windows, err = nil, RunStats{}, sim.WindowStats{}, fmt.Errorf("scenario: run failed: %v", p)
 		}
 	}()
 	seeds := harness.SweepSeeds(spec.Seed, spec.Repeats)
@@ -79,8 +87,9 @@ func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
 		stats.Events += o.events
 		stats.PacketHops += o.hops
 		stats.PacketsLeaked += o.leaked
+		windows.Add(o.windows)
 	}
-	return merge(spec, outs), stats, nil
+	return merge(spec, outs), stats, windows, nil
 }
 
 // runOut is one repetition's raw contribution to the Metrics.
@@ -96,6 +105,7 @@ type runOut struct {
 	events    int64 // scheduler events executed
 	hops      int64 // packet wire-traversals
 	leaked    int64 // arena packets still outstanding after Close
+	windows   sim.WindowStats
 }
 
 // runOnce builds the network for one derived seed and drives the workload.
@@ -123,6 +133,9 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 	out.counters = net.Cluster().CollectStats()
 	out.events = int64(net.Runner().Executed())
 	out.hops = net.Cluster().PacketHops()
+	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
+		out.windows = mr.WindowStats()
+	}
 	// Close releases every packet the fabric and endpoints still hold;
 	// whatever the arenas then report outstanding has truly been lost.
 	net.Close()

@@ -29,6 +29,9 @@ type BenchCounts struct {
 	// Windows is what the sharded runner's windows did; zero for a case
 	// that runs on one event list.
 	Windows sim.WindowStats
+	// Queue is what the scheduler's two tiers did, summed over the run's
+	// event lists.
+	Queue sim.QueueStats
 }
 
 // BenchCase is one pinned benchmark: a stable name (the unit of comparison
@@ -66,6 +69,25 @@ type BenchResult struct {
 	SingleBusy    uint64   `json:"single_busy_windows,omitempty"`
 	ShardEvents   []uint64 `json:"shard_events,omitempty"`
 	CriticalShare float64  `json:"critical_share,omitempty"`
+	// Deterministic counts of the scheduler's tiers (sim.QueueStats). A
+	// wheel share that falls, or heap pushes that move from "cancelable" to
+	// "active_bucket" or "sparse", say a workload has left the near-future
+	// regime the wheel serves.
+	Queue *BenchQueue `json:"queue,omitempty"`
+}
+
+// BenchQueue is the sim.QueueStats summary of one case.
+type BenchQueue struct {
+	WheelShare  float64 `json:"wheel_share"`
+	MeanRun     float64 `json:"mean_run"`
+	MaxRun      int     `json:"max_run"`
+	PeakPending int     `json:"peak_pending"`
+	HeapPushes  uint64  `json:"heap_pushes"`
+	// HeapPushes by the admission clause that refused the wheel.
+	Cancelable   uint64 `json:"heap_pushes_cancelable"`
+	BeyondSpan   uint64 `json:"heap_pushes_beyond_span"`
+	ActiveBucket uint64 `json:"heap_pushes_active_bucket"`
+	Sparse       uint64 `json:"heap_pushes_sparse"`
 }
 
 // BenchReport is a full suite run: what was measured, and on what.
@@ -149,6 +171,15 @@ func RunBenchSuite(cases []BenchCase, label string, logf func(format string, arg
 			r.Windows, r.SingleBusy, r.ShardEvents = w.Windows, w.SingleBusy, w.Events
 			r.CriticalShare = w.CriticalShare()
 		}
+		if q := counts.Queue; q.WheelPops+q.HeapPops > 0 {
+			r.Queue = &BenchQueue{
+				WheelShare: q.WheelShare(), MeanRun: q.MeanRun(), MaxRun: q.MaxRun,
+				PeakPending: q.PeakPending,
+				HeapPushes:  q.HeapCancelable + q.HeapBeyondSpan + q.HeapActiveBucket + q.HeapSparse,
+				Cancelable:  q.HeapCancelable, BeyondSpan: q.HeapBeyondSpan,
+				ActiveBucket: q.HeapActiveBucket, Sparse: q.HeapSparse,
+			}
+		}
 		if secs := wall.Seconds(); secs > 0 {
 			r.EventsPerSec = float64(counts.Events) / secs
 			r.PacketsPerSec = float64(counts.PacketHops) / secs
@@ -197,6 +228,11 @@ func (r *BenchReport) String() string {
 		if res.Windows > 0 {
 			fmt.Fprintf(&b, "%-16s windows=%d single_busy=%d critical_share=%.3f shard_events=%v\n",
 				"", res.Windows, res.SingleBusy, res.CriticalShare, res.ShardEvents)
+		}
+		if q := res.Queue; q != nil {
+			fmt.Fprintf(&b, "%-16s queue: wheel_share=%.3f mean_run=%.1f max_run=%d peak_pending=%d heap_pushes=%d (cancelable %d, beyond_span %d, active_bucket %d, sparse %d)\n",
+				"", q.WheelShare, q.MeanRun, q.MaxRun, q.PeakPending, q.HeapPushes,
+				q.Cancelable, q.BeyondSpan, q.ActiveBucket, q.Sparse)
 		}
 	}
 	return b.String()

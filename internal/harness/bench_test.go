@@ -91,7 +91,10 @@ func TestCompareBench(t *testing.T) {
 
 func TestBenchReportRoundTrip(t *testing.T) {
 	rep := RunBenchSuite([]BenchCase{
-		{Name: "unit", Run: func() BenchCounts { return BenchCounts{Events: 42, PacketHops: 7} }},
+		{Name: "unit", Run: func() BenchCounts {
+			return BenchCounts{Events: 42, PacketHops: 7,
+				Queue: sim.QueueStats{WheelPops: 30, HeapPops: 10, Runs: 4, MaxRun: 9, HeapCancelable: 8, HeapSparse: 2, PeakPending: 17}}
+		}},
 		{Name: "unit-shards2", Procs: 1, Run: func() BenchCounts {
 			return BenchCounts{Events: 42, PacketHops: 7,
 				Windows: sim.WindowStats{Windows: 5, SingleBusy: 1, Events: []uint64{30, 10}, Critical: 30}}
@@ -117,6 +120,13 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	}
 	if rep.Results[0].Windows != 0 || strings.Count(rep.String(), "windows=") != 1 {
 		t.Errorf("unsharded row must not print window counters:\n%s", rep)
+	}
+	if q := rep.Results[0].Queue; q == nil || q.WheelShare != 0.75 || q.MeanRun != 7.5 || q.HeapPushes != 10 ||
+		!strings.Contains(rep.String(), "queue: wheel_share=0.750 mean_run=7.5 max_run=9 peak_pending=17 heap_pushes=10 (cancelable 8, beyond_span 0, active_bucket 0, sparse 2)") {
+		t.Errorf("row lost its scheduler-tier counters: %+v\n%s", q, rep)
+	}
+	if rep.Results[1].Queue != nil || strings.Count(rep.String(), "queue:") != 1 {
+		t.Errorf("a row that fired no events must not print tier counters:\n%s", rep)
 	}
 	if !reflect.DeepEqual(back.Results, rep.Results) || back.Label != "test" {
 		t.Errorf("report changed over file round-trip:\nbefore %+v\nafter  %+v", rep, back)

@@ -2,16 +2,16 @@ package sim
 
 import "math/bits"
 
-// EventList is the simulation scheduler: a 4-ary indexed min-heap of
-// timestamped event records. All components of a simulation share one
-// EventList; Run drains it in timestamp order, advancing the virtual clock
-// as it goes.
+// EventList is the simulation scheduler: a timing wheel for the near future
+// in front of a 4-ary indexed min-heap for everything else. All components
+// of a simulation share one EventList; Run drains it in timestamp order,
+// advancing the virtual clock as it goes.
 //
 // Events with equal timestamps fire in the order they were scheduled
 // (FIFO tie-break via a sequence counter), which keeps simulations
-// deterministic regardless of heap internals. Rescheduling an event counts
-// as scheduling it anew: it moves behind everything already queued at the
-// same instant.
+// deterministic regardless of scheduler internals. Rescheduling an event
+// counts as scheduling it anew: it moves behind everything already queued at
+// the same instant.
 //
 // The scheduler is allocation-free on its hot paths. Components that
 // schedule per packet implement Handler and pass a uint64 argument, so an
@@ -28,17 +28,58 @@ import "math/bits"
 // property that lets the sharded multi-list runner (shards.go) reproduce
 // the single-list engine bit for bit.
 //
-// Layout notes, because this is the innermost loop of every simulation:
-// the heap is split into parallel key/value arrays so that sift comparisons
-// touch only 16-byte (time, ord) keys, and the 4-ary shape halves the levels
-// per pop versus a binary heap. A sibling group keys[4i+1 : 4i+5] is 64
-// bytes but starts 16 bytes into a cache line, so it straddles two lines;
-// at simulation depths (~1000 pending events, 16 KB of keys) the whole key
-// array is cache-resident and what a pop pays for is mispredicted compares,
-// which is why minChild picks the smallest sibling without branching.
-// Sifts move a hole instead of swapping, writing each displaced record
-// once. Events removed or rescheduled in place (Cancel, Reschedule) never
-// leave ghost entries.
+// Two tiers, one order. The firing order is a pure function of the
+// (at, ord) keys; where an event waits only decides what the wait costs. A
+// packet simulation schedules almost every event a few tens of nanoseconds
+// to a few microseconds ahead and never cancels it, so such an event goes
+// into the wheel, where a push is O(1) and a pop is an array read; the heap
+// keeps its generality for the rest. Every pending event has exactly one
+// home, chosen by one predicate (admit) when it is pushed.
+//
+// The wheel is wheelBuckets buckets of 2^wheelShift ps — 1024 × 16.384 ns,
+// a 16.8 µs span that covers a 9 KB packet's serialization plus a link
+// delay at 10 Gb/s. A bucket is a LIFO list threaded through one node slab;
+// an occupancy bitmap finds the next non-empty one. An event is admitted
+// iff it is not cancellable (Cancel and Reschedule address heap slots), its
+// bucket number at>>wheelShift is below now>>wheelShift + wheelBuckets, it
+// lies strictly beyond the bucket of the active run while one is loaded,
+// and at least wheelMinPending events are pending (below that a heap of two
+// or three levels is cheaper than the wheel's bookkeeping). Timers, RTO
+// horizons, pushes into the bucket being drained and sparse simulations
+// take the heap, which is always correct — no case needs special handling.
+//
+// The active run: when the earliest event is asked for and no run is
+// loaded, the first occupied bucket (circularly from now's) is unlinked
+// whole into run, sorted once by (at, ord), and popped from its tail. The
+// next event to fire is the smaller of the run's tail and the heap's root.
+// Sort-on-load rather than the textbook scan-per-pop, because lockstep
+// senders give many events the *same* timestamp — a loaded bucket holds 13
+// events on average and hundreds at a start burst — and no bucket width
+// separates equal times: scanning made the wheel slower than the heap.
+//
+// The bucket width must stay well under the shortest common serialization
+// time (64 B at 10 Gb/s = 51.2 ns; every topology in the tree runs 10 Gb/s
+// links), or the dominant push lands inside the active bucket and goes to
+// the heap. At faster line rates the wheel therefore degrades towards the
+// heap, never past it; QueueStats shows when that has happened. The
+// geometry is a constant, not a setting.
+//
+// Invariants: every bucketed entry's bucket number is in
+// [now>>wheelShift, now>>wheelShift + wheelBuckets) — the clock only reaches
+// t after everything before t has fired, so bucket indices never alias;
+// every run entry precedes every bucketed entry; Len counts both tiers; a
+// popped node's Handler is cleared, so the slab never pins one.
+//
+// Heap layout notes, because it still carries every timer and every
+// workload the wheel does not admit: the heap is split into parallel
+// key/value arrays so that sift comparisons touch only 16-byte (time, ord)
+// keys, and the 4-ary shape halves the levels per pop versus a binary heap.
+// A sibling group keys[4i+1 : 4i+5] is 64 bytes but starts 16 bytes into a
+// cache line, so it straddles two lines; the key array is cache-resident and
+// what a pop pays for is mispredicted compares, which is why minChild picks
+// the smallest sibling without branching. Sifts move a hole instead of
+// swapping, writing each displaced record once. Events removed or
+// rescheduled in place (Cancel, Reschedule) never leave ghost entries.
 type EventList struct {
 	now      Time
 	seq      uint64
@@ -52,10 +93,96 @@ type EventList struct {
 	// events; with now it is the key Fired compares against.
 	firing uint64
 
+	// The wheel. Node references (whead, wheelNode.next, wfree, runEntry.node)
+	// are slab index + 1, so the zero value means none.
+	nodes    []wheelNode
+	wfree    int32                     // free-list head through wheelNode.next
+	whead    []int32                   // bucket list heads, allocated on the first admitted push
+	wbits    [wheelBuckets / 64]uint64 // bucket occupancy
+	bucketed int                       // events in buckets, the run excluded
+	run      []runEntry                // the active run, one bucket's events sorted descending: the tail fires next
+	qs       QueueStats
+
 	// allocator is an opaque slot for the resource allocator owned by this
 	// list's scheduling domain (the per-shard packet arena in practice).
 	// sim stays allocator-agnostic: fabric attaches and retrieves it.
 	allocator any
+}
+
+// Wheel geometry (see the EventList comment for why these values).
+const (
+	wheelShift      = 14
+	wheelBuckets    = 1024
+	wheelMinPending = 16
+)
+
+// wheelNode is a bucketed event.
+type wheelNode struct {
+	key  eventKey
+	arg  uint64
+	h    Handler
+	next int32
+}
+
+// runEntry is one event of the active run: its key, copied so the sort
+// stays within the run, and its node.
+type runEntry struct {
+	key  eventKey
+	node int32
+}
+
+// QueueStats counts what the two scheduler tiers did — deterministic, so a
+// run can say whether its events were the near-future kind the wheel serves
+// or were pushed back onto the heap (a faster line rate, a sparse topology).
+type QueueStats struct {
+	// WheelPops and HeapPops split the events fired by the tier they
+	// waited in.
+	WheelPops, HeapPops uint64
+	// Runs is how many buckets were loaded and sorted, MaxRun the longest.
+	Runs   uint64
+	MaxRun int
+	// Heap pushes by the admission clause that sent them there.
+	HeapCancelable, HeapBeyondSpan, HeapActiveBucket, HeapSparse uint64
+	// PeakPending is the most events pending at once (for several lists,
+	// the largest of their peaks).
+	PeakPending int
+}
+
+// Add accumulates o into s (sums; maxima for MaxRun and PeakPending).
+func (s *QueueStats) Add(o QueueStats) {
+	s.WheelPops += o.WheelPops
+	s.HeapPops += o.HeapPops
+	s.Runs += o.Runs
+	s.MaxRun = max(s.MaxRun, o.MaxRun)
+	s.HeapCancelable += o.HeapCancelable
+	s.HeapBeyondSpan += o.HeapBeyondSpan
+	s.HeapActiveBucket += o.HeapActiveBucket
+	s.HeapSparse += o.HeapSparse
+	s.PeakPending = max(s.PeakPending, o.PeakPending)
+}
+
+// WheelShare is the fraction of fired events that waited in the wheel.
+func (s QueueStats) WheelShare() float64 {
+	if n := s.WheelPops + s.HeapPops; n > 0 {
+		return float64(s.WheelPops) / float64(n)
+	}
+	return 0
+}
+
+// MeanRun is the mean number of events per loaded run.
+func (s QueueStats) MeanRun() float64 {
+	if s.Runs > 0 {
+		return float64(s.WheelPops) / float64(s.Runs)
+	}
+	return 0
+}
+
+// QueueStats returns the tier counters accumulated so far.
+func (el *EventList) QueueStats() QueueStats {
+	s := el.qs
+	s.WheelPops -= uint64(len(el.run)) // counted at load, not yet fired
+	s.HeapPops = el.executed - s.WheelPops
+	return s
 }
 
 // SetAllocator attaches the domain allocator owned by this list.
@@ -204,7 +331,7 @@ func NewEventList() *EventList { return &EventList{firing: firingNone} }
 func (el *EventList) Now() Time { return el.now }
 
 // Len returns the number of pending events.
-func (el *EventList) Len() int { return len(el.keys) }
+func (el *EventList) Len() int { return len(el.keys) + el.bucketed + len(el.run) }
 
 // Executed returns how many events have fired since creation — the
 // event-throughput numerator of the bench harness.
@@ -289,14 +416,6 @@ func (el *EventList) Reschedule(id EventID, t Time) bool {
 // cancelled) event.
 func (el *EventList) Pending(id EventID) bool { return el.live(id) }
 
-// EventTime returns the scheduled time of a live event, or Infinity.
-func (el *EventList) EventTime(id EventID) Time {
-	if !el.live(id) {
-		return Infinity
-	}
-	return el.keys[el.slots[id]].at
-}
-
 func (el *EventList) live(id EventID) bool {
 	return id >= 0 && int(id) < len(el.slots) && el.slots[id] >= 0
 }
@@ -319,23 +438,70 @@ func (el *EventList) Fired(at Time, ord uint64) bool {
 	return at < el.now || (at == el.now && ord <= el.firing)
 }
 
-// Step runs the earliest pending event and returns true, or returns false if
-// the list is empty.
-func (el *EventList) Step() bool {
-	if len(el.keys) == 0 {
-		return false
+// Which tier holds the earliest pending event.
+const (
+	tierNone = iota
+	tierHeap
+	tierRun
+)
+
+// head reports where the earliest pending event waits and its time
+// (Infinity when nothing is pending), loading a run if events are bucketed
+// and none is loaded. It is the one place the two tiers are compared.
+func (el *EventList) head() (tier int, at Time) {
+	if len(el.run) == 0 {
+		if el.bucketed == 0 {
+			if len(el.keys) == 0 {
+				return tierNone, Infinity
+			}
+			return tierHeap, el.keys[0].at
+		}
+		el.loadRun()
 	}
-	k := el.keys[0]
-	v := el.vals[0]
-	el.popMin()
-	if v.id >= 0 {
-		el.freeSlot(EventID(v.id))
+	r := &el.run[len(el.run)-1].key
+	if len(el.keys) > 0 && el.keys[0].less(r) {
+		return tierHeap, el.keys[0].at
+	}
+	return tierRun, r.at
+}
+
+// fire pops the head of the given tier (as head reported it) and runs it.
+func (el *EventList) fire(tier int) {
+	var k eventKey
+	var h Handler
+	var arg uint64
+	if tier == tierRun {
+		last := len(el.run) - 1
+		e := el.run[last]
+		el.run = el.run[:last]
+		n := &el.nodes[e.node-1]
+		k, h, arg = e.key, n.h, n.arg
+		n.h = nil
+		n.next, el.wfree = el.wfree, e.node
+	} else {
+		k = el.keys[0]
+		v := el.vals[0]
+		el.popMin()
+		if v.id >= 0 {
+			el.freeSlot(EventID(v.id))
+		}
+		h, arg = v.h, v.arg
 	}
 	el.now = k.at
 	el.firing = k.ord
 	el.executed++
-	v.h.OnEvent(v.arg)
+	h.OnEvent(arg)
 	el.firing = firingNone
+}
+
+// Step runs the earliest pending event and returns true, or returns false if
+// the list is empty.
+func (el *EventList) Step() bool {
+	tier, _ := el.head()
+	if tier == tierNone {
+		return false
+	}
+	el.fire(tier)
 	return true
 }
 
@@ -348,8 +514,12 @@ func (el *EventList) Run() {
 // RunUntil processes events with timestamps <= deadline, then sets the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (el *EventList) RunUntil(deadline Time) {
-	for len(el.keys) > 0 && el.keys[0].at <= deadline {
-		el.Step()
+	for {
+		tier, at := el.head()
+		if tier == tierNone || at > deadline {
+			break
+		}
+		el.fire(tier)
 	}
 	if el.now < deadline {
 		el.now = deadline
@@ -361,8 +531,12 @@ func (el *EventList) RunUntil(deadline Time) {
 // which must not advance an idle shard's clock past events another shard
 // may still inject at the window boundary.
 func (el *EventList) RunBefore(limit Time) {
-	for len(el.keys) > 0 && el.keys[0].at < limit {
-		el.Step()
+	for {
+		tier, at := el.head()
+		if tier == tierNone || at >= limit {
+			break
+		}
+		el.fire(tier)
 	}
 }
 
@@ -370,7 +544,7 @@ func (el *EventList) RunBefore(limit Time) {
 // events earlier than t make this a programming error, so it panics rather
 // than silently running time backwards through them.
 func (el *EventList) AdvanceTo(t Time) {
-	if len(el.keys) > 0 && el.keys[0].at < t {
+	if tier, at := el.head(); tier != tierNone && at < t {
 		panic("sim: AdvanceTo past a pending event")
 	}
 	if el.now < t {
@@ -381,10 +555,8 @@ func (el *EventList) AdvanceTo(t Time) {
 // NextAt returns the timestamp of the earliest pending event, or Infinity if
 // none is pending.
 func (el *EventList) NextAt() Time {
-	if len(el.keys) == 0 {
-		return Infinity
-	}
-	return el.keys[0].at
+	_, at := el.head()
+	return at
 }
 
 // push clamps, stamps the FIFO sequence number, and sifts the record in.
@@ -392,10 +564,19 @@ func (el *EventList) push(at Time, v eventVal) {
 	el.pushKeyed(at, el.ReserveOrd(), v)
 }
 
-// pushKeyed clamps and sifts a record in under an explicit ord word.
+// pushKeyed clamps a record and files it under an explicit ord word, in the
+// wheel if admit says so and in the heap otherwise.
 func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
 	if at < el.now {
 		at = el.now
+	}
+	pending := el.Len()
+	if pending >= el.qs.PeakPending {
+		el.qs.PeakPending = pending + 1
+	}
+	if el.admit(at, v.id, pending) {
+		el.bucket(eventKey{at: at, ord: ord}, v)
+		return
 	}
 	el.keys = append(el.keys, eventKey{at: at, ord: ord}) //simlint:allow hotalloc — heap storage (keys and vals grow in lockstep): amortized doubling, capacity bounded by peak pending events and reused across pops
 	el.vals = append(el.vals, v)
@@ -404,6 +585,124 @@ func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
 		el.slots[v.id] = int32(i)
 	}
 	el.up(i)
+}
+
+// admit is the admission predicate: whether an event at (clamped) time at
+// goes to the wheel. Each refusal is counted by its reason.
+func (el *EventList) admit(at Time, id int32, pending int) bool {
+	switch b := at >> wheelShift; {
+	case id >= 0:
+		el.qs.HeapCancelable++
+	case b >= el.now>>wheelShift+wheelBuckets:
+		el.qs.HeapBeyondSpan++
+	case len(el.run) > 0 && b <= el.run[0].key.at>>wheelShift:
+		el.qs.HeapActiveBucket++
+	case pending < wheelMinPending:
+		el.qs.HeapSparse++
+	default:
+		return true
+	}
+	return false
+}
+
+// bucket links an admitted event into its bucket.
+func (el *EventList) bucket(k eventKey, v eventVal) {
+	if el.whead == nil {
+		el.whead = make([]int32, wheelBuckets) //simlint:allow hotalloc — bucket heads: 4 KB once per list, on the first admitted push, so lists that stay sparse never pay it
+	}
+	n := el.wfree
+	if n != 0 {
+		el.wfree = el.nodes[n-1].next
+	} else {
+		el.nodes = append(el.nodes, wheelNode{}) //simlint:allow hotalloc — node slab: amortized doubling, capacity bounded by peak bucketed events, nodes recycled through the free list
+		n = int32(len(el.nodes))
+	}
+	b := int(k.at>>wheelShift) & (wheelBuckets - 1)
+	el.nodes[n-1] = wheelNode{key: k, arg: v.arg, h: v.h, next: el.whead[b]}
+	el.whead[b] = n
+	el.wbits[b>>6] |= 1 << (b & 63)
+	el.bucketed++
+}
+
+// loadRun makes the first occupied bucket, circularly from now's, the
+// active run. At least one event must be bucketed. By the window invariant
+// the first occupied index is the earliest bucket.
+func (el *EventList) loadRun() {
+	start := int(el.now>>wheelShift) & (wheelBuckets - 1)
+	w := start >> 6
+	word := el.wbits[w] &^ (1<<(start&63) - 1)
+	for word == 0 {
+		// Wraps back to the start word, whole this time: the bits below
+		// start are the far end of the window.
+		w = (w + 1) & (len(el.wbits) - 1)
+		word = el.wbits[w]
+	}
+	b := w<<6 + bits.TrailingZeros64(word)
+	el.wbits[w] &^= 1 << (b & 63)
+	run := el.run[:0]
+	for n := el.whead[b]; n != 0; n = el.nodes[n-1].next {
+		run = append(run, runEntry{key: el.nodes[n-1].key, node: n}) //simlint:allow hotalloc — active run: amortized doubling, capacity bounded by the fullest bucket and reused by every load
+	}
+	el.whead[b] = 0
+	// The list is LIFO and pushes arrive roughly in time order, so the run
+	// is already close to the descending order wanted.
+	sortRun(run)
+	el.run = run
+	el.bucketed -= len(run)
+	el.qs.Runs++
+	el.qs.WheelPops += uint64(len(run))
+	el.qs.MaxRun = max(el.qs.MaxRun, len(run))
+}
+
+// sortRun sorts r descending by (at, ord). It is not slices.SortFunc: with
+// a comparison callback the sort alone was a quarter of a simulation's CPU.
+// Most runs are a dozen nearly sorted entries and end in the insertion
+// sort; start bursts of hundreds of ties go through the median-of-three
+// quicksort first.
+func sortRun(r []runEntry) {
+	for len(r) > 24 {
+		m, hi := len(r)/2, len(r)-1
+		if r[0].key.less(&r[m].key) {
+			r[0], r[m] = r[m], r[0]
+		}
+		if r[m].key.less(&r[hi].key) {
+			r[m], r[hi] = r[hi], r[m]
+			if r[0].key.less(&r[m].key) {
+				r[0], r[m] = r[m], r[0]
+			}
+		}
+		// Hoare partition around the median, now at m with r[0] >= p >=
+		// r[hi] as sentinels: afterwards r[:j+1] >= p >= r[j+1:], both
+		// non-empty.
+		p := r[m].key
+		i, j := -1, len(r)
+		for {
+			for i++; p.less(&r[i].key); i++ {
+			}
+			for j--; r[j].key.less(&p); j-- {
+			}
+			if i >= j {
+				break
+			}
+			r[i], r[j] = r[j], r[i]
+		}
+		// Recurse into the smaller part, loop on the larger.
+		if j+1 <= len(r)/2 {
+			sortRun(r[:j+1])
+			r = r[j+1:]
+		} else {
+			sortRun(r[j+1:])
+			r = r[:j+1]
+		}
+	}
+	for i := 1; i < len(r); i++ {
+		e := r[i]
+		j := i
+		for ; j > 0 && r[j-1].key.less(&e.key); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = e
+	}
 }
 
 // popMin deletes the root — the pop half of every simulation step, so it
@@ -558,11 +857,10 @@ func (el *EventList) down(i int) bool {
 // implementation abandoned a dead closure in the heap on every Reset, which
 // made RTO-heavy incasts accumulate thousands of ghost events.)
 type Timer struct {
-	el      *EventList
-	fn      func()
-	h       Handler
-	id      EventID
-	expires Time
+	el *EventList
+	fn func()
+	h  Handler
+	id EventID
 }
 
 // NewTimer returns a stopped timer that will invoke fn on expiry.
@@ -577,20 +875,19 @@ func NewTimer(el *EventList, fn func()) *Timer {
 // Init readies a timer in place: the allocation-free NewTimer, for a Timer
 // embedded by value in a larger struct.
 func (t *Timer) Init(el *EventList, fn func()) {
-	*t = Timer{el: el, fn: fn, id: NoEvent, expires: Infinity}
+	*t = Timer{el: el, fn: fn, id: NoEvent}
 }
 
 // InitHandler is Init with a Handler expiry instead of a closure — storing
 // a pointer in an interface field does not allocate, where binding a
 // method value does.
 func (t *Timer) InitHandler(el *EventList, h Handler) {
-	*t = Timer{el: el, h: h, id: NoEvent, expires: Infinity}
+	*t = Timer{el: el, h: h, id: NoEvent}
 }
 
 // OnEvent is the timer's expiry; it is public only to satisfy Handler.
 func (t *Timer) OnEvent(uint64) {
 	t.id = NoEvent
-	t.expires = Infinity
 	if t.h != nil {
 		t.h.OnEvent(0)
 		return
@@ -603,7 +900,6 @@ func (t *Timer) Reset(d Time) { t.ResetAt(t.el.Now() + d) }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
-	t.expires = at
 	if t.id != NoEvent {
 		t.el.Reschedule(t.id, at)
 		return
@@ -617,11 +913,7 @@ func (t *Timer) Stop() {
 		t.el.Cancel(t.id)
 		t.id = NoEvent
 	}
-	t.expires = Infinity
 }
 
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.id != NoEvent }
-
-// Expires returns the absolute expiry time, or Infinity when stopped.
-func (t *Timer) Expires() Time { return t.expires }

@@ -182,9 +182,6 @@ func TestTimerStop(t *testing.T) {
 	if tm.Pending() {
 		t.Error("stopped timer still pending")
 	}
-	if tm.Expires() != Infinity {
-		t.Errorf("stopped timer expires = %v, want Infinity", tm.Expires())
-	}
 }
 
 func TestTimerRestartAfterFire(t *testing.T) {
@@ -212,5 +209,102 @@ func TestNextAt(t *testing.T) {
 	el.At(42*Nanosecond, func() {})
 	if el.NextAt() != 42*Nanosecond {
 		t.Errorf("NextAt = %v, want 42ns", el.NextAt())
+	}
+}
+
+// TestWheelRunLoadedPastWindowLimit: a shard's window ends (RunBefore) with
+// the wheel's run already loaded from a bucket beyond the limit; the next
+// window's mailbox drain then delivers events that are earlier than the run,
+// inside its bucket, and tied with its entries under a lower ord. All of
+// them must fire in key order, ahead of the run entries they precede.
+func TestWheelRunLoadedPastWindowLimit(t *testing.T) {
+	el := NewEventList()
+	rec := &tagRecorder{}
+	const late = 10 * Microsecond
+	for i := 0; i < wheelMinPending; i++ { // sparse: these take the heap
+		el.Schedule(late+Time(i)*Nanosecond, rec, 100+uint64(i))
+	}
+	for i := 0; i < 8; i++ { // and these the wheel, one bucket
+		el.Schedule(late, rec, 200+uint64(i))
+	}
+	el.RunBefore(5 * Microsecond)
+	if s := el.QueueStats(); s.Runs != 1 || len(el.run) != 8 || el.Now() != 0 || len(rec.log) != 0 {
+		t.Fatalf("window before the run's bucket: runs=%d loaded=%d now=%v fired=%d, want 1, 8, 0, 0",
+			s.Runs, len(el.run), el.Now(), len(rec.log))
+	}
+	el.ScheduleKeyed(7*Microsecond, DeliveryOrd(2, 1), rec, 1)
+	el.ScheduleKeyed(6*Microsecond, DeliveryOrd(1, 1), rec, 0)
+	el.ScheduleKeyed(late, DeliveryOrd(1, 2), rec, 2) // tied with the run, lower ord class
+	el.ScheduleKeyed(late, PFCOrd(1, 1), rec, 300)    // tied with the run, highest ord class
+	el.Schedule(late-Nanosecond, rec, 3)              // the run's bucket, before its entries
+	el.Schedule(late+20*Nanosecond, rec, 400)         // a later bucket: the wheel again
+	if s := el.QueueStats(); s.HeapActiveBucket != 5 {
+		t.Fatalf("pushes at or before the loaded run's bucket sent to the heap: %d, want 5", s.HeapActiveBucket)
+	}
+	el.RunBefore(20 * Microsecond)
+	want := []uint64{0, 1, 3, 2, 100, 200, 201, 202, 203, 204, 205, 206, 207, 300}
+	for i := 1; i < wheelMinPending; i++ {
+		want = append(want, 100+uint64(i))
+	}
+	want = append(want, 400)
+	if fmt.Sprint(rec.log) != fmt.Sprint(want) {
+		t.Errorf("fired %v\nwant  %v", rec.log, want)
+	}
+}
+
+// TestWheelDoesNotPinHandlers: the node slab is recycled, never shrunk, so
+// a popped node must drop its Handler — at every point the slab holds
+// exactly as many Handlers as events wait in the wheel.
+func TestWheelDoesNotPinHandlers(t *testing.T) {
+	el := NewEventList()
+	held := func() (n int) {
+		for i := range el.nodes {
+			if el.nodes[i].h != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 300; i++ {
+		el.Schedule(Time(i%40)*10*Nanosecond, &nopHandler{}, 1)
+	}
+	if held() == 0 {
+		t.Fatal("no event reached the wheel")
+	}
+	for el.Len() > 0 {
+		if got, want := held(), el.bucketed+len(el.run); got != want {
+			t.Fatalf("slab holds %d Handlers with %d events in the wheel", got, want)
+		}
+		el.Step()
+	}
+	if n := held(); n != 0 {
+		t.Errorf("drained list still holds %d Handlers", n)
+	}
+}
+
+// TestWheelSpanBoundary: the last picosecond of the last bucket of the
+// window is admitted, the first of the bucket after it — whose index would
+// alias now's own bucket — is not, wherever in its bucket now sits; and the
+// order across the boundary holds either way.
+func TestWheelSpanBoundary(t *testing.T) {
+	const width, span = Time(1) << wheelShift, Time(wheelBuckets) << wheelShift
+	for _, now := range []Time{0, 5 * Nanosecond, width - 1, 3*span + 7*Nanosecond, 5*span - 1} {
+		el := NewEventList()
+		rec := &tagRecorder{}
+		el.AdvanceTo(now)
+		for i := 0; i < wheelMinPending; i++ {
+			el.Schedule(now+Time(i), rec, uint64(i)) // now's bucket, sparse: the heap
+		}
+		edge := (now>>wheelShift + wheelBuckets) << wheelShift // first instant beyond the window
+		el.Schedule(edge, rec, 102)
+		el.Schedule(edge-1, rec, 101)
+		el.Schedule(now+width, rec, 100)
+		if s := el.QueueStats(); s.HeapBeyondSpan != 1 || el.bucketed != 2 {
+			t.Fatalf("now=%v: beyond-span pushes %d, bucketed %d, want 1 and 2", now, s.HeapBeyondSpan, el.bucketed)
+		}
+		el.Run()
+		if got := rec.log[wheelMinPending:]; fmt.Sprint(got) != "[100 101 102]" {
+			t.Errorf("now=%v: order across the span boundary %v, want [100 101 102]", now, got)
+		}
 	}
 }

@@ -45,6 +45,9 @@ type Runner interface {
 	RunUntil(deadline Time)
 	// Executed returns the total events fired since creation.
 	Executed() uint64
+	// QueueStats returns what the scheduler's two tiers did, summed over
+	// all event lists.
+	QueueStats() QueueStats
 }
 
 // Mailboxes lets each shard drain its own inbound mailboxes, on its own
@@ -356,6 +359,15 @@ func (mr *MultiRunner) Executed() uint64 {
 		n += el.Executed()
 	}
 	return n
+}
+
+// QueueStats sums the shards' scheduler-tier counters.
+func (mr *MultiRunner) QueueStats() QueueStats {
+	var s QueueStats
+	for _, el := range mr.Lists {
+		s.Add(el.QueueStats())
+	}
+	return s
 }
 
 // snapshot records every shard's earliest pending event time in next and

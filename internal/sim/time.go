@@ -1,7 +1,10 @@
 // Package sim provides the discrete-event simulation engine that underpins
-// the NDP reproduction: a picosecond-resolution virtual clock, an indexed
-// 4-ary-heap event list with allocation-free typed events, a deterministic
-// pseudo-random number generator, and a conservative parallel runner.
+// the NDP reproduction: a picosecond-resolution virtual clock, a two-tier
+// event list with allocation-free typed events (a timing wheel for the
+// uncancellable near-future events a packet simulation is made of, in front
+// of an indexed 4-ary heap for timers and everything far or sparse), a
+// deterministic pseudo-random number generator, and a conservative parallel
+// runner.
 //
 // Each event list is strictly single-threaded: datacenter packet
 // simulations are dominated by tiny events (a packet finishing

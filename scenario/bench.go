@@ -128,14 +128,14 @@ func BenchScalingSuite() []harness.BenchCase {
 
 // benchRun is one run of a suite member.
 func benchRun(spec Spec) harness.BenchCounts {
-	m, stats, windows, err := runWithWindows(spec)
+	m, stats, engine, err := runWithWindows(spec)
 	if err != nil {
 		panic(fmt.Sprintf("bench case: %v", err))
 	}
 	if m.FlowsLaunched == 0 {
 		panic("bench case launched no flows")
 	}
-	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops, Windows: windows}
+	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops, Windows: engine.windows, Queue: engine.queue}
 }
 
 // benchSpec builds one pinned suite member; registry names are known good

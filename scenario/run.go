@@ -46,13 +46,19 @@ func RunWithStats(spec Spec) (*Metrics, RunStats, error) {
 	return m, stats, err
 }
 
-// runWithWindows is RunWithStats plus the sharded runner's window counters,
-// summed across repeats (zero when unsharded). They stay out of RunStats,
-// which is compared across shard counts.
-func runWithWindows(spec Spec) (m *Metrics, stats RunStats, windows sim.WindowStats, err error) {
+// engineStats are the engine's own counters, summed across repeats: the
+// sharded runner's windows (zero when unsharded) and the scheduler's tiers.
+// They stay out of RunStats, which is compared across shard counts.
+type engineStats struct {
+	windows sim.WindowStats
+	queue   sim.QueueStats
+}
+
+// runWithWindows is RunWithStats plus the engine's own counters.
+func runWithWindows(spec Spec) (m *Metrics, stats RunStats, engine engineStats, err error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return nil, RunStats{}, sim.WindowStats{}, err
+		return nil, RunStats{}, engineStats{}, err
 	}
 	name := spec.name
 	if name == "" {
@@ -63,7 +69,7 @@ func runWithWindows(spec Spec) (m *Metrics, stats RunStats, windows sim.WindowSt
 	// promises.
 	defer func() {
 		if p := recover(); p != nil {
-			m, stats, windows, err = nil, RunStats{}, sim.WindowStats{}, fmt.Errorf("scenario: run failed: %v", p)
+			m, stats, engine, err = nil, RunStats{}, engineStats{}, fmt.Errorf("scenario: run failed: %v", p)
 		}
 	}()
 	seeds := harness.SweepSeeds(spec.Seed, spec.Repeats)
@@ -87,9 +93,10 @@ func runWithWindows(spec Spec) (m *Metrics, stats RunStats, windows sim.WindowSt
 		stats.Events += o.events
 		stats.PacketHops += o.hops
 		stats.PacketsLeaked += o.leaked
-		windows.Add(o.windows)
+		engine.windows.Add(o.windows)
+		engine.queue.Add(o.queue)
 	}
-	return merge(spec, outs), stats, windows, nil
+	return merge(spec, outs), stats, engine, nil
 }
 
 // runOut is one repetition's raw contribution to the Metrics.
@@ -106,6 +113,7 @@ type runOut struct {
 	hops      int64 // packet wire-traversals
 	leaked    int64 // arena packets still outstanding after Close
 	windows   sim.WindowStats
+	queue     sim.QueueStats
 }
 
 // runOnce builds the network for one derived seed and drives the workload.
@@ -132,6 +140,7 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 	}
 	out.counters = net.Cluster().CollectStats()
 	out.events = int64(net.Runner().Executed())
+	out.queue = net.Runner().QueueStats()
 	out.hops = net.Cluster().PacketHops()
 	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
 		out.windows = mr.WindowStats()

@@ -1,0 +1,93 @@
+package core
+
+import (
+	"testing"
+
+	"ndp/internal/fabric"
+	"ndp/internal/sim"
+)
+
+// tableLens is the size of a stack's live-flow and time-wait tables.
+func tableLens(st *Stack) [2]int { return [2]int{st.flows.Len(), st.timeWait.Len()} }
+
+// TestPooledStateUnregistersOldFlow: once a completed flow is 2*MSL old, the
+// next flow between the same hosts reuses its Sender and Receiver objects,
+// and at that moment the old id leaves the live-flow table and the demux on
+// both hosts and is pinned in time-wait forever.
+func TestPooledStateUnregistersOldFlow(t *testing.T) {
+	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	const oldFlow, newFlow = 1001, 1002
+	sOld := st[0].Connect(st[15], 9000, FlowOpts{Flow: oldFlow})
+	net.EL.RunUntil(200 * sim.Microsecond)
+	rOld := st[15].Receiver(oldFlow)
+	if !sOld.Complete() || rOld == nil || !rOld.Complete() {
+		t.Fatal("first transfer did not complete")
+	}
+	if st[0].Sender(oldFlow) != sOld || st[0].demux.Handler(oldFlow) == nil || st[15].demux.Handler(oldFlow) == nil {
+		t.Fatal("a completed flow stays registered until its state is reused")
+	}
+	if exp, ok := st[15].timeWait.Get(oldFlow); !ok || exp != rOld.CompletedAt+sim.Millisecond {
+		t.Errorf("receiver time-wait expiry = %v, %v; want completion + MSL", exp, ok)
+	}
+
+	net.EL.RunUntil(3 * sim.Millisecond) // past completion + 2*MSL
+	sNew := st[0].Connect(st[15], 9000, FlowOpts{Flow: newFlow})
+	if sNew != sOld {
+		t.Fatal("the quiescent sender was not reused")
+	}
+	net.EL.RunUntil(3*sim.Millisecond + 200*sim.Microsecond)
+	if st[15].Receiver(newFlow) != rOld {
+		t.Fatal("the quiescent receiver was not reused")
+	}
+	for _, h := range []int{0, 15} {
+		if st[h].Sender(oldFlow) != nil || st[h].Receiver(oldFlow) != nil {
+			t.Errorf("host %d still has live state for the reclaimed flow", h)
+		}
+		if st[h].demux.Handler(oldFlow) != nil {
+			t.Errorf("host %d: reclaimed flow still registered in the demux", h)
+		}
+		if exp, ok := st[h].timeWait.Get(oldFlow); !ok || exp != sim.Infinity {
+			t.Errorf("host %d: reclaimed flow's time-wait = %v, %v; want pinned forever", h, exp, ok)
+		}
+		// Live: the new flow. Time-wait: both ids.
+		if got, want := tableLens(st[h]), [2]int{1, 2}; got != want {
+			t.Errorf("host %d: table sizes (flows, time-wait) = %v, want %v", h, got, want)
+		}
+	}
+}
+
+// TestStrayPacketsDoNotGrowTables: a late SYN for a reclaimed flow is
+// rejected and counted (at-most-once survives reclamation), a non-SYN packet
+// for a flow nobody knows is unclaimed, and neither leaves a trace in any
+// per-flow table.
+func TestStrayPacketsDoNotGrowTables(t *testing.T) {
+	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1001})
+	net.EL.RunUntil(3 * sim.Millisecond)
+	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1002}) // reuses and reclaims 1001
+	net.EL.RunUntil(4 * sim.Millisecond)
+	rx := st[15]
+	before := tableLens(rx)
+
+	late := fabric.NewData(1001, 0, 15, 0, 9000)
+	late.Flags |= fabric.FlagSYN
+	rx.Host.Receive(late)
+	if rx.DupRejected != 1 || rx.demux.Unclaimed != 1 {
+		t.Errorf("late SYN for a reclaimed flow: DupRejected=%d Unclaimed=%d, want 1 and 1", rx.DupRejected, rx.demux.Unclaimed)
+	}
+	if rx.Receiver(1001) != nil {
+		t.Error("late SYN resurrected a receiver for a reclaimed flow")
+	}
+
+	stray := fabric.NewData(4242, 0, 15, 40, 9000) // beyond IW: no SYN
+	rx.Host.Receive(stray)
+	if rx.DupRejected != 1 || rx.demux.Unclaimed != 2 {
+		t.Errorf("stray non-SYN packet: DupRejected=%d Unclaimed=%d, want 1 and 2", rx.DupRejected, rx.demux.Unclaimed)
+	}
+	if after := tableLens(rx); after != before {
+		t.Errorf("stray packets changed table sizes (flows, time-wait): %v -> %v", before, after)
+	}
+	if rx.demux.Handler(1001) != nil || rx.demux.Handler(4242) != nil {
+		t.Error("a stray packet registered a demux handler")
+	}
+}

@@ -52,7 +52,6 @@ func newReceiver(st *Stack, flow uint64, peer int32) *Receiver {
 	r.Flow = flow
 	r.Peer = peer
 	r.total = -1
-	r.fp.prio = st.prioFlows[flow]
 	return r
 }
 

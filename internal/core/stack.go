@@ -95,21 +95,23 @@ type Stack struct {
 
 	listening  bool
 	onComplete func(*Receiver)
-	prioFlows  map[uint64]bool
-	// flowObs holds per-flow observers installed by PreRegister — one map
-	// (and so one insert, lookup and delete per flow) for all three hooks.
-	flowObs map[uint64]flowObs
 
-	// timeWait records recently-closed/seen flow ids with their expiry so
-	// duplicate connections are rejected (at-most-once, §3.2.2). The
-	// maximum segment lifetime in a datacenter is under 1ms, so entries
-	// are short-lived.
-	timeWait    map[uint64]sim.Time
+	// flows holds every flow this host currently has state for — as sender,
+	// as receiver, or pre-registered ahead of its first packet: one entry,
+	// and so one insert and one delete, per flow. The entry goes when the
+	// flow's pooled state is reused (reclaimFlow).
+	flows fabric.FlowTable[flowEntry]
+
+	// timeWait records closed flow ids with their expiry so duplicate
+	// connections are rejected (at-most-once, §3.2.2). The maximum segment
+	// lifetime in a datacenter is under 1ms; a reclaimed flow's id is pinned
+	// forever (expiry Infinity), so this table only grows — which is why it
+	// is a thin flow -> expiry table of its own (16 bytes an id) and not a
+	// field of the flows entry: an entry that can never be deleted must not
+	// be a fat one.
+	timeWait    fabric.FlowTable[sim.Time]
 	msl         sim.Time
 	DupRejected int64
-
-	senders   map[uint64]*Sender
-	receivers map[uint64]*Receiver
 
 	// retiredS/retiredR are FIFO free-lists of completed flow state whose
 	// slice-backed per-packet arrays (and pull-queue entries) later flows
@@ -135,21 +137,14 @@ type Stack struct {
 func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 	cfg = cfg.withDefaults()
 	st := &Stack{
-		Host:      host,
-		cfg:       cfg,
-		el:        host.EventList(),
-		arena:     fabric.AttachArena(host.EventList()),
-		pathsTo:   pathsTo,
-		prioFlows: make(map[uint64]bool),
-		flowObs:   make(map[uint64]flowObs),
-		// Reclaimed flow ids park in timeWait forever, so the map only
-		// ever grows; presizing skips its incremental bucket doublings.
-		timeWait:  make(map[uint64]sim.Time, 64),
-		retiredS:  make([]*Sender, 0, 64),
-		retiredR:  make([]*Receiver, 0, 64),
-		msl:       sim.Millisecond,
-		senders:   make(map[uint64]*Sender),
-		receivers: make(map[uint64]*Receiver),
+		Host:     host,
+		cfg:      cfg,
+		el:       host.EventList(),
+		arena:    fabric.AttachArena(host.EventList()),
+		pathsTo:  pathsTo,
+		retiredS: make([]*Sender, 0, 64),
+		retiredR: make([]*Receiver, 0, 64),
+		msl:      sim.Millisecond,
 	}
 	spacing := cfg.PullSpacing
 	if spacing == 0 {
@@ -161,7 +156,6 @@ func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 		spacing = sim.TransmissionTime(cfg.MTU+2*fabric.HeaderSize, host.LinkRate())
 	}
 	st.rand.Init(cfg.Seed ^ (uint64(host.ID)+1)*0x9e3779b97f4a7c15)
-	st.demux.Init()
 	st.pacer.init(st, spacing)
 	if cfg.RxDelay > 0 {
 		host.Stack = fabric.SinkFunc(st.delayRx)
@@ -215,7 +209,7 @@ func (st *Stack) Listen(onComplete func(*Receiver)) {
 // SetPriority marks a flow for strict-priority pulling at this receiver
 // ("the receiver knows its own priorities, and can pull high priority
 // traffic more often than low priority traffic").
-func (st *Stack) SetPriority(flow uint64) { st.prioFlows[flow] = true }
+func (st *Stack) SetPriority(flow uint64) { st.flows.Ref(flow).prio = true }
 
 // listen is the demux hook: it creates receiver state for an unknown flow,
 // but only from packets that carry the SYN flag (every packet of the first
@@ -227,33 +221,42 @@ func (st *Stack) listen(p *fabric.Packet) fabric.Sink {
 	if p.Type != fabric.Data {
 		return nil
 	}
-	if exp, ok := st.timeWait[p.Flow]; ok && st.el.Now() < exp {
+	if exp, ok := st.timeWait.Get(p.Flow); ok && st.el.Now() < exp {
 		st.DupRejected++
 		return nil
 	}
+	// newReceiver may reclaim a retired flow, which deletes from st.flows:
+	// take the entry only afterwards.
 	r := newReceiver(st, p.Flow, p.Src)
-	obs := st.flowObs[p.Flow]
-	if obs.done != nil {
-		r.OnComplete = obs.done
+	e := st.flows.Ref(p.Flow)
+	r.fp.prio = e.prio
+	if e.obs.done != nil {
+		r.OnComplete = e.obs.done
 	} else {
 		r.OnComplete = st.onComplete
 	}
-	r.OnCompleteAt = obs.doneAt
-	r.OnData = obs.data
-	st.receivers[p.Flow] = r
+	r.OnCompleteAt = e.obs.doneAt
+	r.OnData = e.obs.data
+	e.receiver = r
 	return r
 }
 
 // Receiver returns the receiver state for a flow, if any.
-func (st *Stack) Receiver(flow uint64) *Receiver { return st.receivers[flow] }
+func (st *Stack) Receiver(flow uint64) *Receiver {
+	e, _ := st.flows.Get(flow)
+	return e.receiver
+}
 
 // Sender returns the sender state for a flow, if any.
-func (st *Stack) Sender(flow uint64) *Sender { return st.senders[flow] }
+func (st *Stack) Sender(flow uint64) *Sender {
+	e, _ := st.flows.Get(flow)
+	return e.sender
+}
 
 // enterTimeWait records a flow id for MSL so a duplicate connection attempt
 // with the same id is rejected.
 func (st *Stack) enterTimeWait(flow uint64) {
-	st.timeWait[flow] = st.el.Now() + st.msl
+	st.timeWait.Put(flow, st.el.Now()+st.msl)
 }
 
 // retireSender parks a completed sender on the free-list; takeRetiredSender
@@ -283,22 +286,21 @@ func (st *Stack) takeRetiredSender() *Sender {
 		st.retiredS, st.retiredSHead = st.retiredS[:0], 0
 	}
 	st.reclaimFlow(s.Flow)
-	delete(st.senders, s.Flow)
 	return s
 }
 
-// reclaimFlow removes a reused flow's demux registration and pins its id
-// in time-wait forever. Flow ids are never legitimately reused (NextFlowID
-// and the per-source-host counters are monotone), so a packet for the id
-// arriving after reclamation can only be a pathologically late duplicate —
-// the permanent time-wait entry makes listen() reject it instead of
-// resurrecting a ghost receiver that would re-fire the flow's completion
-// callbacks. The per-flow observer hooks are dropped for the same reason.
+// reclaimFlow forgets a flow whose pooled state is being reused: its demux
+// registration and its flows entry (sender or receiver pointer, observers,
+// priority) go, and its id is pinned in time-wait forever. Flow ids are
+// never legitimately reused (NextFlowID and the per-source-host counters are
+// monotone), so a packet for the id arriving after reclamation can only be a
+// pathologically late duplicate — the permanent time-wait entry makes
+// listen() reject it instead of resurrecting a ghost receiver that would
+// re-fire the flow's completion callbacks.
 func (st *Stack) reclaimFlow(flow uint64) {
 	st.demux.Unregister(flow)
-	st.timeWait[flow] = sim.Infinity
-	delete(st.flowObs, flow)
-	delete(st.prioFlows, flow)
+	st.flows.Delete(flow)
+	st.timeWait.Put(flow, sim.Infinity)
 }
 
 // takeRetiredReceiver pops the oldest retired receiver if quiescent: 2*MSL
@@ -319,7 +321,6 @@ func (st *Stack) takeRetiredReceiver() *Receiver {
 		st.retiredR, st.retiredRHead = st.retiredR[:0], 0
 	}
 	st.reclaimFlow(r.Flow)
-	delete(st.receivers, r.Flow)
 	return r
 }
 
@@ -390,6 +391,15 @@ func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 	return st.ConnectLocal(dst.Host.ID, size, opts)
 }
 
+// flowEntry is what a stack knows about one live flow. A host is the flow's
+// sender or its receiver, never both (a host has no route to itself).
+type flowEntry struct {
+	sender   *Sender
+	receiver *Receiver
+	obs      flowObs
+	prio     bool
+}
+
 // flowObs bundles the receiver-side observers a caller installs for one
 // flow ahead of its first packet.
 type flowObs struct {
@@ -409,7 +419,7 @@ func (st *Stack) PreRegister(flow uint64, priority bool, onDone func(*Receiver),
 		st.SetPriority(flow)
 	}
 	if onDone != nil || onDoneAt != nil || onData != nil {
-		st.flowObs[flow] = flowObs{done: onDone, doneAt: onDoneAt, data: onData}
+		st.flows.Ref(flow).obs = flowObs{done: onDone, doneAt: onDoneAt, data: onData}
 	}
 }
 
@@ -426,7 +436,7 @@ func (st *Stack) ConnectLocal(dst int32, size int64, opts FlowOpts) *Sender {
 		panic(fmt.Sprintf("core: no paths from host %d to host %d", st.Host.ID, dst))
 	}
 	s := newSender(st, opts, dst, size, paths)
-	st.senders[opts.Flow] = s
+	st.flows.Ref(opts.Flow).sender = s
 	st.demux.Register(opts.Flow, s)
 	s.start()
 	return s

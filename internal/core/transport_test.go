@@ -273,18 +273,17 @@ func TestBounceRecoveryUnderExtremeIncast(t *testing.T) {
 	scfg.HeaderCapBytes = 8 * fabric.HeaderSize
 	net, st := ndpNet(4, scfg, DefaultConfig())
 	done := 0
+	var senders []*Sender
 	for i := 1; i < 16; i++ {
-		st[i].Connect(st[0], 270_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }})
+		senders = append(senders, st[i].Connect(st[0], 270_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }}))
 	}
 	net.EL.RunUntil(200 * sim.Millisecond)
 	if done != 15 {
 		t.Fatalf("%d/15 flows completed under bounce pressure", done)
 	}
 	var bounces int64
-	for i := 1; i < 16; i++ {
-		for _, s := range st[i].senders {
-			bounces += s.BouncesSeen
-		}
+	for _, s := range senders {
+		bounces += s.BouncesSeen
 	}
 	if bounces == 0 {
 		t.Error("expected return-to-sender events with 8-header queues")
@@ -297,18 +296,17 @@ func TestRTOBackstopWhenBounceDisabled(t *testing.T) {
 	scfg.DisableBounce = true // headers beyond 4 are silently lost
 	net, st := ndpNet(4, scfg, DefaultConfig())
 	done := 0
+	var senders []*Sender
 	for i := 1; i < 16; i++ {
-		st[i].Connect(st[0], 90_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }})
+		senders = append(senders, st[i].Connect(st[0], 90_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }}))
 	}
 	net.EL.RunUntil(500 * sim.Millisecond)
 	if done != 15 {
 		t.Fatalf("%d/15 flows completed; RTO backstop failed", done)
 	}
 	var timeouts int64
-	for i := 1; i < 16; i++ {
-		for _, s := range st[i].senders {
-			timeouts += s.RtxFromTimeout
-		}
+	for _, s := range senders {
+		timeouts += s.RtxFromTimeout
 	}
 	if timeouts == 0 {
 		t.Error("expected RTO retransmissions with bounce disabled and tiny header queues")

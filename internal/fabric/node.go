@@ -128,7 +128,7 @@ func (h *Host) LinkRate() int64 { return h.NIC.RateBps }
 // connection establishment creates receiver state from whichever first-RTT
 // packet arrives first).
 type Demux struct {
-	handlers map[uint64]Sink
+	handlers FlowTable[Sink]
 
 	// Listen is consulted for packets whose flow has no handler. If it
 	// returns a non-nil Sink, the sink is registered for the flow and
@@ -139,39 +139,32 @@ type Demux struct {
 	Unclaimed int64
 }
 
-// NewDemux returns an empty demultiplexer.
-func NewDemux() *Demux {
-	d := &Demux{}
-	d.Init()
-	return d
-}
-
-// Init readies a zero Demux in place, for embedding by value.
-func (d *Demux) Init() {
-	// Presized for a typical working set of concurrent flows: the map
-	// churns constantly under closed-loop workloads, and the hint skips
-	// its first few incremental bucket doublings.
-	d.handlers = make(map[uint64]Sink, 64)
-}
+// NewDemux returns an empty demultiplexer. The zero Demux is ready to use
+// too, for embedding by value.
+func NewDemux() *Demux { return &Demux{} }
 
 // Register installs a handler for a flow.
-func (d *Demux) Register(flow uint64, s Sink) { d.handlers[flow] = s }
+func (d *Demux) Register(flow uint64, s Sink) { d.handlers.Put(flow, s) }
 
 // Unregister removes a flow handler.
-func (d *Demux) Unregister(flow uint64) { delete(d.handlers, flow) }
+func (d *Demux) Unregister(flow uint64) { d.handlers.Delete(flow) }
 
 // Handler returns the handler registered for a flow, or nil.
-func (d *Demux) Handler(flow uint64) Sink { return d.handlers[flow] }
+func (d *Demux) Handler(flow uint64) Sink {
+	h, _ := d.handlers.Get(flow)
+	return h
+}
 
-// Receive dispatches by flow id.
+// Receive dispatches by flow id. A packet no handler claims and Listen
+// turns away is freed without touching the table: strays never grow it.
 func (d *Demux) Receive(p *Packet) {
-	if h, ok := d.handlers[p.Flow]; ok {
+	if h, ok := d.handlers.Get(p.Flow); ok {
 		h.Receive(p)
 		return
 	}
 	if d.Listen != nil {
 		if h := d.Listen(p); h != nil {
-			d.handlers[p.Flow] = h
+			d.handlers.Put(p.Flow, h)
 			h.Receive(p)
 			return
 		}

@@ -116,11 +116,11 @@ type TCPNet struct {
 	srcSeq  []uint64
 	srcRand []*sim.Rand
 
-	// pools recycles completed flow state, one pool per scheduling domain.
-	// The map is built up front and read-only at runtime: flows may start
-	// from any shard's goroutine, and each shard only ever touches the pool
-	// of its own event list.
-	pools map[*sim.EventList]*tcp.Pool
+	// pools recycles completed flow state, one pool per scheduling domain,
+	// indexed by Cluster.ShardOfHost. The slice is built up front and
+	// read-only at runtime: flows may start from any shard's goroutine, and
+	// each shard only ever touches its own pool.
+	pools []*tcp.Pool
 }
 
 // srcFlowID allocates `stride` consecutive flow ids from the source host's
@@ -151,17 +151,15 @@ func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
 		h.Stack = d
 		n.Demux = append(n.Demux, d)
 	}
-	n.pools = make(map[*sim.EventList]*tcp.Pool)
-	for _, h := range c.HostList() {
-		if _, ok := n.pools[h.EventList()]; !ok {
-			n.pools[h.EventList()] = tcp.NewPool()
-		}
+	n.pools = make([]*tcp.Pool, c.Shards())
+	for i := range n.pools {
+		n.pools[i] = tcp.NewPool()
 	}
 	return n
 }
 
-// pool returns the flow-state recycling pool of one scheduling domain.
-func (t *TCPNet) pool(el *sim.EventList) *tcp.Pool { return t.pools[el] }
+// pool returns the flow-state recycling pool of host's scheduling domain.
+func (t *TCPNet) pool(host int) *tcp.Pool { return t.pools[t.C.ShardOfHost(host)] }
 
 // BuildTCPFamily constructs a topology with the given switch queues and a
 // demux on every host; cfg is the flow configuration the uniform StartFlow
@@ -202,8 +200,8 @@ func (t *TCPNet) Flow(src, dst int, size int64, cfg tcp.Config, onDone func(*tcp
 	} else {
 		source = tcp.NewFixedSource(size, cfg.MSS)
 	}
-	snd := t.pool(hs.EventList()).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), source, cfg)
-	rcv := t.pool(hd.EventList()).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randPath(hd.ID, hs.ID))
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), source, cfg)
+	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randPath(hd.ID, hs.ID))
 	rcv.OnComplete = onDone
 	snd.Start()
 	return snd, rcv
@@ -248,9 +246,9 @@ type DCQCNNet struct {
 	// per-source slices so mid-run appends stay within one shard.
 	srcSenders [][]*dcqcn.Sender
 
-	// pools recycles completed flow state, one pool per scheduling domain
-	// (map built up front, read-only at runtime).
-	pools map[*sim.EventList]*dcqcn.Pool
+	// pools recycles completed flow state, one pool per scheduling domain,
+	// indexed by Cluster.ShardOfHost (built up front, read-only at runtime).
+	pools []*dcqcn.Pool
 }
 
 // BuildDCQCN constructs a PFC-enabled topology with DCQCN ECN queues. It is
@@ -266,8 +264,8 @@ func (d *DCQCNNet) EL() *sim.EventList { return d.C.EventList() }
 // Runner returns the cluster's engine driver.
 func (d *DCQCNNet) Runner() sim.Runner { return d.C.Runner() }
 
-// pool returns the flow-state recycling pool of one scheduling domain.
-func (d *DCQCNNet) pool(el *sim.EventList) *dcqcn.Pool { return d.pools[el] }
+// pool returns the flow-state recycling pool of host's scheduling domain.
+func (d *DCQCNNet) pool(host int) *dcqcn.Pool { return d.pools[d.C.ShardOfHost(host)] }
 
 // Flow starts a DCQCN transfer on a fixed path (RoCE is single-path). It
 // is the legacy single-domain surface: both endpoints register
@@ -280,8 +278,8 @@ func (d *DCQCNNet) Flow(src, dst int, size int64, onDone func(*dcqcn.Receiver)) 
 	fwd := d.C.Paths(hs.ID, hd.ID)
 	rev := d.C.Paths(hd.ID, hs.ID)
 	r := sim.NewRand(flow * 2654435761)
-	s := d.pool(hs.EventList()).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
-	rc := d.pool(hd.EventList()).NewReceiver(hd, hs.ID, flow, rev[r.Intn(len(rev))], d.Cfg)
+	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
+	rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, rev[r.Intn(len(rev))], d.Cfg)
 	// On a lossless fixed path nothing arrives after the FIN, so both
 	// endpoints retire as soon as the receiver completes — after stopping
 	// the sender's rate timers, which otherwise tick forever.
@@ -292,8 +290,8 @@ func (d *DCQCNNet) Flow(src, dst int, size int64, onDone func(*dcqcn.Receiver)) 
 		d.Demux[src].Unregister(flow)
 		d.Demux[dst].Unregister(flow)
 		s.Stop()
-		d.pool(hs.EventList()).RetireSender(s)
-		d.pool(hd.EventList()).RetireReceiver(rc)
+		d.pool(src).RetireSender(s)
+		d.pool(dst).RetireReceiver(rc)
 	}
 	d.Demux[src].Register(flow, s)
 	d.Demux[dst].Register(flow, rc)

@@ -227,13 +227,13 @@ func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	}
 	r := t.srcRand[src]
 	fwd := t.C.Paths(hs.ID, hd.ID)
-	snd := t.pool(hs.EventList()).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], source, t.Cfg)
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], source, t.Cfg)
 	revPick := r.Uint64()
 	onDone, onData := opts.OnDone, opts.OnData
 	c := t.C
 	c.Defer(src, dst, hs.EventList().Now()+c.MinPathDelay(src, dst), func() { //simlint:allow defercmd — one receiver-attach closure per flow start, not per packet; converts to the value-shaped wire encoding tracked in the ROADMAP
 		revs := c.Paths(hd.ID, hs.ID)
-		rcv := t.pool(hd.EventList()).NewReceiver(hd, t.Demux[dst], hs.ID, flow, revs[revPick%uint64(len(revs))])
+		rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, revs[revPick%uint64(len(revs))])
 		rcv.OnData = onData
 		if onDone != nil {
 			rcv.OnComplete = func(r *tcp.Receiver) { onDone(r.CompletedAt) }
@@ -300,7 +300,7 @@ func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := m.srcFlowID(src, uint64(subflows)+1)
 	hs, hd := m.C.HostList()[src], m.C.HostList()[dst]
 	r := m.srcRand[src]
-	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(hs.EventList()))
+	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
 	if opts.OnDone != nil {
 		done := opts.OnDone
 		f.OnComplete = func(fl *mptcp.Flow) { done(fl.CompletedAt) }
@@ -309,7 +309,7 @@ func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	onData := opts.OnData
 	c := m.C
 	c.Defer(src, dst, hs.EventList().Now()+c.MinPathDelay(src, dst), func() { //simlint:allow defercmd — one receiver-attach closure per flow start, not per packet; converts to the value-shaped wire encoding tracked in the ROADMAP
-		f.AttachReceivers(hd, m.Demux[dst], c.Paths(hd.ID, hs.ID), sim.NewRand(revSeed), onData, m.pool(hd.EventList()))
+		f.AttachReceivers(hd, m.Demux[dst], c.Paths(hd.ID, hs.ID), sim.NewRand(revSeed), onData, m.pool(dst))
 	})
 	f.Start()
 	return f
@@ -361,11 +361,9 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 		h.Stack = dm
 		d.Demux = append(d.Demux, dm)
 	}
-	d.pools = make(map[*sim.EventList]*dcqcn.Pool)
-	for _, h := range c.HostList() {
-		if _, ok := d.pools[h.EventList()]; !ok {
-			d.pools[h.EventList()] = dcqcn.NewPool()
-		}
+	d.pools = make([]*dcqcn.Pool, c.Shards())
+	for i := range d.pools {
+		d.pools[i] = dcqcn.NewPool()
 	}
 	return d
 }
@@ -400,7 +398,7 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	hs, hd := c.HostList()[src], c.HostList()[dst]
 	r := d.srcRand[src]
 	fwd := c.Paths(hs.ID, hd.ID)
-	s := d.pool(hs.EventList()).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
+	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
 	revPick := r.Uint64()
 	d.Demux[src].Register(flow, s)
 	d.srcSenders[src] = append(d.srcSenders[src], s)
@@ -408,7 +406,7 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	onDone, onData := opts.OnDone, opts.OnData
 	c.Defer(src, dst, hs.EventList().Now()+c.MinPathDelay(src, dst), func() { //simlint:allow defercmd — one receiver-attach closure per flow start, not per packet; converts to the value-shaped wire encoding tracked in the ROADMAP
 		revs := c.Paths(hd.ID, hs.ID)
-		rc := d.pool(hd.EventList()).NewReceiver(hd, hs.ID, flow, revs[revPick%uint64(len(revs))], d.Cfg)
+		rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, revs[revPick%uint64(len(revs))], d.Cfg)
 		rc.OnData = onData
 		// The fabric is lossless and the path fixed, so nothing
 		// addressed to this flow reaches the receiver after the FIN:
@@ -420,12 +418,12 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 				onDone(rc.CompletedAt)
 			}
 			d.Demux[dst].Unregister(flow)
-			d.pool(hd.EventList()).RetireReceiver(rc)
+			d.pool(dst).RetireReceiver(rc)
 			at := hd.EventList().Now() + c.MinPathDelay(dst, src)
 			c.Defer(dst, src, at, func() { //simlint:allow defercmd — one teardown closure per flow completion, not per packet; converts to the value-shaped wire encoding tracked in the ROADMAP
 				d.Demux[src].Unregister(flow)
 				s.Stop()
-				d.pool(hs.EventList()).RetireSender(s)
+				d.pool(src).RetireSender(s)
 			})
 		}
 		f.rcv = rc

@@ -60,6 +60,25 @@ func TestCallGraphStaticEdge(t *testing.T) {
 	}
 }
 
+// TestCallGraphGenericCallee: a call on an instantiated generic type (or of
+// an instantiated generic function) resolves to the generic declaration, so
+// hot-path reachability does not stop at the first type parameter.
+func TestCallGraphGenericCallee(t *testing.T) {
+	g := graphOf(t)
+	use := nodeNamed(t, g, "callgraph.UseGeneric")
+	var targets []string
+	for _, e := range use.Edges {
+		if e.Kind != EdgeStatic {
+			t.Errorf("UseGeneric edge to %s has kind %d, want EdgeStatic", e.Callee.Name, e.Kind)
+		}
+		targets = append(targets, e.Callee.Name)
+	}
+	want := "callgraph.Table.Put, callgraph.First"
+	if got := strings.Join(targets, ", "); got != want {
+		t.Errorf("UseGeneric static targets = %q, want %q", got, want)
+	}
+}
+
 // TestCallGraphClosure: a capturing literal becomes its own node, linked by
 // an EdgeClosure, and its creation is a closure-capture allocation site
 // naming the free variables.

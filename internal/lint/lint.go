@@ -228,17 +228,19 @@ func bareNamed(t types.Type, pkgPath, name string) bool {
 	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// calleeFunc resolves a call's callee to its types.Func, or nil (builtin,
-// conversion, func-typed variable).
+// calleeFunc resolves a call's callee to its declared types.Func, or nil
+// (builtin, conversion, func-typed variable). A method of an instantiated
+// generic type (fabric.FlowTable[V]) resolves to the generic declaration, the
+// object the call graph has a body for.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
+			return f.Origin()
 		}
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
+			return f.Origin()
 		}
 	}
 	return nil

@@ -36,3 +36,18 @@ func PanicPath(x int) {
 		panic(fmt.Sprintf("bad %d", x))
 	}
 }
+
+// Table is a generic type: a call on an instantiation must edge to the
+// generic declaration's body.
+type Table[V any] struct{ slots []V }
+
+func (t *Table[V]) Put(v V) { t.slots = append(t.slots, v) }
+
+// First is a generic function, resolved the same way.
+func First[V any](vs []V) V { return vs[0] }
+
+// UseGeneric calls a method of Table[int] and an instantiated function.
+func UseGeneric(t *Table[int]) int {
+	t.Put(1)
+	return First(t.slots)
+}

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,6 +26,10 @@ func (d *Dist) Add(v float64) {
 	d.samples = append(d.samples, v)
 	d.sorted = false
 }
+
+// Grow reserves room for n more samples, so a caller that knows its sample
+// count up front pays one allocation instead of a doubling series.
+func (d *Dist) Grow(n int) { d.samples = slices.Grow(d.samples, n) }
 
 // AddTime appends a sim.Time sample in microseconds (the paper's usual
 // axis unit).

@@ -35,6 +35,10 @@ type FatTree struct {
 	level []int // per switch ID: 0 tor, 1 agg, 2 core
 	pod   []int // per switch ID
 	idx   []int // per switch ID: position within pod (or core index)
+
+	// hostRack and hostPod are locate's rack (global ToR index) and pod per
+	// host id, tabulated so the warm Paths lookup does no division.
+	hostRack, hostPod []int32
 }
 
 const (
@@ -113,9 +117,11 @@ func NewFatTreeOversub(k, oversub int, cfg Config) *FatTree {
 
 	// Hosts live with their pod's shard.
 	for h := 0; h < nHosts; h++ {
-		pod, _, _ := ft.locate(int32(h))
+		pod, tor, _ := ft.locate(int32(h))
 		shard := shardOfPod(pod)
 		ft.hostShard = append(ft.hostShard, shard)
+		ft.hostRack = append(ft.hostRack, int32(pod*half+tor))
+		ft.hostPod = append(ft.hostPod, int32(pod))
 		host := fabric.NewHost(ft.ShardEventList(shard), int32(h), fmt.Sprintf("h%d", h))
 		ft.Hosts = append(ft.Hosts, host)
 	}
@@ -273,30 +279,37 @@ func (ft *FatTree) pickUp(sw *fabric.Switch, p *fabric.Packet, n int) int {
 
 // Paths enumerates the source routes from src to dst: one route per core
 // switch for inter-pod pairs ((k/2)^2 routes), one per aggregation switch
-// within a pod (k/2 routes), and the single ToR hop within a rack. The
-// result is cached and shared; callers must not mutate the slices.
+// within a pod (k/2 routes), and the single ToR hop within a rack. A route
+// starts at the source's ToR and names egress ports only, so it depends on
+// dst and on whether src shares dst's rack or pod, not on src: the result is
+// cached under 3*dst + that relation and shared by every such source;
+// callers must not mutate the slices.
 func (ft *FatTree) Paths(src, dst int32) [][]int16 {
 	if src == dst {
 		return nil
 	}
-	// The cache is per source-host shard: enumeration happens mid-run
-	// (control-packet routing), and shards must never share a mutable map.
-	cache := ft.pathCache[ft.hostShard[src]]
-	key := pairKey{src, dst}
-	if p, ok := cache[key]; ok {
+	rel := 2 // other pod
+	switch {
+	case ft.hostRack[src] == ft.hostRack[dst]:
+		rel = 0
+	case ft.hostPod[src] == ft.hostPod[dst]:
+		rel = 1
+	}
+	t := &ft.routes[ft.hostShard[src]]
+	row := t.row(0, 1, 3*len(ft.Hosts))
+	key := 3*int(dst) + rel
+	if p := row[key]; p != nil {
 		return p
 	}
-	spod, stor, _ := ft.locate(src)
 	dpod, dtor, doff := ft.locate(dst)
 	half := ft.K / 2
-	slab := &ft.pathSlab[ft.hostShard[src]]
 	var paths [][]int16
-	switch {
-	case spod == dpod && stor == dtor:
-		paths = slab.alloc(1, 1)
+	switch rel {
+	case 0:
+		paths = t.slab.alloc(1, 1)
 		paths[0][0] = int16(doff)
-	case spod == dpod:
-		paths = slab.alloc(half, 3)
+	case 1:
+		paths = t.slab.alloc(half, 3)
 		for a := 0; a < half; a++ {
 			p := paths[a]
 			p[0] = int16(ft.HostsPerTor + a) // ToR up to agg a
@@ -304,7 +317,7 @@ func (ft *FatTree) Paths(src, dst int32) [][]int16 {
 			p[2] = int16(doff)               // ToR down to host
 		}
 	default:
-		paths = slab.alloc(half*half, 5)
+		paths = t.slab.alloc(half*half, 5)
 		for a := 0; a < half; a++ {
 			for j := 0; j < half; j++ {
 				p := paths[a*half+j]
@@ -316,7 +329,7 @@ func (ft *FatTree) Paths(src, dst int32) [][]int16 {
 			}
 		}
 	}
-	cache[key] = paths
+	row[key] = paths
 	return paths
 }
 

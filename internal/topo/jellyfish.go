@@ -271,22 +271,25 @@ func (j *Jellyfish) route(sw *fabric.Switch, p *fabric.Packet) int {
 
 // Paths enumerates up to MaxPaths source routes: all shortest switch paths
 // plus paths allowing one sideways (equal-distance) hop — a deliberately
-// length-mixed set reflecting Jellyfish ECMP.
+// length-mixed set reflecting Jellyfish ECMP. Routes start at the source's
+// switch, so the set is cached per (source switch, dst) and shared by the
+// hosts of that switch; callers must not mutate it.
 func (j *Jellyfish) Paths(src, dst int32) [][]int16 {
 	if src == dst {
 		return nil
 	}
-	cache := j.pathCache[j.hostShard[src]]
-	key := pairKey{src, dst}
-	if p, ok := cache[key]; ok {
-		return p
-	}
 	ssw, _ := j.locate(src)
 	dsw, doff := j.locate(dst)
+	t := &j.routes[j.hostShard[src]]
+	row := t.row(ssw, j.NSwitches, len(j.Hosts))
+	if p := row[dst]; p != nil {
+		return p
+	}
 	var paths [][]int16
 	if ssw == dsw {
-		paths = [][]int16{{int16(doff)}}
-		cache[key] = paths
+		paths = t.slab.alloc(1, 1)
+		paths[0][0] = int16(doff)
+		row[dst] = paths
 		return paths
 	}
 	d := j.dist(dsw)
@@ -320,7 +323,7 @@ func (j *Jellyfish) Paths(src, dst int32) [][]int16 {
 		}
 	}
 	walk(ssw, nil, false)
-	cache[key] = paths
+	row[dst] = paths
 	return paths
 }
 

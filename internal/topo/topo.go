@@ -117,8 +117,8 @@ type Cluster interface {
 }
 
 // Network is the common state every topology exposes: the per-shard event
-// lists and their runner, the hosts and switches, and cached source-route
-// path lists.
+// lists and their runner, the hosts and switches, and the cached source
+// routes.
 type Network struct {
 	EL       *sim.EventList // shard 0's list (the only list when unsharded)
 	Rand     *sim.Rand      // construction-time randomness (graph wiring)
@@ -148,23 +148,46 @@ type Network struct {
 	swRand     []*sim.Rand // per-switch ECMP stream, index = switch ID
 	portUID    uint32
 	cmdSeq     []uint64 // per-host command emission counters (Defer ord)
-	// pathCache is per source-host shard so concurrent shards never share
-	// a map; the cached route slices themselves are identical read-only
-	// values in every shard.
-	pathCache []map[pairKey][][]int16
-	// pathSlab backs the cached routes: hop arrays and route headers are
-	// carved from large shared chunks, so a cold cache entry costs
-	// amortized-zero allocations instead of one per route (or per pair).
-	// Sharded like pathCache — a slab is only ever appended to by its own
-	// shard.
-	pathSlab []pathSlab
+	// routes[shard] caches the enumerated source routes of the hosts that
+	// shard owns. A table is only ever written by its own shard's goroutine
+	// (enumeration happens mid-run: control-packet routing, flow starts), so
+	// concurrent shards never share mutable state; the cached route sets
+	// themselves are identical read-only values in every shard.
+	routes []routeTable
 }
 
-type pairKey struct{ src, dst int32 }
+// routeTable is one shard's route cache: a dense two-level array of route
+// sets indexed by a small integer key the topology computes from (src, dst).
+// A topology's route set depends on the destination and on where the source
+// sits relative to it, not on the source itself, so the key space is
+// O(destinations): FatTree keeps one row of 3*hosts sets (same rack, same
+// pod, other pod), TwoTier one row of 2*hosts, Jellyfish one row of hosts
+// sets per source switch. Every source in the same relation to dst gets the
+// same read-only set. Rows are allocated on first use and filled lazily; a
+// nil set has not been enumerated yet.
+type routeTable struct {
+	rows [][][][]int16
+	// slab backs the cached routes: hop arrays and route headers are carved
+	// from large shared chunks, so a cold entry costs amortized-zero
+	// allocations instead of one per route.
+	slab pathSlab
+}
+
+// row returns row r of the table — cols route sets — allocating the row
+// index (rows entries) and the row itself on first use.
+func (t *routeTable) row(r, rows, cols int) [][][]int16 {
+	if t.rows == nil {
+		t.rows = make([][][][]int16, rows)
+	}
+	if t.rows[r] == nil {
+		t.rows[r] = make([][][]int16, cols)
+	}
+	return t.rows[r]
+}
 
 // pathSlab carves route storage out of chunked arrays. Entries are written
-// once when a (src,dst) pair is first enumerated and are immutable after
-// publication in the path cache; a chunk's unused tail is abandoned (not
+// once when a route set is first enumerated and are immutable after
+// publication in the route table; a chunk's unused tail is abandoned (not
 // reused) when a request does not fit, so published slices never alias new
 // ones.
 type pathSlab struct {
@@ -308,11 +331,7 @@ func (n *Network) initShards(cfg Config, shards int) {
 	}
 	n.EL = n.els[0]
 	n.Rand = sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	n.pathCache = make([]map[pairKey][][]int16, shards)
-	for i := range n.pathCache {
-		n.pathCache[i] = make(map[pairKey][][]int16)
-	}
-	n.pathSlab = make([]pathSlab, shards)
+	n.routes = make([]routeTable, shards)
 	n.lookahead = sim.Infinity
 	if shards > 1 {
 		n.boxes = make([][]fabric.CrossBox, shards)

@@ -197,12 +197,3 @@ func TestLosslessFatTreeWiring(t *testing.T) {
 		t.Errorf("lossless delivery to 9 arrived at %d", got)
 	}
 }
-
-func TestPathCacheSharing(t *testing.T) {
-	ft := NewFatTree(4, Config{})
-	a := ft.Paths(0, 5)
-	b := ft.Paths(0, 5)
-	if &a[0] != &b[0] {
-		t.Error("paths should be cached and shared")
-	}
-}

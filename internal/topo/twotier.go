@@ -160,25 +160,30 @@ func (tt *TwoTier) route(sw *fabric.Switch, p *fabric.Packet) int {
 }
 
 // Paths enumerates source routes: one per spine between racks, the single
-// ToR hop within a rack.
+// ToR hop within a rack. Routes name egress ports from the source's ToR on,
+// so the set depends only on dst and on whether src shares its rack: it is
+// cached under 2*dst + that relation and shared; callers must not mutate it.
 func (tt *TwoTier) Paths(src, dst int32) [][]int16 {
 	if src == dst {
 		return nil
 	}
-	cache := tt.pathCache[tt.hostShard[src]]
-	key := pairKey{src, dst}
-	if p, ok := cache[key]; ok {
-		return p
-	}
 	stor, _ := tt.locate(src)
 	dtor, doff := tt.locate(dst)
-	slab := &tt.pathSlab[tt.hostShard[src]]
+	key := 2 * int(dst)
+	if stor != dtor {
+		key++
+	}
+	t := &tt.routes[tt.hostShard[src]]
+	row := t.row(0, 1, 2*len(tt.Hosts))
+	if p := row[key]; p != nil {
+		return p
+	}
 	var paths [][]int16
 	if stor == dtor {
-		paths = slab.alloc(1, 1)
+		paths = t.slab.alloc(1, 1)
 		paths[0][0] = int16(doff)
 	} else {
-		paths = slab.alloc(tt.NSpines, 3)
+		paths = t.slab.alloc(tt.NSpines, 3)
 		for s := 0; s < tt.NSpines; s++ {
 			p := paths[s]
 			p[0] = int16(tt.HostsPerTor + s)
@@ -186,7 +191,7 @@ func (tt *TwoTier) Paths(src, dst int32) [][]int16 {
 			p[2] = int16(doff)
 		}
 	}
-	cache[key] = paths
+	row[key] = paths
 	return paths
 }
 

@@ -1,8 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ndp/internal/core"
@@ -304,19 +305,26 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 	// completion time, then receiver, then sender — a key identical for
 	// every shard count (per-shard buffer order is only per-receiver-shard
 	// FIFO, which a different partition would interleave differently).
-	var all []rpcDone
+	// One shard's buffer is merged in place; the others are appended to
+	// it, sized once.
+	n := 0
 	for _, r := range recs {
+		n += len(r)
+	}
+	all := slices.Grow(recs[0], n-len(recs[0]))
+	for _, r := range recs[1:] {
 		all = append(all, r...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
+	slices.SortStableFunc(all, func(a, b rpcDone) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if all[i].dst != all[j].dst {
-			return all[i].dst < all[j].dst
+		if c := cmp.Compare(a.dst, b.dst); c != 0 {
+			return c
 		}
-		return all[i].src < all[j].src
+		return cmp.Compare(a.src, b.src)
 	})
+	out.fcts = make([]float64, 0, len(all))
 	for _, r := range all {
 		out.fcts = append(out.fcts, r.us)
 		out.completed++
@@ -382,6 +390,15 @@ func merge(spec Spec, outs []*runOut) *Metrics {
 	}
 	var fcts, goodput stats.Dist
 	var linkRate int64
+	nFCT, nGoodput := 0, 0
+	for _, o := range outs {
+		nFCT += len(o.fcts)
+		nGoodput += len(o.goodput)
+	}
+	m.FCTsUs = slices.Grow(m.FCTsUs, nFCT)
+	m.GoodputGbps = slices.Grow(m.GoodputGbps, nGoodput)
+	fcts.Grow(nFCT)
+	goodput.Grow(nGoodput)
 	for _, o := range outs {
 		m.FlowsLaunched += o.launched
 		m.FlowsCompleted += o.completed

@@ -26,7 +26,7 @@ func TestQueueRingWraparoundAndResize(t *testing.T) {
 			switch op {
 			case 'p':
 				p := mk()
-				r.push(p)
+				r.push(p, queueRingFloor)
 				model = append(model, p)
 			case 't':
 				got := r.popTail()

@@ -20,7 +20,10 @@ type Receiver struct {
 	fp  *flowPull
 	fpv flowPull
 
-	got      []bool
+	// got is the arrival bitmap from the first missing packet to the highest
+	// sequence number seen; its base advances over the received prefix, so a
+	// sequence number below Base has arrived.
+	got      fabric.SeqWindow[bool]
 	nGot     int64
 	total    int64 // packets; -1 until a FIN (or FIN-marked header) is seen
 	bytes    int64
@@ -59,7 +62,8 @@ func newReceiver(st *Stack, flow uint64, peer int32) *Receiver {
 // its pull-queue entry (already drained — takeRetiredReceiver checked) and
 // the backing array of its arrival bitmap.
 func (r *Receiver) recycle() {
-	st, fp, got := r.st, r.fp, r.got[:0]
+	st, fp, got := r.st, r.fp, r.got
+	got.Reset()
 	*r = Receiver{st: st, fp: fp, got: got}
 	*fp = flowPull{r: r}
 }
@@ -75,30 +79,17 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	}
 	r.Arrivals++
 	seq := p.Seq
-	// Batch-grow the arrival bitmap (doubling from a 64-packet floor): the
-	// per-packet append paid log2(N) allocations per fresh receiver.
-	if int64(cap(r.got)) <= seq {
-		c := 2 * cap(r.got)
-		if c < 64 {
-			c = 64
-		}
-		for int64(c) <= seq {
-			c *= 2
-		}
-		got := make([]bool, len(r.got), c) //simlint:allow hotalloc — arrival-bitmap regrow: one doubling allocation per capacity step, O(log N) per flow, not per packet
-		copy(got, r.got)
-		r.got = got
+	for r.got.End() <= seq {
+		r.got.Push(false)
 	}
-	for int64(len(r.got)) <= seq {
-		r.got = append(r.got, false) //simlint:allow hotalloc — extends within the capacity reserved by the doubling regrow above; never reallocates
-	}
+	have := seq < r.got.Base() || *r.got.At(seq)
 	if p.Flags&fabric.FlagFIN != 0 && r.total < 0 {
 		r.total = seq + 1
 		defer r.clampPulls()
 	}
 	if p.Trimmed() {
 		r.Trims++
-		if r.got[seq] {
+		if have {
 			// Stale header for data already held: ACK so the sender can
 			// release the buffer instead of retransmitting uselessly.
 			r.sendAckLike(fabric.Ack, p)
@@ -109,13 +100,16 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		fabric.Free(p)
 		return
 	}
-	if r.got[seq] {
+	if have {
 		r.Dups++
 		r.sendAckLike(fabric.Ack, p)
 		fabric.Free(p)
 		return
 	}
-	r.got[seq] = true
+	*r.got.At(seq) = true
+	for r.got.Base() < r.got.End() && *r.got.At(r.got.Base()) {
+		r.got.Advance()
+	}
 	r.nGot++
 	r.bytes += int64(p.DataSize)
 	if r.OnData != nil {

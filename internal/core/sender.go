@@ -45,10 +45,10 @@ type Sender struct {
 	lastSize int32 // size of the final packet
 	iw       int64
 
-	// pkts is the per-packet scoreboard, one struct per sequence number —
-	// a single array so growing a fresh sender costs one allocation, not
-	// one per field.
-	pkts []pkt
+	// pkts is the per-packet scoreboard: one entry per sequence number from
+	// the oldest un-ACKed packet to the newest sent. Its base advances over
+	// the ACKed prefix, so a sequence number below Base is an ACKed packet.
+	pkts fabric.SeqWindow[pkt]
 
 	paths   [][]int16
 	perm    []int
@@ -154,10 +154,11 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16)
 // recycle resets a retired sender to the zero state while keeping its
 // identity-bound resources (stack, embedded timer — whose expiry handler
 // already points at this object) and the backing arrays of its per-packet
-// and per-path state, truncated to length zero for the next flow to regrow.
+// and per-path state, emptied for the next flow to refill.
 func (s *Sender) recycle() {
 	st, timer := s.st, s.timer
-	pkts, rtxq, permScratch := s.pkts[:0], s.rtxq[:0], s.permScratch
+	pkts, rtxq, permScratch := s.pkts, s.rtxq[:0], s.permScratch
+	pkts.Reset()
 	pstats := s.pstats
 	*s = Sender{st: st, timer: timer,
 		pkts: pkts, rtxq: rtxq, permScratch: permScratch, pstats: pstats}
@@ -188,33 +189,13 @@ func (s *Sender) start() {
 	}
 }
 
-// grow ensures per-packet state exists through seq, regrowing the
-// scoreboard in one step (one allocation, doubling from a 64-packet floor)
-// instead of per-packet appends: a fresh sender for an N-packet flow pays
-// one allocation, not log2(N).
-//
-//simlint:allow hotalloc — amortized scoreboard regrowth: one doubling allocation per capacity step, not per packet
-func (s *Sender) grow(seq int64) {
-	need := int(seq) + 1
-	if len(s.pkts) >= need {
-		return
+// state returns seq's scoreboard state; everything below the window's base
+// has been ACKed and dropped. seq must be below pkts.End().
+func (s *Sender) state(seq int64) pktState {
+	if seq < s.pkts.Base() {
+		return psAcked
 	}
-	if cap(s.pkts) < need {
-		c := 2 * cap(s.pkts)
-		if c < 64 {
-			c = 64
-		}
-		for c < need {
-			c *= 2
-		}
-		pkts := make([]pkt, len(s.pkts), c)
-		copy(pkts, s.pkts)
-		s.pkts = pkts
-	}
-	for len(s.pkts) < need {
-		// firstTx -1 = never sent (0 is a valid time).
-		s.pkts = append(s.pkts, pkt{state: psUnsent, firstTx: -1, lastPath: -1})
-	}
+	return s.pkts.At(seq).state
 }
 
 // nextPathID walks the permuted path list, re-permuting (and re-evaluating
@@ -305,7 +286,10 @@ func (s *Sender) sendData(seq int64, rtx bool) {
 // exists ("an NDP sender that retransmits a lost packet always resends it on
 // a different path").
 func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
-	s.grow(seq)
+	for s.pkts.End() <= seq {
+		// firstTx -1 = never sent (0 is a valid time).
+		s.pkts.Push(pkt{state: psUnsent, firstTx: -1, lastPath: -1})
+	}
 	size := int32(s.st.cfg.MTU)
 	if s.total >= 0 && seq == s.total-1 {
 		size = s.lastSize
@@ -331,15 +315,16 @@ func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
 	if rtx {
 		p.Flags |= fabric.FlagRTX
 	}
-	if s.pkts[seq].state != psInflight {
+	e := s.pkts.At(seq)
+	if e.state != psInflight {
 		s.inflight++
 	}
-	s.pkts[seq].state = psInflight
-	s.pkts[seq].sentAt = s.st.el.Now()
-	if s.pkts[seq].firstTx < 0 {
-		s.pkts[seq].firstTx = s.st.el.Now()
+	e.state = psInflight
+	e.sentAt = s.st.el.Now()
+	if e.firstTx < 0 {
+		e.firstTx = s.st.el.Now()
 	}
-	s.pkts[seq].lastPath = pid
+	e.lastPath = pid
 	s.PacketsSent++
 	if seq < s.iw && !rtx {
 		s.fwSent++
@@ -359,7 +344,7 @@ func (s *Sender) sendNext() {
 		if s.rtxHead == len(s.rtxq) {
 			s.rtxq, s.rtxHead = s.rtxq[:0], 0
 		}
-		if s.pkts[seq].state != psRtxQueued {
+		if s.state(seq) != psRtxQueued {
 			continue // ACKed while queued
 		}
 		s.sendData(seq, true)
@@ -407,16 +392,17 @@ func (s *Sender) onAck(p *fabric.Packet) {
 		s.probeSeq = -1 // the bounce probe resolved
 	}
 	seq := p.Seq
-	if seq < 0 || int64(len(s.pkts)) <= seq || s.pkts[seq].state == psAcked {
+	if seq < 0 || s.pkts.End() <= seq || s.state(seq) == psAcked {
 		return
 	}
 	if p.PathID >= 0 && int(p.PathID) < len(s.pstats) {
 		s.pstats[p.PathID].acks++
 	}
-	if s.pkts[seq].state == psInflight {
+	e := s.pkts.At(seq)
+	if e.state == psInflight {
 		s.inflight--
 	}
-	s.pkts[seq].state = psAcked
+	e.state = psAcked
 	s.ackedCount++
 	s.ackedOrNacked++
 	s.noteEvent(true)
@@ -425,8 +411,11 @@ func (s *Sender) onAck(p *fabric.Packet) {
 		sz = int64(s.lastSize)
 	}
 	s.ackedBytes += sz
-	if s.OnPacketLatency != nil && s.pkts[seq].firstTx >= 0 {
-		s.OnPacketLatency(s.st.el.Now() - s.pkts[seq].firstTx)
+	if s.OnPacketLatency != nil && e.firstTx >= 0 {
+		s.OnPacketLatency(s.st.el.Now() - e.firstTx)
+	}
+	for s.pkts.Base() < s.pkts.End() && s.pkts.At(s.pkts.Base()).state == psAcked {
+		s.pkts.Advance()
 	}
 	if s.total >= 0 && s.ackedCount == s.total && !s.complete {
 		s.complete = true
@@ -446,7 +435,7 @@ func (s *Sender) onNack(p *fabric.Packet) {
 		s.probeSeq = -1 // the bounce probe resolved
 	}
 	seq := p.Seq
-	if seq < 0 || int64(len(s.pkts)) <= seq {
+	if seq < 0 || s.pkts.End() <= seq {
 		return
 	}
 	s.NacksSeen++
@@ -454,11 +443,11 @@ func (s *Sender) onNack(p *fabric.Packet) {
 		s.pstats[p.PathID].naks++
 	}
 	s.noteEvent(false)
-	if s.pkts[seq].state != psInflight {
+	if s.state(seq) != psInflight {
 		return // already ACKed or already queued for rtx
 	}
 	s.inflight--
-	s.pkts[seq].state = psRtxQueued
+	s.pkts.At(seq).state = psRtxQueued
 	s.ackedOrNacked++
 	s.rtxq = append(s.rtxq, seq) //simlint:allow hotalloc — rtx queue: capacity bounded by the window and kept across drains, amortized doubling
 	s.RtxFromNack++
@@ -487,7 +476,7 @@ func (s *Sender) onPull(p *fabric.Packet) {
 // that a thousand-flow incast does not re-detonate itself.
 func (s *Sender) onBounce(p *fabric.Packet) {
 	seq := p.Seq
-	if seq < 0 || int64(len(s.pkts)) <= seq || s.pkts[seq].state != psInflight {
+	if seq < 0 || s.pkts.End() <= seq || s.state(seq) != psInflight {
 		return
 	}
 	s.rxEvents++
@@ -499,7 +488,7 @@ func (s *Sender) onBounce(p *fabric.Packet) {
 		s.probeSeq = -1 // the probe itself bounced again
 	}
 	s.inflight--
-	s.pkts[seq].state = psRtxQueued
+	s.pkts.At(seq).state = psRtxQueued
 	s.RtxFromBounce++
 
 	expectMorePulls := s.lastPullSeq < s.ackedOrNacked
@@ -537,15 +526,15 @@ func (s *Sender) onTimeout() {
 	}
 	now := s.st.el.Now()
 	resent := 0
-	for seq := int64(0); seq < int64(len(s.pkts)); seq++ {
-		if s.pkts[seq].state == psInflight && s.pkts[seq].sentAt+s.rto <= now {
-			if pid := s.pkts[seq].lastPath; pid >= 0 {
+	for seq := s.pkts.Base(); seq < s.pkts.End(); seq++ {
+		if e := s.pkts.At(seq); e.state == psInflight && e.sentAt+s.rto <= now {
+			if pid := e.lastPath; pid >= 0 {
 				s.pstats[pid].loss++
 			}
 			s.inflight-- // sendDataAvoiding re-increments
-			s.pkts[seq].state = psRtxQueued
+			e.state = psRtxQueued
 			s.RtxFromTimeout++
-			s.sendDataAvoiding(seq, true, s.pkts[seq].lastPath)
+			s.sendDataAvoiding(seq, true, e.lastPath)
 			resent++
 		}
 	}

@@ -83,15 +83,26 @@ type queueRing struct {
 	n          int
 }
 
-func (r *queueRing) push(p *fabric.Packet) {
+// queueRingFloor is the most a queueRing allocates up front: it costs no
+// extra allocations (the buffer is lazy) and spares deep queues two doubling
+// steps.
+const queueRingFloor = 64
+
+// push appends p. bound is the most entries the owner will ever hold, if it
+// knows (the data queue never exceeds DataCapPackets, the paper's 8): the
+// first buffer is that rounded up to a power of two, or the floor when the
+// bound is larger — a deep queue that really fills doubles its way up.
+func (r *queueRing) push(p *fabric.Packet, bound int) {
 	if r.n == len(r.buf) {
 		// The masked indexing below requires a power-of-two buffer;
 		// normalize the new capacity on growth instead of assuming the
 		// doubling always started from one (mirrors fabric's ring guard).
-		// The 64-entry floor costs no extra allocations (the buffer is
-		// lazy) and spares deep queues two doubling steps.
-		size := 64
-		for size < len(r.buf)*2 {
+		want := 2 * len(r.buf)
+		if want == 0 {
+			want = min(bound, queueRingFloor)
+		}
+		size := 1
+		for size < want {
 			size *= 2
 		}
 		nb := make([]*fabric.Packet, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
@@ -145,7 +156,7 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 	}
 	if q.data.n < q.cfg.DataCapPackets {
 		q.dataBytesQueued += int(p.Size)
-		q.data.push(p)
+		q.data.push(p, q.cfg.DataCapPackets)
 		q.NoteDepth(q.dataBytesQueued + q.hdrBytesQueued)
 		return
 	}
@@ -156,7 +167,7 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 		victim = q.data.popTail()
 		q.dataBytesQueued -= int(victim.Size)
 		q.dataBytesQueued += int(p.Size)
-		q.data.push(p)
+		q.data.push(p, q.cfg.DataCapPackets)
 	}
 	victim.Trim()
 	q.Trims++
@@ -166,7 +177,7 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {
 	if q.hdrBytesQueued+int(p.Size) <= q.cfg.HeaderCapBytes {
 		q.hdrBytesQueued += int(p.Size)
-		q.hdr.push(p)
+		q.hdr.push(p, queueRingFloor)
 		q.NoteDepth(q.dataBytesQueued + q.hdrBytesQueued)
 		return
 	}

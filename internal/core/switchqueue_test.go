@@ -193,3 +193,29 @@ func TestSwitchQueueBytesAccounting(t *testing.T) {
 		t.Errorf("after draining: bytes=%d empty=%v", q.Bytes(), q.Empty())
 	}
 }
+
+// TestSwitchQueueDataRingSizedFromCap: the data ring is sized from the
+// capacity that bounds it (8 slots for the paper's 8 packets, not 64) and a
+// queue driven far past full never outgrows it; a deep queue starts at the
+// floor.
+func TestSwitchQueueDataRingSizedFromCap(t *testing.T) {
+	for _, tc := range []struct{ capPackets, want int }{{8, 8}, {6, 8}, {1, 1}, {64, 64}, {1000, 64}} {
+		cfg := DefaultSwitchConfig(9000)
+		cfg.DataCapPackets = tc.capPackets
+		q := testQueue(cfg)
+		q.Enqueue(data(0))
+		if got := len(q.data.buf); got != tc.want {
+			t.Errorf("DataCapPackets %d: first data ring has %d slots, want %d", tc.capPackets, got, tc.want)
+		}
+	}
+	q := testQueue(DefaultSwitchConfig(9000))
+	for i := int64(0); i < 500; i++ {
+		q.Enqueue(data(i))
+		if i%3 == 0 {
+			fabric.Free(q.Dequeue())
+		}
+	}
+	if len(q.data.buf) != 8 || q.DataPackets() != 8 {
+		t.Errorf("after 500 arrivals: %d packets in a data ring of %d, want 8 in 8", q.DataPackets(), len(q.data.buf))
+	}
+}

@@ -172,7 +172,7 @@ func (p *Port) kick() {
 		p.Cross.AddDelivery(due, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
 		return
 	}
-	p.flight.push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq})
+	p.flight.push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq}, p.Delay, p.RateBps)
 	if !p.armed && !p.wake {
 		p.arm()
 	}
@@ -254,6 +254,24 @@ type flightEntry struct {
 	seq uint64
 }
 
+// flightCap returns the size of a link's first flight buffer: what the link
+// can hold — one header-sized packet per serialization time across the
+// propagation delay, plus the one serializing and the one being delivered —
+// rounded up to a power of two, and no more than flightRingFloor (a long
+// link that is rarely full doubles its way up instead). Packets smaller than
+// a header (tests send zero-sized ones) double it too.
+func flightCap(delay sim.Time, rateBps int64) int {
+	ser := sim.TransmissionTime(HeaderSize, rateBps)
+	if ser <= 0 || delay/ser+2 >= flightRingFloor {
+		return flightRingFloor
+	}
+	return nextPow2(int(delay/ser)+2, 1)
+}
+
+// flightRingFloor is the least a flightRing doubles to, and the most its
+// first buffer takes up front.
+const flightRingFloor = 64
+
 // flightRing is a growable power-of-two FIFO of flight entries, the
 // pipeline between transmit start and delivery.
 type flightRing struct {
@@ -262,9 +280,14 @@ type flightRing struct {
 	n          int
 }
 
-func (r *flightRing) push(e flightEntry) {
+// push appends e; delay and rateBps are the link's, which size the first
+// buffer (flightCap).
+func (r *flightRing) push(e flightEntry, delay sim.Time, rateBps int64) {
 	if r.n == len(r.buf) {
-		size := nextPow2(len(r.buf)*2, 64)
+		size := nextPow2(len(r.buf)*2, flightRingFloor)
+		if r.buf == nil {
+			size = flightCap(delay, rateBps)
+		}
 		nb := make([]flightEntry, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
 		for i := 0; i < r.n; i++ {
 			nb[i] = r.buf[(r.head+i)%len(r.buf)]

@@ -92,7 +92,7 @@ func (p *eagerPort) OnEvent(arg uint64) {
 		p.emitSeq++
 		at := p.el.Now() + p.delay
 		arm := p.flight.n == 0
-		p.flight.push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq})
+		p.flight.push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq}, p.delay, p.rateBps)
 		if arm {
 			p.el.ScheduleKeyed(at, sim.DeliveryOrd(p.uid, p.emitSeq), p, portDeliver)
 		}

@@ -161,3 +161,37 @@ func TestSwitchSourceRouting(t *testing.T) {
 		t.Errorf("arrival at %v, want %v", sink.LastAt, want)
 	}
 }
+
+// TestFlightRingSizedFromLink: the flight buffer is sized from what the link
+// can hold — 500 ns of propagation at 51.2 ns a header is 9 in propagation,
+// plus the one serializing and the one being delivered: 16 slots, not 64 —
+// and a line-rate stream of headers, the densest the link can carry, never
+// outgrows it. Links that hold more than 64 start at 64 as before.
+func TestFlightRingSizedFromLink(t *testing.T) {
+	for _, tc := range []struct {
+		delay sim.Time
+		rate  int64
+		want  int
+	}{
+		{500 * sim.Nanosecond, 10e9, 16},
+		{0, 10e9, 2},
+		{sim.Microsecond, 100e9, 64},
+		{sim.Millisecond, 10e9, 64},
+		{500 * sim.Nanosecond, 0, 64},
+	} {
+		if got := flightCap(tc.delay, tc.rate); got != tc.want {
+			t.Errorf("flightCap(%v, %d) = %d, want %d", tc.delay, tc.rate, got, tc.want)
+		}
+	}
+	el := sim.NewEventList()
+	sink := NewCountingSink(el)
+	port := NewPort(el, "p", NewFIFOQueue(0), 10e9, 500*sim.Nanosecond)
+	port.Connect(sink)
+	for i := 0; i < 1000; i++ {
+		port.Enqueue(NewControl(Ack, 1, 0, 1))
+	}
+	el.Run()
+	if sink.Packets != 1000 || len(port.flight.buf) != 16 {
+		t.Errorf("delivered %d headers through a flight buffer of %d, want 1000 through 16", sink.Packets, len(port.flight.buf))
+	}
+}

@@ -104,3 +104,34 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Errorf("rendered result differs after round-trip")
 	}
 }
+
+// TestFig14PaperShape asserts the shape the experiment's own note states,
+// at Scale 0.1: under a permutation NDP fills the fabric (>= 92 %
+// utilization, worst flow >= 9 Gb/s), multipath MPTCP comes next, and the
+// single-path transports pay for ECMP collisions — NDP >= MPTCP > DCTCP >
+// DCQCN. Digests pin that a table did not move; this pins that it is where
+// the paper puts it.
+func TestFig14PaperShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short mode")
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		tab := Get("fig14").Run(Options{Scale: 0.1, Seed: seed}).Tables[0]
+		util, worst := map[string]float64{}, map[string]float64{}
+		for _, row := range tab.Rows {
+			u, err1 := strconv.ParseFloat(row[1], 64)
+			w, err2 := strconv.ParseFloat(row[2], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("seed %d: unparsable row %v", seed, row)
+			}
+			util[row[0]], worst[row[0]] = u, w
+		}
+		if util["NDP"] < 92 || worst["NDP"] < 9 {
+			t.Errorf("seed %d: NDP util %.1f%%, worst flow %.2f Gb/s; want >= 92%% and >= 9", seed, util["NDP"], worst["NDP"])
+		}
+		if !(util["NDP"] >= util["MPTCP"] && util["MPTCP"] > util["DCTCP"] && util["DCTCP"] > util["DCQCN"]) {
+			t.Errorf("seed %d: utilization NDP %.1f, MPTCP %.1f, DCTCP %.1f, DCQCN %.1f; want NDP >= MPTCP > DCTCP > DCQCN",
+				seed, util["NDP"], util["MPTCP"], util["DCTCP"], util["DCQCN"])
+		}
+	}
+}

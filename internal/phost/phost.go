@@ -83,7 +83,8 @@ func (ph *Host) Listen(onComplete func(r *Receiver)) {
 		if r == nil {
 			r = &Receiver{ph: ph}
 		} else {
-			got := r.got[:0]
+			got := r.got
+			got.Reset()
 			*r = Receiver{ph: ph, got: got}
 		}
 		r.Flow, r.Peer, r.total, r.OnComplete = p.Flow, p.Src, -1, onComplete
@@ -154,10 +155,11 @@ func (ph *Host) Connect(dst int32, flow uint64, size int64, onDone func(s *Sende
 		s = &Sender{ph: ph, Flow: flow, Dst: dst, size: size, onDone: onDone}
 		s.timer = sim.NewTimer(ph.el, s.onTimeout)
 	} else {
-		timer, acked, sentAt := s.timer, s.acked[:0], s.sentAt[:0]
+		timer, pkts := s.timer, s.pkts
+		pkts.Reset()
 		*s = Sender{
 			ph: ph, Flow: flow, Dst: dst, size: size, onDone: onDone,
-			timer: timer, acked: acked, sentAt: sentAt,
+			timer: timer, pkts: pkts,
 		}
 	}
 	mtu := int64(ph.cfg.MTU)
@@ -192,9 +194,11 @@ type Sender struct {
 	lastSize int32
 	next     int64
 
-	acked  []bool
-	nAck   int64
-	sentAt []sim.Time
+	// pkts is the per-packet scoreboard from the oldest unacked packet up;
+	// its base advances over the acked prefix, so a sequence number below
+	// Base is an acked packet.
+	pkts fabric.SeqWindow[pkt]
+	nAck int64
 
 	lastToken int64
 	timer     *sim.Timer
@@ -205,11 +209,16 @@ type Sender struct {
 	CompletedAt      sim.Time
 }
 
-//simlint:allow hotalloc — per-packet bookkeeping: amortized append doubling, O(log N) allocations per flow, arrays kept across recycle
+// pkt is one packet's scoreboard entry.
+type pkt struct {
+	sentAt sim.Time // last transmission; -1 = never sent (0 is a valid send time)
+	acked  bool
+}
+
+// grow extends the scoreboard through seq.
 func (s *Sender) grow(seq int64) {
-	for int64(len(s.acked)) <= seq {
-		s.acked = append(s.acked, false)
-		s.sentAt = append(s.sentAt, -1) // -1 = never sent (0 is a valid send time)
+	for s.pkts.End() <= seq {
+		s.pkts.Push(pkt{sentAt: -1})
 	}
 }
 
@@ -228,7 +237,7 @@ func (s *Sender) send(seq int64, rtx bool) {
 		p.Flags |= fabric.FlagRTX
 		s.Rtx++
 	}
-	s.sentAt[seq] = s.ph.el.Now()
+	s.pkts.At(seq).sentAt = s.ph.el.Now()
 	s.PacketsSent++
 	if !s.timer.Pending() {
 		s.timer.Reset(s.ph.cfg.RTO)
@@ -254,9 +263,13 @@ func (s *Sender) Receive(p *fabric.Packet) {
 		seq := p.Seq
 		if seq >= 0 {
 			s.grow(seq)
-			if !s.acked[seq] {
-				s.acked[seq] = true
+			if seq >= s.pkts.Base() && !s.pkts.At(seq).acked {
+				s.pkts.At(seq).acked = true
 				s.nAck++
+				// Never past next: an entry must outlive its own send.
+				for s.pkts.Base() < s.next && s.pkts.At(s.pkts.Base()).acked {
+					s.pkts.Advance()
+				}
 			}
 		}
 		if s.nAck == s.total && !s.complete {
@@ -287,8 +300,8 @@ func (s *Sender) onTimeout() {
 		return
 	}
 	now := s.ph.el.Now()
-	for seq := int64(0); seq < int64(len(s.acked)); seq++ {
-		if !s.acked[seq] && s.sentAt[seq] >= 0 && s.sentAt[seq]+s.ph.cfg.RTO <= now {
+	for seq := s.pkts.Base(); seq < s.pkts.End(); seq++ {
+		if e := s.pkts.At(seq); !e.acked && e.sentAt >= 0 && e.sentAt+s.ph.cfg.RTO <= now {
 			s.send(seq, true)
 		}
 	}
@@ -307,8 +320,11 @@ type Receiver struct {
 	Flow uint64
 	Peer int32
 
-	ph     *Host
-	got    []bool
+	ph *Host
+	// got is the arrival bitmap from the first missing packet up; its base
+	// advances over the received prefix, so a sequence number below Base has
+	// arrived.
+	got    fabric.SeqWindow[bool]
 	nGot   int64
 	total  int64
 	bytes  int64
@@ -328,15 +344,18 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		return
 	}
 	seq := p.Seq
-	for int64(len(r.got)) <= seq {
-		r.got = append(r.got, false) //simlint:allow hotalloc — arrival bitmap: amortized append doubling, O(log N) allocations per flow, backing array kept across recycle
+	for r.got.End() <= seq {
+		r.got.Push(false)
 	}
 	if p.Flags&fabric.FlagFIN != 0 && r.total < 0 {
 		r.total = seq + 1
 	}
-	dup := r.got[seq]
+	dup := seq < r.got.Base() || *r.got.At(seq)
 	if !dup {
-		r.got[seq] = true
+		*r.got.At(seq) = true
+		for r.got.Base() < r.got.End() && *r.got.At(r.got.Base()) {
+			r.got.Advance()
+		}
 		r.nGot++
 		r.bytes += int64(p.DataSize)
 	}

@@ -129,7 +129,7 @@ func (pl *Pool) takeReceiver(el *sim.EventList) *Receiver {
 	pl.receivers = pl.receivers[1:]
 	r.demux.Register(r.Flow, &tombstone{ //simlint:allow hotalloc — one small tombstone per recycled receiver, on the pool-take path, not per packet; it replaces keeping a whole Receiver alive
 		host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer,
-		path: r.path, cumAck: r.cumAck,
+		path: r.path, cumAck: r.got.Base(),
 	})
 	return r
 }

@@ -130,11 +130,11 @@ type Sender struct {
 
 	source DataSource
 
-	// Sequence state, in packets.
+	// Sequence state, in packets. segs holds every claimed segment from
+	// min(sndUna, sndNxt) up: its base follows the cumulative ACK, its End
+	// is the number of segments claimed from the source so far.
 	sndNxt, sndUna int64
-	sizes          []int32    // payload size per claimed packet
-	sentAt         []sim.Time // last transmission time per packet
-	rtxed          []bool     // Karn: retransmitted at least once
+	segs           fabric.SeqWindow[segment]
 
 	cwnd, ssthresh float64
 	dupacks        int
@@ -160,6 +160,12 @@ type Sender struct {
 	AckedBytes                 int64
 	CompletedAt                sim.Time
 	SynSentAt                  sim.Time
+}
+
+// segment is one claimed packet's bookkeeping.
+type segment struct {
+	size  int32 // payload bytes
+	rtxed bool  // Karn: retransmitted at least once
 }
 
 // NewSender builds a TCP sender. path is the fixed source route to the
@@ -188,16 +194,17 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source D
 
 // recycle resets a retired sender for a new connection, keeping the
 // identity-bound resources: the event list, the timer (its closure points at
-// this object), the arena, and the truncated per-packet bookkeeping arrays.
+// this object), the arena, and the emptied segment window's buffer.
 func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) {
 	cfg = cfg.withDefaults()
 	el, timer, pool, arena := s.el, s.timer, s.pool, s.arena
-	sizes, sentAt, rtxed := s.sizes[:0], s.sentAt[:0], s.rtxed[:0]
+	segs := s.segs
+	segs.Reset()
 	*s = Sender{
 		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, path: path,
 		arena: arena, pool: pool, source: source,
 		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd, rto: cfg.MinRTO,
-		timer: timer, sizes: sizes, sentAt: sentAt, rtxed: rtxed,
+		timer: timer, segs: segs,
 	}
 }
 
@@ -246,36 +253,41 @@ func (s *Sender) trySend() {
 		return
 	}
 	for float64(s.sndNxt-s.sndUna) < s.cwnd {
-		if s.sndNxt < int64(len(s.sizes)) {
-			s.transmit(s.sndNxt, false)
-			s.sndNxt++
-			continue
-		}
-		n := s.source.Claim()
-		if n == 0 {
+		if !s.sendNew() {
 			break
 		}
-		s.sizes = append(s.sizes, int32(n)) //simlint:allow hotalloc — per-segment bookkeeping (sizes/sentAt grow in lockstep): amortized doubling, arrays kept across recycle
-		s.sentAt = append(s.sentAt, 0)
-		s.rtxed = append(s.rtxed, false) //simlint:allow hotalloc — grows in lockstep with sizes above: amortized doubling, kept across recycle
-		s.transmit(s.sndNxt, false)
-		s.sndNxt++
 	}
 }
 
+// sendNew transmits the segment at sndNxt, claiming it from the source
+// first unless it was claimed before (an RTO rewinds sndNxt below the
+// window's End). It reports false when the source has nothing left.
+func (s *Sender) sendNew() bool {
+	if s.sndNxt >= s.segs.End() {
+		n := s.source.Claim()
+		if n == 0 {
+			return false
+		}
+		s.segs.Push(segment{size: int32(n)})
+	}
+	s.transmit(s.sndNxt, false)
+	s.sndNxt++
+	return true
+}
+
 func (s *Sender) transmit(seq int64, rtx bool) {
-	p := s.arena.NewData(s.Flow, s.host.ID, s.dst, seq, s.sizes[seq])
+	seg := s.segs.At(seq)
+	p := s.arena.NewData(s.Flow, s.host.ID, s.dst, seq, seg.size)
 	p.Path = s.path
 	p.Sent = s.el.Now()
 	if rtx {
 		p.Flags |= fabric.FlagRTX
-		s.rtxed[seq] = true
+		seg.rtxed = true
 		s.Rtx++
 	}
-	if s.source.Exhausted() && seq == int64(len(s.sizes))-1 {
+	if s.source.Exhausted() && seq == s.segs.End()-1 {
 		p.Flags |= fabric.FlagFIN
 	}
-	s.sentAt[seq] = s.el.Now()
 	s.PacketsSent++
 	if !s.timer.Pending() {
 		s.timer.Reset(s.rto)
@@ -343,15 +355,22 @@ func (s *Sender) onAck(p *fabric.Packet) {
 
 func (s *Sender) onNewAck(p *fabric.Packet, ack int64) {
 	newly := ack - s.sndUna
-	for seq := s.sndUna; seq < ack && seq < int64(len(s.sizes)); seq++ {
-		s.AckedBytes += int64(s.sizes[seq])
+	for seq := s.sndUna; seq < ack && seq < s.segs.End(); seq++ {
+		s.AckedBytes += int64(s.segs.At(seq).size)
 	}
 	s.AckedPackets += newly
 	// Karn: only un-retransmitted segments yield RTT samples.
-	if last := ack - 1; last >= 0 && last < int64(len(s.rtxed)) && !s.rtxed[last] && p.TSEcho > 0 {
+	if last := ack - 1; last < s.segs.End() && !s.segs.At(last).rtxed && p.TSEcho > 0 {
 		s.sampleRTT(s.el.Now() - p.TSEcho)
 	}
 	s.sndUna = ack
+	// Segments below both sndUna and sndNxt are done with. sndNxt counts:
+	// an RTO rewinds it to sndUna, a cumulative ACK for what was in flight
+	// before the RTO can then pass it, and trySend still walks sndNxt up
+	// through those segments one transmission at a time.
+	for b := s.segs.Base(); b < s.sndUna && b < s.sndNxt && b < s.segs.End(); b++ {
+		s.segs.Advance()
+	}
 	s.backoff = 0
 	if s.inRecovery {
 		if ack >= s.recover {
@@ -372,7 +391,7 @@ func (s *Sender) onNewAck(p *fabric.Packet, ack int64) {
 	}
 	if s.sndUna >= s.sndNxt {
 		s.timer.Stop()
-		if s.source.Exhausted() && s.sndUna == int64(len(s.sizes)) && !s.complete {
+		if s.source.Exhausted() && s.sndUna == s.segs.End() && !s.complete {
 			s.complete = true
 			s.CompletedAt = s.el.Now()
 			if s.OnComplete != nil {
@@ -413,7 +432,7 @@ func (s *Sender) onDupAck() {
 		// Limited transmit (RFC 3042): send one new segment per early
 		// dupack so short flows generate enough dupacks to trigger fast
 		// retransmit instead of stalling until the RTO.
-		s.limitedTransmit()
+		s.sendNew()
 		return
 	}
 	if s.dupacks == 3 {
@@ -425,22 +444,6 @@ func (s *Sender) onDupAck() {
 		}
 		s.cwnd = s.ssthresh + 3
 		s.transmit(s.sndUna, true)
-	}
-}
-
-// limitedTransmit sends one new segment beyond the window, if data exists.
-func (s *Sender) limitedTransmit() {
-	if s.sndNxt < int64(len(s.sizes)) {
-		s.transmit(s.sndNxt, false)
-		s.sndNxt++
-		return
-	}
-	if n := s.source.Claim(); n > 0 {
-		s.sizes = append(s.sizes, int32(n)) //simlint:allow hotalloc — per-segment bookkeeping (sizes/sentAt grow in lockstep): amortized doubling, arrays kept across recycle
-		s.sentAt = append(s.sentAt, 0)
-		s.rtxed = append(s.rtxed, false) //simlint:allow hotalloc — grows in lockstep with sizes above: amortized doubling, kept across recycle
-		s.transmit(s.sndNxt, false)
-		s.sndNxt++
 	}
 }
 
@@ -522,8 +525,9 @@ type Receiver struct {
 	pool  *Pool
 	demux *fabric.Demux
 
-	got    []bool
-	cumAck int64
+	// got is the arrival bitmap above the cumulative ACK: its base advances
+	// over the received prefix, so Base is the next sequence number expected.
+	got    fabric.SeqWindow[bool]
 	finSeq int64
 
 	Bytes        int64
@@ -549,9 +553,10 @@ func NewReceiver(host *fabric.Host, peer int32, flow uint64, path []int16) *Rece
 }
 
 // recycle resets a retired receiver for a new connection, keeping the arena
-// and the truncated arrival bitmap's backing array.
+// and the emptied arrival bitmap's buffer.
 func (r *Receiver) recycle(host *fabric.Host, peer int32, flow uint64, path []int16) {
-	pool, arena, got := r.pool, r.arena, r.got[:0]
+	pool, arena, got := r.pool, r.arena, r.got
+	got.Reset()
 	*r = Receiver{
 		Flow: flow, host: host, peer: peer, path: path, finSeq: -1,
 		arena: arena, pool: pool, got: got,
@@ -579,11 +584,11 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		return
 	}
 	seq := p.Seq
-	for int64(len(r.got)) <= seq {
-		r.got = append(r.got, false) //simlint:allow hotalloc — arrival bitmap: amortized append doubling, O(log N) allocations per flow, backing array kept across recycle
+	for r.got.End() <= seq {
+		r.got.Push(false)
 	}
-	if !r.got[seq] {
-		r.got[seq] = true
+	if seq >= r.got.Base() && !*r.got.At(seq) {
+		*r.got.At(seq) = true
 		r.Bytes += int64(p.DataSize)
 		if r.OnData != nil {
 			r.OnData(int64(p.DataSize))
@@ -592,18 +597,19 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	if p.Flags&fabric.FlagFIN != 0 {
 		r.finSeq = seq
 	}
-	for r.cumAck < int64(len(r.got)) && r.got[r.cumAck] {
-		r.cumAck++
+	for r.got.Base() < r.got.End() && *r.got.At(r.got.Base()) {
+		r.got.Advance()
 	}
+	cumAck := r.got.Base()
 	a := r.arena.NewControl(fabric.Ack, r.Flow, r.host.ID, r.peer)
-	a.AckNo = r.cumAck
+	a.AckNo = cumAck
 	a.TSEcho = p.Sent
 	if p.Flags&fabric.FlagCE != 0 {
 		a.Flags |= fabric.FlagECNEcho
 	}
 	a.Path = r.path
 	r.host.Send(a)
-	if r.finSeq >= 0 && r.cumAck == r.finSeq+1 && !r.complete {
+	if r.finSeq >= 0 && cumAck == r.finSeq+1 && !r.complete {
 		r.complete = true
 		r.CompletedAt = r.host.EventList().Now()
 		if r.OnComplete != nil {

@@ -245,8 +245,12 @@ func (b *BackToBack) Paths(src, dst int32) [][]int16 {
 	if src == dst {
 		return nil
 	}
-	return [][]int16{{}}
+	return backToBackPaths
 }
+
+// backToBackPaths is the one route set of every BackToBack, shared and
+// read-only like every other topology's.
+var backToBackPaths = [][]int16{{}}
 
 // NumHosts returns 2.
 func (b *BackToBack) NumHosts() int { return 2 }

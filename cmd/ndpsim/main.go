@@ -17,7 +17,7 @@
 //	ndpsim -scenario rpc -transport tcp -shards 4        # baselines shard too
 //
 //	ndpsim -bench                                # pinned performance suite
-//	ndpsim -bench -tiny -baseline BENCH_3.json   # CI regression gate
+//	ndpsim -bench -tiny -baseline BENCH_3.json   # CI allocs/op gate
 //	ndpsim -bench -scaling                       # + 1/2/4/8-shard scaling curves
 //	ndpsim -bench -tiny -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -66,8 +66,7 @@ func main() {
 		scaling    = flag.Bool("scaling", false, "bench: additionally run the shard-scaling curves (1/2/4/8 shards at pinned GOMAXPROCS)")
 		benchOut   = flag.String("benchout", "", "bench: also write the report JSON to this path (e.g. BENCH_3.json)")
 		benchLabel = flag.String("benchlabel", "local", "bench: label recorded in the report")
-		baseline   = flag.String("baseline", "", "bench: compare events/sec against this committed report; exit 1 on regression")
-		maxRegress = flag.Float64("maxregress", 20, "bench: events/sec regression tolerance vs -baseline, in percent")
+		baseline   = flag.String("baseline", "", "bench: compare allocs/op against this committed report; exit 1 when a case grew more than 20%")
 		cpuProfile = flag.String("cpuprofile", "", "bench: write a CPU profile of the measured runs to this path")
 		memProfile = flag.String("memprofile", "", "bench: write a post-suite heap profile to this path")
 	)
@@ -91,7 +90,7 @@ func main() {
 	validateFlags(*exp, *scen, *transport, *scale, *parallel, *repeats, *bench, explicit)
 
 	if *bench {
-		runBench(*tiny, *scaling, *benchOut, *benchLabel, *baseline, *maxRegress, *jsonOut,
+		runBench(*tiny, *scaling, *benchOut, *benchLabel, *baseline, *jsonOut,
 			*cpuProfile, *memProfile)
 		return
 	}
@@ -176,9 +175,6 @@ func validateFlags(exp, scen, transport string, scale float64, parallel, repeats
 		if explicit["list"] {
 			fatalUsage("-list does not apply to -bench mode")
 		}
-		if explicit["maxregress"] && !explicit["baseline"] {
-			fatalUsage("-maxregress only gates against a -baseline report")
-		}
 		// The suite pins sizes, seeds and serial execution so reports stay
 		// comparable; reject knobs that would silently not apply.
 		for _, f := range []string{"scale", "full", "seed", "parallel", "transport",
@@ -188,7 +184,7 @@ func validateFlags(exp, scen, transport string, scale float64, parallel, repeats
 			}
 		}
 	} else {
-		for _, f := range []string{"tiny", "scaling", "benchout", "benchlabel", "baseline", "maxregress",
+		for _, f := range []string{"tiny", "scaling", "benchout", "benchlabel", "baseline",
 			"cpuprofile", "memprofile"} {
 			if explicit[f] {
 				fatalUsage("-%s only applies to -bench mode", f)
@@ -304,13 +300,13 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 
 // runBench executes the pinned suite (or its -tiny subset), prints the
 // report, optionally persists it, and optionally gates on a committed
-// baseline: any case whose events/sec drops — or whose allocs/op grows —
-// more than maxRegress percent fails the run with exit code 1. With
+// baseline: any case whose allocs/op grew more than 20 percent
+// (harness.CompareBench) fails the run with exit code 1. With
 // -scaling the shard-scaling curves (1/2/4/8 shards at pinned GOMAXPROCS)
 // are appended to the selected set. With -cpuprofile/-memprofile the
 // suite runs under the profiler, so hot paths and allocation sites can be
 // read straight off the pinned workloads.
-func runBench(tiny, scaling bool, outPath, label, baselinePath string, maxRegress float64, jsonOut bool,
+func runBench(tiny, scaling bool, outPath, label, baselinePath string, jsonOut bool,
 	cpuProfile, memProfile string) {
 	cases := scenario.BenchSuite()
 	if tiny {
@@ -378,14 +374,13 @@ func runBench(tiny, scaling bool, outPath, label, baselinePath string, maxRegres
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if regressions := harness.CompareBench(base, rep, maxRegress); len(regressions) > 0 {
+		if regressions := harness.CompareBench(base, rep); len(regressions) > 0 {
 			for _, msg := range regressions {
 				fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", msg)
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "bench: no events/sec regression beyond %.0f%% vs %s\n",
-			maxRegress, baselinePath)
+		fmt.Fprintf(os.Stderr, "bench: no allocs/op regression vs %s\n", baselinePath)
 	}
 }
 

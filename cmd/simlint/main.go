@@ -2,27 +2,22 @@
 // the module. It is the mechanical form of the engine's review checklist:
 // map order must not leak into event order, wall time stays out of the
 // virtual clock, RNG streams are component-local, cross-shard deliveries
-// are canonically keyed, packets come from the shard arenas, hot paths do
-// not allocate, deferred commands are value-shaped, and endpoint state is
-// only written from its owning shard.
+// are canonically keyed, packets come from the shard arenas, and endpoint
+// state is only written from its owning shard.
 //
 // Usage:
 //
-//	simlint [-list] [-json] [-baseline file] [packages]
+//	simlint [-list] [-json] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Engine
-// packages get the full suite — the per-package analyzers per package,
-// plus the interprocedural hotalloc/defercmd/shardown pass over the whole
-// engine program; CLIs and the daemon get wallclock + allowcheck (see
-// lint.AnalyzersFor). Exit status: 0 clean, 1 findings, 2 usage or load
-// failure. Suppress a finding with a justified directive:
+// packages get the full suite; CLIs and the daemon get wallclock +
+// allowcheck (see lint.AnalyzersFor). Exit status: 0 clean, 1 findings, 2
+// usage or load failure. Suppress a finding with a justified directive:
 //
 //	//simlint:allow <analyzer> — <reason>
 //
 // -json emits machine-readable diagnostics (file, line, column, analyzer,
-// message, call chain) for editor and CI-annotation integration; the same
-// document works as a -baseline file, which suppresses the findings it
-// lists and fails only on new ones.
+// message) for editor and CI-annotation integration.
 package main
 
 import (
@@ -36,24 +31,20 @@ import (
 )
 
 // jsonDiagnostic is the machine-readable form of one finding. The -json
-// output is an array of these; a -baseline file is the same document, and
-// findings are matched baseline-to-run by (file, analyzer, message) so
-// unrelated line drift does not resurrect suppressed findings.
+// output is an array of these.
 type jsonDiagnostic struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "print each analyzer's name and doc string, then exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	baseline := flag.String("baseline", "", "suppress findings listed in this -json-format file; fail only on new ones")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-json] [-baseline file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,9 +54,8 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		fmt.Printf("# load: the module and the GOROOT closure type-check from source in ~1s;\n")
-		fmt.Printf("# GOROOT results are cached process-wide, so the nine-analyzer sweep —\n")
-		fmt.Printf("# six per-package passes plus one interprocedural program pass — shares\n")
-		fmt.Printf("# a single load and stays well under 3s end to end.\n")
+		fmt.Printf("# GOROOT results are cached process-wide, so the seven-analyzer sweep\n")
+		fmt.Printf("# shares a single load and stays well under 3s end to end.\n")
 		return
 	}
 
@@ -91,51 +81,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	known, err := loadBaseline(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-
 	var out []jsonDiagnostic
-	report := func(pkg *lint.Package, diags []lint.Diagnostic) {
+	for _, pkg := range pkgs {
+		diags, err := lint.Run(pkg, lint.AnalyzersFor(pkg.Path))
+		if err != nil {
+			fatal(err)
+		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
 			rel, rerr := filepath.Rel(modRoot, pos.Filename)
 			if rerr != nil {
 				rel = pos.Filename
 			}
-			jd := jsonDiagnostic{
+			out = append(out, jsonDiagnostic{
 				File: rel, Line: pos.Line, Col: pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message, Chain: d.Chain,
-			}
-			if known[baselineKey(jd)] {
-				continue
-			}
-			out = append(out, jd)
+				Analyzer: d.Analyzer, Message: d.Message,
+			})
 		}
-	}
-
-	// Per-package passes.
-	var enginePkgs []*lint.Package
-	for _, pkg := range pkgs {
-		if lint.EnginePackage(pkg.Path) {
-			enginePkgs = append(enginePkgs, pkg)
-		}
-		diags, err := lint.Run(pkg, lint.AnalyzersFor(pkg.Path))
-		if err != nil {
-			fatal(err)
-		}
-		report(pkg, diags)
-	}
-
-	// Interprocedural pass over the engine program.
-	if len(enginePkgs) > 0 {
-		prog := lint.BuildProgram(enginePkgs)
-		diags, err := lint.RunProgram(prog, lint.ProgramAnalyzers())
-		if err != nil {
-			fatal(err)
-		}
-		report(enginePkgs[0], diags)
 	}
 
 	if *jsonOut {
@@ -150,45 +112,12 @@ func main() {
 	} else {
 		for _, d := range out {
 			fmt.Printf("%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
-			if len(d.Chain) > 1 {
-				fmt.Printf("\tcall chain:")
-				for _, hop := range d.Chain {
-					fmt.Printf(" -> %s", hop)
-				}
-				fmt.Printf("\n")
-			}
 		}
 	}
 	if len(out) > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(out))
 		os.Exit(1)
 	}
-}
-
-// baselineKey identifies a finding across runs: position drift must not
-// resurrect or hide findings, so the line is deliberately excluded.
-func baselineKey(d jsonDiagnostic) string {
-	return d.File + "\x00" + d.Analyzer + "\x00" + d.Message
-}
-
-// loadBaseline reads a -json-format findings file into a suppression set.
-func loadBaseline(path string) (map[string]bool, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %v", err)
-	}
-	var diags []jsonDiagnostic
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	known := make(map[string]bool, len(diags))
-	for _, d := range diags {
-		known[baselineKey(d)] = true
-	}
-	return known, nil
 }
 
 func fatal(err error) {

@@ -323,7 +323,7 @@ func (r *pullRing) push(fp *flowPull) {
 		for size < len(r.buf)*2 {
 			size *= 2
 		}
-		nb := make([]*flowPull, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
+		nb := make([]*flowPull, size)
 		for i := 0; i < r.n; i++ {
 			nb[i] = r.buf[(r.head+i)%len(r.buf)]
 		}

@@ -214,7 +214,8 @@ func (s *Sender) nextPathID() int16 {
 // the mean indicate asymmetry (a failed or degraded link), and spraying onto
 // them would stall the whole transfer.
 //
-//simlint:allow hotalloc — runs once per full path cycle, not per packet, and the scratch array is reused across cycles once grown
+// It runs once per full path cycle, not per packet, and the scratch array is
+// reused across cycles once grown.
 func (s *Sender) repermute() {
 	n := len(s.paths)
 	if cap(s.permScratch) < n {
@@ -449,7 +450,7 @@ func (s *Sender) onNack(p *fabric.Packet) {
 	s.inflight--
 	s.pkts.At(seq).state = psRtxQueued
 	s.ackedOrNacked++
-	s.rtxq = append(s.rtxq, seq) //simlint:allow hotalloc — rtx queue: capacity bounded by the window and kept across drains, amortized doubling
+	s.rtxq = append(s.rtxq, seq) // capacity bounded by the window and kept across drains
 	s.RtxFromNack++
 }
 
@@ -500,7 +501,7 @@ func (s *Sender) onBounce(p *fabric.Packet) {
 		s.sendDataAvoiding(seq, true, p.PathID) // flips state back to inflight
 		return
 	}
-	s.rtxq = append(s.rtxq, seq) //simlint:allow hotalloc — rtx queue: capacity bounded by the window and kept across drains, amortized doubling
+	s.rtxq = append(s.rtxq, seq) // capacity bounded by the window and kept across drains
 }
 
 // onTimeout is the RTO backstop: it directly retransmits packets that have

@@ -261,10 +261,10 @@ func (st *Stack) enterTimeWait(flow uint64) {
 
 // retireSender parks a completed sender on the free-list; takeRetiredSender
 // may hand its state to a later flow once it is quiescent.
-func (st *Stack) retireSender(s *Sender) { st.retiredS = append(st.retiredS, s) } //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+func (st *Stack) retireSender(s *Sender) { st.retiredS = append(st.retiredS, s) }
 
 // retireReceiver parks a completed receiver on the free-list.
-func (st *Stack) retireReceiver(r *Receiver) { st.retiredR = append(st.retiredR, r) } //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+func (st *Stack) retireReceiver(r *Receiver) { st.retiredR = append(st.retiredR, r) }
 
 // takeRetiredSender pops the oldest retired sender if it is safely
 // reusable: complete, timer disarmed, and at least 2*MSL past completion

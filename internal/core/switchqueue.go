@@ -105,7 +105,7 @@ func (r *queueRing) push(p *fabric.Packet, bound int) {
 		for size < want {
 			size *= 2
 		}
-		nb := make([]*fabric.Packet, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
+		nb := make([]*fabric.Packet, size) // doubling: the buffer is reused forever
 		for i := 0; i < r.n; i++ {
 			nb[i] = r.buf[(r.head+i)%len(r.buf)]
 		}

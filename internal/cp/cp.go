@@ -37,7 +37,7 @@ func (f *fifo) push(p *fabric.Packet) {
 		if size == 0 {
 			size = 16
 		}
-		nb := make([]*fabric.Packet, size) //simlint:allow hotalloc — doubling FIFO growth: amortized O(1) per push, the buffer is reused forever
+		nb := make([]*fabric.Packet, size) // doubling: the buffer is reused forever
 		for i := 0; i < f.n; i++ {
 			nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
 		}

@@ -91,9 +91,8 @@ type Sender struct {
 	PacketsSent int64
 }
 
-// NewSender builds a DCQCN sender; call Start to begin transmitting.
-//
-//simlint:allow hotalloc — pool-miss constructor: runs once per pooled sender (recycle reuses the state and its bound timers), bounded by peak concurrent flows
+// NewSender builds a DCQCN sender; call Start to begin transmitting. Pool
+// calls it only on a miss: recycle reuses the state and its bound timers.
 func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) *Sender {
 	s := &Sender{
 		Flow: flow, cfg: cfg, el: host.EventList(), host: host, dst: dst,
@@ -269,9 +268,8 @@ type Receiver struct {
 	OnData func(bytes int64)
 }
 
-// NewReceiver builds the receiving side; path carries CNPs back.
-//
-//simlint:allow hotalloc — pool-miss constructor: runs once per pooled receiver (recycle reuses the state), bounded by peak concurrent flows
+// NewReceiver builds the receiving side; path carries CNPs back. Pool calls
+// it only on a miss.
 func NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath []int16, cfg Config) *Receiver {
 	return &Receiver{
 		Flow: flow, host: host, peer: peer, path: revPath, cfg: cfg,

@@ -47,7 +47,7 @@ func (pl *Pool) takeSender(host *fabric.Host) *Sender {
 
 // RetireSender hands a stopped sender back to the pool. The caller must
 // have called Stop and unregistered the flow from its demux.
-func (pl *Pool) RetireSender(s *Sender) { pl.senders = append(pl.senders, s) } //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+func (pl *Pool) RetireSender(s *Sender) { pl.senders = append(pl.senders, s) }
 
 // NewReceiver builds or recycles a receiver.
 func (pl *Pool) NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath []int16, cfg Config) *Receiver {
@@ -69,4 +69,4 @@ func (pl *Pool) NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath 
 // RetireReceiver hands a completed receiver back to the pool. The caller
 // must have unregistered the flow from its demux; on a lossless fixed path
 // nothing arrives after the FIN, so the state is immediately reusable.
-func (pl *Pool) RetireReceiver(r *Receiver) { pl.receivers = append(pl.receivers, r) } //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+func (pl *Pool) RetireReceiver(r *Receiver) { pl.receivers = append(pl.receivers, r) }

@@ -39,8 +39,7 @@ type Arena struct {
 const arenaChunk = 256
 
 // NewArena returns an empty arena; the first Get grows the initial chunk.
-//
-//simlint:allow hotalloc — setup path: one arena per event list, constructed on first attach and cached by AttachArena thereafter
+// AttachArena builds one per event list, on first attach, and caches it.
 func NewArena() *Arena { return &Arena{} }
 
 // take pops a recycled packet (growing a fresh slab when empty) without
@@ -49,10 +48,10 @@ func NewArena() *Arena { return &Arena{} }
 func (a *Arena) take() *Packet {
 	n := len(a.free)
 	if n == 0 {
-		chunk := make([]Packet, arenaChunk) //simlint:allow hotalloc — chunked slab refill: one allocation per arenaChunk packets, then reused via the free-list forever
+		chunk := make([]Packet, arenaChunk)
 		for i := range chunk {
 			chunk[i].freed = true
-			a.free = append(a.free, &chunk[i]) //simlint:allow hotalloc — free-list grows only during the per-chunk refill above, amortized over arenaChunk takes
+			a.free = append(a.free, &chunk[i])
 		}
 		n = len(a.free)
 	}
@@ -96,7 +95,7 @@ func (a *Arena) put(p *Packet) {
 	p.freed = true
 	p.Path = nil
 	a.inUse--
-	a.free = append(a.free, p) //simlint:allow hotalloc — free-list capacity is bounded by the packets the arena ever handed out; put never exceeds what take released
+	a.free = append(a.free, p) // never grows: take made room for every packet it handed out
 }
 
 // InUse reports the packets allocated from this arena and not yet freed.

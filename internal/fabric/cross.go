@@ -44,7 +44,7 @@ func (b *CrossBox) add(e CrossEntry) {
 	if len(b.entries) == 0 || e.At < b.earliest {
 		b.earliest = e.At
 	}
-	b.entries = append(b.entries, e) //simlint:allow hotalloc — cross-shard mailbox: amortized doubling, the two sides swap and are reused every lookahead window
+	b.entries = append(b.entries, e) // the two sides swap and are reused every lookahead window
 }
 
 // AddDelivery appends a packet delivery crossing the shard boundary. The
@@ -191,7 +191,7 @@ func (ib *Inbox) inject(e CrossEntry) {
 func (ib *Inbox) OnEvent(arg uint64) {
 	e := ib.entries[arg]
 	ib.entries[arg] = CrossEntry{}
-	ib.free = append(ib.free, int32(arg)) //simlint:allow hotalloc — slot free-list: capacity bounded by peak in-flight cross entries, kept across reuse
+	ib.free = append(ib.free, int32(arg))
 	switch {
 	case e.Fn != nil:
 		e.Fn()

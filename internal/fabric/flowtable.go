@@ -139,14 +139,15 @@ func (t *FlowTable[V]) Delete(flow uint64) bool {
 }
 
 // grow doubles the slot array (or makes the first one) and reinserts every
-// entry in slot order.
+// entry in slot order: O(log N) allocations over a host's lifetime, paid by
+// the flows that filled the table, never per packet.
 func (t *FlowTable[V]) grow() {
 	old := t.slots
 	size := 2 * len(old)
 	if size < flowTableMinSlots {
 		size = flowTableMinSlots
 	}
-	t.slots = make([]flowSlot[V], size) //simlint:allow hotalloc — table doubling: O(log N) allocations over a host's lifetime, amortized over the flows that filled it, never per packet
+	t.slots = make([]flowSlot[V], size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for i := range old {
 		if old[i].key != 0 {

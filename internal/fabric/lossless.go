@@ -109,7 +109,7 @@ func (iq *IngressQueue) Receive(p *Packet) {
 		iq.sw.Ports[out].Enqueue(p)
 		return
 	}
-	iq.held = append(iq.held, heldEntry{p: p, out: out}) //simlint:allow hotalloc — PFC hold queue: amortized doubling, capacity bounded by the pause window and reused after drains
+	iq.held = append(iq.held, heldEntry{p: p, out: out}) // capacity bounded by the pause window and reused after drains
 	iq.bytes += int(p.Size)
 	iq.updatePause()
 }

@@ -142,9 +142,8 @@ func (p *Packet) Bounce() {
 	p.Hop = 0
 }
 
-// String formats the packet for traces and test failures.
-//
-//simlint:allow hotalloc — diagnostic-only formatting: reached from the double-free panic path and test failures, never on the steady-state path
+// String formats the packet for the double-free panic and test failures; it
+// allocates, and nothing on the steady-state path calls it.
 func (p *Packet) String() string {
 	trim := ""
 	if p.Trimmed() {

@@ -288,7 +288,7 @@ func (r *flightRing) push(e flightEntry, delay sim.Time, rateBps int64) {
 		if r.buf == nil {
 			size = flightCap(delay, rateBps)
 		}
-		nb := make([]flightEntry, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
+		nb := make([]flightEntry, size) // doubling: the buffer is reused forever
 		for i := 0; i < r.n; i++ {
 			nb[i] = r.buf[(r.head+i)%len(r.buf)]
 		}

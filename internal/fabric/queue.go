@@ -106,7 +106,7 @@ func (r *ring) peek() *Packet {
 	return r.buf[r.head]
 }
 
-//simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
+// grow doubles the ring; the buffer is reused forever.
 func (r *ring) grow() {
 	// The index masking throughout this type requires a power-of-two
 	// buffer. Doubling preserves that invariant, but a buffer installed by

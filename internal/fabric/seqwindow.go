@@ -69,13 +69,15 @@ func (w *SeqWindow[T]) Advance() {
 func (w *SeqWindow[T]) Reset() { w.base, w.end = 0, 0 }
 
 // grow doubles the buffer (or makes the first one) and moves every live
-// entry to the slot its sequence number has under the new mask.
+// entry to the slot its sequence number has under the new mask. It runs only
+// when the live span End−Base outgrows the buffer: O(log span) times per
+// endpoint, the buffer kept across Reset, never per packet.
 func (w *SeqWindow[T]) grow() {
 	size := 2 * len(w.buf)
 	if size < seqWindowMinCap {
 		size = seqWindowMinCap
 	}
-	nb := make([]T, size) //simlint:allow hotalloc — window doubling: only when the live span End−Base outgrows the buffer, O(log span) per endpoint and kept across Reset, never per packet
+	nb := make([]T, size)
 	for seq := w.base; seq < w.end; seq++ {
 		nb[seq&int64(size-1)] = w.buf[seq&int64(len(w.buf)-1)]
 	}

@@ -238,16 +238,20 @@ func (r *BenchReport) String() string {
 	return b.String()
 }
 
+// maxAllocGrowthPct is how much a case's allocs/op may grow over the
+// baseline before CompareBench reports it.
+const maxAllocGrowthPct = 20
+
 // CompareBench checks current against baseline and returns one message per
-// case whose events/sec dropped — or whose allocs/op grew — by more than
-// maxRegressPct. When the two reports disagree on a case's event count the
-// simulations did different amounts of bookkeeping per run, so the gate
-// falls back to comparing wall time. Cases present in only one report are
-// ignored (the tiny CI
-// subset compares against the full committed trajectory), but comparing
-// zero common cases is reported as a failure — a silently-empty gate is
-// worse than none.
-func CompareBench(baseline, current *BenchReport, maxRegressPct float64) []string {
+// case whose allocs/op grew by more than maxAllocGrowthPct. Allocation
+// counts are exact and the same on any machine, which a committed baseline
+// from other hardware needs; host-time claims (events/sec, wall time) belong
+// to benchmark/, which measures parent and change on the same box. Cases
+// present in only one report are ignored (the tiny CI subset compares
+// against the full committed trajectory), as are baseline rows that predate
+// the allocs_per_op field, but comparing zero cases is reported as a
+// failure — a silently-empty gate is worse than none.
+func CompareBench(baseline, current *BenchReport) []string {
 	base := make(map[string]BenchResult, len(baseline.Results))
 	for _, r := range baseline.Results {
 		base[r.Name] = r
@@ -256,47 +260,20 @@ func CompareBench(baseline, current *BenchReport, maxRegressPct float64) []strin
 	compared := 0
 	for _, cur := range current.Results {
 		b, ok := base[cur.Name]
-		if !ok || b.EventsPerSec <= 0 {
+		if !ok || b.AllocsPerOp <= 0 {
 			continue
 		}
 		compared++
-		if cur.Events == b.Events {
-			drop := 100 * (b.EventsPerSec - cur.EventsPerSec) / b.EventsPerSec
-			if drop > maxRegressPct {
-				msgs = append(msgs, fmt.Sprintf(
-					"%s: events/sec regressed %.1f%% (baseline %.0f -> current %.0f, limit %.0f%%)",
-					cur.Name, drop, b.EventsPerSec, cur.EventsPerSec, maxRegressPct))
-			}
-		} else if b.WallMs > 0 {
-			// The event count changed, so events/sec compares different units
-			// of work: a change that elides bookkeeping events (timer
-			// coalescing, batched wakeups) shrinks the denominator and makes
-			// events/sec collapse even when the run got faster. Wall time per
-			// run is the quantity the user actually waits for, so gate on
-			// that instead.
-			drop := 100 * (cur.WallMs - b.WallMs) / b.WallMs
-			if drop > maxRegressPct {
-				msgs = append(msgs, fmt.Sprintf(
-					"%s: wall time regressed %.1f%% (baseline %.2fms -> current %.2fms, limit %.0f%%; event count changed %d -> %d so events/sec is not comparable)",
-					cur.Name, drop, b.WallMs, cur.WallMs, maxRegressPct, b.Events, cur.Events))
-			}
-		}
-		// Allocation discipline is a separate budget: an alloc-heavy change
-		// can hide inside run-to-run throughput noise, then surface as GC
-		// pressure only at scale. Baselines predating the allocs_per_op
-		// field carry zero and are skipped.
-		if b.AllocsPerOp > 0 {
-			grow := 100 * float64(cur.AllocsPerOp-b.AllocsPerOp) / float64(b.AllocsPerOp)
-			if grow > maxRegressPct {
-				msgs = append(msgs, fmt.Sprintf(
-					"%s: allocs/op regressed %.1f%% (baseline %d -> current %d, limit %.0f%%)",
-					cur.Name, grow, b.AllocsPerOp, cur.AllocsPerOp, maxRegressPct))
-			}
+		grow := 100 * float64(cur.AllocsPerOp-b.AllocsPerOp) / float64(b.AllocsPerOp)
+		if grow > maxAllocGrowthPct {
+			msgs = append(msgs, fmt.Sprintf(
+				"%s: allocs/op regressed %.1f%% (baseline %d -> current %d, limit %d%%)",
+				cur.Name, grow, b.AllocsPerOp, cur.AllocsPerOp, maxAllocGrowthPct))
 		}
 	}
 	if compared == 0 {
 		msgs = append(msgs, fmt.Sprintf(
-			"no common cases between baseline (%d cases) and current (%d cases): the gate compared nothing",
+			"no common cases with allocation counts between baseline (%d cases) and current (%d cases): the gate compared nothing",
 			len(baseline.Results), len(current.Results)))
 	}
 	sort.Strings(msgs)

@@ -12,7 +12,6 @@ type allowDirective struct {
 	line     int    // line the comment sits on
 	analyzer string // cited analyzer name ("" when malformed beyond repair)
 	reason   string // justification after the separator ("" when missing)
-	used     bool   // a diagnostic was suppressed by this directive
 }
 
 // allowSet indexes the well-formed directives of a package by analyzer and
@@ -104,7 +103,7 @@ func firstField(s string) string {
 }
 
 // filter drops diagnostics covered by a justified directive for the given
-// analyzer and marks those directives used.
+// analyzer.
 func (s *allowSet) filter(fset *token.FileSet, analyzer string, diags []Diagnostic) []Diagnostic {
 	m := s.byAnalyzer[analyzer]
 	if len(m) == 0 {
@@ -112,8 +111,7 @@ func (s *allowSet) filter(fset *token.FileSet, analyzer string, diags []Diagnost
 	}
 	var out []Diagnostic
 	for _, d := range diags {
-		if dir, ok := m[fset.Position(d.Pos).Line]; ok {
-			dir.used = true
+		if _, ok := m[fset.Position(d.Pos).Line]; ok {
 			continue
 		}
 		out = append(out, d)

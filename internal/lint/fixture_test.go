@@ -91,29 +91,12 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 	}
 }
 
-// runFixture checks a per-package analyzer's diagnostics (after
-// //simlint:allow filtering) against the fixture's want comments.
+// runFixture checks an analyzer's diagnostics (after //simlint:allow
+// filtering) against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
 	pkg := loadFixture(t, name)
 	diags, err := Run(pkg, []*Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on fixture %s: %v", a.Name, name, err)
-	}
-	checkWants(t, pkg, diags)
-}
-
-// runProgramFixture is runFixture for interprocedural analyzers: the
-// fixture package becomes a one-package program with its own call graph,
-// entry points, and amortized-function registry.
-func runProgramFixture(t *testing.T, a *Analyzer, name string) {
-	t.Helper()
-	pkg := loadFixture(t, name)
-	prog := BuildProgram([]*Package{pkg})
-	if len(prog.Entries) == 0 {
-		t.Fatalf("fixture %s registered no hot-path entry points", name)
-	}
-	diags, err := RunProgram(prog, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on fixture %s: %v", a.Name, name, err)
 	}
@@ -125,17 +108,11 @@ func TestWallClockFixture(t *testing.T)   { runFixture(t, WallClock, "wallclock"
 func TestSharedRandFixture(t *testing.T)  { runFixture(t, SharedRand, "sharedrand") }
 func TestKeyedCutFixture(t *testing.T)    { runFixture(t, KeyedCut, "keyedcut") }
 func TestArenaPacketFixture(t *testing.T) { runFixture(t, ArenaPacket, "arenapacket") }
-func TestDeferCmdFixture(t *testing.T)    { runFixture(t, DeferCmd, "defercmd") }
 
 // TestShardOwnFixture: the fixture carries the real ndp/internal/dctcp
 // import path (ExtraSrc shadows the engine package) because the ownership
 // map is keyed by package path.
 func TestShardOwnFixture(t *testing.T) { runFixture(t, ShardOwn, "ndp/internal/dctcp") }
-
-// TestHotAllocFixture: a fresh closure two calls below an OnEvent handler
-// is flagged with its full call chain; a registered amortized-growth
-// function is the negative case.
-func TestHotAllocFixture(t *testing.T) { runProgramFixture(t, HotAlloc, "hotalloc") }
 
 // TestAllowWithoutReason: a directive missing its justification (or citing
 // an unknown analyzer) is itself a diagnostic.

@@ -11,7 +11,12 @@
 //   - map iteration order never leaks into event order or floating-point
 //     accumulation order (maporder);
 //   - every packet comes from a shard arena so InUse leak accounting holds
-//     (arenapacket).
+//     (arenapacket);
+//   - a flow's sender and receiver state are each written only from their
+//     own side's methods (shardown).
+//
+// What the hot paths allocate is not analysed here but measured:
+// scenario.TestSteadyStateAllocs and TestChurnAllocsPerFlow.
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer, Pass,
 // Diagnostic — but is built on the standard library alone so that
@@ -35,10 +40,7 @@ import (
 	"sort"
 )
 
-// Analyzer is one named invariant check. Per-package analyzers set Run and
-// inspect one type-checked package at a time; interprocedural analyzers
-// set RunProgram and see the whole program — packages, call graph, hot
-// entry points — at once. Exactly one of the two is set.
+// Analyzer is one named invariant check over one type-checked package.
 type Analyzer struct {
 	// Name identifies the analyzer in output and in //simlint:allow
 	// directives. Lowercase, no spaces.
@@ -48,8 +50,6 @@ type Analyzer struct {
 	Doc string
 	// Run performs the analysis over one package.
 	Run func(*Pass) error
-	// RunProgram performs the analysis over the whole program.
-	RunProgram func(*ProgramPass) error
 }
 
 // Diagnostic is one finding, positioned in the analyzed package's fileset.
@@ -57,9 +57,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// Chain is the hot-path call chain from an entry point to the finding,
-	// outermost first (interprocedural analyzers only).
-	Chain []string
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -83,24 +80,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns the full catalog in stable order. allowcheck is part of
-// the catalog so the suppression grammar is itself enforced. The first six
-// are per-package; hotalloc, defercmd and shardown are the interprocedural
-// v2 suite built on the call graph.
+// the catalog so the suppression grammar is itself enforced.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, WallClock, SharedRand, KeyedCut, ArenaPacket, AllowCheck, HotAlloc, DeferCmd, ShardOwn}
-}
-
-// ProgramAnalyzers returns the interprocedural subset of the catalog:
-// analyzers that run once over the whole engine program rather than per
-// package.
-func ProgramAnalyzers() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		if a.RunProgram != nil {
-			out = append(out, a)
-		}
-	}
-	return out
+	return []*Analyzer{MapOrder, WallClock, SharedRand, KeyedCut, ArenaPacket, AllowCheck, ShardOwn}
 }
 
 // knownAnalyzers is the set of names a //simlint:allow directive may cite,
@@ -153,19 +135,11 @@ func EnginePackage(importPath string) bool {
 	return false
 }
 
-// AnalyzersFor returns the per-package analyzers that apply to a package:
-// the whole per-package suite for engine packages, wallclock + allowcheck
-// elsewhere. The interprocedural analyzers (ProgramAnalyzers) run once
-// over the engine program, not per package.
+// AnalyzersFor returns the analyzers that apply to a package: the whole
+// catalog for engine packages, wallclock + allowcheck elsewhere.
 func AnalyzersFor(importPath string) []*Analyzer {
 	if EnginePackage(importPath) {
-		var out []*Analyzer
-		for _, a := range Analyzers() {
-			if a.Run != nil {
-				out = append(out, a)
-			}
-		}
-		return out
+		return Analyzers()
 	}
 	return []*Analyzer{WallClock, AllowCheck}
 }
@@ -177,9 +151,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allows := parseAllowDirectives(pkg.Fset, pkg.Files)
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue // interprocedural; see RunProgram
-		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -229,18 +200,16 @@ func bareNamed(t types.Type, pkgPath, name string) bool {
 }
 
 // calleeFunc resolves a call's callee to its declared types.Func, or nil
-// (builtin, conversion, func-typed variable). A method of an instantiated
-// generic type (fabric.FlowTable[V]) resolves to the generic declaration, the
-// object the call graph has a body for.
+// (builtin, conversion, func-typed variable).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f.Origin()
+			return f
 		}
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f.Origin()
+			return f
 		}
 	}
 	return nil

@@ -10,16 +10,13 @@ import (
 // allow-directive known-set staying in lockstep with it.
 func TestCatalog(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 9 {
-		t.Fatalf("catalog has %d analyzers, want exactly 9", len(as))
+	if len(as) != 7 {
+		t.Fatalf("catalog has %d analyzers, want exactly 7", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
-		if a.Name == "" || a.Doc == "" {
-			t.Errorf("analyzer %+v missing name or doc", a)
-		}
-		if (a.Run == nil) == (a.RunProgram == nil) {
-			t.Errorf("analyzer %q must have exactly one of Run or RunProgram", a.Name)
+		if a.Name == "" || a.Doc == "" || a.Run == nil {
+			t.Errorf("analyzer %+v missing name, doc or Run", a)
 		}
 		if a.Name != strings.ToLower(a.Name) || strings.ContainsAny(a.Name, " \t") {
 			t.Errorf("analyzer name %q must be lowercase with no spaces", a.Name)
@@ -37,14 +34,10 @@ func TestCatalog(t *testing.T) {
 			t.Errorf("known-set entry %q has no analyzer", name)
 		}
 	}
-	for _, want := range []string{"maporder", "wallclock", "sharedrand", "keyedcut", "arenapacket", "allowcheck", "hotalloc", "defercmd", "shardown"} {
+	for _, want := range []string{"maporder", "wallclock", "sharedrand", "keyedcut", "arenapacket", "allowcheck", "shardown"} {
 		if !seen[want] {
 			t.Errorf("catalog is missing %q", want)
 		}
-	}
-	progs := ProgramAnalyzers()
-	if len(progs) != 1 || progs[0].Name != "hotalloc" {
-		t.Errorf("program analyzers = %v, want exactly [hotalloc]", progs)
 	}
 }
 
@@ -54,15 +47,8 @@ func TestPolicy(t *testing.T) {
 		if !EnginePackage(p) {
 			t.Errorf("%s should be an engine package", p)
 		}
-		// Engine packages get every per-package analyzer; hotalloc is
-		// whole-program and runs separately via RunProgram.
-		if len(AnalyzersFor(p)) != len(Analyzers())-len(ProgramAnalyzers()) {
-			t.Errorf("%s should get the full per-package suite", p)
-		}
-		for _, a := range AnalyzersFor(p) {
-			if a.Run == nil {
-				t.Errorf("AnalyzersFor(%s) returned program analyzer %q", p, a.Name)
-			}
+		if len(AnalyzersFor(p)) != len(Analyzers()) {
+			t.Errorf("%s should get the full suite", p)
 		}
 	}
 	for _, p := range []string{"ndp/cmd/ndpsim", "ndp/internal/simd", "ndp/internal/lint", "ndp/examples/quickstart"} {
@@ -149,7 +135,6 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages, expected the whole module", len(pkgs))
 	}
-	var enginePkgs []*Package
 	for _, pkg := range pkgs {
 		diags, err := Run(pkg, AnalyzersFor(pkg.Path))
 		if err != nil {
@@ -159,22 +144,5 @@ func TestRepoClean(t *testing.T) {
 			pos := pkg.Fset.Position(d.Pos)
 			t.Errorf("%s:%d: %s (%s)", pos.Filename, pos.Line, d.Message, d.Analyzer)
 		}
-		if EnginePackage(pkg.Path) {
-			enginePkgs = append(enginePkgs, pkg)
-		}
-	}
-	// The interprocedural pass: the engine's hot paths must stay
-	// allocation-free (or carry a justified //simlint:allow).
-	prog := BuildProgram(enginePkgs)
-	if len(prog.Entries) == 0 {
-		t.Fatal("no hot-path entry points found in the engine")
-	}
-	diags, err := RunProgram(prog, ProgramAnalyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		pos := enginePkgs[0].Fset.Position(d.Pos)
-		t.Errorf("%s:%d: %s (%s)", pos.Filename, pos.Line, d.Message, d.Analyzer)
 	}
 }

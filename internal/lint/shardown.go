@@ -18,10 +18,10 @@ import (
 // is therefore a cross-shard write — a data race under the parallel
 // runner, and an ordering entanglement even when it happens to be safe.
 // The legal idioms pass: sending a packet, deferring a command with
-// Cluster.Defer, or mutating inside a function literal (closures run on
-// the shard they are delivered to, and the defercmd analyzer audits the
-// delivery). Same-side writes (a sender mutating sender-owned state)
-// also pass — they stay inside one scheduling domain.
+// Cluster.Defer, or mutating inside a function literal (a closure runs on
+// the shard Cluster.Defer delivers it to). Same-side writes (a sender
+// mutating sender-owned state) also pass — they stay inside one scheduling
+// domain.
 var ShardOwn = &Analyzer{
 	Name: "shardown",
 	Doc: "flags field writes that cross the shard-ownership map: a method on a " +
@@ -92,8 +92,8 @@ func runShardOwn(p *Pass) error {
 }
 
 // checkDomainWrites scans one method body (not descending into function
-// literals: a closure runs on whatever shard it is delivered to, which
-// the defercmd analyzer audits) for field writes into the opposite
+// literals: a closure runs on whatever shard it is delivered to) for field
+// writes into the opposite
 // ownership domain.
 func checkDomainWrites(p *Pass, body ast.Node, writer string) {
 	var walk func(n ast.Node) bool

@@ -30,8 +30,7 @@ func (r *Receiver) reset() {
 }
 
 // handoff builds a closure: its body runs on whatever shard the command
-// channel delivers it to, so writes inside are exempt here (the defercmd
-// analyzer audits the delivery instead).
+// channel delivers it to, so writes inside are exempt.
 func (s *Sender) handoff(r *Receiver) func() {
 	return func() {
 		r.cumAck++ // closure body: no finding

@@ -279,7 +279,7 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			if s.onDone != nil {
 				s.onDone(s)
 			}
-			s.ph.retiredS = append(s.ph.retiredS, s) //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+			s.ph.retiredS = append(s.ph.retiredS, s) // free-list: capacity bounded by peak concurrent flows
 		}
 	case fabric.Pull: // token
 		delta := p.PullSeq - s.lastToken
@@ -368,7 +368,7 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		if r.OnComplete != nil {
 			r.OnComplete(r)
 		}
-		r.ph.retiredR = append(r.ph.retiredR, r) //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+		r.ph.retiredR = append(r.ph.retiredR, r) // free-list: capacity bounded by peak concurrent flows
 	} else if !dup && !r.complete {
 		r.addToken()
 	}
@@ -440,8 +440,7 @@ func (ph *Host) fire() {
 // on every transmitted token, a pattern that makes an advance-the-slice
 // queue reallocate on nearly every push (the freed front capacity is never
 // reused) — the same pathology that was once core's single largest
-// allocation site, resurfaced here by simlint's hotalloc pass. The ring
-// reuses its buffer forever.
+// allocation site. The ring reuses its buffer forever.
 type recvRing struct {
 	buf        []*Receiver
 	head, tail int
@@ -454,7 +453,7 @@ func (q *recvRing) push(r *Receiver) {
 		for size < len(q.buf)*2 {
 			size *= 2
 		}
-		nb := make([]*Receiver, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
+		nb := make([]*Receiver, size)
 		for i := 0; i < q.n; i++ {
 			nb[i] = q.buf[(q.head+i)%len(q.buf)]
 		}

@@ -578,7 +578,7 @@ func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
 		el.bucket(eventKey{at: at, ord: ord}, v)
 		return
 	}
-	el.keys = append(el.keys, eventKey{at: at, ord: ord}) //simlint:allow hotalloc — heap storage (keys and vals grow in lockstep): amortized doubling, capacity bounded by peak pending events and reused across pops
+	el.keys = append(el.keys, eventKey{at: at, ord: ord}) // keys and vals grow in lockstep: capacity bounded by peak pending events and reused across pops
 	el.vals = append(el.vals, v)
 	i := len(el.keys) - 1
 	if v.id >= 0 {
@@ -608,13 +608,13 @@ func (el *EventList) admit(at Time, id int32, pending int) bool {
 // bucket links an admitted event into its bucket.
 func (el *EventList) bucket(k eventKey, v eventVal) {
 	if el.whead == nil {
-		el.whead = make([]int32, wheelBuckets) //simlint:allow hotalloc — bucket heads: 4 KB once per list, on the first admitted push, so lists that stay sparse never pay it
+		el.whead = make([]int32, wheelBuckets) // 4 KB once per list, on the first admitted push, so lists that stay sparse never pay it
 	}
 	n := el.wfree
 	if n != 0 {
 		el.wfree = el.nodes[n-1].next
 	} else {
-		el.nodes = append(el.nodes, wheelNode{}) //simlint:allow hotalloc — node slab: amortized doubling, capacity bounded by peak bucketed events, nodes recycled through the free list
+		el.nodes = append(el.nodes, wheelNode{}) // capacity bounded by peak bucketed events, nodes recycled through the free list
 		n = int32(len(el.nodes))
 	}
 	b := int(k.at>>wheelShift) & (wheelBuckets - 1)
@@ -641,7 +641,7 @@ func (el *EventList) loadRun() {
 	el.wbits[w] &^= 1 << (b & 63)
 	run := el.run[:0]
 	for n := el.whead[b]; n != 0; n = el.nodes[n-1].next {
-		run = append(run, runEntry{key: el.nodes[n-1].key, node: n}) //simlint:allow hotalloc — active run: amortized doubling, capacity bounded by the fullest bucket and reused by every load
+		run = append(run, runEntry{key: el.nodes[n-1].key, node: n}) // capacity bounded by the fullest bucket and reused by every load
 	}
 	el.whead[b] = 0
 	// The list is LIFO and pushes arrive roughly in time order, so the run
@@ -780,13 +780,13 @@ func (el *EventList) allocSlot() EventID {
 		el.free = el.free[:n-1]
 		return EventID(id)
 	}
-	el.slots = append(el.slots, -1) //simlint:allow hotalloc — slot table: grows to peak concurrent cancelable events once, then the free-list recycles ids
+	el.slots = append(el.slots, -1) // grows to peak concurrent cancelable events once, then the free-list recycles ids
 	return EventID(len(el.slots) - 1)
 }
 
 func (el *EventList) freeSlot(id EventID) {
 	el.slots[id] = -1
-	el.free = append(el.free, int32(id)) //simlint:allow hotalloc — slot free-list: capacity bounded by the slot table, kept across reuse
+	el.free = append(el.free, int32(id)) // capacity bounded by the slot table
 }
 
 // up sifts index i toward the root (parent of i is (i-1)/4). It moves a
@@ -863,9 +863,9 @@ type Timer struct {
 	id EventID
 }
 
-// NewTimer returns a stopped timer that will invoke fn on expiry.
-//
-//simlint:allow hotalloc — pool-miss constructor: one Timer per pooled endpoint, reused via Reset/Stop in steady state (embed by value and Init to avoid even that)
+// NewTimer returns a stopped timer that will invoke fn on expiry: one
+// allocation per pooled endpoint, reused via Reset/Stop in steady state
+// (embed a Timer by value and Init it to avoid even that).
 func NewTimer(el *EventList, fn func()) *Timer {
 	t := &Timer{}
 	t.Init(el, fn)

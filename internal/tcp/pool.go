@@ -76,7 +76,7 @@ func (pl *Pool) newSender(host *fabric.Host, demux *fabric.Demux, dst int32, flo
 // with NewSender retire themselves; only group-owned senders need this.
 func (pl *Pool) RetireSender(s *Sender) { pl.retireSender(s) }
 
-func (pl *Pool) retireSender(s *Sender) { pl.senders = append(pl.senders, s) } //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+func (pl *Pool) retireSender(s *Sender) { pl.senders = append(pl.senders, s) }
 
 // takeSender pops the oldest retired sender if it is quiescent: timer
 // disarmed, 2*msl past completion (no old-flow packets in flight), and
@@ -113,7 +113,7 @@ func (pl *Pool) NewReceiver(host *fabric.Host, demux *fabric.Demux, peer int32, 
 	return r
 }
 
-func (pl *Pool) retireReceiver(r *Receiver) { pl.receivers = append(pl.receivers, r) } //simlint:allow hotalloc — free-list append: capacity bounded by peak concurrent flows and kept across reuse
+func (pl *Pool) retireReceiver(r *Receiver) { pl.receivers = append(pl.receivers, r) }
 
 // takeReceiver pops the oldest retired receiver if 2*msl has elapsed since
 // completion and it belongs to the requesting domain, leaving a tombstone
@@ -127,7 +127,7 @@ func (pl *Pool) takeReceiver(el *sim.EventList) *Receiver {
 		return nil
 	}
 	pl.receivers = pl.receivers[1:]
-	r.demux.Register(r.Flow, &tombstone{ //simlint:allow hotalloc — one small tombstone per recycled receiver, on the pool-take path, not per packet; it replaces keeping a whole Receiver alive
+	r.demux.Register(r.Flow, &tombstone{ // one small tombstone per recycled receiver, in place of keeping a whole Receiver alive
 		host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer,
 		path: r.path, cumAck: r.got.Base(),
 	})

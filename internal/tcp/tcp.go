@@ -170,9 +170,8 @@ type segment struct {
 
 // NewSender builds a TCP sender. path is the fixed source route to the
 // destination (nil for destination-based ECMP routing); source supplies the
-// stream.
-//
-//simlint:allow hotalloc — pool-miss constructor: runs once per pooled sender (recycle reuses the state and its bound timer), bounded by peak concurrent flows
+// stream. Pool calls it only on a miss: recycle reuses the state and its
+// bound timer.
 func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{
@@ -542,9 +541,8 @@ type Receiver struct {
 	OnComplete func(r *Receiver)
 }
 
-// NewReceiver builds the receiving side; path routes ACKs back.
-//
-//simlint:allow hotalloc — pool-miss constructor: runs once per pooled receiver (recycle reuses the state), bounded by peak concurrent flows
+// NewReceiver builds the receiving side; path routes ACKs back. Pool calls
+// it only on a miss.
 func NewReceiver(host *fabric.Host, peer int32, flow uint64, path []int16) *Receiver {
 	return &Receiver{
 		Flow: flow, host: host, peer: peer, path: path, finSeq: -1,

@@ -32,6 +32,7 @@ func (s *Switch) EnableLossless(limit, xoff, xon int) {
 	s.lossless = &losslessState{limit: limit, xoff: xoff, xon: xon}
 	for _, p := range s.Ports {
 		p.OnDequeue = s.drainHeld
+		p.onDemand = false
 	}
 }
 

@@ -39,12 +39,15 @@ func NewSwitch(el *sim.EventList, id int, name string) *Switch {
 
 // AddPort appends an egress port and returns its index. On a lossless
 // switch the port's dequeue hook drives the ingress drain, regardless of
-// whether EnableLossless ran before or after the port was added.
+// whether EnableLossless ran before or after the port was added. Any other
+// port whose link stays on this event list (wire Cross before adding it)
+// serializes on demand from here on: see Port.
 func (s *Switch) AddPort(p *Port) int {
 	s.Ports = append(s.Ports, p)
 	if s.lossless != nil {
 		p.OnDequeue = s.drainHeld
 	}
+	p.onDemand = p.OnDequeue == nil && p.Cross == nil && p.Delay > 0
 	return len(s.Ports) - 1
 }
 

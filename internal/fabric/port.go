@@ -18,12 +18,42 @@ type Sink interface {
 // arithmetic (7.2µs per 9KB hop at 10Gb/s) assumes.
 //
 // Both times are known when transmission starts, so the delivery is emitted
-// then, and the serialization-end event exists only when it has work: its
-// heap key (freeAt, freeOrd) is always reserved, but it is scheduled only
-// once the queue holds a packet the port may send next. A port whose queue
-// stays empty just becomes idle when that key passes (sim.EventList.Fired).
-// Every scheduled event keeps the key it would have had with the event
-// always present, so eliding the idle ones changes no result.
+// then (start), and the serialization end is a key, (freeAt, freeOrd), not
+// necessarily an event: the port is busy until that key has fired
+// (sim.EventList.Fired) and a port whose queue stays empty just becomes idle
+// when it passes. What happens when the key passes with a packet waiting
+// (wake) depends on what the port is, fixed when it is wired.
+//
+// On demand — a switch egress port whose peer is on the same event list
+// (Switch.AddPort: no Cross, no OnDequeue, Delay > 0). Nothing is scheduled.
+// The next transmission is started late but as of freeAt, never as of Now, by
+// the catch-up loop (catchUp), which runs at the top of Enqueue, before the
+// queue sees the arrival (trim, mark and drop decisions read occupancy), and
+// at the top of the port's own delivery event. That event always exists
+// while wake is set: the serializing packet is in flight, due at freeAt +
+// Delay > freeAt, and every packet started late is due strictly after the one
+// being delivered, so no delivery is ever scheduled into the past. A
+// backlogged port therefore fires one event per packet, not two. It is exact
+// because a switch egress queue is only ever fed from link-delivery events
+// (ord class 0, cross-shard injections and bounced headers nested in one
+// included), which sort before every plainly scheduled key of their instant:
+// the serialization end commutes with everything else that happens at
+// freeAt, an arrival at exactly freeAt still queues behind it, and one a
+// picosecond later finds the next packet already started. Queue disciplines
+// are time-free, and moving a ReserveOrd call shifts later FIFO ords without
+// reordering them. Enqueue checks the premise (it panics inside an event of
+// a later class); readers of the transmit-side counters call Sync first.
+//
+// Event-driven — everything else, with the serialization end scheduled under
+// its key once the queue holds a packet the port may send next. Host NICs:
+// pull pacers, RTO and pacing timers and flow starts enqueue from plain and
+// command events, whose tie against freeOrd decides whether a packet queues
+// or goes straight out. Lossless ports: the OnDequeue hook and PFC pause act
+// at the serialization end itself. Cut ports (Cross != nil): deliveries go
+// to the mailbox, so no local event carries the catch-up, and the emission
+// must reach the mailbox inside the window it belongs to. Every scheduled
+// event keeps the key it would have had with the event always present, so
+// eliding the idle ones changes no result.
 type Port struct {
 	Name    string
 	Q       Queue
@@ -39,9 +69,11 @@ type Port struct {
 
 	// Transmitter state bits, kept here so they share UID's word (a FatTree
 	// has six ports per host, and this keeps Port in its allocation size
-	// class). paused is the PFC state. wake says the serialization-end
-	// event is in the heap; armed says a delivery event is.
-	paused, wake, armed bool
+	// class). paused is the PFC state. wake says a packet waits for the
+	// serialization end: the event is in the heap, or, on demand, catchUp owes
+	// the start. armed says a delivery event is in the heap. onDemand is the
+	// mode (see the type comment).
+	paused, wake, armed, onDemand bool
 
 	// Cross, when set, routes this port's deliveries through a cross-shard
 	// mailbox instead of the local event list: the peer sink lives in
@@ -72,16 +104,19 @@ type Port struct {
 	// up front — while keeping heap residency at one event per busy port
 	// instead of one per in-flight packet. While a wake is pending the
 	// packet still serializing is left for the wake to arm, so the port
-	// never has more heap entries than a wake plus one delivery.
+	// never has more heap entries than a wake plus one delivery. An on-demand
+	// port keeps the head armed whenever the flight is non-empty: that event is
+	// what carries its catch-up.
 	flight  flightRing
 	emitSeq uint64
 
 	// Telemetry.
-	BytesSent   int64
-	PacketsSent int64
-	DataBytes   int64    // non-control wire bytes, for utilization
-	BusyTime    sim.Time // cumulative serialization time
-	PauseCount  int64    // times this port was paused (PFC)
+	BytesSent    int64
+	PacketsSent  int64
+	DataBytes    int64    // non-control wire bytes, for utilization
+	BusyTime     sim.Time // cumulative serialization time
+	PauseCount   int64    // times this port was paused (PFC)
+	SerEndEvents int64    // serialization-end events fired (none on demand)
 }
 
 // NewPort creates a transmitter with the given queue discipline, line rate
@@ -99,6 +134,14 @@ func (p *Port) Peer() Sink { return p.peer }
 // Enqueue offers a packet to the port's queue and starts transmission if
 // the line is idle.
 func (p *Port) Enqueue(pkt *Packet) {
+	if p.onDemand {
+		if p.el.FiringAfterDeliveries() {
+			panic("fabric: on-demand port " + p.Name + " fed from an event that is not a link delivery")
+		}
+		if p.wake {
+			p.catchUp()
+		}
+	}
 	p.Q.Enqueue(pkt)
 	p.kick()
 }
@@ -106,6 +149,9 @@ func (p *Port) Enqueue(pkt *Packet) {
 // SetPaused pauses or resumes the transmitter (PFC). Pausing takes effect
 // at the next packet boundary; the in-flight packet always completes.
 func (p *Port) SetPaused(paused bool) {
+	if p.onDemand {
+		panic("fabric: PFC on on-demand port " + p.Name)
+	}
 	if paused && !p.paused {
 		p.PauseCount++
 	}
@@ -119,7 +165,29 @@ func (p *Port) SetPaused(paused bool) {
 func (p *Port) Paused() bool { return p.paused }
 
 // Busy reports whether a packet is currently serializing.
-func (p *Port) Busy() bool { return !p.el.Fired(p.freeAt, p.freeOrd) }
+func (p *Port) Busy() bool {
+	p.Sync()
+	return !p.el.Fired(p.freeAt, p.freeOrd)
+}
+
+// Sync brings the transmit side up to the clock: an on-demand port starts
+// the transmissions whose turn has come. Anything that reads BytesSent,
+// PacketsSent, DataBytes or BusyTime, or changes RateBps mid-run, calls it
+// first; on an event-driven port there is never anything to do.
+func (p *Port) Sync() {
+	if p.onDemand && p.wake {
+		p.catchUp()
+	}
+}
+
+// catchUp starts every waiting packet whose predecessor has finished
+// serializing, each as of that instant. Callers test wake first: the loop
+// keeps this from being inlined, and most calls find nothing owed.
+func (p *Port) catchUp() {
+	for p.wake && p.el.Fired(p.freeAt, p.freeOrd) {
+		p.start(p.freeAt)
+	}
+}
 
 // Port event kinds (the arg of sim.Handler events).
 const (
@@ -128,20 +196,30 @@ const (
 )
 
 // kick starts the next transmission if the line is idle, or makes sure the
-// serialization-end event will if it is not.
+// serialization end will if it is not.
 func (p *Port) kick() {
 	if p.paused || p.Q.Empty() {
 		return
 	}
-	if p.Busy() {
+	if !p.el.Fired(p.freeAt, p.freeOrd) {
 		if !p.wake {
 			p.wake = true
-			p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
+			if !p.onDemand {
+				p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
+			}
 		}
 		return
 	}
+	p.start(p.el.Now())
+}
+
+// start puts the next queued packet on the wire as of at — now, or the
+// serialization end an on-demand port is catching up on — and emits its
+// delivery.
+func (p *Port) start(at sim.Time) {
 	pkt := p.Q.Dequeue()
 	if pkt == nil {
+		p.wake = false
 		return
 	}
 	ser := sim.TransmissionTime(int(pkt.Size), p.RateBps)
@@ -150,13 +228,13 @@ func (p *Port) kick() {
 	// neither start a second packet nor schedule the wake before its ord is
 	// reserved. The ord is taken after the hook so that events the hook
 	// schedules keep their place ahead of the serialization end.
-	p.freeAt, p.freeOrd, p.wake = p.el.Now()+ser, ^uint64(0), true
+	p.freeAt, p.freeOrd, p.wake = at+ser, ^uint64(0), true
 	if p.OnDequeue != nil {
 		p.OnDequeue()
 	}
 	p.freeOrd = p.el.ReserveOrd()
 	p.wake = !p.paused && !p.Q.Empty()
-	if p.wake {
+	if p.wake && !p.onDemand {
 		p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
 	}
 	p.BytesSent += int64(pkt.Size)
@@ -169,11 +247,14 @@ func (p *Port) kick() {
 	p.emitSeq++
 	due := p.freeAt + p.Delay
 	if p.Cross != nil {
+		if p.onDemand {
+			panic("fabric: on-demand port " + p.Name + " crosses a shard cut")
+		}
 		p.Cross.AddDelivery(due, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
 		return
 	}
 	p.flight.push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq}, p.Delay, p.RateBps)
-	if !p.armed && !p.wake {
+	if !p.armed && (p.onDemand || !p.wake) {
 		p.arm()
 	}
 }
@@ -189,12 +270,16 @@ func (p *Port) arm() {
 func (p *Port) OnEvent(arg uint64) {
 	switch arg {
 	case portSerEnd:
+		p.SerEndEvents++
 		p.wake = false
 		if !p.armed && p.flight.n > 0 {
 			p.arm()
 		}
 		p.kick()
 	case portDeliver:
+		// Catch up while still armed and while the entry being delivered
+		// still heads the flight: start must not arm it a second time.
+		p.Sync()
 		p.armed = false
 		now := p.el.Now()
 		for {
@@ -211,9 +296,9 @@ func (p *Port) OnEvent(arg uint64) {
 				return
 			}
 			if next.due != now {
-				// The last entry is still serializing while a wake is
-				// pending; the wake arms it.
-				if !(p.wake && p.flight.n == 1) {
+				// The last entry is still serializing while a wake event
+				// is pending; the wake arms it.
+				if p.onDemand || !(p.wake && p.flight.n == 1) {
 					p.arm()
 				}
 				return
@@ -275,9 +360,8 @@ const flightRingFloor = 64
 // flightRing is a growable power-of-two FIFO of flight entries, the
 // pipeline between transmit start and delivery.
 type flightRing struct {
-	buf        []flightEntry
-	head, tail int
-	n          int
+	buf     []flightEntry
+	head, n int
 }
 
 // push appends e; delay and rateBps are the link's, which size the first
@@ -292,10 +376,9 @@ func (r *flightRing) push(e flightEntry, delay sim.Time, rateBps int64) {
 		for i := 0; i < r.n; i++ {
 			nb[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
-		r.buf, r.head, r.tail = nb, 0, r.n
+		r.buf, r.head = nb, 0
 	}
-	r.buf[r.tail] = e
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
 	r.n++
 }
 
@@ -320,5 +403,6 @@ func (p *Port) Utilization(now sim.Time) float64 {
 	if now <= 0 {
 		return 0
 	}
+	p.Sync()
 	return float64(p.DataBytes*8) / (float64(p.RateBps) * now.Seconds())
 }

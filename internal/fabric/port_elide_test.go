@@ -7,10 +7,12 @@ import (
 	"ndp/internal/sim"
 )
 
-// This file checks Port — which emits a packet's delivery when transmission
-// starts and schedules the serialization-end event only when it has work —
-// against an eager reference port that always schedules it, the
-// transmitter as it was before the event was elided. Both are driven with
+// This file checks an event-driven Port — which emits a packet's delivery
+// when transmission starts and schedules the serialization-end event only
+// when it has work — against an eager reference port that always schedules
+// it, the transmitter as it was before the event was elided (the on-demand
+// mode of a switch egress is checked against the same reference in
+// port_ondemand_test.go). Both are driven with
 // the same schedule of enqueues, pauses and un-pauses; the delivery
 // sequence, the telemetry and the FIFO ords other events receive must be
 // identical, and the event count must fall by exactly the serialization
@@ -32,9 +34,17 @@ type eagerPort struct {
 	flight       flightRing
 	emitSeq      uint64
 
-	bytesSent  int64
-	busyTime   sim.Time
-	pauseCount int64
+	bytesSent   int64
+	packetsSent int64
+	busyTime    sim.Time
+	pauseCount  int64
+
+	// The packet on the wire: when it started and ends serializing, and
+	// whether a serialization end started it (chained) or an Enqueue that
+	// found the line idle. The on-demand harness reads these to prove which
+	// boundary case a stream reached.
+	startedAt, freeAt sim.Time
+	chained           bool
 
 	// hadWork follows the packet on the wire: the queue held a sendable
 	// packet at transmit start or at some later Enqueue/un-pause, so Port
@@ -79,7 +89,9 @@ func (p *eagerPort) kick() {
 	}
 	p.hadWork = !p.paused && !p.q.Empty()
 	p.bytesSent += int64(pkt.Size)
+	p.packetsSent++
 	p.busyTime += ser
+	p.startedAt, p.freeAt, p.chained = p.el.Now(), p.el.Now()+ser, false
 	p.el.ScheduleAfter(ser, p, portSerEnd)
 }
 
@@ -99,9 +111,10 @@ func (p *eagerPort) OnEvent(arg uint64) {
 		if !p.hadWork {
 			p.elidable++
 		}
-		sent := p.bytesSent
+		sent := p.packetsSent
 		p.kick()
-		if p.bytesSent == sent {
+		p.chained = p.packetsSent != sent
+		if !p.chained {
 			p.idleEnds++
 		}
 	case portDeliver:

@@ -26,6 +26,10 @@ type BenchCounts struct {
 	Events int64
 	// PacketHops is the number of packet wire-traversals simulated.
 	PacketHops int64
+	// SerEndEvents is how many of Events were port serialization ends: the
+	// part that depends on the shard layout (cut ports keep theirs, ports
+	// inside a shard serialize on demand).
+	SerEndEvents int64
 	// Windows is what the sharded runner's windows did; zero for a case
 	// that runs on one event list.
 	Windows sim.WindowStats
@@ -54,6 +58,8 @@ type BenchResult struct {
 	WallMs        float64 `json:"wall_ms"`
 	Events        int64   `json:"events"`
 	PacketHops    int64   `json:"packet_hops"`
+	SerEndEvents  int64   `json:"ser_end_events"`
+	EventsPerHop  float64 `json:"events_per_hop"`
 	EventsPerSec  float64 `json:"events_per_sec"`
 	PacketsPerSec float64 `json:"packets_per_sec"`
 	NsPerEvent    float64 `json:"ns_per_event"`
@@ -159,13 +165,14 @@ func RunBenchSuite(cases []BenchCase, label string, logf func(format string, arg
 		restoreProcs()
 
 		r := BenchResult{
-			Name:        c.Name,
-			WallMs:      float64(wall.Nanoseconds()) / 1e6,
-			Events:      counts.Events,
-			PacketHops:  counts.PacketHops,
-			AllocsPerOp: allocs,
-			BytesPerOp:  bytes,
-			Procs:       c.Procs,
+			Name:         c.Name,
+			WallMs:       float64(wall.Nanoseconds()) / 1e6,
+			Events:       counts.Events,
+			PacketHops:   counts.PacketHops,
+			SerEndEvents: counts.SerEndEvents,
+			AllocsPerOp:  allocs,
+			BytesPerOp:   bytes,
+			Procs:        c.Procs,
 		}
 		if w := counts.Windows; w.Windows > 0 {
 			r.Windows, r.SingleBusy, r.ShardEvents = w.Windows, w.SingleBusy, w.Events
@@ -186,6 +193,9 @@ func RunBenchSuite(cases []BenchCase, label string, logf func(format string, arg
 		}
 		if counts.Events > 0 {
 			r.NsPerEvent = float64(wall.Nanoseconds()) / float64(counts.Events)
+		}
+		if counts.PacketHops > 0 {
+			r.EventsPerHop = float64(counts.Events) / float64(counts.PacketHops)
 		}
 		rep.Results = append(rep.Results, r)
 	}
@@ -219,11 +229,11 @@ func (r *BenchReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== bench %s: go %s %s/%s cpus=%d ==\n",
 		r.Label, r.GoVersion, r.GOOS, r.GOARCH, r.CPUs)
-	fmt.Fprintf(&b, "%-16s %10s %12s %12s %14s %12s %10s\n",
-		"case", "wall_ms", "events", "pkt_hops", "events/sec", "allocs", "ns/event")
+	fmt.Fprintf(&b, "%-16s %10s %12s %12s %8s %14s %12s %10s\n",
+		"case", "wall_ms", "events", "pkt_hops", "ev/hop", "events/sec", "allocs", "ns/event")
 	for _, res := range r.Results {
-		fmt.Fprintf(&b, "%-16s %10.1f %12d %12d %14.0f %12d %10.1f\n",
-			res.Name, res.WallMs, res.Events, res.PacketHops,
+		fmt.Fprintf(&b, "%-16s %10.1f %12d %12d %8.2f %14.0f %12d %10.1f\n",
+			res.Name, res.WallMs, res.Events, res.PacketHops, res.EventsPerHop,
 			res.EventsPerSec, res.AllocsPerOp, res.NsPerEvent)
 		if res.Windows > 0 {
 			fmt.Fprintf(&b, "%-16s windows=%d single_busy=%d critical_share=%.3f shard_events=%v\n",

@@ -438,6 +438,15 @@ func (el *EventList) Fired(at Time, ord uint64) bool {
 	return at < el.now || (at == el.now && ord <= el.firing)
 }
 
+// FiringAfterDeliveries reports whether the event executing is of a class
+// that sorts after the link deliveries of its instant — a command, a plainly
+// scheduled event or a PFC transition. It is false inside a delivery event
+// and outside the event loop: the two places from which a reserved FIFO ord
+// at Now is unambiguously still to fire, or fired.
+func (el *EventList) FiringAfterDeliveries() bool {
+	return el.firing-ordCommandClass < firingNone-ordCommandClass
+}
+
 // Which tier holds the earliest pending event.
 const (
 	tierNone = iota
@@ -618,7 +627,10 @@ func (el *EventList) bucket(k eventKey, v eventVal) {
 		n = int32(len(el.nodes))
 	}
 	b := int(k.at>>wheelShift) & (wheelBuckets - 1)
-	el.nodes[n-1] = wheelNode{key: k, arg: v.arg, h: v.h, next: el.whead[b]}
+	// Field by field: a composite literal is built on the stack with 8-byte
+	// stores and copied with 16-byte loads, which stall on store forwarding.
+	nd := &el.nodes[n-1]
+	nd.key, nd.arg, nd.h, nd.next = k, v.arg, v.h, el.whead[b]
 	el.whead[b] = n
 	el.wbits[b>>6] |= 1 << (b & 63)
 	el.bucketed++

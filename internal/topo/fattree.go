@@ -358,7 +358,10 @@ func (ft *FatTree) MinPathDelay(src, dst int) sim.Time {
 
 // DegradeLink reduces the line rate of the bidirectional link between agg
 // switch aggIdx (global index) and its coreOff-th core to newRate — the
-// failure scenario of Figure 22.
+// failure scenario of Figure 22. It is called at set-up, before any packet
+// moves. A caller that degrades a link mid-run must call Sync on both ports
+// first: a switch port serializes on demand (fabric.Port), and the packets
+// whose turn came before the change have to be started at the old rate.
 func (ft *FatTree) DegradeLink(aggIdx, coreOff int, newRate int64) {
 	up := ft.AggUp[aggIdx][coreOff]
 	up.RateBps = newRate

@@ -107,6 +107,7 @@ type Cluster interface {
 	LinkRate() int64
 	CollectStats() SwitchStats
 	PacketHops() int64
+	SerEndEvents() int64
 	// PacketsInUse sums the outstanding packets of every shard arena: the
 	// leak counter the golden suite asserts returns to zero after Close.
 	PacketsInUse() int64
@@ -545,15 +546,34 @@ func (n *Network) CollectStats() SwitchStats {
 // denominator the bench harness reports throughput against.
 func (n *Network) PacketHops() int64 {
 	var hops int64
+	n.eachPort(func(p *fabric.Port) {
+		p.Sync() // started on demand: count what has gone out by now
+		hops += p.PacketsSent
+	})
+	return hops
+}
+
+// eachPort visits every transmitter in the network: host NICs, then switch
+// egresses.
+func (n *Network) eachPort(visit func(*fabric.Port)) {
 	for _, h := range n.Hosts {
-		hops += h.NIC.PacketsSent
+		visit(h.NIC)
 	}
 	for _, sw := range n.Switches {
 		for _, p := range sw.Ports {
-			hops += p.PacketsSent
+			visit(p)
 		}
 	}
-	return hops
+}
+
+// SerEndEvents sums the serialization-end events fired over every port in
+// the network. Ports that serialize on demand (fabric.Port) fire none, and
+// which switch ports do depends on where the shard cuts fall — so this is
+// the one part of the event count that differs between shard layouts.
+func (n *Network) SerEndEvents() int64 {
+	var ends int64
+	n.eachPort(func(p *fabric.Port) { ends += p.SerEndEvents })
+	return ends
 }
 
 // portName builds a stable debug name for a link endpoint.

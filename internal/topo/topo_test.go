@@ -197,3 +197,73 @@ func TestLosslessFatTreeWiring(t *testing.T) {
 		t.Errorf("lossless delivery to 9 arrived at %d", got)
 	}
 }
+
+// TestPacketHopsStoppedMidRun: switch ports inside one shard serialize on
+// demand (fabric.Port), ports cut by a shard boundary are event-driven, so a
+// 4-shard tree is a reference for most of an unsharded one's ports. Stopped
+// at fifty arbitrary instants mid-traffic, both report the same PacketHops
+// and the same total BusyTime — the readers Sync first — and a tree closed
+// mid-run leaks no packet.
+func TestPacketHopsStoppedMidRun(t *testing.T) {
+	build := func(shards int) *FatTree {
+		ft := NewFatTree(4, Config{Shards: shards})
+		for _, h := range ft.Hosts {
+			h.Stack = fabric.SinkFunc(fabric.Free)
+		}
+		// Every host bursts at three others over every path: enough to back
+		// up the 8-packet switch queues (and drop from them).
+		for src := int32(0); src < 16; src++ {
+			arena := fabric.AttachArena(ft.Hosts[src].EventList())
+			for i, off := range []int32{1, 5, 10} {
+				dst := (src + off) % 16
+				paths := ft.Paths(src, dst)
+				for n := 0; n < 12; n++ {
+					p := arena.NewData(uint64(src)<<8|uint64(i), src, dst, int64(n), 9000)
+					p.Path = paths[n%len(paths)]
+					ft.Hosts[src].Send(p)
+				}
+			}
+		}
+		return ft
+	}
+	busy := func(ft *FatTree) (total sim.Time) {
+		for _, sw := range ft.Switches {
+			for _, p := range sw.Ports {
+				p.Sync()
+				total += p.BusyTime
+			}
+		}
+		return total
+	}
+	one, four := build(1), build(4)
+	r := sim.NewRand(3)
+	stop, moving, last := sim.Time(0), 0, int64(0)
+	for i := 0; i < 50; i++ {
+		stop += sim.Time(r.Intn(12000)) * sim.Nanosecond
+		one.Runner().RunUntil(stop)
+		four.Runner().RunUntil(stop)
+		h1, h4 := one.PacketHops(), four.PacketHops()
+		if h1 != h4 {
+			t.Fatalf("stopped at %v: %d packet hops unsharded, %d at 4 shards", stop, h1, h4)
+		}
+		if b1, b4 := busy(one), busy(four); b1 != b4 {
+			t.Fatalf("stopped at %v: busy time %v unsharded, %v at 4 shards", stop, b1, b4)
+		}
+		if h1 > last {
+			moving++
+		}
+		last = h1
+	}
+	if moving < 25 {
+		t.Errorf("only %d of 50 stops were mid-traffic", moving)
+	}
+	if e1, e4 := one.SerEndEvents(), four.SerEndEvents(); e1 >= e4 {
+		t.Errorf("%d serialization-end events unsharded, %d at 4 shards: cut ports should add theirs", e1, e4)
+	}
+	for _, ft := range []*FatTree{one, four} {
+		ft.Close()
+		if n := ft.PacketsInUse(); n != 0 {
+			t.Errorf("shards=%d: %d packets leaked by a close mid-run", ft.Shards(), n)
+		}
+	}
+}

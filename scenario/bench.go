@@ -135,7 +135,8 @@ func benchRun(spec Spec) harness.BenchCounts {
 	if m.FlowsLaunched == 0 {
 		panic("bench case launched no flows")
 	}
-	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops, Windows: engine.windows, Queue: engine.queue}
+	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops, SerEndEvents: stats.SerEndEvents,
+		Windows: engine.windows, Queue: engine.queue}
 }
 
 // benchSpec builds one pinned suite member; registry names are known good

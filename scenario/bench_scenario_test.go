@@ -78,7 +78,8 @@ func TestBenchSuiteDeterminism(t *testing.T) {
 	}
 	// The sharded engine must agree too — a bench-suite spec run with two
 	// shards (windowed multi-list runner, repeats still on the job pool)
-	// reproduces the single-list result bit for bit. Under -race in CI
+	// reproduces the single-list result bit for bit, and its event count
+	// once the cut ports' serialization ends are set aside. Under -race in CI
 	// this doubles as the shard data-race gate on a pinned workload.
 	sharded, shstats, err := RunWithStats(spec.With(WithWorkers(2), WithShards(2)))
 	if err != nil {
@@ -88,7 +89,7 @@ func TestBenchSuiteDeterminism(t *testing.T) {
 	if string(sj) != string(hj) {
 		t.Errorf("bench scenario metrics differ between shards=1 and shards=2:\n--- single ---\n%s\n--- sharded ---\n%s", sj, hj)
 	}
-	if shstats != sstats {
+	if acrossShards(shstats) != acrossShards(sstats) {
 		t.Errorf("engine stats differ between shards=1 and shards=2: %+v vs %+v", sstats, shstats)
 	}
 }

@@ -31,6 +31,11 @@ func Run(spec Spec) (*Metrics, error) {
 type RunStats struct {
 	// Events is the total scheduler events executed across repeats.
 	Events int64
+	// SerEndEvents is how many of them were serialization ends of a port.
+	// Switch ports whose link stays inside one shard serialize on demand and
+	// fire none, so this — and with it Events — depends on the shard layout;
+	// Events - SerEndEvents does not.
+	SerEndEvents int64
 	// PacketHops is the total packet wire-traversals across repeats.
 	PacketHops int64
 	// PacketsLeaked is the arena leak counter summed across repeats: packets
@@ -92,6 +97,7 @@ func runWithWindows(spec Spec) (m *Metrics, stats RunStats, engine engineStats, 
 	outs := harness.RunJobs(opts, jobs)
 	for _, o := range outs {
 		stats.Events += o.events
+		stats.SerEndEvents += o.serEnds
 		stats.PacketHops += o.hops
 		stats.PacketsLeaked += o.leaked
 		engine.windows.Add(o.windows)
@@ -111,6 +117,7 @@ type runOut struct {
 	counters  topo.SwitchStats
 	linkRate  int64
 	events    int64 // scheduler events executed
+	serEnds   int64 // of which port serialization ends
 	hops      int64 // packet wire-traversals
 	leaked    int64 // arena packets still outstanding after Close
 	windows   sim.WindowStats
@@ -143,6 +150,7 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 	out.events = int64(net.Runner().Executed())
 	out.queue = net.Runner().QueueStats()
 	out.hops = net.Cluster().PacketHops()
+	out.serEnds = net.Cluster().SerEndEvents()
 	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
 		out.windows = mr.WindowStats()
 	}

@@ -91,3 +91,52 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 		t.Error("a stray packet registered a demux handler")
 	}
 }
+
+// TestRetiredListsStayChurnSized: the free-lists of retired endpoints hold
+// what is waiting out its 2*MSL and nothing else, however long the churn
+// runs. Every host keeps five one-packet connections going in a closed loop
+// with a ~1 ms gap (the rpc scenario's shape, see
+// scenario.TestChurnAllocsPerFlow), so about ten endpoints per host are
+// always waiting and the lists never drain: a queue that reclaims its front
+// only on draining grows without bound here.
+func TestRetiredListsStayChurnSized(t *testing.T) {
+	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	rnd := sim.NewRand(7)
+	launched := 0
+	var launch func(src int)
+	launch = func(src int) {
+		launched++
+		dst := rnd.Intn(len(st) - 1)
+		if dst >= src {
+			dst++
+		}
+		st[src].Connect(st[dst], 1500, FlowOpts{OnReceiverDoneAt: func(sim.Time) {
+			net.EL.After(sim.Millisecond/2+rnd.Duration(sim.Millisecond), func() { launch(src) })
+		}})
+	}
+	for src := range st {
+		for conn := 0; conn < 5; conn++ {
+			launch(src)
+		}
+	}
+	caps := func() (c [2]int) {
+		for _, s := range st {
+			c[0], c[1] = max(c[0], s.retiredS.Cap()), max(c[1], s.retiredR.Cap())
+		}
+		return c
+	}
+	const T = 20 * sim.Millisecond
+	net.EL.RunUntil(T)
+	atT, byT := caps(), launched
+	t.Logf("capacities %v after %d flows", atT, byT)
+	net.EL.RunUntil(3 * T)
+	if at3T := caps(); at3T != atT {
+		t.Errorf("free-list capacities (senders, receivers) grew with simulated time: %v at T, %v at 3T", atT, at3T)
+	}
+	if atT[0] == 0 || atT[0] > 64 || atT[1] == 0 || atT[1] > 64 {
+		t.Errorf("free-list capacities %v: want a few slots per host", atT)
+	}
+	if byT < 1000 || launched < 3*byT-100 {
+		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, launched)
+	}
+}

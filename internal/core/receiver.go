@@ -217,7 +217,11 @@ type pullPacer struct {
 	spacing sim.Time
 	fifo    bool // serve pulls in arrival order (fairness ablation)
 
-	high, norm pullRing
+	// The pacer pops the head and re-pushes the round-robin survivor on
+	// every transmitted pull, the pattern that makes an advance-the-slice
+	// queue reallocate on nearly every push (in an incast it was once the
+	// simulator's largest allocation site); a ring reuses the freed front.
+	high, norm fabric.Ring[*flowPull]
 	lastSent   sim.Time
 	scheduled  bool
 	everSent   bool
@@ -227,6 +231,10 @@ type pullPacer struct {
 	PullsSent int64
 	OnGap     func(gap sim.Time)
 }
+
+// pullFirst is a pull queue's first buffer: one slot per connection with
+// pulls owed (per pull in the FIFO ablation), and a large incast doubles it.
+const pullFirst = 64
 
 func (pp *pullPacer) init(st *Stack, spacing sim.Time) {
 	pp.st = st
@@ -240,16 +248,16 @@ func (pp *pullPacer) addPull(fp *flowPull) {
 		// FIFO ablation: every pull occupies its own queue slot, so one
 		// connection's burst of arrivals monopolizes the pacer.
 		if fp.prio {
-			pp.high.push(fp)
+			pp.high.Push(fp, pullFirst)
 		} else {
-			pp.norm.push(fp)
+			pp.norm.Push(fp, pullFirst)
 		}
 	} else if !fp.queued {
 		fp.queued = true
 		if fp.prio {
-			pp.high.push(fp)
+			pp.high.Push(fp, pullFirst)
 		} else {
-			pp.norm.push(fp)
+			pp.norm.Push(fp, pullFirst)
 		}
 	}
 	pp.schedule()
@@ -260,7 +268,7 @@ func (pp *pullPacer) addPull(fp *flowPull) {
 func (pp *pullPacer) removeFlow(fp *flowPull) { fp.pending = 0 }
 
 func (pp *pullPacer) schedule() {
-	if pp.scheduled || (pp.high.n == 0 && pp.norm.n == 0) {
+	if pp.scheduled || (pp.high.Len() == 0 && pp.norm.Len() == 0) {
 		return
 	}
 	gap := pp.spacing
@@ -283,9 +291,9 @@ func (pp *pullPacer) OnEvent(uint64) { pp.fire() }
 // within a band, skipping entries whose pulls were cancelled.
 func (pp *pullPacer) next() *flowPull {
 	// Array (not slice) literal: stays off the heap in the per-pull path.
-	for _, band := range [...]*pullRing{&pp.high, &pp.norm} {
-		for band.n > 0 {
-			fp := band.pop()
+	for _, band := range [...]*fabric.Ring[*flowPull]{&pp.high, &pp.norm} {
+		for band.Len() > 0 {
+			fp := band.Pop()
 			if fp.pending <= 0 {
 				fp.queued = false
 				continue
@@ -295,7 +303,7 @@ func (pp *pullPacer) next() *flowPull {
 				return fp // occurrence-queued: no re-append
 			}
 			if fp.pending > 0 {
-				band.push(fp)
+				band.Push(fp, pullFirst)
 			} else {
 				fp.queued = false
 			}
@@ -303,46 +311,6 @@ func (pp *pullPacer) next() *flowPull {
 		}
 	}
 	return nil
-}
-
-// pullRing is the pull queue's FIFO: a power-of-two ring mirroring
-// queueRing. The pacer pops the head and re-pushes round-robin survivors
-// on every transmitted pull, a pattern that makes an advance-the-slice
-// queue reallocate on nearly every push (the freed front capacity is never
-// reused) — in an incast it was the simulator's single largest allocation
-// site. The ring reuses its buffer forever.
-type pullRing struct {
-	buf        []*flowPull
-	head, tail int
-	n          int
-}
-
-func (r *pullRing) push(fp *flowPull) {
-	if r.n == len(r.buf) {
-		size := 64
-		for size < len(r.buf)*2 {
-			size *= 2
-		}
-		nb := make([]*flowPull, size)
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head, r.tail = nb, 0, r.n
-	}
-	r.buf[r.tail] = fp
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
-	r.n++
-}
-
-func (r *pullRing) pop() *flowPull {
-	if r.n == 0 {
-		return nil
-	}
-	fp := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return fp
 }
 
 func (pp *pullPacer) fire() {

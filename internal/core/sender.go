@@ -63,12 +63,9 @@ type Sender struct {
 	permScratch []int
 
 	nextNew int64
-	// rtxq is a FIFO of sequence numbers awaiting retransmission credit,
-	// consumed via rtxHead: popping by re-slicing (rtxq = rtxq[1:]) strands
-	// the front capacity and forces an allocation on nearly every later
-	// push. The buffer resets to its full capacity whenever it drains.
-	rtxq        []int64
-	rtxHead     int
+	// rtxq is the FIFO of sequence numbers awaiting retransmission credit;
+	// the window bounds it and a pooled sender keeps its buffer.
+	rtxq        fabric.Ring[int64]
 	lastPullSeq int64
 
 	inflight       int64
@@ -102,6 +99,11 @@ type Sender struct {
 	CompletedAt     sim.Time
 	OnPacketLatency func(d sim.Time) // first-send -> ACK, per packet (Fig 4)
 }
+
+// rtxFirst is a retransmission queue's first buffer. Most senders never
+// retransmit and own none; one that does queues a few trimmed packets of its
+// window at a time, and a sender in a large incast doubles it.
+const rtxFirst = 8
 
 func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16) *Sender {
 	s := st.takeRetiredSender()
@@ -157,8 +159,9 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16)
 // and per-path state, emptied for the next flow to refill.
 func (s *Sender) recycle() {
 	st, timer := s.st, s.timer
-	pkts, rtxq, permScratch := s.pkts, s.rtxq[:0], s.permScratch
+	pkts, rtxq, permScratch := s.pkts, s.rtxq, s.permScratch
 	pkts.Reset()
+	rtxq.Reset()
 	pstats := s.pstats
 	*s = Sender{st: st, timer: timer,
 		pkts: pkts, rtxq: rtxq, permScratch: permScratch, pstats: pstats}
@@ -339,12 +342,8 @@ func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
 // sendNext releases one packet of pull credit: queued retransmissions first,
 // then new data.
 func (s *Sender) sendNext() {
-	for s.rtxHead < len(s.rtxq) {
-		seq := s.rtxq[s.rtxHead]
-		s.rtxHead++
-		if s.rtxHead == len(s.rtxq) {
-			s.rtxq, s.rtxHead = s.rtxq[:0], 0
-		}
+	for s.rtxq.Len() > 0 {
+		seq := s.rtxq.Pop()
 		if s.state(seq) != psRtxQueued {
 			continue // ACKed while queued
 		}
@@ -450,7 +449,7 @@ func (s *Sender) onNack(p *fabric.Packet) {
 	s.inflight--
 	s.pkts.At(seq).state = psRtxQueued
 	s.ackedOrNacked++
-	s.rtxq = append(s.rtxq, seq) // capacity bounded by the window and kept across drains
+	s.rtxq.Push(seq, rtxFirst)
 	s.RtxFromNack++
 }
 
@@ -501,7 +500,7 @@ func (s *Sender) onBounce(p *fabric.Packet) {
 		s.sendDataAvoiding(seq, true, p.PathID) // flips state back to inflight
 		return
 	}
-	s.rtxq = append(s.rtxq, seq) // capacity bounded by the window and kept across drains
+	s.rtxq.Push(seq, rtxFirst)
 }
 
 // onTimeout is the RTO backstop: it directly retransmits packets that have
@@ -542,7 +541,7 @@ func (s *Sender) onTimeout() {
 	if s.valveThreshold == 0 {
 		s.valveThreshold = 1
 	}
-	if resent == 0 && s.rxEvents == s.lastEventSnap && s.rtxHead < len(s.rtxq) {
+	if resent == 0 && s.rxEvents == s.lastEventSnap && s.rtxq.Len() > 0 {
 		s.valveSilent++
 		if s.valveSilent >= s.valveThreshold {
 			s.valveSilent = 0

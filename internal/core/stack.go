@@ -88,10 +88,8 @@ type Stack struct {
 	pacer pullPacer
 
 	// rxq holds packets inside the RxDelay processing window, in arrival
-	// order (the delay is constant, so release order is FIFO). Consumed via
-	// rxqHead, reset when drained, so the buffer's capacity is reusable.
-	rxq     []*fabric.Packet
-	rxqHead int
+	// order (the delay is constant, so release order is FIFO).
+	rxq fabric.Ring[*fabric.Packet]
 
 	listening  bool
 	onComplete func(*Receiver)
@@ -102,15 +100,13 @@ type Stack struct {
 	// flow's pooled state is reused (reclaimFlow).
 	flows fabric.FlowTable[flowEntry]
 
-	// timeWait records closed flow ids with their expiry so duplicate
-	// connections are rejected (at-most-once, §3.2.2). The maximum segment
-	// lifetime in a datacenter is under 1ms; a reclaimed flow's id is pinned
-	// forever (expiry Infinity), so this table only grows — which is why it
-	// is a thin flow -> expiry table of its own (16 bytes an id) and not a
-	// field of the flows entry: an entry that can never be deleted must not
-	// be a fat one.
+	// timeWait records closed flow ids with their expiry, fabric.MSL after
+	// closing, so duplicate connections are rejected (at-most-once, §3.2.2).
+	// A reclaimed flow's id is pinned forever (expiry Infinity), so this
+	// table only grows — which is why it is a thin flow -> expiry table of
+	// its own (16 bytes an id) and not a field of the flows entry: an entry
+	// that can never be deleted must not be a fat one.
 	timeWait    fabric.FlowTable[sim.Time]
-	msl         sim.Time
 	DupRejected int64
 
 	// retiredS/retiredR are FIFO free-lists of completed flow state whose
@@ -124,27 +120,31 @@ type Stack struct {
 	// exactly as before pooling existed. Closed-loop workloads (the rpc
 	// scenario starts thousands of short flows per host) were allocating
 	// a full Sender/Receiver pair plus packet-state arrays per StartFlow.
-	// Consumed via head indexes (reset when drained) so popping never
-	// strands buffer capacity.
-	retiredS     []*Sender
-	retiredSHead int
-	retiredR     []*Receiver
-	retiredRHead int
+	// A closed loop never lets these lists drain (something is always
+	// waiting out its 2*MSL), so they must give back the front a Pop frees
+	// without draining, or they grow with simulated time.
+	retiredS fabric.Ring[*Sender]
+	retiredR fabric.Ring[*Receiver]
 }
+
+// retiredFirst is a free-list's first buffer: room for the flows one host
+// completes within 2*MSL in the rpc scenario (14 as sender); more doubles it.
+const retiredFirst = 16
+
+// rxqFirst is the RxDelay queue's first buffer: the arrivals of one
+// processing delay, which at line rate is a few packets.
+const rxqFirst = 8
 
 // NewStack installs an NDP endpoint on a host. pathsTo must enumerate source
 // routes toward any peer the host will talk to.
 func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 	cfg = cfg.withDefaults()
 	st := &Stack{
-		Host:     host,
-		cfg:      cfg,
-		el:       host.EventList(),
-		arena:    fabric.AttachArena(host.EventList()),
-		pathsTo:  pathsTo,
-		retiredS: make([]*Sender, 0, 64),
-		retiredR: make([]*Receiver, 0, 64),
-		msl:      sim.Millisecond,
+		Host:    host,
+		cfg:     cfg,
+		el:      host.EventList(),
+		arena:   fabric.AttachArena(host.EventList()),
+		pathsTo: pathsTo,
 	}
 	spacing := cfg.PullSpacing
 	if spacing == 0 {
@@ -171,29 +171,19 @@ func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 // packets release in arrival order: a FIFO of the in-delay packets plus one
 // typed event per arrival replaces a closure per packet.
 func (st *Stack) delayRx(p *fabric.Packet) {
-	st.rxq = append(st.rxq, p)
+	st.rxq.Push(p, rxqFirst)
 	st.el.ScheduleAfter(st.cfg.RxDelay, st, 0)
 }
 
 // OnEvent releases the oldest delayed arrival into the demux (sim.Handler).
-func (st *Stack) OnEvent(uint64) {
-	p := st.rxq[st.rxqHead]
-	st.rxq[st.rxqHead] = nil
-	st.rxqHead++
-	if st.rxqHead == len(st.rxq) {
-		st.rxq, st.rxqHead = st.rxq[:0], 0
-	}
-	st.demux.Receive(p)
-}
+func (st *Stack) OnEvent(uint64) { st.demux.Receive(st.rxq.Pop()) }
 
 // Close frees packets the stack still holds — arrivals parked inside the
 // RxDelay processing window. Teardown only; idempotent.
 func (st *Stack) Close() {
-	for i := st.rxqHead; i < len(st.rxq); i++ {
-		fabric.Free(st.rxq[i])
-		st.rxq[i] = nil
+	for st.rxq.Len() > 0 {
+		fabric.Free(st.rxq.Pop())
 	}
-	st.rxq, st.rxqHead = st.rxq[:0], 0
 }
 
 // Config returns the stack's effective configuration.
@@ -256,15 +246,15 @@ func (st *Stack) Sender(flow uint64) *Sender {
 // enterTimeWait records a flow id for MSL so a duplicate connection attempt
 // with the same id is rejected.
 func (st *Stack) enterTimeWait(flow uint64) {
-	st.timeWait.Put(flow, st.el.Now()+st.msl)
+	st.timeWait.Put(flow, st.el.Now()+fabric.MSL)
 }
 
 // retireSender parks a completed sender on the free-list; takeRetiredSender
 // may hand its state to a later flow once it is quiescent.
-func (st *Stack) retireSender(s *Sender) { st.retiredS = append(st.retiredS, s) }
+func (st *Stack) retireSender(s *Sender) { st.retiredS.Push(s, retiredFirst) }
 
 // retireReceiver parks a completed receiver on the free-list.
-func (st *Stack) retireReceiver(r *Receiver) { st.retiredR = append(st.retiredR, r) }
+func (st *Stack) retireReceiver(r *Receiver) { st.retiredR.Push(r, retiredFirst) }
 
 // takeRetiredSender pops the oldest retired sender if it is safely
 // reusable: complete, timer disarmed, and at least 2*MSL past completion
@@ -273,18 +263,11 @@ func (st *Stack) retireReceiver(r *Receiver) { st.retiredR = append(st.retiredR,
 // no-op on the completed sender anyway. Returns nil when the head is not
 // yet quiescent; the list is FIFO, so the head is always the oldest.
 func (st *Stack) takeRetiredSender() *Sender {
-	if st.retiredSHead == len(st.retiredS) {
+	s := st.retiredS.Peek()
+	if s == nil || s.timer.Pending() || st.el.Now() < s.CompletedAt+2*fabric.MSL {
 		return nil
 	}
-	s := st.retiredS[st.retiredSHead]
-	if s.timer.Pending() || st.el.Now() < s.CompletedAt+2*st.msl {
-		return nil
-	}
-	st.retiredS[st.retiredSHead] = nil
-	st.retiredSHead++
-	if st.retiredSHead == len(st.retiredS) {
-		st.retiredS, st.retiredSHead = st.retiredS[:0], 0
-	}
+	st.retiredS.Pop()
 	st.reclaimFlow(s.Flow)
 	return s
 }
@@ -308,18 +291,11 @@ func (st *Stack) reclaimFlow(flow uint64) {
 // entry still holds the pointer, and reusing it would release phantom pull
 // credit for the new flow).
 func (st *Stack) takeRetiredReceiver() *Receiver {
-	if st.retiredRHead == len(st.retiredR) {
+	r := st.retiredR.Peek()
+	if r == nil || r.fp.queued || st.el.Now() < r.CompletedAt+2*fabric.MSL {
 		return nil
 	}
-	r := st.retiredR[st.retiredRHead]
-	if r.fp.queued || st.el.Now() < r.CompletedAt+2*st.msl {
-		return nil
-	}
-	st.retiredR[st.retiredRHead] = nil
-	st.retiredRHead++
-	if st.retiredRHead == len(st.retiredR) {
-		st.retiredR, st.retiredRHead = st.retiredR[:0], 0
-	}
+	st.retiredR.Pop()
 	st.reclaimFlow(r.Flow)
 	return r
 }

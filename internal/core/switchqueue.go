@@ -64,7 +64,7 @@ type SwitchQueue struct {
 	cfg  SwitchConfig
 	rand *sim.Rand
 
-	data, hdr       queueRing
+	data, hdr       fabric.Ring[*fabric.Packet]
 	hdrServed       int // consecutive header packets served since last data
 	dataBytesQueued int
 	hdrBytesQueued  int
@@ -75,68 +75,13 @@ type SwitchQueue struct {
 	BounceSink func(p *fabric.Packet)
 }
 
-// queueRing is a tiny FIFO with tail access (mirrors fabric's ring; kept
-// local so the hot path stays inlineable and free of interface calls).
-type queueRing struct {
-	buf        []*fabric.Packet
-	head, tail int
-	n          int
-}
-
-// queueRingFloor is the most a queueRing allocates up front: it costs no
-// extra allocations (the buffer is lazy) and spares deep queues two doubling
-// steps.
-const queueRingFloor = 64
-
-// push appends p. bound is the most entries the owner will ever hold, if it
-// knows (the data queue never exceeds DataCapPackets, the paper's 8): the
-// first buffer is that rounded up to a power of two, or the floor when the
-// bound is larger — a deep queue that really fills doubles its way up.
-func (r *queueRing) push(p *fabric.Packet, bound int) {
-	if r.n == len(r.buf) {
-		// The masked indexing below requires a power-of-two buffer;
-		// normalize the new capacity on growth instead of assuming the
-		// doubling always started from one (mirrors fabric's ring guard).
-		want := 2 * len(r.buf)
-		if want == 0 {
-			want = min(bound, queueRingFloor)
-		}
-		size := 1
-		for size < want {
-			size *= 2
-		}
-		nb := make([]*fabric.Packet, size) // doubling: the buffer is reused forever
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head, r.tail = nb, 0, r.n
-	}
-	r.buf[r.tail] = p
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
-	r.n++
-}
-
-func (r *queueRing) pop() *fabric.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return p
-}
-
-func (r *queueRing) popTail() *fabric.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	r.tail = (r.tail - 1) & (len(r.buf) - 1)
-	p := r.buf[r.tail]
-	r.buf[r.tail] = nil
-	r.n--
-	return p
-}
+// ringFirstMax is the most a switch queue's ring allocates up front. The
+// header queue is bounded in bytes (1125 headers at the paper's sizes), so
+// it starts here and a busy one doubles; the data queue never exceeds
+// DataCapPackets, so its first buffer is that — the paper's 8 exactly — or
+// this when the bound is larger: a deep ablation queue that really fills
+// doubles its way up.
+const ringFirstMax = 64
 
 // NewSwitchQueue builds an NDP port queue. rand drives the 50% trim coin;
 // it must be deterministic and must belong to this queue alone. A generator
@@ -154,20 +99,20 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 		q.enqueueControl(p)
 		return
 	}
-	if q.data.n < q.cfg.DataCapPackets {
+	if q.data.Len() < q.cfg.DataCapPackets {
 		q.dataBytesQueued += int(p.Size)
-		q.data.push(p, q.cfg.DataCapPackets)
+		q.data.Push(p, min(q.cfg.DataCapPackets, ringFirstMax))
 		q.NoteDepth(q.dataBytesQueued + q.hdrBytesQueued)
 		return
 	}
 	// Data queue full: trim. With probability 1/2 the tail of the data
 	// queue is the victim and the arrival takes its place.
 	victim := p
-	if !q.cfg.TrimArrivingOnly && q.data.n > 0 && q.rand.Bool() {
-		victim = q.data.popTail()
+	if !q.cfg.TrimArrivingOnly && q.data.Len() > 0 && q.rand.Bool() {
+		victim = q.data.PopTail()
 		q.dataBytesQueued -= int(victim.Size)
 		q.dataBytesQueued += int(p.Size)
-		q.data.push(p, q.cfg.DataCapPackets)
+		q.data.Push(p, min(q.cfg.DataCapPackets, ringFirstMax))
 	}
 	victim.Trim()
 	q.Trims++
@@ -177,7 +122,7 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {
 	if q.hdrBytesQueued+int(p.Size) <= q.cfg.HeaderCapBytes {
 		q.hdrBytesQueued += int(p.Size)
-		q.hdr.push(p, queueRingFloor)
+		q.hdr.Push(p, ringFirstMax)
 		q.NoteDepth(q.dataBytesQueued + q.hdrBytesQueued)
 		return
 	}
@@ -199,15 +144,15 @@ func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {
 // consecutive header packets it serves one data packet so that trimmed
 // headers cannot starve payloads (the anti-collapse measure of §3.1).
 func (q *SwitchQueue) Dequeue() *fabric.Packet {
-	serveData := q.hdr.n == 0 ||
-		(q.cfg.HeaderWRR > 0 && q.hdrServed >= q.cfg.HeaderWRR && q.data.n > 0)
-	if serveData && q.data.n > 0 {
-		p := q.data.pop()
+	serveData := q.hdr.Len() == 0 ||
+		(q.cfg.HeaderWRR > 0 && q.hdrServed >= q.cfg.HeaderWRR && q.data.Len() > 0)
+	if serveData && q.data.Len() > 0 {
+		p := q.data.Pop()
 		q.dataBytesQueued -= int(p.Size)
 		q.hdrServed = 0
 		return p
 	}
-	if p := q.hdr.pop(); p != nil {
+	if p := q.hdr.Pop(); p != nil {
 		q.hdrBytesQueued -= int(p.Size)
 		q.hdrServed++
 		return p
@@ -216,16 +161,16 @@ func (q *SwitchQueue) Dequeue() *fabric.Packet {
 }
 
 // Empty reports whether both queues are empty.
-func (q *SwitchQueue) Empty() bool { return q.data.n == 0 && q.hdr.n == 0 }
+func (q *SwitchQueue) Empty() bool { return q.data.Len() == 0 && q.hdr.Len() == 0 }
 
 // Bytes returns total queued bytes across both queues.
 func (q *SwitchQueue) Bytes() int { return q.dataBytesQueued + q.hdrBytesQueued }
 
 // DataPackets returns the data-queue depth in packets.
-func (q *SwitchQueue) DataPackets() int { return q.data.n }
+func (q *SwitchQueue) DataPackets() int { return q.data.Len() }
 
 // HeaderPackets returns the header-queue depth in packets.
-func (q *SwitchQueue) HeaderPackets() int { return q.hdr.n }
+func (q *SwitchQueue) HeaderPackets() int { return q.hdr.Len() }
 
 // QueueFactory returns a topo.Config-compatible queue factory producing NDP
 // switch queues with the given configuration. Each queue's trim coin draws

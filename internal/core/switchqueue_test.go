@@ -49,7 +49,7 @@ func TestSwitchQueueTrimCoinPicksTailSometimes(t *testing.T) {
 		q.Enqueue(data(i))
 		// Inspect the header queue's newest entry: if it carries the
 		// arriving seq, the arrival was trimmed; otherwise the tail was.
-		h := q.hdr.popTail()
+		h := q.hdr.PopTail()
 		if h.Seq == i {
 			arrivingTrimmed++
 		} else {
@@ -75,7 +75,7 @@ func TestSwitchQueueTrimArrivingOnlyAblation(t *testing.T) {
 	}
 	for i := int64(100); i < 120; i++ {
 		q.Enqueue(data(i))
-		h := q.hdr.popTail()
+		h := q.hdr.PopTail()
 		if h.Seq != i {
 			t.Fatalf("TrimArrivingOnly trimmed the tail (seq %d)", h.Seq)
 		}
@@ -204,7 +204,7 @@ func TestSwitchQueueDataRingSizedFromCap(t *testing.T) {
 		cfg.DataCapPackets = tc.capPackets
 		q := testQueue(cfg)
 		q.Enqueue(data(0))
-		if got := len(q.data.buf); got != tc.want {
+		if got := q.data.Cap(); got != tc.want {
 			t.Errorf("DataCapPackets %d: first data ring has %d slots, want %d", tc.capPackets, got, tc.want)
 		}
 	}
@@ -215,7 +215,7 @@ func TestSwitchQueueDataRingSizedFromCap(t *testing.T) {
 			fabric.Free(q.Dequeue())
 		}
 	}
-	if len(q.data.buf) != 8 || q.DataPackets() != 8 {
-		t.Errorf("after 500 arrivals: %d packets in a data ring of %d, want 8 in 8", q.DataPackets(), len(q.data.buf))
+	if q.data.Cap() != 8 || q.DataPackets() != 8 {
+		t.Errorf("after 500 arrivals: %d packets in a data ring of %d, want 8 in 8", q.DataPackets(), q.data.Cap())
 	}
 }

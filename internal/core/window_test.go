@@ -76,7 +76,7 @@ func countersOf(s *Sender, path int16) senderCounters {
 		noted:    s.recentAcks + s.recentNacks,
 		pathAcks: s.pstats[path].acks, pathNaks: s.pstats[path].naks,
 		rtxNack: s.RtxFromNack, rtxBounce: s.RtxFromBounce,
-		rtxQueued: int64(len(s.rtxq) - s.rtxHead), packetsSent: s.PacketsSent,
+		rtxQueued: int64(s.rtxq.Len()), packetsSent: s.PacketsSent,
 		fwBounced: s.fwBounced,
 		base:      s.pkts.Base(), end: s.pkts.End(),
 	}

@@ -17,7 +17,7 @@ import (
 // headers are dropped.
 type Queue struct {
 	fabric.QueueStats
-	q     fifo
+	q     fabric.Ring[*fabric.Packet]
 	bytes int
 	// TrimThreshold is the occupancy above which payloads are cut.
 	TrimThreshold int
@@ -25,39 +25,10 @@ type Queue struct {
 	MaxBytes int
 }
 
-type fifo struct {
-	buf        []*fabric.Packet
-	head, tail int
-	n          int
-}
-
-func (f *fifo) push(p *fabric.Packet) {
-	if f.n == len(f.buf) {
-		size := len(f.buf) * 2
-		if size == 0 {
-			size = 16
-		}
-		nb := make([]*fabric.Packet, size) // doubling: the buffer is reused forever
-		for i := 0; i < f.n; i++ {
-			nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
-		}
-		f.buf, f.head, f.tail = nb, 0, f.n
-	}
-	f.buf[f.tail] = p
-	f.tail = (f.tail + 1) & (len(f.buf) - 1)
-	f.n++
-}
-
-func (f *fifo) pop() *fabric.Packet {
-	if f.n == 0 {
-		return nil
-	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return p
-}
+// fifoFirst is the FIFO's first buffer: the three data packets of Figure 2's
+// threshold and the first headers behind them; an overloaded queue, filling
+// with headers, doubles it.
+const fifoFirst = 16
 
 // NewQueue returns a CP queue that trims above trimThreshold bytes and
 // drops above maxBytes.
@@ -72,7 +43,7 @@ func (q *Queue) Enqueue(p *fabric.Packet) {
 	if p.Type == fabric.Data && !p.Trimmed() {
 		if q.bytes+int(p.Size) <= q.TrimThreshold {
 			q.bytes += int(p.Size)
-			q.q.push(p)
+			q.q.Push(p, fifoFirst)
 			q.NoteDepth(q.bytes)
 			return
 		}
@@ -81,7 +52,7 @@ func (q *Queue) Enqueue(p *fabric.Packet) {
 	}
 	if q.bytes+int(p.Size) <= q.MaxBytes {
 		q.bytes += int(p.Size)
-		q.q.push(p)
+		q.q.Push(p, fifoFirst)
 		q.NoteDepth(q.bytes)
 		return
 	}
@@ -92,7 +63,7 @@ func (q *Queue) Enqueue(p *fabric.Packet) {
 // Dequeue removes the head packet (strict FIFO: headers wait their turn,
 // which is why CP's loss feedback is slower than NDP's).
 func (q *Queue) Dequeue() *fabric.Packet {
-	p := q.q.pop()
+	p := q.q.Pop()
 	if p != nil {
 		q.bytes -= int(p.Size)
 	}
@@ -100,7 +71,7 @@ func (q *Queue) Dequeue() *fabric.Packet {
 }
 
 // Empty reports whether the FIFO is empty.
-func (q *Queue) Empty() bool { return q.q.n == 0 }
+func (q *Queue) Empty() bool { return q.q.Len() == 0 }
 
 // Bytes returns queued wire bytes.
 func (q *Queue) Bytes() int { return q.bytes }

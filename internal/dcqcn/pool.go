@@ -12,9 +12,13 @@ import (
 // flow and the network layer retires both endpoints — after stopping the
 // sender's rate-machine timers, which otherwise tick forever.
 type Pool struct {
-	senders   []*Sender
-	receivers []*Receiver
+	senders   fabric.Ring[*Sender]
+	receivers fabric.Ring[*Receiver]
 }
+
+// retiredFirst is a free-list's first buffer; more retired endpoints than
+// this at once double it.
+const retiredFirst = 8
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
@@ -33,40 +37,33 @@ func (pl *Pool) NewSender(host *fabric.Host, dst int32, flow uint64, path []int1
 // exactly while one is scheduled; after Stop the event fires once more as a
 // no-op and clears it).
 func (pl *Pool) takeSender(host *fabric.Host) *Sender {
-	if len(pl.senders) == 0 {
-		return nil
-	}
-	s := pl.senders[0]
-	if s.el != host.EventList() || s.sending ||
+	s := pl.senders.Peek()
+	if s == nil || s.el != host.EventList() || s.sending ||
 		s.alphaTimer.Pending() || s.incTimer.Pending() {
 		return nil
 	}
-	pl.senders = pl.senders[1:]
-	return s
+	return pl.senders.Pop()
 }
 
 // RetireSender hands a stopped sender back to the pool. The caller must
 // have called Stop and unregistered the flow from its demux.
-func (pl *Pool) RetireSender(s *Sender) { pl.senders = append(pl.senders, s) }
+func (pl *Pool) RetireSender(s *Sender) { pl.senders.Push(s, retiredFirst) }
 
 // NewReceiver builds or recycles a receiver.
 func (pl *Pool) NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath []int16, cfg Config) *Receiver {
-	if len(pl.receivers) > 0 {
-		r := pl.receivers[0]
-		if r.host.EventList() == host.EventList() {
-			pl.receivers = pl.receivers[1:]
-			arena := r.arena
-			*r = Receiver{
-				Flow: flow, host: host, peer: peer, path: revPath, cfg: cfg,
-				arena: arena,
-			}
-			return r
-		}
+	r := pl.receivers.Peek()
+	if r == nil || r.host.EventList() != host.EventList() {
+		return NewReceiver(host, peer, flow, revPath, cfg)
 	}
-	return NewReceiver(host, peer, flow, revPath, cfg)
+	pl.receivers.Pop()
+	*r = Receiver{
+		Flow: flow, host: host, peer: peer, path: revPath, cfg: cfg,
+		arena: r.arena,
+	}
+	return r
 }
 
 // RetireReceiver hands a completed receiver back to the pool. The caller
 // must have unregistered the flow from its demux; on a lossless fixed path
 // nothing arrives after the FIN, so the state is immediately reusable.
-func (pl *Pool) RetireReceiver(r *Receiver) { pl.receivers = append(pl.receivers, r) }
+func (pl *Pool) RetireReceiver(r *Receiver) { pl.receivers.Push(r, retiredFirst) }

@@ -30,6 +30,8 @@ func AttachArena(el *sim.EventList) *Arena {
 // simulation that ends with InUse() != 0 has leaked, and the golden suite
 // asserts this for every registry scenario.
 type Arena struct {
+	// free is a LIFO stack, not a fabric.Ring: the packet freed last is the
+	// one still in cache, and order among free packets means nothing.
 	free  []*Packet
 	inUse int64
 }

@@ -165,7 +165,7 @@ type Inbox struct {
 	el      *sim.EventList
 	arena   *Arena
 	entries []CrossEntry
-	free    []int32
+	free    []int32 // recycled entry slots: a LIFO stack (the slot freed last is the warm one), not a fabric.Ring
 }
 
 // NewInbox builds the inbox feeding one shard's event list. It attaches the

@@ -46,11 +46,11 @@ func (p *Port) CheckOnDemand() error {
 	if !p.onDemand {
 		return fmt.Errorf("port %s is event-driven", p.Name)
 	}
-	if p.wake && !(p.armed && p.flight.n > 0) {
-		return fmt.Errorf("port %s: wake with armed=%v and %d in flight", p.Name, p.armed, p.flight.n)
+	if p.wake && !(p.armed && p.flight.Len() > 0) {
+		return fmt.Errorf("port %s: wake with armed=%v and %d in flight", p.Name, p.armed, p.flight.Len())
 	}
-	if p.flight.n > 0 && !p.armed {
-		return fmt.Errorf("port %s: %d in flight and no delivery armed", p.Name, p.flight.n)
+	if p.flight.Len() > 0 && !p.armed {
+		return fmt.Errorf("port %s: %d in flight and no delivery armed", p.Name, p.flight.Len())
 	}
 	if p.SerEndEvents != 0 {
 		return fmt.Errorf("port %s fired %d serialization-end events", p.Name, p.SerEndEvents)

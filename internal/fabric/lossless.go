@@ -19,6 +19,11 @@ type heldEntry struct {
 	out int
 }
 
+// heldFirst is an ingress backlog's first buffer: PAUSE goes out at Xoff
+// (two packets by default), so what is held is what was already on the wire
+// when it took effect.
+const heldFirst = 8
+
 type losslessState struct {
 	limit     int // egress byte budget before ingress must hold
 	xoff, xon int
@@ -61,8 +66,8 @@ func (s *Switch) drainHeld() {
 		progress := false
 		for _, iq := range ls.ingresses {
 			for {
-				e, ok := iq.peek()
-				if !ok || !s.canAccept(e.out, e.p) {
+				e := iq.held.Peek()
+				if e.p == nil || !s.canAccept(e.out, e.p) {
 					break
 				}
 				iq.popForward()
@@ -88,8 +93,7 @@ type IngressQueue struct {
 	// the signal travels is itself part of the pair lookahead.
 	Cross *CrossBox
 
-	held  []heldEntry
-	head  int
+	held  Ring[heldEntry]
 	bytes int
 
 	pausedUpstream bool
@@ -106,30 +110,17 @@ func (iq *IngressQueue) Receive(p *Packet) {
 		Free(p)
 		return
 	}
-	if iq.head == len(iq.held) && iq.sw.canAccept(out, p) {
+	if iq.held.Len() == 0 && iq.sw.canAccept(out, p) {
 		iq.sw.Ports[out].Enqueue(p)
 		return
 	}
-	iq.held = append(iq.held, heldEntry{p: p, out: out}) // capacity bounded by the pause window and reused after drains
+	iq.held.Push(heldEntry{p: p, out: out}, heldFirst)
 	iq.bytes += int(p.Size)
 	iq.updatePause()
 }
 
-func (iq *IngressQueue) peek() (heldEntry, bool) {
-	if iq.head == len(iq.held) {
-		return heldEntry{}, false
-	}
-	return iq.held[iq.head], true
-}
-
 func (iq *IngressQueue) popForward() {
-	e := iq.held[iq.head]
-	iq.held[iq.head] = heldEntry{}
-	iq.head++
-	if iq.head == len(iq.held) {
-		iq.held = iq.held[:0]
-		iq.head = 0
-	}
+	e := iq.held.Pop()
 	iq.bytes -= int(e.p.Size)
 	iq.sw.Ports[e.out].Enqueue(e.p)
 	iq.updatePause()
@@ -140,12 +131,9 @@ func (iq *IngressQueue) Backlog() int { return iq.bytes }
 
 // releasePackets frees the held backlog at teardown.
 func (iq *IngressQueue) releasePackets() {
-	for ; iq.head < len(iq.held); iq.head++ {
-		Free(iq.held[iq.head].p)
-		iq.held[iq.head] = heldEntry{}
+	for iq.held.Len() > 0 {
+		Free(iq.held.Pop().p)
 	}
-	iq.held = iq.held[:0]
-	iq.head = 0
 	iq.bytes = 0
 }
 

@@ -202,3 +202,10 @@ func NewData(flow uint64, src, dst int32, seq int64, size int32) *Packet {
 	p.DataSize = size
 	return p
 }
+
+// MSL is the maximum segment lifetime every transport's reuse rules assume:
+// in a datacenter no packet outlives 1 ms (the worst-case RTT with NDP's
+// small queues is ~400 µs, §3.2.4). A closed flow id stays in time-wait for
+// MSL, and a retired endpoint's pooled state is reusable 2*MSL after
+// completion, by which point no packet of the old flow can still exist.
+const MSL = sim.Millisecond

@@ -107,7 +107,7 @@ type Port struct {
 	// never has more heap entries than a wake plus one delivery. An on-demand
 	// port keeps the head armed whenever the flight is non-empty: that event is
 	// what carries its catch-up.
-	flight  flightRing
+	flight  Ring[flightEntry]
 	emitSeq uint64
 
 	// Telemetry.
@@ -253,7 +253,13 @@ func (p *Port) start(at sim.Time) {
 		p.Cross.AddDelivery(due, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
 		return
 	}
-	p.flight.push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq}, p.Delay, p.RateBps)
+	// The link sizes the first flight buffer. Worked out only when there is
+	// none yet: as a plain Push argument it cost a division per packet hop.
+	first := 0
+	if p.flight.Cap() == 0 {
+		first = flightCap(p.Delay, p.RateBps)
+	}
+	p.flight.Push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq}, first)
 	if !p.armed && (p.onDemand || !p.wake) {
 		p.arm()
 	}
@@ -261,7 +267,7 @@ func (p *Port) start(at sim.Time) {
 
 // arm schedules the delivery event for the head of flight.
 func (p *Port) arm() {
-	e, _ := p.flight.peek()
+	e := p.flight.Peek()
 	p.armed = true
 	p.el.ScheduleKeyed(e.due, sim.DeliveryOrd(p.UID, e.seq), p, portDeliver)
 }
@@ -272,7 +278,7 @@ func (p *Port) OnEvent(arg uint64) {
 	case portSerEnd:
 		p.SerEndEvents++
 		p.wake = false
-		if !p.armed && p.flight.n > 0 {
+		if !p.armed && p.flight.Len() > 0 {
 			p.arm()
 		}
 		p.kick()
@@ -283,22 +289,21 @@ func (p *Port) OnEvent(arg uint64) {
 		p.armed = false
 		now := p.el.Now()
 		for {
-			e := p.flight.pop()
+			e := p.flight.Pop()
 			if p.peer != nil {
 				p.peer.Receive(e.pkt)
 			} else {
 				Free(e.pkt)
 			}
-			next, ok := p.flight.peek()
-			if !ok || p.armed {
+			if p.flight.Len() == 0 || p.armed {
 				// armed: the peer sent on this very port (a loopback) and
 				// kick has armed the flight already.
 				return
 			}
-			if next.due != now {
+			if p.flight.Peek().due != now {
 				// The last entry is still serializing while a wake event
 				// is pending; the wake arms it.
-				if p.onDemand || !(p.wake && p.flight.n == 1) {
+				if p.onDemand || !(p.wake && p.flight.Len() == 1) {
 					p.arm()
 				}
 				return
@@ -316,13 +321,8 @@ func (p *Port) OnEvent(arg uint64) {
 // a run stopped mid-traffic still accounts for every arena packet. Teardown
 // only.
 func (p *Port) ReleasePackets() {
-	for {
-		e, ok := p.flight.peek()
-		if !ok {
-			break
-		}
-		p.flight.pop()
-		Free(e.pkt)
+	for p.flight.Len() > 0 {
+		Free(p.flight.Pop().pkt)
 	}
 	if p.Q != nil {
 		for pkt := p.Q.Dequeue(); pkt != nil; pkt = p.Q.Dequeue() {
@@ -341,61 +341,20 @@ type flightEntry struct {
 
 // flightCap returns the size of a link's first flight buffer: what the link
 // can hold — one header-sized packet per serialization time across the
-// propagation delay, plus the one serializing and the one being delivered —
-// rounded up to a power of two, and no more than flightRingFloor (a long
-// link that is rarely full doubles its way up instead). Packets smaller than
-// a header (tests send zero-sized ones) double it too.
+// propagation delay, plus the one serializing and the one being delivered
+// (the ring rounds it up to a power of two) — and no more than flightCapMax:
+// a long link that is rarely full doubles its way up instead. Packets
+// smaller than a header (tests send zero-sized ones) double it too.
 func flightCap(delay sim.Time, rateBps int64) int {
 	ser := sim.TransmissionTime(HeaderSize, rateBps)
-	if ser <= 0 || delay/ser+2 >= flightRingFloor {
-		return flightRingFloor
+	if ser <= 0 || delay/ser+2 >= flightCapMax {
+		return flightCapMax
 	}
-	return nextPow2(int(delay/ser)+2, 1)
+	return int(delay/ser) + 2
 }
 
-// flightRingFloor is the least a flightRing doubles to, and the most its
-// first buffer takes up front.
-const flightRingFloor = 64
-
-// flightRing is a growable power-of-two FIFO of flight entries, the
-// pipeline between transmit start and delivery.
-type flightRing struct {
-	buf     []flightEntry
-	head, n int
-}
-
-// push appends e; delay and rateBps are the link's, which size the first
-// buffer (flightCap).
-func (r *flightRing) push(e flightEntry, delay sim.Time, rateBps int64) {
-	if r.n == len(r.buf) {
-		size := nextPow2(len(r.buf)*2, flightRingFloor)
-		if r.buf == nil {
-			size = flightCap(delay, rateBps)
-		}
-		nb := make([]flightEntry, size) // doubling: the buffer is reused forever
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = nb, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
-	r.n++
-}
-
-func (r *flightRing) pop() flightEntry {
-	e := r.buf[r.head]
-	r.buf[r.head] = flightEntry{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return e
-}
-
-func (r *flightRing) peek() (flightEntry, bool) {
-	if r.n == 0 {
-		return flightEntry{}, false
-	}
-	return r.buf[r.head], true
-}
+// flightCapMax is the most a flight's first buffer takes up front.
+const flightCapMax = 64
 
 // Utilization returns the fraction of the interval [0, now] this port spent
 // serializing data (non-control) bytes.

@@ -31,7 +31,7 @@ type eagerPort struct {
 
 	busy, paused bool
 	serializing  *Packet
-	flight       flightRing
+	flight       Ring[flightEntry]
 	emitSeq      uint64
 
 	bytesSent   int64
@@ -103,8 +103,8 @@ func (p *eagerPort) OnEvent(arg uint64) {
 		p.serializing = nil
 		p.emitSeq++
 		at := p.el.Now() + p.delay
-		arm := p.flight.n == 0
-		p.flight.push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq}, p.delay, p.rateBps)
+		arm := p.flight.Len() == 0
+		p.flight.Push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq}, flightCapMax)
 		if arm {
 			p.el.ScheduleKeyed(at, sim.DeliveryOrd(p.uid, p.emitSeq), p, portDeliver)
 		}
@@ -120,12 +120,12 @@ func (p *eagerPort) OnEvent(arg uint64) {
 	case portDeliver:
 		now := p.el.Now()
 		for {
-			e := p.flight.pop()
+			e := p.flight.Pop()
 			p.peer.Receive(e.pkt)
-			next, ok := p.flight.peek()
-			if !ok {
+			if p.flight.Len() == 0 {
 				return
 			}
+			next := p.flight.Peek()
 			if next.due != now {
 				p.el.ScheduleKeyed(next.due, sim.DeliveryOrd(p.uid, next.seq), p, portDeliver)
 				return
@@ -137,8 +137,8 @@ func (p *eagerPort) OnEvent(arg uint64) {
 func (p *eagerPort) ReleasePackets() {
 	Free(p.serializing)
 	p.serializing = nil
-	for p.flight.n > 0 {
-		Free(p.flight.pop().pkt)
+	for p.flight.Len() > 0 {
+		Free(p.flight.Pop().pkt)
 	}
 	for pkt := p.q.Dequeue(); pkt != nil; pkt = p.q.Dequeue() {
 		Free(pkt)

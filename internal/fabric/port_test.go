@@ -179,8 +179,10 @@ func TestFlightRingSizedFromLink(t *testing.T) {
 		{sim.Millisecond, 10e9, 64},
 		{500 * sim.Nanosecond, 0, 64},
 	} {
-		if got := flightCap(tc.delay, tc.rate); got != tc.want {
-			t.Errorf("flightCap(%v, %d) = %d, want %d", tc.delay, tc.rate, got, tc.want)
+		var r Ring[flightEntry]
+		r.Push(flightEntry{}, flightCap(tc.delay, tc.rate))
+		if got := r.Cap(); got != tc.want {
+			t.Errorf("a flight sized by flightCap(%v, %d) has %d slots, want %d", tc.delay, tc.rate, got, tc.want)
 		}
 	}
 	el := sim.NewEventList()
@@ -191,7 +193,7 @@ func TestFlightRingSizedFromLink(t *testing.T) {
 		port.Enqueue(NewControl(Ack, 1, 0, 1))
 	}
 	el.Run()
-	if sink.Packets != 1000 || len(port.flight.buf) != 16 {
-		t.Errorf("delivered %d headers through a flight buffer of %d, want 1000 through 16", sink.Packets, len(port.flight.buf))
+	if sink.Packets != 1000 || port.flight.Cap() != 16 {
+		t.Errorf("delivered %d headers through a flight buffer of %d, want 1000 through 16", sink.Packets, port.flight.Cap())
 	}
 }

@@ -45,97 +45,16 @@ func (s *QueueStats) NoteDepth(bytes int) {
 	}
 }
 
-// ring is a growable FIFO of packets. A power-of-two ring buffer avoids the
-// per-operation allocation of a linked list and the head-copy cost of a
-// slice-based queue; queues sit on the per-packet hot path.
-type ring struct {
-	buf        []*Packet
-	head, tail int // tail is one past the last element
-	n          int
-}
-
-func (r *ring) len() int { return r.n }
-
-func (r *ring) push(p *Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[r.tail] = p
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
-	r.n++
-}
-
-func (r *ring) pop() *Packet {
-	if r.n == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return p
-}
-
-// popTail removes the most recently pushed packet (used by the NDP switch's
-// 50% trim-the-tail policy).
-func (r *ring) popTail() *Packet {
-	if r.n == 0 {
-		return nil
-	}
-	r.tail = (r.tail - 1) & (len(r.buf) - 1)
-	p := r.buf[r.tail]
-	r.buf[r.tail] = nil
-	r.n--
-	return p
-}
-
-// pushHead inserts at the front (used for strict-priority re-insertion).
-func (r *ring) pushHead(p *Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.head = (r.head - 1) & (len(r.buf) - 1)
-	r.buf[r.head] = p
-	r.n++
-}
-
-func (r *ring) peek() *Packet {
-	if r.n == 0 {
-		return nil
-	}
-	return r.buf[r.head]
-}
-
-// grow doubles the ring; the buffer is reused forever.
-func (r *ring) grow() {
-	// The index masking throughout this type requires a power-of-two
-	// buffer. Doubling preserves that invariant, but a buffer installed by
-	// any other path (or a future refactor) would silently corrupt the
-	// queue, so normalize the new capacity instead of assuming it.
-	size := nextPow2(len(r.buf)*2, 64)
-	nb := make([]*Packet, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf = nb
-	r.head = 0
-	r.tail = r.n
-}
-
-// nextPow2 returns the smallest power of two >= max(n, floor).
-func nextPow2(n, floor int) int {
-	size := floor
-	for size < n {
-		size *= 2
-	}
-	return size
-}
+// queueFirst is the first buffer of a switch or NIC queue's ring: a queue
+// bounded in bytes holds anything from a handful of jumbograms to hundreds
+// of headers, so it starts where a busy one settles and doubles from there.
+const queueFirst = 64
 
 // FIFOQueue is a byte-bounded drop-tail FIFO: the classic switch queue used
 // by the TCP, MPTCP and pHost baselines.
 type FIFOQueue struct {
 	QueueStats
-	q        ring
+	q        Ring[*Packet]
 	bytes    int
 	MaxQueue int // capacity in bytes; <=0 means unbounded (host NICs)
 }
@@ -154,13 +73,13 @@ func (q *FIFOQueue) Enqueue(p *Packet) {
 		return
 	}
 	q.bytes += int(p.Size)
-	q.q.push(p)
+	q.q.Push(p, queueFirst)
 	q.NoteDepth(q.bytes)
 }
 
 // Dequeue removes the head packet.
 func (q *FIFOQueue) Dequeue() *Packet {
-	p := q.q.pop()
+	p := q.q.Pop()
 	if p != nil {
 		q.bytes -= int(p.Size)
 	}
@@ -168,13 +87,13 @@ func (q *FIFOQueue) Dequeue() *Packet {
 }
 
 // Empty reports whether the queue holds no packets.
-func (q *FIFOQueue) Empty() bool { return q.q.len() == 0 }
+func (q *FIFOQueue) Empty() bool { return q.q.Len() == 0 }
 
 // Bytes returns the queued wire bytes.
 func (q *FIFOQueue) Bytes() int { return q.bytes }
 
 // Packets returns the number of queued packets.
-func (q *FIFOQueue) Packets() int { return q.q.len() }
+func (q *FIFOQueue) Packets() int { return q.q.Len() }
 
 // ECNQueue is a drop-tail FIFO that sets the ECN CE codepoint on packets
 // that arrive to find the queue deeper than a marking threshold — the sharp
@@ -207,7 +126,7 @@ func (q *ECNQueue) Enqueue(p *Packet) {
 // switch disciplines.
 type CtrlPrioQueue struct {
 	QueueStats
-	ctrl, data ring
+	ctrl, data Ring[*Packet]
 	bytes      int
 }
 
@@ -219,18 +138,18 @@ func (q *CtrlPrioQueue) Enqueue(p *Packet) {
 	q.NoteEnqueue(p)
 	q.bytes += int(p.Size)
 	if p.IsControl() {
-		q.ctrl.push(p)
+		q.ctrl.Push(p, queueFirst)
 	} else {
-		q.data.push(p)
+		q.data.Push(p, queueFirst)
 	}
 	q.NoteDepth(q.bytes)
 }
 
 // Dequeue serves control strictly first.
 func (q *CtrlPrioQueue) Dequeue() *Packet {
-	p := q.ctrl.pop()
+	p := q.ctrl.Pop()
 	if p == nil {
-		p = q.data.pop()
+		p = q.data.Pop()
 	}
 	if p != nil {
 		q.bytes -= int(p.Size)
@@ -239,7 +158,7 @@ func (q *CtrlPrioQueue) Dequeue() *Packet {
 }
 
 // Empty reports whether both bands are empty.
-func (q *CtrlPrioQueue) Empty() bool { return q.ctrl.len() == 0 && q.data.len() == 0 }
+func (q *CtrlPrioQueue) Empty() bool { return q.ctrl.Len() == 0 && q.data.Len() == 0 }
 
 // Bytes returns the queued wire bytes across both bands.
 func (q *CtrlPrioQueue) Bytes() int { return q.bytes }

@@ -1,76 +1,6 @@
 package fabric
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestRingFIFO(t *testing.T) {
-	var r ring
-	for i := 0; i < 100; i++ {
-		p := GetPacket()
-		p.Seq = int64(i)
-		r.push(p)
-	}
-	for i := 0; i < 100; i++ {
-		p := r.pop()
-		if p == nil || p.Seq != int64(i) {
-			t.Fatalf("pop %d returned %v", i, p)
-		}
-		Free(p)
-	}
-	if r.pop() != nil {
-		t.Fatal("pop on empty ring should return nil")
-	}
-}
-
-func TestRingTailOps(t *testing.T) {
-	var r ring
-	for i := 0; i < 5; i++ {
-		p := GetPacket()
-		p.Seq = int64(i)
-		r.push(p)
-	}
-	if p := r.popTail(); p.Seq != 4 {
-		t.Fatalf("popTail = %d, want 4", p.Seq)
-	}
-	front := GetPacket()
-	front.Seq = -1
-	r.pushHead(front)
-	if p := r.pop(); p.Seq != -1 {
-		t.Fatalf("after pushHead, pop = %d, want -1", p.Seq)
-	}
-	if p := r.peek(); p.Seq != 0 {
-		t.Fatalf("peek = %d, want 0", p.Seq)
-	}
-}
-
-// Property: any interleaving of pushes and pops preserves FIFO order and
-// count. ops: true = push, false = pop.
-func TestRingProperty(t *testing.T) {
-	prop := func(ops []bool) bool {
-		var r ring
-		next, expect := int64(0), int64(0)
-		for _, push := range ops {
-			if push {
-				p := GetPacket()
-				p.Seq = next
-				next++
-				r.push(p)
-			} else if p := r.pop(); p != nil {
-				if p.Seq != expect {
-					return false
-				}
-				expect++
-				Free(p)
-			}
-		}
-		return r.len() == int(next-expect)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestFIFOQueueDropTail(t *testing.T) {
 	q := NewFIFOQueue(3000)

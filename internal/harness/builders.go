@@ -105,16 +105,10 @@ type TCPNet struct {
 
 	nextFlow uint64
 
-	// Per-source-host flow-id counters and connect-time RNG streams for
-	// the uniform StartFlow surface. Flows may start mid-run from any
-	// shard (closed-loop restarts), so this state must be owned by the
-	// source host's shard: a net-wide counter or stream would be both a
-	// data race and an ordering entanglement — its values would depend on
-	// which shard's flow start happened to execute first. The legacy
-	// Flow/MPTCPFlow methods (single-domain figure runners) still use the
-	// shared Rand/nextFlow.
-	srcSeq  []uint64
-	srcRand []*sim.Rand
+	// The uniform StartFlow surface draws flow ids and connect-time random
+	// choices per source host; the legacy Flow/MPTCPFlow methods
+	// (single-domain figure runners) still use the shared Rand/nextFlow.
+	src perSource
 
 	// pools recycles completed flow state, one pool per scheduling domain,
 	// indexed by Cluster.ShardOfHost. The slice is built up front and
@@ -123,12 +117,34 @@ type TCPNet struct {
 	pools []*tcp.Pool
 }
 
-// srcFlowID allocates `stride` consecutive flow ids from the source host's
+// perSource is the StartFlow state each source host owns: a flow-id counter
+// and, for transports that pick paths at connect time, a random stream.
+// Flows may start mid-run from any shard (closed-loop restarts), so this
+// state must be owned by the source host's shard: a net-wide counter or
+// stream would be both a data race and an ordering entanglement — its values
+// would depend on which shard's flow start happened to execute first.
+type perSource struct {
+	seq  []uint64
+	rand []*sim.Rand
+}
+
+// newPerSource makes the counters and one connect-time stream per source
+// host, created up front (mid-run creation would race across shard
+// goroutines).
+func newPerSource(hosts int, seed uint64) perSource {
+	p := perSource{seq: make([]uint64, hosts), rand: make([]*sim.Rand, hosts)}
+	for i := range p.rand {
+		p.rand[i] = sim.NewRand(seed*48271 + 5 + (uint64(i)+1)*0x9e3779b97f4a7c15)
+	}
+	return p
+}
+
+// flowID allocates stride consecutive flow ids from the source host's
 // private counter; ids are globally unique because the host index occupies
 // the high word.
-func (t *TCPNet) srcFlowID(src int, stride uint64) uint64 {
-	id := uint64(src+1)<<32 | (t.srcSeq[src] + 1)
-	t.srcSeq[src] += stride
+func (p *perSource) flowID(src int, stride uint64) uint64 {
+	id := uint64(src+1)<<32 | (p.seq[src] + 1)
+	p.seq[src] += stride
 	return id
 }
 
@@ -136,16 +152,10 @@ func (t *TCPNet) srcFlowID(src int, stride uint64) uint64 {
 // demux per host, the legacy net-wide stream, and the per-source-host
 // counters and streams that the uniform StartFlow surface requires. Every
 // TCPNet construction site must go through here — a literal &TCPNet{...}
-// would leave srcSeq/srcRand nil and StartFlow would panic.
+// would leave src empty and StartFlow would panic.
 func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
-	n := &TCPNet{C: c, Cfg: cfg, Rand: sim.NewRand(seed*48271 + 5), nextFlow: 1}
-	n.srcSeq = make([]uint64, c.NumHosts())
-	n.srcRand = make([]*sim.Rand, c.NumHosts())
-	for i := range n.srcRand {
-		// One connect-time stream per source host, created up front
-		// (mid-run creation would race across shard goroutines).
-		n.srcRand[i] = sim.NewRand(seed*48271 + 5 + (uint64(i)+1)*0x9e3779b97f4a7c15)
-	}
+	n := &TCPNet{C: c, Cfg: cfg, Rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
+		src: newPerSource(c.NumHosts(), seed)}
 	for _, h := range c.HostList() {
 		d := fabric.NewDemux()
 		h.Stack = d
@@ -237,11 +247,8 @@ type DCQCNNet struct {
 	nextFlow uint64
 	senders  []*dcqcn.Sender
 
-	// Shard-safe StartFlow state, owned per source host / per scheduling
-	// domain exactly like TCPNet's (see TCPNet.srcSeq for the hazard a
-	// net-wide counter or stream would reintroduce).
-	srcSeq  []uint64
-	srcRand []*sim.Rand
+	// Shard-safe StartFlow state, owned per source host.
+	src perSource
 	// srcSenders[src] lists every sender started from src, for StopAll:
 	// per-source slices so mid-run appends stay within one shard.
 	srcSenders [][]*dcqcn.Sender
@@ -321,9 +328,9 @@ type PHostNet struct {
 	C     topo.Cluster
 	Hosts []*phost.Host
 
-	// srcSeq holds per-source-host flow-id counters (see TCPNet.srcSeq for
-	// why a net-wide counter cannot survive sharding).
-	srcSeq []uint64
+	// Per-source-host flow-id counters; pHost draws nothing at connect
+	// time (packets are sprayed per hop), so there are no streams.
+	src perSource
 }
 
 // BuildPHost constructs the §6.2 comparison network: 8-packet drop-tail

@@ -221,7 +221,7 @@ func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 // the deferred command, because the path enumeration cache is per
 // source-host shard and must only be touched from its own domain.
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
-	flow := t.srcFlowID(src, 1)
+	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
 	var source tcp.DataSource
 	if size < 0 {
@@ -229,7 +229,7 @@ func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	} else {
 		source = tcp.NewFixedSource(size, t.Cfg.MSS)
 	}
-	r := t.srcRand[src]
+	r := t.src.rand[src]
 	fwd := t.C.Paths(hs.ID, hd.ID)
 	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], source, t.Cfg)
 	revPick := r.Uint64()
@@ -302,9 +302,9 @@ func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	if subflows <= 0 {
 		subflows = 8
 	}
-	flow := m.srcFlowID(src, uint64(subflows)+1)
+	flow := m.src.flowID(src, uint64(subflows)+1)
 	hs, hd := m.C.HostList()[src], m.C.HostList()[dst]
-	r := m.srcRand[src]
+	r := m.src.rand[src]
 	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
 	if opts.OnDone != nil {
 		done := opts.OnDone
@@ -353,14 +353,7 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 	cfg := dcqcn.DefaultConfig()
 	cfg.MTU = mtu
 	cfg.LineRate = c.LinkRate()
-	d := &DCQCNNet{C: c, Cfg: cfg, nextFlow: 1}
-	d.srcSeq = make([]uint64, c.NumHosts())
-	d.srcRand = make([]*sim.Rand, c.NumHosts())
-	for i := range d.srcRand {
-		// One connect-time stream per source host, created up front
-		// (mid-run creation would race across shard goroutines).
-		d.srcRand[i] = sim.NewRand(base.Seed*48271 + 5 + (uint64(i)+1)*0x9e3779b97f4a7c15)
-	}
+	d := &DCQCNNet{C: c, Cfg: cfg, nextFlow: 1, src: newPerSource(c.NumHosts(), base.Seed)}
 	d.srcSenders = make([][]*dcqcn.Sender, c.NumHosts())
 	for _, h := range c.HostList() {
 		dm := fabric.NewDemux()
@@ -398,11 +391,10 @@ func (d *DCQCNNet) DoneHost(src, dst int) int { return dst }
 // endpoint's state is ever touched from a foreign shard. The same path
 // runs at every shard count, so results never depend on the layout.
 func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
-	d.srcSeq[src]++
-	flow := uint64(src+1)<<32 | d.srcSeq[src]
+	flow := d.src.flowID(src, 1)
 	c := d.C
 	hs, hd := c.HostList()[src], c.HostList()[dst]
-	r := d.srcRand[src]
+	r := d.src.rand[src]
 	fwd := c.Paths(hs.ID, hd.ID)
 	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
 	revPick := r.Uint64()
@@ -476,7 +468,7 @@ func (t PHostTransport) Build(build BuildFunc, base topo.Config) Net {
 	}
 	base.SwitchQueue = dropTail(8 * mtu)
 	c := build(base)
-	p := &PHostNet{C: c, srcSeq: make([]uint64, c.NumHosts())}
+	p := &PHostNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
 	for _, h := range c.HostList() {
 		ph := phost.NewHost(h, cfg)
 		ph.Listen(nil)
@@ -503,8 +495,7 @@ func (p *PHostNet) DoneHost(src, dst int) int { return src }
 // listen hook) — so the only shard hazard was the flow-id counter, now
 // per source host.
 func (p *PHostNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
-	p.srcSeq[src]++
-	flow := uint64(src+1)<<32 | p.srcSeq[src]
+	flow := p.src.flowID(src, 1)
 	if size < 0 {
 		size = 1 << 40 // effectively unbounded
 	}

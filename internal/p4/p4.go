@@ -172,7 +172,10 @@ func (sw *Pipeline) Submit(p *fabric.Packet) Metadata {
 }
 
 // Transmit dequeues the next packet (priority queue first, matching the
-// paper's two-queue assumption) and runs the egress pipeline.
+// paper's two-queue assumption) and runs the egress pipeline. The queues are
+// plain slices popped with [1:], as in Figure 7's reference pipeline: this
+// model is read beside the figure and runs a few hundred packets, so it stays
+// the obvious code and does not use fabric.Ring.
 func (sw *Pipeline) Transmit() (*fabric.Packet, Metadata) {
 	var p *fabric.Packet
 	var md Metadata

@@ -35,20 +35,27 @@ type Host struct {
 	spacing sim.Time
 	cfg     Config
 
-	queue     recvRing // round-robin token queue
+	// queue is the round-robin token queue. The pacer pops the head and
+	// re-pushes the survivor on every transmitted token, the pattern that
+	// makes an advance-the-slice queue reallocate on nearly every push; a
+	// ring reuses the freed front.
+	queue     fabric.Ring[*Receiver]
 	scheduled bool
 	lastSent  sim.Time
 	everSent  bool
 
 	// Free lists of completed flow state (see internal/tcp.Pool for the
-	// reuse rules); msl mirrors internal/core's segment-lifetime bound.
-	retiredS []*Sender
-	retiredR []*Receiver
+	// reuse rules): reusable 2*fabric.MSL after completion.
+	retiredS fabric.Ring[*Sender]
+	retiredR fabric.Ring[*Receiver]
 }
 
-// msl bounds how long a completed flow's packets can stay in flight;
-// retired state is reusable 2*msl after completion.
-const msl = sim.Millisecond
+// First buffers: a token queue holds one slot per receiving flow with
+// tokens owed, a free-list the flows one host completes within 2*MSL.
+const (
+	tokenFirst   = 64
+	retiredFirst = 8
+)
 
 // NewHost installs a pHost agent on a host.
 func NewHost(h *fabric.Host, cfg Config) *Host {
@@ -93,36 +100,30 @@ func (ph *Host) Listen(onComplete func(r *Receiver)) {
 }
 
 // takeReceiver pops the oldest retired receiver if it is quiescent: out of
-// the token round-robin and 2*msl past completion. Its demux slot (the
+// the token round-robin and 2*MSL past completion. Its demux slot (the
 // registration Listen created) is replaced with a tombstone that keeps
 // re-ACKing late retransmissions exactly as the live completed receiver
 // would, so a sender whose ACKs were dropped still recovers.
 func (ph *Host) takeReceiver() *Receiver {
-	if len(ph.retiredR) == 0 {
+	r := ph.retiredR.Peek()
+	if r == nil || r.queued || ph.el.Now() < r.CompletedAt+2*fabric.MSL {
 		return nil
 	}
-	r := ph.retiredR[0]
-	if r.queued || ph.el.Now() < r.CompletedAt+2*msl {
-		return nil
-	}
-	ph.retiredR = ph.retiredR[1:]
+	ph.retiredR.Pop()
 	ph.demux.Register(r.Flow, &tombstone{ph: ph, flow: r.Flow, peer: r.Peer})
 	return r
 }
 
 // takeSender pops the oldest retired sender if its RTO timer is disarmed
-// and 2*msl has passed since completion; late ACKs or tokens for the old
+// and 2*MSL has passed since completion; late ACKs or tokens for the old
 // flow are freed unclaimed after the demux slot is released here, which a
 // completed sender would have ignored anyway.
 func (ph *Host) takeSender() *Sender {
-	if len(ph.retiredS) == 0 {
+	s := ph.retiredS.Peek()
+	if s == nil || s.timer.Pending() || ph.el.Now() < s.CompletedAt+2*fabric.MSL {
 		return nil
 	}
-	s := ph.retiredS[0]
-	if s.timer.Pending() || ph.el.Now() < s.CompletedAt+2*msl {
-		return nil
-	}
-	ph.retiredS = ph.retiredS[1:]
+	ph.retiredS.Pop()
 	ph.demux.Unregister(s.Flow)
 	return s
 }
@@ -279,7 +280,7 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			if s.onDone != nil {
 				s.onDone(s)
 			}
-			s.ph.retiredS = append(s.ph.retiredS, s) // free-list: capacity bounded by peak concurrent flows
+			s.ph.retiredS.Push(s, retiredFirst)
 		}
 	case fabric.Pull: // token
 		delta := p.PullSeq - s.lastToken
@@ -368,7 +369,7 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		if r.OnComplete != nil {
 			r.OnComplete(r)
 		}
-		r.ph.retiredR = append(r.ph.retiredR, r) // free-list: capacity bounded by peak concurrent flows
+		r.ph.retiredR.Push(r, retiredFirst)
 	} else if !dup && !r.complete {
 		r.addToken()
 	}
@@ -388,13 +389,13 @@ func (r *Receiver) addToken() {
 	r.tokens++
 	if r.tokens == 1 {
 		r.queued = true
-		r.ph.queue.push(r)
+		r.ph.queue.Push(r, tokenFirst)
 	}
 	r.ph.schedule()
 }
 
 func (ph *Host) schedule() {
-	if ph.scheduled || ph.queue.n == 0 {
+	if ph.scheduled || ph.queue.Len() == 0 {
 		return
 	}
 	at := ph.el.Now()
@@ -411,8 +412,8 @@ func (ph *Host) OnEvent(uint64) { ph.fire() }
 
 func (ph *Host) fire() {
 	ph.scheduled = false
-	for ph.queue.n > 0 {
-		r := ph.queue.pop()
+	for ph.queue.Len() > 0 {
+		r := ph.queue.Pop()
 		if r.tokens <= 0 || r.complete {
 			r.tokens = 0
 			r.queued = false
@@ -420,7 +421,7 @@ func (ph *Host) fire() {
 		}
 		r.tokens--
 		if r.tokens > 0 {
-			ph.queue.push(r)
+			ph.queue.Push(r, tokenFirst)
 		} else {
 			r.queued = false
 		}
@@ -433,41 +434,4 @@ func (ph *Host) fire() {
 		break
 	}
 	ph.schedule()
-}
-
-// recvRing is the token queue's FIFO: a power-of-two ring mirroring core's
-// pullRing. The pacer pops the head and re-pushes the round-robin survivor
-// on every transmitted token, a pattern that makes an advance-the-slice
-// queue reallocate on nearly every push (the freed front capacity is never
-// reused) — the same pathology that was once core's single largest
-// allocation site. The ring reuses its buffer forever.
-type recvRing struct {
-	buf        []*Receiver
-	head, tail int
-	n          int
-}
-
-func (q *recvRing) push(r *Receiver) {
-	if q.n == len(q.buf) {
-		size := 64
-		for size < len(q.buf)*2 {
-			size *= 2
-		}
-		nb := make([]*Receiver, size)
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head, q.tail = nb, 0, q.n
-	}
-	q.buf[q.tail] = r
-	q.tail = (q.tail + 1) & (len(q.buf) - 1)
-	q.n++
-}
-
-func (q *recvRing) pop() *Receiver {
-	r := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return r
 }

@@ -116,3 +116,49 @@ func TestLateFeedbackCounters(t *testing.T) {
 		t.Errorf("bitmap ends at %d after data for %d, want %d", r.got.End(), rEnd+2, rEnd+3)
 	}
 }
+
+// TestRetiredListsStayChurnSized is core's test of the same name for pHost's
+// free-lists: five one-packet connections per host in a closed loop with a
+// ~1 ms gap keep about ten endpoints per host waiting out their 2*MSL, and
+// the rings holding them are as large at 3T as at T.
+func TestRetiredListsStayChurnSized(t *testing.T) {
+	net, ph := phostNet(4)
+	rnd := sim.NewRand(7)
+	launched := uint64(0)
+	var launch func(src int)
+	launch = func(src int) {
+		launched++
+		dst := rnd.Intn(len(ph) - 1)
+		if dst >= src {
+			dst++
+		}
+		ph[src].Connect(int32(dst), launched, 1500, func(*Sender) {
+			net.EL.After(sim.Millisecond/2+rnd.Duration(sim.Millisecond), func() { launch(src) })
+		})
+	}
+	for src := range ph {
+		for conn := 0; conn < 5; conn++ {
+			launch(src)
+		}
+	}
+	caps := func() (c [2]int) {
+		for _, h := range ph {
+			c[0], c[1] = max(c[0], h.retiredS.Cap()), max(c[1], h.retiredR.Cap())
+		}
+		return c
+	}
+	const T = 20 * sim.Millisecond
+	net.EL.RunUntil(T)
+	atT, byT := caps(), launched
+	t.Logf("capacities %v after %d flows", atT, byT)
+	net.EL.RunUntil(3 * T)
+	if at3T := caps(); at3T != atT {
+		t.Errorf("free-list capacities (senders, receivers) grew with simulated time: %v at T, %v at 3T", atT, at3T)
+	}
+	if atT[0] == 0 || atT[0] > 64 || atT[1] == 0 || atT[1] > 64 {
+		t.Errorf("free-list capacities %v: want a few slots per host", atT)
+	}
+	if byT < 1000 || launched < 3*byT-100 {
+		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, launched)
+	}
+}

@@ -86,7 +86,7 @@ type EventList struct {
 	keys     []eventKey
 	vals     []eventVal
 	slots    []int32 // EventID -> heap index, -1 when the id is free
-	free     []int32 // recycled EventIDs
+	free     []int32 // recycled EventIDs, a LIFO stack (order among free ids means nothing)
 	executed uint64
 
 	// firing is the ord of the event being executed, firingNone between

@@ -310,7 +310,7 @@ func (mr *MultiRunner) SetLookaheadMatrix(L [][]Time) {
 			if l < mr.Lookahead {
 				panic("sim: lookahead matrix entry below the scalar lookahead")
 			}
-			if rt := satAdd(l, L[j][i]); rt < react[i] {
+			if rt := SatAdd(l, L[j][i]); rt < react[i] {
 				react[i] = rt
 			}
 		}
@@ -387,14 +387,6 @@ func (mr *MultiRunner) snapshot() Time {
 	return at
 }
 
-// satAdd adds a latency to a timestamp without overflowing Infinity.
-func satAdd(t, d Time) Time {
-	if t >= Infinity-d {
-		return Infinity
-	}
-	return t + d
-}
-
 // windowLimits computes each shard's horizon for the next window from the
 // snapshot of next-event times and returns how many shards have work below
 // theirs. Shard i may safely run every event with a timestamp strictly
@@ -438,14 +430,14 @@ func (mr *MultiRunner) windowLimits(deadline Time) (busy int) {
 	// exactly the deadline, still within the conservative limit. Saturate:
 	// a deadline at or near Infinity must clamp, not wrap every horizon
 	// to 0 and livelock RunUntil.
-	end := satAdd(deadline, 1)
+	end := SatAdd(deadline, 1)
 	for i, at := range mr.next {
-		limit := satAdd(at, mr.react[i])
+		limit := SatAdd(at, mr.react[i])
 		for j, peer := range mr.next {
 			if j == i {
 				continue
 			}
-			if h := satAdd(peer, mr.matrix[j][i]); h < limit {
+			if h := SatAdd(peer, mr.matrix[j][i]); h < limit {
 				limit = h
 			}
 		}

@@ -134,7 +134,7 @@ func (c *countHandler) OnEvent(uint64) { c.n++ }
 // TestRunUntilInfinityDeadline is the regression test for the
 // windowLimits horizon overflow: `bound := deadline + 1` wrapped negative
 // for a deadline at Infinity, collapsing every horizon below the pending
-// events and livelocking RunUntil. With satAdd (and the Infinity guard in
+// events and livelocking RunUntil. With SatAdd (and the Infinity guard in
 // the drive loop) the run must terminate having fired everything.
 func TestRunUntilInfinityDeadline(t *testing.T) {
 	for _, deadline := range []Time{Infinity, Infinity - 1} {

@@ -39,6 +39,16 @@ const (
 // Infinity is a time later than any event a simulation will schedule.
 const Infinity = Time(1<<63 - 1)
 
+// SatAdd adds a latency to a timestamp, or two latencies, saturating at
+// Infinity instead of overflowing (lookahead matrices hold Infinity for
+// shard pairs with no path between them).
+func SatAdd(t, d Time) Time {
+	if t >= Infinity-d {
+		return Infinity
+	}
+	return t + d
+}
+
 // Seconds returns t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

@@ -2,6 +2,7 @@ package simd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -36,15 +37,25 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// maxRequestBody bounds a POST /api/jobs body. A JobRequest with a full
+// inline Spec is a few hundred bytes; the decoder buffers what it reads, so
+// without a bound one request could make the daemon hold a body of any size.
+const maxRequestBody = 1 << 20
+
 // handleSubmit accepts a JobRequest. Unknown fields are rejected so a
 // misspelled knob fails loudly instead of silently running the default —
 // the HTTP twin of the CLI's strict flag validation.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("simd: bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("simd: bad request body: %w", err))
 		return
 	}
 	job, code, err := s.Submit(req)

@@ -323,6 +323,50 @@ func TestDaemonValidation(t *testing.T) {
 	}
 }
 
+// endlessBody is a request body that never ends: a JSON string of 'a's. It
+// counts what the server read of it.
+type endlessBody struct{ read int }
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	n := copy(p, `{"scenario":"`[min(b.read, 13):])
+	for i := n; i < len(p); i++ {
+		p[i] = 'a'
+	}
+	b.read += len(p)
+	return len(p), nil
+}
+
+// TestDaemonBoundsRequestBody: a body past maxRequestBody is refused with
+// 413 once the bound is reached — the daemon neither reads nor buffers the
+// rest — and the job table is untouched.
+func TestDaemonBoundsRequestBody(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	body := &endlessBody{}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	if body.read < maxRequestBody || body.read > 2*maxRequestBody {
+		t.Errorf("the daemon read %d bytes of an endless body, want about %d", body.read, maxRequestBody)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "too large") {
+		t.Errorf("error envelope %q (%v) does not say the body was too large", rec.Body, err)
+	}
+	if n := len(srv.jobs); n != 0 {
+		t.Errorf("%d jobs were created", n)
+	}
+
+	// A body of exactly the bound is still read to its end and judged as JSON.
+	rec = httptest.NewRecorder()
+	pad := strings.Repeat(" ", maxRequestBody-len(`{"scenario":"nope"}`))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/jobs", strings.NewReader(`{"scenario":"nope"}`+pad)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown scenario") {
+		t.Errorf("a body of exactly the bound: status %d (%s), want 400 unknown scenario", rec.Code, rec.Body)
+	}
+}
+
 // TestDaemonCatalog checks /api/catalog serves the registry in sorted
 // order with runnable defaults.
 func TestDaemonCatalog(t *testing.T) {

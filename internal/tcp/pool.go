@@ -5,11 +5,6 @@ import (
 	"ndp/internal/sim"
 )
 
-// msl mirrors internal/core's maximum-segment-lifetime bound: a retired
-// connection's state may be reused once 2*msl has elapsed since completion,
-// by which point no packet of the old flow is still in flight.
-const msl = sim.Millisecond
-
 // Pool recycles completed Sender/Receiver state within one scheduling
 // domain (all hosts sharing one event list). The dominant per-flow costs —
 // the per-packet bookkeeping arrays, the arrival bitmap, and the timer —
@@ -31,9 +26,13 @@ const msl = sim.Millisecond
 // Pools are not safe for concurrent use: build one per shard and only touch
 // it from that shard's scheduling domain.
 type Pool struct {
-	senders   []*Sender
-	receivers []*Receiver
+	senders   fabric.Ring[*Sender]
+	receivers fabric.Ring[*Receiver]
 }
+
+// retiredFirst is a free-list's first buffer; a domain that completes more
+// flows than this within 2*MSL doubles it.
+const retiredFirst = 8
 
 // NewPool returns an empty pool for one scheduling domain.
 func NewPool() *Pool { return &Pool{} }
@@ -76,22 +75,19 @@ func (pl *Pool) newSender(host *fabric.Host, demux *fabric.Demux, dst int32, flo
 // with NewSender retire themselves; only group-owned senders need this.
 func (pl *Pool) RetireSender(s *Sender) { pl.retireSender(s) }
 
-func (pl *Pool) retireSender(s *Sender) { pl.senders = append(pl.senders, s) }
+func (pl *Pool) retireSender(s *Sender) { pl.senders.Push(s, retiredFirst) }
 
 // takeSender pops the oldest retired sender if it is quiescent: timer
-// disarmed, 2*msl past completion (no old-flow packets in flight), and
+// disarmed, 2*MSL past completion (no old-flow packets in flight), and
 // owned by the requesting scheduling domain. Its demux registration is
 // removed here — late ACKs beyond this point are freed unclaimed, which a
 // completed sender would have ignored anyway.
 func (pl *Pool) takeSender(el *sim.EventList) *Sender {
-	if len(pl.senders) == 0 {
+	s := pl.senders.Peek()
+	if s == nil || s.el != el || s.timer.Pending() || el.Now() < s.CompletedAt+2*fabric.MSL {
 		return nil
 	}
-	s := pl.senders[0]
-	if s.el != el || s.timer.Pending() || el.Now() < s.CompletedAt+2*msl {
-		return nil
-	}
-	pl.senders = pl.senders[1:]
+	pl.senders.Pop()
 	s.demux.Unregister(s.Flow)
 	return s
 }
@@ -113,20 +109,17 @@ func (pl *Pool) NewReceiver(host *fabric.Host, demux *fabric.Demux, peer int32, 
 	return r
 }
 
-func (pl *Pool) retireReceiver(r *Receiver) { pl.receivers = append(pl.receivers, r) }
+func (pl *Pool) retireReceiver(r *Receiver) { pl.receivers.Push(r, retiredFirst) }
 
-// takeReceiver pops the oldest retired receiver if 2*msl has elapsed since
+// takeReceiver pops the oldest retired receiver if 2*MSL has elapsed since
 // completion and it belongs to the requesting domain, leaving a tombstone
 // in its demux slot so late retransmissions keep eliciting the final ACK.
 func (pl *Pool) takeReceiver(el *sim.EventList) *Receiver {
-	if len(pl.receivers) == 0 {
+	r := pl.receivers.Peek()
+	if r == nil || r.host.EventList() != el || el.Now() < r.CompletedAt+2*fabric.MSL {
 		return nil
 	}
-	r := pl.receivers[0]
-	if r.host.EventList() != el || el.Now() < r.CompletedAt+2*msl {
-		return nil
-	}
-	pl.receivers = pl.receivers[1:]
+	pl.receivers.Pop()
 	r.demux.Register(r.Flow, &tombstone{ // one small tombstone per recycled receiver, in place of keeping a whole Receiver alive
 		host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer,
 		path: r.path, cumAck: r.got.Base(),

@@ -223,7 +223,7 @@ func (j *Jellyfish) precomputeDists() {
 			d[i] = -1
 		}
 		d[dst] = 0
-		queue := []int{dst}
+		queue := []int{dst} // a BFS frontier, run once per destination at build time: not worth a fabric.Ring
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]

@@ -86,7 +86,7 @@ func greedyEdgeCutParts(adj [][]int, parts int) []int {
 					}
 				}
 				if v < 0 {
-					frontier[p] = frontier[p][1:]
+					frontier[p] = frontier[p][1:] // build-time BFS frontier, not a hot queue
 				}
 			}
 			if v < 0 {

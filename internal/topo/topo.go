@@ -391,21 +391,13 @@ func (n *Network) finishShards() {
 				if j == i || j == k {
 					continue
 				}
-				if via := satAddTime(L[i][k], L[k][j]); via < L[i][j] {
+				if via := sim.SatAdd(L[i][k], L[k][j]); via < L[i][j] {
 					L[i][j] = via
 				}
 			}
 		}
 	}
 	mr.SetLookaheadMatrix(L)
-}
-
-// satAddTime adds two delays without overflowing past Infinity.
-func satAddTime(a, b sim.Time) sim.Time {
-	if a >= sim.Infinity-b {
-		return sim.Infinity
-	}
-	return a + b
 }
 
 // noteCrossLink registers a shard-crossing link's latency for the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
@@ -138,5 +139,36 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 	}
 	if byT < 1000 || launched < 3*byT-100 {
 		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, launched)
+	}
+}
+
+// TestRecycleBeforeRegistrationPanics: a flow's receiver-side set-up travels
+// as a command over the pooled Sender and is read on the destination's
+// domain at the command's time, so the sender may not be handed to another
+// flow before then. The 2*MSL quarantine guarantees it by a wide margin; the
+// check is what turns that argument into a tested one.
+func TestRecycleBeforeRegistrationPanics(t *testing.T) {
+	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	s := st[0].Connect(st[15], 9000, FlowOpts{Flow: 1001})
+	net.EL.RunUntil(3 * sim.Millisecond) // past completion + 2*MSL: reusable
+	if !s.Complete() {
+		t.Fatal("the transfer did not complete")
+	}
+	s.Registration(st[15], net.EL.Now()) // a registration still due at this instant
+	defer func() {
+		if msg, _ := recover().(string); msg != "core: sender recycled before its deferred registration ran" {
+			t.Errorf("recovered %q, want the recycle-before-registration panic", msg)
+		}
+	}()
+	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1002})
+	t.Error("the sender was recycled under its pending registration")
+}
+
+// TestSenderFitsItsSizeClass: the allocator rounds a Sender up to a size
+// class, and the one above 512 bytes is 576 — one more word here is 64 more
+// bytes per pooled sender, which is what alloc_mb_per_iter at perm-ndp sees.
+func TestSenderFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Sender{}); size > 512 {
+		t.Errorf("core.Sender is %d bytes, over the 512-byte size class", size)
 	}
 }

@@ -35,32 +35,32 @@ type pathStat struct {
 // sender-permuted order and maintains the per-path ACK/NACK/loss scoreboard
 // that lets it avoid broken paths (§3.2.3).
 type Sender struct {
-	Flow uint64
-	Dst  int32
+	Flow     uint64
+	Dst      int32
+	lastSize int32 // size of the final packet
 
 	st   *Stack
 	size int64 // bytes; <0 means unbounded
 
-	total    int64 // packets; <0 means unbounded
-	lastSize int32 // size of the final packet
-	iw       int64
+	total int64 // packets; <0 means unbounded
+	iw    int64
 
 	// pkts is the per-packet scoreboard: one entry per sequence number from
 	// the oldest un-ACKed packet to the newest sent. Its base advances over
 	// the ACKed prefix, so a sequence number below Base is an ACKed packet.
 	pkts fabric.SeqWindow[pkt]
 
-	paths   [][]int16
+	paths [][]int16
+	// perm is the current permutation cycle, rebuilt in place by repermute:
+	// its backing array is reused across cycles and across pooled flows
+	// (repermute used to allocate a fresh slice on every permutation cycle
+	// of every flow, about half the remaining steady-state allocations
+	// after the scheduler rewrite).
 	perm    []int
 	permPos int
 	// pstats is the per-path scoreboard (acks, nacks, timeouts), again one
 	// array for all three counters.
 	pstats []pathStat
-	// permScratch is the reusable backing array repermute rebuilds perm
-	// into; hoisted here because repermute used to allocate a fresh slice
-	// on every permutation cycle of every flow (about half the remaining
-	// steady-state allocations after the scheduler rewrite).
-	permScratch []int
 
 	nextNew int64
 	// rtxq is the FIFO of sequence numbers awaiting retransmission credit;
@@ -85,9 +85,12 @@ type Sender struct {
 	rto            sim.Time
 	timer          sim.Timer
 	complete       bool
-	started        sim.Time
 	onDone         func(*Sender)
 	excludedActive int
+
+	// reg is the receiver-side half of the flow's set-up, carried by the
+	// sender half so that delivering it costs nothing; see Registration.
+	reg registration
 
 	// Telemetry used by the evaluation harness.
 	PacketsSent     int64
@@ -119,7 +122,7 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16)
 	s.paths = paths
 	s.pstats = growZeroPathStats(s.pstats, len(paths))
 	s.onDone = opts.OnSenderDone
-	s.started = st.el.Now()
+	s.reg = registration{prio: opts.Priority, doneAt: opts.OnReceiverDoneAt, data: opts.OnReceiverData}
 	s.probeSeq = -1
 	mtu := int64(st.cfg.MTU)
 	if size >= 0 {
@@ -158,13 +161,16 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16)
 // already points at this object) and the backing arrays of its per-packet
 // and per-path state, emptied for the next flow to refill.
 func (s *Sender) recycle() {
+	if s.reg.dst != nil && s.st.el.Now() <= s.reg.at {
+		panic("core: sender recycled before its deferred registration ran")
+	}
 	st, timer := s.st, s.timer
-	pkts, rtxq, permScratch := s.pkts, s.rtxq, s.permScratch
+	pkts, rtxq := s.pkts, s.rtxq
 	pkts.Reset()
 	rtxq.Reset()
-	pstats := s.pstats
+	perm, pstats := s.perm[:0], s.pstats
 	*s = Sender{st: st, timer: timer,
-		pkts: pkts, rtxq: rtxq, permScratch: permScratch, pstats: pstats}
+		pkts: pkts, rtxq: rtxq, perm: perm, pstats: pstats}
 }
 
 // growZeroPathStats returns s resized to n zeroed entries, reusing its
@@ -180,8 +186,45 @@ func growZeroPathStats(s []pathStat, n int) []pathStat {
 	return s
 }
 
-// start pushes the first window at line rate (zero-RTT fast start).
-func (s *Sender) start() {
+// registration is what the destination stack must learn ahead of a flow's
+// first packet: pull priority and the receiver-side observers.
+type registration struct {
+	dst    *Stack
+	at     sim.Time
+	doneAt func(sim.Time)
+	data   func(int64)
+	prio   bool
+}
+
+// Registration is a flow's receiver-side set-up as a deferred command: a
+// sim.Handler over the sender half itself, so that sending it to the
+// destination's scheduling domain (topo.Cluster.Defer) allocates nothing —
+// the record lives where the flow already lives, in the pooled Sender.
+//
+// The record is written on the source's domain before the command is
+// emitted, read once on the destination's at the command's time, and not
+// rewritten until the sender is recycled, at least 2*MSL after the flow
+// completed and so long after the registration ran; recycle panics if that
+// ever fails to hold. Nothing else of the Sender is touched from the
+// destination's domain.
+type Registration Sender
+
+// Registration records where and when the receiver-side set-up of this flow
+// is due — on dst, at at — and returns the command that performs it.
+func (s *Sender) Registration(dst *Stack, at sim.Time) *Registration {
+	s.reg.dst, s.reg.at = dst, at
+	return (*Registration)(s)
+}
+
+// OnEvent pre-registers the flow on the destination stack (sim.Handler); it
+// runs in the destination's scheduling domain.
+func (r *Registration) OnEvent(uint64) {
+	reg := &r.reg
+	reg.dst.PreRegister(r.Flow, reg.prio, nil, reg.doneAt, reg.data)
+}
+
+// Start pushes the first window at line rate (zero-RTT fast start).
+func (s *Sender) Start() {
 	burst := s.iw
 	if s.total >= 0 && s.total < burst {
 		burst = s.total
@@ -221,13 +264,13 @@ func (s *Sender) nextPathID() int16 {
 // reused across cycles once grown.
 func (s *Sender) repermute() {
 	n := len(s.paths)
-	if cap(s.permScratch) < n {
-		s.permScratch = make([]int, 0, n)
+	if cap(s.perm) < n {
+		s.perm = make([]int, 0, n)
 	}
-	// perm aliases the scratch array; that is safe because perm is fully
-	// rebuilt here before it is read again (nextPathID only consults it
-	// between repermute calls).
-	include := s.permScratch[:0]
+	// The new cycle is built over the old one's array; that is safe because
+	// perm is fully rebuilt here before it is read again (nextPathID only
+	// consults it between repermute calls).
+	include := s.perm[:0]
 	s.excludedActive = 0
 	if !s.st.cfg.DisablePathPenalty && n > 1 {
 		var fracSum float64

@@ -343,7 +343,10 @@ type FlowOpts struct {
 
 var flowCounter atomic.Uint64
 
-// NextFlowID allocates a process-unique connection id. It is safe to call
+// NextFlowID allocates a process-unique connection id for the
+// single-domain Connect surface (the figure runners); the uniform StartFlow
+// surface draws per-source-host ids instead, which repeat from run to run
+// and cost no atomic shared between shard goroutines. It is safe to call
 // from concurrent simulations (the parallel sweep harness runs several
 // event lists at once). The harness treats flow ids as identity only, so
 // sharing one process-wide counter does not perturb determinism — with
@@ -358,13 +361,18 @@ func NextFlowID() uint64 {
 // Connect starts an NDP transfer of size bytes from this stack to the dst
 // stack. size < 0 means an unbounded flow (permutation-style long flows).
 // Transfer begins immediately: NDP is a zero-RTT protocol, so the first
-// window leaves at line rate with SYN set on every packet.
+// window leaves at line rate with SYN set on every packet. Connect touches
+// both stacks inline, so it is the single-scheduling-domain convenience; a
+// sharded engine defers the sender's Registration instead
+// (harness.NDPNet.StartFlow).
 func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
 		opts.Flow = NextFlowID()
 	}
 	dst.PreRegister(opts.Flow, opts.Priority, opts.OnReceiverDone, opts.OnReceiverDoneAt, opts.OnReceiverData)
-	return st.ConnectLocal(dst.Host.ID, size, opts)
+	s := st.Open(dst.Host.ID, size, opts)
+	s.Start()
+	return s
 }
 
 // flowEntry is what a stack knows about one live flow. A host is the flow's
@@ -385,11 +393,11 @@ type flowObs struct {
 }
 
 // PreRegister installs receiver-side flow state ahead of the first packet:
-// pull priority and completion/goodput observers. In a sharded run the
-// source host defers this call onto the destination's shard (it must land
-// before the first SYN arrives — one link delay is plenty, the first data
-// packet is at least a serialization plus two propagations away); in a
-// single-list run it is simply called inline.
+// pull priority and completion/goodput observers. It runs in this stack's
+// scheduling domain: the source host defers it here as the flow's
+// Registration command (it must land before the first SYN arrives — the
+// first data packet is at least a serialization plus the path's
+// propagation away).
 func (st *Stack) PreRegister(flow uint64, priority bool, onDone func(*Receiver), onDoneAt func(sim.Time), onData func(int64)) {
 	if priority {
 		st.SetPriority(flow)
@@ -399,13 +407,14 @@ func (st *Stack) PreRegister(flow uint64, priority bool, onDone func(*Receiver),
 	}
 }
 
-// ConnectLocal starts the sender half of an NDP transfer toward host dst,
-// touching only this stack's state. opts.Flow must be set. Receiver-side
-// observers must be delivered separately via the destination stack's
-// PreRegister (Connect does both for the single-shard convenience path).
-func (st *Stack) ConnectLocal(dst int32, size int64, opts FlowOpts) *Sender {
+// Open builds the sender half of an NDP transfer toward host dst, touching
+// only this stack's state; nothing is transmitted until Start. opts.Flow
+// must be set. The receiver-side options travel separately: the caller
+// delivers the sender's Registration to the destination stack's domain
+// ahead of the first packet, then calls Start.
+func (st *Stack) Open(dst int32, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
-		panic("core: ConnectLocal needs an explicit flow id")
+		panic("core: Open needs an explicit flow id")
 	}
 	paths := st.pathsTo(dst)
 	if len(paths) == 0 {
@@ -414,6 +423,5 @@ func (st *Stack) ConnectLocal(dst int32, size int64, opts FlowOpts) *Sender {
 	s := newSender(st, opts, dst, size, paths)
 	st.flows.Ref(opts.Flow).sender = s
 	st.demux.Register(opts.Flow, s)
-	s.start()
 	return s
 }

@@ -86,6 +86,12 @@ type Sender struct {
 	alphaTimer *sim.Timer
 	incTimer   *sim.Timer
 
+	// split carries the arguments of the flow's deferred commands and rcv
+	// the receiver its Attach built (split.go); both zero for a flow built
+	// in one domain.
+	split Split
+	rcv   *Receiver
+
 	// Telemetry.
 	CNPs        int64
 	PacketsSent int64
@@ -109,6 +115,9 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int
 // list, the two rate-machine timers (their closures point at this object)
 // and the arena.
 func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) {
+	if s.split.Net != nil && s.el.Now() <= s.split.At {
+		panic("dcqcn: sender recycled before its deferred receiver attach ran")
+	}
 	el, arena, at, it := s.el, s.arena, s.alphaTimer, s.incTimer
 	*s = Sender{
 		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, arena: arena,
@@ -262,7 +271,11 @@ type Receiver struct {
 	CompletedAt  sim.Time
 	FirstArrival sim.Time
 	seen         bool
+	// OnComplete fires when the FIN arrives, OnCompleteAt with it for
+	// callers that need the completion time only.
 	OnComplete   func(r *Receiver)
+	OnCompleteAt func(at sim.Time)
+	snd          *Sender // the sending half of a split flow (split.go), nil otherwise
 
 	// Goodput sampling for time-series plots.
 	OnData func(bytes int64)
@@ -306,6 +319,12 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		r.CompletedAt = r.host.EventList().Now()
 		if r.OnComplete != nil {
 			r.OnComplete(r)
+		}
+		if r.OnCompleteAt != nil {
+			r.OnCompleteAt(r.CompletedAt)
+		}
+		if r.snd != nil {
+			r.retire()
 		}
 	}
 	fabric.Free(p)

@@ -153,3 +153,66 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 	s.Stop()
 	el.Run()
 }
+
+// TestSplitFlowLifecycle: a flow built across two scheduling domains attaches
+// its receiver by one command of the pooled sender, and when the FIN arrives
+// retires the receiver and stops, unregisters and retires the sender by
+// another — after which the pool hands both to the next flow, and refuses to
+// while an attach is still due.
+func TestSplitFlowLifecycle(t *testing.T) {
+	net, dm := dcqcnNet(4)
+	pool, cfg := NewPool(), DefaultConfig()
+	cfg.LineRate = net.LinkRate()
+	hs, hd := net.Hosts[0], net.Hosts[15]
+	flow := func(id uint64, doneAt *sim.Time) *Sender {
+		s := pool.NewSender(hs, hd.ID, id, net.Paths(hs.ID, hd.ID)[0], 90_000, cfg)
+		dm[0].Register(id, s)
+		at := net.EL.Now() + net.MinPathDelay(0, 15)
+		net.Defer(0, 15, at, s.Attach(Split{
+			Net: net, At: at, RevPick: 5,
+			Src:          End{Host: hs, Index: 0, Demux: dm[0], Pool: pool},
+			Dst:          End{Host: hd, Index: 15, Demux: dm[15], Pool: pool},
+			OnCompleteAt: func(at sim.Time) { *doneAt = at },
+		}), 0)
+		s.Start()
+		return s
+	}
+	var doneAt sim.Time
+	s := flow(7, &doneAt)
+	if s.Receiver() != nil {
+		t.Fatal("the receiver attached before its command ran")
+	}
+	net.EL.RunUntil(sim.Millisecond)
+	rc := s.Receiver()
+	if rc == nil || !rc.Complete() || rc.Bytes != 90_000 || doneAt != rc.CompletedAt {
+		t.Fatalf("receiver %+v, completion observed at %v", rc, doneAt)
+	}
+	revs := net.Paths(hd.ID, hs.ID)
+	if want := revs[5%len(revs)]; &rc.path[0] != &want[0] {
+		t.Errorf("receiver sends CNPs on %v, RevPick 5 selects %v", rc.path, want)
+	}
+	if dm[0].Handler(7) != nil || dm[15].Handler(7) != nil || !s.stopped || s.alphaTimer.Pending() || s.incTimer.Pending() {
+		t.Error("teardown left the flow registered or the sender's timers running")
+	}
+	if want := int64(2); net.CommandEvents() != want {
+		t.Errorf("%d commands emitted, want %d (attach, teardown)", net.CommandEvents(), want)
+	}
+
+	var doneAt2 sim.Time
+	if s2 := flow(8, &doneAt2); s2 != s {
+		t.Error("the retired sender was not reused")
+	}
+	net.EL.RunUntil(2 * sim.Millisecond)
+	if s.Receiver() != rc || doneAt2 == 0 {
+		t.Error("the retired receiver was not reused, or the second flow did not complete")
+	}
+
+	s.Attach(Split{Net: net, At: net.EL.Now()}) // an attach still due at this instant
+	defer func() {
+		if msg, _ := recover().(string); msg != "dcqcn: sender recycled before its deferred receiver attach ran" {
+			t.Errorf("recovered %q, want the recycle-before-attach panic", msg)
+		}
+	}()
+	pool.NewSender(hs, hd.ID, 9, net.Paths(hs.ID, hd.ID)[0], 90_000, cfg)
+	t.Error("the sender was recycled under its pending attach")
+}

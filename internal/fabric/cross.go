@@ -25,19 +25,22 @@ type CrossBox struct {
 	readyAt sim.Time
 }
 
-// CrossEntry is one boundary crossing: a packet delivery into a Sink, a
-// deferred command (Fn non-nil), or a PFC pause/resume transition for an
-// upstream port living on the destination shard (PFC non-nil). At and Ord
-// carry the exact timestamp and canonical equal-time key the event would
-// have had on a single list.
+// CrossEntry is one boundary crossing: a packet delivery into a Sink, or —
+// H non-nil — a handler call with its argument: a deferred command
+// (Cluster.Defer) or a PFC pause/resume for an upstream Port living on the
+// destination shard. Every crossing is a value: nothing in an entry is a
+// closure, so emitting one allocates nothing and an entry could be written
+// to a wire. At and Ord carry the exact timestamp and canonical equal-time
+// key the event would have had on a single list. The entry is one cache
+// line (TestCrossEntryFitsACacheLine): the mailboxes are copied twice per
+// crossing, and a wider entry showed as bytes on the sharded benchmark.
 type CrossEntry struct {
-	At    sim.Time
-	Ord   uint64
-	Pkt   *Packet
-	Sink  Sink
-	Fn    func()
-	PFC   *Port
-	Pause bool
+	At   sim.Time
+	Ord  uint64
+	Pkt  *Packet
+	Sink Sink
+	H    sim.Handler
+	Arg  uint64
 }
 
 func (b *CrossBox) add(e CrossEntry) {
@@ -56,19 +59,16 @@ func (b *CrossBox) AddDelivery(at sim.Time, ord uint64, pkt *Packet, sink Sink) 
 	b.add(CrossEntry{At: at, Ord: ord, Pkt: pkt, Sink: sink})
 }
 
-// AddCommand appends a deferred cross-shard command.
-func (b *CrossBox) AddCommand(at sim.Time, ord uint64, fn func()) {
-	b.add(CrossEntry{At: at, Ord: ord, Fn: fn})
-}
-
-// AddPFC appends a PFC pause/resume transition crossing the shard boundary
-// toward the upstream transmitter port. The transition applies at exactly
-// emission + link delay, the same instant it would on a single list — the
-// link delay is at least the pair lookahead because the PFC reverse
-// channel is itself registered as a cross link, so the conservative
-// window never needs to be narrowed for pause state.
-func (b *CrossBox) AddPFC(at sim.Time, ord uint64, upstream *Port, pause bool) {
-	b.add(CrossEntry{At: at, Ord: ord, PFC: upstream, Pause: pause})
+// AddCommand appends a handler call crossing the shard boundary: h.OnEvent(arg)
+// runs at exactly at on the destination's list. Deferred commands use it
+// with a CommandOrd key, and PFC transitions toward an upstream transmitter
+// on the other side with a PFCOrd key and the Port itself as the handler —
+// those apply at emission + link delay, the same instant they would on a
+// single list, and the link delay is at least the pair lookahead because the
+// PFC reverse channel is itself registered as a cross link, so the
+// conservative window never needs to be narrowed for pause state.
+func (b *CrossBox) AddCommand(at sim.Time, ord uint64, h sim.Handler, arg uint64) {
+	b.add(CrossEntry{At: at, Ord: ord, H: h, Arg: arg})
 }
 
 // Publish hands everything added since the last Publish to the read side
@@ -157,9 +157,8 @@ func (b *CrossBox) ReleasePackets() {
 }
 
 // Inbox is one shard's receiving side of the cross-shard exchange: a slot
-// arena plus a typed event per injected entry, so packet deliveries cross
-// the boundary without allocating a closure each (the command variant
-// still carries its one closure, created at emission). Slots recycle as
+// arena plus a typed event per injected entry, so neither packet deliveries
+// nor commands allocate on their way across the boundary. Slots recycle as
 // entries fire, so steady-state crossings allocate nothing.
 type Inbox struct {
 	el      *sim.EventList
@@ -193,14 +192,12 @@ func (ib *Inbox) OnEvent(arg uint64) {
 	ib.entries[arg] = CrossEntry{}
 	ib.free = append(ib.free, int32(arg))
 	switch {
-	case e.Fn != nil:
-		e.Fn()
-	case e.PFC != nil:
-		e.PFC.SetPaused(e.Pause)
+	case e.H != nil:
+		e.H.OnEvent(e.Arg)
 	case e.Sink != nil:
 		e.Sink.Receive(e.Pkt)
 	default:
-		Free(e.Pkt)
+		Free(e.Pkt) // a delivery into an unconnected port
 	}
 }
 

@@ -57,3 +57,10 @@ func (p *Port) CheckOnDemand() error {
 	}
 	return nil
 }
+
+// FuncEvent lets a test schedule a closure where the engine takes a
+// sim.Handler (ScheduleKeyed, CrossBox.AddCommand); product code has no
+// such adapter, its commands are values.
+type FuncEvent func()
+
+func (f FuncEvent) OnEvent(uint64) { f() }

@@ -137,39 +137,27 @@ func (iq *IngressQueue) releasePackets() {
 	iq.bytes = 0
 }
 
-// IngressQueue event kinds: a PAUSE/RESUME signal arriving at the upstream
-// transmitter one link propagation delay after the watermark crossing.
-const (
-	pfcPause = iota
-	pfcResume
-)
-
-// OnEvent applies a propagated PFC transition to the upstream port
-// (sim.Handler). Signals apply in emission order: both travel the same
-// fixed link delay, so a later XON can never overtake an earlier XOFF.
-func (iq *IngressQueue) OnEvent(arg uint64) {
-	iq.upstream.SetPaused(arg == pfcPause)
-}
-
-// signal emits one PFC transition toward the upstream transmitter, keyed
-// on (upstream port uid, ingress emission seq) so pause application order
-// at equal timestamps is canonical — independent of scheduling history and
-// of which side of a shard boundary the transition crossed. Resume can
-// never overtake pause: both travel the same fixed delay and the seq
-// strictly increases.
+// signal emits one PFC transition toward the upstream transmitter: an event
+// of the upstream Port itself, one link propagation delay after the
+// watermark crossing, through the mailbox when the port lives on another
+// shard. It is keyed on (upstream port uid, ingress emission seq) so pause
+// application order at equal timestamps is canonical — independent of
+// scheduling history and of which side of a shard boundary the transition
+// crossed. Resume can never overtake pause: both travel the same fixed
+// delay and the seq strictly increases.
 func (iq *IngressQueue) signal(pause bool) {
 	at := iq.sw.el.Now() + iq.upstream.Delay
 	iq.pfcSeq++
 	ord := sim.PFCOrd(iq.upstream.UID, iq.pfcSeq)
+	kind := uint64(portResume)
+	if pause {
+		kind = portPause
+	}
 	if iq.Cross != nil {
-		iq.Cross.AddPFC(at, ord, iq.upstream, pause)
+		iq.Cross.AddCommand(at, ord, iq.upstream, kind)
 		return
 	}
-	arg := uint64(pfcResume)
-	if pause {
-		arg = pfcPause
-	}
-	iq.sw.el.ScheduleKeyed(at, ord, iq, arg)
+	iq.sw.el.ScheduleKeyed(at, ord, iq.upstream, kind)
 }
 
 func (iq *IngressQueue) updatePause() {

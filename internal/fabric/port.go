@@ -193,6 +193,8 @@ func (p *Port) catchUp() {
 const (
 	portSerEnd  = iota // the serializing packet has fully left the NIC and another waits
 	portDeliver        // the oldest in-flight packet reached the peer
+	portPause          // a PFC XOFF from the downstream ingress reached this transmitter
+	portResume         // the matching XON
 )
 
 // kick starts the next transmission if the line is idle, or makes sure the
@@ -313,6 +315,8 @@ func (p *Port) OnEvent(arg uint64) {
 			// (UID, seq) and (UID, seq+1) — so popping it here is exactly
 			// the order the heap would have produced.
 		}
+	case portPause, portResume:
+		p.SetPaused(arg == portPause)
 	}
 }
 

@@ -312,9 +312,9 @@ func (w *elideWorld) run(ops []elideOp) {
 		case viaLate:
 			w.el.At(op.at-op.lag, func() { w.el.After(op.lag, func() { w.apply(op) }) })
 		case viaDelivery:
-			w.el.AtKeyed(op.at, sim.DeliveryOrd(elideUID+1, uint64(i)), func() { w.apply(op) })
+			w.el.ScheduleKeyed(op.at, sim.DeliveryOrd(elideUID+1, uint64(i)), FuncEvent(func() { w.apply(op) }), 0)
 		case viaPFC:
-			w.el.AtKeyed(op.at, sim.PFCOrd(elideUID, uint64(i)), func() { w.apply(op) })
+			w.el.ScheduleKeyed(op.at, sim.PFCOrd(elideUID, uint64(i)), FuncEvent(func() { w.apply(op) }), 0)
 		case viaSetup:
 			setups = append(setups, op) // ops are generated in time order
 		}

@@ -579,10 +579,14 @@ func TestOnDemandPortRejectsLateFeeds(t *testing.T) {
 		panic bool
 	}{
 		{"set-up code", func(w *odWorld, send func()) { send() }, false},
-		{"delivery-class event", func(w *odWorld, send func()) { w.el.AtKeyed(odTick, sim.DeliveryOrd(3, 1), send) }, false},
-		{"command-class event", func(w *odWorld, send func()) { w.el.AtKeyed(odTick, sim.CommandOrd(3, 1), send) }, true},
+		{"delivery-class event", func(w *odWorld, send func()) {
+			w.el.ScheduleKeyed(odTick, sim.DeliveryOrd(3, 1), fabric.FuncEvent(send), 0)
+		}, false},
+		{"command-class event", func(w *odWorld, send func()) {
+			w.el.ScheduleKeyed(odTick, sim.CommandOrd(3, 1), fabric.FuncEvent(send), 0)
+		}, true},
 		{"plain event", func(w *odWorld, send func()) { w.el.At(odTick, send) }, true},
-		{"PFC-class event", func(w *odWorld, send func()) { w.el.AtKeyed(odTick, sim.PFCOrd(3, 1), send) }, true},
+		{"PFC-class event", func(w *odWorld, send func()) { w.el.ScheduleKeyed(odTick, sim.PFCOrd(3, 1), fabric.FuncEvent(send), 0) }, true},
 	}
 	for _, f := range feeds {
 		t.Run(f.name, func(t *testing.T) {

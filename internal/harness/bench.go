@@ -30,6 +30,9 @@ type BenchCounts struct {
 	// part that depends on the shard layout (cut ports keep theirs, ports
 	// inside a shard serialize on demand).
 	SerEndEvents int64
+	// CommandEvents is how many deferred commands (topo.Cluster.Defer) the
+	// hosts emitted: the same for every shard layout.
+	CommandEvents int64
 	// Windows is what the sharded runner's windows did; zero for a case
 	// that runs on one event list.
 	Windows sim.WindowStats
@@ -59,6 +62,7 @@ type BenchResult struct {
 	Events        int64   `json:"events"`
 	PacketHops    int64   `json:"packet_hops"`
 	SerEndEvents  int64   `json:"ser_end_events"`
+	CommandEvents int64   `json:"command_events"`
 	EventsPerHop  float64 `json:"events_per_hop"`
 	EventsPerSec  float64 `json:"events_per_sec"`
 	PacketsPerSec float64 `json:"packets_per_sec"`
@@ -165,14 +169,15 @@ func RunBenchSuite(cases []BenchCase, label string, logf func(format string, arg
 		restoreProcs()
 
 		r := BenchResult{
-			Name:         c.Name,
-			WallMs:       float64(wall.Nanoseconds()) / 1e6,
-			Events:       counts.Events,
-			PacketHops:   counts.PacketHops,
-			SerEndEvents: counts.SerEndEvents,
-			AllocsPerOp:  allocs,
-			BytesPerOp:   bytes,
-			Procs:        c.Procs,
+			Name:          c.Name,
+			WallMs:        float64(wall.Nanoseconds()) / 1e6,
+			Events:        counts.Events,
+			PacketHops:    counts.PacketHops,
+			SerEndEvents:  counts.SerEndEvents,
+			CommandEvents: counts.CommandEvents,
+			AllocsPerOp:   allocs,
+			BytesPerOp:    bytes,
+			Procs:         c.Procs,
 		}
 		if w := counts.Windows; w.Windows > 0 {
 			r.Windows, r.SingleBusy, r.ShardEvents = w.Windows, w.SingleBusy, w.Events

@@ -56,7 +56,7 @@ func TestCompareBench(t *testing.T) {
 func TestBenchReportRoundTrip(t *testing.T) {
 	rep := RunBenchSuite([]BenchCase{
 		{Name: "unit", Run: func() BenchCounts {
-			return BenchCounts{Events: 42, PacketHops: 7, SerEndEvents: 3,
+			return BenchCounts{Events: 42, PacketHops: 7, SerEndEvents: 3, CommandEvents: 5,
 				Queue: sim.QueueStats{WheelPops: 30, HeapPops: 10, Runs: 4, MaxRun: 9, HeapCancelable: 8, HeapSparse: 2, PeakPending: 17}}
 		}},
 		{Name: "unit-shards2", Procs: 1, Run: func() BenchCounts {
@@ -67,7 +67,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if len(rep.Results) != 2 || rep.Results[0].Events != 42 || rep.Results[0].PacketHops != 7 {
 		t.Fatalf("suite result mangled: %+v", rep.Results)
 	}
-	if r := rep.Results[0]; r.SerEndEvents != 3 || r.EventsPerHop != 6 || !strings.Contains(rep.String(), " 6.00 ") {
+	if r := rep.Results[0]; r.SerEndEvents != 3 || r.CommandEvents != 5 || r.EventsPerHop != 6 || !strings.Contains(rep.String(), " 6.00 ") {
 		t.Errorf("row lost its events per hop: %+v\n%s", r, rep)
 	}
 	if rep.Results[0].Name != "unit" || rep.Schema != benchSchema || rep.GoVersion == "" {

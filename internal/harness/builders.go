@@ -42,6 +42,11 @@ func BackToBackBuilder() BuildFunc {
 type NDPNet struct {
 	C      topo.Cluster
 	Stacks []*core.Stack
+
+	// Per-source-host flow-id counters for StartFlow (the legacy Transfer
+	// surface draws from core.NextFlowID); NDP picks paths per packet, so
+	// there are no connect-time streams.
+	src perSource
 }
 
 // BuildNDP constructs a topology with NDP switch queues and a listening NDP

@@ -103,7 +103,7 @@ func (t NDPTransport) Build(build BuildFunc, base topo.Config) Net {
 	base.SwitchQueue = core.QueueFactory(t.Switch, base.Seed*2654435761+17)
 	c := build(base)
 	core.WireBounce(c.SwitchList())
-	n := &NDPNet{C: c}
+	n := &NDPNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
 	for i, h := range c.HostList() {
 		h := h
 		cfg := t.Host
@@ -133,7 +133,9 @@ func (n *NDPNet) DoneHost(src, dst int) int { return dst }
 // StartFlow implements Net. The sender half starts immediately on the
 // source host; the receiver-side observers (pull priority, completion and
 // goodput hooks) are delivered to the destination stack the minimum
-// src->dst path delay later via the cluster's command channel. That
+// src->dst path delay later via the cluster's command channel, as the
+// sender's own Registration — a command is a value carried by the pooled
+// flow state, never a closure, so a flow start allocates nothing. That
 // deferral is what lets a mid-run flow start (closed-loop RPC) work when
 // source and destination live on different shards — and it runs
 // identically when they don't, so results never depend on the shard
@@ -143,19 +145,13 @@ func (n *NDPNet) DoneHost(src, dst int) int { return dst }
 // registration still lands before the first SYN, which trails it by at
 // least a serialization time (same minimum path, plus transmission).
 func (n *NDPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
-	fo := core.FlowOpts{Flow: core.NextFlowID(), Priority: opts.Priority, OnReceiverDoneAt: opts.OnDone, OnReceiverData: opts.OnData}
-	c := n.C
-	dstStack := n.Stacks[dst]
-	flow, prio, onDoneAt, onData := fo.Flow, fo.Priority, fo.OnReceiverDoneAt, fo.OnReceiverData
-	at := n.Stacks[src].Host.EventList().Now() + c.MinPathDelay(src, dst)
-	// One registration closure per flow start, not per packet: the per-flow
-	// allocation scenario.TestChurnAllocsPerFlow counts, and what ROADMAP
-	// 2(b)'s value commands would remove (here and at the four capturing
-	// Defer calls below).
-	c.Defer(src, dst, at, func() {
-		dstStack.PreRegister(flow, prio, nil, onDoneAt, onData)
-	})
-	return n.Stacks[src].ConnectLocal(dstStack.Host.ID, size, fo)
+	c, srcStack, dstStack := n.C, n.Stacks[src], n.Stacks[dst]
+	s := srcStack.Open(dstStack.Host.ID, size, core.FlowOpts{Flow: n.src.flowID(src, 1),
+		Priority: opts.Priority, OnReceiverDoneAt: opts.OnDone, OnReceiverData: opts.OnData})
+	at := srcStack.Host.EventList().Now() + c.MinPathDelay(src, dst)
+	c.Defer(src, dst, at, s.Registration(dstStack, at), 0)
+	s.Start()
+	return s
 }
 
 // ----------------------------------------------------------- TCP / DCTCP ----
@@ -219,7 +215,8 @@ func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 // non-adjacent shards). The reverse route is fixed by a raw value drawn
 // at the source and reduced modulo the destination's path count inside
 // the deferred command, because the path enumeration cache is per
-// source-host shard and must only be touched from its own domain.
+// source-host shard and must only be touched from its own domain. The
+// command is the pooled sender's own tcp.Attach record, not a closure.
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
@@ -232,18 +229,12 @@ func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	r := t.src.rand[src]
 	fwd := t.C.Paths(hs.ID, hd.ID)
 	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], source, t.Cfg)
-	revPick := r.Uint64()
-	onDone, onData := opts.OnDone, opts.OnData
-	c := t.C
-	// One receiver-attach closure per flow start, not per packet.
-	c.Defer(src, dst, hs.EventList().Now()+c.MinPathDelay(src, dst), func() {
-		revs := c.Paths(hd.ID, hs.ID)
-		rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, revs[revPick%uint64(len(revs))])
-		rcv.OnData = onData
-		if onDone != nil {
-			rcv.OnComplete = func(r *tcp.Receiver) { onDone(r.CompletedAt) }
-		}
-	})
+	at := hs.EventList().Now() + t.C.MinPathDelay(src, dst)
+	t.C.Defer(src, dst, at, snd.Attach(tcp.ReceiverAttach{
+		At: at, Host: hd, Demux: t.Demux[dst], Pool: t.pool(dst),
+		Routes: t.C, RevPick: r.Uint64(),
+		OnData: opts.OnData, OnCompleteAt: opts.OnDone,
+	}), 0)
 	snd.Start()
 	return tcpFlow{snd}
 }
@@ -306,17 +297,9 @@ func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	hs, hd := m.C.HostList()[src], m.C.HostList()[dst]
 	r := m.src.rand[src]
 	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
-	if opts.OnDone != nil {
-		done := opts.OnDone
-		f.OnComplete = func(fl *mptcp.Flow) { done(fl.CompletedAt) }
-	}
-	revSeed := r.Uint64()
-	onData := opts.OnData
-	c := m.C
-	// One receiver-attach closure per flow start, not per packet.
-	c.Defer(src, dst, hs.EventList().Now()+c.MinPathDelay(src, dst), func() {
-		f.AttachReceivers(hd, m.Demux[dst], c.Paths(hd.ID, hs.ID), sim.NewRand(revSeed), onData, m.pool(dst))
-	})
+	f.OnCompleteAt = opts.OnDone
+	at := hs.EventList().Now() + m.C.MinPathDelay(src, dst)
+	m.C.Defer(src, dst, at, f.Attach(hd, m.Demux[dst], m.C, r.Uint64(), opts.OnData, m.pool(dst)), 0)
 	f.Start()
 	return f
 }
@@ -388,8 +371,10 @@ func (d *DCQCNNet) DoneHost(src, dst int) int { return dst }
 // which trails by at least a serialization time. Teardown crosses back
 // the other way: the receiver retires at completion in its own domain
 // and defers the sender's rate-timer stop to the source's, so neither
-// endpoint's state is ever touched from a foreign shard. The same path
-// runs at every shard count, so results never depend on the layout.
+// endpoint's state is ever touched from a foreign shard. Both crossings
+// are commands of the pooled sender itself (dcqcn.Attach, dcqcn.Teardown)
+// over the one dcqcn.Split record written here. The same path runs at
+// every shard count, so results never depend on the layout.
 func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := d.src.flowID(src, 1)
 	c := d.C
@@ -397,55 +382,32 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	r := d.src.rand[src]
 	fwd := c.Paths(hs.ID, hd.ID)
 	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
-	revPick := r.Uint64()
 	d.Demux[src].Register(flow, s)
 	d.srcSenders[src] = append(d.srcSenders[src], s)
-	f := &dcqcnFlow{}
-	onDone, onData := opts.OnDone, opts.OnData
-	// One receiver-attach closure per flow start, not per packet.
-	c.Defer(src, dst, hs.EventList().Now()+c.MinPathDelay(src, dst), func() {
-		revs := c.Paths(hd.ID, hs.ID)
-		rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, revs[revPick%uint64(len(revs))], d.Cfg)
-		rc.OnData = onData
-		// The fabric is lossless and the path fixed, so nothing
-		// addressed to this flow reaches the receiver after the FIN:
-		// it retires immediately. The sender may still see a stale CNP
-		// until its deferred stop lands; after the unregister the demux
-		// drops it, and flow ids are never reused.
-		rc.OnComplete = func(rc *dcqcn.Receiver) {
-			if onDone != nil {
-				onDone(rc.CompletedAt)
-			}
-			d.Demux[dst].Unregister(flow)
-			d.pool(dst).RetireReceiver(rc)
-			at := hd.EventList().Now() + c.MinPathDelay(dst, src)
-			// One teardown closure per flow completion, not per packet.
-			c.Defer(dst, src, at, func() {
-				d.Demux[src].Unregister(flow)
-				s.Stop()
-				d.pool(src).RetireSender(s)
-			})
-		}
-		f.rcv = rc
-		d.Demux[dst].Register(flow, rc)
-	})
+	at := hs.EventList().Now() + c.MinPathDelay(src, dst)
+	c.Defer(src, dst, at, s.Attach(dcqcn.Split{
+		Net: c, At: at, RevPick: r.Uint64(),
+		Src:    dcqcn.End{Host: hs, Index: src, Demux: d.Demux[src], Pool: d.pool(src)},
+		Dst:    dcqcn.End{Host: hd, Index: dst, Demux: d.Demux[dst], Pool: d.pool(dst)},
+		OnData: opts.OnData, OnCompleteAt: opts.OnDone,
+	}), 0)
 	s.Start()
-	return f
+	return dcqcnFlow{s}
 }
 
-// dcqcnFlow adapts a DCQCN receiver to the Flow interface. The fabric is
-// lossless, so received bytes are the delivered-goodput counter. The
-// receiver only attaches on the destination's domain shortly after
-// StartFlow returns; until then no byte has been delivered and
+// dcqcnFlow adapts a DCQCN sender to the Flow interface. The fabric is
+// lossless, so the bytes its receiver counted are the delivered-goodput
+// counter. The receiver only attaches on the destination's domain shortly
+// after StartFlow returns; until then no byte has been delivered and
 // AckedBytes reports 0. Sharded drivers read it only at window barriers,
 // after the attach has been published.
-type dcqcnFlow struct{ rcv *dcqcn.Receiver }
+type dcqcnFlow struct{ snd *dcqcn.Sender }
 
-func (f *dcqcnFlow) AckedBytes() int64 {
-	if f.rcv == nil {
-		return 0
+func (f dcqcnFlow) AckedBytes() int64 {
+	if rc := f.snd.Receiver(); rc != nil {
+		return rc.Bytes
 	}
-	return f.rcv.Bytes
+	return 0
 }
 
 // ---------------------------------------------------------------- pHost ----
@@ -499,12 +461,9 @@ func (p *PHostNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	if size < 0 {
 		size = 1 << 40 // effectively unbounded
 	}
-	var onDone func(*phost.Sender)
-	if opts.OnDone != nil {
-		done := opts.OnDone
-		onDone = func(s *phost.Sender) { done(s.CompletedAt) }
-	}
-	return p.Hosts[src].Connect(p.C.HostList()[dst].ID, flow, size, onDone)
+	s := p.Hosts[src].Connect(p.C.HostList()[dst].ID, flow, size, nil)
+	s.OnCompleteAt = opts.OnDone
+	return s
 }
 
 // dropTail returns a FIFO drop-tail switch queue factory of the given

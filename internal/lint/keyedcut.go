@@ -52,17 +52,14 @@ func runKeyedCut(p *Pass) error {
 }
 
 // checkDefer matches the Cluster command channel's Defer(from, to int, at
-// sim.Time, fn func()) shape and requires the delivery time to be computed,
-// not constant.
+// sim.Time, h sim.Handler, arg uint64) shape and requires the delivery time
+// to be computed, not constant.
 func checkDefer(p *Pass, call *ast.CallExpr, fn *types.Func) {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != 4 || len(call.Args) != 4 {
+	if !ok || sig.Params().Len() != 5 || len(call.Args) != 5 {
 		return
 	}
-	if !namedIn(sig.Params().At(2).Type(), simPkgPath, "Time") {
-		return
-	}
-	if _, isFunc := sig.Params().At(3).Type().Underlying().(*types.Signature); !isFunc {
+	if !namedIn(sig.Params().At(2).Type(), simPkgPath, "Time") || !namedIn(sig.Params().At(3).Type(), simPkgPath, "Handler") {
 		return
 	}
 	if tv, ok := p.TypesInfo.Types[call.Args[2]]; ok && tv.Value != nil {

@@ -17,11 +17,12 @@ import (
 // A method whose receiver is one side writing a field of the other side
 // is therefore a cross-shard write — a data race under the parallel
 // runner, and an ordering entanglement even when it happens to be safe.
-// The legal idioms pass: sending a packet, deferring a command with
-// Cluster.Defer, or mutating inside a function literal (a closure runs on
-// the shard Cluster.Defer delivers it to). Same-side writes (a sender
-// mutating sender-owned state) also pass — they stay inside one scheduling
-// domain.
+// The legal idioms pass: sending a packet, or deferring a command with
+// Cluster.Defer — a command's handler is a named type of its own over the
+// endpoint (core.Registration, tcp.Attach, dcqcn.Attach), not a Sender
+// method, because it runs on the shard Defer delivers it to; so does a
+// function literal. Same-side writes (a sender mutating sender-owned state)
+// also pass — they stay inside one scheduling domain.
 var ShardOwn = &Analyzer{
 	Name: "shardown",
 	Doc: "flags field writes that cross the shard-ownership map: a method on a " +

@@ -8,22 +8,36 @@ import (
 	"ndp/internal/topo"
 )
 
-func literalDefer(c topo.Cluster) {
-	c.Defer(0, 1, 500, func() {}) // want "compile-time constant"
+// cmd is a deferred command: a handler over state its emitter owns.
+type cmd struct{}
+
+func (*cmd) OnEvent(arg uint64) {}
+
+func literalDefer(c topo.Cluster, h *cmd) {
+	c.Defer(0, 1, 500, h, 0) // want "compile-time constant"
 }
 
-func literalConstDefer(n *topo.Network) {
+func literalConstDefer(n *topo.Network, h *cmd) {
 	const at = sim.Time(250)
-	n.Defer(0, 1, at, func() {}) // want "compile-time constant"
+	n.Defer(0, 1, at, h, 1) // want "compile-time constant"
 }
 
 // Delays computed from the topology's minimum path delay are the contract.
-func derivedDefer(c topo.Cluster) {
-	c.Defer(0, 1, c.EventList().Now()+c.MinPathDelay(0, 1), func() {})
+func derivedDefer(c topo.Cluster, h *cmd) {
+	c.Defer(0, 1, c.EventList().Now()+c.MinPathDelay(0, 1), h, 0)
 }
 
-func linkDefer(c topo.Cluster) {
-	c.Defer(0, 1, c.EventList().Now()+3*c.LinkDelay(), func() {})
+func linkDefer(c topo.Cluster, h *cmd) {
+	c.Defer(0, 1, c.EventList().Now()+3*c.LinkDelay(), h, 0)
+}
+
+// A Defer of another shape is somebody else's method.
+type closureDeferrer struct{}
+
+func (closureDeferrer) Defer(from, to int, at sim.Time, fn func()) {}
+
+func otherDefer(d closureDeferrer) {
+	d.Defer(0, 1, 500, func() {})
 }
 
 func plainMailbox(el *sim.EventList, ib *fabric.Inbox, bx *fabric.CrossBox) {
@@ -46,6 +60,6 @@ func plainComponent(el *sim.EventList, p *pump) {
 	el.Schedule(10, p, 0)
 }
 
-func allowedDefer(c topo.Cluster) {
-	c.Defer(0, 1, 500, func() {}) //simlint:allow keyedcut — fixture: bootstrap command before the clock starts
+func allowedDefer(c topo.Cluster, h *cmd) {
+	c.Defer(0, 1, 500, h, 0) //simlint:allow keyedcut — fixture: bootstrap command before the clock starts
 }

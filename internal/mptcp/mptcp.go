@@ -47,7 +47,21 @@ type Flow struct {
 	received    int64
 	complete    bool
 	CompletedAt sim.Time
-	OnComplete  func(f *Flow)
+	// OnComplete fires when the stream is fully received, OnCompleteAt
+	// with it for callers that need the completion time only.
+	OnComplete   func(f *Flow)
+	OnCompleteAt func(at sim.Time)
+
+	// attach is the receiver half's construction, carried by the flow so
+	// that delivering it costs nothing; see Attach.
+	attach struct {
+		dst    *fabric.Host
+		demux  *fabric.Demux
+		routes tcp.Routes
+		rand   sim.Rand
+		onData func(n int64)
+		pool   *tcp.Pool
+	}
 }
 
 // sharedSource stripes one stream across subflows: each subflow claims the
@@ -169,6 +183,9 @@ func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
 				if f.OnComplete != nil {
 					f.OnComplete(f)
 				}
+				if f.OnCompleteAt != nil {
+					f.OnCompleteAt(f.CompletedAt)
+				}
 			}
 			if onData != nil {
 				onData(n)
@@ -177,6 +194,32 @@ func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
 		dstDemux.Register(id, rcv)
 		f.Receivers = append(f.Receivers, rcv)
 	}
+}
+
+// Attach is AttachReceivers as a deferred command: a sim.Handler over the
+// flow itself, so that sending it to the destination's scheduling domain
+// (topo.Cluster.Defer) needs no closure. The record is written before the
+// command is emitted and read once, on the destination's domain.
+type Attach Flow
+
+// Attach records the arguments of AttachReceivers — the reverse routes are
+// enumerated on the destination's domain, whose route cache it is, and
+// permuted by a generator seeded with revSeed, a value drawn from the
+// source's stream — and returns the command that calls it.
+func (f *Flow) Attach(dst *fabric.Host, dstDemux *fabric.Demux, routes tcp.Routes, revSeed uint64,
+	onData func(n int64), pool *tcp.Pool) *Attach {
+	a := &f.attach
+	a.dst, a.demux, a.routes, a.onData, a.pool = dst, dstDemux, routes, onData, pool
+	a.rand.Init(revSeed)
+	return (*Attach)(f)
+}
+
+// OnEvent attaches the receivers (sim.Handler); it runs in the
+// destination's scheduling domain.
+func (a *Attach) OnEvent(uint64) {
+	f, at := (*Flow)(a), &a.attach
+	src := f.Senders[0].Host()
+	f.AttachReceivers(at.dst, at.demux, at.routes.Paths(at.dst.ID, src.ID), &at.rand, at.onData, at.pool)
 }
 
 // Start launches every subflow.

@@ -205,6 +205,9 @@ type Sender struct {
 	timer     *sim.Timer
 	complete  bool
 	onDone    func(s *Sender)
+	// OnCompleteAt, set by the caller once Connect returns, fires with
+	// onDone for callers that need the completion time only.
+	OnCompleteAt func(at sim.Time)
 
 	PacketsSent, Rtx int64
 	CompletedAt      sim.Time
@@ -279,6 +282,9 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			s.timer.Stop()
 			if s.onDone != nil {
 				s.onDone(s)
+			}
+			if s.OnCompleteAt != nil {
+				s.OnCompleteAt(s.CompletedAt)
 			}
 			s.ph.retiredS.Push(s, retiredFirst)
 		}

@@ -362,11 +362,6 @@ func (el *EventList) ScheduleKeyed(t Time, ord uint64, h Handler, arg uint64) {
 	el.pushKeyed(t, ord, eventVal{h: h, arg: arg, id: -1})
 }
 
-// AtKeyed is ScheduleKeyed's closure-fallback twin.
-func (el *EventList) AtKeyed(t Time, ord uint64, fn func()) {
-	el.pushKeyed(t, ord, eventVal{h: funcEvent(fn), id: -1})
-}
-
 // ScheduleAfter arranges for h.OnEvent(arg) to run d after the current time.
 func (el *EventList) ScheduleAfter(d Time, h Handler, arg uint64) {
 	el.push(el.now+d, eventVal{h: h, arg: arg, id: -1})

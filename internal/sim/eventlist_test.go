@@ -127,7 +127,7 @@ func TestReserveOrdAndFired(t *testing.T) {
 	if fired() {
 		t.Fatal("a key later than now counts as fired")
 	}
-	el.AtKeyed(2*Microsecond, reserved, note("reserved"))
+	el.ScheduleKeyed(2*Microsecond, reserved, funcEvent(note("reserved")), 0)
 	el.RunUntil(2 * Microsecond)
 	if got, want := fmt.Sprint(order), "[before false reserved true after true]"; got != want {
 		t.Errorf("order = %v, want %v", got, want)

@@ -154,6 +154,11 @@ type Sender struct {
 	handshakeDone       bool
 	complete            bool
 	OnComplete          func(s *Sender)
+
+	// attach is the receiver half's construction, carried by the sender
+	// half so that delivering it costs nothing; see Attach.
+	attach ReceiverAttach
+
 	// Telemetry.
 	PacketsSent, Rtx, Timeouts int64
 	AckedPackets               int64
@@ -195,6 +200,9 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source D
 // identity-bound resources: the event list, the timer (its closure points at
 // this object), the arena, and the emptied segment window's buffer.
 func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) {
+	if s.attach.Host != nil && s.el.Now() <= s.attach.At {
+		panic("tcp: sender recycled before its deferred receiver attach ran")
+	}
 	cfg = cfg.withDefaults()
 	el, timer, pool, arena := s.el, s.timer, s.pool, s.arena
 	segs := s.segs
@@ -205,6 +213,57 @@ func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16
 		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd, rto: cfg.MinRTO,
 		timer: timer, segs: segs,
 	}
+}
+
+// Routes enumerates the source routes between two hosts (topo.Cluster).
+type Routes interface {
+	Paths(src, dst int32) [][]int16
+}
+
+// ReceiverAttach is what the destination's scheduling domain needs to build
+// the receiving half of a flow whose sender was built on the source's.
+type ReceiverAttach struct {
+	// At is when the attach runs: before the flow's first packet can arrive.
+	At sim.Time
+	// Host, Demux and Pool are the destination host, its demux and its
+	// scheduling domain's pool.
+	Host  *fabric.Host
+	Demux *fabric.Demux
+	Pool  *Pool
+	// Routes enumerates the reverse routes — on the destination's domain,
+	// whose route cache it is — and RevPick, a raw value drawn from the
+	// source's stream, picks one of them modulo their count.
+	Routes  Routes
+	RevPick uint64
+	// OnData and OnCompleteAt are installed on the receiver.
+	OnData       func(n int64)
+	OnCompleteAt func(at sim.Time)
+}
+
+// Attach is a flow's receiver-side construction as a deferred command: a
+// sim.Handler over the sender half itself, so that sending it to the
+// destination's scheduling domain (topo.Cluster.Defer) allocates nothing.
+// The record is written on the source's domain before the command is
+// emitted, read once on the destination's at ReceiverAttach.At, and not
+// rewritten until the pool recycles the sender, 2*MSL after the flow
+// completed; recycle panics if that ever fails to hold.
+type Attach Sender
+
+// Attach records the receiver half's construction and returns the command
+// that performs it.
+func (s *Sender) Attach(a ReceiverAttach) *Attach {
+	s.attach = a
+	return (*Attach)(s)
+}
+
+// OnEvent builds and registers the receiver (sim.Handler); it runs in the
+// destination's scheduling domain.
+func (a *Attach) OnEvent(uint64) {
+	at := &a.attach
+	revs := at.Routes.Paths(at.Host.ID, a.host.ID)
+	rcv := at.Pool.NewReceiver(at.Host, at.Demux, a.host.ID, a.Flow, revs[at.RevPick%uint64(len(revs))])
+	rcv.OnData = at.OnData
+	rcv.OnCompleteAt = at.OnCompleteAt
 }
 
 // SetIncrease overrides congestion-avoidance growth (MPTCP's LIA).
@@ -536,9 +595,11 @@ type Receiver struct {
 	seenAny      bool
 	// OnData observes every newly received payload byte count (MPTCP
 	// aggregates across subflows); OnComplete fires when the stream is
-	// fully received (FIN seen and no holes).
-	OnData     func(n int64)
-	OnComplete func(r *Receiver)
+	// fully received (FIN seen and no holes), OnCompleteAt with it for
+	// callers that need the completion time only.
+	OnData       func(n int64)
+	OnComplete   func(r *Receiver)
+	OnCompleteAt func(at sim.Time)
 }
 
 // NewReceiver builds the receiving side; path routes ACKs back. Pool calls
@@ -612,6 +673,9 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		r.CompletedAt = r.host.EventList().Now()
 		if r.OnComplete != nil {
 			r.OnComplete(r)
+		}
+		if r.OnCompleteAt != nil {
+			r.OnCompleteAt(r.CompletedAt)
 		}
 		if r.pool != nil {
 			r.pool.retireReceiver(r)

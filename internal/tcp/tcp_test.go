@@ -219,3 +219,47 @@ func TestFixedSource(t *testing.T) {
 		t.Error("source should be exhausted")
 	}
 }
+
+// TestAttachCommand: the receiver half of a flow is built by a command over
+// the pooled sender — on the reverse route RevPick selects, with the
+// observers the record carries — and the pool refuses to recycle a sender
+// whose attach is still due.
+func TestAttachCommand(t *testing.T) {
+	net, dm := tcpNet(4, 200*9000, 0)
+	pool, cfg := NewPool(), DefaultConfig()
+	hs, hd := net.Hosts[0], net.Hosts[15]
+	flow := func(id uint64) *Sender {
+		return pool.NewSender(hs, dm[0], hd.ID, id, net.Paths(hs.ID, hd.ID)[0], NewFixedSource(90_000, cfg.MSS), cfg)
+	}
+	s := flow(7)
+	var bytes int64
+	var doneAt sim.Time
+	at := net.MinPathDelay(0, 15)
+	net.Defer(0, 15, at, s.Attach(ReceiverAttach{
+		At: at, Host: hd, Demux: dm[15], Pool: pool, Routes: net, RevPick: 5,
+		OnData: func(n int64) { bytes += n }, OnCompleteAt: func(at sim.Time) { doneAt = at },
+	}), 0)
+	s.Start()
+	net.EL.RunUntil(3 * sim.Millisecond)
+	rcv, _ := dm[15].Handler(7).(*Receiver)
+	if rcv == nil || !rcv.Complete() || !s.Complete() {
+		t.Fatalf("transfer incomplete: receiver %v", rcv)
+	}
+	revs := net.Paths(hd.ID, hs.ID)
+	if want := revs[5%len(revs)]; &rcv.path[0] != &want[0] {
+		t.Errorf("receiver acks on %v, RevPick 5 selects %v", rcv.path, want)
+	}
+	if bytes != 90_000 || doneAt != rcv.CompletedAt || doneAt == 0 {
+		t.Errorf("observers saw %d bytes, completion at %v; receiver completed at %v", bytes, doneAt, rcv.CompletedAt)
+	}
+
+	net.EL.RunUntil(rcv.CompletedAt + 2*fabric.MSL + sim.Millisecond) // quiescent: the pool may reuse both halves
+	s.Attach(ReceiverAttach{At: net.EL.Now(), Host: hd})              // an attach still due at this instant
+	defer func() {
+		if msg, _ := recover().(string); msg != "tcp: sender recycled before its deferred receiver attach ran" {
+			t.Errorf("recovered %q, want the recycle-before-attach panic", msg)
+		}
+	}()
+	flow(8)
+	t.Error("the sender was recycled under its pending attach")
+}

@@ -89,7 +89,7 @@ type Cluster interface {
 	Runner() sim.Runner
 	Shards() int
 	ShardOfHost(h int) int
-	Defer(from, to int, at sim.Time, fn func())
+	Defer(from, to int, at sim.Time, h sim.Handler, arg uint64)
 	LinkDelay() sim.Time
 	// MinPathDelay returns the minimum total propagation delay of any
 	// physical path from host src to host dst — the earliest a causal
@@ -108,6 +108,7 @@ type Cluster interface {
 	CollectStats() SwitchStats
 	PacketHops() int64
 	SerEndEvents() int64
+	CommandEvents() int64
 	// PacketsInUse sums the outstanding packets of every shard arena: the
 	// leak counter the golden suite asserts returns to zero after Close.
 	PacketsInUse() int64
@@ -439,22 +440,42 @@ func (n *Network) DrainInbound(shard int) {
 	}
 }
 
-// Defer runs fn at absolute time at in host to's event domain, emitted by
-// host from (whose identity and emission order form the deterministic
-// equal-time key). It is the cross-shard command path for interactions
-// that are not packets: receiver-side flow registration and closed-loop
-// workload restarts. Cross-shard deferrals must satisfy the conservative
+// Defer runs h.OnEvent(arg) at absolute time at in host to's event domain,
+// emitted by host from (whose identity and emission order form the
+// deterministic equal-time key). It is the cross-shard command path for
+// interactions that are not packets: receiver-side flow registration and
+// teardown, closed-loop workload restarts. A command is a value — a handler
+// and a word — never a closure: h is a named pointer type over state the
+// caller already owns (a pooled sender half, a connection slot), so a
+// command costs no allocation on either path and nothing in it is bound to
+// this process's address space beyond what a packet's Sink already is. The
+// caller writes that state before Defer and must not rewrite it before at:
+// the destination reads it once, at at, behind the window barrier's
+// happens-before edge. Cross-shard deferrals must satisfy the conservative
 // bound at >= now(from) + L[shard(from)][shard(to)] — MinPathDelay(from,
 // to) always does; same-shard deferrals have no bound.
-func (n *Network) Defer(from, to int, at sim.Time, fn func()) {
+func (n *Network) Defer(from, to int, at sim.Time, h sim.Handler, arg uint64) {
 	n.cmdSeq[from]++
 	ord := sim.CommandOrd(uint32(from), n.cmdSeq[from])
 	sf, st := n.hostShard[from], n.hostShard[to]
 	if sf == st {
-		n.els[st].AtKeyed(at, ord, fn)
+		n.els[st].ScheduleKeyed(at, ord, h, arg)
 		return
 	}
-	n.boxes[sf][st].AddCommand(at, ord, fn)
+	n.boxes[sf][st].AddCommand(at, ord, h, arg)
+}
+
+// CommandEvents is how many commands the hosts have emitted through Defer:
+// each is one event of the run once its time comes (one emitted within the
+// last path delay or think-time gap before the deadline has not fired yet).
+// Emission is per source host, so the count is the same for every shard
+// layout.
+func (n *Network) CommandEvents() int64 {
+	var cmds uint64
+	for _, seq := range n.cmdSeq {
+		cmds += seq
+	}
+	return int64(cmds)
 }
 
 // allocPortUID hands out canonical port identities in construction order.

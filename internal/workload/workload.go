@@ -162,9 +162,12 @@ type ClosedLoop struct {
 	// run), so a caller may keep per-slot rather than per-flow state —
 	// including the callbacks it wires up — without allocating per flow.
 	Start func(slot, src, dst int, size int64, done func(at sim.Time))
-	// Defer schedules fn at absolute time at in host to's scheduling
-	// domain, emitted by host from (wire it to topo's Cluster.Defer).
-	Defer func(from, to int, at sim.Time, fn func())
+	// Defer schedules h.OnEvent(arg) at absolute time at in host to's
+	// scheduling domain, emitted by host from (wire it to topo's
+	// Cluster.Defer). The loop's own commands — the hop back to the source
+	// and the think-time gap — are events of the connection slot itself, so
+	// the loop allocates nothing per flow.
+	Defer func(from, to int, at sim.Time, h sim.Handler, arg uint64)
 	// DoneHost reports the host in whose scheduling domain Start's done
 	// callback is invoked for a src->dst flow. Most transports complete at
 	// the receiver (the default, nil = dst), but sender-driven ones (pHost
@@ -209,10 +212,9 @@ func (c *ClosedLoop) Launched() int64 {
 
 // connSlot is one of a source's Conns connection slots. A slot's flows are
 // strictly sequential — launch, complete, hop back, gap, relaunch — so the
-// per-flight fields (doneHost, notify) are single-occupancy, and the three
-// callbacks in the completion chain can be built once per slot instead of
-// once per flow (per-flow closures were a top allocation site of a whole
-// closed-loop benchmark run).
+// per-flight fields (doneHost, notify) are single-occupancy, the completion
+// callback is built once per slot instead of once per flow, and the slot is
+// itself the sim.Handler of both deferred commands in the chain.
 type connSlot struct {
 	c        *ClosedLoop
 	idx      int
@@ -220,22 +222,21 @@ type connSlot struct {
 	doneHost int
 	notify   sim.Time
 
-	// relaunching reports which half of the completion chain step runs
-	// next: false = hop back just fired (draw the gap), true = gap elapsed
-	// (launch the next flow). One stepping callback covers both, since
-	// both halves run in the source's domain.
-	relaunching bool
-
 	done func(at sim.Time)
-	step func()
 }
+
+// connSlot event kinds (the arg of its deferred commands); both run in the
+// source's domain.
+const (
+	slotHopBack  = iota // the completion notice reached the source: draw the gap
+	slotRelaunch        // the gap elapsed: launch the next flow
+)
 
 func (s *connSlot) init(c *ClosedLoop, idx, src int) {
 	s.c = c
 	s.idx = idx
 	s.src = src
 	s.done = s.onDone
-	s.step = s.onStep
 }
 
 func (s *connSlot) launch() {
@@ -259,16 +260,15 @@ func (s *connSlot) launch() {
 // domain, in its own deterministic order).
 func (s *connSlot) onDone(at sim.Time) {
 	s.notify = at + s.c.NotifyLatency(s.doneHost, s.src)
-	s.relaunching = false
-	s.c.Defer(s.doneHost, s.src, s.notify, s.step)
+	s.c.Defer(s.doneHost, s.src, s.notify, s, slotHopBack)
 }
 
-func (s *connSlot) onStep() {
+// OnEvent runs the slot's deferred commands (sim.Handler).
+func (s *connSlot) OnEvent(kind uint64) {
 	c := s.c
-	if !s.relaunching {
-		s.relaunching = true
+	if kind == slotHopBack {
 		gap := c.Gap/2 + c.rands[s.src].Duration(c.Gap) // median ~= Gap
-		c.Defer(s.src, s.src, s.notify+gap, s.step)
+		c.Defer(s.src, s.src, s.notify+gap, s, slotRelaunch)
 		return
 	}
 	s.launch()

@@ -108,7 +108,7 @@ func TestClosedLoopKeepsConnsRunning(t *testing.T) {
 		Sizes:         NewSizeDist(map[int64]float64{1000: 1}),
 		Seed:          11,
 		NotifyLatency: func(int, int) sim.Time { return 500 * sim.Nanosecond },
-		Defer:         func(from, to int, at sim.Time, fn func()) { el.At(at, fn) },
+		Defer:         func(from, to int, at sim.Time, h sim.Handler, arg uint64) { el.Schedule(at, h, arg) },
 	}
 	completions := 0
 	cl.Start = func(_, src, dst int, size int64, done func(at sim.Time)) {

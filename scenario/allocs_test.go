@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"ndp/internal/topo"
 )
 
 // The engine's allocation discipline — pooled flow state, arena packets,
@@ -95,26 +97,27 @@ func TestSteadyStateAllocs(t *testing.T) {
 // the 4:1 oversubscribed FatTree, 64 hosts) starts and retires a few
 // thousand flows in 20 ms more. The marginal objects per completed flow
 // cover the pools' take and retire paths, StartFlow, the deferred
-// registration and teardown commands, FlowTable growth and the completion
-// records.
+// registration and teardown commands (values carried by the pooled flow
+// state: none of them may cost an object), FlowTable growth and the
+// completion records.
 func TestChurnAllocsPerFlow(t *testing.T) {
 	skipUnlessCountable(t)
 	rows := []struct {
 		transport Transport
 		budget    float64 // measured (five runs, spread 0.001) plus slack
 	}{
-		{NDP, 1.25},  // 1.09: the receiver-attach Defer closure
-		{TCP, 4.2},   // 4.02: attach and teardown closures, tombstone, completion record
-		{DCTCP, 4.2}, // 4.02
-		// 74.56, and not fixed here: 7 per subflow (the sender pool never
+		{NDP, 0.25},  // 0.086: no object per flow; time-wait and flow tables doubling, completion chunks
+		{TCP, 2.2},   // 2.02: the data source and the recycled receiver's tombstone
+		{DCTCP, 2.2}, // 2.01
+		// 71.56, and not fixed here: 7 per subflow (the sender pool never
 		// hits: a group retires only when all eight subflows complete, and a
-		// one-packet flow uses one) plus 18 per connection; README
+		// one-packet flow uses one) plus 15 per connection; README
 		// "Allocation discipline is a test" has the profile. No
 		// BENCHMARK.json workload churns MPTCP flows, so a fix has nothing
 		// to be measured against.
-		{MPTCP, 76},
-		{DCQCN, 4.2},  // 4.02
-		{PHost, 2.25}, // 2.06
+		{MPTCP, 73},
+		{DCQCN, 0.25}, // 0.021
+		{PHost, 1.25}, // 1.06: the recycled receiver's tombstone
 	}
 	for _, row := range rows {
 		t.Run(string(row.transport), func(t *testing.T) {
@@ -132,6 +135,55 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 			t.Logf("%.3f objects per flow over %d flows", per, flows)
 			if per > row.budget {
 				t.Errorf("%.2f objects per churned flow (%d objects, %d flows), budget %.2f", per, long-short, flows, row.budget)
+			}
+		})
+	}
+}
+
+// countingCommand is a deferred command as product code writes them: a
+// handler over state its emitter owns.
+type countingCommand struct{ fired, sum uint64 }
+
+func (c *countingCommand) OnEvent(arg uint64) { c.fired++; c.sum += arg }
+
+// TestDeferAllocatesNothing: a deferred command is a value — a handler and a
+// word — on the same-shard path (a keyed event) and on the cross-shard one
+// (a mailbox entry, an inbox slot, a keyed event), so emitting and firing
+// one allocates nothing. A closure-shaped command cost one object per flow
+// start, 63 % of what a churn iteration allocated.
+func TestDeferAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves allocation counts")
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			ft := topo.NewFatTree(4, topo.Config{Shards: shards})
+			defer ft.Close()
+			from, to := 0, ft.NumHosts()-1
+			if crosses := ft.ShardOfHost(from) != ft.ShardOfHost(to); crosses != (shards > 1) {
+				t.Fatalf("hosts %d and %d: crossing a shard cut = %v at %d shards", from, to, crosses, shards)
+			}
+			cmd := &countingCommand{}
+			emitAndFire := func() {
+				at := ft.HostList()[from].EventList().Now() + ft.MinPathDelay(from, to)
+				ft.Defer(from, to, at, cmd, 3)
+				ft.Runner().RunUntil(at)
+			}
+			// First use grows the mailbox, the inbox's slots and the
+			// scheduler's buckets; that is set-up, not a cost per command.
+			for i := 0; i < 1000; i++ {
+				emitAndFire()
+			}
+			before := cmd.fired
+			const runs = 1000
+			if avg := testing.AllocsPerRun(runs, emitAndFire); avg != 0 {
+				t.Errorf("Defer plus its firing allocates %.2f objects", avg)
+			}
+			if fired := cmd.fired - before; fired != runs+1 || cmd.sum != 3*cmd.fired {
+				t.Errorf("%d commands fired in %d runs (argument sum %d)", fired, runs+1, cmd.sum)
+			}
+			if got := ft.CommandEvents(); got != int64(cmd.fired) {
+				t.Errorf("CommandEvents = %d, %d commands emitted", got, cmd.fired)
 			}
 		})
 	}

@@ -135,7 +135,8 @@ func benchRun(spec Spec) harness.BenchCounts {
 	if m.FlowsLaunched == 0 {
 		panic("bench case launched no flows")
 	}
-	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops, SerEndEvents: stats.SerEndEvents,
+	return harness.BenchCounts{Events: stats.Events, PacketHops: stats.PacketHops,
+		SerEndEvents: stats.SerEndEvents, CommandEvents: stats.CommandEvents,
 		Windows: engine.windows, Queue: engine.queue}
 }
 

@@ -36,6 +36,12 @@ type RunStats struct {
 	// fire none, so this — and with it Events — depends on the shard layout;
 	// Events - SerEndEvents does not.
 	SerEndEvents int64
+	// CommandEvents is how many deferred commands (topo.Cluster.Defer:
+	// receiver registration and teardown, closed-loop hop-backs and gaps)
+	// the hosts emitted — each one event of Events once its time has come,
+	// so the few emitted within a path delay or a gap of the deadline are
+	// counted here and not there. The same for every shard layout.
+	CommandEvents int64
 	// PacketHops is the total packet wire-traversals across repeats.
 	PacketHops int64
 	// PacketsLeaked is the arena leak counter summed across repeats: packets
@@ -98,6 +104,7 @@ func runWithWindows(spec Spec) (m *Metrics, stats RunStats, engine engineStats, 
 	for _, o := range outs {
 		stats.Events += o.events
 		stats.SerEndEvents += o.serEnds
+		stats.CommandEvents += o.commands
 		stats.PacketHops += o.hops
 		stats.PacketsLeaked += o.leaked
 		engine.windows.Add(o.windows)
@@ -118,6 +125,7 @@ type runOut struct {
 	linkRate  int64
 	events    int64 // scheduler events executed
 	serEnds   int64 // of which port serialization ends
+	commands  int64 // deferred commands emitted
 	hops      int64 // packet wire-traversals
 	leaked    int64 // arena packets still outstanding after Close
 	windows   sim.WindowStats
@@ -151,6 +159,7 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 	out.queue = net.Runner().QueueStats()
 	out.hops = net.Cluster().PacketHops()
 	out.serEnds = net.Cluster().SerEndEvents()
+	out.commands = net.Cluster().CommandEvents()
 	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
 		out.windows = mr.WindowStats()
 	}
@@ -248,6 +257,23 @@ type rpcDone struct {
 	src, dst int
 }
 
+// rpcLog is one shard's completion records in fixed-size chunks: a run
+// completes tens of thousands of flows, and one slice grown by append copied
+// every record five times over on its way there (a third of what a churn
+// iteration allocated).
+type rpcLog struct{ chunks [][]rpcDone }
+
+const rpcLogChunk = 4096
+
+func (l *rpcLog) add(r rpcDone) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == rpcLogChunk {
+		l.chunks = append(l.chunks, make([]rpcDone, 0, rpcLogChunk))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], r)
+}
+
 // runRPC keeps Degree closed-loop request flows per host in flight until
 // the deadline, recording every completion.
 func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
@@ -261,7 +287,7 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 		gap = time.Millisecond
 	}
 	c := net.Cluster()
-	recs := make([][]rpcDone, c.Shards())
+	recs := make([]rpcLog, c.Shards())
 	// Completion callbacks run in the transport's DoneHost domain (receiver
 	// for NDP/TCP-family, sender for pHost); buffer each record on that
 	// host's shard so concurrent shards never share a slice. The recording
@@ -289,7 +315,7 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 			sl := &slots[slot]
 			if sl.onDone == nil {
 				sl.onDone = func(at sim.Time) {
-					recs[sl.shard] = append(recs[sl.shard], rpcDone{at: at, us: (at - sl.start).Micros(), src: sl.src, dst: sl.dst})
+					recs[sl.shard].add(rpcDone{at: at, us: (at - sl.start).Micros(), src: sl.src, dst: sl.dst})
 					sl.inner(at)
 				}
 			}
@@ -313,16 +339,12 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 	// completion time, then receiver, then sender — a key identical for
 	// every shard count (per-shard buffer order is only per-receiver-shard
 	// FIFO, which a different partition would interleave differently).
-	// One shard's buffer is merged in place; the others are appended to
-	// it, sized once.
-	n := 0
-	for _, r := range recs {
-		n += len(r)
+	// The chunks are copied once, into a slice of exactly their size.
+	var chunks [][]rpcDone
+	for _, l := range recs {
+		chunks = append(chunks, l.chunks...)
 	}
-	all := slices.Grow(recs[0], n-len(recs[0]))
-	for _, r := range recs[1:] {
-		all = append(all, r...)
-	}
+	all := slices.Concat(chunks...)
 	slices.SortStableFunc(all, func(a, b rpcDone) int {
 		if c := cmp.Compare(a.at, b.at); c != 0 {
 			return c

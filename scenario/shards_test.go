@@ -36,7 +36,8 @@ func TestShardDeterminism(t *testing.T) {
 // acrossShards is the part of the engine stats no shard layout changes:
 // ports cut by a shard boundary keep their serialization-end events, ports
 // inside one shard serialize on demand, so the event count is compared
-// without them.
+// without them. Everything else — deferred commands emitted, packet hops,
+// leaked packets — is compared as it is.
 func acrossShards(s RunStats) RunStats {
 	s.Events -= s.SerEndEvents
 	s.SerEndEvents = 0

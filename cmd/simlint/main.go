@@ -1,9 +1,7 @@
-// Command simlint runs the determinism & shard-safety analyzer suite over
-// the module. It is the mechanical form of the engine's review checklist:
-// map order must not leak into event order, wall time stays out of the
-// virtual clock, RNG streams are component-local, cross-shard deliveries
-// are canonically keyed, packets come from the shard arenas, and endpoint
-// state is only written from its owning shard.
+// Command simlint runs the determinism analyzers over the module: map order
+// must not leak into event order, and wall time stays out of the virtual
+// clock. (The engine's other invariants are enforced where they break — by a
+// type, go vet, a panic or the race detector; see package lint.)
 //
 // Usage:
 //
@@ -54,8 +52,8 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		fmt.Printf("# load: the module and the GOROOT closure type-check from source in ~1s;\n")
-		fmt.Printf("# GOROOT results are cached process-wide, so the seven-analyzer sweep\n")
-		fmt.Printf("# shares a single load and stays well under 3s end to end.\n")
+		fmt.Printf("# GOROOT results are cached process-wide, so the sweep shares a single load\n")
+		fmt.Printf("# and stays well under 3s end to end.\n")
 		return
 	}
 

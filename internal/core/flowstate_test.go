@@ -69,8 +69,9 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	net.EL.RunUntil(4 * sim.Millisecond)
 	rx := st[15]
 	before := tableLens(rx)
+	a := fabric.AttachArena(net.EL)
 
-	late := fabric.NewData(1001, 0, 15, 0, 9000)
+	late := a.NewData(1001, 0, 15, 0, 9000)
 	late.Flags |= fabric.FlagSYN
 	rx.Host.Receive(late)
 	if rx.DupRejected != 1 || rx.demux.Unclaimed != 1 {
@@ -80,7 +81,7 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 		t.Error("late SYN resurrected a receiver for a reclaimed flow")
 	}
 
-	stray := fabric.NewData(4242, 0, 15, 40, 9000) // beyond IW: no SYN
+	stray := a.NewData(4242, 0, 15, 40, 9000) // beyond IW: no SYN
 	rx.Host.Receive(stray)
 	if rx.DupRejected != 1 || rx.demux.Unclaimed != 2 {
 		t.Errorf("stray non-SYN packet: DupRejected=%d Unclaimed=%d, want 1 and 2", rx.DupRejected, rx.demux.Unclaimed)
@@ -91,6 +92,7 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	if rx.demux.Handler(1001) != nil || rx.demux.Handler(4242) != nil {
 		t.Error("a stray packet registered a demux handler")
 	}
+	closeNoLeak(t, net, st)
 }
 
 // TestRetiredListsStayChurnSized: the free-lists of retired endpoints hold

@@ -20,7 +20,7 @@ func TestSwitchQueueConservationProperty(t *testing.T) {
 	prop := func(ops []op, seed uint64) bool {
 		cfg := DefaultSwitchConfig(9000)
 		cfg.HeaderCapBytes = 4 * fabric.HeaderSize // tiny: force bounces
-		q := NewSwitchQueue(cfg, sim.NewRand(seed))
+		q, a := NewSwitchQueue(cfg, sim.NewRand(seed)), fabric.NewArena()
 		bounced := 0
 		q.BounceSink = func(p *fabric.Packet) { bounced++; fabric.Free(p) }
 		offered, dequeued := 0, 0
@@ -28,9 +28,9 @@ func TestSwitchQueueConservationProperty(t *testing.T) {
 			if o.Enq {
 				offered++
 				if o.Ctrl {
-					q.Enqueue(fabric.NewControl(fabric.Ack, 1, 0, 1))
+					q.Enqueue(a.NewControl(fabric.Ack, 1, 0, 1))
 				} else {
-					q.Enqueue(fabric.NewData(1, 0, 1, 0, 9000))
+					q.Enqueue(a.NewData(1, 0, 1, 0, 9000))
 				}
 			} else if p := q.Dequeue(); p != nil {
 				dequeued++
@@ -44,7 +44,7 @@ func TestSwitchQueueConservationProperty(t *testing.T) {
 			return false
 		}
 		queued := q.DataPackets() + q.HeaderPackets()
-		return offered == dequeued+queued+bounced+int(q.Stats().Drops)
+		return offered == dequeued+queued+bounced+int(q.Stats().Drops) && drained(q, a)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -56,14 +56,14 @@ func TestSwitchQueueConservationProperty(t *testing.T) {
 func TestSwitchQueueWRRBoundProperty(t *testing.T) {
 	prop := func(nCtrlRaw, nDataRaw uint8) bool {
 		cfg := DefaultSwitchConfig(9000)
-		q := NewSwitchQueue(cfg, sim.NewRand(1))
+		q, a := NewSwitchQueue(cfg, sim.NewRand(1)), fabric.NewArena()
 		nCtrl := int(nCtrlRaw)%200 + 1
 		nData := int(nDataRaw)%8 + 1
 		for i := 0; i < nData; i++ {
-			q.Enqueue(fabric.NewData(1, 0, 1, int64(i), 9000))
+			q.Enqueue(a.NewData(1, 0, 1, int64(i), 9000))
 		}
 		for i := 0; i < nCtrl; i++ {
-			q.Enqueue(fabric.NewControl(fabric.Pull, 1, 1, 0))
+			q.Enqueue(a.NewControl(fabric.Pull, 1, 1, 0))
 		}
 		consec := 0
 		for !q.Empty() {
@@ -79,7 +79,7 @@ func TestSwitchQueueWRRBoundProperty(t *testing.T) {
 			}
 			fabric.Free(p)
 		}
-		return true
+		return a.InUse() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

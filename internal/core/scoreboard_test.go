@@ -159,27 +159,28 @@ func TestPullFIFOAblationIsUnfair(t *testing.T) {
 // then releases nothing.
 func TestPullSequenceDeltaOnReorder(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	_ = net
+	a := fabric.AttachArena(net.EL)
 	s := st[0].Connect(st[15], 9_000_000, FlowOpts{})
 	net.EL.RunUntil(200 * sim.Microsecond)
 	sent0 := s.PacketsSent
 
 	// Deliver pull seq = lastPullSeq+2 first, then +1 (stale).
 	base := s.lastPullSeq
-	p2 := newPull(s.Flow, 15, 0, base+2)
+	p2 := newPull(a, s.Flow, 15, 0, base+2)
 	s.Receive(p2)
 	if s.PacketsSent != sent0+2 {
 		t.Fatalf("out-of-order pull released %d packets, want 2", s.PacketsSent-sent0)
 	}
-	p1 := newPull(s.Flow, 15, 0, base+1)
+	p1 := newPull(a, s.Flow, 15, 0, base+1)
 	s.Receive(p1)
 	if s.PacketsSent != sent0+2 {
 		t.Fatalf("stale pull released extra credit")
 	}
+	closeNoLeak(t, net, st)
 }
 
-func newPull(flow uint64, src, dst int32, seq int64) *fabric.Packet {
-	p := fabric.NewControl(fabric.Pull, flow, src, dst)
+func newPull(a *fabric.Arena, flow uint64, src, dst int32, seq int64) *fabric.Packet {
+	p := a.NewControl(fabric.Pull, flow, src, dst)
 	p.PullSeq = seq
 	return p
 }

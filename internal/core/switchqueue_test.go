@@ -7,16 +7,34 @@ import (
 	"ndp/internal/sim"
 )
 
-func testQueue(cfg SwitchConfig) *SwitchQueue {
-	return NewSwitchQueue(cfg, sim.NewRand(1))
+// testQueue returns a switch queue and the arena its test takes packets
+// from; when the test ends, what the queue still holds is freed and the
+// arena must be back at zero.
+func testQueue(t *testing.T, cfg SwitchConfig) (*SwitchQueue, *fabric.Arena) {
+	q, a := NewSwitchQueue(cfg, sim.NewRand(1)), fabric.NewArena()
+	t.Cleanup(func() {
+		if !drained(q, a) {
+			t.Errorf("%d packets leaked", a.InUse())
+		}
+	})
+	return q, a
 }
 
-func data(seq int64) *fabric.Packet { return fabric.NewData(1, 0, 1, seq, 9000) }
+// drained frees what q still holds and reports whether every packet taken
+// from a has come back.
+func drained(q *SwitchQueue, a *fabric.Arena) bool {
+	for !q.Empty() {
+		fabric.Free(q.Dequeue())
+	}
+	return a.InUse() == 0
+}
+
+func data(a *fabric.Arena, seq int64) *fabric.Packet { return a.NewData(1, 0, 1, seq, 9000) }
 
 func TestSwitchQueueTrimsWhenFull(t *testing.T) {
-	q := testQueue(DefaultSwitchConfig(9000))
+	q, a := testQueue(t, DefaultSwitchConfig(9000))
 	for i := int64(0); i < 12; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 	}
 	if q.DataPackets() != 8 {
 		t.Fatalf("data queue depth = %d, want 8", q.DataPackets())
@@ -35,18 +53,19 @@ func TestSwitchQueueTrimsWhenFull(t *testing.T) {
 	if p.DataSize != 9000 {
 		t.Errorf("trimmed header must keep DataSize, got %d", p.DataSize)
 	}
+	fabric.Free(p)
 }
 
 func TestSwitchQueueTrimCoinPicksTailSometimes(t *testing.T) {
 	// With the coin enabled, across many overflows both the arriving packet
 	// and the queue tail must get trimmed sometimes.
-	q := testQueue(DefaultSwitchConfig(9000))
+	q, a := testQueue(t, DefaultSwitchConfig(9000))
 	arrivingTrimmed, tailTrimmed := 0, 0
 	for i := int64(0); i < 8; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 	}
 	for i := int64(100); i < 300; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 		// Inspect the header queue's newest entry: if it carries the
 		// arriving seq, the arrival was trimmed; otherwise the tail was.
 		h := q.hdr.PopTail()
@@ -69,12 +88,12 @@ func TestSwitchQueueTrimCoinPicksTailSometimes(t *testing.T) {
 func TestSwitchQueueTrimArrivingOnlyAblation(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
 	cfg.TrimArrivingOnly = true
-	q := testQueue(cfg)
+	q, a := testQueue(t, cfg)
 	for i := int64(0); i < 8; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 	}
 	for i := int64(100); i < 120; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 		h := q.hdr.PopTail()
 		if h.Seq != i {
 			t.Fatalf("TrimArrivingOnly trimmed the tail (seq %d)", h.Seq)
@@ -85,13 +104,13 @@ func TestSwitchQueueTrimArrivingOnlyAblation(t *testing.T) {
 
 func TestSwitchQueueWRRPreventsDataStarvation(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
-	q := testQueue(cfg)
+	q, a := testQueue(t, cfg)
 	// Fill data queue, then flood control packets.
 	for i := int64(0); i < 8; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 	}
 	for i := 0; i < 100; i++ {
-		q.Enqueue(fabric.NewControl(fabric.Ack, 2, 1, 0))
+		q.Enqueue(a.NewControl(fabric.Ack, 2, 1, 0))
 	}
 	// Serve 33 packets: with 10:1 WRR we must see 3 data packets.
 	dataServed := 0
@@ -110,10 +129,10 @@ func TestSwitchQueueWRRPreventsDataStarvation(t *testing.T) {
 func TestSwitchQueueStrictPriorityAblation(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
 	cfg.HeaderWRR = 0 // strict priority: headers can starve data
-	q := testQueue(cfg)
-	q.Enqueue(data(0))
+	q, a := testQueue(t, cfg)
+	q.Enqueue(data(a, 0))
 	for i := 0; i < 50; i++ {
-		q.Enqueue(fabric.NewControl(fabric.Ack, 2, 1, 0))
+		q.Enqueue(a.NewControl(fabric.Ack, 2, 1, 0))
 	}
 	for i := 0; i < 50; i++ {
 		p := q.Dequeue()
@@ -127,14 +146,14 @@ func TestSwitchQueueStrictPriorityAblation(t *testing.T) {
 func TestSwitchQueueBounceOnHeaderOverflow(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
 	cfg.HeaderCapBytes = 2 * fabric.HeaderSize // room for only two headers
-	q := testQueue(cfg)
+	q, a := testQueue(t, cfg)
 	var bounced []*fabric.Packet
 	q.BounceSink = func(p *fabric.Packet) { bounced = append(bounced, p) }
 	for i := int64(0); i < 8; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 	}
 	for i := int64(100); i < 105; i++ {
-		q.Enqueue(data(i)) // all trimmed; only 2 headers fit
+		q.Enqueue(data(a, i)) // all trimmed; only 2 headers fit
 	}
 	if len(bounced) != 3 {
 		t.Fatalf("bounced %d, want 3", len(bounced))
@@ -153,10 +172,10 @@ func TestSwitchQueueBounceOnHeaderOverflow(t *testing.T) {
 func TestSwitchQueueDropsTwiceBounced(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
 	cfg.HeaderCapBytes = fabric.HeaderSize
-	q := testQueue(cfg)
+	q, a := testQueue(t, cfg)
 	q.BounceSink = func(p *fabric.Packet) { t.Fatal("re-bounced an already-bounced header") }
-	q.Enqueue(fabric.NewControl(fabric.Ack, 9, 0, 1)) // fills the header queue
-	p := data(0)
+	q.Enqueue(a.NewControl(fabric.Ack, 9, 0, 1)) // fills the header queue
+	p := data(a, 0)
 	p.Trim()
 	p.Bounce() // already on its way back
 	q.Enqueue(p)
@@ -169,10 +188,10 @@ func TestSwitchQueueDisableBounceAblation(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
 	cfg.HeaderCapBytes = fabric.HeaderSize
 	cfg.DisableBounce = true
-	q := testQueue(cfg)
+	q, a := testQueue(t, cfg)
 	q.BounceSink = func(p *fabric.Packet) { t.Fatal("bounce disabled but BounceSink called") }
-	q.Enqueue(fabric.NewControl(fabric.Ack, 9, 0, 1))
-	p := data(0)
+	q.Enqueue(a.NewControl(fabric.Ack, 9, 0, 1))
+	p := data(a, 0)
 	p.Trim()
 	q.Enqueue(p)
 	if q.Stats().Drops != 1 {
@@ -181,9 +200,9 @@ func TestSwitchQueueDisableBounceAblation(t *testing.T) {
 }
 
 func TestSwitchQueueBytesAccounting(t *testing.T) {
-	q := testQueue(DefaultSwitchConfig(9000))
-	q.Enqueue(data(0))
-	q.Enqueue(fabric.NewControl(fabric.Nack, 1, 1, 0))
+	q, a := testQueue(t, DefaultSwitchConfig(9000))
+	q.Enqueue(data(a, 0))
+	q.Enqueue(a.NewControl(fabric.Nack, 1, 1, 0))
 	if q.Bytes() != 9000+fabric.HeaderSize {
 		t.Errorf("Bytes = %d", q.Bytes())
 	}
@@ -202,15 +221,15 @@ func TestSwitchQueueDataRingSizedFromCap(t *testing.T) {
 	for _, tc := range []struct{ capPackets, want int }{{8, 8}, {6, 8}, {1, 1}, {64, 64}, {1000, 64}} {
 		cfg := DefaultSwitchConfig(9000)
 		cfg.DataCapPackets = tc.capPackets
-		q := testQueue(cfg)
-		q.Enqueue(data(0))
+		q, a := testQueue(t, cfg)
+		q.Enqueue(data(a, 0))
 		if got := q.data.Cap(); got != tc.want {
 			t.Errorf("DataCapPackets %d: first data ring has %d slots, want %d", tc.capPackets, got, tc.want)
 		}
 	}
-	q := testQueue(DefaultSwitchConfig(9000))
+	q, a := testQueue(t, DefaultSwitchConfig(9000))
 	for i := int64(0); i < 500; i++ {
-		q.Enqueue(data(i))
+		q.Enqueue(data(a, i))
 		if i%3 == 0 {
 			fabric.Free(q.Dequeue())
 		}

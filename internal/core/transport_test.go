@@ -26,6 +26,19 @@ func ndpNet(k int, scfg SwitchConfig, ccfg Config) (*topo.FatTree, []*Stack) {
 	return net, stacks
 }
 
+// closeNoLeak tears the network down and fails the test when a packet is
+// still outstanding.
+func closeNoLeak(t *testing.T, net *topo.FatTree, st []*Stack) {
+	t.Helper()
+	for _, s := range st {
+		s.Close()
+	}
+	net.Close()
+	if n := net.PacketsInUse(); n != 0 {
+		t.Errorf("%d packets leaked", n)
+	}
+}
+
 func TestSingleTransferCompletes(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	var fct sim.Time
@@ -67,8 +80,7 @@ func TestConnectionFromAnyFirstWindowPacket(t *testing.T) {
 	// Deliver packet seq=5 (SYN set, as all first-window packets) before
 	// seq=0: receiver state must be created and the packet NACK/ACKed.
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	_ = net
-	p := fabric.NewData(777, 15, 0, 5, 9000)
+	p := fabric.AttachArena(net.EL).NewData(777, 15, 0, 5, 9000)
 	p.Flags |= fabric.FlagSYN
 	p.Sent = net.EL.Now()
 	st[0].Host.Receive(p)
@@ -80,16 +92,18 @@ func TestConnectionFromAnyFirstWindowPacket(t *testing.T) {
 	if r.Bytes() != 9000 {
 		t.Errorf("receiver bytes = %d, want 9000", r.Bytes())
 	}
+	closeNoLeak(t, net, st)
 }
 
 func TestNonSYNUnknownPacketRejected(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	p := fabric.NewData(888, 15, 0, 40, 9000) // beyond IW: no SYN
+	p := fabric.AttachArena(net.EL).NewData(888, 15, 0, 40, 9000) // beyond IW: no SYN
 	st[0].Host.Receive(p)
 	net.EL.RunUntil(sim.Millisecond)
 	if st[0].Receiver(888) != nil {
 		t.Fatal("receiver created from packet without SYN")
 	}
+	closeNoLeak(t, net, st)
 }
 
 func TestTimeWaitRejectsDuplicateConnection(t *testing.T) {
@@ -102,13 +116,14 @@ func TestTimeWaitRejectsDuplicateConnection(t *testing.T) {
 	// Simulate a duplicate connection attempt with the same id arriving
 	// within the MSL. The receiver side must reject it (at-most-once).
 	st[15].demux.Unregister(555) // original receiver state closed
-	dup := fabric.NewData(555, 0, 15, 0, 9000)
+	dup := fabric.AttachArena(net.EL).NewData(555, 0, 15, 0, 9000)
 	dup.Flags |= fabric.FlagSYN
 	st[15].Host.Receive(dup)
 	net.EL.RunUntil(300 * sim.Microsecond)
 	if st[15].DupRejected != 1 {
 		t.Errorf("duplicate connection not rejected (DupRejected=%d)", st[15].DupRejected)
 	}
+	closeNoLeak(t, net, st)
 }
 
 // Figure 3: nine senders push their first windows simultaneously through a

@@ -105,17 +105,18 @@ func TestLateFeedbackCounters(t *testing.T) {
 	s := st[0].Connect(st[15], -1, FlowOpts{})
 	net.EL.RunUntil(sim.Millisecond)
 	const path = 1
+	a := fabric.AttachArena(net.EL)
 	base, end := s.pkts.Base(), s.pkts.End()
 	if base < 100 || end-base < 20 {
 		t.Fatalf("set-up: window [%d, %d), want a non-zero base and a window in flight", base, end)
 	}
 	feedback := func(typ fabric.PacketType, seq int64) *fabric.Packet {
-		p := fabric.NewControl(typ, s.Flow, 15, 0)
+		p := a.NewControl(typ, s.Flow, 15, 0)
 		p.Seq, p.PathID = seq, path
 		return p
 	}
 	bounce := func(seq int64) *fabric.Packet {
-		p := fabric.NewData(s.Flow, 0, 15, seq, 9000)
+		p := a.NewData(s.Flow, 0, 15, seq, 9000)
 		p.PathID = path
 		p.Trim()
 		p.Bounce()
@@ -154,6 +155,7 @@ func TestLateFeedbackCounters(t *testing.T) {
 			t.Errorf("%s:\n got %+v\nwant %+v", row.name, got, row.want)
 		}
 	}
+	closeNoLeak(t, net, st)
 }
 
 // receiverCounters is every counter Receiver.Receive touches.
@@ -185,8 +187,9 @@ func TestLateArrivalCounters(t *testing.T) {
 	if base < 100 {
 		t.Fatalf("set-up: bitmap [%d, %d), want a non-zero base", base, end)
 	}
+	a := fabric.AttachArena(net.EL)
 	data := func(seq int64, trim bool) *fabric.Packet {
-		p := fabric.NewData(s.Flow, 0, 15, seq, 9000)
+		p := a.NewData(s.Flow, 0, 15, seq, 9000)
 		if trim {
 			p.Trim()
 		}
@@ -214,4 +217,5 @@ func TestLateArrivalCounters(t *testing.T) {
 			t.Errorf("%s:\n got %+v\nwant %+v", row.name, got, row.want)
 		}
 	}
+	closeNoLeak(t, net, st)
 }

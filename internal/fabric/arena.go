@@ -24,11 +24,10 @@ func AttachArena(el *sim.EventList) *Arena {
 // what lets Get/Free run without locks, without sync.Pool's per-P caches,
 // and without the GC draining the pool between runs.
 //
-// Unlike the old global pool, an Arena never re-zeroes a recycled struct on
-// the generic Get path and then sets fields again: NewData/NewControl write
-// the whole packet once. The InUse counter tracks outstanding packets; a
-// simulation that ends with InUse() != 0 has leaked, and the golden suite
-// asserts this for every registry scenario.
+// NewData/NewControl write the whole packet once (no zero-then-set). The
+// InUse counter tracks outstanding packets; a simulation that ends with
+// InUse() != 0 has leaked, and the golden suite asserts this for every
+// registry scenario.
 type Arena struct {
 	// free is a LIFO stack, not a fabric.Ring: the packet freed last is the
 	// one still in cache, and order among free packets means nothing.
@@ -109,15 +108,11 @@ func (a *Arena) InUse() int64 { return a.inUse }
 // source shard parks (CrossBox.AddDelivery) and the destination shard
 // adopts (CrossBox.DrainPublished), each on its own goroutine, so every
 // counter keeps a single writer; in between the mailbox accounts for the
-// packet (CrossBox.Packets). Pool packets (no owner) stay pool packets.
-func (p *Packet) park() {
-	if p.owner != nil {
-		p.owner.inUse--
-	}
-}
+// packet (CrossBox.Packets).
+func (p *Packet) park() { p.owner.inUse-- }
 
 func (p *Packet) adopt(a *Arena) {
-	if p != nil && p.owner != nil {
+	if p != nil { // a command entry carries no packet
 		p.owner = a
 		a.inUse++
 	}

@@ -2,8 +2,23 @@ package fabric
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// noLeak frees what the queues still hold and fails the test when a packet
+// taken from a has not come back.
+func noLeak(t *testing.T, a *Arena, queues ...Queue) {
+	t.Helper()
+	for _, q := range queues {
+		for !q.Empty() {
+			Free(q.Dequeue())
+		}
+	}
+	if n := a.InUse(); n != 0 {
+		t.Errorf("%d packets leaked", n)
+	}
+}
 
 // TestArenaProperty drives random get/free interleavings against a
 // reference map and checks the arena's invariants at every step:
@@ -79,6 +94,21 @@ func TestArenaDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	Free(p)
+}
+
+// TestFreeOwnerlessPacketPanics: the arenas are the only allocator, so a
+// packet built beside them is refused where it would otherwise vanish from
+// every InUse count — and the message says which packet. Free(nil) stays a
+// no-op.
+func TestFreeOwnerlessPacketPanics(t *testing.T) {
+	Free(nil)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "no arena owns") || !strings.Contains(msg, "flow=7 3->9 seq=5") {
+			t.Errorf("freeing &Packet{} panicked with %q, want the packet named", msg)
+		}
+	}()
+	Free(&Packet{Flow: 7, Src: 3, Dst: 9, Seq: 5})
 }
 
 // TestArenaTransferMovesAccounting checks the cross-shard ownership move:

@@ -15,10 +15,11 @@ func BenchmarkPortForwarding(b *testing.B) {
 	sink := NewCountingSink(el)
 	port := NewPort(el, "bench", NewFIFOQueue(0), 10e9, 500*sim.Nanosecond)
 	port.Connect(sink)
+	a := AttachArena(el)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		port.Enqueue(NewData(1, 0, 1, int64(i), 9000))
+		port.Enqueue(a.NewData(1, 0, 1, int64(i), 9000))
 		el.Run()
 	}
 	if sink.Packets != int64(b.N) {
@@ -28,9 +29,10 @@ func BenchmarkPortForwarding(b *testing.B) {
 
 // BenchmarkPacketPool measures Get/Free cycling.
 func BenchmarkPacketPool(b *testing.B) {
+	a := NewArena()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := NewData(1, 0, 1, 0, 9000)
+		p := a.NewData(1, 0, 1, 0, 9000)
 		Free(p)
 	}
 }
@@ -45,10 +47,11 @@ func BenchmarkSwitchTraversal(b *testing.B) {
 	out := NewPort(el, "out", NewFIFOQueue(8*9000), 10e9, 500*sim.Nanosecond)
 	out.Connect(sink)
 	sw.AddPort(out)
+	a := AttachArena(el)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.Receive(NewData(1, 0, 1, int64(i), 9000))
+		sw.Receive(a.NewData(1, 0, 1, int64(i), 9000))
 		el.Run()
 	}
 }

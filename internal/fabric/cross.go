@@ -183,11 +183,17 @@ func (ib *Inbox) inject(e CrossEntry) {
 		slot = int32(len(ib.entries))
 		ib.entries = append(ib.entries, e)
 	}
-	ib.el.ScheduleKeyed(e.At, e.Ord, ib, uint64(slot))
+	ib.el.ScheduleKeyed(e.At, e.Ord, (*inboxSlot)(ib), uint64(slot))
 }
 
-// OnEvent fires one injected entry (sim.Handler).
-func (ib *Inbox) OnEvent(arg uint64) {
+// inboxSlot is the Inbox as a sim.Handler. It is unexported so that inject
+// is the only code that can schedule a mailbox: an Inbox handed to a plain
+// Schedule, whose equal-time order depends on who scheduled first and so on
+// the shard layout, does not compile.
+type inboxSlot Inbox
+
+// OnEvent fires one injected entry.
+func (ib *inboxSlot) OnEvent(arg uint64) {
 	e := ib.entries[arg]
 	ib.entries[arg] = CrossEntry{}
 	ib.free = append(ib.free, int32(arg))

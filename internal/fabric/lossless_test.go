@@ -10,6 +10,7 @@ import (
 // be dropped, and the slower admission must pause the uplinks.
 func TestLosslessNoDropsAndPause(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sw := NewSwitch(el, 0, "s0")
 	sw.Route = func(s *Switch, p *Packet) int { return 0 } // everything to port 0
 
@@ -28,8 +29,8 @@ func TestLosslessNoDropsAndPause(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		srcA.Enqueue(NewData(1, 0, 9, int64(i), mtu))
-		srcB.Enqueue(NewData(2, 1, 9, int64(i), mtu))
+		srcA.Enqueue(a.NewData(1, 0, 9, int64(i), mtu))
+		srcB.Enqueue(a.NewData(2, 1, 9, int64(i), mtu))
 	}
 	el.Run()
 
@@ -42,6 +43,7 @@ func TestLosslessNoDropsAndPause(t *testing.T) {
 	if srcA.PauseCount == 0 && srcB.PauseCount == 0 {
 		t.Error("2:1 overload should have generated PFC pauses")
 	}
+	noLeak(t, a)
 }
 
 // A paused ingress must also hold packets destined for an uncongested
@@ -49,6 +51,7 @@ func TestLosslessNoDropsAndPause(t *testing.T) {
 // describes.
 func TestLosslessHeadOfLineBlocking(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sw := NewSwitch(el, 0, "s0")
 	// Route by destination: host 0 -> port 0, host 1 -> port 1.
 	sw.Route = func(s *Switch, p *Packet) int { return int(p.Dst) }
@@ -70,9 +73,9 @@ func TestLosslessHeadOfLineBlocking(t *testing.T) {
 
 	// Burst to the congested egress, then one packet for the clear egress.
 	for i := 0; i < 20; i++ {
-		src.Enqueue(NewData(1, 0, 0, int64(i), mtu))
+		src.Enqueue(a.NewData(1, 0, 0, int64(i), mtu))
 	}
-	victim := NewData(2, 0, 1, 0, mtu)
+	victim := a.NewData(2, 0, 1, 0, mtu)
 	src.Enqueue(victim)
 
 	// If there were no HOL blocking, the victim would arrive after ~21
@@ -91,6 +94,7 @@ func TestLosslessHeadOfLineBlocking(t *testing.T) {
 	if congested.Packets != 20 {
 		t.Errorf("congested sink got %d, want 20", congested.Packets)
 	}
+	noLeak(t, a)
 }
 
 // A port added after EnableLossless must still drain held ingress packets
@@ -100,6 +104,7 @@ func TestLosslessHeadOfLineBlocking(t *testing.T) {
 // deadlock only the arena leak accounting would catch.
 func TestLosslessEnableThenAddPort(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sw := NewSwitch(el, 0, "s0")
 	sw.Route = func(s *Switch, p *Packet) int { return 0 }
 
@@ -119,19 +124,21 @@ func TestLosslessEnableThenAddPort(t *testing.T) {
 	// held at the ingress; only the dequeue hook can release it.
 	const n = 50
 	for i := 0; i < n; i++ {
-		src.Enqueue(NewData(1, 0, 0, int64(i), mtu))
+		src.Enqueue(a.NewData(1, 0, 0, int64(i), mtu))
 	}
 	el.Run()
 
 	if sink.Packets != n {
 		t.Fatalf("delivered %d packets, want %d (held packets stranded: no OnDequeue hook on late-added port)", sink.Packets, n)
 	}
+	noLeak(t, a)
 }
 
 // Pause must propagate transitively: a long chain with a slow sink must not
 // drop anything anywhere even with tiny egress budgets.
 func TestLosslessCascade(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	const mtu = 1500
 	sink := NewCountingSink(el)
 
@@ -156,7 +163,7 @@ func TestLosslessCascade(t *testing.T) {
 
 	const n = 100
 	for i := 0; i < n; i++ {
-		src.Enqueue(NewData(1, 0, 0, int64(i), mtu))
+		src.Enqueue(a.NewData(1, 0, 0, int64(i), mtu))
 	}
 	el.Run()
 
@@ -169,4 +176,5 @@ func TestLosslessCascade(t *testing.T) {
 	if src.PauseCount == 0 {
 		t.Error("pause should have cascaded to the source")
 	}
+	noLeak(t, a)
 }

@@ -5,14 +5,14 @@
 // service model (internal/core) plug in through the Queue and Sink
 // interfaces.
 //
-// Packets are pooled (GetPacket/Free) so the per-packet hot path performs no
-// allocation; this keeps the Go GC out of packet-rate timing, which matters
-// when a single run forwards tens of millions of packets.
+// Packets come from a per-shard Arena and go back to it through Free, so the
+// per-packet hot path performs no allocation; this keeps the Go GC out of
+// packet-rate timing, which matters when a single run forwards tens of
+// millions of packets.
 package fabric
 
 import (
 	"fmt"
-	"sync"
 
 	"ndp/internal/sim"
 )
@@ -109,10 +109,11 @@ type Packet struct {
 	TSEcho   sim.Time // timestamp echoed for RTT measurement
 	QueueOcc int32    // queue occupancy snapshot (DCQCN-style telemetry)
 
-	// owner is the Arena the packet was allocated from (nil for packets
-	// from the legacy global pool). Free routes through it, so the ~25
-	// call sites that release packets never need to know which shard
-	// allocated one. freed guards against double frees.
+	// owner is the Arena whose books the packet is on: the one it was
+	// allocated from, or after a cross-shard handoff the one that adopted
+	// it. Free routes through it, so the ~25 call sites that release
+	// packets never need to know which shard allocated one. freed guards
+	// against double frees.
 	owner *Arena
 	freed bool
 }
@@ -155,52 +156,18 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("%v%s flow=%d %d->%d seq=%d size=%d", p.Type, trim, p.Flow, p.Src, p.Dst, p.Seq, p.Size)
 }
 
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
-
-// GetPacket returns a zeroed packet from the pool.
-func GetPacket() *Packet {
-	p := packetPool.Get().(*Packet)
-	*p = Packet{}
-	return p
-}
-
-// Free returns a packet to its owning arena (or, for packets from the
-// legacy global pool, to that pool). The caller must not retain references.
+// Free returns a packet to its owning arena. The caller must not retain
+// references. Every packet has an owner — the arenas are the only allocator —
+// so one without (a &Packet{} built outside them) panics here, where it
+// would otherwise leave the simulation uncounted by any InUse.
 func Free(p *Packet) {
 	if p == nil {
 		return
 	}
-	if p.owner != nil {
-		p.owner.put(p)
-		return
+	if p.owner == nil {
+		panic("fabric: free of a packet no arena owns: " + p.String())
 	}
-	p.Path = nil
-	packetPool.Put(p)
-}
-
-// NewControl builds a control packet (ACK/NACK/PULL/CNP) for the given flow
-// from src to dst, sized at HeaderSize.
-func NewControl(t PacketType, flow uint64, src, dst int32) *Packet {
-	p := GetPacket()
-	p.Type = t
-	p.Flow = flow
-	p.Src = src
-	p.Dst = dst
-	p.Size = HeaderSize
-	return p
-}
-
-// NewData builds a payload packet of the given total wire size.
-func NewData(flow uint64, src, dst int32, seq int64, size int32) *Packet {
-	p := GetPacket()
-	p.Type = Data
-	p.Flow = flow
-	p.Src = src
-	p.Dst = dst
-	p.Seq = seq
-	p.Size = size
-	p.DataSize = size
-	return p
+	p.owner.put(p)
 }
 
 // MSL is the maximum segment lifetime every transport's reuse rules assume:

@@ -8,6 +8,7 @@ import (
 
 func TestPortSerializationTiming(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sink := NewCountingSink(el)
 	var arrivals []sim.Time
 	sink.OnPacket = func(p *Packet) { arrivals = append(arrivals, el.Now()) }
@@ -15,8 +16,8 @@ func TestPortSerializationTiming(t *testing.T) {
 	port.Connect(sink)
 
 	// Two 9000B packets at 10Gb/s: 7.2us each, 500ns propagation.
-	port.Enqueue(NewData(1, 0, 1, 0, 9000))
-	port.Enqueue(NewData(1, 0, 1, 1, 9000))
+	port.Enqueue(a.NewData(1, 0, 1, 0, 9000))
+	port.Enqueue(a.NewData(1, 0, 1, 1, 9000))
 	el.Run()
 
 	want := []sim.Time{7700 * sim.Nanosecond, 14900 * sim.Nanosecond}
@@ -31,16 +32,18 @@ func TestPortSerializationTiming(t *testing.T) {
 	if port.BytesSent != 18000 || port.PacketsSent != 2 {
 		t.Errorf("telemetry: bytes=%d pkts=%d", port.BytesSent, port.PacketsSent)
 	}
+	noLeak(t, a)
 }
 
 func TestPortPauseResumesAtBoundary(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sink := NewCountingSink(el)
 	port := NewPort(el, "p", NewFIFOQueue(0), 10e9, 0)
 	port.Connect(sink)
 
-	port.Enqueue(NewData(1, 0, 1, 0, 9000))
-	port.Enqueue(NewData(1, 0, 1, 1, 9000))
+	port.Enqueue(a.NewData(1, 0, 1, 0, 9000))
+	port.Enqueue(a.NewData(1, 0, 1, 1, 9000))
 	// Pause mid-first-packet: first packet completes, second waits.
 	el.At(sim.Microsecond, func() { port.SetPaused(true) })
 	el.At(100*sim.Microsecond, func() { port.SetPaused(false) })
@@ -56,26 +59,30 @@ func TestPortPauseResumesAtBoundary(t *testing.T) {
 	if port.PauseCount != 1 {
 		t.Errorf("PauseCount = %d, want 1", port.PauseCount)
 	}
+	noLeak(t, a)
 }
 
 func TestPortUtilization(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sink := NewCountingSink(el)
 	port := NewPort(el, "p", NewFIFOQueue(0), 10e9, 0)
 	port.Connect(sink)
 	for i := 0; i < 10; i++ {
-		port.Enqueue(NewData(1, 0, 1, int64(i), 9000))
+		port.Enqueue(a.NewData(1, 0, 1, int64(i), 9000))
 	}
 	// Also a control packet, which should not count toward data utilization.
-	port.Enqueue(NewControl(Ack, 1, 1, 0))
+	port.Enqueue(a.NewControl(Ack, 1, 1, 0))
 	el.Run()
 	util := port.Utilization(el.Now())
 	if util < 0.98 || util > 1.0 {
 		t.Errorf("utilization = %v, want ~1.0 (back-to-back line rate)", util)
 	}
+	noLeak(t, a)
 }
 
 func TestDemuxDispatchAndListen(t *testing.T) {
+	a := NewArena()
 	d := NewDemux()
 	var got []uint64
 	d.Register(1, SinkFunc(func(p *Packet) { got = append(got, p.Flow); Free(p) }))
@@ -88,18 +95,18 @@ func TestDemuxDispatchAndListen(t *testing.T) {
 		return SinkFunc(func(p *Packet) { got = append(got, 100+p.Flow); Free(p) })
 	}
 
-	p1 := NewData(1, 0, 1, 0, 100)
+	p1 := a.NewData(1, 0, 1, 0, 100)
 	d.Receive(p1)
 
-	syn := NewData(2, 0, 1, 0, 100)
+	syn := a.NewData(2, 0, 1, 0, 100)
 	syn.Flags |= FlagSYN
 	d.Receive(syn)
 	// Second packet for flow 2 must hit the now-registered handler without
 	// invoking Listen again.
-	d.Receive(NewData(2, 0, 1, 1, 100))
+	d.Receive(a.NewData(2, 0, 1, 1, 100))
 
 	// Unknown, non-SYN: freed and counted.
-	d.Receive(NewData(3, 0, 1, 0, 100))
+	d.Receive(a.NewData(3, 0, 1, 0, 100))
 
 	if len(got) != 3 || got[0] != 1 || got[1] != 102 || got[2] != 102 {
 		t.Errorf("dispatch order = %v", got)
@@ -110,12 +117,14 @@ func TestDemuxDispatchAndListen(t *testing.T) {
 	if d.Unclaimed != 1 {
 		t.Errorf("Unclaimed = %d, want 1", d.Unclaimed)
 	}
+	noLeak(t, a)
 }
 
 // Build a 3-node chain host0 -> switch -> host1 and verify end-to-end
 // forwarding with a source route.
 func TestSwitchSourceRouting(t *testing.T) {
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sw := NewSwitch(el, 0, "s0")
 	sw.Route = func(s *Switch, p *Packet) int {
 		if p.Path == nil {
@@ -141,12 +150,12 @@ func TestSwitchSourceRouting(t *testing.T) {
 	sw.AddPort(toH1)
 	sw.AddPort(toH0)
 
-	p := NewData(1, 0, 1, 0, 9000)
+	p := a.NewData(1, 0, 1, 0, 9000)
 	p.Path = []int16{0}
 	h0.Send(p)
 
 	// Packet with no route: dropped at switch.
-	bad := NewData(2, 0, 1, 0, 9000)
+	bad := a.NewData(2, 0, 1, 0, 9000)
 	h0.Send(bad)
 
 	el.Run()
@@ -160,6 +169,7 @@ func TestSwitchSourceRouting(t *testing.T) {
 	if want := sim.Time(15400) * sim.Nanosecond; sink.LastAt != want {
 		t.Errorf("arrival at %v, want %v", sink.LastAt, want)
 	}
+	noLeak(t, a)
 }
 
 // TestFlightRingSizedFromLink: the flight buffer is sized from what the link
@@ -186,14 +196,16 @@ func TestFlightRingSizedFromLink(t *testing.T) {
 		}
 	}
 	el := sim.NewEventList()
+	a := AttachArena(el)
 	sink := NewCountingSink(el)
 	port := NewPort(el, "p", NewFIFOQueue(0), 10e9, 500*sim.Nanosecond)
 	port.Connect(sink)
 	for i := 0; i < 1000; i++ {
-		port.Enqueue(NewControl(Ack, 1, 0, 1))
+		port.Enqueue(a.NewControl(Ack, 1, 0, 1))
 	}
 	el.Run()
 	if sink.Packets != 1000 || port.flight.Cap() != 16 {
 		t.Errorf("delivered %d headers through a flight buffer of %d, want 1000 through 16", sink.Packets, port.flight.Cap())
 	}
+	noLeak(t, a)
 }

@@ -3,9 +3,10 @@ package fabric
 import "testing"
 
 func TestFIFOQueueDropTail(t *testing.T) {
+	a := NewArena()
 	q := NewFIFOQueue(3000)
 	for i := 0; i < 4; i++ {
-		p := NewData(1, 0, 1, int64(i), 1000)
+		p := a.NewData(1, 0, 1, int64(i), 1000)
 		q.Enqueue(p)
 	}
 	if q.Packets() != 3 {
@@ -27,12 +28,14 @@ func TestFIFOQueueDropTail(t *testing.T) {
 	if !q.Empty() {
 		t.Error("queue should be empty")
 	}
+	noLeak(t, a, q)
 }
 
 func TestFIFOQueueUnbounded(t *testing.T) {
+	a := NewArena()
 	q := NewFIFOQueue(0)
 	for i := 0; i < 1000; i++ {
-		q.Enqueue(NewData(1, 0, 1, int64(i), 9000))
+		q.Enqueue(a.NewData(1, 0, 1, int64(i), 9000))
 	}
 	if q.Stats().Drops != 0 {
 		t.Errorf("unbounded queue dropped %d", q.Stats().Drops)
@@ -40,14 +43,16 @@ func TestFIFOQueueUnbounded(t *testing.T) {
 	if q.Packets() != 1000 {
 		t.Errorf("queued %d, want 1000", q.Packets())
 	}
+	noLeak(t, a, q)
 }
 
 func TestECNQueueMarksAboveThreshold(t *testing.T) {
 	// Threshold 2 packets worth of bytes: third and later arrivals marked.
+	a := NewArena()
 	q := NewECNQueue(100*1500, 2*1500)
 	var marked int
 	for i := 0; i < 5; i++ {
-		q.Enqueue(NewData(1, 0, 1, int64(i), 1500))
+		q.Enqueue(a.NewData(1, 0, 1, int64(i), 1500))
 	}
 	for !q.Empty() {
 		p := q.Dequeue()
@@ -62,44 +67,55 @@ func TestECNQueueMarksAboveThreshold(t *testing.T) {
 	if q.Stats().Marks != 3 {
 		t.Errorf("Marks stat = %d, want 3", q.Stats().Marks)
 	}
+	noLeak(t, a, q)
 }
 
 func TestCtrlPrioQueueOrdering(t *testing.T) {
+	a := NewArena()
 	q := NewCtrlPrioQueue()
-	d1 := NewData(1, 0, 1, 0, 9000)
-	d2 := NewData(1, 0, 1, 1, 9000)
-	a := NewControl(Ack, 1, 1, 0)
+	d1 := a.NewData(1, 0, 1, 0, 9000)
+	d2 := a.NewData(1, 0, 1, 1, 9000)
+	ack := a.NewControl(Ack, 1, 1, 0)
 	q.Enqueue(d1)
 	q.Enqueue(d2)
-	q.Enqueue(a)
-	if p := q.Dequeue(); p.Type != Ack {
+	q.Enqueue(ack)
+	if p := q.Dequeue(); p != ack {
 		t.Fatalf("first dequeue = %v, want control packet", p.Type)
 	}
-	if p := q.Dequeue(); p.Seq != 0 {
+	if p := q.Dequeue(); p != d1 {
 		t.Fatalf("data order broken")
 	}
-	if p := q.Dequeue(); p.Seq != 1 {
+	if p := q.Dequeue(); p != d2 {
 		t.Fatalf("data order broken")
 	}
+	Free(ack)
+	Free(d1)
+	Free(d2)
 	if !q.Empty() {
 		t.Error("should be empty")
 	}
+	noLeak(t, a, q)
 }
 
 func TestCtrlPrioTrimmedIsControl(t *testing.T) {
+	a := NewArena()
 	q := NewCtrlPrioQueue()
-	d := NewData(1, 0, 1, 0, 9000)
-	h := NewData(1, 0, 1, 1, 9000)
+	d := a.NewData(1, 0, 1, 0, 9000)
+	h := a.NewData(1, 0, 1, 1, 9000)
 	h.Trim()
 	q.Enqueue(d)
 	q.Enqueue(h)
-	if p := q.Dequeue(); !p.Trimmed() {
+	p := q.Dequeue()
+	if !p.Trimmed() {
 		t.Fatal("trimmed header should dequeue before full data packet")
 	}
+	Free(p)
+	noLeak(t, a, q)
 }
 
 func TestPacketTrimAndBounce(t *testing.T) {
-	p := NewData(7, 3, 9, 5, 9000)
+	a := NewArena()
+	p := a.NewData(7, 3, 9, 5, 9000)
 	if p.IsControl() {
 		t.Error("full data packet should not be control")
 	}
@@ -120,30 +136,40 @@ func TestPacketTrimAndBounce(t *testing.T) {
 		t.Error("bounce should clear the source route")
 	}
 	Free(p)
+	noLeak(t, a)
 }
 
+// TestPacketPoolReuseIsZeroed: a recycled packet comes back from Get with
+// nothing of its previous life in it.
 func TestPacketPoolReuseIsZeroed(t *testing.T) {
-	p := GetPacket()
+	a := NewArena()
+	p := a.Get()
 	p.Flow = 99
 	p.Flags = FlagSYN | FlagCE
 	p.Seq = 123
 	Free(p)
-	q := GetPacket()
+	q := a.Get()
+	if q != p {
+		t.Fatal("the arena did not hand the freed packet out again")
+	}
 	if q.Flow != 0 || q.Flags != 0 || q.Seq != 0 {
 		t.Errorf("pooled packet not zeroed: %+v", q)
 	}
 	Free(q)
+	noLeak(t, a)
 }
 
 func TestQueueStatsHighWatermark(t *testing.T) {
+	a := NewArena()
 	q := NewFIFOQueue(0)
 	for i := 0; i < 4; i++ {
-		q.Enqueue(NewData(1, 0, 1, 0, 1500))
+		q.Enqueue(a.NewData(1, 0, 1, 0, 1500))
 	}
 	Free(q.Dequeue())
 	Free(q.Dequeue())
-	q.Enqueue(NewData(1, 0, 1, 0, 1500))
+	q.Enqueue(a.NewData(1, 0, 1, 0, 1500))
 	if q.Stats().MaxBytes != 6000 {
 		t.Errorf("MaxBytes = %d, want 6000", q.Stats().MaxBytes)
 	}
+	noLeak(t, a, q)
 }

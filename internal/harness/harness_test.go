@@ -135,3 +135,39 @@ func TestFig14PaperShape(t *testing.T) {
 		}
 	}
 }
+
+// TestTrimLocalityPaperShape asserts what t-trim's note states, at Scale
+// 0.1: with sender-permuted paths almost nothing is trimmed on an uplink
+// (paper ~0.01 %; <= 0.05 % here), with per-packet ECMP at the switches a
+// few percent are (paper ~2.4 %; between 1 % and 5 %), and source load
+// balancing also buys utilization.
+func TestTrimLocalityPaperShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short mode")
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		tab := Get("t-trim").Run(Options{Scale: 0.1, Seed: seed}).Tables[0]
+		uplink, util := map[string]float64{}, map[string]float64{}
+		for _, row := range tab.Rows {
+			up, err1 := strconv.ParseFloat(row[1], 64)
+			u, err2 := strconv.ParseFloat(row[3], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("seed %d: unparsable row %v", seed, row)
+			}
+			uplink[row[0]], util[row[0]] = up, u
+		}
+		const source, atSwitch = "sender-permuted paths", "switch per-packet ECMP"
+		if len(tab.Rows) != 2 || util[source] == 0 || util[atSwitch] == 0 {
+			t.Fatalf("seed %d: rows %v, want %q and %q", seed, tab.Rows, source, atSwitch)
+		}
+		if uplink[source] > 0.05 {
+			t.Errorf("seed %d: %.3f%% uplink trims with source load balancing, want <= 0.05%%", seed, uplink[source])
+		}
+		if uplink[atSwitch] < 1 || uplink[atSwitch] > 5 {
+			t.Errorf("seed %d: %.3f%% uplink trims with switch load balancing, want between 1%% and 5%%", seed, uplink[atSwitch])
+		}
+		if util[source] <= util[atSwitch] {
+			t.Errorf("seed %d: utilization %.2f%% with source load balancing, %.2f%% with switch; want source above switch", seed, util[source], util[atSwitch])
+		}
+	}
+}

@@ -2,10 +2,9 @@ package lint
 
 // An analysistest-style fixture harness on the stdlib alone: each analyzer
 // has a package under testdata/src/<name> whose `// want "regex"` comments
-// state the expected diagnostics, line by line. Fixture imports of
-// ndp/internal/{sim,fabric,topo} resolve to the stubs under
-// testdata/src/ndp/... (ExtraSrc), so the analyzers' type matching is
-// exercised against the real import paths without loading the engine.
+// state the expected diagnostics, line by line. A fixture's import of
+// ndp/internal/sim resolves to the stub under testdata/src/ndp/...
+// (ExtraSrc), so it type-checks without loading the engine.
 
 import (
 	"path/filepath"
@@ -103,16 +102,8 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 	checkWants(t, pkg, diags)
 }
 
-func TestMapOrderFixture(t *testing.T)    { runFixture(t, MapOrder, "maporder") }
-func TestWallClockFixture(t *testing.T)   { runFixture(t, WallClock, "wallclock") }
-func TestSharedRandFixture(t *testing.T)  { runFixture(t, SharedRand, "sharedrand") }
-func TestKeyedCutFixture(t *testing.T)    { runFixture(t, KeyedCut, "keyedcut") }
-func TestArenaPacketFixture(t *testing.T) { runFixture(t, ArenaPacket, "arenapacket") }
-
-// TestShardOwnFixture: the fixture carries the real ndp/internal/dctcp
-// import path (ExtraSrc shadows the engine package) because the ownership
-// map is keyed by package path.
-func TestShardOwnFixture(t *testing.T) { runFixture(t, ShardOwn, "ndp/internal/dctcp") }
+func TestMapOrderFixture(t *testing.T)  { runFixture(t, MapOrder, "maporder") }
+func TestWallClockFixture(t *testing.T) { runFixture(t, WallClock, "wallclock") }
 
 // TestAllowWithoutReason: a directive missing its justification (or citing
 // an unknown analyzer) is itself a diagnostic.

@@ -1,22 +1,20 @@
-// Package lint implements simlint, a suite of static analyzers that
-// mechanically enforce the determinism and shard-safety invariants the
-// simulation engine is built on:
+// Package lint implements simlint, the static analyzers for the two
+// determinism invariants of the simulation engine that nothing else in the
+// tree can see break:
 //
-//   - event order at equal timestamps is a pure function of (emitter uid,
-//     emission seq), never of who scheduled first (keyedcut);
-//   - randomness is component-local, derived via SplitSeed, never shared
-//     or copied by value (sharedrand);
 //   - virtual time is the only clock inside the engine; wall time lives in
 //     the bench/daemon layers under annotated exemptions (wallclock);
 //   - map iteration order never leaks into event order or floating-point
-//     accumulation order (maporder);
-//   - every packet comes from a shard arena so InUse leak accounting holds
-//     (arenapacket);
-//   - a flow's sender and receiver state are each written only from their
-//     own side's methods (shardown).
+//     accumulation order (maporder).
 //
-// What the hot paths allocate is not analysed here but measured:
-// scenario.TestSteadyStateAllocs and TestChurnAllocsPerFlow.
+// Every other invariant is enforced where it breaks, not argued about its
+// source: a sim.Rand cannot be copied (noCopy, go vet), a packet no arena
+// owns panics in fabric.Free, a deferred command inside the pair lookahead
+// panics in topo's Defer, a mailbox can only be scheduled by its own
+// unexported handler, and state shared across shards is a report of the
+// shard matrix under -race. What the hot paths allocate is measured:
+// scenario.TestSteadyStateAllocs and TestChurnAllocsPerFlow. README
+// "Determinism discipline" has the table and the seeded regressions.
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer, Pass,
 // Diagnostic — but is built on the standard library alone so that
@@ -82,7 +80,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full catalog in stable order. allowcheck is part of
 // the catalog so the suppression grammar is itself enforced.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, WallClock, SharedRand, KeyedCut, ArenaPacket, AllowCheck, ShardOwn}
+	return []*Analyzer{MapOrder, WallClock, AllowCheck}
 }
 
 // knownAnalyzers is the set of names a //simlint:allow directive may cite,
@@ -173,31 +171,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // ---------------------------------------------------------- type helpers ----
-
-// namedIn reports whether t (after stripping one pointer) is the named type
-// pkgPath.name, returning also whether a pointer was stripped.
-func namedIn(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
-// bareNamed reports whether t is exactly the named (non-pointer) type
-// pkgPath.name.
-func bareNamed(t types.Type, pkgPath, name string) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
 
 // calleeFunc resolves a call's callee to its declared types.Func, or nil
 // (builtin, conversion, func-typed variable).

@@ -1,31 +1,12 @@
 // Package sim is a fixture stub: the minimal surface of the real
-// ndp/internal/sim that the analyzers key on. The analyzers match types by
-// full import path, so fixtures import these stubs under the real path.
+// ndp/internal/sim that the maporder fixture schedules through, under the
+// real import path.
 package sim
 
 type Time int64
 
-type Rand struct{ s [4]uint64 }
-
-func NewRand(seed uint64) *Rand { r := &Rand{}; r.Init(seed); return r }
-
-func (r *Rand) Init(seed uint64)  { r.s[0] = seed }
-func (r *Rand) Uint64() uint64    { return r.s[0] }
-func (r *Rand) SplitSeed() uint64 { return r.Uint64() }
-
 type Handler interface{ OnEvent(arg uint64) }
-
-type EventID int32
 
 type EventList struct{ now Time }
 
-func (el *EventList) Now() Time                                   { return el.now }
-func (el *EventList) Schedule(t Time, h Handler, arg uint64)      {}
-func (el *EventList) ScheduleAfter(d Time, h Handler, arg uint64) {}
-func (el *EventList) ScheduleKeyed(t Time, ord uint64, h Handler, arg uint64) {
-}
-func (el *EventList) ScheduleCancelable(t Time, h Handler, arg uint64) EventID { return 0 }
-func (el *EventList) After(d Time, fn func())                                  {}
-
-func DeliveryOrd(uid uint32, seq uint64) uint64 { return uint64(uid)<<40 | seq }
-func CommandOrd(uid uint32, seq uint64) uint64  { return 1<<62 | uint64(uid)<<40 | seq }
+func (el *EventList) Schedule(t Time, h Handler, arg uint64) {}

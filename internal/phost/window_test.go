@@ -79,15 +79,16 @@ func TestLateFeedbackCounters(t *testing.T) {
 	counters := func() phostCounters {
 		return phostCounters{s.nAck, s.PacketsSent, s.Rtx, s.pkts.Base(), s.pkts.End(), r.nGot, r.bytes, r.tokens}
 	}
+	a := fabric.AttachArena(net.EL)
 	ack := func(seq int64) func() {
 		return func() {
-			p := fabric.NewControl(fabric.Ack, 1, 0, 5)
+			p := a.NewControl(fabric.Ack, 1, 0, 5)
 			p.Seq = seq
 			s.Receive(p)
 		}
 	}
 	data := func(seq int64) func() {
-		return func() { r.Receive(fabric.NewData(1, 5, 0, seq, 9000)) }
+		return func() { r.Receive(a.NewData(1, 5, 0, seq, 9000)) }
 	}
 	rows := []struct {
 		name string
@@ -114,6 +115,10 @@ func TestLateFeedbackCounters(t *testing.T) {
 	}
 	if r.got.End() != rEnd+3 {
 		t.Errorf("bitmap ends at %d after data for %d, want %d", r.got.End(), rEnd+2, rEnd+3)
+	}
+	net.Close()
+	if n := net.PacketsInUse(); n != 0 {
+		t.Errorf("%d packets leaked", n)
 	}
 }
 

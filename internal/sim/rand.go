@@ -6,9 +6,23 @@ import "math"
 // (xoshiro256**). Every simulation owns its own Rand seeded from the
 // experiment configuration so runs are exactly reproducible; nothing in this
 // module touches math/rand global state.
+//
+// A Rand must not be copied once seeded: both copies would replay the same
+// stream, correlating decisions that must be independent. Hold it by pointer,
+// or embed it and Init it in place; noCopy makes `go vet` (copylocks) report a
+// by-value copy at its line.
 type Rand struct {
+	_ noCopy // first, so that it adds no padding
 	s [4]uint64
 }
+
+// noCopy is the sync package's marker: vet's copylocks pass treats a type
+// with pointer-receiver Lock and Unlock methods as one that must not be
+// copied. It has no size and nothing calls the methods.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // NewRand returns a generator seeded from seed via SplitMix64, which
 // guarantees a well-mixed internal state even for small seeds.

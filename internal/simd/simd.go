@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,6 +65,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxFinishedJobs bounds how many finished (done or failed) jobs stay
+// addressable. A finished job pins its full per-flow Metrics, so without a
+// bound the daemon's memory grows with every job it has ever run. Queued and
+// running jobs are bounded by QueueDepth and Workers and are never evicted.
+const maxFinishedJobs = 256
+
 // Server is the daemon: an http.Handler plus the worker pool behind it.
 // Create with New, serve with net/http, stop with Drain.
 type Server struct {
@@ -76,6 +83,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []*Job // submission order, for listing
+	finished []*Job // done or failed, oldest first; at most maxFinishedJobs
 	nextID   int
 	draining bool
 
@@ -138,6 +146,7 @@ func (s *Server) Submit(req JobRequest) (*Job, int, error) {
 		s.register(job)
 		s.mu.Unlock()
 		job.completeFromCache(m)
+		s.retire(job)
 		return job, http.StatusOK, nil
 	}
 	// Register (assigning the id) before enqueueing: a worker may dequeue
@@ -168,6 +177,24 @@ func (s *Server) register(job *Job) {
 	s.order = append(s.order, job)
 }
 
+// retire records that job has finished and forgets the oldest finished job
+// beyond maxFinishedJobs: its id answers 404 from then on. The result cache
+// is a separate bound (CacheEntries) and keeps the evicted job's Metrics for
+// as long as its own LRU order says.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, job)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1)
+	delete(s.jobs, old.ID)
+	i := slices.Index(s.order, old)
+	s.order = slices.Delete(s.order, i, i+1)
+}
+
 // lookup returns a job by id, or nil.
 func (s *Server) lookup(id string) *Job {
 	s.mu.Lock()
@@ -196,6 +223,7 @@ func (s *Server) worker(i int) {
 // the worker.
 func (s *Server) runJob(ws *workerState, job *Job) {
 	job.start()
+	defer s.retire(job)
 	spec := job.Spec.With(scenario.WithProgress(job.observe))
 	m, stats, err := scenario.RunWithStats(spec)
 	if err != nil {

@@ -367,6 +367,64 @@ func TestDaemonBoundsRequestBody(t *testing.T) {
 	}
 }
 
+// TestDaemonBoundsJobRetention: the daemon remembers the most recent
+// maxFinishedJobs finished jobs, not every job it has ever run (each pins
+// its full per-flow Metrics). An evicted id answers 404, a job that has not
+// finished is never evicted however old it is, and the result cache — a
+// bound of its own — is untouched.
+func TestDaemonBoundsJobRetention(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	first, code, err := srv.Submit(tinyReq())
+	if err != nil || code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, %v", code, err)
+	}
+	nudge, cancel := first.subscribe()
+	for !first.status(false).State.Terminal() {
+		<-nudge
+	}
+	cancel()
+
+	// A job that is accepted and never runs: older than everything below.
+	waiting := newJob(first.Spec)
+	srv.mu.Lock()
+	srv.register(waiting)
+	srv.mu.Unlock()
+
+	const extra = 44
+	var last *Job
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		if last, code, err = srv.Submit(tinyReq()); err != nil || code != http.StatusOK {
+			t.Fatalf("repeat %d: status %d, %v; want a cache hit", i, code, err)
+		}
+	}
+	srv.mu.Lock()
+	held, listed, finished := len(srv.jobs), len(srv.order), len(srv.finished)
+	srv.mu.Unlock()
+	if held != maxFinishedJobs+1 || listed != held || finished != maxFinishedJobs {
+		t.Errorf("after %d finished jobs the daemon holds %d (%d listed, %d finished), want %d finished and the waiting one",
+			maxFinishedJobs+extra+1, held, listed, finished, maxFinishedJobs)
+	}
+	get := func(id string) (Status, int) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/jobs/"+id, nil))
+		var st Status
+		json.Unmarshal(rec.Body.Bytes(), &st) //nolint:errcheck // a 404 body is an error envelope
+		return st, rec.Code
+	}
+	if _, code := get(first.ID); code != http.StatusNotFound {
+		t.Errorf("the oldest finished job answers %d, want 404", code)
+	}
+	if st, code := get(last.ID); code != http.StatusOK || st.State != StateDone || st.Metrics == nil {
+		t.Errorf("the newest finished job answers %d in state %q (metrics %v)", code, st.State, st.Metrics != nil)
+	}
+	if st, code := get(waiting.ID); code != http.StatusOK || st.State != StateQueued {
+		t.Errorf("a job that never finished answers %d in state %q, want 200 queued", code, st.State)
+	}
+	if cs := srv.cache.stats(); cs.Entries != 1 || cs.Hits != maxFinishedJobs+extra {
+		t.Errorf("result cache after the evictions: %+v, want 1 entry and %d hits", cs, maxFinishedJobs+extra)
+	}
+}
+
 // TestDaemonCatalog checks /api/catalog serves the registry in sorted
 // order with runnable defaults.
 func TestDaemonCatalog(t *testing.T) {

@@ -158,8 +158,9 @@ func TestLateAckCounters(t *testing.T) {
 	if base != una || end != nxt || una < 200 || nxt-una != 40 {
 		t.Fatalf("set-up: sndUna %d sndNxt %d window [%d, %d), want a full 40-segment window far from 0", una, nxt, base, end)
 	}
+	a := fabric.AttachArena(net.EL)
 	ack := func(no int64) *fabric.Packet {
-		p := fabric.NewControl(fabric.Ack, 1, 0, 5)
+		p := a.NewControl(fabric.Ack, 1, 0, 5)
 		p.AckNo = no
 		return p
 	}
@@ -180,5 +181,9 @@ func TestLateAckCounters(t *testing.T) {
 		if got := tcpCountersOf(s).minus(before); got != row.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", row.name, got, row.want)
 		}
+	}
+	net.Close()
+	if n := net.PacketsInUse(); n != 0 {
+		t.Errorf("%d packets leaked", n)
 	}
 }

@@ -139,10 +139,12 @@ type Network struct {
 	// last exchange (sim.Mailboxes).
 	inboundAt []sim.Time
 	lookahead sim.Time
+	// pairLookahead is the all-pairs matrix L that finishShards closes
+	// crossDelay into: handed to the runner, and checked by Defer.
+	pairLookahead [][]sim.Time
 	// crossDelay[src][dst] is the minimum delay of any single cut edge
 	// from shard src to shard dst reported via noteCrossLink (Infinity
-	// when none). finishShards closes it into the all-pairs lookahead
-	// matrix handed to the runner.
+	// when none).
 	crossDelay [][]sim.Time
 	hostShard  []int
 	swShard    []int
@@ -398,6 +400,7 @@ func (n *Network) finishShards() {
 			}
 		}
 	}
+	n.pairLookahead = L
 	mr.SetLookaheadMatrix(L)
 }
 
@@ -453,7 +456,10 @@ func (n *Network) DrainInbound(shard int) {
 // the destination reads it once, at at, behind the window barrier's
 // happens-before edge. Cross-shard deferrals must satisfy the conservative
 // bound at >= now(from) + L[shard(from)][shard(to)] — MinPathDelay(from,
-// to) always does; same-shard deferrals have no bound.
+// to) always does — and one that does not panics here, at its emitter: the
+// destination may already have run past at, and would otherwise find out a
+// window later (CrossBox.DrainPublished), or never, on a layout where the
+// two hosts share a shard. Same-shard deferrals have no bound.
 func (n *Network) Defer(from, to int, at sim.Time, h sim.Handler, arg uint64) {
 	n.cmdSeq[from]++
 	ord := sim.CommandOrd(uint32(from), n.cmdSeq[from])
@@ -461,6 +467,10 @@ func (n *Network) Defer(from, to int, at sim.Time, h sim.Handler, arg uint64) {
 	if sf == st {
 		n.els[st].ScheduleKeyed(at, ord, h, arg)
 		return
+	}
+	if now, l := n.els[sf].Now(), n.pairLookahead[sf][st]; at-now < l {
+		panic(fmt.Sprintf("topo: Defer from host %d (shard %d, now %v) to host %d (shard %d) at %v is inside the pair lookahead %v",
+			from, sf, now, to, st, at, l))
 	}
 	n.boxes[sf][st].AddCommand(at, ord, h, arg)
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -65,10 +66,13 @@ func deliver(t *testing.T, n *Network, hosts []*fabric.Host, src, dst int32, pat
 			fabric.Free(p)
 		})
 	}
-	p := fabric.NewData(uint64(src)<<32|uint64(dst), src, dst, 0, 1500)
+	p := fabric.AttachArena(n.EL).NewData(uint64(src)<<32|uint64(dst), src, dst, 0, 1500)
 	p.Path = path
 	hosts[src].Send(p)
 	n.EL.Run()
+	if leaked := n.PacketsInUse(); leaked != 0 {
+		t.Errorf("%d packets leaked", leaked)
+	}
 	return arrived
 }
 
@@ -156,11 +160,14 @@ func TestBackToBack(t *testing.T) {
 		got = 1
 		fabric.Free(p)
 	})
-	p := fabric.NewData(1, 0, 1, 0, 9000)
+	p := fabric.AttachArena(b.EL).NewData(1, 0, 1, 0, 9000)
 	b.Hosts[0].Send(p)
 	b.EL.Run()
 	if got != 1 {
 		t.Fatal("packet not delivered host0 -> host1")
+	}
+	if n := b.PacketsInUse(); n != 0 {
+		t.Errorf("%d packets leaked", n)
 	}
 	// One hop: 7.2us + 500ns.
 	if want := sim.Time(7700) * sim.Nanosecond; b.EL.Now() != want {
@@ -265,5 +272,52 @@ func TestPacketHopsStoppedMidRun(t *testing.T) {
 		if n := ft.PacketsInUse(); n != 0 {
 			t.Errorf("shards=%d: %d packets leaked by a close mid-run", ft.Shards(), n)
 		}
+	}
+}
+
+type countingCommand struct{ fired int }
+
+func (c *countingCommand) OnEvent(uint64) { c.fired++ }
+
+// TestDeferBelowLookaheadPanics: Defer checks the conservative bound where
+// it is broken. On a 2-shard FatTree a cross-shard command timed one
+// picosecond inside the pair lookahead panics at the call, naming both
+// hosts; exactly the lookahead away it is accepted and fires; and between
+// hosts of one shard there is no bound at all. It is checked against the
+// emitter's clock, not against zero.
+func TestDeferBelowLookaheadPanics(t *testing.T) {
+	ft := NewFatTree(4, Config{Shards: 2})
+	defer ft.Close()
+	from, near, far := 0, 1, ft.NumHosts()-1
+	sf, st := ft.ShardOfHost(from), ft.ShardOfHost(far)
+	if sf == st || ft.ShardOfHost(near) != sf {
+		t.Fatalf("set-up: hosts %d, %d, %d on shards %d, %d, %d", from, near, far, sf, ft.ShardOfHost(near), st)
+	}
+	l := ft.pairLookahead[sf][st]
+	if l <= 0 || l == sim.Infinity || l > ft.MinPathDelay(from, far) {
+		t.Fatalf("set-up: pair lookahead %v, minimum path delay %v", l, ft.MinPathDelay(from, far))
+	}
+	ft.Runner().RunUntil(3 * sim.Microsecond)
+	now := ft.ShardEventList(sf).Now()
+	if now != 3*sim.Microsecond {
+		t.Fatalf("set-up: the emitter's clock reads %v", now)
+	}
+	cmd := &countingCommand{}
+	ft.Defer(from, near, now, cmd, 0)  // same shard: no bound
+	ft.Defer(from, far, now+l, cmd, 0) // exactly the lookahead
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			for _, want := range []string{"from host 0 ", "to host 15 ", "pair lookahead " + l.String()} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("Defer one picosecond inside the lookahead panicked with %q, want %q in it", msg, want)
+				}
+			}
+		}()
+		ft.Defer(from, far, now+l-1, cmd, 0)
+	}()
+	ft.Runner().RunUntil(now + l)
+	if cmd.fired != 2 {
+		t.Errorf("%d commands fired, want the same-shard one and the one at exactly the lookahead", cmd.fired)
 	}
 }

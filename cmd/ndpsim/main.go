@@ -17,9 +17,9 @@
 //	ndpsim -scenario rpc -transport tcp -shards 4        # baselines shard too
 //
 //	ndpsim -bench                                # pinned performance suite
-//	ndpsim -bench -tiny -baseline BENCH_3.json   # CI allocs/op gate
+//	ndpsim -bench -baseline BENCH_21.json        # CI allocs/op gate
 //	ndpsim -bench -scaling                       # + 1/2/4/8-shard scaling curves
-//	ndpsim -bench -tiny -cpuprofile cpu.pprof -memprofile mem.pprof
+//	ndpsim -bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments and scenario repeats decompose into independent seed-derived
 // simulation jobs that run on a worker pool sized by -parallel (default:
@@ -62,7 +62,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "scenario: shard each simulation across this many cores (every transport, on fattree/twotier/jellyfish; results identical for any value)")
 
 		bench      = flag.Bool("bench", false, "run the pinned benchmark suite, then exit")
-		tiny       = flag.Bool("tiny", false, "bench: run only the seconds-fast -tiny cases (the CI subset)")
 		scaling    = flag.Bool("scaling", false, "bench: additionally run the shard-scaling curves (1/2/4/8 shards at pinned GOMAXPROCS)")
 		benchOut   = flag.String("benchout", "", "bench: also write the report JSON to this path (e.g. BENCH_3.json)")
 		benchLabel = flag.String("benchlabel", "local", "bench: label recorded in the report")
@@ -90,7 +89,7 @@ func main() {
 	validateFlags(*exp, *scen, *transport, *scale, *parallel, *repeats, *bench, explicit)
 
 	if *bench {
-		runBench(*tiny, *scaling, *benchOut, *benchLabel, *baseline, *jsonOut,
+		runBench(*scaling, *benchOut, *benchLabel, *baseline, *jsonOut,
 			*cpuProfile, *memProfile)
 		return
 	}
@@ -184,7 +183,7 @@ func validateFlags(exp, scen, transport string, scale float64, parallel, repeats
 			}
 		}
 	} else {
-		for _, f := range []string{"tiny", "scaling", "benchout", "benchlabel", "baseline",
+		for _, f := range []string{"scaling", "benchout", "benchlabel", "baseline",
 			"cpuprofile", "memprofile"} {
 			if explicit[f] {
 				fatalUsage("-%s only applies to -bench mode", f)
@@ -298,26 +297,16 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 	fmt.Printf("(wall time: %v)\n", time.Since(start).Round(time.Millisecond))
 }
 
-// runBench executes the pinned suite (or its -tiny subset), prints the
-// report, optionally persists it, and optionally gates on a committed
+// runBench executes the pinned suite, prints the report, optionally persists it, and optionally gates on a committed
 // baseline: any case whose allocs/op grew more than 20 percent
 // (harness.CompareBench) fails the run with exit code 1. With
 // -scaling the shard-scaling curves (1/2/4/8 shards at pinned GOMAXPROCS)
-// are appended to the selected set. With -cpuprofile/-memprofile the
+// are appended. With -cpuprofile/-memprofile the
 // suite runs under the profiler, so hot paths and allocation sites can be
 // read straight off the pinned workloads.
-func runBench(tiny, scaling bool, outPath, label, baselinePath string, jsonOut bool,
+func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool,
 	cpuProfile, memProfile string) {
 	cases := scenario.BenchSuite()
-	if tiny {
-		kept := cases[:0]
-		for _, c := range cases {
-			if c.Tiny {
-				kept = append(kept, c)
-			}
-		}
-		cases = kept
-	}
 	if scaling {
 		cases = append(cases, scenario.BenchScalingSuite()...)
 	}

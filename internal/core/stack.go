@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
@@ -93,6 +92,7 @@ type Stack struct {
 
 	listening  bool
 	onComplete func(*Receiver)
+	connects   uint64 // flow ids Connect has allocated
 
 	// flows holds every flow this host currently has state for — as sender,
 	// as receiver, or pre-registered ahead of its first packet: one entry,
@@ -275,8 +275,8 @@ func (st *Stack) takeRetiredSender() *Sender {
 // reclaimFlow forgets a flow whose pooled state is being reused: its demux
 // registration and its flows entry (sender or receiver pointer, observers,
 // priority) go, and its id is pinned in time-wait forever. Flow ids are
-// never legitimately reused (NextFlowID and the per-source-host counters are
-// monotone), so a packet for the id arriving after reclamation can only be a
+// never legitimately reused (every allocator is a monotone per-source-host
+// counter), so a packet for the id arriving after reclamation can only be a
 // pathologically late duplicate — the permanent time-wait entry makes
 // listen() reject it instead of resurrecting a ghost receiver that would
 // re-fire the flow's completion callbacks.
@@ -341,33 +341,20 @@ type FlowOpts struct {
 	IW int
 }
 
-var flowCounter atomic.Uint64
-
-// NextFlowID allocates a process-unique connection id for the
-// single-domain Connect surface (the figure runners); the uniform StartFlow
-// surface draws per-source-host ids instead, which repeat from run to run
-// and cost no atomic shared between shard goroutines. It is safe to call
-// from concurrent simulations (the parallel sweep harness runs several
-// event lists at once). The harness treats flow ids as identity only, so
-// sharing one process-wide counter does not perturb determinism — with
-// one caveat: topo.Config.ECMPPerFlow hashes p.Flow for path selection,
-// so an experiment that enables it must pass explicit per-simulation ids
-// (FlowOpts.Flow) instead of relying on this counter, whose values depend
-// on goroutine interleaving under Workers > 1.
-func NextFlowID() uint64 {
-	return flowCounter.Add(1)
-}
-
 // Connect starts an NDP transfer of size bytes from this stack to the dst
 // stack. size < 0 means an unbounded flow (permutation-style long flows).
 // Transfer begins immediately: NDP is a zero-RTT protocol, so the first
 // window leaves at line rate with SYN set on every packet. Connect touches
 // both stacks inline, so it is the single-scheduling-domain convenience; a
 // sharded engine defers the sender's Registration instead
-// (harness.NDPNet.StartFlow).
+// (harness.NDPNet.StartFlow). Without an explicit opts.Flow the id comes
+// from this stack's own counter, host index in the high word, so it is
+// unique across stacks and repeats from run to run; nothing reads a flow id
+// but the demuxes, as identity.
 func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
-		opts.Flow = NextFlowID()
+		st.connects++
+		opts.Flow = uint64(st.Host.ID+1)<<32 | st.connects
 	}
 	dst.PreRegister(opts.Flow, opts.Priority, opts.OnReceiverDone, opts.OnReceiverDoneAt, opts.OnReceiverData)
 	s := st.Open(dst.Host.ID, size, opts)

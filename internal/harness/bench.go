@@ -42,15 +42,13 @@ type BenchCounts struct {
 }
 
 // BenchCase is one pinned benchmark: a stable name (the unit of comparison
-// across BENCH_*.json files — never rename without a migration note), a
-// Tiny marker for the CI subset, and a Run function executing one full
-// deterministic simulation. Procs, when non-zero, pins GOMAXPROCS around
+// across BENCH_*.json files — never rename without a migration note) and a
+// Run function executing one full deterministic simulation. Procs, when non-zero, pins GOMAXPROCS around
 // every run of the case (warmup included) so parallel-engine curves keep
 // a comparable shape across recording machines; zero leaves the runtime
 // default untouched.
 type BenchCase struct {
 	Name  string
-	Tiny  bool
 	Procs int
 	Run   func() BenchCounts
 }
@@ -262,8 +260,8 @@ const maxAllocGrowthPct = 20
 // counts are exact and the same on any machine, which a committed baseline
 // from other hardware needs; host-time claims (events/sec, wall time) belong
 // to benchmark/, which measures parent and change on the same box. Cases
-// present in only one report are ignored (the tiny CI subset compares
-// against the full committed trajectory), as are baseline rows that predate
+// present in only one report are ignored (a suite may have grown since the
+// baseline was committed), as are baseline rows that predate
 // the allocs_per_op field, but comparing zero cases is reported as a
 // failure — a silently-empty gate is worse than none.
 func CompareBench(baseline, current *BenchReport) []string {

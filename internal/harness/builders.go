@@ -10,6 +10,7 @@ import (
 	"ndp/internal/stats"
 	"ndp/internal/tcp"
 	"ndp/internal/topo"
+	"ndp/internal/workload"
 )
 
 // BuildFunc constructs a topology from a base config (queue factory and
@@ -43,17 +44,27 @@ type NDPNet struct {
 	C      topo.Cluster
 	Stacks []*core.Stack
 
-	// Per-source-host flow-id counters for StartFlow (the legacy Transfer
-	// surface draws from core.NextFlowID); NDP picks paths per packet, so
-	// there are no connect-time streams.
+	// Per-source-host flow-id counters; NDP picks paths per packet, so there
+	// are no connect-time streams.
 	src perSource
 }
 
-// BuildNDP constructs a topology with NDP switch queues and a listening NDP
-// stack on every host. It is a thin wrapper over NDPTransport, the single
-// construction path (transport.go).
-func BuildNDP(build BuildFunc, base topo.Config, scfg core.SwitchConfig, hcfg core.Config) *NDPNet {
-	return NDPTransport{Switch: scfg, Host: hcfg}.Build(build, base).(*NDPNet)
+// newNDPNet wires NDP endpoints onto a built cluster whose switches run the
+// NDP queue: return-to-sender, and a listening stack per host seeded from
+// seed. Every NDPNet construction site goes through here (NDPTransport.Build,
+// and the two runners that pin their own switch-queue seed).
+func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
+	core.WireBounce(c.SwitchList())
+	n := &NDPNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
+	for i, h := range c.HostList() {
+		h := h
+		cfg := hcfg
+		cfg.Seed = seed + uint64(i)*7919
+		st := core.NewStack(h, func(dst int32) [][]int16 { return c.Paths(h.ID, dst) }, cfg)
+		st.Listen(nil)
+		n.Stacks = append(n.Stacks, st)
+	}
+	return n
 }
 
 // EL returns the cluster's scheduler.
@@ -62,58 +73,20 @@ func (n *NDPNet) EL() *sim.EventList { return n.C.EventList() }
 // Runner returns the cluster's engine driver.
 func (n *NDPNet) Runner() sim.Runner { return n.C.Runner() }
 
-// Transfer starts one NDP flow.
-func (n *NDPNet) Transfer(src, dst int, size int64, opts core.FlowOpts) *core.Sender {
-	return n.Stacks[src].Connect(n.Stacks[dst], size, opts)
-}
-
-// Incast launches len(senders) flows of size bytes at the receiver,
-// recording each flow's FCT into fcts (microseconds) and returning a
-// pointer to the running maximum (last-flow completion).
-func (n *NDPNet) Incast(receiver int, senders []int, size int64, fcts *stats.Dist) *sim.Time {
-	last := new(sim.Time)
-	for _, s := range senders {
-		start := n.EL().Now()
-		n.Transfer(s, receiver, size, core.FlowOpts{OnReceiverDone: func(r *core.Receiver) {
-			fct := r.CompletedAt - start
-			if fcts != nil {
-				fcts.AddTime(fct)
-			}
-			if r.CompletedAt > *last {
-				*last = r.CompletedAt
-			}
-		}})
-	}
-	return last
-}
-
-// Permutation starts one unbounded flow per host following the dst matrix
-// and returns the senders for goodput metering.
-func (n *NDPNet) Permutation(dst []int) []*core.Sender {
-	out := make([]*core.Sender, 0, len(dst))
-	for src, d := range dst {
-		out = append(out, n.Transfer(src, d, -1, core.FlowOpts{}))
-	}
-	return out
-}
-
 // ------------------------------------------------------------ TCP-family ----
 
 // TCPNet bundles a cluster with per-host demuxes for the TCP/DCTCP/MPTCP
-// baselines. Cfg is the flow configuration StartFlow applies; the Flow and
-// MPTCPFlow methods take explicit configs instead.
+// baselines. Cfg is the flow configuration every flow gets.
 type TCPNet struct {
 	C     topo.Cluster
 	Demux []*fabric.Demux
-	Rand  *sim.Rand
 	Cfg   tcp.Config
 
+	// StartFlow draws flow ids and connect-time random choices per source
+	// host; the pinned launchers (below) draw from the net-wide pair.
+	src      perSource
+	rand     *sim.Rand
 	nextFlow uint64
-
-	// The uniform StartFlow surface draws flow ids and connect-time random
-	// choices per source host; the legacy Flow/MPTCPFlow methods
-	// (single-domain figure runners) still use the shared Rand/nextFlow.
-	src perSource
 
 	// pools recycles completed flow state, one pool per scheduling domain,
 	// indexed by Cluster.ShardOfHost. The slice is built up front and
@@ -154,12 +127,10 @@ func (p *perSource) flowID(src int, stride uint64) uint64 {
 }
 
 // newTCPNet wires the shared TCP-family state onto a built cluster: a
-// demux per host, the legacy net-wide stream, and the per-source-host
-// counters and streams that the uniform StartFlow surface requires. Every
-// TCPNet construction site must go through here — a literal &TCPNet{...}
-// would leave src empty and StartFlow would panic.
+// demux per host, the pinned launchers' net-wide stream, and the
+// per-source-host counters and streams StartFlow draws from.
 func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
-	n := &TCPNet{C: c, Cfg: cfg, Rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
+	n := &TCPNet{C: c, Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
 		src: newPerSource(c.NumHosts(), seed)}
 	for _, h := range c.HostList() {
 		d := fabric.NewDemux()
@@ -176,67 +147,11 @@ func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
 // pool returns the flow-state recycling pool of host's scheduling domain.
 func (t *TCPNet) pool(host int) *tcp.Pool { return t.pools[t.C.ShardOfHost(host)] }
 
-// BuildTCPFamily constructs a topology with the given switch queues and a
-// demux on every host; cfg is the flow configuration the uniform StartFlow
-// surface applies (it must match the queue discipline — e.g. DCTCP flows
-// over ECN queues). It is a thin wrapper over TCPTransport, the single
-// construction path (transport.go). The Flow/MPTCPFlow methods take
-// explicit per-flow configs instead.
-func BuildTCPFamily(build BuildFunc, base topo.Config, queue topo.QueueFactory, cfg tcp.Config) *TCPNet {
-	return TCPTransport{Cfg: cfg, Queue: queue}.Build(build, base).(*TCPNet)
-}
-
 // EL returns the cluster's scheduler.
 func (t *TCPNet) EL() *sim.EventList { return t.C.EventList() }
 
 // Runner returns the cluster's engine driver.
 func (t *TCPNet) Runner() sim.Runner { return t.C.Runner() }
-
-func (t *TCPNet) flowID(stride uint64) uint64 {
-	id := t.nextFlow
-	t.nextFlow += stride
-	return id
-}
-
-// randPath picks one fixed source route — the per-flow ECMP stand-in.
-func (t *TCPNet) randPath(src, dst int32) []int16 {
-	paths := t.C.Paths(src, dst)
-	return paths[t.Rand.Intn(len(paths))]
-}
-
-// Flow starts a single-path TCP (or DCTCP, via cfg.DCTCP) transfer.
-// size < 0 runs an unbounded flow.
-func (t *TCPNet) Flow(src, dst int, size int64, cfg tcp.Config, onDone func(*tcp.Receiver)) (*tcp.Sender, *tcp.Receiver) {
-	flow := t.flowID(1)
-	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	var source tcp.DataSource
-	if size < 0 {
-		source = unboundedSource{mss: cfg.MSS}
-	} else {
-		source = tcp.NewFixedSource(size, cfg.MSS)
-	}
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), source, cfg)
-	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randPath(hd.ID, hs.ID))
-	rcv.OnComplete = onDone
-	snd.Start()
-	return snd, rcv
-}
-
-type unboundedSource struct{ mss int }
-
-func (u unboundedSource) Claim() int      { return u.mss }
-func (u unboundedSource) Exhausted() bool { return false }
-
-// MPTCPFlow starts a multipath transfer with the given config.
-func (t *TCPNet) MPTCPFlow(src, dst int, size int64, cfg mptcp.Config, onDone func(*mptcp.Flow)) *mptcp.Flow {
-	flow := t.flowID(uint64(cfg.Subflows) + 1)
-	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	f := mptcp.New(hs, hd, t.Demux[src], t.Demux[dst], flow, size,
-		t.C.Paths(hs.ID, hd.ID), t.C.Paths(hd.ID, hs.ID), t.Rand, cfg)
-	f.OnComplete = onDone
-	f.Start()
-	return f
-}
 
 // --------------------------------------------------------------- DCQCN ----
 
@@ -246,28 +161,17 @@ type DCQCNNet struct {
 	Demux []*fabric.Demux
 	Cfg   dcqcn.Config
 
-	// Legacy single-domain surface (the Flow method used by the figure
-	// runners): a net-wide flow-id counter and synchronous two-sided
-	// registration.
+	// StartFlow state, owned per source host; nextFlow is the pinned
+	// launcher's net-wide counter.
+	src      perSource
 	nextFlow uint64
-	senders  []*dcqcn.Sender
-
-	// Shard-safe StartFlow state, owned per source host.
-	src perSource
-	// srcSenders[src] lists every sender started from src, for StopAll:
+	// srcSenders[src] lists every sender started from src, for Close:
 	// per-source slices so mid-run appends stay within one shard.
 	srcSenders [][]*dcqcn.Sender
 
 	// pools recycles completed flow state, one pool per scheduling domain,
 	// indexed by Cluster.ShardOfHost (built up front, read-only at runtime).
 	pools []*dcqcn.Pool
-}
-
-// BuildDCQCN constructs a PFC-enabled topology with DCQCN ECN queues. It is
-// a thin wrapper over DCQCNTransport, the single construction path
-// (transport.go).
-func BuildDCQCN(build BuildFunc, base topo.Config, mtu int) *DCQCNNet {
-	return DCQCNTransport{MTU: mtu}.Build(build, base).(*DCQCNNet)
 }
 
 // EL returns the cluster's scheduler.
@@ -278,53 +182,6 @@ func (d *DCQCNNet) Runner() sim.Runner { return d.C.Runner() }
 
 // pool returns the flow-state recycling pool of host's scheduling domain.
 func (d *DCQCNNet) pool(host int) *dcqcn.Pool { return d.pools[d.C.ShardOfHost(host)] }
-
-// Flow starts a DCQCN transfer on a fixed path (RoCE is single-path). It
-// is the legacy single-domain surface: both endpoints register
-// synchronously, so it must only be used on unsharded networks (the
-// figure runners); sharded drivers go through StartFlow.
-func (d *DCQCNNet) Flow(src, dst int, size int64, onDone func(*dcqcn.Receiver)) (*dcqcn.Sender, *dcqcn.Receiver) {
-	flow := d.nextFlow
-	d.nextFlow++
-	hs, hd := d.C.HostList()[src], d.C.HostList()[dst]
-	fwd := d.C.Paths(hs.ID, hd.ID)
-	rev := d.C.Paths(hd.ID, hs.ID)
-	r := sim.NewRand(flow * 2654435761)
-	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
-	rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, rev[r.Intn(len(rev))], d.Cfg)
-	// On a lossless fixed path nothing arrives after the FIN, so both
-	// endpoints retire as soon as the receiver completes — after stopping
-	// the sender's rate timers, which otherwise tick forever.
-	rc.OnComplete = func(rc *dcqcn.Receiver) {
-		if onDone != nil {
-			onDone(rc)
-		}
-		d.Demux[src].Unregister(flow)
-		d.Demux[dst].Unregister(flow)
-		s.Stop()
-		d.pool(src).RetireSender(s)
-		d.pool(dst).RetireReceiver(rc)
-	}
-	d.Demux[src].Register(flow, s)
-	d.Demux[dst].Register(flow, rc)
-	d.senders = append(d.senders, s)
-	s.Start()
-	return s, rc
-}
-
-// StopAll halts every sender's timers (cleanup for unbounded flows).
-// Stopping an already-retired sender is a harmless no-op; it runs after
-// the simulation, so cross-shard reads are barrier-published.
-func (d *DCQCNNet) StopAll() {
-	for _, s := range d.senders {
-		s.Stop()
-	}
-	for _, list := range d.srcSenders {
-		for _, s := range list {
-			s.Stop()
-		}
-	}
-}
 
 // --------------------------------------------------------------- pHost ----
 
@@ -338,57 +195,252 @@ type PHostNet struct {
 	src perSource
 }
 
-// BuildPHost constructs the §6.2 comparison network: 8-packet drop-tail
-// queues, per-packet ECMP spraying, pHost endpoints. It is a thin wrapper
-// over PHostTransport, the single construction path (transport.go).
-func BuildPHost(build BuildFunc, base topo.Config, cfg phost.Config) *PHostNet {
-	return PHostTransport{Cfg: cfg}.Build(build, base).(*PHostNet)
-}
-
 // EL returns the cluster's scheduler.
 func (p *PHostNet) EL() *sim.EventList { return p.C.EventList() }
 
 // Runner returns the cluster's engine driver.
 func (p *PHostNet) Runner() sim.Runner { return p.C.Runner() }
 
-// ------------------------------------------------------------- metering ----
+// ----------------------------------------------------- pinned launchers ----
 
-// meter snapshots sender-side goodput counters so throughput can be
-// measured over a warm interval.
-type meter struct {
-	read func() int64
-	at0  int64
+// benchmark/expected.json pins every figure table, and for the TCP family
+// and DCQCN a table depends on which stream a flow's connect-time path
+// choice is drawn from. StartFlow draws per source host; the tables were
+// pinned with the three launchers below, which draw flow ids and paths
+// net-wide in launch order and build both endpoints inline (single
+// scheduling domain only). They stay, each behind an adapter that is a Net,
+// until a PR that may re-pin expected.json deletes adapters and launchers
+// together; NDP and pHost draw nothing at connect time and have none.
+
+// pinned returns n with the launcher its figure tables are pinned to.
+func pinned(n Net) Net {
+	switch n := n.(type) {
+	case *TCPNet:
+		return pinnedTCP{n}
+	case *MPTCPNet:
+		return pinnedMPTCP{n}
+	case *DCQCNNet:
+		return pinnedDCQCN{n}
+	}
+	return n
 }
 
-func newMeter(read func() int64) *meter { return &meter{read: read} }
+type pinnedTCP struct{ *TCPNet }
 
-func (m *meter) start()       { m.at0 = m.read() }
-func (m *meter) bytes() int64 { return m.read() - m.at0 }
-
-// senderMeters wraps NDP senders' acked-byte counters for goodput
-// measurement with runWarmMeasure.
-func senderMeters(senders []*core.Sender) []*meter {
-	meters := make([]*meter, len(senders))
-	for i, s := range senders {
-		s := s
-		meters[i] = newMeter(func() int64 { return s.AckedBytes() })
-	}
-	return meters
+func (p pinnedTCP) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
+	snd, rcv := p.flow(src, dst, size)
+	rcv.OnData, rcv.OnCompleteAt = opts.OnData, opts.OnDone
+	return tcpFlow{snd}
 }
 
-// runWarmMeasure runs the event list through a warmup, snapshots the
-// meters, runs the measurement window, and returns per-meter Gb/s.
-func runWarmMeasure(el *sim.EventList, warm, window sim.Time, meters []*meter) []float64 {
-	el.RunUntil(warm)
-	for _, m := range meters {
-		m.start()
+type pinnedMPTCP struct{ *MPTCPNet }
+
+func (p pinnedMPTCP) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
+	f := p.mptcpFlow(src, dst, size, p.Cfg, opts.OnData)
+	f.OnCompleteAt = opts.OnDone
+	return f
+}
+
+type pinnedDCQCN struct{ *DCQCNNet }
+
+func (p pinnedDCQCN) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
+	rcv := p.flow(src, dst, size, opts.OnDone)
+	rcv.OnData = opts.OnData
+	return dcqcnBytes{rcv}
+}
+
+// dcqcnBytes meters a pinned DCQCN flow by the bytes its receiver counted
+// (the fabric is lossless).
+type dcqcnBytes struct{ rcv *dcqcn.Receiver }
+
+func (f dcqcnBytes) AckedBytes() int64 { return f.rcv.Bytes }
+
+func (t *TCPNet) flowID(stride uint64) uint64 {
+	id := t.nextFlow
+	t.nextFlow += stride
+	return id
+}
+
+// randPath picks one fixed source route — the per-flow ECMP stand-in.
+func (t *TCPNet) randPath(src, dst int32) []int16 {
+	paths := t.C.Paths(src, dst)
+	return paths[t.rand.Intn(len(paths))]
+}
+
+// flow starts a single-path TCP (or DCTCP, via Cfg.DCTCP) transfer.
+func (t *TCPNet) flow(src, dst int, size int64) (*tcp.Sender, *tcp.Receiver) {
+	flow := t.flowID(1)
+	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), t.source(size), t.Cfg)
+	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randPath(hd.ID, hs.ID))
+	snd.Start()
+	return snd, rcv
+}
+
+// mptcpFlow starts a multipath transfer, subflows pinned to paths permuted
+// by the net-wide stream (forward, then reverse).
+func (t *TCPNet) mptcpFlow(src, dst int, size int64, cfg mptcp.Config, onData func(int64)) *mptcp.Flow {
+	flow := t.flowID(uint64(cfg.Subflows) + 1)
+	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
+	f := mptcp.NewSenderHalf(hs, hd.ID, t.Demux[src], flow, size, t.C.Paths(hs.ID, hd.ID), t.rand, cfg, nil)
+	f.AttachReceivers(hd, t.Demux[dst], t.C.Paths(hd.ID, hs.ID), t.rand, onData, nil)
+	f.Start()
+	return f
+}
+
+// flow starts a DCQCN transfer on a fixed path (RoCE is single-path),
+// registering both endpoints synchronously.
+func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcqcn.Receiver {
+	flow := d.nextFlow
+	d.nextFlow++
+	hs, hd := d.C.HostList()[src], d.C.HostList()[dst]
+	fwd := d.C.Paths(hs.ID, hd.ID)
+	rev := d.C.Paths(hd.ID, hs.ID)
+	r := sim.NewRand(flow * 2654435761)
+	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
+	rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, rev[r.Intn(len(rev))], d.Cfg)
+	// On a lossless fixed path nothing arrives after the FIN, so both
+	// endpoints retire as soon as the receiver completes — after the
+	// caller's hook, which may start the next flow, and after stopping the
+	// sender's rate timers, which otherwise tick forever.
+	rc.OnComplete = func(rc *dcqcn.Receiver) {
+		if onDone != nil {
+			onDone(rc.CompletedAt)
+		}
+		d.Demux[src].Unregister(flow)
+		d.Demux[dst].Unregister(flow)
+		s.Stop()
+		d.pool(src).RetireSender(s)
+		d.pool(dst).RetireReceiver(rc)
 	}
-	el.RunUntil(warm + window)
-	out := make([]float64, len(meters))
-	for i, m := range meters {
-		out[i] = stats.Gbps(m.bytes(), window)
+	d.Demux[src].Register(flow, s)
+	d.Demux[dst].Register(flow, rc)
+	d.srcSenders[src] = append(d.srcSenders[src], s)
+	s.Start()
+	return rc
+}
+
+// ------------------------------------------------------------ workloads ----
+
+// contender is one transport's entry in a figure that puts several through
+// the same workload: the runner is written once and loops over these.
+//
+// A runner drops its Net without Close. Its nets are unsharded (no workers
+// to stop), nothing runs or reads a leak counter after the deadline, and
+// releasing the packets in flight at the deadline into a dead arena's
+// free-list is measurable: +4.9 % alloc_mb_per_iter @ figures, bound 2 %.
+type contender struct {
+	name  string
+	build func(seed uint64) Net
+}
+
+// on returns the build function of transport t on one topology recipe; the
+// baselines whose tables are pinned to them get their pinned launchers.
+func on(t Transport, build BuildFunc) func(seed uint64) Net {
+	return func(seed uint64) Net { return pinned(t.Build(build, topo.Config{Seed: seed})) }
+}
+
+// contenders returns the named transports as the paper sets them up for the
+// given MTU, each on the same topology recipe, in the order asked: NDP
+// (8-packet trimming queues), MPTCP (200-packet drop-tail, 8 subflows on
+// distinct paths), DCTCP (ECN queues, one fixed path per flow as the ECMP
+// stand-in), DCQCN (lossless fabric, rate-based, single path), TCP
+// (8-packet drop-tail, 200ms MinRTO) and pHost (8-packet drop-tail,
+// per-packet spraying).
+func contenders(build BuildFunc, mtu int, names ...string) []contender {
+	out := make([]contender, len(names))
+	for i, name := range names {
+		var t Transport
+		switch name {
+		case "NDP":
+			t = DefaultNDPTransport(mtu)
+		case "MPTCP":
+			t = DefaultMPTCPTransport(mtu)
+		case "DCTCP":
+			t = DCTCPTransport(mtu)
+		case "DCQCN":
+			t = DCQCNTransport{MTU: mtu}
+		case "TCP":
+			t = PlainTCPTransport(mtu)
+		case "pHost":
+			cfg := phost.DefaultConfig()
+			cfg.MTU = mtu
+			t = PHostTransport{Cfg: cfg}
+		default:
+			panic("harness: no contender named " + name)
+		}
+		out[i] = contender{name, on(t, build)}
 	}
 	return out
+}
+
+// startMatrix starts one unbounded flow per host following the dst matrix.
+func startMatrix(n Net, dst []int) []Flow {
+	flows := make([]Flow, len(dst))
+	for src, d := range dst {
+		flows[src] = n.StartFlow(src, d, -1, StartOpts{})
+	}
+	return flows
+}
+
+// permGoodput runs the permutation matrix drawn from seed on n and returns
+// per-flow goodput in Gb/s over the window after the warmup.
+func permGoodput(n Net, seed uint64, warm, window sim.Time) []float64 {
+	dst := workload.Permutation(n.Cluster().NumHosts(), sim.NewRand(seed))
+	return runWarmMeasure(n.EL(), warm, window, startMatrix(n, dst))
+}
+
+// incast is a launched incast: its flows in sender order, how many have
+// completed, and the first and last completion times, from the launch.
+type incast struct {
+	flows       []Flow
+	done        int
+	first, last sim.Time
+}
+
+// startIncast launches one flow of size bytes from every sender to receiver.
+func startIncast(n Net, receiver int, senders []int, size int64) *incast {
+	in := &incast{flows: make([]Flow, len(senders))}
+	start := n.EL().Now()
+	opts := StartOpts{OnDone: func(at sim.Time) {
+		fct := at - start
+		if in.done == 0 || fct < in.first {
+			in.first = fct
+		}
+		if fct > in.last {
+			in.last = fct
+		}
+		in.done++
+	}}
+	for i, s := range senders {
+		in.flows[i] = n.StartFlow(s, receiver, size, opts)
+	}
+	return in
+}
+
+// runWarmMeasure runs the event list through a warmup, snapshots the flows'
+// goodput counters, runs the measurement window, and returns per-flow Gb/s.
+func runWarmMeasure(el *sim.EventList, warm, window sim.Time, flows []Flow) []float64 {
+	el.RunUntil(warm)
+	at0 := make([]int64, len(flows))
+	for i, f := range flows {
+		at0[i] = f.AckedBytes()
+	}
+	el.RunUntil(warm + window)
+	out := make([]float64, len(flows))
+	for i, f := range flows {
+		out[i] = stats.Gbps(f.AckedBytes()-at0[i], window)
+	}
+	return out
+}
+
+// distOf collects samples into a distribution.
+func distOf(xs []float64) *stats.Dist {
+	var d stats.Dist
+	for _, v := range xs {
+		d.Add(v)
+	}
+	return &d
 }
 
 // utilization converts per-flow Gb/s into fraction of aggregate host

@@ -14,15 +14,14 @@ func init() {
 	run("t-ablate", "Switch service-model ablations: WRR, trim coin, bounce", tAblate)
 }
 
-// overloadRun drives n unresponsive line-rate flows into one egress with
-// the given NDP switch configuration and returns (mean%, worst10%) of fair
-// goodput plus total drops. Fully determined by its arguments, so each
-// ablation variant runs as an independent sweep job.
-func overloadRun(o Options, seed uint64, n int, scfg core.SwitchConfig) (mean, worst float64, drops int64) {
+// overloadRun drives n unresponsive line-rate flows into one egress of a
+// switch with the given queue discipline and returns (mean%, worst10%) of
+// fair goodput plus total drops. Fully determined by its arguments, so each
+// cell of Figure 2 and each ablation variant runs as an independent sweep
+// job.
+func overloadRun(o Options, seed uint64, n int, queue topo.QueueFactory) (mean, worst float64, drops int64) {
 	const mtu = 9000
-	base := topo.Config{Seed: seed}
-	base.SwitchQueue = core.QueueFactory(scfg, seed+99)
-	tt := topo.NewTwoTier(1, n+1, 0, base)
+	tt := topo.NewTwoTier(1, n+1, 0, topo.Config{Seed: seed, SwitchQueue: queue})
 	core.WireBounce(tt.Switches)
 
 	perFlow := make(map[uint64]int64)
@@ -78,7 +77,7 @@ func tAblate(o Options, r *Result) {
 		jobs[i] = NewJob("t-ablate/"+v.name, o.Seed, func(seed uint64) Row {
 			scfg := core.DefaultSwitchConfig(9000)
 			v.mut(&scfg)
-			mean, worst, drops := overloadRun(o, seed, n, scfg)
+			mean, worst, drops := overloadRun(o, seed, n, core.QueueFactory(scfg, seed+99))
 			return Row{v.name, f4(mean), f4(worst), fmt.Sprint(drops)}
 		})
 	}

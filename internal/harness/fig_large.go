@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"ndp/internal/core"
-	"ndp/internal/dcqcn"
-	"ndp/internal/dctcp"
-	"ndp/internal/mptcp"
 	"ndp/internal/sim"
 	"ndp/internal/stats"
-	"ndp/internal/tcp"
 	"ndp/internal/topo"
 	"ndp/internal/workload"
 )
@@ -25,58 +21,6 @@ func init() {
 	run("fig22", "Permutation with a degraded 1Gb/s core link", fig22)
 }
 
-// The four permGoodput helpers each run the permutation matrix under one
-// transport on a k-ary FatTree and return per-flow goodput in Gb/s. Each is
-// a complete simulation derived from seed alone, so fig14/fig17/t-limits
-// can schedule them as independent sweep jobs.
-
-// permGoodputNDP: 8-packet NDP switch queues.
-func permGoodputNDP(k int, seed uint64, warm, window sim.Time) []float64 {
-	n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed},
-		core.DefaultSwitchConfig(9000), core.DefaultConfig())
-	dst := workload.Permutation(n.C.NumHosts(), sim.NewRand(seed))
-	return runWarmMeasure(n.EL(), warm, window, senderMeters(n.Permutation(dst)))
-}
-
-// permGoodputMPTCP: 200-packet drop-tail, 8 subflows on distinct paths.
-func permGoodputMPTCP(k int, seed uint64, warm, window sim.Time) []float64 {
-	tn := BuildTCPFamily(FatTreeBuilder(k), topo.Config{Seed: seed}, dropTail(200*9000), mptcp.DefaultConfig().TCP)
-	dst := workload.Permutation(tn.C.NumHosts(), sim.NewRand(seed))
-	cfg := mptcp.DefaultConfig()
-	meters := make([]*meter, 0, len(dst))
-	for src, d := range dst {
-		f := tn.MPTCPFlow(src, d, -1, cfg, nil)
-		meters = append(meters, newMeter(f.AckedBytes))
-	}
-	return runWarmMeasure(tn.EL(), warm, window, meters)
-}
-
-// permGoodputDCTCP: ECN queues, one fixed path per flow (ECMP stand-in).
-func permGoodputDCTCP(k int, seed uint64, warm, window sim.Time) []float64 {
-	tn := BuildTCPFamily(FatTreeBuilder(k), topo.Config{Seed: seed}, dctcp.QueueFactory(9000), dctcp.SenderConfig(9000))
-	dst := workload.Permutation(tn.C.NumHosts(), sim.NewRand(seed))
-	meters := make([]*meter, 0, len(dst))
-	for src, d := range dst {
-		snd, _ := tn.Flow(src, d, -1, dctcp.SenderConfig(9000), nil)
-		meters = append(meters, newMeter(func() int64 { return snd.AckedBytes }))
-	}
-	return runWarmMeasure(tn.EL(), warm, window, meters)
-}
-
-// permGoodputDCQCN: lossless fabric, rate-based control, single path.
-func permGoodputDCQCN(k int, seed uint64, warm, window sim.Time) []float64 {
-	dn := BuildDCQCN(FatTreeBuilder(k), topo.Config{Seed: seed}, 9000)
-	dst := workload.Permutation(dn.C.NumHosts(), sim.NewRand(seed))
-	meters := make([]*meter, 0, len(dst))
-	for src, d := range dst {
-		_, rcv := dn.Flow(src, d, -1, nil)
-		meters = append(meters, newMeter(func() int64 { return rcv.Bytes }))
-	}
-	g := runWarmMeasure(dn.EL(), warm, window, meters)
-	dn.StopAll()
-	return g
-}
-
 // fig14 reports per-flow throughput statistics for the permutation matrix.
 // One job per transport; all four share one seed so they race on the same
 // permutation.
@@ -85,31 +29,18 @@ func fig14(o Options, r *Result) {
 	warm := 3 * sim.Millisecond
 	window := sim.Time(o.pick(6, 10, 20)) * sim.Millisecond
 
-	protos := []struct {
-		name string
-		run  func(k int, seed uint64, warm, window sim.Time) []float64
-	}{
-		{"NDP", permGoodputNDP},
-		{"MPTCP", permGoodputMPTCP},
-		{"DCTCP", permGoodputDCTCP},
-		{"DCQCN", permGoodputDCQCN},
-	}
+	protos := contenders(FatTreeBuilder(k), 9000, "NDP", "MPTCP", "DCTCP", "DCQCN")
 	jobs := make([]Job[[]float64], len(protos))
 	for i, p := range protos {
 		jobs[i] = NewJob("fig14/"+p.name, o.Seed, func(seed uint64) []float64 {
-			return p.run(k, seed, warm, window)
+			return permGoodput(p.build(seed), seed, warm, window)
 		})
 	}
-	res := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"protocol", "util%", "min_gbps", "p10_gbps", "p50_gbps", "mean_gbps", "jain"}}
-	for i, p := range protos {
-		g := res[i]
-		var d stats.Dist
-		for _, v := range g {
-			d.Add(v)
-		}
-		t.AddFloats(p.name, 100*utilization(g, 10e9),
+	for i, g := range RunJobs(o, jobs) {
+		d := distOf(g)
+		t.AddFloats(protos[i].name, 100*utilization(g, 10e9),
 			d.Min(), d.Quantile(0.1), d.Median(), d.Mean(), stats.JainIndex(g))
 	}
 	r.AddTable(fmt.Sprintf("permutation on %d-host FatTree", (k*k*k)/4), t)
@@ -124,23 +55,12 @@ func fig15(o Options, r *Result) {
 	deadline := sim.Time(o.pick(15, 30, 60)) * sim.Millisecond
 	const probeSrc = 0
 
-	bgDst := func(numHosts int, rand *sim.Rand, src, probeDst int) int {
-		for {
-			d := rand.Intn(numHosts)
-			if d != src && d != probeSrc && d != probeDst {
-				return d
-			}
-		}
-	}
-	fctRow := func(name string, fcts *stats.Dist) Row {
-		return Row{name, f4(fcts.Median()), f4(fcts.Quantile(0.9)), f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}
-	}
-
-	jobs := []Job[Row]{
-		NewJob("fig15/NDP", o.Seed, func(seed uint64) Row {
-			n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed},
-				core.DefaultSwitchConfig(9000), core.DefaultConfig())
-			hosts := n.C.NumHosts()
+	protos := contenders(FatTreeBuilder(k), 9000, "NDP", "DCTCP", "DCQCN", "MPTCP")
+	jobs := make([]Job[Row], len(protos))
+	for i, p := range protos {
+		jobs[i] = NewJob("fig15/"+p.name, o.Seed, func(seed uint64) Row {
+			n := p.build(seed)
+			hosts := n.Cluster().NumHosts()
 			probeDst := hosts / 2
 			rand := sim.NewRand(seed + 3)
 			for h := 0; h < hosts; h++ {
@@ -148,102 +68,28 @@ func fig15(o Options, r *Result) {
 					continue
 				}
 				for c := 0; c < 4; c++ {
-					n.Transfer(h, bgDst(hosts, rand, h, probeDst), -1, core.FlowOpts{})
+					d := rand.Intn(hosts)
+					for d == h || d == probeSrc || d == probeDst {
+						d = rand.Intn(hosts)
+					}
+					n.StartFlow(h, d, -1, StartOpts{})
 				}
 			}
 			var fcts stats.Dist
+			var start sim.Time
 			var probe func()
+			opts := StartOpts{OnDone: func(at sim.Time) {
+				fcts.Add((at - start).Millis())
+				probe()
+			}}
 			probe = func() {
-				start := n.EL().Now()
-				n.Transfer(probeSrc, probeDst, 90_000, core.FlowOpts{OnReceiverDone: func(rcv *core.Receiver) {
-					fcts.Add((rcv.CompletedAt - start).Millis())
-					probe()
-				}})
+				start = n.EL().Now()
+				n.StartFlow(probeSrc, probeDst, 90_000, opts)
 			}
 			probe()
 			n.EL().RunUntil(deadline)
-			return fctRow("NDP", &fcts)
-		}),
-		NewJob("fig15/DCTCP", o.Seed, func(seed uint64) Row {
-			tn := BuildTCPFamily(FatTreeBuilder(k), topo.Config{Seed: seed}, dctcp.QueueFactory(9000), dctcp.SenderConfig(9000))
-			hosts := tn.C.NumHosts()
-			probeDst := hosts / 2
-			rand := sim.NewRand(seed + 3)
-			for h := 0; h < hosts; h++ {
-				if h == probeSrc || h == probeDst {
-					continue
-				}
-				for c := 0; c < 4; c++ {
-					tn.Flow(h, bgDst(hosts, rand, h, probeDst), -1, dctcp.SenderConfig(9000), nil)
-				}
-			}
-			var fcts stats.Dist
-			var probe func()
-			probe = func() {
-				start := tn.EL().Now()
-				tn.Flow(probeSrc, probeDst, 90_000, dctcp.SenderConfig(9000), func(rcv *tcp.Receiver) {
-					fcts.Add((rcv.CompletedAt - start).Millis())
-					probe()
-				})
-			}
-			probe()
-			tn.EL().RunUntil(deadline)
-			return fctRow("DCTCP", &fcts)
-		}),
-		NewJob("fig15/DCQCN", o.Seed, func(seed uint64) Row {
-			dn := BuildDCQCN(FatTreeBuilder(k), topo.Config{Seed: seed}, 9000)
-			hosts := dn.C.NumHosts()
-			probeDst := hosts / 2
-			rand := sim.NewRand(seed + 3)
-			for h := 0; h < hosts; h++ {
-				if h == probeSrc || h == probeDst {
-					continue
-				}
-				for c := 0; c < 4; c++ {
-					dn.Flow(h, bgDst(hosts, rand, h, probeDst), -1, nil)
-				}
-			}
-			var fcts stats.Dist
-			var probe func()
-			probe = func() {
-				start := dn.EL().Now()
-				dn.Flow(probeSrc, probeDst, 90_000, func(rcv *dcqcn.Receiver) {
-					fcts.Add((rcv.CompletedAt - start).Millis())
-					probe()
-				})
-			}
-			probe()
-			dn.EL().RunUntil(deadline)
-			dn.StopAll()
-			return fctRow("DCQCN", &fcts)
-		}),
-		NewJob("fig15/MPTCP", o.Seed, func(seed uint64) Row {
-			tn := BuildTCPFamily(FatTreeBuilder(k), topo.Config{Seed: seed}, dropTail(200*9000), mptcp.DefaultConfig().TCP)
-			hosts := tn.C.NumHosts()
-			probeDst := hosts / 2
-			rand := sim.NewRand(seed + 3)
-			cfg := mptcp.DefaultConfig()
-			for h := 0; h < hosts; h++ {
-				if h == probeSrc || h == probeDst {
-					continue
-				}
-				for c := 0; c < 4; c++ {
-					tn.MPTCPFlow(h, bgDst(hosts, rand, h, probeDst), -1, cfg, nil)
-				}
-			}
-			var fcts stats.Dist
-			var probe func()
-			probe = func() {
-				start := tn.EL().Now()
-				tn.MPTCPFlow(probeSrc, probeDst, 90_000, cfg, func(f *mptcp.Flow) {
-					fcts.Add((f.CompletedAt - start).Millis())
-					probe()
-				})
-			}
-			probe()
-			tn.EL().RunUntil(deadline)
-			return fctRow("MPTCP", &fcts)
-		}),
+			return Row{p.name, f4(fcts.Median()), f4(fcts.Quantile(0.9)), f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}
+		})
 	}
 
 	t := &stats.Table{Header: []string{"protocol", "p50_ms", "p90_ms", "p99_ms", "n"}}
@@ -272,64 +118,23 @@ func fig16(o Options, r *Result) {
 	}
 	const size = 450_000
 
+	protos := contenders(FatTreeBuilder(k), 9000, "NDP", "DCTCP", "MPTCP", "DCQCN")
+	fineRTO := DefaultMPTCPTransport(9000) // fine-grained RTO per Vasudevan et al.
+	fineRTO.Cfg.TCP.MinRTO = 2 * sim.Millisecond
+	protos[2].build = on(fineRTO, FatTreeBuilder(k))
+
 	var jobs []Job[Row]
 	seeds := SweepSeeds(o.Seed, len(fanins))
 	for fi, nsend := range fanins {
-		nsend := nsend
 		optimal := sim.FromSeconds(float64(nsend) * size * 8 / 10e9)
-		senders := workload.IncastSenders(0, nsend, hosts)
-		deadline := optimal*20 + 500*sim.Millisecond
-		pre := []string{fmt.Sprint(nsend), f4(optimal.Millis())}
-
-		jobs = append(jobs,
-			NewJob(fmt.Sprintf("fig16/%d/NDP", nsend), seeds[fi], func(seed uint64) Row {
-				n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed}, core.DefaultSwitchConfig(9000), core.DefaultConfig())
-				var fcts stats.Dist
-				n.Incast(0, senders, size, &fcts)
-				n.EL().RunUntil(deadline)
-				return append(append(Row{}, pre...), "NDP", f4(fcts.Min()/1000), f4(fcts.Max()/1000))
-			}),
-			NewJob(fmt.Sprintf("fig16/%d/DCTCP", nsend), seeds[fi], func(seed uint64) Row {
-				tn := BuildTCPFamily(FatTreeBuilder(k), topo.Config{Seed: seed}, dctcp.QueueFactory(9000), dctcp.SenderConfig(9000))
-				var fcts stats.Dist
-				for _, s := range senders {
-					start := tn.EL().Now()
-					tn.Flow(s, 0, size, dctcp.SenderConfig(9000), func(rcv *tcp.Receiver) {
-						fcts.Add((rcv.CompletedAt - start).Millis())
-					})
-				}
-				tn.EL().RunUntil(deadline)
-				return append(append(Row{}, pre...), "DCTCP", f4(fcts.Min()), f4(fcts.Max()))
-			}),
-			NewJob(fmt.Sprintf("fig16/%d/MPTCP", nsend), seeds[fi], func(seed uint64) Row {
-				// Fine-grained RTO per Vasudevan et al.
-				tn := BuildTCPFamily(FatTreeBuilder(k), topo.Config{Seed: seed}, dropTail(200*9000), mptcp.DefaultConfig().TCP)
-				cfg := mptcp.DefaultConfig()
-				cfg.TCP.MinRTO = 2 * sim.Millisecond
-				var fcts stats.Dist
-				for _, s := range senders {
-					start := tn.EL().Now()
-					tn.MPTCPFlow(s, 0, size, cfg, func(f *mptcp.Flow) {
-						fcts.Add((f.CompletedAt - start).Millis())
-					})
-				}
-				tn.EL().RunUntil(deadline)
-				return append(append(Row{}, pre...), "MPTCP", f4(fcts.Min()), f4(fcts.Max()))
-			}),
-			NewJob(fmt.Sprintf("fig16/%d/DCQCN", nsend), seeds[fi], func(seed uint64) Row {
-				dn := BuildDCQCN(FatTreeBuilder(k), topo.Config{Seed: seed}, 9000)
-				var fcts stats.Dist
-				for _, s := range senders {
-					start := dn.EL().Now()
-					dn.Flow(s, 0, size, func(rcv *dcqcn.Receiver) {
-						fcts.Add((rcv.CompletedAt - start).Millis())
-					})
-				}
-				dn.EL().RunUntil(deadline)
-				dn.StopAll()
-				return append(append(Row{}, pre...), "DCQCN", f4(fcts.Min()), f4(fcts.Max()))
-			}),
-		)
+		for _, p := range protos {
+			jobs = append(jobs, NewJob(fmt.Sprintf("fig16/%d/%s", nsend, p.name), seeds[fi], func(seed uint64) Row {
+				n := p.build(seed)
+				in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
+				n.EL().RunUntil(optimal*20 + 500*sim.Millisecond)
+				return Row{fmt.Sprint(nsend), f4(optimal.Millis()), p.name, f4(in.first.Millis()), f4(in.last.Millis())}
+			}))
+		}
 	}
 
 	t := &stats.Table{Header: []string{"senders", "optimal_ms", "protocol", "first_ms", "last_ms"}}
@@ -371,14 +176,11 @@ func fig17(o Options, r *Result) {
 			iw, b := iw, b
 			jobs = append(jobs, NewJob(fmt.Sprintf("fig17/iw%d/%s", iw, b.name), o.Seed,
 				func(seed uint64) float64 {
-					scfg := core.SwitchConfig{DataCapPackets: b.packets, HeaderCapBytes: b.packets * b.mtu, HeaderWRR: 10}
-					hcfg := core.DefaultConfig()
-					hcfg.MTU = b.mtu
-					hcfg.IW = iw
-					n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed}, scfg, hcfg)
-					dst := workload.Permutation(n.C.NumHosts(), sim.NewRand(seed))
-					g := runWarmMeasure(n.EL(), warm, window, senderMeters(n.Permutation(dst)))
-					return 100 * utilization(g, 10e9)
+					tr := DefaultNDPTransport(b.mtu)
+					tr.Switch = core.SwitchConfig{DataCapPackets: b.packets, HeaderCapBytes: b.packets * b.mtu, HeaderWRR: 10}
+					tr.Host.IW = iw
+					n := tr.Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+					return 100 * utilization(permGoodput(n, seed, warm, window), 10e9)
 				}))
 		}
 	}
@@ -408,57 +210,22 @@ func fig19(o Options, r *Result) {
 	nIncast := o.pick(16, 32, 64)
 
 	type series struct{ long, in *stats.TimeSeries }
-	protos := []string{"DCTCP", "DCQCN", "NDP"}
+	protos := contenders(FatTreeBuilder(4), 9000, "DCTCP", "DCQCN", "NDP")
 	jobs := make([]Job[series], len(protos))
-	for i, proto := range protos {
-		proto := proto
-		jobs[i] = NewJob("fig19/"+proto, o.Seed, func(seed uint64) series {
+	for i, p := range protos {
+		jobs[i] = NewJob("fig19/"+p.name, o.Seed, func(seed uint64) series {
 			res := series{long: stats.NewTimeSeries(bin), in: stats.NewTimeSeries(bin)}
-			switch proto {
-			case "NDP":
-				n := BuildNDP(FatTreeBuilder(4), topo.Config{Seed: seed},
-					core.DefaultSwitchConfig(9000), core.DefaultConfig())
-				n.Transfer(12, 0, -1, core.FlowOpts{
-					OnReceiverData: func(b int64) { res.long.Record(n.EL().Now(), b) },
-				})
-				n.EL().At(incastAt, func() {
-					hosts := n.C.NumHosts()
-					for i := 0; i < nIncast; i++ {
-						src := 2 + (i % (hosts - 2))
-						n.Transfer(src, 1, incastSize, core.FlowOpts{
-							OnReceiverData: func(b int64) { res.in.Record(n.EL().Now(), b) },
-						})
-					}
-				})
-				n.EL().RunUntil(endAt)
-			case "DCTCP":
-				tn := BuildTCPFamily(FatTreeBuilder(4), topo.Config{Seed: seed}, dctcp.QueueFactory(9000), dctcp.SenderConfig(9000))
-				_, lr := tn.Flow(12, 0, -1, dctcp.SenderConfig(9000), nil)
-				lr.OnData = func(b int64) { res.long.Record(tn.EL().Now(), b) }
-				tn.EL().At(incastAt, func() {
-					hosts := tn.C.NumHosts()
-					for i := 0; i < nIncast; i++ {
-						src := 2 + (i % (hosts - 2))
-						_, ir := tn.Flow(src, 1, incastSize, dctcp.SenderConfig(9000), nil)
-						ir.OnData = func(b int64) { res.in.Record(tn.EL().Now(), b) }
-					}
-				})
-				tn.EL().RunUntil(endAt)
-			case "DCQCN":
-				dn := BuildDCQCN(FatTreeBuilder(4), topo.Config{Seed: seed}, 9000)
-				_, lr := dn.Flow(12, 0, -1, nil)
-				lr.OnData = func(b int64) { res.long.Record(dn.EL().Now(), b) }
-				dn.EL().At(incastAt, func() {
-					hosts := dn.C.NumHosts()
-					for i := 0; i < nIncast; i++ {
-						src := 2 + (i % (hosts - 2))
-						_, ir := dn.Flow(src, 1, incastSize, nil)
-						ir.OnData = func(b int64) { res.in.Record(dn.EL().Now(), b) }
-					}
-				})
-				dn.EL().RunUntil(endAt)
-				dn.StopAll()
-			}
+			n := p.build(seed)
+			el := n.EL()
+			n.StartFlow(12, 0, -1, StartOpts{OnData: func(b int64) { res.long.Record(el.Now(), b) }})
+			el.At(incastAt, func() {
+				hosts := n.Cluster().NumHosts()
+				opts := StartOpts{OnData: func(b int64) { res.in.Record(el.Now(), b) }}
+				for i := 0; i < nIncast; i++ {
+					n.StartFlow(2+(i%(hosts-2)), 1, incastSize, opts)
+				}
+			})
+			el.RunUntil(endAt)
 			return res
 		})
 	}
@@ -480,7 +247,7 @@ func fig19(o Options, r *Result) {
 		for bi := 0; bi < nbins; bi++ {
 			t.AddFloats(fmt.Sprint(bi), at(long, bi), at(in, bi))
 		}
-		r.AddTable(protos[i]+fmt.Sprintf(" (incast of %d x 900KB at t=%dms)", nIncast, incastAt/sim.Millisecond), t)
+		r.AddTable(protos[i].name+fmt.Sprintf(" (incast of %d x 900KB at t=%dms)", nIncast, incastAt/sim.Millisecond), t)
 	}
 	r.Notef("paper shape: DCTCP: both dip and recover slowly; DCQCN: incast finishes fast but PFC pauses batter the long flow; NDP: <1ms dip then full recovery")
 }
@@ -519,33 +286,22 @@ func fig20(o Options, r *Result) {
 			nsend, iw := nsend, iw
 			jobs = append(jobs, NewJob(fmt.Sprintf("fig20/%d/iw%d", nsend, iw), seeds[fi],
 				func(seed uint64) point {
-					hcfg := core.DefaultConfig()
-					hcfg.IW = iw
-					n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed}, core.DefaultSwitchConfig(9000), hcfg)
-					senders := workload.IncastSenders(0, nsend, hosts)
-					var snds []*core.Sender
-					var last sim.Time
-					done := 0
-					for _, s := range senders {
-						snd := n.Transfer(s, 0, size, core.FlowOpts{OnReceiverDone: func(rcv *core.Receiver) {
-							done++
-							if rcv.CompletedAt > last {
-								last = rcv.CompletedAt
-							}
-						}})
-						snds = append(snds, snd)
-					}
+					tr := DefaultNDPTransport(9000)
+					tr.Host.IW = iw
+					n := tr.Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+					in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
 					optimal := sim.FromSeconds(float64(nsend) * size * 8 / 10e9)
 					n.EL().RunUntil(optimal*3 + sim.Second)
 					var nacks, bounces, packets int64
-					for _, s := range snds {
+					for _, f := range in.flows {
+						s := f.(*core.Sender)
 						nacks += s.RtxFromNack
 						bounces += s.RtxFromBounce
 						packets += s.TotalPackets()
 					}
 					return point{
-						overPct:      pct(float64(last-optimal), float64(optimal)),
-						incomplete:   done != len(senders),
+						overPct:      pct(float64(in.last-optimal), float64(optimal)),
+						incomplete:   in.done != nsend,
 						nackPerPkt:   float64(nacks) / float64(packets),
 						bouncePerPkt: float64(bounces) / float64(packets),
 					}
@@ -588,18 +344,16 @@ func fig21(o Options, r *Result) {
 		fromA, toE float64
 	}
 	runOne := func(seed uint64, fifo bool) result {
-		hcfg := core.DefaultConfig()
-		hcfg.PullFIFO = fifo
-		n := BuildNDP(TwoTierBuilder(1, 6, 0), topo.Config{Seed: seed},
-			core.DefaultSwitchConfig(9000), hcfg)
+		tr := DefaultNDPTransport(9000)
+		tr.Host.PullFIFO = fifo
+		n := tr.Build(TwoTierBuilder(1, 6, 0), topo.Config{Seed: seed})
 		// A=0 -> B,C,D(1,2,3) and E(4); F=5 -> E(4).
-		var senders []*core.Sender
+		var flows []Flow
 		for _, dst := range []int{1, 2, 3, 4} {
-			senders = append(senders, n.Transfer(0, dst, -1, core.FlowOpts{}))
+			flows = append(flows, n.StartFlow(0, dst, -1, StartOpts{}))
 		}
-		senders = append(senders, n.Transfer(5, 4, -1, core.FlowOpts{}))
-		g := runWarmMeasure(n.EL(), 3*sim.Millisecond, sim.Time(o.pick(5, 10, 20))*sim.Millisecond,
-			senderMeters(senders))
+		flows = append(flows, n.StartFlow(5, 4, -1, StartOpts{}))
+		g := runWarmMeasure(n.EL(), 3*sim.Millisecond, sim.Time(o.pick(5, 10, 20))*sim.Millisecond, flows)
 		return result{flows: g, fromA: g[0] + g[1] + g[2] + g[3], toE: g[3] + g[4]}
 	}
 	res := RunJobs(o, []Job[result]{
@@ -629,70 +383,34 @@ func fig22(o Options, r *Result) {
 	warm := 3 * sim.Millisecond
 	window := sim.Time(o.pick(6, 10, 20)) * sim.Millisecond
 
-	ndpRun := func(seed uint64, noPenalty bool) []float64 {
-		hcfg := core.DefaultConfig()
-		hcfg.DisablePathPenalty = noPenalty
-		base := topo.Config{Seed: seed}
-		base.SwitchQueue = core.QueueFactory(core.DefaultSwitchConfig(9000), seed+41)
-		ft := topo.NewFatTree(k, base)
-		core.WireBounce(ft.Switches)
+	degraded := func(c topo.Config) topo.Cluster {
+		ft := topo.NewFatTree(k, c)
 		ft.DegradeLink(0, 0, 1e9)
-		n := &NDPNet{C: ft}
-		for i, h := range ft.Hosts {
-			h := h
-			cfg := hcfg
-			cfg.Seed = seed + uint64(i)*7919
-			st := core.NewStack(h, func(dst int32) [][]int16 { return ft.Paths(h.ID, dst) }, cfg)
-			st.Listen(nil)
-			n.Stacks = append(n.Stacks, st)
+		return ft
+	}
+	// The NDP variants keep the switch-queue seed their table was pinned
+	// with, which is not the one NDPTransport derives.
+	ndp := func(noPenalty bool) func(seed uint64) Net {
+		return func(seed uint64) Net {
+			hcfg := core.DefaultConfig()
+			hcfg.DisablePathPenalty = noPenalty
+			queue := core.QueueFactory(core.DefaultSwitchConfig(9000), seed+41)
+			return newNDPNet(degraded(topo.Config{Seed: seed, SwitchQueue: queue}), hcfg, seed)
 		}
-		dst := workload.Permutation(ft.NumHosts(), sim.NewRand(seed))
-		return runWarmMeasure(n.EL(), warm, window, senderMeters(n.Permutation(dst)))
 	}
-
-	jobs := []Job[[]float64]{
-		NewJob("fig22/NDP", o.Seed, func(seed uint64) []float64 { return ndpRun(seed, false) }),
-		NewJob("fig22/NDP-no-penalty", o.Seed, func(seed uint64) []float64 { return ndpRun(seed, true) }),
-		NewJob("fig22/MPTCP", o.Seed, func(seed uint64) []float64 {
-			base := topo.Config{Seed: seed}
-			base.SwitchQueue = dropTail(200 * 9000)
-			ft := topo.NewFatTree(k, base)
-			ft.DegradeLink(0, 0, 1e9)
-			tn := newTCPNet(ft, tcp.Config{}, seed)
-			dst := workload.Permutation(ft.NumHosts(), sim.NewRand(seed))
-			cfg := mptcp.DefaultConfig()
-			meters := make([]*meter, 0, len(dst))
-			for src, d := range dst {
-				f := tn.MPTCPFlow(src, d, -1, cfg, nil)
-				meters = append(meters, newMeter(f.AckedBytes))
-			}
-			return runWarmMeasure(tn.EL(), warm, window, meters)
-		}),
-		NewJob("fig22/DCTCP", o.Seed, func(seed uint64) []float64 {
-			base := topo.Config{Seed: seed}
-			base.SwitchQueue = dctcp.QueueFactory(9000)
-			ft := topo.NewFatTree(k, base)
-			ft.DegradeLink(0, 0, 1e9)
-			tn := newTCPNet(ft, tcp.Config{}, seed)
-			dst := workload.Permutation(ft.NumHosts(), sim.NewRand(seed))
-			meters := make([]*meter, 0, len(dst))
-			for src, d := range dst {
-				snd, _ := tn.Flow(src, d, -1, dctcp.SenderConfig(9000), nil)
-				meters = append(meters, newMeter(func() int64 { return snd.AckedBytes }))
-			}
-			return runWarmMeasure(tn.EL(), warm, window, meters)
-		}),
+	protos := append([]contender{{"NDP", ndp(false)}, {"NDP no path penalty", ndp(true)}},
+		contenders(degraded, 9000, "MPTCP", "DCTCP")...)
+	jobs := make([]Job[[]float64], len(protos))
+	for i, p := range protos {
+		jobs[i] = NewJob("fig22/"+p.name, o.Seed, func(seed uint64) []float64 {
+			return permGoodput(p.build(seed), seed, warm, window)
+		})
 	}
-	res := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"variant", "util%", "min_gbps", "p5_gbps", "p10_gbps", "p50_gbps"}}
-	names := []string{"NDP", "NDP no path penalty", "MPTCP", "DCTCP"}
-	for i, g := range res {
-		var d stats.Dist
-		for _, v := range g {
-			d.Add(v)
-		}
-		t.AddFloats(names[i], 100*utilization(g, 10e9), d.Min(), d.Quantile(0.05), d.Quantile(0.1), d.Median())
+	for i, g := range RunJobs(o, jobs) {
+		d := distOf(g)
+		t.AddFloats(protos[i].name, 100*utilization(g, 10e9), d.Min(), d.Quantile(0.05), d.Quantile(0.1), d.Median())
 	}
 	r.AddTable("permutation with one agg->core link at 1Gb/s", t)
 	r.Notef("paper shape: NDP and MPTCP route around the failure; NDP without the path penalty leaves ~15 flows near 3G; DCTCP's worst flow ~0.4G")

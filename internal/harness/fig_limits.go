@@ -3,12 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"ndp/internal/core"
-	"ndp/internal/mptcp"
 	"ndp/internal/sim"
 	"ndp/internal/stats"
 	"ndp/internal/topo"
-	"ndp/internal/workload"
 )
 
 func init() {
@@ -36,44 +33,22 @@ func tLimits(o Options, r *Result) {
 		ftK = 8
 	}
 
-	type scen struct {
-		topoName, proto string
-		g               []float64
-	}
-	jobs := []Job[scen]{
-		// NDP on Jellyfish: sprays across the asymmetric path set.
-		NewJob("t-limits/jellyfish/NDP", o.Seed, func(seed uint64) scen {
-			n := BuildNDP(jfBuilder, topo.Config{Seed: seed},
-				core.DefaultSwitchConfig(9000), core.DefaultConfig())
-			dst := workload.Permutation(n.C.NumHosts(), sim.NewRand(seed))
-			g := runWarmMeasure(n.EL(), warm, window, senderMeters(n.Permutation(dst)))
-			return scen{"jellyfish", "NDP", g}
-		}),
-		// MPTCP on the same Jellyfish: per-path congestion control.
-		NewJob("t-limits/jellyfish/MPTCP", o.Seed, func(seed uint64) scen {
-			tn := BuildTCPFamily(jfBuilder, topo.Config{Seed: seed}, dropTail(200*9000), mptcp.DefaultConfig().TCP)
-			dst := workload.Permutation(tn.C.NumHosts(), sim.NewRand(seed))
-			cfg := mptcp.DefaultConfig()
-			meters := make([]*meter, 0, len(dst))
-			for src, d := range dst {
-				f := tn.MPTCPFlow(src, d, -1, cfg, nil)
-				meters = append(meters, newMeter(f.AckedBytes))
-			}
-			return scen{"jellyfish", "MPTCP", runWarmMeasure(tn.EL(), warm, window, meters)}
-		}),
-		// Reference: NDP on a FatTree of comparable size (symmetric paths).
-		NewJob("t-limits/fattree/NDP", o.Seed, func(seed uint64) scen {
-			return scen{"fattree", "NDP", permGoodputNDP(ftK, seed, warm, window)}
-		}),
+	// NDP sprays across the Jellyfish's asymmetric path set; MPTCP's
+	// per-path congestion control runs on the same one; the reference is NDP
+	// on a FatTree of comparable size (symmetric paths).
+	protos := append(contenders(jfBuilder, 9000, "NDP", "MPTCP"), contenders(FatTreeBuilder(ftK), 9000, "NDP")...)
+	topos := []string{"jellyfish", "jellyfish", "fattree"}
+	jobs := make([]Job[[]float64], len(protos))
+	for i, p := range protos {
+		jobs[i] = NewJob("t-limits/"+topos[i]+"/"+p.name, o.Seed, func(seed uint64) []float64 {
+			return permGoodput(p.build(seed), seed, warm, window)
+		})
 	}
 
 	t := &stats.Table{Header: []string{"topology", "protocol", "util%", "min_gbps", "p50_gbps"}}
-	for _, s := range RunJobs(o, jobs) {
-		var d stats.Dist
-		for _, v := range s.g {
-			d.Add(v)
-		}
-		t.AddRow(s.topoName, s.proto, f4(100*utilization(s.g, 10e9)), f4(d.Min()), f4(d.Median()))
+	for i, g := range RunJobs(o, jobs) {
+		d := distOf(g)
+		t.AddRow(topos[i], protos[i].name, f4(100*utilization(g, 10e9)), f4(d.Min()), f4(d.Median()))
 	}
 
 	jf := topo.NewJellyfish(nSwitches, hostsPer, degree, 8, topo.Config{Seed: o.Seed})

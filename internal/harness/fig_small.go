@@ -9,7 +9,6 @@ import (
 	"ndp/internal/hostmodel"
 	"ndp/internal/sim"
 	"ndp/internal/stats"
-	"ndp/internal/tcp"
 	"ndp/internal/topo"
 	"ndp/internal/workload"
 )
@@ -35,8 +34,6 @@ func fig2(o Options, r *Result) {
 	if o.Scale < 0.99 {
 		flowCounts = []int{1, 5, 20, 60}
 	}
-	warm := 2 * sim.Millisecond
-	window := sim.Time(o.pick(4, 8, 16)) * sim.Millisecond
 
 	type cell struct{ mean, worst float64 }
 	var jobs []Job[cell]
@@ -50,42 +47,12 @@ func fig2(o Options, r *Result) {
 			mode, n := mode, n
 			jobs = append(jobs, NewJob(fmt.Sprintf("fig2/%s/%d", modeName, n), seeds[fi],
 				func(seed uint64) cell {
-					base := topo.Config{Seed: seed}
+					queue := cp.QueueFactory(8*mtu, 8*mtu+64*fabric.HeaderSize)
 					if mode == 0 {
-						base.SwitchQueue = core.QueueFactory(core.DefaultSwitchConfig(mtu), seed+99)
-					} else {
-						base.SwitchQueue = cp.QueueFactory(8*mtu, 8*mtu+64*fabric.HeaderSize)
+						queue = core.QueueFactory(core.DefaultSwitchConfig(mtu), seed+99)
 					}
-					tt := topo.NewTwoTier(1, n+1, 0, base)
-					core.WireBounce(tt.Switches)
-
-					// Count per-flow goodput at the receiver.
-					perFlow := make(map[uint64]int64)
-					tt.Hosts[0].Stack = fabric.SinkFunc(func(p *fabric.Packet) {
-						if p.Type == fabric.Data && !p.Trimmed() {
-							perFlow[p.Flow] += int64(p.DataSize)
-						}
-						fabric.Free(p)
-					})
-					offs := sim.NewRand(seed + uint64(n)*31)
-					gap := sim.TransmissionTime(mtu, tt.LinkRate())
-					for i := 1; i <= n; i++ {
-						StartBlast(tt, i, 0, uint64(i), mtu, offs.Duration(gap))
-					}
-					tt.EL.RunUntil(warm)
-					snapshot := make(map[uint64]int64, len(perFlow))
-					for f, b := range perFlow {
-						snapshot[f] = b
-					}
-					tt.EL.RunUntil(warm + window)
-
-					fair := float64(tt.LinkRate()) / float64(n) / 1e9
-					var d stats.Dist
-					for i := 1; i <= n; i++ {
-						g := stats.Gbps(perFlow[uint64(i)]-snapshot[uint64(i)], window)
-						d.Add(pct(g, fair))
-					}
-					return cell{mean: d.Mean(), worst: d.MeanOfBottom(0.10)}
+					mean, worst, _ := overloadRun(o, seed, n, queue)
+					return cell{mean: mean, worst: worst}
 				}))
 		}
 	}
@@ -107,17 +74,17 @@ func fig4(o Options, r *Result) {
 	k := o.pick(4, 8, 12)
 	runDur := sim.Time(o.pick(5, 10, 20)) * sim.Millisecond
 
-	hook := func(lat *stats.Dist) func(sim.Time) {
-		return func(d sim.Time) { lat.AddTime(d) }
-	}
-	// Each scenario builds its own network, installs per-sender latency
-	// hooks, and returns the deadline to run until.
-	scenario := func(label string, fn func(n *NDPNet, lat *stats.Dist, seed uint64) sim.Time) Job[Row] {
+	// Each scenario launches its flows on a fresh network and returns them
+	// with the deadline to run until; every sender gets the latency hook.
+	scenario := func(label string, launch func(n Net, seed uint64) ([]Flow, sim.Time)) Job[Row] {
 		return NewJob("fig4/"+label, o.Seed, func(seed uint64) Row {
-			n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed},
-				core.DefaultSwitchConfig(9000), core.DefaultConfig())
+			n := DefaultNDPTransport(9000).Build(FatTreeBuilder(k), topo.Config{Seed: seed})
 			var lat stats.Dist
-			deadline := fn(n, &lat, seed)
+			hook := func(d sim.Time) { lat.AddTime(d) }
+			flows, deadline := launch(n, seed)
+			for _, f := range flows {
+				f.(*core.Sender).OnPacketLatency = hook
+			}
 			n.EL().RunUntil(deadline)
 			return Row{label, f4(lat.Quantile(0.1)), f4(lat.Median()), f4(lat.Quantile(0.9)),
 				f4(lat.Quantile(0.99)), f4(lat.Max())}
@@ -125,35 +92,21 @@ func fig4(o Options, r *Result) {
 	}
 
 	jobs := []Job[Row]{
-		scenario("permutation", func(n *NDPNet, lat *stats.Dist, seed uint64) sim.Time {
-			dst := workload.Permutation(n.C.NumHosts(), sim.NewRand(seed))
-			for _, s := range n.Permutation(dst) {
-				s.OnPacketLatency = hook(lat)
-			}
-			return runDur
+		scenario("permutation", func(n Net, seed uint64) ([]Flow, sim.Time) {
+			return startMatrix(n, workload.Permutation(n.Cluster().NumHosts(), sim.NewRand(seed))), runDur
 		}),
-		scenario("random", func(n *NDPNet, lat *stats.Dist, seed uint64) sim.Time {
-			dst := workload.RandomMatrix(n.C.NumHosts(), sim.NewRand(seed))
-			for _, s := range n.Permutation(dst) {
-				s.OnPacketLatency = hook(lat)
-			}
-			return runDur
+		scenario("random", func(n Net, seed uint64) ([]Flow, sim.Time) {
+			return startMatrix(n, workload.RandomMatrix(n.Cluster().NumHosts(), sim.NewRand(seed))), runDur
 		}),
 	}
 	for _, size := range []int64{135_000, 1_350_000} {
 		size := size
 		jobs = append(jobs, scenario(fmt.Sprintf("incast %dKB", size/1000),
-			func(n *NDPNet, lat *stats.Dist, seed uint64) sim.Time {
-				nsend := 100
-				if nsend > n.C.NumHosts()-1 {
-					nsend = n.C.NumHosts() - 1
-				}
-				senders := workload.IncastSenders(0, nsend, n.C.NumHosts())
-				for _, s := range senders {
-					snd := n.Transfer(s, 0, size, core.FlowOpts{})
-					snd.OnPacketLatency = hook(lat)
-				}
-				return sim.FromSeconds(float64(nsend) * float64(size) * 8 / 10e9 * 3)
+			func(n Net, seed uint64) ([]Flow, sim.Time) {
+				hosts := n.Cluster().NumHosts()
+				nsend := min(100, hosts-1)
+				in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
+				return in.flows, sim.FromSeconds(float64(nsend) * float64(size) * 8 / 10e9 * 3)
 			}))
 	}
 
@@ -172,15 +125,11 @@ func fig4(o Options, r *Result) {
 func fig8(o Options, r *Result) {
 	// Simulate the raw network request/response time over back-to-back
 	// hosts using the NDP stack with no host delays.
-	n := BuildNDP(BackToBackBuilder(), topo.Config{Seed: o.Seed},
-		core.DefaultSwitchConfig(9000), core.DefaultConfig())
+	n := DefaultNDPTransport(9000).Build(BackToBackBuilder(), topo.Config{Seed: o.Seed})
 	var netRTT sim.Time
 	start := n.EL().Now()
-	n.Stacks[1].Listen(func(rcv *core.Receiver) {})
-	n.Transfer(0, 1, 1000, core.FlowOpts{OnReceiverDone: func(rcv *core.Receiver) {
-		n.Transfer(1, 0, 1000, core.FlowOpts{OnReceiverDone: func(rcv2 *core.Receiver) {
-			netRTT = rcv2.CompletedAt - start
-		}})
+	n.StartFlow(0, 1, 1000, StartOpts{OnDone: func(sim.Time) {
+		n.StartFlow(1, 0, 1000, StartOpts{OnDone: func(at sim.Time) { netRTT = at - start }})
 	}})
 	n.EL().RunUntil(10 * sim.Millisecond)
 
@@ -216,6 +165,8 @@ func fig9(o Options, r *Result) {
 	}
 	reps := o.pick(3, 5, 9)
 
+	// TCP is Linux-like: MinRTO 200ms, handshake per request.
+	protos := contenders(TwoTierBuilder(4, 2, 2), 9000, "NDP", "TCP")
 	type fct struct {
 		ms float64
 		ok bool
@@ -223,53 +174,33 @@ func fig9(o Options, r *Result) {
 	var jobs []Job[fct]
 	for _, size := range sizes {
 		for rep := 0; rep < reps; rep++ {
-			size := size
-			seed := o.Seed + uint64(rep)*101
-			jobs = append(jobs,
-				NewJob(fmt.Sprintf("fig9/%dKB/rep%d/NDP", size/1000, rep), seed, func(seed uint64) fct {
-					n := BuildNDP(TwoTierBuilder(4, 2, 2), topo.Config{Seed: seed},
-						core.DefaultSwitchConfig(9000), core.DefaultConfig())
-					var fcts stats.Dist
-					last := n.Incast(0, workload.IncastSenders(0, 7, 8), size, &fcts)
-					n.EL().RunUntil(5 * sim.Second)
-					return fct{ms: last.Millis(), ok: true}
-				}),
-				// TCP run (Linux-like MinRTO 200ms, handshake per request).
-				NewJob(fmt.Sprintf("fig9/%dKB/rep%d/TCP", size/1000, rep), seed, func(seed uint64) fct {
-					cfg := tcp.DefaultConfig()
-					tn := BuildTCPFamily(TwoTierBuilder(4, 2, 2), topo.Config{Seed: seed},
-						func(string) fabric.Queue { return fabric.NewFIFOQueue(8 * 9000) }, cfg)
-					var last sim.Time
-					done := 0
-					for _, s := range workload.IncastSenders(0, 7, 8) {
-						tn.Flow(s, 0, size, cfg, func(rcv *tcp.Receiver) {
-							done++
-							if rcv.CompletedAt > last {
-								last = rcv.CompletedAt
-							}
-						})
-					}
-					tn.EL().RunUntil(5 * sim.Second)
-					return fct{ms: last.Millis(), ok: done == 7}
-				}))
+			for _, p := range protos {
+				size, p := size, p
+				jobs = append(jobs, NewJob(fmt.Sprintf("fig9/%dKB/rep%d/%s", size/1000, rep, p.name), o.Seed+uint64(rep)*101,
+					func(seed uint64) fct {
+						n := p.build(seed)
+						in := startIncast(n, 0, workload.IncastSenders(0, 7, 8), size)
+						n.EL().RunUntil(5 * sim.Second)
+						return fct{ms: in.last.Millis(), ok: in.done == 7}
+					}))
+			}
 		}
 	}
 	res := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"size_KB", "optimal_ms", "ndp_med_ms", "ndp_p90_ms", "tcp_med_ms", "tcp_p90_ms"}}
 	for si, size := range sizes {
-		var ndpD, tcpD stats.Dist
-		for rep := 0; rep < reps; rep++ {
-			ndp := res[(si*reps+rep)*2]
-			tcp := res[(si*reps+rep)*2+1]
-			ndpD.Add(ndp.ms)
-			if tcp.ok {
-				tcpD.Add(tcp.ms)
+		row := []float64{sim.FromSeconds(7 * float64(size) * 8 / 10e9).Millis()}
+		for pi := range protos {
+			var d stats.Dist // over the repetitions whose seven flows all finished
+			for rep := 0; rep < reps; rep++ {
+				if f := res[(si*reps+rep)*len(protos)+pi]; f.ok {
+					d.Add(f.ms)
+				}
 			}
+			row = append(row, d.Median(), d.Quantile(0.9))
 		}
-		optimal := sim.FromSeconds(7 * float64(size) * 8 / 10e9).Millis()
-		t.AddFloats(fmt.Sprintf("%d", size/1000), optimal,
-			ndpD.Median(), ndpD.Quantile(0.9), tcpD.Median(), tcpD.Quantile(0.9))
+		t.AddFloats(fmt.Sprintf("%d", size/1000), row...)
 	}
 	r.AddTable("7:1 incast completion time", t)
 	r.Notef("paper shape: NDP within ~5%% of optimal with p90~median; TCP ~4x slower, p90 RTO-dominated")
@@ -281,19 +212,15 @@ func fig9(o Options, r *Result) {
 func fig10(o Options, r *Result) {
 	const short = 200_000
 	runOne := func(seed uint64, background, prio bool) sim.Time {
-		n := BuildNDP(FatTreeBuilder(4), topo.Config{Seed: seed},
-			core.DefaultSwitchConfig(9000), core.DefaultConfig())
+		n := DefaultNDPTransport(9000).Build(FatTreeBuilder(4), topo.Config{Seed: seed})
 		if background {
 			for i := 1; i <= 6; i++ {
-				n.Transfer(i, 0, 3_600_000, core.FlowOpts{})
+				n.StartFlow(i, 0, 3_600_000, StartOpts{})
 			}
 		}
 		var fct sim.Time
 		start := n.EL().Now()
-		n.Transfer(7, 0, short, core.FlowOpts{
-			Priority:       prio,
-			OnReceiverDone: func(rcv *core.Receiver) { fct = rcv.CompletedAt - start },
-		})
+		n.StartFlow(7, 0, short, StartOpts{Priority: prio, OnDone: func(at sim.Time) { fct = at - start }})
 		n.EL().RunUntil(100 * sim.Millisecond)
 		return fct
 	}
@@ -321,21 +248,18 @@ func fig11(o Options, r *Result) {
 	}
 	const size = 9_000_000
 	runOne := func(seed uint64, iw int, rxDelay sim.Time, jitter bool) float64 {
-		hcfg := core.DefaultConfig()
-		hcfg.IW = iw
-		hcfg.RxDelay = rxDelay
+		tr := DefaultNDPTransport(9000)
+		tr.Host.IW = iw
+		tr.Host.RxDelay = rxDelay
 		if jitter {
-			hcfg.PullJitter = hostmodel.PullJitter(9000)
+			tr.Host.PullJitter = hostmodel.PullJitter(9000)
 		}
 		// 25us link delay emulates the testbed's effective path+stack
 		// latency so the saturation knee lands near the paper's IW~15.
-		n := BuildNDP(BackToBackBuilder(), topo.Config{Seed: seed, LinkDelay: 25 * sim.Microsecond},
-			core.DefaultSwitchConfig(9000), hcfg)
+		n := tr.Build(BackToBackBuilder(), topo.Config{Seed: seed, LinkDelay: 25 * sim.Microsecond})
 		var fct sim.Time
 		start := n.EL().Now()
-		n.Transfer(0, 1, size, core.FlowOpts{OnReceiverDone: func(rcv *core.Receiver) {
-			fct = rcv.CompletedAt - start
-		}})
+		n.StartFlow(0, 1, size, StartOpts{OnDone: func(at sim.Time) { fct = at - start }})
 		n.EL().RunUntil(5 * sim.Second)
 		if fct == 0 {
 			return 0
@@ -372,15 +296,12 @@ func fig12(o Options, r *Result) {
 	for i, mtu := range mtus {
 		mtu := mtu
 		jobs[i] = NewJob(fmt.Sprintf("fig12/mtu%d", mtu), o.Seed, func(seed uint64) Row {
-			hcfg := core.DefaultConfig()
-			hcfg.MTU = mtu
-			hcfg.IW = 30
-			hcfg.PullJitter = hostmodel.PullJitter(mtu)
-			n := BuildNDP(BackToBackBuilder(), topo.Config{Seed: seed},
-				core.DefaultSwitchConfig(mtu), hcfg)
+			tr := DefaultNDPTransport(mtu)
+			tr.Host.PullJitter = hostmodel.PullJitter(mtu)
+			n := tr.Build(BackToBackBuilder(), topo.Config{Seed: seed}).(*NDPNet)
 			var gaps stats.Dist
 			n.Stacks[1].OnPullGap(func(g sim.Time) { gaps.AddTime(g) })
-			n.Transfer(0, 1, int64(mtu)*2000, core.FlowOpts{})
+			n.StartFlow(0, 1, int64(mtu)*2000, StartOpts{})
 			n.EL().RunUntil(sim.Second)
 			target := sim.TransmissionTime(mtu+fabric.HeaderSize, 10e9)
 			return Row{fmt.Sprint(mtu), f4(target.Micros()),
@@ -416,19 +337,15 @@ func fig13(o Options, r *Result) {
 			}
 			jobs = append(jobs, NewJob(fmt.Sprintf("fig13/%dKB/%s", size/1000, name), o.Seed,
 				func(seed uint64) float64 {
-					hcfg := core.DefaultConfig()
+					tr := DefaultNDPTransport(9000)
 					if mode == 1 {
-						hcfg.PullJitter = hostmodel.PullJitter(9000)
+						tr.Host.PullJitter = hostmodel.PullJitter(9000)
 					}
-					n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed},
-						core.DefaultSwitchConfig(9000), hcfg)
-					nsend := 200
-					if nsend > n.C.NumHosts()-1 {
-						nsend = n.C.NumHosts() - 1
-					}
-					last := n.Incast(0, workload.IncastSenders(0, nsend, n.C.NumHosts()), size, nil)
+					n := tr.Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+					hosts := n.Cluster().NumHosts()
+					in := startIncast(n, 0, workload.IncastSenders(0, min(200, hosts-1), hosts), size)
 					n.EL().RunUntil(2 * sim.Second)
-					return last.Millis()
+					return in.last.Millis()
 				}))
 		}
 	}

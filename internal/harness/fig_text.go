@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"ndp/internal/core"
-	"ndp/internal/dctcp"
-	"ndp/internal/phost"
 	"ndp/internal/sim"
 	"ndp/internal/stats"
-	"ndp/internal/tcp"
 	"ndp/internal/topo"
 	"ndp/internal/workload"
 )
@@ -34,67 +31,42 @@ func fig23(o Options, r *Result) {
 		row   Row
 		notes []string
 	}
+	protos := contenders(OversubFatTreeBuilder(k, oversub), mtu, "NDP", "DCTCP")
 	var jobs []Job[cell]
 	for _, conns := range loads {
-		conns := conns
-		jobs = append(jobs,
-			NewJob(fmt.Sprintf("fig23/conns%d/NDP", conns), o.Seed, func(seed uint64) cell {
-				scfg := core.DefaultSwitchConfig(mtu)
-				hcfg := core.DefaultConfig()
-				hcfg.MTU = mtu
-				n := BuildNDP(OversubFatTreeBuilder(k, oversub), topo.Config{Seed: seed}, scfg, hcfg)
+		for _, p := range protos {
+			jobs = append(jobs, NewJob(fmt.Sprintf("fig23/conns%d/%s", conns, p.name), o.Seed, func(seed uint64) cell {
+				n := p.build(seed)
+				c := n.Cluster()
 				var fcts stats.Dist
 				cl := &workload.ClosedLoop{
-					Hosts:         n.C.NumHosts(),
+					Hosts:         c.NumHosts(),
 					Conns:         conns,
 					Gap:           sim.Millisecond,
 					Sizes:         workload.FacebookWeb(),
 					Seed:          seed + 7,
-					NotifyLatency: func(int, int) sim.Time { return n.C.LinkDelay() },
-					Defer:         n.C.Defer,
+					NotifyLatency: func(int, int) sim.Time { return c.LinkDelay() },
+					Defer:         c.Defer,
 					Start: func(_, src, dst int, size int64, done func(at sim.Time)) {
 						start := n.EL().Now()
-						n.Transfer(src, dst, size, core.FlowOpts{OnReceiverDone: func(rcv *core.Receiver) {
-							fcts.Add((rcv.CompletedAt - start).Millis())
-							done(rcv.CompletedAt)
+						n.StartFlow(src, dst, size, StartOpts{OnDone: func(at sim.Time) {
+							fcts.Add((at - start).Millis())
+							done(at)
 						}})
 					},
 				}
 				cl.Run()
 				n.EL().RunUntil(deadline)
-				st := n.C.CollectStats()
-				return cell{
-					row: Row{fmt.Sprint(conns), "NDP", f4(fcts.Median()), f4(fcts.Quantile(0.9)),
-						f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())},
-					notes: []string{fmt.Sprintf("NDP conns=%d: %d trims, %d bounces, %d drops",
-						conns, st.Trims, st.Bounces, st.Drops)},
+				out := cell{row: Row{fmt.Sprint(conns), p.name, f4(fcts.Median()), f4(fcts.Quantile(0.9)),
+					f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}}
+				if p.name == "NDP" {
+					st := c.CollectStats()
+					out.notes = []string{fmt.Sprintf("NDP conns=%d: %d trims, %d bounces, %d drops",
+						conns, st.Trims, st.Bounces, st.Drops)}
 				}
-			}),
-			NewJob(fmt.Sprintf("fig23/conns%d/DCTCP", conns), o.Seed, func(seed uint64) cell {
-				tn := BuildTCPFamily(OversubFatTreeBuilder(k, oversub), topo.Config{Seed: seed}, dctcp.QueueFactory(mtu), dctcp.SenderConfig(mtu))
-				var fcts stats.Dist
-				cfg := dctcp.SenderConfig(mtu)
-				cl := &workload.ClosedLoop{
-					Hosts:         tn.C.NumHosts(),
-					Conns:         conns,
-					Gap:           sim.Millisecond,
-					Sizes:         workload.FacebookWeb(),
-					Seed:          seed + 7,
-					NotifyLatency: func(int, int) sim.Time { return tn.C.LinkDelay() },
-					Defer:         tn.C.Defer,
-					Start: func(_, src, dst int, size int64, done func(at sim.Time)) {
-						start := tn.EL().Now()
-						tn.Flow(src, dst, size, cfg, func(rcv *tcp.Receiver) {
-							fcts.Add((rcv.CompletedAt - start).Millis())
-							done(rcv.CompletedAt)
-						})
-					},
-				}
-				cl.Run()
-				tn.EL().RunUntil(deadline)
-				return cell{row: Row{fmt.Sprint(conns), "DCTCP", f4(fcts.Median()),
-					f4(fcts.Quantile(0.9)), f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}}
+				return out
 			}))
+		}
 	}
 
 	t := &stats.Table{Header: []string{"conns/host", "protocol", "p50_ms", "p90_ms", "p99_ms", "flows"}}
@@ -119,43 +91,21 @@ func tPhost(o Options, r *Result) {
 	warm := 3 * sim.Millisecond
 	window := sim.Time(o.pick(5, 10, 15)) * sim.Millisecond
 
-	jobs := []Job[float64]{
-		// Incast: last-flow completion in ms.
-		NewJob("t-phost/incast/pHost", o.Seed, func(seed uint64) float64 {
-			pn := BuildPHost(FatTreeBuilder(k), topo.Config{Seed: seed}, phost.DefaultConfig())
-			var last sim.Time
-			for _, s := range workload.IncastSenders(0, nsend, hosts) {
-				pn.Hosts[s].Connect(0, core.NextFlowID(), size, func(snd *phost.Sender) {
-					if snd.CompletedAt > last {
-						last = snd.CompletedAt
-					}
-				})
-			}
-			pn.EL().RunUntil(10 * sim.Second)
-			return last.Millis()
-		}),
-		NewJob("t-phost/incast/NDP", o.Seed, func(seed uint64) float64 {
-			n := BuildNDP(FatTreeBuilder(k), topo.Config{Seed: seed}, core.DefaultSwitchConfig(9000), core.DefaultConfig())
-			last := n.Incast(0, workload.IncastSenders(0, nsend, hosts), size, nil)
+	// Incast: last-flow completion in ms; permutation: utilization fraction.
+	protos := contenders(FatTreeBuilder(k), 9000, "pHost", "NDP")
+	var jobs []Job[float64]
+	for _, p := range protos {
+		jobs = append(jobs, NewJob("t-phost/incast/"+p.name, o.Seed, func(seed uint64) float64 {
+			n := p.build(seed)
+			in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
 			n.EL().RunUntil(10 * sim.Second)
-			return last.Millis()
-		}),
-		// Permutation: utilization fraction.
-		NewJob("t-phost/perm/pHost", o.Seed, func(seed uint64) float64 {
-			pn := BuildPHost(FatTreeBuilder(k), topo.Config{Seed: seed}, phost.DefaultConfig())
-			dst := workload.Permutation(hosts, sim.NewRand(seed))
-			meters := make([]*meter, 0, hosts)
-			for src, d := range dst {
-				s := pn.Hosts[src].Connect(int32(d), core.NextFlowID(), 1<<40, nil)
-				meters = append(meters, newMeter(s.AckedBytes))
-			}
-			g := runWarmMeasure(pn.EL(), warm, window, meters)
-			return utilization(g, 10e9)
-		}),
-		NewJob("t-phost/perm/NDP", o.Seed, func(seed uint64) float64 {
-			g := permGoodputNDP(k, seed, warm, window)
-			return utilization(g, 10e9)
-		}),
+			return in.last.Millis()
+		}))
+	}
+	for _, p := range protos {
+		jobs = append(jobs, NewJob("t-phost/perm/"+p.name, o.Seed, func(seed uint64) float64 {
+			return utilization(permGoodput(p.build(seed), seed, warm, window), 10e9)
+		}))
 	}
 	res := RunJobs(o, jobs)
 
@@ -186,8 +136,8 @@ func tScale(o Options, r *Result) {
 	for i, k := range ks {
 		k := k
 		jobs[i] = NewJob(fmt.Sprintf("t-scale/k%d", k), o.Seed, func(seed uint64) float64 {
-			g := permGoodputNDP(k, seed, warm, window)
-			return 100 * utilization(g, 10e9)
+			n := DefaultNDPTransport(9000).Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+			return 100 * utilization(permGoodput(n, seed, warm, window), 10e9)
 		})
 	}
 	res := RunJobs(o, jobs)
@@ -220,26 +170,17 @@ func tTrim(o Options, r *Result) {
 		jobs[i] = NewJob("t-trim/"+name, o.Seed, func(seed uint64) trims {
 			hcfg := core.DefaultConfig()
 			hcfg.SwitchLB = switchLB
-			base := topo.Config{Seed: seed}
-			base.SwitchQueue = core.QueueFactory(core.DefaultSwitchConfig(9000), seed+41)
-			ft := topo.NewFatTree(k, base)
-			core.WireBounce(ft.Switches)
-			n := &NDPNet{C: ft}
-			for i, h := range ft.Hosts {
-				h := h
-				cfg := hcfg
-				cfg.Seed = seed + uint64(i)*7919
-				st := core.NewStack(h, func(dst int32) [][]int16 { return ft.Paths(h.ID, dst) }, cfg)
-				st.Listen(nil)
-				n.Stacks = append(n.Stacks, st)
-			}
-			dst := workload.Permutation(ft.NumHosts(), sim.NewRand(seed))
-			senders := n.Permutation(dst)
-			g := runWarmMeasure(n.EL(), warm, window, senderMeters(senders))
+			// The switch-queue seed is the one the table was pinned with,
+			// not the one NDPTransport derives.
+			queue := core.QueueFactory(core.DefaultSwitchConfig(9000), seed+41)
+			ft := topo.NewFatTree(k, topo.Config{Seed: seed, SwitchQueue: queue})
+			n := newNDPNet(ft, hcfg, seed)
+			flows := startMatrix(n, workload.Permutation(ft.NumHosts(), sim.NewRand(seed)))
+			g := runWarmMeasure(n.EL(), warm, window, flows)
 
 			var packets int64
-			for _, s := range senders {
-				packets += s.PacketsSent
+			for _, f := range flows {
+				packets += f.(*core.Sender).PacketsSent
 			}
 			return trims{
 				uplinkPct: pct(float64(ft.UplinkTrims()), float64(packets)),

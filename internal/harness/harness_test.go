@@ -1,25 +1,51 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"encoding/json"
-	"ndp/internal/stats"
+	"fmt"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ndp/internal/stats"
 )
 
 // TestAllExperimentsSmoke runs every registered experiment at the smallest
-// scale and checks it produces non-empty tables. This is the integration
-// test that keeps the whole evaluation pipeline runnable.
+// scale and checks it produces non-empty tables, and that the rendered
+// result is the one benchmark/expected.json pins for this scale and seed —
+// so a moved table fails `go test ./...` by name, not only the benchmark
+// driver. The pin file is read, never written: a change that is meant to
+// move a table re-pins it with `go run -C benchmark . -pin`.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
 	}
+	const scale, seed = 0.1, 2
+	blob, err := os.ReadFile("../../benchmark/expected.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned struct {
+		Scale float64 `json:"figures_scale"`
+		Seeds map[string]struct {
+			Experiments map[string]struct{ Digest string }
+		}
+	}
+	if err := json.Unmarshal(blob, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	digests := pinned.Seeds[strconv.Itoa(seed)].Experiments
+	if pinned.Scale != scale || len(digests) != len(All()) {
+		t.Fatalf("expected.json pins %d experiments at scale %v for seed %d; want %d at %v",
+			len(digests), pinned.Scale, seed, len(All()), scale)
+	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run(Options{Scale: 0.1, Seed: 2})
+			res := e.Run(Options{Scale: scale, Seed: seed})
 			if len(res.Tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -31,6 +57,10 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			out := res.String()
 			if !strings.Contains(out, e.ID) {
 				t.Errorf("rendered result missing id:\n%s", out)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != digests[e.ID].Digest {
+				t.Errorf("%s moved: sha256 %s, benchmark/expected.json pins %s for seed %d:\n%s",
+					e.ID, got, digests[e.ID].Digest, seed, out)
 			}
 		})
 	}

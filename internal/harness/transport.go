@@ -12,15 +12,18 @@ import (
 	"ndp/internal/topo"
 )
 
-// This file defines the uniform transport abstraction the harness and the
-// public scenario package build on. Each of the simulator's transports —
-// NDP and its baselines — is a Transport: a named recipe that wires its
-// switch queue discipline and per-host endpoints onto any topology and
-// returns a Net, a uniform handle that can start flows and report their
-// progress. The per-figure runners and the scenario engine both construct
-// networks exclusively through Transports (the Build* functions in
-// builders.go are thin compatibility wrappers), so every transport x
-// topology x workload combination is reachable from one surface.
+// This file defines the one launch surface the figure runners, the public
+// scenario package and benchmark/ all drive. Each of the simulator's
+// transports — NDP and its baselines — is a Transport: a named recipe that
+// wires its switch queue discipline and per-host endpoints onto any topology
+// and returns a Net, whose StartFlow is the only way a flow begins. A figure
+// that compares transports is written once against Net and looped over them.
+//
+// The one exception is in builders.go: the figure tables of the TCP family
+// and DCQCN are pinned (benchmark/expected.json) to launchers that draw
+// connect-time paths from a net-wide stream, so the figure runners reach
+// those transports through three adapters — Nets whose StartFlow makes the
+// pinned draws — until a PR that may re-pin the tables deletes them.
 
 // Flow is the uniform handle for one transfer started via Net.StartFlow.
 type Flow interface {
@@ -101,18 +104,15 @@ func (t NDPTransport) Name() string { return "ndp" }
 // Build implements Transport.
 func (t NDPTransport) Build(build BuildFunc, base topo.Config) Net {
 	base.SwitchQueue = core.QueueFactory(t.Switch, base.Seed*2654435761+17)
-	c := build(base)
-	core.WireBounce(c.SwitchList())
-	n := &NDPNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
-	for i, h := range c.HostList() {
-		h := h
-		cfg := t.Host
-		cfg.Seed = base.Seed + uint64(i)*7919
-		st := core.NewStack(h, func(dst int32) [][]int16 { return c.Paths(h.ID, dst) }, cfg)
-		st.Listen(nil)
-		n.Stacks = append(n.Stacks, st)
-	}
-	return n
+	return newNDPNet(build(base), t.Host, base.Seed)
+}
+
+// DefaultNDPTransport returns the paper's NDP setup for the given MTU:
+// 8-packet trimming queues and a 30-packet initial window.
+func DefaultNDPTransport(mtu int) NDPTransport {
+	hcfg := core.DefaultConfig()
+	hcfg.MTU = mtu
+	return NDPTransport{Switch: core.DefaultSwitchConfig(mtu), Host: hcfg}
 }
 
 // Cluster implements Net.
@@ -220,15 +220,9 @@ func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	var source tcp.DataSource
-	if size < 0 {
-		source = unboundedSource{mss: t.Cfg.MSS}
-	} else {
-		source = tcp.NewFixedSource(size, t.Cfg.MSS)
-	}
 	r := t.src.rand[src]
 	fwd := t.C.Paths(hs.ID, hd.ID)
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], source, t.Cfg)
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], t.source(size), t.Cfg)
 	at := hs.EventList().Now() + t.C.MinPathDelay(src, dst)
 	t.C.Defer(src, dst, at, snd.Attach(tcp.ReceiverAttach{
 		At: at, Host: hd, Demux: t.Demux[dst], Pool: t.pool(dst),
@@ -238,6 +232,19 @@ func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	snd.Start()
 	return tcpFlow{snd}
 }
+
+// source returns the stream of a size-byte flow; size < 0 never runs out.
+func (t *TCPNet) source(size int64) tcp.DataSource {
+	if size < 0 {
+		return unboundedSource{mss: t.Cfg.MSS}
+	}
+	return tcp.NewFixedSource(size, t.Cfg.MSS)
+}
+
+type unboundedSource struct{ mss int }
+
+func (u unboundedSource) Claim() int      { return u.mss }
+func (u unboundedSource) Exhausted() bool { return false }
 
 // tcpFlow adapts a TCP sender to the Flow interface.
 type tcpFlow struct{ snd *tcp.Sender }
@@ -353,9 +360,15 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 // Cluster implements Net.
 func (d *DCQCNNet) Cluster() topo.Cluster { return d.C }
 
-// Close implements Net: it stops every sender's rate timers.
+// Close implements Net: it stops every sender's rate timers, which tick
+// forever under an unbounded flow. Stopping a retired sender is a no-op; it
+// runs after the simulation, so cross-shard reads are barrier-published.
 func (d *DCQCNNet) Close() {
-	d.StopAll()
+	for _, list := range d.srcSenders {
+		for _, s := range list {
+			s.Stop()
+		}
+	}
 	d.C.Close()
 }
 
@@ -467,7 +480,7 @@ func (p *PHostNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 }
 
 // dropTail returns a FIFO drop-tail switch queue factory of the given
-// byte capacity (shared with the fig runners).
+// byte capacity.
 func dropTail(maxBytes int) topo.QueueFactory {
 	return func(string) fabric.Queue { return fabric.NewFIFOQueue(maxBytes) }
 }

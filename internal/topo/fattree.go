@@ -257,21 +257,19 @@ func (ft *FatTree) route(sw *fabric.Switch, p *fabric.Packet) int {
 		if ft.pod[sw.ID] == dpod && ft.idx[sw.ID] == dtor {
 			return doff
 		}
-		return ft.HostsPerTor + ft.pickUp(sw, p, half)
+		return ft.HostsPerTor + ft.pickUp(sw, half)
 	case levelAgg:
 		if ft.pod[sw.ID] == dpod {
 			return dtor
 		}
-		return half + ft.pickUp(sw, p, half)
+		return half + ft.pickUp(sw, half)
 	default: // core
 		return dpod
 	}
 }
 
-func (ft *FatTree) pickUp(sw *fabric.Switch, p *fabric.Packet, n int) int {
-	if ft.cfg.ECMPPerFlow {
-		return int(hash64(p.Flow^(uint64(sw.ID)<<32|0x5bd1e995)) % uint64(n))
-	}
+// pickUp sprays a destination-routed packet over sw's n uplinks.
+func (ft *FatTree) pickUp(sw *fabric.Switch, n int) int {
 	// Per-switch stream: draw order is the packet sequence through this
 	// one switch, which is shard-local and shard-count-independent.
 	return ft.swRand[sw.ID].Intn(n)

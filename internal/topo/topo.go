@@ -30,9 +30,6 @@ type Config struct {
 	// HostQueue builds each host NIC queue (default: unbounded control-
 	// priority queue, the NDP host discipline; harmless for others).
 	HostQueue QueueFactory
-	// ECMPPerFlow selects hashed per-flow ECMP for destination-routed
-	// packets instead of per-packet random spraying.
-	ECMPPerFlow bool
 	// Lossless enables PFC at every switch.
 	Lossless bool
 	// LosslessLimit, PFCXoff, PFCXon configure PFC byte budgets; zero
@@ -505,16 +502,6 @@ func (n *Network) switchRand(id int) *sim.Rand {
 			sim.NewRand(n.cfg.Seed^(uint64(len(n.swRand))+1)*0x9e3779b97f4a7c15^0xc2b2ae3d27d4eb4f))
 	}
 	return n.swRand[id]
-}
-
-// hash64 mixes a flow id with a per-switch salt for per-flow ECMP.
-func hash64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // sourceRouteHop consumes one hop of a packet's source route, or returns

@@ -100,12 +100,10 @@ func TestFatTreePathsDeliverProperty(t *testing.T) {
 
 func TestFatTreeDestinationRouting(t *testing.T) {
 	// Per-packet random ECMP (Path == nil) must still deliver correctly.
-	for _, perFlow := range []bool{false, true} {
-		ft := NewFatTree(4, Config{ECMPPerFlow: perFlow})
-		for dst := int32(1); dst < 16; dst += 3 {
-			if got := deliver(t, &ft.Network, ft.Hosts, 0, dst, nil); got != dst {
-				t.Errorf("perFlow=%v: destination-routed packet to %d arrived at %d", perFlow, dst, got)
-			}
+	ft := NewFatTree(4, Config{})
+	for dst := int32(1); dst < 16; dst += 3 {
+		if got := deliver(t, &ft.Network, ft.Hosts, 0, dst, nil); got != dst {
+			t.Errorf("destination-routed packet to %d arrived at %d", dst, got)
 		}
 	}
 }

@@ -153,9 +153,6 @@ func (tt *TwoTier) route(sw *fabric.Switch, p *fabric.Packet) int {
 	if tt.idx[sw.ID] == dtor {
 		return doff
 	}
-	if tt.cfg.ECMPPerFlow {
-		return tt.HostsPerTor + int(hash64(p.Flow^(uint64(sw.ID)<<32|0x5bd1e995))%uint64(tt.NSpines))
-	}
 	return tt.HostsPerTor + tt.swRand[sw.ID].Intn(tt.NSpines)
 }
 

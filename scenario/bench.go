@@ -15,61 +15,61 @@ import (
 // BENCH_*.json files — never rename one without a migration note; add new
 // cases instead.
 //
-// Every registry scenario contributes a "-tiny" case (seconds-fast, the CI
-// regression-gate subset) and the two workloads that dominate the paper's
-// evaluation — large incast and full-load permutation — also run at
-// figure scale for a signal on real experiment cost.
+// Every registry scenario contributes a "-tiny" case (16 hosts; the suffix
+// is part of the trajectory-stable name) and the two workloads that dominate
+// the paper's evaluation — large incast and full-load permutation — also run
+// at figure scale for a signal on real experiment cost. The whole suite takes
+// seconds, and CI gates allocs/op on all of it.
 func BenchSuite() []harness.BenchCase {
 	cases := []struct {
 		name string
-		tiny bool
 		spec Spec
 	}{
 		// 15:1 is the largest fan-in a 16-host FatTree offers; the 1.35MB
 		// responses keep the case in the tens-of-milliseconds range where
 		// events/sec is stable enough to gate on.
-		{"incast-tiny", true, benchSpec("incast", Params{Hosts: 16, Degree: 15, FlowSize: 1_350_000},
+		{"incast-tiny", benchSpec("incast", Params{Hosts: 16, Degree: 15, FlowSize: 1_350_000},
 			WithDeadline(200*time.Millisecond))},
-		{"permutation-tiny", true, benchSpec("permutation", Params{Hosts: 16},
+		{"permutation-tiny", benchSpec("permutation", Params{Hosts: 16},
 			WithWarmup(time.Millisecond), WithWindow(3*time.Millisecond))},
-		{"random-tiny", true, benchSpec("random", Params{Hosts: 16},
+		{"random-tiny", benchSpec("random", Params{Hosts: 16},
 			WithWarmup(time.Millisecond), WithWindow(2*time.Millisecond))},
-		{"rpc-tiny", true, benchSpec("rpc", Params{Hosts: 16, Degree: 2},
+		{"rpc-tiny", benchSpec("rpc", Params{Hosts: 16, Degree: 2},
 			WithDeadline(5*time.Millisecond))},
-		{"failure-tiny", true, benchSpec("failure", Params{Hosts: 16},
+		{"failure-tiny", benchSpec("failure", Params{Hosts: 16},
 			WithWarmup(time.Millisecond), WithWindow(3*time.Millisecond))},
 		// Lossless/DCQCN: the PFC+ECN machinery (ingress gating, pause
 		// cascades, rate timers) has a very different event profile from
 		// the trimming fabrics, so it gets its own trajectory point.
-		{"lossless-tiny", true, benchSpec("incast", Params{Hosts: 16, Degree: 8, FlowSize: 90_000},
+		{"lossless-tiny", benchSpec("incast", Params{Hosts: 16, Degree: 8, FlowSize: 90_000},
 			WithTransport(DCQCN), WithDeadline(20*time.Millisecond))},
 		// Figure-scale: the paper's 100:1 incast (Fig 17 class) and a
 		// full-load permutation on a 128-host FatTree.
-		{"incast-large", false, benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
+		{"incast-large", benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
 			WithDeadline(200*time.Millisecond))},
-		{"permutation-large", false, benchSpec("permutation", Params{Hosts: 128},
+		{"permutation-large", benchSpec("permutation", Params{Hosts: 128},
 			WithWarmup(time.Millisecond), WithWindow(5*time.Millisecond))},
 		// The same figure-scale cases under the sharded engine: identical
 		// Metrics by construction (TestShardDeterminism), so events/sec
 		// against the unsharded twin is a pure engine-speedup readout.
 		// Wall time only improves with real cores (GOMAXPROCS > 1); on a
 		// single-CPU runner these measure the windowing overhead instead.
-		{"incast-large-shards4", false, benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
+		{"incast-large-shards4", benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
 			WithDeadline(200*time.Millisecond), WithShards(4))},
-		{"permutation-large-shards4", false, benchSpec("permutation", Params{Hosts: 128},
+		{"permutation-large-shards4", benchSpec("permutation", Params{Hosts: 128},
 			WithWarmup(time.Millisecond), WithWindow(5*time.Millisecond), WithShards(4))},
 		// Figure-scale baseline transports under the sharded engine, added
 		// when universal sharding lifted the NDP-only restriction: the
 		// paper's headline NDP-vs-baseline comparisons run sharded, so
 		// their engine cost gets trajectory points too (identical Metrics
 		// to the unsharded twin, by TestShardDeterminismMatrix).
-		{"tcp-large", false, benchSpec("permutation", Params{Hosts: 128},
+		{"tcp-large", benchSpec("permutation", Params{Hosts: 128},
 			WithTransport(TCP), WithWarmup(time.Millisecond), WithWindow(5*time.Millisecond))},
-		{"tcp-large-shards4", false, benchSpec("permutation", Params{Hosts: 128},
+		{"tcp-large-shards4", benchSpec("permutation", Params{Hosts: 128},
 			WithTransport(TCP), WithWarmup(time.Millisecond), WithWindow(5*time.Millisecond), WithShards(4))},
-		{"phost-large", false, benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
+		{"phost-large", benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
 			WithTransport(PHost), WithDeadline(200*time.Millisecond))},
-		{"phost-large-shards4", false, benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
+		{"phost-large-shards4", benchSpec("incast", Params{Hosts: 128, Degree: 100, FlowSize: 135_000},
 			WithTransport(PHost), WithDeadline(200*time.Millisecond), WithShards(4))},
 	}
 	out := make([]harness.BenchCase, 0, len(cases))
@@ -77,7 +77,6 @@ func BenchSuite() []harness.BenchCase {
 		spec := c.spec
 		out = append(out, harness.BenchCase{
 			Name: c.name,
-			Tiny: c.tiny,
 			Run:  func() harness.BenchCounts { return benchRun(spec) },
 		})
 	}
@@ -117,7 +116,6 @@ func BenchScalingSuite() []harness.BenchCase {
 			spec := f.spec.With(WithShards(shards))
 			out = append(out, harness.BenchCase{
 				Name:  fmt.Sprintf("%s-shards%d", f.name, shards),
-				Tiny:  false,
 				Procs: benchScalingProcs(),
 				Run:   func() harness.BenchCounts { return benchRun(spec) },
 			})

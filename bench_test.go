@@ -1,11 +1,10 @@
-// Benchmarks: one per table/figure of the paper's evaluation. Each bench
-// runs the corresponding harness experiment at a reduced scale (the same
-// code paths as `ndpsim -exp <id>` at paper scale) and reports simulated
-// packet work per wall second alongside the usual allocation counters.
+// The one Go benchmark of the module root measures what no other surface
+// does: the sweep-job worker pool's effect on one experiment. What each
+// experiment costs is timed by benchmark/'s `figures` workload
+// (harness.exp_ms.<id>), and its tables are checked by
+// harness.TestAllExperimentsSmoke.
 //
-// Run everything with:
-//
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench ParallelSweep -benchmem
 package ndp
 
 import (
@@ -14,28 +13,10 @@ import (
 	"testing"
 )
 
-func benchExperiment(b *testing.B, id string, scale float64) {
-	b.Helper()
-	benchExperimentWorkers(b, id, scale, 0)
-}
-
-func benchExperimentWorkers(b *testing.B, id string, scale float64, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(id, Options{Scale: scale, Seed: uint64(i + 1), Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Tables) == 0 {
-			b.Fatalf("%s produced no tables", id)
-		}
-	}
-}
-
 // BenchmarkParallelSweep measures the wall-clock effect of the sweep-job
 // worker pool on fig14 (four transport simulations per run) at small
-// scale: workers=1 is the old serial harness, workers=GOMAXPROCS is the
-// new default. The ratio of the two is the parallel speedup.
+// scale: workers=1 is the serial harness, workers=GOMAXPROCS is the
+// default. The ratio of the two is the parallel speedup.
 func BenchmarkParallelSweep(b *testing.B) {
 	workers := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -43,84 +24,15 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 	for _, w := range workers {
 		b.Run(fmt.Sprintf("fig14/workers=%d", w), func(b *testing.B) {
-			benchExperimentWorkers(b, "fig14", 0.2, w)
+			for i := 0; i < b.N; i++ {
+				res, err := Run("fig14", Options{Scale: 0.2, Seed: uint64(i + 1), Workers: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Tables) == 0 {
+					b.Fatal("fig14 produced no tables")
+				}
+			}
 		})
 	}
 }
-
-// BenchmarkFig02 regenerates Figure 2 (CP collapse & phase effects vs the
-// NDP switch service model).
-func BenchmarkFig02(b *testing.B) { benchExperiment(b, "fig2", 0.2) }
-
-// BenchmarkFig04 regenerates Figure 4 (delivery-latency CDFs under
-// permutation, random and incast matrices).
-func BenchmarkFig04(b *testing.B) { benchExperiment(b, "fig4", 0.2) }
-
-// BenchmarkFig08 regenerates Figure 8 (1KB RPC latency: NDP vs TFO vs TCP).
-func BenchmarkFig08(b *testing.B) { benchExperiment(b, "fig8", 0.2) }
-
-// BenchmarkFig09 regenerates Figure 9 (7:1 incast on the two-tier testbed).
-func BenchmarkFig09(b *testing.B) { benchExperiment(b, "fig9", 0.2) }
-
-// BenchmarkFig10 regenerates Figure 10 (receiver prioritization).
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10", 0.2) }
-
-// BenchmarkFig11 regenerates Figure 11 (throughput vs initial window).
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11", 0.2) }
-
-// BenchmarkFig12 regenerates Figure 12 (PULL spacing distributions).
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, "fig12", 0.2) }
-
-// BenchmarkFig13 regenerates Figure 13 (incast under imperfect pulls).
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, "fig13", 0.2) }
-
-// BenchmarkFig14 regenerates Figure 14 (permutation throughput, four
-// transports).
-func BenchmarkFig14(b *testing.B) { benchExperiment(b, "fig14", 0.2) }
-
-// BenchmarkFig15 regenerates Figure 15 (90KB FCTs under background load).
-func BenchmarkFig15(b *testing.B) { benchExperiment(b, "fig15", 0.2) }
-
-// BenchmarkFig16 regenerates Figure 16 (incast completion vs fan-in).
-func BenchmarkFig16(b *testing.B) { benchExperiment(b, "fig16", 0.2) }
-
-// BenchmarkFig17 regenerates Figure 17 (IW and buffer sensitivity).
-func BenchmarkFig17(b *testing.B) { benchExperiment(b, "fig17", 0.2) }
-
-// BenchmarkFig19 regenerates Figure 19 (incast collateral damage
-// timeseries for DCTCP/DCQCN/NDP).
-func BenchmarkFig19(b *testing.B) { benchExperiment(b, "fig19", 0.2) }
-
-// BenchmarkFig20 regenerates Figure 20 (huge-incast overhead and the
-// NACK/return-to-sender retransmission split).
-func BenchmarkFig20(b *testing.B) { benchExperiment(b, "fig20", 0.2) }
-
-// BenchmarkFig21 regenerates Figure 21 (sender-limited traffic and
-// pull-queue fair queuing, plus the FIFO ablation).
-func BenchmarkFig21(b *testing.B) { benchExperiment(b, "fig21", 0.2) }
-
-// BenchmarkFig22 regenerates Figure 22 (degraded-link asymmetry and the
-// path-penalty ablation).
-func BenchmarkFig22(b *testing.B) { benchExperiment(b, "fig22", 0.2) }
-
-// BenchmarkFig23 regenerates Figure 23 (oversubscribed Facebook web
-// workload, NDP vs DCTCP).
-func BenchmarkFig23(b *testing.B) { benchExperiment(b, "fig23", 0.2) }
-
-// BenchmarkPHost regenerates the §6.2 in-text pHost comparison.
-func BenchmarkPHost(b *testing.B) { benchExperiment(b, "t-phost", 0.2) }
-
-// BenchmarkScale regenerates the §6.2 in-text utilization-vs-size study.
-func BenchmarkScale(b *testing.B) { benchExperiment(b, "t-scale", 0.2) }
-
-// BenchmarkTrimLocality regenerates the §3.2.4 in-text uplink-trimming
-// comparison of source vs switch load balancing.
-func BenchmarkTrimLocality(b *testing.B) { benchExperiment(b, "t-trim", 0.2) }
-
-// BenchmarkAblate regenerates the §3.1 switch-design ablations (WRR,
-// trim coin, return-to-sender).
-func BenchmarkAblate(b *testing.B) { benchExperiment(b, "t-ablate", 0.2) }
-
-// BenchmarkLimits regenerates the §3 Limitations comparison on an
-// asymmetric Jellyfish topology.
-func BenchmarkLimits(b *testing.B) { benchExperiment(b, "t-limits", 0.2) }

@@ -30,6 +30,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"ndp"
-	"ndp/internal/harness"
 	"ndp/scenario"
 )
 
@@ -65,7 +65,7 @@ func main() {
 		scaling    = flag.Bool("scaling", false, "bench: additionally run the shard-scaling curves (1/2/4/8 shards at pinned GOMAXPROCS)")
 		benchOut   = flag.String("benchout", "", "bench: also write the report JSON to this path (e.g. BENCH_3.json)")
 		benchLabel = flag.String("benchlabel", "local", "bench: label recorded in the report")
-		baseline   = flag.String("baseline", "", "bench: compare allocs/op against this committed report; exit 1 when a case grew more than 20%")
+		baseline   = flag.String("baseline", "", "bench: compare with this committed report: exit 1 when a case's allocs/op grew more than 20%, and list the cases whose deterministic counts moved")
 		cpuProfile = flag.String("cpuprofile", "", "bench: write a CPU profile of the measured runs to this path")
 		memProfile = flag.String("memprofile", "", "bench: write a post-suite heap profile to this path")
 	)
@@ -89,8 +89,10 @@ func main() {
 	validateFlags(*exp, *scen, *transport, *scale, *parallel, *repeats, *bench, explicit)
 
 	if *bench {
-		runBench(*scaling, *benchOut, *benchLabel, *baseline, *jsonOut,
-			*cpuProfile, *memProfile)
+		if err := runBench(*scaling, *benchOut, *benchLabel, *baseline, *jsonOut, *cpuProfile, *memProfile); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -115,7 +117,7 @@ func main() {
 	total := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
 	var results []*ndp.Result
 	for _, id := range ids {
-		start := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
+		start := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
 		res, err := ndp.Run(id, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -283,7 +285,7 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 		os.Exit(2)
 	}
 	start := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
-	m, err := scenario.Run(spec)
+	m, stats, err := scenario.RunWithStats(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -293,19 +295,19 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 		return
 	}
 	fmt.Print(m)
+	fmt.Print(stats)
 	//simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
 	fmt.Printf("(wall time: %v)\n", time.Since(start).Round(time.Millisecond))
 }
 
-// runBench executes the pinned suite, prints the report, optionally persists it, and optionally gates on a committed
-// baseline: any case whose allocs/op grew more than 20 percent
-// (harness.CompareBench) fails the run with exit code 1. With
-// -scaling the shard-scaling curves (1/2/4/8 shards at pinned GOMAXPROCS)
-// are appended. With -cpuprofile/-memprofile the
-// suite runs under the profiler, so hot paths and allocation sites can be
-// read straight off the pinned workloads.
-func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool,
-	cpuProfile, memProfile string) {
+// runBench executes the pinned suite (with -scaling, the shard-scaling curves
+// too), prints the report, optionally persists it, and optionally compares it
+// with a committed baseline: the cases whose deterministic counts moved are
+// listed (compareCounts), and any case whose allocs/op grew more than 20
+// percent (compareBench) is an error. With -cpuprofile/-memprofile the suite
+// runs under the profiler, so hot paths and allocation sites can be read
+// straight off the pinned workloads.
+func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool, cpuProfile, memProfile string) error {
 	cases := scenario.BenchSuite()
 	if scaling {
 		cases = append(cases, scenario.BenchScalingSuite()...)
@@ -313,20 +315,14 @@ func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool,
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Stopped explicitly after the suite: os.Exit on a baseline
-		// regression would skip defers and lose the profile.
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
 	}
-	rep := harness.RunBenchSuite(cases, label, func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	})
+	rep := runBenchSuite(cases, label)
 	if cpuProfile != "" {
 		pprof.StopCPUProfile()
 		fmt.Fprintf(os.Stderr, "bench: CPU profile written to %s\n", cpuProfile)
@@ -334,15 +330,13 @@ func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool,
 	if memProfile != "" {
 		f, err := os.Create(memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
+		defer f.Close()
 		runtime.GC() // flush dead objects so the profile shows live + cumulative allocs cleanly
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "bench: heap profile written to %s\n", memProfile)
 	}
 	if jsonOut {
@@ -352,25 +346,29 @@ func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool,
 	}
 	if outPath != "" {
 		if err := rep.WriteFile(outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "bench: report written to %s\n", outPath)
 	}
-	if baselinePath != "" {
-		base, err := harness.LoadBenchReport(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if regressions := harness.CompareBench(base, rep); len(regressions) > 0 {
-			for _, msg := range regressions {
-				fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", msg)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: no allocs/op regression vs %s\n", baselinePath)
+	if baselinePath == "" {
+		return nil
 	}
+	base, err := loadBenchReport(baselinePath)
+	if err != nil {
+		return err
+	}
+	moved, rows := compareCounts(base, rep)
+	for _, msg := range moved {
+		fmt.Fprintf(os.Stderr, "bench: counts moved vs %s: %s\n", baselinePath, msg)
+	}
+	if len(moved) == 0 {
+		fmt.Fprintf(os.Stderr, "bench: deterministic counts equal on %d rows\n", rows)
+	}
+	if regressions := compareBench(base, rep); len(regressions) > 0 {
+		return errors.New("bench: REGRESSION: " + strings.Join(regressions, "\nbench: REGRESSION: "))
+	}
+	fmt.Fprintf(os.Stderr, "bench: no allocs/op regression vs %s\n", baselinePath)
+	return nil
 }
 
 func emitJSON(v any) {

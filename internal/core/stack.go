@@ -178,11 +178,11 @@ func (st *Stack) delayRx(p *fabric.Packet) {
 // OnEvent releases the oldest delayed arrival into the demux (sim.Handler).
 func (st *Stack) OnEvent(uint64) { st.demux.Receive(st.rxq.Pop()) }
 
-// Close frees packets the stack still holds — arrivals parked inside the
+// Close releases packets the stack still holds — arrivals parked inside the
 // RxDelay processing window. Teardown only; idempotent.
 func (st *Stack) Close() {
 	for st.rxq.Len() > 0 {
-		fabric.Free(st.rxq.Pop())
+		fabric.Release(st.rxq.Pop())
 	}
 }
 

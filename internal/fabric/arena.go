@@ -90,13 +90,21 @@ func (a *Arena) NewData(flow uint64, src, dst int32, seq int64, size int32) *Pac
 // silently (the same packet handed to two future allocations), so they
 // panic here instead.
 func (a *Arena) put(p *Packet) {
+	a.settle(p)
+	// Grows only when more packets are free at once than ever before: take
+	// makes room one chunk at a time, not for every packet it handed out.
+	a.free = append(a.free, p)
+}
+
+// settle takes a packet off the arena's books: the InUse count, and the flag
+// a second free panics on.
+func (a *Arena) settle(p *Packet) {
 	if p.freed {
 		panic("fabric: double free of packet " + p.String())
 	}
 	p.freed = true
 	p.Path = nil
 	a.inUse--
-	a.free = append(a.free, p) // never grows: take made room for every packet it handed out
 }
 
 // InUse reports the packets allocated from this arena and not yet freed.

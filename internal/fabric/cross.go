@@ -141,14 +141,14 @@ func (b *CrossBox) Packets() int64 {
 	return n
 }
 
-// ReleasePackets frees any packets still waiting in the box (a run stopped
+// ReleasePackets releases any packets still waiting in the box (a run stopped
 // mid-traffic before the next barrier) and empties it.
 func (b *CrossBox) ReleasePackets() {
 	for _, side := range [2][]CrossEntry{b.entries, b.ready} {
 		for i := range side {
 			if p := side[i].Pkt; p != nil {
 				p.adopt(p.owner)
-				Free(p)
+				Release(p)
 			}
 			side[i] = CrossEntry{}
 		}
@@ -207,13 +207,13 @@ func (ib *inboxSlot) OnEvent(arg uint64) {
 	}
 }
 
-// ReleasePackets frees any injected packet deliveries that have not fired
+// ReleasePackets releases any injected packet deliveries that have not fired
 // yet (a run stopped mid-traffic). Slots are zeroed, not recycled — the
 // inbox is being torn down.
 func (ib *Inbox) ReleasePackets() {
 	for i := range ib.entries {
 		if ib.entries[i].Sink != nil || ib.entries[i].Pkt != nil {
-			Free(ib.entries[i].Pkt)
+			Release(ib.entries[i].Pkt)
 		}
 		ib.entries[i] = CrossEntry{}
 	}

@@ -64,3 +64,6 @@ func (p *Port) CheckOnDemand() error {
 type FuncEvent func()
 
 func (f FuncEvent) OnEvent(uint64) { f() }
+
+// FreeCap is the capacity of the arena's free-list.
+func (a *Arena) FreeCap() int { return cap(a.free) }

@@ -129,10 +129,10 @@ func (iq *IngressQueue) popForward() {
 // Backlog returns the bytes currently held at this ingress.
 func (iq *IngressQueue) Backlog() int { return iq.bytes }
 
-// releasePackets frees the held backlog at teardown.
+// releasePackets releases the held backlog at teardown.
 func (iq *IngressQueue) releasePackets() {
 	for iq.held.Len() > 0 {
-		Free(iq.held.Pop().p)
+		Release(iq.held.Pop().p)
 	}
 	iq.bytes = 0
 }

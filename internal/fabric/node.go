@@ -72,7 +72,7 @@ func (s *Switch) ForwardBounced(p *Packet) {
 	s.Receive(p)
 }
 
-// ReleasePackets frees every packet the switch still holds at teardown:
+// ReleasePackets releases every packet the switch still holds at teardown:
 // each egress port's pipeline and, in lossless mode, the held ingress
 // backlog.
 func (s *Switch) ReleasePackets() {

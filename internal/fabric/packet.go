@@ -170,6 +170,17 @@ func Free(p *Packet) {
 	p.owner.put(p)
 }
 
+// Release is Free at teardown: it settles the owning arena's books — InUse,
+// and the flag a second free panics on — without putting the packet back on
+// a free-list nothing will allocate from again. The ReleasePackets paths and
+// the stacks' Close use it: refilling the list of a finished simulation with
+// everything in flight at the deadline only reallocated it, up to that size.
+func Release(p *Packet) {
+	if p != nil {
+		p.owner.settle(p)
+	}
+}
+
 // MSL is the maximum segment lifetime every transport's reuse rules assume:
 // in a datacenter no packet outlives 1 ms (the worst-case RTT with NDP's
 // small queues is ~400 µs, §3.2.4). A closed flow id stays in time-wait for

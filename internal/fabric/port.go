@@ -320,17 +320,17 @@ func (p *Port) OnEvent(arg uint64) {
 	}
 }
 
-// ReleasePackets frees every packet the port still holds — the flight (the
+// ReleasePackets releases every packet the port still holds — the flight (the
 // packet on the wire and those in propagation) and the queued backlog — so
 // a run stopped mid-traffic still accounts for every arena packet. Teardown
 // only.
 func (p *Port) ReleasePackets() {
 	for p.flight.Len() > 0 {
-		Free(p.flight.Pop().pkt)
+		Release(p.flight.Pop().pkt)
 	}
 	if p.Q != nil {
 		for pkt := p.Q.Dequeue(); pkt != nil; pkt = p.Q.Dequeue() {
-			Free(pkt)
+			Release(pkt)
 		}
 	}
 }

@@ -324,11 +324,6 @@ func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcq
 
 // contender is one transport's entry in a figure that puts several through
 // the same workload: the runner is written once and loops over these.
-//
-// A runner drops its Net without Close. Its nets are unsharded (no workers
-// to stop), nothing runs or reads a leak counter after the deadline, and
-// releasing the packets in flight at the deadline into a dead arena's
-// free-list is measurable: +4.9 % alloc_mb_per_iter @ figures, bound 2 %.
 type contender struct {
 	name  string
 	build func(seed uint64) Net
@@ -383,9 +378,10 @@ func startMatrix(n Net, dst []int) []Flow {
 	return flows
 }
 
-// permGoodput runs the permutation matrix drawn from seed on n and returns
-// per-flow goodput in Gb/s over the window after the warmup.
+// permGoodput runs the permutation matrix drawn from seed on n, closes n and
+// returns per-flow goodput in Gb/s over the window after the warmup.
 func permGoodput(n Net, seed uint64, warm, window sim.Time) []float64 {
+	defer n.Close()
 	dst := workload.Permutation(n.Cluster().NumHosts(), sim.NewRand(seed))
 	return runWarmMeasure(n.EL(), warm, window, startMatrix(n, dst))
 }

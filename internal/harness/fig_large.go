@@ -60,6 +60,7 @@ func fig15(o Options, r *Result) {
 	for i, p := range protos {
 		jobs[i] = NewJob("fig15/"+p.name, o.Seed, func(seed uint64) Row {
 			n := p.build(seed)
+			defer n.Close()
 			hosts := n.Cluster().NumHosts()
 			probeDst := hosts / 2
 			rand := sim.NewRand(seed + 3)
@@ -130,6 +131,7 @@ func fig16(o Options, r *Result) {
 		for _, p := range protos {
 			jobs = append(jobs, NewJob(fmt.Sprintf("fig16/%d/%s", nsend, p.name), seeds[fi], func(seed uint64) Row {
 				n := p.build(seed)
+				defer n.Close()
 				in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
 				n.EL().RunUntil(optimal*20 + 500*sim.Millisecond)
 				return Row{fmt.Sprint(nsend), f4(optimal.Millis()), p.name, f4(in.first.Millis()), f4(in.last.Millis())}
@@ -216,6 +218,7 @@ func fig19(o Options, r *Result) {
 		jobs[i] = NewJob("fig19/"+p.name, o.Seed, func(seed uint64) series {
 			res := series{long: stats.NewTimeSeries(bin), in: stats.NewTimeSeries(bin)}
 			n := p.build(seed)
+			defer n.Close()
 			el := n.EL()
 			n.StartFlow(12, 0, -1, StartOpts{OnData: func(b int64) { res.long.Record(el.Now(), b) }})
 			el.At(incastAt, func() {
@@ -289,6 +292,7 @@ func fig20(o Options, r *Result) {
 					tr := DefaultNDPTransport(9000)
 					tr.Host.IW = iw
 					n := tr.Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+					defer n.Close()
 					in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
 					optimal := sim.FromSeconds(float64(nsend) * size * 8 / 10e9)
 					n.EL().RunUntil(optimal*3 + sim.Second)
@@ -347,6 +351,7 @@ func fig21(o Options, r *Result) {
 		tr := DefaultNDPTransport(9000)
 		tr.Host.PullFIFO = fifo
 		n := tr.Build(TwoTierBuilder(1, 6, 0), topo.Config{Seed: seed})
+		defer n.Close()
 		// A=0 -> B,C,D(1,2,3) and E(4); F=5 -> E(4).
 		var flows []Flow
 		for _, dst := range []int{1, 2, 3, 4} {

@@ -79,6 +79,7 @@ func fig4(o Options, r *Result) {
 	scenario := func(label string, launch func(n Net, seed uint64) ([]Flow, sim.Time)) Job[Row] {
 		return NewJob("fig4/"+label, o.Seed, func(seed uint64) Row {
 			n := DefaultNDPTransport(9000).Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+			defer n.Close()
 			var lat stats.Dist
 			hook := func(d sim.Time) { lat.AddTime(d) }
 			flows, deadline := launch(n, seed)
@@ -126,6 +127,7 @@ func fig8(o Options, r *Result) {
 	// Simulate the raw network request/response time over back-to-back
 	// hosts using the NDP stack with no host delays.
 	n := DefaultNDPTransport(9000).Build(BackToBackBuilder(), topo.Config{Seed: o.Seed})
+	defer n.Close()
 	var netRTT sim.Time
 	start := n.EL().Now()
 	n.StartFlow(0, 1, 1000, StartOpts{OnDone: func(sim.Time) {
@@ -179,6 +181,7 @@ func fig9(o Options, r *Result) {
 				jobs = append(jobs, NewJob(fmt.Sprintf("fig9/%dKB/rep%d/%s", size/1000, rep, p.name), o.Seed+uint64(rep)*101,
 					func(seed uint64) fct {
 						n := p.build(seed)
+						defer n.Close()
 						in := startIncast(n, 0, workload.IncastSenders(0, 7, 8), size)
 						n.EL().RunUntil(5 * sim.Second)
 						return fct{ms: in.last.Millis(), ok: in.done == 7}
@@ -213,6 +216,7 @@ func fig10(o Options, r *Result) {
 	const short = 200_000
 	runOne := func(seed uint64, background, prio bool) sim.Time {
 		n := DefaultNDPTransport(9000).Build(FatTreeBuilder(4), topo.Config{Seed: seed})
+		defer n.Close()
 		if background {
 			for i := 1; i <= 6; i++ {
 				n.StartFlow(i, 0, 3_600_000, StartOpts{})
@@ -257,6 +261,7 @@ func fig11(o Options, r *Result) {
 		// 25us link delay emulates the testbed's effective path+stack
 		// latency so the saturation knee lands near the paper's IW~15.
 		n := tr.Build(BackToBackBuilder(), topo.Config{Seed: seed, LinkDelay: 25 * sim.Microsecond})
+		defer n.Close()
 		var fct sim.Time
 		start := n.EL().Now()
 		n.StartFlow(0, 1, size, StartOpts{OnDone: func(at sim.Time) { fct = at - start }})
@@ -299,6 +304,7 @@ func fig12(o Options, r *Result) {
 			tr := DefaultNDPTransport(mtu)
 			tr.Host.PullJitter = hostmodel.PullJitter(mtu)
 			n := tr.Build(BackToBackBuilder(), topo.Config{Seed: seed}).(*NDPNet)
+			defer n.Close()
 			var gaps stats.Dist
 			n.Stacks[1].OnPullGap(func(g sim.Time) { gaps.AddTime(g) })
 			n.StartFlow(0, 1, int64(mtu)*2000, StartOpts{})
@@ -342,6 +348,7 @@ func fig13(o Options, r *Result) {
 						tr.Host.PullJitter = hostmodel.PullJitter(9000)
 					}
 					n := tr.Build(FatTreeBuilder(k), topo.Config{Seed: seed})
+					defer n.Close()
 					hosts := n.Cluster().NumHosts()
 					in := startIncast(n, 0, workload.IncastSenders(0, min(200, hosts-1), hosts), size)
 					n.EL().RunUntil(2 * sim.Second)

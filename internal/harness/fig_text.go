@@ -37,6 +37,7 @@ func fig23(o Options, r *Result) {
 		for _, p := range protos {
 			jobs = append(jobs, NewJob(fmt.Sprintf("fig23/conns%d/%s", conns, p.name), o.Seed, func(seed uint64) cell {
 				n := p.build(seed)
+				defer n.Close()
 				c := n.Cluster()
 				var fcts stats.Dist
 				cl := &workload.ClosedLoop{
@@ -97,6 +98,7 @@ func tPhost(o Options, r *Result) {
 	for _, p := range protos {
 		jobs = append(jobs, NewJob("t-phost/incast/"+p.name, o.Seed, func(seed uint64) float64 {
 			n := p.build(seed)
+			defer n.Close()
 			in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
 			n.EL().RunUntil(10 * sim.Second)
 			return in.last.Millis()

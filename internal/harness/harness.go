@@ -1,8 +1,7 @@
 // Package harness contains one runner per table and figure of the paper's
 // evaluation (§5–§6). Each experiment builds its topology and transports,
 // drives the workload, and returns the same rows/series the paper plots, so
-// the whole evaluation can be regenerated with `ndpsim -exp all` or via the
-// root package's benchmarks.
+// the whole evaluation can be regenerated with `ndpsim -exp all`.
 //
 // Experiments accept a Scale knob: 1.0 reproduces the paper's dimensions
 // (432-host FatTrees and so on); smaller values shrink topology sizes and

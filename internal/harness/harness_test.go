@@ -166,6 +166,50 @@ func TestFig14PaperShape(t *testing.T) {
 	}
 }
 
+// TestFig9PaperShape asserts what fig9's note states, at Scale 0.1, for the
+// 250 KB and 1,000 KB rows: a 7:1 NDP incast completes within 5 % of the
+// serialization optimum with p90 within 5 % of the median (measured
+// 1.014-1.021 and 1.00-1.01), and TCP's p90 is at least one 200 ms MinRTO
+// (measured 600-1,202 ms). Two parts of the note are not asserted, and README
+// "Experiments" lists them as known gaps: the 10 KB row (its optimum is bare
+// serialization, 56 us, and leaves out the path delay that dominates at this
+// size, so NDP reads 22-28 % over it; TCP loses nothing there, so no RTO),
+// and "TCP ~4x slower" (three to six RTOs against a 1.4-5.6 ms optimum are
+// 180-430x here).
+func TestFig9PaperShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short mode")
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		tab := Get("fig9").Run(Options{Scale: 0.1, Seed: seed}).Tables[0]
+		checked := 0
+		for _, row := range tab.Rows {
+			if row[0] != "250" && row[0] != "1000" {
+				continue
+			}
+			checked++
+			var v [5]float64 // optimal, NDP median and p90, TCP median and p90
+			for i := range v {
+				var err error
+				if v[i], err = strconv.ParseFloat(row[i+1], 64); err != nil {
+					t.Fatalf("seed %d: unparsable row %v", seed, row)
+				}
+			}
+			optimal, ndpMed, ndpP90, tcpP90 := v[0], v[1], v[2], v[4]
+			if ndpMed > 1.05*optimal || ndpP90 > 1.05*ndpMed {
+				t.Errorf("seed %d, %s KB: NDP median %.4g ms, p90 %.4g ms against an optimum of %.4g ms; want both within 5%%",
+					seed, row[0], ndpMed, ndpP90, optimal)
+			}
+			if tcpP90 < 200 {
+				t.Errorf("seed %d, %s KB: TCP p90 %.4g ms, want at least one 200 ms MinRTO", seed, row[0], tcpP90)
+			}
+		}
+		if checked != 2 {
+			t.Fatalf("seed %d: rows %v, want a 250 KB and a 1000 KB row", seed, tab.Rows)
+		}
+	}
+}
+
 // TestTrimLocalityPaperShape asserts what t-trim's note states, at Scale
 // 0.1: with sender-permuted paths almost nothing is trimmed on an uplink
 // (paper ~0.01 %; <= 0.05 % here), with per-packet ECMP at the switches a

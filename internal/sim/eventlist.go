@@ -137,15 +137,19 @@ type runEntry struct {
 type QueueStats struct {
 	// WheelPops and HeapPops split the events fired by the tier they
 	// waited in.
-	WheelPops, HeapPops uint64
+	WheelPops uint64 `json:"wheel_pops"`
+	HeapPops  uint64 `json:"heap_pops"`
 	// Runs is how many buckets were loaded and sorted, MaxRun the longest.
-	Runs   uint64
-	MaxRun int
+	Runs   uint64 `json:"runs"`
+	MaxRun int    `json:"max_run"`
 	// Heap pushes by the admission clause that sent them there.
-	HeapCancelable, HeapBeyondSpan, HeapActiveBucket, HeapSparse uint64
+	HeapCancelable   uint64 `json:"heap_pushes_cancelable"`
+	HeapBeyondSpan   uint64 `json:"heap_pushes_beyond_span"`
+	HeapActiveBucket uint64 `json:"heap_pushes_active_bucket"`
+	HeapSparse       uint64 `json:"heap_pushes_sparse"`
 	// PeakPending is the most events pending at once (for several lists,
 	// the largest of their peaks).
-	PeakPending int
+	PeakPending int `json:"peak_pending"`
 }
 
 // Add accumulates o into s (sums; maxima for MaxRun and PeakPending).

@@ -217,15 +217,15 @@ func (p *parker) unpark() {
 // from the simulation's own results all the same.
 type WindowStats struct {
 	// Windows is the number of windows run.
-	Windows uint64
+	Windows uint64 `json:"windows"`
 	// SingleBusy is how many of them had exactly one shard with work.
-	SingleBusy uint64
+	SingleBusy uint64 `json:"single_busy_windows"`
 	// Events is the events fired inside windows, per shard.
-	Events []uint64
+	Events []uint64 `json:"shard_events"`
 	// Critical sums, over the windows, the events of each window's busiest
 	// shard: what a run with one core per shard still executes one after
 	// another.
-	Critical uint64
+	Critical uint64 `json:"critical_events"`
 }
 
 // Add accumulates another runner's counters (shard by shard).

@@ -89,7 +89,7 @@ type Job struct {
 	done      int     // repetitions fully completed
 	repeats   int
 	metrics   *scenario.Metrics
-	events    int64
+	engine    scenario.RunStats // of the run this job made; zero for a cache hit
 	errMsg    string
 	submitted time.Time
 	started   time.Time
@@ -130,6 +130,10 @@ type Status struct {
 	StartedAt   *time.Time        `json:"started_at,omitempty"`
 	FinishedAt  *time.Time        `json:"finished_at,omitempty"`
 	Metrics     *scenario.Metrics `json:"metrics,omitempty"`
+	// Engine is the RunStats block of the run, what `ndpsim -scenario`
+	// prints under the Metrics; absent until the job has run, and for a
+	// cache hit, which runs nothing.
+	Engine scenario.RunStats `json:"engine,omitzero"`
 
 	// seq lets the SSE loop detect changes without diffing snapshots.
 	seq uint64
@@ -150,7 +154,8 @@ func (j *Job) status(withMetrics bool) Status {
 		Progress:    j.overall,
 		RepeatsDone: j.done,
 		Repeats:     j.repeats,
-		Events:      j.events,
+		Events:      j.engine.Events,
+		Engine:      j.engine,
 		Error:       j.errMsg,
 		SubmittedAt: j.submitted,
 		seq:         j.seq,
@@ -221,12 +226,12 @@ func (j *Job) start() {
 	j.notifyLocked()
 }
 
-func (j *Job) finish(m *scenario.Metrics, events int64) {
+func (j *Job) finish(m *scenario.Metrics, engine scenario.RunStats) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
 	j.metrics = m
-	j.events = events
+	j.engine = engine
 	j.overall = 1
 	j.done = j.repeats
 	j.finished = time.Now() //simlint:allow wallclock — daemon job accounting: completion timestamps for the HTTP API, outside the virtual clock

@@ -71,6 +71,25 @@ func (c Config) withDefaults() Config {
 // running jobs are bounded by QueueDepth and Workers and are never evicted.
 const maxFinishedJobs = 256
 
+// maxTopologyHosts bounds what one request may ask the daemon to build: the
+// largest topology the paper and `ndpsim -full` use (the 8192-host FatTree).
+// Memory and set-up time grow with the host count before a single event
+// runs, so a FatTree(64) Spec — 65,536 hosts — must be refused, not tried.
+// The CLI is not bounded: its user owns the machine.
+const maxTopologyHosts = 8192
+
+// checkTopologyCost refuses a topology past maxTopologyHosts, in hosts or in
+// any one dimension (a tier of switches costs what a tier of hosts does, and
+// a dimension within the bound keeps the host count from overflowing).
+func checkTopologyCost(t scenario.Topology) error {
+	size := max(t.Hosts(), t.K, t.Oversub, t.ToRs, t.HostsPerToR, t.Spines, t.Switches, t.HostsPerSwitch, t.Degree)
+	if size > maxTopologyHosts {
+		return fmt.Errorf("simd: topology %s is too large for the daemon: %d hosts (or switches in one tier), at most %d are built per job",
+			t, size, maxTopologyHosts)
+	}
+	return nil
+}
+
 // Server is the daemon: an http.Handler plus the worker pool behind it.
 // Create with New, serve with net/http, stop with Drain.
 type Server struct {
@@ -126,11 +145,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Submit validates and accepts one job. The returned HTTP status is 202
 // for a queued job, 200 for a cache hit (the job is born done), 400 for a
-// Spec the shared scenario.Validate gate refuses, and 503 when draining
-// or when the bounded queue is full.
+// Spec the shared scenario.Validate gate refuses or whose topology is past
+// maxTopologyHosts, and 503 when draining or when the bounded queue is full.
 func (s *Server) Submit(req JobRequest) (*Job, int, error) {
 	spec, err := req.buildSpec()
 	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if err := checkTopologyCost(spec.Topology); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	if err := scenario.Validate(spec); err != nil {
@@ -232,7 +254,7 @@ func (s *Server) runJob(ws *workerState, job *Job) {
 		return
 	}
 	s.cache.put(job.Key, m)
-	job.finish(m, stats.Events)
+	job.finish(m, stats)
 	s.jobsDone.Add(1)
 	s.totalEvents.Add(stats.Events)
 	ws.mu.Lock()

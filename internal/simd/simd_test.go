@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -229,6 +230,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if ffinal.State != StateDone || ffinal.Cached || ffinal.Events <= 0 {
 		t.Fatalf("cache-phase first run: %+v", ffinal)
 	}
+	// The job document carries the engine block `ndpsim -scenario` prints.
+	if e := ffinal.Engine; e.Events != ffinal.Events || e.PacketHops <= 0 || e.Queue.WheelPops == 0 || e.PacketsLeaked != 0 {
+		t.Errorf("first run's engine block: %+v", e)
+	}
 
 	var before PoolStatus
 	getJSON(t, cts.URL+"/api/workers", &before)
@@ -236,7 +241,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("cache hit should answer 200, got %d", code)
 	}
-	if !st.Cached || st.State != StateDone || st.Events != 0 {
+	if !st.Cached || st.State != StateDone || st.Events != 0 || !reflect.DeepEqual(st.Engine, scenario.RunStats{}) {
 		t.Fatalf("repeat submission not served from cache: %+v", st)
 	}
 	events := followSSE(t, cts.URL, st.ID)
@@ -364,6 +369,44 @@ func TestDaemonBoundsRequestBody(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/jobs", strings.NewReader(`{"scenario":"nope"}`+pad)))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown scenario") {
 		t.Errorf("a body of exactly the bound: status %d (%s), want 400 unknown scenario", rec.Code, rec.Body)
+	}
+}
+
+// TestDaemonBoundsTopologyCost: a Spec whose topology is past
+// maxTopologyHosts is refused with 400 naming the bound, before anything is
+// built — FatTree(64) was accepted and tried to build 65,536 hosts — whether
+// it arrives as scenario params or as an explicit Spec, and whatever
+// dimension carries the size. The largest topology the paper uses passes the
+// gate (it is judged, not run: the queue here has no worker to take it).
+func TestDaemonBoundsTopologyCost(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	spec := func(t scenario.Topology) JobRequest {
+		return JobRequest{Spec: &scenario.Spec{Topology: t, Workload: scenario.Permutation()}}
+	}
+	for name, req := range map[string]JobRequest{
+		"params":    {Scenario: "permutation", Params: scenario.Params{Hosts: 65536}},
+		"spec":      spec(scenario.FatTree(64)),
+		"twotier":   spec(scenario.TwoTier(128, 128, 4)),
+		"spines":    spec(scenario.TwoTier(4, 4, 1_000_000)),
+		"overflows": spec(scenario.FatTree(1 << 22)), // k*k*k/4 wraps to zero hosts
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/jobs", bytes.NewReader(body)))
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest ||
+			!strings.Contains(e.Error, "too large") || !strings.Contains(e.Error, "8192") {
+			t.Errorf("%s: status %d, body %s; want 400 naming the 8192-host bound", name, rec.Code, rec.Body)
+		}
+	}
+	if n := len(srv.jobs); n != 0 {
+		t.Errorf("%d jobs were created", n)
+	}
+	if err := checkTopologyCost(scenario.FatTree(32)); err != nil {
+		t.Errorf("the paper's 8192-host FatTree must pass: %v", err)
 	}
 }
 

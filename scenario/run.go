@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"ndp/internal/core"
@@ -27,50 +28,83 @@ func Run(spec Spec) (*Metrics, error) {
 // RunStats are engine-level observables of one Run: how much simulation
 // machinery turned to produce the Metrics. They are deliberately not part
 // of Metrics — event counts change whenever the scheduler changes, while
-// Metrics are pinned bit-for-bit by the golden regression suite.
+// Metrics are pinned bit-for-bit by the golden regression suite. Every field
+// is deterministic for a Spec and seed, on any machine and any worker count;
+// Events, SerEndEvents, Queue and Windows depend on the shard layout, the
+// rest does not. This is the one block every reader gets: `ndpsim -scenario`
+// and `-bench` print it (String), BENCH_*.json and the daemon's job document
+// store it (the JSON tags).
 type RunStats struct {
 	// Events is the total scheduler events executed across repeats.
-	Events int64
+	Events int64 `json:"events"`
 	// SerEndEvents is how many of them were serialization ends of a port.
 	// Switch ports whose link stays inside one shard serialize on demand and
 	// fire none, so this — and with it Events — depends on the shard layout;
 	// Events - SerEndEvents does not.
-	SerEndEvents int64
+	SerEndEvents int64 `json:"ser_end_events"`
 	// CommandEvents is how many deferred commands (topo.Cluster.Defer:
 	// receiver registration and teardown, closed-loop hop-backs and gaps)
 	// the hosts emitted — each one event of Events once its time has come,
 	// so the few emitted within a path delay or a gap of the deadline are
 	// counted here and not there. The same for every shard layout.
-	CommandEvents int64
+	CommandEvents int64 `json:"command_events"`
 	// PacketHops is the total packet wire-traversals across repeats.
-	PacketHops int64
+	PacketHops int64 `json:"packet_hops"`
 	// PacketsLeaked is the arena leak counter summed across repeats: packets
 	// still outstanding after each network's Close released everything the
 	// fabric and endpoints held. Always zero unless a component lost track
 	// of a packet; the golden suite asserts it.
-	PacketsLeaked int64
+	PacketsLeaked int64 `json:"packets_leaked"`
+	// Queue is what the scheduler's two tiers did, summed over the run's
+	// event lists. A wheel share that falls, or heap pushes that move from
+	// "cancelable" to "active_bucket" or "sparse", say a workload has left
+	// the near-future regime the wheel serves.
+	Queue sim.QueueStats `json:"queue"`
+	// Windows is what the sharded runner's windows did: windows run, windows
+	// with a single busy shard, events per shard, and the events on the
+	// windows' critical path (a share of 1/shards is ideal; its inverse caps
+	// the speedup). Zero for a run on one event list.
+	Windows sim.WindowStats `json:"windows,omitzero"`
 }
 
-// RunWithStats is Run plus the engine observables the bench harness
-// reports throughput against.
-func RunWithStats(spec Spec) (*Metrics, RunStats, error) {
-	m, stats, _, err := runWithWindows(spec)
-	return m, stats, err
+// Add accumulates another run's (or repetition's) observables.
+func (s *RunStats) Add(o RunStats) {
+	s.Events += o.Events
+	s.SerEndEvents += o.SerEndEvents
+	s.CommandEvents += o.CommandEvents
+	s.PacketHops += o.PacketHops
+	s.PacketsLeaked += o.PacketsLeaked
+	s.Queue.Add(o.Queue)
+	s.Windows.Add(o.Windows)
 }
 
-// engineStats are the engine's own counters, summed across repeats: the
-// sharded runner's windows (zero when unsharded) and the scheduler's tiers.
-// They stay out of RunStats, which is compared across shard counts.
-type engineStats struct {
-	windows sim.WindowStats
-	queue   sim.QueueStats
+// String renders the block for terminals: one `engine:` line, the
+// scheduler's tiers, and — for a sharded run only — the windows. ev/hop is
+// events per packet hop: a dense unsharded NDP run sits near 1.2, and a
+// sharded run's is higher than its unsharded twin's by the serialization
+// ends its cut ports keep.
+func (s RunStats) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "engine: events=%d ser_end_events=%d command_events=%d pkt_hops=%d ev/hop=%.2f leaked=%d\n",
+		s.Events, s.SerEndEvents, s.CommandEvents, s.PacketHops,
+		float64(s.Events)/float64(max(s.PacketHops, 1)), s.PacketsLeaked)
+	q := s.Queue
+	fmt.Fprintf(&b, "        queue: wheel_share=%.3f mean_run=%.1f max_run=%d peak_pending=%d heap_pushes=%d (cancelable %d, beyond_span %d, active_bucket %d, sparse %d)\n",
+		q.WheelShare(), q.MeanRun(), q.MaxRun, q.PeakPending,
+		q.HeapCancelable+q.HeapBeyondSpan+q.HeapActiveBucket+q.HeapSparse,
+		q.HeapCancelable, q.HeapBeyondSpan, q.HeapActiveBucket, q.HeapSparse)
+	if w := s.Windows; w.Windows > 0 {
+		fmt.Fprintf(&b, "        windows=%d single_busy=%d critical_share=%.3f shard_events=%v\n",
+			w.Windows, w.SingleBusy, w.CriticalShare(), w.Events)
+	}
+	return b.String()
 }
 
-// runWithWindows is RunWithStats plus the engine's own counters.
-func runWithWindows(spec Spec) (m *Metrics, stats RunStats, engine engineStats, err error) {
+// RunWithStats is Run plus the engine observables.
+func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return nil, RunStats{}, engineStats{}, err
+		return nil, RunStats{}, err
 	}
 	name := spec.name
 	if name == "" {
@@ -81,7 +115,7 @@ func runWithWindows(spec Spec) (m *Metrics, stats RunStats, engine engineStats, 
 	// promises.
 	defer func() {
 		if p := recover(); p != nil {
-			m, stats, engine, err = nil, RunStats{}, engineStats{}, fmt.Errorf("scenario: run failed: %v", p)
+			m, stats, err = nil, RunStats{}, fmt.Errorf("scenario: run failed: %v", p)
 		}
 	}()
 	seeds := harness.SweepSeeds(spec.Seed, spec.Repeats)
@@ -102,15 +136,9 @@ func runWithWindows(spec Spec) (m *Metrics, stats RunStats, engine engineStats, 
 	}
 	outs := harness.RunJobs(opts, jobs)
 	for _, o := range outs {
-		stats.Events += o.events
-		stats.SerEndEvents += o.serEnds
-		stats.CommandEvents += o.commands
-		stats.PacketHops += o.hops
-		stats.PacketsLeaked += o.leaked
-		engine.windows.Add(o.windows)
-		engine.queue.Add(o.queue)
+		stats.Add(o.stats)
 	}
-	return merge(spec, outs), stats, engine, nil
+	return merge(spec, outs), stats, nil
 }
 
 // runOut is one repetition's raw contribution to the Metrics.
@@ -123,13 +151,7 @@ type runOut struct {
 	last      sim.Time
 	counters  topo.SwitchStats
 	linkRate  int64
-	events    int64 // scheduler events executed
-	serEnds   int64 // of which port serialization ends
-	commands  int64 // deferred commands emitted
-	hops      int64 // packet wire-traversals
-	leaked    int64 // arena packets still outstanding after Close
-	windows   sim.WindowStats
-	queue     sim.QueueStats
+	stats     RunStats
 }
 
 // runOnce builds the network for one derived seed and drives the workload.
@@ -155,18 +177,20 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 		runMatrix(spec, seed, rep, net, out)
 	}
 	out.counters = net.Cluster().CollectStats()
-	out.events = int64(net.Runner().Executed())
-	out.queue = net.Runner().QueueStats()
-	out.hops = net.Cluster().PacketHops()
-	out.serEnds = net.Cluster().SerEndEvents()
-	out.commands = net.Cluster().CommandEvents()
+	out.stats = RunStats{
+		Events:        int64(net.Runner().Executed()),
+		SerEndEvents:  net.Cluster().SerEndEvents(),
+		CommandEvents: net.Cluster().CommandEvents(),
+		PacketHops:    net.Cluster().PacketHops(),
+		Queue:         net.Runner().QueueStats(),
+	}
 	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
-		out.windows = mr.WindowStats()
+		out.stats.Windows = mr.WindowStats()
 	}
 	// Close releases every packet the fabric and endpoints still hold;
 	// whatever the arenas then report outstanding has truly been lost.
 	net.Close()
-	out.leaked = net.Cluster().PacketsInUse()
+	out.stats.PacketsLeaked = net.Cluster().PacketsInUse()
 	return out
 }
 
@@ -495,8 +519,9 @@ func (s Spec) harnessTransport() harness.Transport {
 // — the clock merely parks at intermediate deadlines with no events in
 // between, and the sharded runner's window horizons derive from pending
 // event times, not from the requested deadline. Hooked and unhooked runs
-// are therefore bit-identical, Metrics and engine stats both (pinned by
-// TestProgressDoesNotPerturb).
+// are therefore bit-identical, Metrics and RunStats both — bar a sharded
+// run's Queue and Windows, which count where windows ended, and a slice
+// boundary ends one early (pinned by TestProgressDoesNotPerturb).
 func runTo(spec Spec, rep int, r sim.Runner, deadline, horizon sim.Time) {
 	from := r.Now()
 	if spec.progress == nil || deadline <= from {

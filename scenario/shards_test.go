@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"ndp/internal/sim"
 )
 
 // TestShardDeterminism is the acceptance gate of the sharded engine: every
@@ -33,14 +36,17 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// acrossShards is the part of the engine stats no shard layout changes:
-// ports cut by a shard boundary keep their serialization-end events, ports
-// inside one shard serialize on demand, so the event count is compared
-// without them. Everything else — deferred commands emitted, packet hops,
-// leaked packets — is compared as it is.
+// acrossShards is the part of the engine stats no shard layout changes.
+// Four fields legitimately depend on the layout: ports cut by a shard
+// boundary keep their serialization-end events while ports inside one shard
+// serialize on demand (SerEndEvents, and Events with it, so the event count is
+// compared without them); each shard has a scheduler of its own (Queue); and
+// only a sharded run has windows (Windows). Everything else — deferred
+// commands emitted, packet hops, leaked packets — is compared as it is.
 func acrossShards(s RunStats) RunStats {
 	s.Events -= s.SerEndEvents
 	s.SerEndEvents = 0
+	s.Queue, s.Windows = sim.QueueStats{}, sim.WindowStats{}
 	return s
 }
 
@@ -74,7 +80,7 @@ func assertShardInvariant(t *testing.T, spec Spec) {
 			t.Errorf("metrics diverge between shards=1 and shards=%d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
 				shards, ref, shards, blob)
 		}
-		if acrossShards(stats) != acrossShards(refStats) {
+		if !reflect.DeepEqual(acrossShards(stats), acrossShards(refStats)) {
 			t.Errorf("engine stats diverge between shards=1 and shards=%d: %+v vs %+v",
 				shards, refStats, stats)
 		}

@@ -75,7 +75,7 @@ func runBenchSuite(cases []scenario.BenchCase, label string) *BenchReport {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
-		Date:      time.Now().UTC().Format(time.RFC3339), //simlint:allow wallclock — report metadata: records when the bench ran, never feeds a simulation
+		Date:      time.Now().UTC().Format(time.RFC3339),
 	}
 	for _, c := range cases {
 		procs := runtime.GOMAXPROCS(c.Procs) // zero changes nothing
@@ -87,9 +87,9 @@ func runBenchSuite(cases []scenario.BenchCase, label string) *BenchReport {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			start := time.Now() //simlint:allow wallclock — wall time within one report is what this loop measures
+			start := time.Now()
 			r.Engine = runCase(c)
-			w := time.Since(start) //simlint:allow wallclock — wall time within one report is what this loop measures
+			w := time.Since(start)
 			runtime.ReadMemStats(&after)
 			if iter == 0 || w < wall {
 				wall = w

@@ -114,10 +114,10 @@ func main() {
 		ids = ndp.Experiments()
 	}
 	opts := ndp.Options{Scale: *scale, Seed: *seed, Full: *full, Workers: *parallel}
-	total := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
+	total := time.Now()
 	var results []*ndp.Result
 	for _, id := range ids {
-		start := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
+		start := time.Now()
 		res, err := ndp.Run(id, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -128,7 +128,6 @@ func main() {
 			continue
 		}
 		fmt.Print(res)
-		//simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
 		fmt.Printf("(%s wall time: %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	switch {
@@ -139,7 +138,6 @@ func main() {
 		emitJSON(results)
 	case *exp == "all":
 		fmt.Printf("== %d experiments, total wall time: %v ==\n",
-			//simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
 			len(ids), time.Since(total).Round(time.Millisecond))
 	}
 }
@@ -284,7 +282,7 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	start := time.Now() //simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
+	start := time.Now()
 	m, stats, err := scenario.RunWithStats(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -296,7 +294,6 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 	}
 	fmt.Print(m)
 	fmt.Print(stats)
-	//simlint:allow wallclock — CLI progress reporting: wall time is printed, never simulated
 	fmt.Printf("(wall time: %v)\n", time.Since(start).Round(time.Millisecond))
 }
 

@@ -83,8 +83,8 @@ type Sender struct {
 
 	sending    bool
 	stopped    bool
-	alphaTimer *sim.Timer
-	incTimer   *sim.Timer
+	alphaTimer sim.Timer // fires (*alphaTick)(s)
+	incTimer   sim.Timer // fires (*incTick)(s)
 
 	// split carries the arguments of the flow's deferred commands and rcv
 	// the receiver its Attach built (split.go); both zero for a flow built
@@ -98,7 +98,7 @@ type Sender struct {
 }
 
 // NewSender builds a DCQCN sender; call Start to begin transmitting. Pool
-// calls it only on a miss: recycle reuses the state and its bound timers.
+// calls it only on a miss: recycle reuses the state.
 func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) *Sender {
 	s := &Sender{
 		Flow: flow, cfg: cfg, el: host.EventList(), host: host, dst: dst,
@@ -106,14 +106,14 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int
 		path:  path, size: size,
 		rc: float64(cfg.LineRate), rt: float64(cfg.LineRate), alpha: 1,
 	}
-	s.alphaTimer = sim.NewTimer(s.el, s.onAlphaTimer)
-	s.incTimer = sim.NewTimer(s.el, s.onIncTimer)
+	s.alphaTimer.InitHandler(s.el, (*alphaTick)(s))
+	s.incTimer.InitHandler(s.el, (*incTick)(s))
 	return s
 }
 
 // recycle resets a retired sender for a new transfer, keeping the event
-// list, the two rate-machine timers (their closures point at this object)
-// and the arena.
+// list, the two rate-machine timers (their handlers are this object) and
+// the arena.
 func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) {
 	if s.split.Net != nil && s.el.Now() <= s.split.At {
 		panic("dcqcn: sender recycled before its deferred receiver attach ran")
@@ -203,12 +203,24 @@ func (s *Sender) onCNP() {
 	s.incTimer.Reset(s.cfg.IncTimer)
 }
 
-func (s *Sender) onAlphaTimer() {
+// alphaTick is the alpha timer's expiry and incTick the rate-increase
+// timer's: handlers over the sender itself, because the sender's own
+// OnEvent is its pacing gap.
+type (
+	alphaTick Sender
+	incTick   Sender
+)
+
+// OnEvent decays alpha (sim.Handler).
+func (a *alphaTick) OnEvent(uint64) {
+	s := (*Sender)(a)
 	s.alpha = (1 - s.cfg.G) * s.alpha
 	s.alphaTimer.Reset(s.cfg.AlphaTimer)
 }
 
-func (s *Sender) onIncTimer() {
+// OnEvent runs one timer stage of the increase machine (sim.Handler).
+func (t *incTick) OnEvent(uint64) {
+	s := (*Sender)(t)
 	s.timerSt++
 	s.raiseRate()
 	s.incTimer.Reset(s.cfg.IncTimer)

@@ -221,13 +221,8 @@ func fig19(o Options, r *Result) {
 			defer n.Close()
 			el := n.EL()
 			n.StartFlow(12, 0, -1, StartOpts{OnData: func(b int64) { res.long.Record(el.Now(), b) }})
-			el.At(incastAt, func() {
-				hosts := n.Cluster().NumHosts()
-				opts := StartOpts{OnData: func(b int64) { res.in.Record(el.Now(), b) }}
-				for i := 0; i < nIncast; i++ {
-					n.StartFlow(2+(i%(hosts-2)), 1, incastSize, opts)
-				}
-			})
+			el.Schedule(incastAt, &lateIncast{n: n, senders: nIncast, size: incastSize,
+				opts: StartOpts{OnData: func(b int64) { res.in.Record(el.Now(), b) }}}, 0)
 			el.RunUntil(endAt)
 			return res
 		})
@@ -253,6 +248,22 @@ func fig19(o Options, r *Result) {
 		r.AddTable(protos[i].name+fmt.Sprintf(" (incast of %d x 900KB at t=%dms)", nIncast, incastAt/sim.Millisecond), t)
 	}
 	r.Notef("paper shape: DCTCP: both dip and recover slowly; DCQCN: incast finishes fast but PFC pauses batter the long flow; NDP: <1ms dip then full recovery")
+}
+
+// lateIncast starts fig19's incast into host 1 when it fires (sim.Handler):
+// senders flows of size bytes from hosts 2, 3, … in turn.
+type lateIncast struct {
+	n       Net
+	senders int
+	size    int64
+	opts    StartOpts
+}
+
+func (l *lateIncast) OnEvent(uint64) {
+	hosts := l.n.Cluster().NumHosts()
+	for i := 0; i < l.senders; i++ {
+		l.n.StartFlow(2+(i%(hosts-2)), 1, l.size, l.opts)
+	}
 }
 
 // fig20 measures huge-incast overhead versus the best possible completion

@@ -210,6 +210,54 @@ func TestFig9PaperShape(t *testing.T) {
 	}
 }
 
+// TestFig20PaperShape asserts what fig20's note states, at Scale 0.1 (fan-in
+// 1, 10, 50 and 100 on a 128-host FatTree): every incast completes within
+// 5 % of optimal with none left unfinished (measured 0.38-3.80 %), at most
+// one retransmission per packet in every cell (measured <= 0.77), and NACKs
+// alone at 10 and 50 senders (measured bounce = 0). The 1-sender IW-1 cell
+// is not asserted: one packet in flight moves one packet per round trip
+// (129.4 % over). Nor is "return-to-sender takes over above ~100 senders":
+// 100 is the largest fan-in at this scale, and there NACKs still lead (0.56
+// against 0.21 per packet at IW 23). README "Experiments" lists both gaps.
+func TestFig20PaperShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short mode")
+	}
+	num := func(seed uint64, cell string) float64 {
+		v, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			t.Fatalf("seed %d: unparsable cell %q", seed, cell)
+		}
+		return v
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		res := Get("fig20").Run(Options{Scale: 0.1, Seed: seed})
+		over, rtx := res.Tables[0], res.Tables[1]
+		if len(over.Rows) != 4 || len(rtx.Rows) != 4 {
+			t.Fatalf("seed %d: %d and %d rows, want fan-ins 1, 10, 50 and 100", seed, len(over.Rows), len(rtx.Rows))
+		}
+		for r, row := range over.Rows {
+			for c, cell := range row[1:] {
+				if row[0] == "1" && over.Header[c+1] == "iw1_over%" {
+					continue
+				}
+				if strings.HasSuffix(cell, "(!)") || num(seed, cell) > 5 {
+					t.Errorf("seed %d, %s senders, %s: %s, want complete within 5%% of optimal", seed, row[0], over.Header[c+1], cell)
+				}
+			}
+			for iw := 0; iw < 3; iw++ {
+				nack, bounce := num(seed, rtx.Rows[r][1+2*iw]), num(seed, rtx.Rows[r][2+2*iw])
+				if nack+bounce > 1 {
+					t.Errorf("seed %d, %s senders, %s: %.4g retransmissions per packet, want <= 1", seed, row[0], rtx.Header[1+2*iw], nack+bounce)
+				}
+				if (row[0] == "10" || row[0] == "50") && bounce != 0 {
+					t.Errorf("seed %d, %s senders, %s: %.4g bounces per packet, want NACKs only", seed, row[0], rtx.Header[2+2*iw], bounce)
+				}
+			}
+		}
+	}
+}
+
 // TestTrimLocalityPaperShape asserts what t-trim's note states, at Scale
 // 0.1: with sender-permuted paths almost nothing is trimmed on an uplink
 // (paper ~0.01 %; <= 0.05 % here), with per-packet ECMP at the switches a

@@ -1,8 +1,8 @@
 package lint
 
-// An analysistest-style fixture harness on the stdlib alone: each analyzer
+// An analysistest-style fixture harness on the stdlib alone: each check
 // has a package under testdata/src/<name> whose `// want "regex"` comments
-// state the expected diagnostics, line by line. A fixture's import of
+// state the expected findings, line by line. A fixture's import of
 // ndp/internal/sim resolves to the stub under testdata/src/ndp/...
 // (ExtraSrc), so it type-checks without loading the engine.
 
@@ -38,10 +38,11 @@ func loadFixture(t *testing.T, name string) *Package {
 	return pkg
 }
 
-// checkWants matches diagnostics against the fixture's want comments, line
-// by line: every diagnostic needs a want, every want a diagnostic.
-func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
+// runFixture matches a check's findings on fixture name against its want
+// comments, line by line: every finding needs a want, every want a finding.
+func runFixture(t *testing.T, check func(*Package) []Finding, name string) {
 	t.Helper()
+	pkg := loadFixture(t, name)
 	type wantKey struct {
 		file string
 		line int
@@ -68,43 +69,27 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 		t.Fatalf("fixture %s has no want comments", pkg.Path)
 	}
 
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+	for _, f := range check(pkg) {
+		pos := pkg.Fset.Position(f.Pos)
 		k := wantKey{filepath.Base(pos.Filename), pos.Line}
 		matched := false
 		for i, re := range wants[k] {
-			if re.MatchString(d.Message) {
+			if re.MatchString(f.Message) {
 				wants[k] = append(wants[k][:i], wants[k][i+1:]...)
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s:%d: unexpected diagnostic: %s", k.file, k.line, d.Message)
+			t.Errorf("%s:%d: unexpected finding: %s", k.file, k.line, f.Message)
 		}
 	}
 	for k, res := range wants {
 		for _, re := range res {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, re)
+			t.Errorf("%s:%d: expected a finding matching %q, got none", k.file, k.line, re)
 		}
 	}
 }
 
-// runFixture checks an analyzer's diagnostics (after //simlint:allow
-// filtering) against the fixture's want comments.
-func runFixture(t *testing.T, a *Analyzer, name string) {
-	t.Helper()
-	pkg := loadFixture(t, name)
-	diags, err := Run(pkg, []*Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on fixture %s: %v", a.Name, name, err)
-	}
-	checkWants(t, pkg, diags)
-}
-
 func TestMapOrderFixture(t *testing.T)  { runFixture(t, MapOrder, "maporder") }
 func TestWallClockFixture(t *testing.T) { runFixture(t, WallClock, "wallclock") }
-
-// TestAllowWithoutReason: a directive missing its justification (or citing
-// an unknown analyzer) is itself a diagnostic.
-func TestAllowWithoutReason(t *testing.T) { runFixture(t, AllowCheck, "allow") }

@@ -18,7 +18,7 @@ import (
 // process. The standard library is immutable for the life of a run, and
 // signature-only checking it from source costs about a second — paying
 // that once per loader made the fixture tests and TestRepoClean re-check
-// the same ~150 packages nine times over. All loaders therefore parse
+// the same ~150 packages once each. All loaders therefore parse
 // into one process-wide fileset (positions in a types.Package are only
 // meaningful against the fileset that checked it) and consult this map
 // before touching GOROOT.
@@ -35,7 +35,6 @@ var stdCache = struct {
 // information.
 type Package struct {
 	Path  string // import path ("ndp/internal/sim")
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -83,9 +82,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the shared fileset positions of every loaded package.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 func readModulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {
@@ -99,63 +95,24 @@ func readModulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("no module line in %s", gomod)
 }
 
-// Match loads every module package matched by the go-style patterns
-// ("./...", "./internal/...", "./cmd/simlint"), sorted by import path.
-func (l *Loader) Match(patterns []string) ([]*Package, error) {
-	dirs, err := l.moduleDirs()
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for path := range dirs {
-		for _, pat := range patterns {
-			if matchPattern(l.ModPath, pat, path) {
-				paths = append(paths, path)
-				break
-			}
-		}
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(paths))
-	for _, path := range paths {
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// matchPattern implements the ./... subset of go's package patterns.
-func matchPattern(modPath, pat, path string) bool {
-	pat = strings.TrimPrefix(pat, "./")
-	switch {
-	case pat == "...", pat == "":
-		return true
-	case strings.HasSuffix(pat, "/..."):
-		base := modPath + "/" + strings.TrimSuffix(pat, "/...")
-		return path == base || strings.HasPrefix(path, base+"/")
-	default:
-		return path == modPath+"/"+pat || path == pat
-	}
-}
-
-// moduleDirs maps every module import path to its directory: any directory
-// under the module root holding at least one non-test .go file, skipping
-// testdata and dot/underscore directories.
-func (l *Loader) moduleDirs() (map[string]string, error) {
-	dirs := map[string]string{}
+// Packages loads every package of the module, in directory order: each
+// directory under the module root holding a non-test .go file, skipping
+// testdata, dot and underscore directories and nested modules (benchmark/
+// has a go.mod of its own).
+func (l *Loader) Packages() ([]*Package, error) {
+	var pkgs []*Package
 	err := filepath.WalkDir(l.ModRoot, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if p != l.ModRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if p != l.ModRoot {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if len(l.sourceFiles(p)) == 0 {
 			return nil
@@ -166,12 +123,16 @@ func (l *Loader) moduleDirs() (map[string]string, error) {
 		}
 		path := l.ModPath
 		if rel != "." {
-			path = l.ModPath + "/" + filepath.ToSlash(rel)
+			path += "/" + filepath.ToSlash(rel)
 		}
-		dirs[path] = p
+		pkg, err := l.load(path)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, pkg)
 		return nil
 	})
-	return dirs, err
+	return pkgs, err
 }
 
 // sourceFiles lists the non-test .go files of dir, sorted.
@@ -237,7 +198,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type-checking %s: %v", path, typeErrs[0])
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: syntax, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.fset, Files: syntax, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -5,64 +5,57 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
-// MapOrder flags `for range` over maps in engine code unless the loop body
-// is provably order-neutral. Go randomizes map iteration order per run, so
-// any map-ordered effect — an event scheduled per entry, a float summed in
+// MapOrder returns pkg's map ranges whose body is not provably
+// order-neutral. Go randomizes map iteration order per run, so any
+// map-ordered effect — an event scheduled per entry, a float summed in
 // visit order, a slice appended to — forks goldens between runs and between
-// shard layouts. The safe alternatives are iterating a sorted key slice or
-// restricting the body to commutative updates.
-var MapOrder = &Analyzer{
-	Name: "maporder",
-	Doc: "flags map iteration whose body is not provably order-neutral: anything that can " +
-		"reach Schedule*/Defer, accumulate floats, append to a slice, or call out leaks the " +
-		"randomized map order into event order or metric values; iterate sorted keys instead",
-	Run: runMapOrder,
-}
-
-func runMapOrder(p *Pass) error {
-	for _, f := range p.Files {
+// shard layouts.
+func MapOrder(pkg *Package) []Finding {
+	var out []Finding
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			t := p.TypesInfo.TypeOf(rs.X)
+			t := pkg.Info.TypeOf(rs.X)
 			if t == nil {
 				return true
 			}
 			if _, ok := t.Underlying().(*types.Map); !ok {
 				return true
 			}
-			c := &mapBodyChecker{pass: p, key: rangeKeyObject(p, rs)}
+			c := &mapBodyChecker{info: pkg.Info, key: rangeKeyObject(pkg.Info, rs)}
 			if reason := c.blockSafe(rs.Body); reason != "" {
-				p.Reportf(rs.For, "map iteration %s; map order is randomized per run — iterate a sorted key slice, or justify with //simlint:allow maporder — <why order cannot leak>", reason)
+				out = append(out, Finding{rs.For, "map iteration " + reason + "; map order is randomized per run: range over slices.Sorted(maps.Keys(m)), or keep the body to integer or per-key updates"})
 			}
 			return true
 		})
 	}
-	return nil
+	return out
 }
 
 // rangeKeyObject returns the object of the range key variable, when the
 // statement declares or assigns one.
-func rangeKeyObject(p *Pass, rs *ast.RangeStmt) types.Object {
+func rangeKeyObject(info *types.Info, rs *ast.RangeStmt) types.Object {
 	id, ok := rs.Key.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	if obj := p.TypesInfo.Defs[id]; obj != nil {
+	if obj := info.Defs[id]; obj != nil {
 		return obj
 	}
-	return p.TypesInfo.Uses[id]
+	return info.Uses[id]
 }
 
 // mapBodyChecker decides whether a map-range body is order-neutral. The
 // whitelist is deliberately small; anything it cannot prove commutative is
 // unsafe and the returned reason says why.
 type mapBodyChecker struct {
-	pass *Pass
+	info *types.Info
 	key  types.Object // the range key variable; map writes must be keyed by it
 }
 
@@ -80,7 +73,7 @@ func (c *mapBodyChecker) stmtSafe(s ast.Stmt) (reason string) {
 	case *ast.AssignStmt:
 		return c.assignSafe(s)
 	case *ast.IncDecStmt:
-		if !isIntType(c.pass.TypesInfo.TypeOf(s.X)) {
+		if !isIntType(c.info.TypeOf(s.X)) {
 			return "increments a non-integer in map order"
 		}
 		return c.exprsPure(s.X)
@@ -109,7 +102,7 @@ func (c *mapBodyChecker) stmtSafe(s ast.Stmt) (reason string) {
 		return c.blockSafe(s)
 	case *ast.ExprStmt:
 		// Only delete(m, k) keyed by the range key is known commutative.
-		if call, ok := s.X.(*ast.CallExpr); ok && isBuiltin(c.pass.TypesInfo, call, "delete") {
+		if call, ok := s.X.(*ast.CallExpr); ok && isBuiltin(c.info, call, "delete") {
 			if len(call.Args) == 2 && c.mentionsKey(call.Args[1]) {
 				return c.exprsPure(call.Args...)
 			}
@@ -157,7 +150,7 @@ func (c *mapBodyChecker) assignSafe(s *ast.AssignStmt) (reason string) {
 			if !ok {
 				return "writes a variable whose final value depends on visit order"
 			}
-			if bt := c.pass.TypesInfo.TypeOf(ix.X); bt == nil {
+			if bt := c.info.TypeOf(ix.X); bt == nil {
 				return "writes a variable whose final value depends on visit order"
 			} else if _, isMap := bt.Underlying().(*types.Map); !isMap {
 				return "writes indexed storage the analyzer cannot prove per-key"
@@ -174,7 +167,7 @@ func (c *mapBodyChecker) assignSafe(s *ast.AssignStmt) (reason string) {
 		if len(s.Lhs) != 1 {
 			return "compound-assigns multiple values"
 		}
-		if !isIntType(c.pass.TypesInfo.TypeOf(s.Lhs[0])) {
+		if !isIntType(c.info.TypeOf(s.Lhs[0])) {
 			return "accumulates floating point in map order (float addition does not commute bit-for-bit)"
 		}
 		if r := c.exprsPure(s.Lhs[0]); r != "" {
@@ -193,7 +186,7 @@ func (c *mapBodyChecker) mentionsKey(e ast.Expr) bool {
 	}
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && c.pass.TypesInfo.Uses[id] == c.key {
+		if id, ok := n.(*ast.Ident); ok && c.info.Uses[id] == c.key {
 			found = true
 		}
 		return !found
@@ -215,7 +208,7 @@ func (c *mapBodyChecker) exprsPure(exprs ...ast.Expr) (reason string) {
 			}
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if isBuiltin(c.pass.TypesInfo, n, "len", "cap", "min", "max") || isConversion(c.pass.TypesInfo, n) {
+				if isBuiltin(c.info, n, "len", "cap", "min", "max") || isConversion(c.info, n) {
 					return true
 				}
 				reason = "calls " + callName(n) + " inside the loop (effects may depend on visit order)"
@@ -254,4 +247,22 @@ func isIntType(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
+}
+
+// isBuiltin reports whether the call invokes one of the named builtins.
+func isBuiltin(info *types.Info, call *ast.CallExpr, names ...string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
+		return false
+	}
+	return slices.Contains(names, id.Name)
+}
+
+// isConversion reports whether the call is a type conversion.
+func isConversion(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
+	return ok && tv.IsType()
 }

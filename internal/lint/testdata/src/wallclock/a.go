@@ -1,5 +1,4 @@
-// Fixture for the wallclock analyzer: real time stays out of simulation
-// code unless each use carries a justified allow.
+// Fixture for the wallclock check: real time stays out of simulation code.
 package wallclock
 
 import (
@@ -8,7 +7,7 @@ import (
 )
 
 func measures() time.Duration {
-	start := time.Now() // want "wall clock time.Now"
+	start := time.Now() // want "wall clock time.Now in simulation code: read virtual time from the event list's Now"
 	time.Sleep(1)       // want "wall clock time.Sleep"
 	_ = rand.Int()
 	return time.Since(start) // want "wall clock time.Since"
@@ -17,9 +16,4 @@ func measures() time.Duration {
 // Pure duration arithmetic is fine: no clock is read.
 func arithmetic(d time.Duration) time.Duration {
 	return d * 2
-}
-
-// Bench/daemon plumbing carries a per-line justification.
-func allowed() time.Time {
-	return time.Now() //simlint:allow wallclock — fixture: bench plumbing measures wall throughput
 }

@@ -2,33 +2,25 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strconv"
 )
 
-// WallClock keeps real time out of the simulation. Inside the engine the
-// only clock is the EventList's virtual now; a time.Now comparison, a
-// wall-clock-derived seed, or the global math/rand stream makes results
-// depend on the machine and the moment instead of (spec, seed). The bench
-// harness, the daemon's job accounting, and the CLIs legitimately measure
-// wall time — each such site carries an annotated allow, so the exemption
-// is per-line and auditable, never per-package.
-var WallClock = &Analyzer{
-	Name: "wallclock",
-	Doc: "flags time.Now/time.Since/time.Sleep calls and math/rand imports: wall time and " +
-		"global RNG state have no place under the virtual clock; bench/daemon plumbing " +
-		"annotates each use with //simlint:allow wallclock — <reason>",
-	Run: runWallClock,
-}
-
-func runWallClock(p *Pass) error {
-	for _, f := range p.Files {
+// WallClock returns pkg's reads of real time and imports of math/rand.
+// Inside the engine the only clock is the EventList's virtual now; a
+// time.Now comparison, a wall-clock-derived seed, or the global math/rand
+// stream makes results depend on the machine and the moment instead of
+// (spec, seed).
+func WallClock(pkg *Package) []Finding {
+	var out []Finding
+	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
 			if path == "math/rand" || path == "math/rand/v2" {
-				p.Reportf(imp.Pos(), "import of %s: the global math/rand stream is shared mutable state seeded off wall time; use a component-local sim.Rand derived via SplitSeed", path)
+				out = append(out, Finding{imp.Pos(), "import of " + path + ": the global math/rand stream is shared mutable state seeded off wall time; use a component-local sim.Rand derived via SplitSeed"})
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -36,16 +28,32 @@ func runWallClock(p *Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(p.TypesInfo, call)
+			fn := calleeFunc(pkg.Info, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true
 			}
 			switch fn.Name() {
 			case "Now", "Since", "Sleep":
-				p.Reportf(call.Pos(), "wall clock time.%s in simulation code: virtual time comes from the EventList; if this is bench/daemon plumbing, justify with //simlint:allow wallclock — <reason>", fn.Name())
+				out = append(out, Finding{call.Pos(), "wall clock time." + fn.Name() + " in simulation code: read virtual time from the event list's Now, and schedule instead of sleeping"})
 			}
 			return true
 		})
+	}
+	return out
+}
+
+// calleeFunc resolves a call's callee to its declared types.Func, or nil
+// (builtin, conversion, func-typed variable).
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return f
+		}
+	case *ast.Ident:
+		if f, ok := info.Uses[fun].(*types.Func); ok {
+			return f
+		}
 	}
 	return nil
 }

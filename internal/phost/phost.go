@@ -154,7 +154,7 @@ func (ph *Host) Connect(dst int32, flow uint64, size int64, onDone func(s *Sende
 	s := ph.takeSender()
 	if s == nil {
 		s = &Sender{ph: ph, Flow: flow, Dst: dst, size: size, onDone: onDone}
-		s.timer = sim.NewTimer(ph.el, s.onTimeout)
+		s.timer.InitHandler(ph.el, s)
 	} else {
 		timer, pkts := s.timer, s.pkts
 		pkts.Reset()
@@ -202,7 +202,7 @@ type Sender struct {
 	nAck int64
 
 	lastToken int64
-	timer     *sim.Timer
+	timer     sim.Timer // fires s.OnEvent
 	complete  bool
 	onDone    func(s *Sender)
 	// OnCompleteAt, set by the caller once Connect returns, fires with
@@ -299,6 +299,10 @@ func (s *Sender) Receive(p *fabric.Packet) {
 	}
 	fabric.Free(p)
 }
+
+// OnEvent is the RTO expiry (sim.Handler): the embedded timer fires through
+// it, which costs no per-flow allocation.
+func (s *Sender) OnEvent(uint64) { s.onTimeout() }
 
 // onTimeout retransmits every packet unacked for a full RTO — pHost's only
 // loss-recovery mechanism.

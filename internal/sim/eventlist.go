@@ -344,7 +344,8 @@ func (el *EventList) Executed() uint64 { return el.executed }
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error; it is clamped to "now" so the event still fires, which
 // is the least surprising recovery during development. This is the closure
-// fallback path: use Schedule from per-packet call-sites.
+// fallback path, which no product code takes any more (ROADMAP 5(b)): At and
+// After stay for tests.
 func (el *EventList) At(t Time, fn func()) {
 	el.push(t, eventVal{h: funcEvent(fn), id: -1})
 }
@@ -874,9 +875,9 @@ type Timer struct {
 	id EventID
 }
 
-// NewTimer returns a stopped timer that will invoke fn on expiry: one
-// allocation per pooled endpoint, reused via Reset/Stop in steady state
-// (embed a Timer by value and Init it to avoid even that).
+// NewTimer returns a stopped timer that will invoke fn on expiry. Product
+// code embeds a Timer by value and InitHandlers it instead; NewTimer and
+// Init stay for tests and the frozen benchmark/layers.go (ROADMAP 5(b)).
 func NewTimer(el *EventList, fn func()) *Timer {
 	t := &Timer{}
 	t.Init(el, fn)

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -165,7 +167,23 @@ type shardWorker struct {
 	done atomic.Uint64
 	parker
 	acked uint64 // the coordinator's copy of done
-	_     [64]byte
+	// panicked is what a shard of this worker panicked with in the epoch
+	// it last completed, for the coordinator to raise; written before done.
+	panicked *WorkerPanic
+	_        [64]byte
+}
+
+// WorkerPanic is what RunUntil panics with when a shard panicked on a
+// worker goroutine: the worker's value and its stack, since the caller's
+// own stack ends at the barrier. Re-raising on the caller is what lets a
+// recover around RunUntil see the engine's invariant panics at all.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nshard worker goroutine:\n%s", p.Value, p.Stack)
 }
 
 // parker is the sleeping half of a spin-then-park wait: a flag the waiter
@@ -528,6 +546,14 @@ func (mr *MultiRunner) runWindow(busy int) {
 				panic("sim: shard worker acknowledged an epoch that was not published")
 			}
 		}
+		// Raise a worker's panic only once every worker has acknowledged:
+		// none may still be running a shard when the caller recovers.
+		for _, w := range mr.workers {
+			if p := w.panicked; p != nil {
+				w.panicked = nil
+				panic(p)
+			}
+		}
 	}
 
 	s := &mr.stats
@@ -623,9 +649,21 @@ func (mr *MultiRunner) work(k int, w *shardWorker, seen uint64) {
 		case epochStop:
 			return
 		case epochRun:
-			mr.runShards(k)
+			mr.runWorkerShards(k, w)
 			w.done.Store(seen)
 			mr.coord.unpark()
 		}
 	}
+}
+
+// runWorkerShards runs worker k's shards, keeping a panic for the
+// coordinator instead of letting it end the process: the worker still
+// reports the epoch done, so the barrier completes and Close still works.
+func (mr *MultiRunner) runWorkerShards(k int, w *shardWorker) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.panicked = &WorkerPanic{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	mr.runShards(k)
 }

@@ -3,13 +3,15 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // This file tests what shards_ref_test.go's actor workload does not reach:
 // the shape of the windows (TestWindowsDoNotLeapfrog), the worker barrier
 // under dense, sparse and idle phases at every shard and worker count
-// (TestBarrierStress), and the workers' lifetime (TestMultiRunnerClose).
+// (TestBarrierStress), the workers' lifetime (TestMultiRunnerClose) and a
+// panic on a worker (TestMultiRunnerWorkerPanic).
 
 // pulse fires every step from its first scheduling until `until`, and every
 // `every`-th firing (outside the world's quiet interval) sends a message one
@@ -283,6 +285,57 @@ func TestMultiRunnerClose(t *testing.T) {
 	for i, p := range w.pulses {
 		if want := 3 * (int(span-Time(i))/int(pulseStep) + 1); p.fired != want {
 			t.Errorf("shard %d fired %d times across three runs, want %d", i, p.fired, want)
+		}
+	}
+}
+
+// poison panics when it fires: an engine invariant breaking inside a shard.
+type poison struct{}
+
+func (poison) OnEvent(uint64) { panic("poisoned shard") }
+
+// TestMultiRunnerWorkerPanic: a panic raised on a worker goroutine reaches
+// the RunUntil caller — with the worker's value and stack — instead of
+// ending the process, the barrier completes so Close returns, and a new
+// runner works afterwards. The worker count is forced, so the panic is on a
+// worker even on a 1-CPU box.
+func TestMultiRunnerWorkerPanic(t *testing.T) {
+	const span = 20 * refLookahead
+	w, mr := newPulseWorld(t, 2, 5, true)
+	forceWorkers(mr, 2)
+	w.start(0, 0, span)
+	w.lists[1].Schedule(span/2, poison{}, 0) // shard 1 runs on worker 1
+	func() {
+		defer func() {
+			p, ok := recover().(*WorkerPanic)
+			if !ok {
+				t.Fatalf("RunUntil raised %v, want a *WorkerPanic", p)
+			}
+			if p.Value != "poisoned shard" || !strings.Contains(string(p.Stack), "poison.OnEvent") {
+				t.Errorf("WorkerPanic{%v, stack without poison.OnEvent}:\n%s", p.Value, p.Stack)
+			}
+			if !strings.Contains(p.Error(), "poisoned shard") {
+				t.Errorf("Error() = %q, want the worker's value in it", p.Error())
+			}
+		}()
+		mr.RunUntil(span)
+		t.Fatal("RunUntil returned over a poisoned shard")
+	}()
+	mr.Close()
+	if mr.workers != nil {
+		t.Fatal("Close left workers behind")
+	}
+
+	w, mr = newPulseWorld(t, 2, 5, true)
+	forceWorkers(mr, 2)
+	for i := range w.pulses {
+		w.start(i, Time(i), span)
+	}
+	mr.RunUntil(span + refLookahead)
+	mr.Close()
+	for i, p := range w.pulses {
+		if want := int(span-Time(i))/int(pulseStep) + 1; p.fired != want {
+			t.Errorf("after the poisoned runner, shard %d fired %d times, want %d", i, p.fired, want)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func newJob(spec scenario.Spec) *Job {
 		Key:       cacheKey(spec),
 		state:     StateQueued,
 		repeats:   repeats,
-		submitted: time.Now(), //simlint:allow wallclock — daemon job accounting: queue timestamps for the HTTP API, outside the virtual clock
+		submitted: time.Now(),
 		subs:      map[chan struct{}]struct{}{},
 	}
 }
@@ -222,7 +222,7 @@ func (j *Job) start() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateRunning
-	j.started = time.Now() //simlint:allow wallclock — daemon job accounting: run timestamps for the HTTP API, outside the virtual clock
+	j.started = time.Now()
 	j.notifyLocked()
 }
 
@@ -234,7 +234,7 @@ func (j *Job) finish(m *scenario.Metrics, engine scenario.RunStats) {
 	j.engine = engine
 	j.overall = 1
 	j.done = j.repeats
-	j.finished = time.Now() //simlint:allow wallclock — daemon job accounting: completion timestamps for the HTTP API, outside the virtual clock
+	j.finished = time.Now()
 	j.notifyLocked()
 }
 
@@ -243,7 +243,7 @@ func (j *Job) fail(err error) {
 	defer j.mu.Unlock()
 	j.state = StateFailed
 	j.errMsg = err.Error()
-	j.finished = time.Now() //simlint:allow wallclock — daemon job accounting: completion timestamps for the HTTP API, outside the virtual clock
+	j.finished = time.Now()
 	j.notifyLocked()
 }
 
@@ -259,6 +259,6 @@ func (j *Job) completeFromCache(m *scenario.Metrics) {
 	j.overall = 1
 	j.done = j.repeats
 	j.started = j.submitted
-	j.finished = time.Now() //simlint:allow wallclock — daemon job accounting: completion timestamps for the HTTP API, outside the virtual clock
+	j.finished = time.Now()
 	j.notifyLocked()
 }

@@ -144,7 +144,7 @@ type Sender struct {
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	backoff      int
-	timer        *sim.Timer
+	timer        sim.Timer // fires s.OnEvent
 
 	// DCTCP state.
 	alpha               float64
@@ -175,8 +175,7 @@ type segment struct {
 
 // NewSender builds a TCP sender. path is the fixed source route to the
 // destination (nil for destination-based ECMP routing); source supplies the
-// stream. Pool calls it only on a miss: recycle reuses the state and its
-// bound timer.
+// stream. Pool calls it only on a miss: recycle reuses the state.
 func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{
@@ -192,13 +191,13 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source D
 		ssthresh: cfg.MaxCwnd,
 		rto:      cfg.MinRTO,
 	}
-	s.timer = sim.NewTimer(s.el, s.onTimeout)
+	s.timer.InitHandler(s.el, s)
 	return s
 }
 
 // recycle resets a retired sender for a new connection, keeping the
-// identity-bound resources: the event list, the timer (its closure points at
-// this object), the arena, and the emptied segment window's buffer.
+// identity-bound resources: the event list, the timer (its handler is this
+// object), the arena, and the emptied segment window's buffer.
 func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) {
 	if s.attach.Host != nil && s.el.Now() <= s.attach.At {
 		panic("tcp: sender recycled before its deferred receiver attach ran")
@@ -526,6 +525,10 @@ func (s *Sender) dctcpWindowEnd() {
 
 // Alpha returns the DCTCP congestion estimate.
 func (s *Sender) Alpha() float64 { return s.alpha }
+
+// OnEvent is the RTO expiry (sim.Handler): the embedded timer fires through
+// it, which costs no per-flow allocation.
+func (s *Sender) OnEvent(uint64) { s.onTimeout() }
 
 func (s *Sender) onTimeout() {
 	if s.complete {

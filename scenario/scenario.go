@@ -264,6 +264,9 @@ func (s Spec) Validate() error {
 	if s.Warmup < 0 || s.Window <= 0 {
 		return fmt.Errorf("scenario: warmup/window must be positive (warmup=%v window=%v)", s.Warmup, s.Window)
 	}
+	if s.Deadline < 0 {
+		return fmt.Errorf("scenario: deadline must be >= 0 (0 derives one), got %v", s.Deadline)
+	}
 	if s.MTU < 64 {
 		return fmt.Errorf("scenario: MTU %d too small", s.MTU)
 	}

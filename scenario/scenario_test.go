@@ -292,6 +292,8 @@ func TestValidate(t *testing.T) {
 		New(WithTopology(FatTree(4)), WithLinkFailure(0, 2, 1e9)),  // only 2 uplinks per agg
 		New(WithTransport(DCTCP), WithPathPenalty(false)),
 		New(WithMTU(5)),
+		New(WithWorkload(RPC(2)), WithDeadline(-time.Millisecond)), // would launch flows and complete none
+		New(WithWorkload(Workload{Kind: "rpc", Degree: 2, Gap: -time.Millisecond})),
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

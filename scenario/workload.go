@@ -115,6 +115,9 @@ func (w Workload) validate(hosts int) error {
 		if hosts < 2 {
 			return fmt.Errorf("scenario: rpc needs at least 2 hosts")
 		}
+		if w.Gap < 0 {
+			return fmt.Errorf("scenario: rpc gap must be >= 0 (0 = 1ms), got %v", w.Gap)
+		}
 	case "":
 		return fmt.Errorf("scenario: no workload set")
 	default:

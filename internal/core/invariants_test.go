@@ -22,7 +22,7 @@ func TestSwitchQueueConservationProperty(t *testing.T) {
 		cfg.HeaderCapBytes = 4 * fabric.HeaderSize // tiny: force bounces
 		q, a := NewSwitchQueue(cfg, sim.NewRand(seed)), fabric.NewArena()
 		bounced := 0
-		q.BounceSink = func(p *fabric.Packet) { bounced++; fabric.Free(p) }
+		q.BounceSink = fabric.SinkFunc(func(p *fabric.Packet) { bounced++; fabric.Free(p) })
 		offered, dequeued := 0, 0
 		for _, o := range ops {
 			if o.Enq {

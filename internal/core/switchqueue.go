@@ -61,8 +61,7 @@ func DefaultSwitchConfig(mtu int) SwitchConfig {
 //     been bounced once is dropped.
 type SwitchQueue struct {
 	fabric.QueueStats
-	cfg  SwitchConfig
-	rand *sim.Rand
+	cfg SwitchConfig
 
 	data, hdr       fabric.Ring[*fabric.Packet]
 	hdrServed       int // consecutive header packets served since last data
@@ -70,9 +69,14 @@ type SwitchQueue struct {
 	hdrBytesQueued  int
 
 	// BounceSink receives headers being returned to their sender; wire it
-	// to the owning switch's ForwardBounced. If nil, overflow headers are
-	// dropped.
-	BounceSink func(p *fabric.Packet)
+	// to the owning switch (WireBounce), whose Receive routes them back. If
+	// nil, overflow headers are dropped.
+	BounceSink fabric.Sink
+
+	// rand is the trim coin's own stream. It comes last: it is drawn only
+	// when the data queue is full, and the fields above are read for every
+	// packet.
+	rand sim.Rand
 }
 
 // ringFirstMax is the most a switch queue's ring allocates up front. The
@@ -83,13 +87,15 @@ type SwitchQueue struct {
 // doubles its way up.
 const ringFirstMax = 64
 
-// NewSwitchQueue builds an NDP port queue. rand drives the 50% trim coin;
-// it must be deterministic and must belong to this queue alone. A generator
-// shared across queues would make coin values depend on the global order in
-// which queues trim — an order a sharded run cannot reproduce — so each
-// queue draws from its own stream (see QueueFactory).
+// NewSwitchQueue builds an NDP port queue whose 50% trim coin draws from a
+// stream of its own, seeded from one draw of rand. The stream must belong to
+// this queue alone: one shared across queues would make coin values depend on
+// the global order in which queues trim — an order a sharded run cannot
+// reproduce (see QueueFactory).
 func NewSwitchQueue(cfg SwitchConfig, rand *sim.Rand) *SwitchQueue {
-	return &SwitchQueue{cfg: cfg, rand: rand}
+	q := &SwitchQueue{cfg: cfg}
+	q.rand.Init(rand.SplitSeed())
+	return q
 }
 
 // Enqueue applies the NDP admission policy.
@@ -133,7 +139,7 @@ func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {
 		p.Trimmed() && p.Flags&fabric.FlagBounced == 0 {
 		q.Bounces++
 		p.Bounce()
-		q.BounceSink(p)
+		q.BounceSink.Receive(p)
 		return
 	}
 	q.Drops++
@@ -173,39 +179,31 @@ func (q *SwitchQueue) DataPackets() int { return q.data.Len() }
 func (q *SwitchQueue) HeaderPackets() int { return q.hdr.Len() }
 
 // QueueFactory returns a topo.Config-compatible queue factory producing NDP
-// switch queues with the given configuration. Each queue's trim coin draws
-// from its own RNG stream, derived from the seed and the queue's stable
-// name: coin values then depend only on the sequence of trims at that one
-// port, never on the global interleaving of trims across the fabric, which
-// keeps results identical for any shard count. Call WireBounce on the built
+// switch queues with the given configuration, all of one topology's carved
+// from one slab. Each queue's trim coin draws from its own RNG stream,
+// derived from the seed and the port's seed (a hash of its stable name):
+// coin values then depend only on the sequence of trims at that one port,
+// never on the global interleaving of trims across the fabric, which keeps
+// results identical for any shard count. Call WireBounce on the built
 // topology's switches afterwards so return-to-sender headers re-enter the
 // routing pipeline.
-func QueueFactory(cfg SwitchConfig, seed uint64) func(name string) fabric.Queue {
-	return func(name string) fabric.Queue {
-		return NewSwitchQueue(cfg, sim.NewRand(seed^hashName(name)))
+func QueueFactory(cfg SwitchConfig, seed uint64) func(seeds []uint64) []fabric.Queue {
+	return func(seeds []uint64) []fabric.Queue {
+		return fabric.QueueSlab(len(seeds), func(i int, q *SwitchQueue) {
+			q.cfg = cfg
+			q.rand.Init(seed ^ seeds[i])
+		})
 	}
-}
-
-// hashName is FNV-1a over the queue's name — a stable, construction-order-
-// independent identity for deriving per-queue RNG streams.
-func hashName(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // WireBounce connects every NDP SwitchQueue on the given switches to its
-// switch's ForwardBounced so return-to-sender headers re-enter the routing
-// pipeline. Call after the topology is built.
+// switch, so return-to-sender headers re-enter the routing pipeline. Call
+// after the topology is built.
 func WireBounce(switches []*fabric.Switch) {
 	for _, sw := range switches {
-		sw := sw
 		for _, port := range sw.Ports {
 			if q, ok := port.Q.(*SwitchQueue); ok {
-				q.BounceSink = sw.ForwardBounced
+				q.BounceSink = sw
 			}
 		}
 	}

@@ -148,7 +148,7 @@ func TestSwitchQueueBounceOnHeaderOverflow(t *testing.T) {
 	cfg.HeaderCapBytes = 2 * fabric.HeaderSize // room for only two headers
 	q, a := testQueue(t, cfg)
 	var bounced []*fabric.Packet
-	q.BounceSink = func(p *fabric.Packet) { bounced = append(bounced, p) }
+	q.BounceSink = fabric.SinkFunc(func(p *fabric.Packet) { bounced = append(bounced, p) })
 	for i := int64(0); i < 8; i++ {
 		q.Enqueue(data(a, i))
 	}
@@ -173,7 +173,7 @@ func TestSwitchQueueDropsTwiceBounced(t *testing.T) {
 	cfg := DefaultSwitchConfig(9000)
 	cfg.HeaderCapBytes = fabric.HeaderSize
 	q, a := testQueue(t, cfg)
-	q.BounceSink = func(p *fabric.Packet) { t.Fatal("re-bounced an already-bounced header") }
+	q.BounceSink = fabric.SinkFunc(func(p *fabric.Packet) { t.Fatal("re-bounced an already-bounced header") })
 	q.Enqueue(a.NewControl(fabric.Ack, 9, 0, 1)) // fills the header queue
 	p := data(a, 0)
 	p.Trim()
@@ -189,7 +189,7 @@ func TestSwitchQueueDisableBounceAblation(t *testing.T) {
 	cfg.HeaderCapBytes = fabric.HeaderSize
 	cfg.DisableBounce = true
 	q, a := testQueue(t, cfg)
-	q.BounceSink = func(p *fabric.Packet) { t.Fatal("bounce disabled but BounceSink called") }
+	q.BounceSink = fabric.SinkFunc(func(p *fabric.Packet) { t.Fatal("bounce disabled but BounceSink called") })
 	q.Enqueue(a.NewControl(fabric.Ack, 9, 0, 1))
 	p := data(a, 0)
 	p.Trim()

@@ -78,6 +78,10 @@ func (q *Queue) Bytes() int { return q.bytes }
 
 // QueueFactory returns a topo.Config-compatible factory for CP queues:
 // trimming above trimThreshold with header headroom up to maxBytes.
-func QueueFactory(trimThreshold, maxBytes int) func(name string) fabric.Queue {
-	return func(string) fabric.Queue { return NewQueue(trimThreshold, maxBytes) }
+func QueueFactory(trimThreshold, maxBytes int) func(seeds []uint64) []fabric.Queue {
+	return func(seeds []uint64) []fabric.Queue {
+		return fabric.QueueSlab(len(seeds), func(_ int, q *Queue) {
+			q.TrimThreshold, q.MaxBytes = trimThreshold, maxBytes
+		})
+	}
 }

@@ -53,10 +53,8 @@ const MarkThresholdPackets = 20
 
 // QueueFactory returns the DCQCN switch egress queue: ECN marking with no
 // drop bound (PFC ingress gating prevents overflow).
-func QueueFactory(mtu int) func(name string) fabric.Queue {
-	return func(string) fabric.Queue {
-		return fabric.NewECNQueue(0 /* lossless: never drop */, MarkThresholdPackets*mtu)
-	}
+func QueueFactory(mtu int) func(seeds []uint64) []fabric.Queue {
+	return fabric.ECNQueues(0 /* lossless: never drop */, MarkThresholdPackets*mtu)
 }
 
 // Sender transmits a stream at a paced rate governed by the DCQCN rate

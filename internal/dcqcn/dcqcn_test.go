@@ -114,8 +114,8 @@ func TestDCQCNIncastNoLoss(t *testing.T) {
 	// Incast through PFC must have generated pauses somewhere (typically
 	// the agg->ToR downlinks feeding the receiver's ToR, and cascading).
 	var pauses int64
-	for _, p := range net.HostNIC {
-		pauses += p.PauseCount
+	for _, h := range net.Hosts {
+		pauses += h.NIC.PauseCount
 	}
 	for _, sw := range net.Switches {
 		for _, p := range sw.Ports {

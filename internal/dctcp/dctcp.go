@@ -21,10 +21,8 @@ const BufferPackets = 200
 
 // QueueFactory returns ECN-marking switch queues with the paper's DCTCP
 // sizing for the given MTU.
-func QueueFactory(mtu int) func(name string) fabric.Queue {
-	return func(string) fabric.Queue {
-		return fabric.NewECNQueue(BufferPackets*mtu, MarkThresholdPackets*mtu)
-	}
+func QueueFactory(mtu int) func(seeds []uint64) []fabric.Queue {
+	return fabric.ECNQueues(BufferPackets*mtu, MarkThresholdPackets*mtu)
 }
 
 // SenderConfig returns the DCTCP endpoint configuration: ECN-driven control

@@ -21,7 +21,7 @@ func dctcpNet(k int) (*topo.FatTree, []*fabric.Demux) {
 }
 
 func TestQueueFactorySizing(t *testing.T) {
-	q := QueueFactory(9000)("x")
+	q := QueueFactory(9000)([]uint64{0})[0]
 	eq, ok := q.(*fabric.ECNQueue)
 	if !ok {
 		t.Fatalf("factory returned %T, want *fabric.ECNQueue", q)

@@ -44,16 +44,16 @@ func (p *Port) StartOwed() bool { return p.wake }
 // is armed to carry it, and the packet still serializing is in the flight.
 func (p *Port) CheckOnDemand() error {
 	if !p.onDemand {
-		return fmt.Errorf("port %s is event-driven", p.Name)
+		return fmt.Errorf("port %s is event-driven", p)
 	}
 	if p.wake && !(p.armed && p.flight.Len() > 0) {
-		return fmt.Errorf("port %s: wake with armed=%v and %d in flight", p.Name, p.armed, p.flight.Len())
+		return fmt.Errorf("port %s: wake with armed=%v and %d in flight", p, p.armed, p.flight.Len())
 	}
 	if p.flight.Len() > 0 && !p.armed {
-		return fmt.Errorf("port %s: %d in flight and no delivery armed", p.Name, p.flight.Len())
+		return fmt.Errorf("port %s: %d in flight and no delivery armed", p, p.flight.Len())
 	}
 	if p.SerEndEvents != 0 {
-		return fmt.Errorf("port %s fired %d serialization-end events", p.Name, p.SerEndEvents)
+		return fmt.Errorf("port %s fired %d serialization-end events", p, p.SerEndEvents)
 	}
 	return nil
 }

@@ -1,10 +1,39 @@
 package fabric
 
 import (
-	"fmt"
+	"strconv"
 
 	"ndp/internal/sim"
 )
+
+// Label names a switch or a host as a kind and up to two indices, formatted
+// only when read: a topology of thousands of nodes builds no name strings
+// unless a panic or a trace prints one. A negative index is absent:
+// {"tor", 2, 1} reads "tor2.1", {"core", 3, -1} "core3", and {"drv", -1,
+// -1} the literal "drv".
+type Label struct {
+	Kind string
+	A, B int32
+}
+
+// named is the label of a literal name.
+func named(name string) Label { return Label{Kind: name, A: -1, B: -1} }
+
+// AppendTo appends the label's text to b.
+func (l Label) AppendTo(b []byte) []byte {
+	b = append(b, l.Kind...)
+	if l.A >= 0 {
+		b = strconv.AppendInt(b, int64(l.A), 10)
+	}
+	if l.B >= 0 {
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(l.B), 10)
+	}
+	return b
+}
+
+// String formats the label.
+func (l Label) String() string { return string(l.AppendTo(nil)) }
 
 // RouteFunc picks the egress port index for a packet at a switch, consuming
 // one source-route hop when the packet carries one. Returning a negative
@@ -18,9 +47,11 @@ type RouteFunc func(sw *Switch, p *Packet) int
 // queues gate admission to egress queues instead; see lossless.go.
 type Switch struct {
 	ID    int
-	Name  string
 	Ports []*Port
 	Route RouteFunc
+	// Label is read only by String; Ports and Route, read at every hop,
+	// stay at the front.
+	Label Label
 
 	el *sim.EventList
 
@@ -31,10 +62,18 @@ type Switch struct {
 	RouteDrops int64
 }
 
-// NewSwitch creates a switch with no ports; topology builders add ports via
-// AddPort and wire them with Port.Connect.
+// NewSwitch creates a switch with no ports; ports are added via AddPort and
+// wired with Port.Connect.
 func NewSwitch(el *sim.EventList, id int, name string) *Switch {
-	return &Switch{ID: id, Name: name, el: el}
+	s := &Switch{}
+	s.Init(el, id, named(name))
+	return s
+}
+
+// Init sets up a switch built in place, as a topology builds its switches
+// from one slab.
+func (s *Switch) Init(el *sim.EventList, id int, label Label) {
+	s.ID, s.Label, s.el = id, label, el
 }
 
 // AddPort appends an egress port and returns its index. On a lossless
@@ -65,13 +104,6 @@ func (s *Switch) Receive(p *Packet) {
 	s.Ports[out].Enqueue(p)
 }
 
-// ForwardBounced routes a header that a queue on this switch has just
-// returned to its sender (NDP return-to-sender). The packet has already had
-// Bounce applied, so it is destination-routed from here.
-func (s *Switch) ForwardBounced(p *Packet) {
-	s.Receive(p)
-}
-
 // ReleasePackets releases every packet the switch still holds at teardown:
 // each egress port's pipeline and, in lossless mode, the held ingress
 // backlog.
@@ -87,14 +119,14 @@ func (s *Switch) ReleasePackets() {
 }
 
 // String identifies the switch in traces.
-func (s *Switch) String() string { return fmt.Sprintf("switch(%s)", s.Name) }
+func (s *Switch) String() string { return "switch(" + s.Label.String() + ")" }
 
 // Host is an end system: one NIC uplink and a protocol stack that consumes
 // arriving packets. Transport packages install themselves as the Stack.
 type Host struct {
-	ID   int32
-	Name string
-	NIC  *Port
+	ID    int32
+	Label Label
+	NIC   *Port
 
 	// Stack receives every packet addressed to this host. Typically a
 	// *Demux shared by all transport instances on the host.
@@ -105,7 +137,15 @@ type Host struct {
 
 // NewHost creates a host; the topology builder attaches the NIC port.
 func NewHost(el *sim.EventList, id int32, name string) *Host {
-	return &Host{ID: id, Name: name, el: el}
+	h := &Host{}
+	h.Init(el, id, named(name))
+	return h
+}
+
+// Init sets up a host built in place, as a topology builds its hosts from
+// one slab.
+func (h *Host) Init(el *sim.EventList, id int32, label Label) {
+	h.ID, h.Label, h.el = id, label, el
 }
 
 // Receive delivers an arriving packet to the protocol stack.

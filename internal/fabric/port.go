@@ -55,7 +55,11 @@ type Sink interface {
 // event keeps the key it would have had with the event always present, so
 // eliding the idle ones changes no result.
 type Port struct {
-	Name    string
+	// from and to name the port, formatted only when read (String): the
+	// labels of the node it transmits from and of the node its link feeds,
+	// or, for a port built by NewPort, a literal name in from alone.
+	from, to *Label
+
 	Q       Queue
 	RateBps int64
 	Delay   sim.Time
@@ -122,8 +126,32 @@ type Port struct {
 // NewPort creates a transmitter with the given queue discipline, line rate
 // in bits per second and one-way propagation delay.
 func NewPort(el *sim.EventList, name string, q Queue, rateBps int64, delay sim.Time) *Port {
-	return &Port{Name: name, Q: q, RateBps: rateBps, Delay: delay, el: el}
+	label := named(name)
+	p := &Port{Q: q}
+	p.Init(el, &label, nil, rateBps, delay)
+	return p
 }
+
+// Init sets up a port built in place, as a topology builds its ports from
+// one slab: it transmits from the node labelled from toward the node
+// labelled to. The builder attaches the queue (Q) and the peer (Connect).
+func (p *Port) Init(el *sim.EventList, from, to *Label, rateBps int64, delay sim.Time) {
+	p.from, p.to, p.el, p.RateBps, p.Delay = from, to, el, rateBps, delay
+}
+
+// AppendName appends the port's name to b: "tor0.1->agg0.0" for a port a
+// topology wired.
+func (p *Port) AppendName(b []byte) []byte {
+	b = p.from.AppendTo(b)
+	if p.to != nil {
+		b = append(b, "->"...)
+		b = p.to.AppendTo(b)
+	}
+	return b
+}
+
+// String names the port in panics and traces.
+func (p *Port) String() string { return string(p.AppendName(nil)) }
 
 // Connect attaches the receiving end of the link.
 func (p *Port) Connect(peer Sink) { p.peer = peer }
@@ -136,7 +164,7 @@ func (p *Port) Peer() Sink { return p.peer }
 func (p *Port) Enqueue(pkt *Packet) {
 	if p.onDemand {
 		if p.el.FiringAfterDeliveries() {
-			panic("fabric: on-demand port " + p.Name + " fed from an event that is not a link delivery")
+			panic("fabric: on-demand port " + p.String() + " fed from an event that is not a link delivery")
 		}
 		if p.wake {
 			p.catchUp()
@@ -150,7 +178,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 // at the next packet boundary; the in-flight packet always completes.
 func (p *Port) SetPaused(paused bool) {
 	if p.onDemand {
-		panic("fabric: PFC on on-demand port " + p.Name)
+		panic("fabric: PFC on on-demand port " + p.String())
 	}
 	if paused && !p.paused {
 		p.PauseCount++
@@ -250,7 +278,7 @@ func (p *Port) start(at sim.Time) {
 	due := p.freeAt + p.Delay
 	if p.Cross != nil {
 		if p.onDemand {
-			panic("fabric: on-demand port " + p.Name + " crosses a shard cut")
+			panic("fabric: on-demand port " + p.String() + " crosses a shard cut")
 		}
 		p.Cross.AddDelivery(due, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
 		return

@@ -142,7 +142,7 @@ func newODWorld(kind odQueue, delay sim.Time, eager bool) *odWorld {
 	if eager {
 		w.eager = fabric.NewEagerPort(w.el, w.q, odRate, delay, odEgressUID, peer)
 		if q, ok := w.q.(*core.SwitchQueue); ok {
-			q.BounceSink = w.input
+			q.BounceSink = fabric.SinkFunc(w.input)
 		}
 		return w
 	}

@@ -45,6 +45,46 @@ func (s *QueueStats) NoteDepth(bytes int) {
 	}
 }
 
+// QueueSlab returns n queues of type T carved from one array, each set up by
+// init: what a topology's queue factory hands a build, so that its queues
+// cost two allocations per topology instead of one per port.
+func QueueSlab[T any, Q interface {
+	*T
+	Queue
+}](n int, init func(i int, q Q)) []Queue {
+	qs := make([]T, n)
+	out := make([]Queue, n)
+	for i := range qs {
+		q := Q(&qs[i])
+		init(i, q)
+		out[i] = q
+	}
+	return out
+}
+
+// FIFOQueues is the queue factory of drop-tail queues holding at most
+// maxBytes each (one queue per port seed; the seeds are unused).
+func FIFOQueues(maxBytes int) func(seeds []uint64) []Queue {
+	return func(seeds []uint64) []Queue {
+		return QueueSlab(len(seeds), func(_ int, q *FIFOQueue) { q.MaxQueue = maxBytes })
+	}
+}
+
+// ECNQueues is the queue factory of ECN-marking drop-tail queues.
+func ECNQueues(maxBytes, markThresholdBytes int) func(seeds []uint64) []Queue {
+	return func(seeds []uint64) []Queue {
+		return QueueSlab(len(seeds), func(_ int, q *ECNQueue) {
+			q.MaxQueue, q.MarkThreshold = maxBytes, markThresholdBytes
+		})
+	}
+}
+
+// CtrlPrioQueues is the queue factory of unbounded control-priority queues,
+// the host NIC discipline.
+func CtrlPrioQueues(seeds []uint64) []Queue {
+	return QueueSlab(len(seeds), func(int, *CtrlPrioQueue) {})
+}
+
 // queueFirst is the first buffer of a switch or NIC queue's ring: a queue
 // bounded in bytes holds anything from a handful of jumbograms to hundreds
 // of headers, so it starts where a busy one settles and doubles from there.

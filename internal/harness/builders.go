@@ -103,16 +103,16 @@ type TCPNet struct {
 // would depend on which shard's flow start happened to execute first.
 type perSource struct {
 	seq  []uint64
-	rand []*sim.Rand
+	rand []sim.Rand
 }
 
 // newPerSource makes the counters and one connect-time stream per source
 // host, created up front (mid-run creation would race across shard
 // goroutines).
 func newPerSource(hosts int, seed uint64) perSource {
-	p := perSource{seq: make([]uint64, hosts), rand: make([]*sim.Rand, hosts)}
+	p := perSource{seq: make([]uint64, hosts), rand: make([]sim.Rand, hosts)}
 	for i := range p.rand {
-		p.rand[i] = sim.NewRand(seed*48271 + 5 + (uint64(i)+1)*0x9e3779b97f4a7c15)
+		p.rand[i].Init(seed*48271 + 5 + (uint64(i)+1)*0x9e3779b97f4a7c15)
 	}
 	return p
 }
@@ -130,18 +130,24 @@ func (p *perSource) flowID(src int, stride uint64) uint64 {
 // demux per host, the pinned launchers' net-wide stream, and the
 // per-source-host counters and streams StartFlow draws from.
 func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
-	n := &TCPNet{C: c, Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
+	n := &TCPNet{C: c, Demux: newDemuxes(c), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
 		src: newPerSource(c.NumHosts(), seed)}
-	for _, h := range c.HostList() {
-		d := fabric.NewDemux()
-		h.Stack = d
-		n.Demux = append(n.Demux, d)
-	}
 	n.pools = make([]*tcp.Pool, c.Shards())
 	for i := range n.pools {
 		n.pools[i] = tcp.NewPool()
 	}
 	return n
+}
+
+// newDemuxes installs a demux, carved from one slab, as every host's stack.
+func newDemuxes(c topo.Cluster) []*fabric.Demux {
+	slab := make([]fabric.Demux, c.NumHosts())
+	demuxes := make([]*fabric.Demux, len(slab))
+	for i, h := range c.HostList() {
+		demuxes[i] = &slab[i]
+		h.Stack = demuxes[i]
+	}
+	return demuxes
 }
 
 // pool returns the flow-state recycling pool of host's scheduling domain.
@@ -271,7 +277,7 @@ func (t *TCPNet) randPath(src, dst int32) []int16 {
 func (t *TCPNet) flow(src, dst int, size int64) (*tcp.Sender, *tcp.Receiver) {
 	flow := t.flowID(1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), t.source(size), t.Cfg)
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), size, t.Cfg)
 	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randPath(hd.ID, hs.ID))
 	snd.Start()
 	return snd, rcv

@@ -40,6 +40,14 @@ func fig23(o Options, r *Result) {
 				defer n.Close()
 				c := n.Cluster()
 				var fcts stats.Dist
+				// A connection slot's flows are sequential, so the recording
+				// callback and what it reads live per slot, not per flow.
+				type slot struct {
+					start  sim.Time
+					inner  func(at sim.Time)
+					onDone func(at sim.Time)
+				}
+				slots := make([]slot, c.NumHosts()*conns)
 				cl := &workload.ClosedLoop{
 					Hosts:         c.NumHosts(),
 					Conns:         conns,
@@ -48,12 +56,16 @@ func fig23(o Options, r *Result) {
 					Seed:          seed + 7,
 					NotifyLatency: func(int, int) sim.Time { return c.LinkDelay() },
 					Defer:         c.Defer,
-					Start: func(_, src, dst int, size int64, done func(at sim.Time)) {
-						start := n.EL().Now()
-						n.StartFlow(src, dst, size, StartOpts{OnDone: func(at sim.Time) {
-							fcts.Add((at - start).Millis())
-							done(at)
-						}})
+					Start: func(i, src, dst int, size int64, done func(at sim.Time)) {
+						sl := &slots[i]
+						if sl.onDone == nil {
+							sl.onDone = func(at sim.Time) {
+								fcts.Add((at - sl.start).Millis())
+								sl.inner(at)
+							}
+						}
+						sl.start, sl.inner = n.EL().Now(), done
+						n.StartFlow(src, dst, size, StartOpts{OnDone: sl.onDone})
 					},
 				}
 				cl.Run()
@@ -186,7 +198,7 @@ func tTrim(o Options, r *Result) {
 			}
 			return trims{
 				uplinkPct: pct(float64(ft.UplinkTrims()), float64(packets)),
-				totalPct:  pct(float64(ft.TotalTrims()), float64(packets)),
+				totalPct:  pct(float64(ft.CollectStats().Trims), float64(packets)),
 				util:      100 * utilization(g, 10e9),
 			}
 		})

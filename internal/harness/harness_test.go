@@ -293,3 +293,39 @@ func TestTrimLocalityPaperShape(t *testing.T) {
 		}
 	}
 }
+
+// TestFig23PaperShape asserts what fig23's note states about medians and
+// completions, at Scale 0.1: at both loads NDP's median FCT is at most half
+// of DCTCP's (measured 0.31 and 0.21 at seed 1, 0.29 and 0.28 at seed 2),
+// and at 10 connections per host, the high load, NDP completes at least
+// 0.9 times as many flows as DCTCP, no collapse (measured 0.97 and 0.92). The
+// note's "p99 ~a third" is not asserted: at this scale NDP's p99 is 1.4-2.6
+// times DCTCP's, and README "Experiments" lists it as a known gap.
+func TestFig23PaperShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short mode")
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		tab := Get("fig23").Run(Options{Scale: 0.1, Seed: seed}).Tables[0]
+		median, flows := map[string]float64{}, map[string]float64{}
+		for _, row := range tab.Rows {
+			m, err1 := strconv.ParseFloat(row[2], 64)
+			n, err2 := strconv.ParseFloat(row[5], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("seed %d: unparsable row %v", seed, row)
+			}
+			median[row[0]+"/"+row[1]], flows[row[0]+"/"+row[1]] = m, n
+		}
+		if len(median) != 4 {
+			t.Fatalf("seed %d: rows %v, want NDP and DCTCP at 5 and 10 conns/host", seed, tab.Rows)
+		}
+		for _, conns := range []string{"5", "10"} {
+			if ndp, dctcp := median[conns+"/NDP"], median[conns+"/DCTCP"]; !(ndp > 0 && ndp <= 0.5*dctcp) {
+				t.Errorf("seed %d, %s conns/host: NDP median %.4g ms, DCTCP %.4g ms; want NDP at most half", seed, conns, ndp, dctcp)
+			}
+		}
+		if ndp, dctcp := flows["10/NDP"], flows["10/DCTCP"]; ndp < 0.9*dctcp {
+			t.Errorf("seed %d, 10 conns/host: NDP completed %.0f flows, DCTCP %.0f; want at least 0.9 times as many", seed, ndp, dctcp)
+		}
+	}
+}

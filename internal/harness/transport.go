@@ -191,7 +191,7 @@ func DCTCPTransport(mtu int) TCPTransport {
 func PlainTCPTransport(mtu int) TCPTransport {
 	cfg := tcp.DefaultConfig()
 	cfg.MSS = mtu
-	return TCPTransport{Cfg: cfg, Queue: dropTail(8 * mtu)}
+	return TCPTransport{Cfg: cfg, Queue: fabric.FIFOQueues(8 * mtu)}
 }
 
 // Cluster implements Net.
@@ -220,9 +220,9 @@ func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	r := t.src.rand[src]
+	r := &t.src.rand[src]
 	fwd := t.C.Paths(hs.ID, hd.ID)
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], t.source(size), t.Cfg)
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], size, t.Cfg)
 	at := hs.EventList().Now() + t.C.MinPathDelay(src, dst)
 	t.C.Defer(src, dst, at, snd.Attach(tcp.ReceiverAttach{
 		At: at, Host: hd, Demux: t.Demux[dst], Pool: t.pool(dst),
@@ -232,19 +232,6 @@ func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	snd.Start()
 	return tcpFlow{snd}
 }
-
-// source returns the stream of a size-byte flow; size < 0 never runs out.
-func (t *TCPNet) source(size int64) tcp.DataSource {
-	if size < 0 {
-		return unboundedSource{mss: t.Cfg.MSS}
-	}
-	return tcp.NewFixedSource(size, t.Cfg.MSS)
-}
-
-type unboundedSource struct{ mss int }
-
-func (u unboundedSource) Claim() int      { return u.mss }
-func (u unboundedSource) Exhausted() bool { return false }
 
 // tcpFlow adapts a TCP sender to the Flow interface.
 type tcpFlow struct{ snd *tcp.Sender }
@@ -265,7 +252,7 @@ type MPTCPTransport struct {
 func DefaultMPTCPTransport(mtu int) MPTCPTransport {
 	cfg := mptcp.DefaultConfig()
 	cfg.TCP.MSS = mtu
-	return MPTCPTransport{Cfg: cfg, Queue: dropTail(200 * mtu)}
+	return MPTCPTransport{Cfg: cfg, Queue: fabric.FIFOQueues(200 * mtu)}
 }
 
 // Name implements Transport.
@@ -302,7 +289,7 @@ func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	}
 	flow := m.src.flowID(src, uint64(subflows)+1)
 	hs, hd := m.C.HostList()[src], m.C.HostList()[dst]
-	r := m.src.rand[src]
+	r := &m.src.rand[src]
 	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
 	f.OnCompleteAt = opts.OnDone
 	at := hs.EventList().Now() + m.C.MinPathDelay(src, dst)
@@ -343,13 +330,8 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 	cfg := dcqcn.DefaultConfig()
 	cfg.MTU = mtu
 	cfg.LineRate = c.LinkRate()
-	d := &DCQCNNet{C: c, Cfg: cfg, nextFlow: 1, src: newPerSource(c.NumHosts(), base.Seed)}
+	d := &DCQCNNet{C: c, Demux: newDemuxes(c), Cfg: cfg, nextFlow: 1, src: newPerSource(c.NumHosts(), base.Seed)}
 	d.srcSenders = make([][]*dcqcn.Sender, c.NumHosts())
-	for _, h := range c.HostList() {
-		dm := fabric.NewDemux()
-		h.Stack = dm
-		d.Demux = append(d.Demux, dm)
-	}
 	d.pools = make([]*dcqcn.Pool, c.Shards())
 	for i := range d.pools {
 		d.pools[i] = dcqcn.NewPool()
@@ -392,7 +374,7 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := d.src.flowID(src, 1)
 	c := d.C
 	hs, hd := c.HostList()[src], c.HostList()[dst]
-	r := d.src.rand[src]
+	r := &d.src.rand[src]
 	fwd := c.Paths(hs.ID, hd.ID)
 	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
 	d.Demux[src].Register(flow, s)
@@ -441,7 +423,7 @@ func (t PHostTransport) Build(build BuildFunc, base topo.Config) Net {
 	if mtu == 0 {
 		mtu = 9000
 	}
-	base.SwitchQueue = dropTail(8 * mtu)
+	base.SwitchQueue = fabric.FIFOQueues(8 * mtu)
 	c := build(base)
 	p := &PHostNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
 	for _, h := range c.HostList() {
@@ -477,10 +459,4 @@ func (p *PHostNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	s := p.Hosts[src].Connect(p.C.HostList()[dst].ID, flow, size, nil)
 	s.OnCompleteAt = opts.OnDone
 	return s
-}
-
-// dropTail returns a FIFO drop-tail switch queue factory of the given
-// byte capacity.
-func dropTail(maxBytes int) topo.QueueFactory {
-	return func(string) fabric.Queue { return fabric.NewFIFOQueue(maxBytes) }
 }

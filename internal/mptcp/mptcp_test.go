@@ -11,7 +11,7 @@ import (
 func mptcpNet(k int) (*topo.FatTree, []*fabric.Demux) {
 	cfg := topo.Config{
 		Seed:        5,
-		SwitchQueue: func(string) fabric.Queue { return fabric.NewFIFOQueue(200 * 9000) },
+		SwitchQueue: fabric.FIFOQueues(200 * 9000),
 	}
 	net := topo.NewFatTree(k, cfg)
 	dm := make([]*fabric.Demux, net.NumHosts())

@@ -46,8 +46,9 @@ type Host struct {
 
 	// Free lists of completed flow state (see internal/tcp.Pool for the
 	// reuse rules): reusable 2*fabric.MSL after completion.
-	retiredS fabric.Ring[*Sender]
-	retiredR fabric.Ring[*Receiver]
+	retiredS   fabric.Ring[*Sender]
+	retiredR   fabric.Ring[*Receiver]
+	tombstones fabric.Slab[tombstone]
 }
 
 // First buffers: a token queue holds one slot per receiving flow with
@@ -110,7 +111,9 @@ func (ph *Host) takeReceiver() *Receiver {
 		return nil
 	}
 	ph.retiredR.Pop()
-	ph.demux.Register(r.Flow, &tombstone{ph: ph, flow: r.Flow, peer: r.Peer})
+	t := ph.tombstones.New()
+	*t = tombstone{ph: ph, flow: r.Flow, peer: r.Peer}
+	ph.demux.Register(r.Flow, t)
 	return r
 }
 

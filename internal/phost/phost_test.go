@@ -13,7 +13,7 @@ import (
 func phostNet(k int) (*topo.FatTree, []*Host) {
 	cfg := topo.Config{
 		Seed:        9,
-		SwitchQueue: func(string) fabric.Queue { return fabric.NewFIFOQueue(8 * 9000) },
+		SwitchQueue: fabric.FIFOQueues(8 * 9000),
 	}
 	net := topo.NewFatTree(k, cfg)
 	hosts := make([]*Host, net.NumHosts())

@@ -95,6 +95,10 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	subs      map[chan struct{}]struct{}
+
+	// followers are the identical submissions waiting on this job
+	// (single-flight); guarded by the Server's mu, not by this job's.
+	followers []*Job
 }
 
 func newJob(spec scenario.Spec) *Job {
@@ -247,9 +251,9 @@ func (j *Job) fail(err error) {
 	j.notifyLocked()
 }
 
-// completeFromCache finishes the job without ever queueing it: the
-// Metrics come from the content-addressed cache and zero simulation
-// events run on its behalf.
+// completeFromCache finishes the job without running it: the Metrics come
+// from the content-addressed cache, or from the identical job it followed,
+// and zero simulation events run on its behalf.
 func (j *Job) completeFromCache(m *scenario.Metrics) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

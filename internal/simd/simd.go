@@ -3,11 +3,14 @@
 // scenario.Spec submissions up front, queues them on a bounded worker
 // pool, streams per-job progress and final Metrics over Server-Sent
 // Events, and answers repeated what-if queries from a content-addressed
-// result cache keyed by (canonical Spec hash, seed).
+// result cache keyed by (canonical Spec hash, seed). A submission whose key
+// matches a job still queued or running follows that job instead of running
+// again (single-flight): it takes no queue slot and finishes with the
+// leader's Metrics, or with its error.
 //
 // The API surface (see the README "Running as a service" section):
 //
-//	POST /api/jobs             submit a JobRequest; 202 queued, 200 cache hit
+//	POST /api/jobs             submit a JobRequest; 202 queued or following, 200 cache hit
 //	GET  /api/jobs             list jobs (compact, no Metrics)
 //	GET  /api/jobs/{id}        one job, Metrics included once done
 //	GET  /api/jobs/{id}/events SSE: progress events, then one result event
@@ -45,7 +48,7 @@ type Config struct {
 	// bound. 0 means 256.
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache. 0 means 128; negative
-	// disables caching.
+	// disables caching, single-flight included: every job then runs.
 	CacheEntries int
 }
 
@@ -103,6 +106,9 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []*Job // submission order, for listing
 	finished []*Job // done or failed, oldest first; at most maxFinishedJobs
+	// inflight maps a cache key to the queued or running job computing it,
+	// which later submissions of the key follow.
+	inflight map[string]*Job
 	nextID   int
 	draining bool
 
@@ -123,9 +129,10 @@ type workerState struct {
 // New builds the daemon and starts its worker pool.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:   cfg.withDefaults(),
-		cache: newResultCache(cfg.withDefaults().CacheEntries),
-		jobs:  map[string]*Job{},
+		cfg:      cfg.withDefaults(),
+		cache:    newResultCache(cfg.withDefaults().CacheEntries),
+		jobs:     map[string]*Job{},
+		inflight: map[string]*Job{},
 	}
 	s.queue = make(chan *Job, s.cfg.QueueDepth)
 	s.workers = make([]workerState, s.cfg.Workers)
@@ -144,8 +151,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Submit validates and accepts one job. The returned HTTP status is 202
-// for a queued job, 200 for a cache hit (the job is born done), 400 for a
-// Spec the shared scenario.Validate gate refuses or whose topology is past
+// for a queued job or one that follows an identical job in flight, 200 for
+// a cache hit (the job is born done), 400 for a Spec the shared
+// scenario.Validate gate refuses or whose topology is past
 // maxTopologyHosts, and 503 when draining or when the bounded queue is full.
 func (s *Server) Submit(req JobRequest) (*Job, int, error) {
 	spec, err := req.buildSpec()
@@ -171,12 +179,24 @@ func (s *Server) Submit(req JobRequest) (*Job, int, error) {
 		s.retire(job)
 		return job, http.StatusOK, nil
 	}
+	// Single-flight is the in-flight half of the cache: a daemon without a
+	// cache runs every job.
+	singleFlight := s.cfg.CacheEntries > 0
+	if leader, ok := s.inflight[job.Key]; ok {
+		s.register(job)
+		leader.followers = append(leader.followers, job)
+		s.mu.Unlock()
+		return job, http.StatusAccepted, nil
+	}
 	// Register (assigning the id) before enqueueing: a worker may dequeue
 	// the instant the send lands, and it must see a fully-formed job. The
 	// rollback below still holds s.mu, so nothing observed the id.
 	s.register(job)
 	select {
 	case s.queue <- job:
+		if singleFlight {
+			s.inflight[job.Key] = job
+		}
 		s.mu.Unlock()
 		return job, http.StatusAccepted, nil
 	default:
@@ -240,27 +260,50 @@ func (s *Server) worker(i int) {
 }
 
 // runJob executes one simulation with the job's observe hook installed,
-// publishes the result, and feeds the cache. RunWithStats already converts
-// simulation panics into errors, so a poisoned Spec fails one job, never
-// the worker.
+// publishes the result to the job and its followers, and feeds the cache.
+// RunWithStats already converts simulation panics into errors, so a poisoned
+// Spec fails one job and its followers, never the worker.
 func (s *Server) runJob(ws *workerState, job *Job) {
 	job.start()
-	defer s.retire(job)
 	spec := job.Spec.With(scenario.WithProgress(job.observe))
 	m, stats, err := scenario.RunWithStats(spec)
+	if err == nil {
+		s.cache.put(job.Key, m)
+		s.jobsDone.Add(1)
+		s.totalEvents.Add(stats.Events)
+		ws.mu.Lock()
+		ws.jobsDone++
+		ws.events += stats.Events
+		ws.mu.Unlock()
+	} else {
+		s.jobsFailed.Add(1)
+	}
+	s.settle(job, m, stats, err)
+}
+
+// settle finishes a job that ran, and every job that followed it, with its
+// Metrics or its error. The key leaves inflight only after the cache holds
+// the result, so a submission in between finds one or the other.
+func (s *Server) settle(job *Job, m *scenario.Metrics, stats scenario.RunStats, err error) {
+	s.mu.Lock()
+	delete(s.inflight, job.Key)
+	followers := job.followers
+	job.followers = nil
+	s.mu.Unlock()
 	if err != nil {
 		job.fail(err)
-		s.jobsFailed.Add(1)
-		return
+	} else {
+		job.finish(m, stats)
 	}
-	s.cache.put(job.Key, m)
-	job.finish(m, stats)
-	s.jobsDone.Add(1)
-	s.totalEvents.Add(stats.Events)
-	ws.mu.Lock()
-	ws.jobsDone++
-	ws.events += stats.Events
-	ws.mu.Unlock()
+	s.retire(job)
+	for _, f := range followers {
+		if err != nil {
+			f.fail(err)
+		} else {
+			f.completeFromCache(m)
+		}
+		s.retire(f)
+	}
 }
 
 // Drain stops accepting submissions, lets every queued and running job

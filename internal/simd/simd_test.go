@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -566,5 +567,86 @@ func TestQueueFull(t *testing.T) {
 		if !j.State.Terminal() {
 			t.Errorf("job %s left in state %s after drain", j.ID, j.State)
 		}
+	}
+}
+
+// TestDaemonSingleFlight: a submission whose cache key matches a job still
+// queued follows that job instead of running again. With the one worker
+// held before it starts the first job, the same Spec is submitted twice: the
+// second takes no queue slot, both finish with identical Metrics, and the
+// daemon executes one run's events. A leader that fails fails its followers
+// with its error.
+func TestDaemonSingleFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ws := &srv.workers[0]
+	ws.mu.Lock() // the worker blocks here once it has taken the first job
+	leader, code := postJob(t, ts.URL, tinyReq())
+	if code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, want 202", code)
+	}
+	for len(srv.queue) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	follower, code := postJob(t, ts.URL, tinyReq())
+	if code != http.StatusAccepted || follower.State != StateQueued {
+		t.Fatalf("second submission: status %d, state %q; want 202 queued", code, follower.State)
+	}
+	if n := len(srv.queue); n != 0 {
+		t.Errorf("the follower took a queue slot: %d queued", n)
+	}
+	if st := srv.lookup(leader.ID).status(false); st.State != StateQueued {
+		t.Errorf("the leader is %q while the worker is held, want queued", st.State)
+	}
+	ws.mu.Unlock()
+
+	var final [2]Status
+	for i, id := range []string{leader.ID, follower.ID} {
+		events := followSSE(t, ts.URL, id)
+		if err := json.Unmarshal(events[len(events)-1].data, &final[i]); err != nil {
+			t.Fatal(err)
+		}
+		if final[i].State != StateDone || final[i].Metrics == nil {
+			t.Fatalf("job %s: terminal status %+v", id, final[i])
+		}
+	}
+	a, _ := json.Marshal(final[0].Metrics)
+	b, _ := json.Marshal(final[1].Metrics)
+	if !bytes.Equal(a, b) {
+		t.Errorf("the follower's Metrics differ from the leader's:\n%s\n%s", b, a)
+	}
+	var pool PoolStatus
+	getJSON(t, ts.URL+"/api/workers", &pool)
+	if final[0].Events <= 0 || pool.TotalEvents != final[0].Events || pool.JobsDone != 1 || final[1].Events != 0 {
+		t.Errorf("daemon ran %d events in %d jobs; the leader ran %d and the follower %d: want one run",
+			pool.TotalEvents, pool.JobsDone, final[0].Events, final[1].Events)
+	}
+
+	// Failure: a follower fails with its leader's error. The pair is built by
+	// hand and never queued, so no worker runs it.
+	spec, err := JobRequest{Scenario: "incast", Params: scenario.Params{Hosts: 16}, Seed: 9}.buildSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, follow := newJob(spec), newJob(spec)
+	srv.mu.Lock()
+	srv.register(lead)
+	srv.register(follow)
+	srv.inflight[lead.Key] = lead
+	lead.followers = []*Job{follow}
+	srv.mu.Unlock()
+	srv.settle(lead, nil, scenario.RunStats{}, errors.New("poisoned"))
+	if st := follow.status(false); st.State != StateFailed || st.Error != "poisoned" {
+		t.Errorf("follower of a failed leader: state %q, error %q", st.State, st.Error)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.inflight[lead.Key] != nil {
+		t.Error("a settled leader is still in flight")
 	}
 }

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"math"
+
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
 )
@@ -26,8 +28,9 @@ import (
 // Pools are not safe for concurrent use: build one per shard and only touch
 // it from that shard's scheduling domain.
 type Pool struct {
-	senders   fabric.Ring[*Sender]
-	receivers fabric.Ring[*Receiver]
+	senders    fabric.Ring[*Sender]
+	receivers  fabric.Ring[*Receiver]
+	tombstones fabric.Slab[tombstone]
 }
 
 // retiredFirst is a free-list's first buffer; a domain that completes more
@@ -37,13 +40,20 @@ const retiredFirst = 8
 // NewPool returns an empty pool for one scheduling domain.
 func NewPool() *Pool { return &Pool{} }
 
-// NewSender builds (or recycles) a sender registered on demux, which must
-// demux the source host's packets. The sender returns to the pool
-// automatically when the stream completes.
+// NewSender builds (or recycles) the sender of a size-byte stream (size < 0
+// never runs out) registered on demux, which must demux the source host's
+// packets. The stream is a FixedSource the sender carries, so a flow start
+// costs no source object. The sender returns to the pool automatically when
+// the stream completes.
 func (pl *Pool) NewSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	path []int16, source DataSource, cfg Config) *Sender {
-	s := pl.newSender(host, demux, dst, flow, path, source, cfg)
+	path []int16, size int64, cfg Config) *Sender {
+	s := pl.newSender(host, demux, dst, flow, path, nil, cfg)
 	s.groupOwned = false
+	if size < 0 {
+		size = math.MaxInt64
+	}
+	s.fixed = FixedSource{Remaining: size, mss: int64(s.cfg.MSS)}
+	s.source = &s.fixed
 	return s
 }
 
@@ -120,10 +130,11 @@ func (pl *Pool) takeReceiver(el *sim.EventList) *Receiver {
 		return nil
 	}
 	pl.receivers.Pop()
-	r.demux.Register(r.Flow, &tombstone{ // one small tombstone per recycled receiver, in place of keeping a whole Receiver alive
-		host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer,
-		path: r.path, cumAck: r.got.Base(),
-	})
+	// One small tombstone per recycled receiver, in place of keeping a
+	// whole Receiver alive, carved from the pool's slab.
+	t := pl.tombstones.New()
+	*t = tombstone{host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer, path: r.path, cumAck: r.got.Base()}
+	r.demux.Register(r.Flow, t)
 	return r
 }
 

@@ -129,6 +129,9 @@ type Sender struct {
 	groupOwned bool
 
 	source DataSource
+	// fixed is the stream of a pooled single-path flow (Pool.NewSender);
+	// source points at it.
+	fixed FixedSource
 
 	// Sequence state, in packets. segs holds every claimed segment from
 	// min(sndUna, sndNxt) up: its base follows the cumulative ACK, its End

@@ -14,9 +14,9 @@ import (
 func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []*fabric.Demux) {
 	cfg := topo.Config{Seed: 7}
 	if markBytes > 0 {
-		cfg.SwitchQueue = func(string) fabric.Queue { return fabric.NewECNQueue(queueBytes, markBytes) }
+		cfg.SwitchQueue = fabric.ECNQueues(queueBytes, markBytes)
 	} else {
-		cfg.SwitchQueue = func(string) fabric.Queue { return fabric.NewFIFOQueue(queueBytes) }
+		cfg.SwitchQueue = fabric.FIFOQueues(queueBytes)
 	}
 	net := topo.NewFatTree(k, cfg)
 	demux := make([]*fabric.Demux, net.NumHosts())
@@ -148,7 +148,7 @@ func TestDCTCPKeepsQueueShort(t *testing.T) {
 	}
 	// The ToR->host0 queue high watermark should be modest (DCTCP target
 	// is K plus a small overshoot, not the full buffer).
-	maxQ := net.TorDown[0][0].Q.Stats().MaxBytes
+	maxQ := net.Tors[0].Ports[0].Q.Stats().MaxBytes
 	if maxQ > 40*9000 {
 		t.Errorf("queue high watermark %d bytes; DCTCP should keep it near 3-10 packets", maxQ)
 	}
@@ -229,7 +229,7 @@ func TestAttachCommand(t *testing.T) {
 	pool, cfg := NewPool(), DefaultConfig()
 	hs, hd := net.Hosts[0], net.Hosts[15]
 	flow := func(id uint64) *Sender {
-		return pool.NewSender(hs, dm[0], hd.ID, id, net.Paths(hs.ID, hd.ID)[0], NewFixedSource(90_000, cfg.MSS), cfg)
+		return pool.NewSender(hs, dm[0], hd.ID, id, net.Paths(hs.ID, hd.ID)[0], 90_000, cfg)
 	}
 	s := flow(7)
 	var bytes int64

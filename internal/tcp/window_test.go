@@ -17,7 +17,7 @@ type endless struct{ mss int }
 func (e endless) Claim() int      { return e.mss }
 func (e endless) Exhausted() bool { return false }
 
-func windowNet(queue func(string) fabric.Queue) (*topo.FatTree, []*fabric.Demux) {
+func windowNet(queue topo.QueueFactory) (*topo.FatTree, []*fabric.Demux) {
 	net := topo.NewFatTree(4, topo.Config{Seed: 7, SwitchQueue: queue})
 	dm := make([]*fabric.Demux, net.NumHosts())
 	for i, h := range net.Hosts {
@@ -55,15 +55,15 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 	plain.MinRTO = sim.Millisecond
 	cases := []struct {
 		name  string
-		queue func(string) fabric.Queue
+		queue topo.QueueFactory
 		start func(*topo.FatTree, []*fabric.Demux) endpoints
 		// loss: the run must have retransmitted (DCTCP's marks keep the
 		// queue below the drop point, so it need not).
 		loss bool
 	}{
-		{"tcp", func(string) fabric.Queue { return fabric.NewFIFOQueue(100 * 9000) }, single(plain), true},
+		{"tcp", fabric.FIFOQueues(100 * 9000), single(plain), true},
 		{"dctcp", dctcp.QueueFactory(9000), single(dctcp.SenderConfig(9000)), false},
-		{"mptcp", func(string) fabric.Queue { return fabric.NewFIFOQueue(100 * 9000) },
+		{"mptcp", fabric.FIFOQueues(100 * 9000),
 			func(net *topo.FatTree, dm []*fabric.Demux) (e endpoints) {
 				cfg := mptcp.DefaultConfig()
 				cfg.Subflows = 4
@@ -145,7 +145,7 @@ func (a tcpCounters) minus(b tcpCounters) tcpCounters {
 // arrays did with an index past their length. Expected deltas captured from
 // the parent commit's sizes/rtxed arrays (end read as len(sizes)).
 func TestLateAckCounters(t *testing.T) {
-	net, dm := windowNet(func(string) fabric.Queue { return fabric.NewFIFOQueue(100 * 9000) })
+	net, dm := windowNet(fabric.FIFOQueues(100 * 9000))
 	cfg := tcp.DefaultConfig()
 	cfg.Handshake, cfg.MaxCwnd = false, 40
 	s := tcp.NewSender(net.Hosts[5], 0, 1, net.Paths(5, 0)[0], endless{cfg.MSS}, cfg)

@@ -15,6 +15,11 @@ import (
 // With Oversub == f each ToR serves f*k/2 hosts over the same k/2 uplinks,
 // the 4:1 oversubscribed configuration of the Facebook-workload experiment
 // (§6.3).
+//
+// Egress ports, per switch: a ToR's [0, HostsPerTor) go down to its hosts in
+// order and the next k/2 up to its pod's aggs; an agg's first k/2 go down to
+// its pod's ToRs and the next k/2 up to cores [a*k/2, (a+1)*k/2), where a is
+// its index in the pod; core port p goes down to pod p.
 type FatTree struct {
 	Network
 
@@ -23,14 +28,6 @@ type FatTree struct {
 	HostsPerTor int
 
 	Tors, Aggs, Cores []*fabric.Switch
-
-	// Port maps for fault injection and telemetry.
-	HostNIC  []*fabric.Port   // [host] host->ToR uplink
-	TorDown  [][]*fabric.Port // [tor][hostOff]
-	TorUp    [][]*fabric.Port // [tor][agg]
-	AggDown  [][]*fabric.Port // [agg][tor]
-	AggUp    [][]*fabric.Port // [agg][coreOff]
-	CoreDown [][]*fabric.Port // [core][pod]
 
 	level []int // per switch ID: 0 tor, 1 agg, 2 core
 	pod   []int // per switch ID
@@ -76,153 +73,86 @@ func NewFatTreeOversub(k, oversub int, cfg Config) *FatTree {
 
 	half := k / 2
 	nPods := k
-	nTorsPerPod := half
-	nAggsPerPod := half
+	nTors := nPods * half // as many aggregation switches
 	nCores := half * half
-	nHosts := nPods * nTorsPerPod * ft.HostsPerTor
+	nHosts := nTors * ft.HostsPerTor
+	nSwitches := 2*nTors + nCores
+	// A NIC and a ToR downlink per host, and k^3/4 links in each of the
+	// four directions between the tiers.
+	ft.reserve(nSwitches, nHosts, 2*nHosts+k*k*k)
+	ft.level = make([]int, 0, nSwitches)
+	ft.pod = make([]int, 0, nSwitches)
+	ft.idx = make([]int, 0, nSwitches)
 
 	// Create switches. IDs are dense across all levels for the meta arrays.
-	// Every switch gets its private ECMP stream up front (mid-run creation
-	// would race across shard goroutines).
-	newSwitch := func(level, pod, idx, shard int, name string) *fabric.Switch {
-		id := len(ft.Switches)
-		sw := fabric.NewSwitch(ft.ShardEventList(shard), id, name)
-		sw.Route = ft.route
-		ft.Switches = append(ft.Switches, sw)
+	route := fabric.RouteFunc(ft.route)
+	newSwitch := func(level, pod, idx, shard, ports int, label fabric.Label) {
+		ft.newSwitch(label, shard, ports, route)
 		ft.level = append(ft.level, level)
 		ft.pod = append(ft.pod, pod)
 		ft.idx = append(ft.idx, idx)
-		ft.swShard = append(ft.swShard, shard)
-		ft.switchRand(id)
-		if cfg.Lossless {
-			sw.EnableLossless(cfg.LosslessLimit, cfg.PFCXoff, cfg.PFCXon)
-		}
-		return sw
 	}
 	for p := 0; p < nPods; p++ {
-		for t := 0; t < nTorsPerPod; t++ {
-			ft.Tors = append(ft.Tors, newSwitch(levelTor, p, t, shardOfPod(p), fmt.Sprintf("tor%d.%d", p, t)))
+		for t := 0; t < half; t++ {
+			newSwitch(levelTor, p, t, shardOfPod(p), ft.HostsPerTor+half, fabric.Label{Kind: "tor", A: int32(p), B: int32(t)})
 		}
 	}
 	for p := 0; p < nPods; p++ {
-		for a := 0; a < nAggsPerPod; a++ {
-			ft.Aggs = append(ft.Aggs, newSwitch(levelAgg, p, a, shardOfPod(p), fmt.Sprintf("agg%d.%d", p, a)))
+		for a := 0; a < half; a++ {
+			newSwitch(levelAgg, p, a, shardOfPod(p), k, fabric.Label{Kind: "agg", A: int32(p), B: int32(a)})
 		}
 	}
 	for c := 0; c < nCores; c++ {
 		// Cores belong to no pod; spread them across shards so the core
 		// layer's work parallelizes too.
-		ft.Cores = append(ft.Cores, newSwitch(levelCore, -1, c, groupShard(c, nCores, ft.Shards()), fmt.Sprintf("core%d", c)))
+		newSwitch(levelCore, -1, c, groupShard(c, nCores, ft.Shards()), nPods, fabric.Label{Kind: "core", A: int32(c), B: -1})
 	}
+	ft.Tors = ft.Switches[:nTors:nTors]
+	ft.Aggs = ft.Switches[nTors : 2*nTors : 2*nTors]
+	ft.Cores = ft.Switches[2*nTors:]
 
 	// Hosts live with their pod's shard.
+	ft.hostRack = make([]int32, nHosts)
+	ft.hostPod = make([]int32, nHosts)
 	for h := 0; h < nHosts; h++ {
 		pod, tor, _ := ft.locate(int32(h))
-		shard := shardOfPod(pod)
-		ft.hostShard = append(ft.hostShard, shard)
-		ft.hostRack = append(ft.hostRack, int32(pod*half+tor))
-		ft.hostPod = append(ft.hostPod, int32(pod))
-		host := fabric.NewHost(ft.ShardEventList(shard), int32(h), fmt.Sprintf("h%d", h))
-		ft.Hosts = append(ft.Hosts, host)
+		ft.newHost(shardOfPod(pod))
+		ft.hostRack[h] = int32(pod*half + tor)
+		ft.hostPod[h] = int32(pod)
 	}
-
-	ft.TorDown = make([][]*fabric.Port, len(ft.Tors))
-	ft.TorUp = make([][]*fabric.Port, len(ft.Tors))
-	ft.AggDown = make([][]*fabric.Port, len(ft.Aggs))
-	ft.AggUp = make([][]*fabric.Port, len(ft.Aggs))
-	ft.CoreDown = make([][]*fabric.Port, len(ft.Cores))
-	ft.HostNIC = make([]*fabric.Port, nHosts)
 
 	// Each port lives on its owning node's shard list; a port whose peer is
 	// in another shard routes deliveries through that pair's mailbox.
-	newPort := func(shard int, name string, q fabric.Queue) *fabric.Port {
-		p := fabric.NewPort(ft.ShardEventList(shard), name, q, cfg.LinkRateBps, cfg.LinkDelay)
-		p.UID = ft.allocPortUID()
-		return p
-	}
-	wire := func(p *fabric.Port, from, to int, dst fabric.Sink) {
-		iq := link(p, dst)
-		if from != to {
-			p.Cross = ft.noteCrossLink(from, to, p.Delay)
-			if iq != nil {
-				// The PFC reverse channel: pause/resume signals travel
-				// from the lossless switch (shard to) back to the upstream
-				// transmitter (shard from) at the same link delay, so the
-				// reverse direction is a cut edge of its own.
-				iq.Cross = ft.noteCrossLink(to, from, p.Delay)
-			}
-		}
-	}
-
-	// Wire hosts <-> ToRs. ToR egress ports [0, HostsPerTor) go down.
-	for ti, tor := range ft.Tors {
-		ts := ft.swShard[tor.ID]
-		ft.TorDown[ti] = make([]*fabric.Port, ft.HostsPerTor)
+	for _, tor := range ft.Tors {
 		for off := 0; off < ft.HostsPerTor; off++ {
-			h := ft.hostID(ft.pod[tor.ID], ft.idx[tor.ID], off)
-			host := ft.Hosts[h]
-			down := newPort(ts, portName("tor", ti, int(h)), cfg.SwitchQueue(fmt.Sprintf("%s->h%d", tor.Name, h)))
-			wire(down, ts, ft.hostShard[h], host)
-			tor.AddPort(down)
-			ft.TorDown[ti][off] = down
-
-			up := newPort(ft.hostShard[h], portName("h", int(h), ti), cfg.HostQueue(fmt.Sprintf("h%d", h)))
-			wire(up, ft.hostShard[h], ts, tor)
-			host.NIC = up
-			ft.HostNIC[h] = up
+			host := ft.Hosts[ft.hostID(ft.pod[tor.ID], ft.idx[tor.ID], off)]
+			ft.connect(tor, host)
+			ft.connect(host, tor)
 		}
 	}
-	// Wire ToRs <-> Aggs. ToR egress ports [HostsPerTor, HostsPerTor+half).
-	// Agg egress ports [0, half) go down to ToRs.
-	for ti, tor := range ft.Tors {
+	for _, tor := range ft.Tors {
 		p := ft.pod[tor.ID]
-		ts := ft.swShard[tor.ID]
-		ft.TorUp[ti] = make([]*fabric.Port, half)
 		for a := 0; a < half; a++ {
-			agg := ft.Aggs[p*half+a]
-			up := newPort(ts, portName("torUp", ti, a), cfg.SwitchQueue(fmt.Sprintf("%s->%s", tor.Name, agg.Name)))
-			wire(up, ts, ft.swShard[agg.ID], agg)
-			tor.AddPort(up)
-			ft.TorUp[ti][a] = up
+			ft.connect(tor, ft.Aggs[p*half+a])
 		}
 	}
-	for ai, agg := range ft.Aggs {
+	for _, agg := range ft.Aggs {
 		p := ft.pod[agg.ID]
-		as := ft.swShard[agg.ID]
-		ft.AggDown[ai] = make([]*fabric.Port, half)
 		for t := 0; t < half; t++ {
-			tor := ft.Tors[p*half+t]
-			down := newPort(as, portName("aggDown", ai, t), cfg.SwitchQueue(fmt.Sprintf("%s->%s", agg.Name, tor.Name)))
-			wire(down, as, ft.swShard[tor.ID], tor)
-			agg.AddPort(down)
-			ft.AggDown[ai][t] = down
+			ft.connect(agg, ft.Tors[p*half+t])
 		}
 	}
-	// Wire Aggs <-> Cores. Agg a connects to cores [a*half, (a+1)*half).
-	// Agg egress ports [half, k) go up; core egress port p goes to pod p.
-	// These are the only links that can cross the pod partition.
-	for ai, agg := range ft.Aggs {
+	// Agg<->core links are the only ones that can cross the pod partition.
+	for _, agg := range ft.Aggs {
 		a := ft.idx[agg.ID]
-		as := ft.swShard[agg.ID]
-		ft.AggUp[ai] = make([]*fabric.Port, half)
 		for j := 0; j < half; j++ {
-			core := ft.Cores[a*half+j]
-			up := newPort(as, portName("aggUp", ai, j), cfg.SwitchQueue(fmt.Sprintf("%s->%s", agg.Name, core.Name)))
-			wire(up, as, ft.swShard[core.ID], core)
-			agg.AddPort(up)
-			ft.AggUp[ai][j] = up
+			ft.connect(agg, ft.Cores[a*half+j])
 		}
 	}
 	for ci, core := range ft.Cores {
 		a := ci / half // which agg position this core group serves
-		cs := ft.swShard[core.ID]
-		ft.CoreDown[ci] = make([]*fabric.Port, nPods)
 		for p := 0; p < nPods; p++ {
-			agg := ft.Aggs[p*half+a]
-			down := newPort(cs, portName("coreDown", ci, p), cfg.SwitchQueue(fmt.Sprintf("%s->%s", core.Name, agg.Name)))
-			wire(down, cs, ft.swShard[agg.ID], agg)
-			core.AddPort(down)
-			ft.CoreDown[ci][p] = down
+			ft.connect(core, ft.Aggs[p*half+a])
 		}
 	}
 	ft.finishShards()
@@ -361,36 +291,23 @@ func (ft *FatTree) MinPathDelay(src, dst int) sim.Time {
 // first: a switch port serializes on demand (fabric.Port), and the packets
 // whose turn came before the change have to be started at the old rate.
 func (ft *FatTree) DegradeLink(aggIdx, coreOff int, newRate int64) {
-	up := ft.AggUp[aggIdx][coreOff]
-	up.RateBps = newRate
-	a := ft.idx[ft.Aggs[aggIdx].ID]
-	pod := ft.pod[ft.Aggs[aggIdx].ID]
-	core := a*(ft.K/2) + coreOff
-	ft.CoreDown[core][pod].RateBps = newRate
+	half := ft.K / 2
+	agg := ft.Aggs[aggIdx]
+	agg.Ports[half+coreOff].RateBps = newRate
+	ft.Cores[ft.idx[agg.ID]*half+coreOff].Ports[ft.pod[agg.ID]].RateBps = newRate
 }
 
 // UplinkTrims sums payload trims on ToR->Agg and Agg->Core ports (the
 // "uplink trimming" statistic of §3.2.4's congestion-collapse discussion).
 func (ft *FatTree) UplinkTrims() int64 {
 	var n int64
-	for _, ports := range ft.TorUp {
-		for _, p := range ports {
+	for _, tor := range ft.Tors {
+		for _, p := range tor.Ports[ft.HostsPerTor:] {
 			n += p.Q.Stats().Trims
 		}
 	}
-	for _, ports := range ft.AggUp {
-		for _, p := range ports {
-			n += p.Q.Stats().Trims
-		}
-	}
-	return n
-}
-
-// TotalTrims sums payload trims across every switch port.
-func (ft *FatTree) TotalTrims() int64 {
-	var n int64
-	for _, sw := range ft.Switches {
-		for _, p := range sw.Ports {
+	for _, agg := range ft.Aggs {
+		for _, p := range agg.Ports[ft.K/2:] {
 			n += p.Q.Stats().Trims
 		}
 	}

@@ -59,57 +59,32 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 	j.initShards(cfg, shards)
 
 	j.adj = randomRegularGraph(n, degree, j.Rand)
-	j.swShard = greedyEdgeCutParts(j.adj, j.Shards())
+	parts := greedyEdgeCutParts(j.adj, j.Shards())
 	j.precomputeDists()
 
+	links := 0
+	for _, nbs := range j.adj {
+		links += len(nbs)
+	}
+	nHosts := n * hostsPerSwitch
+	j.reserve(n, nHosts, 2*nHosts+links)
+	route := fabric.RouteFunc(j.route)
 	for s := 0; s < n; s++ {
-		sw := fabric.NewSwitch(j.ShardEventList(j.swShard[s]), s, fmt.Sprintf("jf%d", s))
-		sw.Route = j.route
-		j.Switches = append(j.Switches, sw)
-		j.switchRand(s)
-		if cfg.Lossless {
-			sw.EnableLossless(cfg.LosslessLimit, cfg.PFCXoff, cfg.PFCXon)
-		}
-	}
-	newPort := func(shard int, name string, q fabric.Queue) *fabric.Port {
-		p := fabric.NewPort(j.ShardEventList(shard), name, q, cfg.LinkRateBps, cfg.LinkDelay)
-		p.UID = j.allocPortUID()
-		return p
-	}
-	wire := func(p *fabric.Port, from, to int, dst fabric.Sink) {
-		iq := link(p, dst)
-		if from != to {
-			p.Cross = j.noteCrossLink(from, to, p.Delay)
-			if iq != nil {
-				// PFC reverse channel: pause signals toward the upstream
-				// transmitter cross back over the same cut.
-				iq.Cross = j.noteCrossLink(to, from, p.Delay)
-			}
-		}
+		j.newSwitch(fabric.Label{Kind: "jf", A: int32(s), B: -1}, parts[s], hostsPerSwitch+len(j.adj[s]), route)
 	}
 	// Hosts and host ports: hosts always share their switch's shard, so
 	// these links never cross the cut.
-	for s := 0; s < n; s++ {
+	for s, sw := range j.Switches {
 		for o := 0; o < hostsPerSwitch; o++ {
-			id := int32(s*hostsPerSwitch + o)
-			shard := j.swShard[s]
-			host := fabric.NewHost(j.ShardEventList(shard), id, fmt.Sprintf("h%d", id))
-			j.Hosts = append(j.Hosts, host)
-			j.hostShard = append(j.hostShard, shard)
-			down := newPort(shard, portName("jf", s, int(id)), cfg.SwitchQueue(fmt.Sprintf("jf%d->h%d", s, id)))
-			link(down, host)
-			j.Switches[s].AddPort(down)
-			up := newPort(shard, portName("h", int(id), s), cfg.HostQueue(fmt.Sprintf("h%d", id)))
-			link(up, j.Switches[s])
-			host.NIC = up
+			host := j.newHost(parts[s])
+			j.connect(sw, host)
+			j.connect(host, sw)
 		}
 	}
 	// Inter-switch ports, in adjacency order.
-	for s := 0; s < n; s++ {
+	for s, sw := range j.Switches {
 		for _, nb := range j.adj[s] {
-			p := newPort(j.swShard[s], portName("jfUp", s, nb), cfg.SwitchQueue(fmt.Sprintf("jf%d->jf%d", s, nb)))
-			wire(p, j.swShard[s], j.swShard[nb], j.Switches[nb])
-			j.Switches[s].AddPort(p)
+			j.connect(sw, j.Switches[nb])
 		}
 	}
 	j.finishShards()
@@ -120,7 +95,13 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 // ring guarantees connectivity and degree 2; remaining stubs are matched
 // randomly with rejection of self-loops and duplicate edges.
 func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
+	// Every list is carved from one array at its final size: no node ever
+	// holds more than degree edges.
 	adj := make([][]int, n)
+	edges := make([]int, n*degree)
+	for i := range adj {
+		adj[i] = edges[i*degree : i*degree : (i+1)*degree]
+	}
 	has := func(a, b int) bool {
 		for _, x := range adj[a] {
 			if x == b {
@@ -154,8 +135,9 @@ func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
 	// Match remaining stubs; when the random matching gets stuck (the
 	// leftover stubs are mutual neighbors or identical), break an existing
 	// edge (c,d) and rewire a-c, b-d — the standard Jellyfish fix-up.
+	var stubs []int
 	for attempt := 0; attempt < 500; attempt++ {
-		var stubs []int
+		stubs = stubs[:0]
 		for s := 0; s < n; s++ {
 			for d := len(adj[s]); d < degree; d++ {
 				stubs = append(stubs, s)
@@ -214,23 +196,27 @@ func (j *Jellyfish) locate(h int32) (sw, off int) {
 	return int(h) / j.HostsPerSwitch, int(h) % j.HostsPerSwitch
 }
 
-// precomputeDists fills dists with BFS distances toward every switch.
+// precomputeDists fills dists with BFS distances toward every switch, the
+// rows carved from one array. The BFS visit order doubles as its queue: a
+// switch enters it at most once.
 func (j *Jellyfish) precomputeDists() {
-	j.dists = make([][]int, j.NSwitches)
+	n := j.NSwitches
+	all := make([]int, n*n)
+	order := make([]int, 0, n)
+	j.dists = make([][]int, n)
 	for dst := range j.dists {
-		d := make([]int, j.NSwitches)
+		d := all[dst*n : (dst+1)*n : (dst+1)*n]
 		for i := range d {
 			d[i] = -1
 		}
 		d[dst] = 0
-		queue := []int{dst} // a BFS frontier, run once per destination at build time: not worth a fabric.Ring
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		order = append(order[:0], dst)
+		for next := 0; next < len(order); next++ {
+			cur := order[next]
 			for _, nb := range j.adj[cur] {
 				if d[nb] < 0 {
 					d[nb] = d[cur] + 1
-					queue = append(queue, nb)
+					order = append(order, nb)
 				}
 			}
 		}

@@ -13,10 +13,16 @@ import (
 	"ndp/internal/sim"
 )
 
-// QueueFactory builds a queue discipline for a named port. Experiments pick
-// the discipline per protocol: NDP switch queues, ECN queues for DCTCP,
-// plain drop-tail for TCP.
-type QueueFactory func(name string) fabric.Queue
+// QueueFactory builds the queue disciplines of one class of port of a
+// topology — every switch egress, or every host NIC — in one call: one queue
+// per seed, in order, so that a discipline can carve them all from one slab
+// (fabric.QueueSlab). A port's seed is FNV-1a over its queue name: the
+// port's own for a switch egress ("tor0.1->agg0.0", "tor0.0->h3"), the
+// host's for a NIC ("h3"). It is a stable identity, independent of
+// construction order and shard layout, for disciplines that draw random
+// numbers. Experiments pick the discipline per protocol: NDP switch queues,
+// ECN queues for DCTCP, plain drop-tail for TCP.
+type QueueFactory func(seeds []uint64) []fabric.Queue
 
 // Config carries the physical parameters shared by all topology builders.
 type Config struct {
@@ -60,10 +66,10 @@ func (c Config) withDefaults() Config {
 		c.LinkDelay = 500 * sim.Nanosecond
 	}
 	if c.SwitchQueue == nil {
-		c.SwitchQueue = func(string) fabric.Queue { return fabric.NewFIFOQueue(8 * 9000) }
+		c.SwitchQueue = fabric.FIFOQueues(8 * 9000)
 	}
 	if c.HostQueue == nil {
-		c.HostQueue = func(string) fabric.Queue { return fabric.NewCtrlPrioQueue() }
+		c.HostQueue = fabric.CtrlPrioQueues
 	}
 	if c.LosslessLimit == 0 {
 		c.LosslessLimit = 200 * 9000
@@ -145,10 +151,16 @@ type Network struct {
 	crossDelay [][]sim.Time
 	hostShard  []int
 	swShard    []int
-	released   bool        // Close already freed the fabric's held packets
-	swRand     []*sim.Rand // per-switch ECMP stream, index = switch ID
-	portUID    uint32
-	cmdSeq     []uint64 // per-host command emission counters (Defer ord)
+	released   bool       // Close already freed the fabric's held packets
+	swRand     []sim.Rand // per-switch ECMP stream, index = switch ID
+	cmdSeq     []uint64   // per-host command emission counters (Defer ord)
+	// The components, carved from one array per kind that the builder sizes
+	// up front (reserve): a build allocates per kind, not per port or node.
+	// portLists backs every switch's Ports.
+	hostSlab   []fabric.Host
+	switchSlab []fabric.Switch
+	portSlab   []fabric.Port
+	portLists  []*fabric.Port
 	// routes[shard] caches the enumerated source routes of the hosts that
 	// shard owns. A table is only ever written by its own shard's goroutine
 	// (enumeration happens mid-run: control-packet routing, flow starts), so
@@ -357,8 +369,9 @@ func (n *Network) initShards(cfg Config, shards int) {
 	}
 }
 
-// finishShards computes the runner's lookahead once the builder has
-// reported every cross-shard link via noteCrossLink: the scalar minimum
+// finishShards ends every build: it attaches the queues, and computes the
+// runner's lookahead once the builder has reported every cross-shard link
+// via noteCrossLink: the scalar minimum
 // (the classic window bound, still the Lookahead() summary) and the
 // per-shard-pair matrix L[i][j] — the minimum total path delay across the
 // actual cut edges from shard i to shard j, the metric closure of the
@@ -366,6 +379,7 @@ func (n *Network) initShards(cfg Config, shards int) {
 // pairs get multi-hop sums (wider windows than the scalar), pairs no path
 // connects stay at Infinity (no constraint at all).
 func (n *Network) finishShards() {
+	n.attachQueues()
 	n.cmdSeq = make([]uint64, len(n.Hosts))
 	mr, ok := n.runner.(*sim.MultiRunner)
 	if !ok {
@@ -485,23 +499,142 @@ func (n *Network) CommandEvents() int64 {
 	return int64(cmds)
 }
 
-// allocPortUID hands out canonical port identities in construction order.
-func (n *Network) allocPortUID() uint32 {
-	n.portUID++
-	return n.portUID
+// reserve sizes the slabs of a build of the given numbers of switches, hosts
+// and ports (every host has one NIC port among them). A builder calls it
+// once, before newSwitch, newHost and connect, with exact counts: those
+// panic rather than grow a slab whose elements are already pointed to.
+func (n *Network) reserve(switches, hosts, ports int) {
+	n.Switches = make([]*fabric.Switch, 0, switches)
+	n.switchSlab = make([]fabric.Switch, 0, switches)
+	n.swShard = make([]int, 0, switches)
+	n.swRand = make([]sim.Rand, switches)
+	n.Hosts = make([]*fabric.Host, 0, hosts)
+	n.hostSlab = make([]fabric.Host, 0, hosts)
+	n.hostShard = make([]int, 0, hosts)
+	n.portSlab = make([]fabric.Port, 0, ports)
+	n.portLists = make([]*fabric.Port, 0, ports-hosts)
 }
 
-// switchRand returns switch id's private ECMP stream, creating per-switch
-// generators on first use. Per-switch streams make destination-routed path
-// choices depend only on the packet sequence through that one switch, so
-// they survive sharding; a topology-wide stream would entangle draw order
-// across shards.
-func (n *Network) switchRand(id int) *sim.Rand {
-	for len(n.swRand) <= id {
-		n.swRand = append(n.swRand,
-			sim.NewRand(n.cfg.Seed^(uint64(len(n.swRand))+1)*0x9e3779b97f4a7c15^0xc2b2ae3d27d4eb4f))
+// newSwitch builds the next switch — its ID is its index in Switches — on
+// shard, with room for ports egress ports. Its private ECMP stream is seeded
+// here, before any shard runs: per-switch streams make destination-routed
+// path choices depend only on the packet sequence through that one switch,
+// so they survive sharding, where a topology-wide stream would entangle draw
+// order across shards.
+func (n *Network) newSwitch(label fabric.Label, shard, ports int, route fabric.RouteFunc) *fabric.Switch {
+	id := len(n.Switches)
+	n.switchSlab = n.switchSlab[:id+1]
+	sw := &n.switchSlab[id]
+	sw.Init(n.els[shard], id, label)
+	sw.Route = route
+	k := len(n.portLists)
+	n.portLists = n.portLists[:k+ports]
+	sw.Ports = n.portLists[k : k : k+ports]
+	n.Switches = append(n.Switches, sw)
+	n.swShard = append(n.swShard, shard)
+	n.swRand[id].Init(n.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15 ^ 0xc2b2ae3d27d4eb4f)
+	if n.cfg.Lossless {
+		sw.EnableLossless(n.cfg.LosslessLimit, n.cfg.PFCXoff, n.cfg.PFCXon)
 	}
-	return n.swRand[id]
+	return sw
+}
+
+// newHost builds the next host, "h<id>" — its ID is its index in Hosts — on
+// shard.
+func (n *Network) newHost(shard int) *fabric.Host {
+	id := len(n.Hosts)
+	n.hostSlab = n.hostSlab[:id+1]
+	h := &n.hostSlab[id]
+	h.Init(n.els[shard], int32(id), fabric.Label{Kind: "h", A: int32(id), B: -1})
+	n.Hosts = append(n.Hosts, h)
+	n.hostShard = append(n.hostShard, shard)
+	return h
+}
+
+// node returns the shard and the label of a link endpoint.
+func (n *Network) node(s fabric.Sink) (int, *fabric.Label) {
+	switch v := s.(type) {
+	case *fabric.Switch:
+		return n.swShard[v.ID], &v.Label
+	case *fabric.Host:
+		return n.hostShard[v.ID], &v.Label
+	}
+	panic("topo: links join switches and hosts")
+}
+
+// connect builds the next port as the unidirectional link from node from to
+// node to, each a *fabric.Switch or a *fabric.Host, and attaches it as
+// from's egress (a switch) or NIC (a host). The port lives on from's shard
+// and takes the next canonical UID: construction order, which is identical
+// however the topology is sharded. A lossless switch receives through a PFC
+// ingress queue. A link whose ends are on different shards delivers through
+// the pair's mailbox, and the ingress's pause/resume signals travel back at
+// the same link delay, so the reverse direction is a cut edge of its own.
+// The queue comes last, from attachQueues.
+func (n *Network) connect(from, to fabric.Sink) *fabric.Port {
+	fs, fl := n.node(from)
+	ts, tl := n.node(to)
+	i := len(n.portSlab)
+	n.portSlab = n.portSlab[:i+1]
+	p := &n.portSlab[i]
+	p.Init(n.els[fs], fl, tl, n.cfg.LinkRateBps, n.cfg.LinkDelay)
+	p.UID = uint32(i + 1)
+	var iq *fabric.IngressQueue
+	if sw, ok := to.(*fabric.Switch); ok && sw.Lossless() {
+		iq = sw.NewIngress(p)
+	} else {
+		p.Connect(to)
+	}
+	if fs != ts {
+		p.Cross = n.noteCrossLink(fs, ts, p.Delay)
+		if iq != nil {
+			iq.Cross = n.noteCrossLink(ts, fs, p.Delay)
+		}
+	}
+	switch v := from.(type) {
+	case *fabric.Switch:
+		v.AddPort(p)
+	case *fabric.Host:
+		v.NIC = p
+	}
+	return p
+}
+
+// attachQueues gives every port its queue discipline: one factory call for
+// the host NICs and one for the switch egresses, in construction order. The
+// seeds are hashed from the labels, without building a name string.
+func (n *Network) attachQueues() {
+	var name [64]byte
+	seeds := make([]uint64, 0, len(n.portSlab))
+	for _, h := range n.Hosts {
+		seeds = append(seeds, hashName(h.Label.AppendTo(name[:0])))
+	}
+	nics := len(seeds)
+	for _, sw := range n.Switches {
+		for _, p := range sw.Ports {
+			seeds = append(seeds, hashName(p.AppendName(name[:0])))
+		}
+	}
+	for i, q := range n.cfg.HostQueue(seeds[:nics:nics]) {
+		n.Hosts[i].NIC.Q = q
+	}
+	qs := n.cfg.SwitchQueue(seeds[nics:])
+	for _, sw := range n.Switches {
+		for _, p := range sw.Ports {
+			p.Q, qs = qs[0], qs[1:]
+		}
+	}
+}
+
+// hashName is FNV-1a over a queue's name: the seed QueueFactory hands its
+// queue.
+func hashName(name []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range name {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // sourceRouteHop consumes one hop of a packet's source route, or returns
@@ -516,18 +649,6 @@ func sourceRouteHop(p *fabric.Packet) (int, bool) {
 	out := int(p.Path[p.Hop])
 	p.Hop++
 	return out, true
-}
-
-// link wires a unidirectional link from the given port to a destination
-// node, inserting a PFC ingress queue when dst is a lossless switch (and
-// returning it, so shard-aware callers can wire the ingress's reverse
-// pause channel when the link crosses a shard cut).
-func link(from *fabric.Port, dst fabric.Sink) *fabric.IngressQueue {
-	if sw, ok := dst.(*fabric.Switch); ok && sw.Lossless() {
-		return sw.NewIngress(from)
-	}
-	from.Connect(dst)
-	return nil
 }
 
 // SwitchStats aggregates queue counters across a set of switches.
@@ -585,6 +706,3 @@ func (n *Network) SerEndEvents() int64 {
 	n.eachPort(func(p *fabric.Port) { ends += p.SerEndEvents })
 	return ends
 }
-
-// portName builds a stable debug name for a link endpoint.
-func portName(kind string, a, b int) string { return fmt.Sprintf("%s%d->%d", kind, a, b) }

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,17 +177,18 @@ func TestBackToBack(t *testing.T) {
 
 func TestDegradeLink(t *testing.T) {
 	ft := NewFatTree(4, Config{})
-	before := ft.AggUp[0][0].RateBps
+	up := ft.Aggs[0].Ports[2:] // agg 0's uplinks, to cores 0 and 1
+	before := up[0].RateBps
 	ft.DegradeLink(0, 0, 1e9)
-	if ft.AggUp[0][0].RateBps != 1e9 {
-		t.Errorf("uplink rate = %d, want 1e9 (was %d)", ft.AggUp[0][0].RateBps, before)
+	if up[0].RateBps != 1e9 {
+		t.Errorf("uplink rate = %d, want 1e9 (was %d)", up[0].RateBps, before)
 	}
 	// Reverse direction: core 0 serves agg position 0; pod of agg 0 is 0.
-	if ft.CoreDown[0][0].RateBps != 1e9 {
-		t.Errorf("reverse core->agg rate = %d, want 1e9", ft.CoreDown[0][0].RateBps)
+	if ft.Cores[0].Ports[0].RateBps != 1e9 {
+		t.Errorf("reverse core->agg rate = %d, want 1e9", ft.Cores[0].Ports[0].RateBps)
 	}
 	// Other links untouched.
-	if ft.AggUp[0][1].RateBps != 10e9 {
+	if up[1].RateBps != 10e9 {
 		t.Errorf("unrelated link degraded")
 	}
 }
@@ -194,7 +197,7 @@ func TestLosslessFatTreeWiring(t *testing.T) {
 	ft := NewFatTree(4, Config{Lossless: true, LosslessLimit: 12000, PFCXoff: 3000, PFCXon: 1500})
 	for _, sw := range ft.Switches {
 		if !sw.Lossless() {
-			t.Fatalf("switch %s not lossless", sw.Name)
+			t.Fatalf("%s not lossless", sw)
 		}
 	}
 	// Destination routing must still work through ingress queues.
@@ -317,5 +320,65 @@ func TestDeferBelowLookaheadPanics(t *testing.T) {
 	ft.Runner().RunUntil(now + l)
 	if cmd.fired != 2 {
 		t.Errorf("%d commands fired, want the same-shard one and the one at exactly the lookahead", cmd.fired)
+	}
+}
+
+// TestQueueSeedsHashNames: a queue factory gets FNV-1a of the name each queue
+// was built under when names were strings ("tor0.1->agg0.0" for a switch
+// egress, "h3" for a NIC), hashed from the labels without building one, so
+// every queue's random stream is the one it always was. The names are
+// rebuilt here the old way, with fmt.
+func TestQueueSeedsHashNames(t *testing.T) {
+	var nics, egress []uint64
+	ft := NewFatTree(4, Config{
+		HostQueue:   func(seeds []uint64) []fabric.Queue { nics = seeds; return fabric.CtrlPrioQueues(seeds) },
+		SwitchQueue: func(seeds []uint64) []fabric.Queue { egress = seeds; return fabric.FIFOQueues(0)(seeds) },
+	})
+	fnv1a := func(name string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		return h.Sum64()
+	}
+	node := func(s fabric.Sink) string {
+		switch v := s.(type) {
+		case *fabric.Host:
+			return fmt.Sprintf("h%d", v.ID)
+		case *fabric.Switch:
+			switch ft.level[v.ID] {
+			case levelTor:
+				return fmt.Sprintf("tor%d.%d", ft.pod[v.ID], ft.idx[v.ID])
+			case levelAgg:
+				return fmt.Sprintf("agg%d.%d", ft.pod[v.ID], ft.idx[v.ID])
+			}
+			return fmt.Sprintf("core%d", ft.idx[v.ID])
+		}
+		t.Fatalf("peer %T", s)
+		return ""
+	}
+	var want []uint64
+	for _, sw := range ft.Switches {
+		for _, p := range sw.Ports {
+			name := node(sw) + "->" + node(p.Peer())
+			if p.String() != name {
+				t.Errorf("port %q, want %q", p, name)
+			}
+			want = append(want, fnv1a(name))
+		}
+	}
+	if len(egress) != len(want) {
+		t.Fatalf("%d switch queue seeds for %d ports", len(egress), len(want))
+	}
+	for i := range want {
+		if egress[i] != want[i] {
+			t.Fatalf("switch port %d: seed %x, want %x", i, egress[i], want[i])
+		}
+	}
+	for h, seed := range nics {
+		if want := fnv1a(fmt.Sprintf("h%d", h)); seed != want {
+			t.Fatalf("NIC of host %d: seed %x, want %x", h, seed, want)
+		}
+	}
+	if len(nics) != ft.NumHosts() {
+		t.Errorf("%d NIC seeds for %d hosts", len(nics), ft.NumHosts())
 	}
 }

@@ -11,18 +11,14 @@ import (
 // HostsPerTor hosts, fully meshed to Spines spine switches. The paper's
 // 8-server NetFPGA testbed is TwoTier{Tors: 4, HostsPerTor: 2, Spines: 2}
 // (six 4-port switches); the sender-limited scenario of Figure 21 is a
-// single leaf.
+// single leaf. A ToR's egress ports [0, HostsPerTor) go down to its hosts,
+// the next NSpines up to the spines in order; spine port t goes to ToR t.
 type TwoTier struct {
 	Network
 
 	NTors, HostsPerTor, NSpines int
 
 	Tors, Spines []*fabric.Switch
-
-	HostNIC  []*fabric.Port
-	TorDown  [][]*fabric.Port // [tor][hostOff]
-	TorUp    [][]*fabric.Port // [tor][spine]
-	SpineDwn [][]*fabric.Port // [spine][tor]
 
 	level []int // 0 tor, 1 spine
 	idx   []int
@@ -48,90 +44,43 @@ func NewTwoTier(tors, hostsPerTor, spines int, cfg Config) *TwoTier {
 	tt.initShards(cfg, shards)
 	shardOfTor := func(t int) int { return groupShard(t, tors, tt.Shards()) }
 
-	newSwitch := func(level, idx, shard int, name string) *fabric.Switch {
-		id := len(tt.Switches)
-		sw := fabric.NewSwitch(tt.ShardEventList(shard), id, name)
-		sw.Route = tt.route
-		tt.Switches = append(tt.Switches, sw)
+	nHosts := tors * hostsPerTor
+	tt.reserve(tors+spines, nHosts, 2*nHosts+2*tors*spines)
+	tt.level = make([]int, 0, tors+spines)
+	tt.idx = make([]int, 0, tors+spines)
+	route := fabric.RouteFunc(tt.route)
+	newSwitch := func(level, idx, shard, ports int, kind string) {
+		tt.newSwitch(fabric.Label{Kind: kind, A: int32(idx), B: -1}, shard, ports, route)
 		tt.level = append(tt.level, level)
 		tt.idx = append(tt.idx, idx)
-		tt.swShard = append(tt.swShard, shard)
-		tt.switchRand(id)
-		if cfg.Lossless {
-			sw.EnableLossless(cfg.LosslessLimit, cfg.PFCXoff, cfg.PFCXon)
-		}
-		return sw
 	}
 	for t := 0; t < tors; t++ {
-		tt.Tors = append(tt.Tors, newSwitch(0, t, shardOfTor(t), fmt.Sprintf("tor%d", t)))
+		newSwitch(0, t, shardOfTor(t), hostsPerTor+spines, "tor")
 	}
 	for s := 0; s < spines; s++ {
 		// Spines belong to no ToR group; spread them so the spine layer's
 		// work parallelizes too.
-		tt.Spines = append(tt.Spines, newSwitch(1, s, groupShard(s, spines, tt.Shards()), fmt.Sprintf("spine%d", s)))
+		newSwitch(1, s, groupShard(s, spines, tt.Shards()), tors, "spine")
 	}
-	nHosts := tors * hostsPerTor
+	tt.Tors = tt.Switches[:tors:tors]
+	tt.Spines = tt.Switches[tors:]
 	for h := 0; h < nHosts; h++ {
-		shard := shardOfTor(h / hostsPerTor)
-		tt.Hosts = append(tt.Hosts, fabric.NewHost(tt.ShardEventList(shard), int32(h), fmt.Sprintf("h%d", h)))
-		tt.hostShard = append(tt.hostShard, shard)
+		tt.newHost(shardOfTor(h / hostsPerTor))
 	}
-
-	newPort := func(shard int, name string, q fabric.Queue) *fabric.Port {
-		p := fabric.NewPort(tt.ShardEventList(shard), name, q, cfg.LinkRateBps, cfg.LinkDelay)
-		p.UID = tt.allocPortUID()
-		return p
-	}
-	wire := func(p *fabric.Port, from, to int, dst fabric.Sink) {
-		iq := link(p, dst)
-		if from != to {
-			p.Cross = tt.noteCrossLink(from, to, p.Delay)
-			if iq != nil {
-				// PFC reverse channel: pause signals toward the upstream
-				// transmitter cross back over the same cut.
-				iq.Cross = tt.noteCrossLink(to, from, p.Delay)
-			}
-		}
-	}
-
-	tt.HostNIC = make([]*fabric.Port, nHosts)
-	tt.TorDown = make([][]*fabric.Port, tors)
-	tt.TorUp = make([][]*fabric.Port, tors)
-	tt.SpineDwn = make([][]*fabric.Port, spines)
 
 	for t, tor := range tt.Tors {
-		ts := tt.swShard[tor.ID]
-		tt.TorDown[t] = make([]*fabric.Port, hostsPerTor)
 		for off := 0; off < hostsPerTor; off++ {
-			h := int32(t*hostsPerTor + off)
-			host := tt.Hosts[h]
-			down := newPort(ts, portName("tor", t, int(h)), cfg.SwitchQueue(fmt.Sprintf("%s->h%d", tor.Name, h)))
-			wire(down, ts, tt.hostShard[h], host)
-			tor.AddPort(down)
-			tt.TorDown[t][off] = down
-
-			up := newPort(tt.hostShard[h], portName("h", int(h), t), cfg.HostQueue(fmt.Sprintf("h%d", h)))
-			wire(up, tt.hostShard[h], ts, tor)
-			host.NIC = up
-			tt.HostNIC[h] = up
+			host := tt.Hosts[t*hostsPerTor+off]
+			tt.connect(tor, host)
+			tt.connect(host, tor)
 		}
-		tt.TorUp[t] = make([]*fabric.Port, spines)
-		for s := 0; s < spines; s++ {
-			spine := tt.Spines[s]
-			up := newPort(ts, portName("torUp", t, s), cfg.SwitchQueue(fmt.Sprintf("%s->%s", tor.Name, spine.Name)))
-			wire(up, ts, tt.swShard[spine.ID], spine)
-			tor.AddPort(up)
-			tt.TorUp[t][s] = up
+		for _, spine := range tt.Spines {
+			tt.connect(tor, spine)
 		}
 	}
-	for s, spine := range tt.Spines {
-		ss := tt.swShard[spine.ID]
-		tt.SpineDwn[s] = make([]*fabric.Port, tors)
-		for t, tor := range tt.Tors {
-			down := newPort(ss, portName("spineDown", s, t), cfg.SwitchQueue(fmt.Sprintf("%s->%s", spine.Name, tor.Name)))
-			wire(down, ss, tt.swShard[tor.ID], tor)
-			spine.AddPort(down)
-			tt.SpineDwn[s][t] = down
+	for _, spine := range tt.Spines {
+		for _, tor := range tt.Tors {
+			tt.connect(spine, tor)
 		}
 	}
 	tt.finishShards()
@@ -221,18 +170,10 @@ func NewBackToBack(cfg Config) *BackToBack {
 	cfg = cfg.withDefaults()
 	b := &BackToBack{}
 	b.init(cfg)
-	h0 := fabric.NewHost(b.EL, 0, "h0")
-	h1 := fabric.NewHost(b.EL, 1, "h1")
-	b.Hosts = []*fabric.Host{h0, h1}
-	b.hostShard = []int{0, 0}
-	p0 := fabric.NewPort(b.EL, "h0->h1", cfg.HostQueue("h0"), cfg.LinkRateBps, cfg.LinkDelay)
-	p1 := fabric.NewPort(b.EL, "h1->h0", cfg.HostQueue("h1"), cfg.LinkRateBps, cfg.LinkDelay)
-	p0.UID = b.allocPortUID()
-	p1.UID = b.allocPortUID()
-	p0.Connect(h1)
-	p1.Connect(h0)
-	h0.NIC = p0
-	h1.NIC = p1
+	b.reserve(0, 2, 2)
+	h0, h1 := b.newHost(0), b.newHost(0)
+	b.connect(h0, h1)
+	b.connect(h1, h0)
 	b.finishShards()
 	return b
 }

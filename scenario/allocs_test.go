@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ndp/internal/core"
 	"ndp/internal/topo"
 )
 
@@ -106,19 +107,21 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		transport Transport
 		budget    float64 // measured (five runs, spread 0.001) plus slack
 	}{
-		{NDP, 0.25},  // 0.086: no object per flow; time-wait and flow tables doubling, completion chunks
-		{TCP, 2.2},   // 2.02: the data source and the recycled receiver's tombstone
-		{DCTCP, 2.2}, // 2.01
-		// 55.55, and not fixed here: 5 per subflow (the sender pool never
+		{NDP, 0.25}, // 0.086: no object per flow; time-wait and flow tables doubling, completion chunks
+		// 0.021 and 0.015: the sender carries its data source, and tombstones
+		// come from the pool's slab (2.02 and 2.01 when each was an object).
+		{TCP, 0.25},
+		{DCTCP, 0.25},
+		// 54.55, and not fixed here: 5 per subflow (the sender pool never
 		// hits: a group retires only when all eight subflows complete, and a
-		// one-packet flow uses one) plus 15 per connection; README
+		// one-packet flow uses one) plus 14 per connection; README
 		// "Allocation discipline is a test" has the profile. No
 		// BENCHMARK.json workload churns MPTCP flows, so a fix has nothing
 		// to be measured against. 73 until PR 25 embedded the sender's
 		// timer (two objects fewer per subflow).
 		{MPTCP, 57},
 		{DCQCN, 0.25}, // 0.021
-		{PHost, 1.25}, // 1.05: the recycled receiver's tombstone
+		{PHost, 0.25}, // 0.086: tombstones from the host's slab (1.05 when each was an object)
 	}
 	for _, row := range rows {
 		t.Run(string(row.transport), func(t *testing.T) {
@@ -188,4 +191,62 @@ func TestDeferAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBuildAllocsPerPort: a topology is built from one slab per kind of
+// component — hosts, switches, ports, their port lists, queues — and formats
+// no names, so what a build allocates grows with the kinds, not with the
+// ports. Each shape is built at two sizes with NDP's switch queues (the
+// heaviest: a trim coin each) and return-to-sender wiring; the objects the
+// larger build makes beyond the smaller, per port it adds, must stay near
+// zero. A per-port, per-switch or per-host object anywhere in a builder
+// shows as 1, ~0.1 or ~0.2 here.
+func TestBuildAllocsPerPort(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves allocation counts")
+	}
+	cfg := topo.Config{Seed: 1, SwitchQueue: core.QueueFactory(core.DefaultSwitchConfig(9000), 1)}
+	rows := []struct {
+		name   string
+		build  func(big bool) topo.Cluster
+		budget float64 // measured plus slack
+	}{
+		{"fattree", func(big bool) topo.Cluster { return topo.NewFatTree(pick(big, 4, 8), cfg) }, 0.01},
+		{"fattree-oversub4", func(big bool) topo.Cluster { return topo.NewFatTreeOversub(pick(big, 4, 8), 4, cfg) }, 0.01},
+		{"twotier", func(big bool) topo.Cluster {
+			return topo.NewTwoTier(pick(big, 4, 16), pick(big, 4, 8), pick(big, 2, 4), cfg)
+		}, 0.01},
+		{"jellyfish", func(big bool) topo.Cluster { return topo.NewJellyfish(pick(big, 16, 64), 2, 4, 0, cfg) }, 0.02},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var objs [2]float64
+			var ports [2]int
+			for i, big := range []bool{false, true} {
+				objs[i] = testing.AllocsPerRun(3, func() {
+					c := row.build(big)
+					core.WireBounce(c.SwitchList())
+					c.Close()
+				})
+				c := row.build(big)
+				ports[i] = len(c.HostList())
+				for _, sw := range c.SwitchList() {
+					ports[i] += len(sw.Ports)
+				}
+			}
+			per := (objs[1] - objs[0]) / float64(ports[1]-ports[0])
+			t.Logf("%.0f objects for %d ports, %.0f for %d: %.3f per added port", objs[0], ports[0], objs[1], ports[1], per)
+			if per > row.budget {
+				t.Errorf("%.3f objects per added port, budget %.2f", per, row.budget)
+			}
+		})
+	}
+}
+
+// pick returns small, or big when big is set.
+func pick(big bool, small, large int) int {
+	if big {
+		return large
+	}
+	return small
 }

@@ -17,7 +17,7 @@
 //	ndpsim -scenario rpc -transport tcp -shards 4        # baselines shard too
 //
 //	ndpsim -bench                                # pinned performance suite
-//	ndpsim -bench -baseline BENCH_21.json        # CI allocs/op gate
+//	ndpsim -bench -baseline "$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"   # CI gate, newest report
 //	ndpsim -bench -scaling                       # + 1/2/4/8-shard scaling curves
 //	ndpsim -bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //

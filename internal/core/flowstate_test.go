@@ -95,6 +95,12 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	closeNoLeak(t, net, st)
 }
 
+// relaunch starts the next flow of a closed loop from the source host its
+// argument names.
+type relaunch func(src int)
+
+func (f relaunch) OnEvent(src uint64) { f(int(src)) }
+
 // TestRetiredListsStayChurnSized: the free-lists of retired endpoints hold
 // what is waiting out its 2*MSL and nothing else, however long the churn
 // runs. Every host keeps five one-packet connections going in a closed loop
@@ -114,7 +120,7 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 			dst++
 		}
 		st[src].Connect(st[dst], 1500, FlowOpts{OnReceiverDoneAt: func(sim.Time) {
-			net.EL.After(sim.Millisecond/2+rnd.Duration(sim.Millisecond), func() { launch(src) })
+			net.EL.ScheduleAfter(sim.Millisecond/2+rnd.Duration(sim.Millisecond), relaunch(launch), uint64(src))
 		}})
 	}
 	for src := range st {

@@ -59,8 +59,8 @@ func (p *Port) CheckOnDemand() error {
 }
 
 // FuncEvent lets a test schedule a closure where the engine takes a
-// sim.Handler (ScheduleKeyed, CrossBox.AddCommand); product code has no
-// such adapter, its commands are values.
+// sim.Handler (Schedule, ScheduleKeyed, CrossBox.AddCommand); product code
+// has no such adapter, its events and commands are values.
 type FuncEvent func()
 
 func (f FuncEvent) OnEvent(uint64) { f() }

@@ -214,7 +214,7 @@ func (w *elideWorld) drain() {
 	}
 	if w.hook.Intn(2) == 0 {
 		ctrl := w.hook.Intn(4) == 0
-		w.el.After(sim.Time(1+w.hook.Intn(10))*elideTick, func() { w.tx.Enqueue(w.packet(ctrl, 2)) })
+		w.el.ScheduleAfter(sim.Time(1+w.hook.Intn(10))*elideTick, FuncEvent(func() { w.tx.Enqueue(w.packet(ctrl, 2)) }), 0)
 	}
 }
 
@@ -308,9 +308,9 @@ func (w *elideWorld) run(ops []elideOp) {
 		op := op
 		switch op.via {
 		case viaPlain:
-			w.el.At(op.at, func() { w.apply(op) })
+			w.el.Schedule(op.at, FuncEvent(func() { w.apply(op) }), 0)
 		case viaLate:
-			w.el.At(op.at-op.lag, func() { w.el.After(op.lag, func() { w.apply(op) }) })
+			w.el.Schedule(op.at-op.lag, FuncEvent(func() { w.el.ScheduleAfter(op.lag, FuncEvent(func() { w.apply(op) }), 0) }), 0)
 		case viaDelivery:
 			w.el.ScheduleKeyed(op.at, sim.DeliveryOrd(elideUID+1, uint64(i)), FuncEvent(func() { w.apply(op) }), 0)
 		case viaPFC:

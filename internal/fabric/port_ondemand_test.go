@@ -218,13 +218,13 @@ func (w *odWorld) install(ops []odOp) {
 	for i, op := range ops {
 		at += sim.Time(op.gap) * odTick
 		op, flow := op, uint64(i+1)
-		w.el.At(at, func() {
+		w.el.Schedule(at, fabric.FuncEvent(func() {
 			if op.ticks == 0 {
 				w.links[op.link].Enqueue(w.arena.NewControl(fabric.Ack, flow, 0, 1))
 				return
 			}
 			w.links[op.link].Enqueue(w.arena.NewData(flow, 0, 1, 0, int32(64*op.ticks)))
-		})
+		}), 0)
 	}
 }
 
@@ -585,7 +585,7 @@ func TestOnDemandPortRejectsLateFeeds(t *testing.T) {
 		{"command-class event", func(w *odWorld, send func()) {
 			w.el.ScheduleKeyed(odTick, sim.CommandOrd(3, 1), fabric.FuncEvent(send), 0)
 		}, true},
-		{"plain event", func(w *odWorld, send func()) { w.el.At(odTick, send) }, true},
+		{"plain event", func(w *odWorld, send func()) { w.el.Schedule(odTick, fabric.FuncEvent(send), 0) }, true},
 		{"PFC-class event", func(w *odWorld, send func()) { w.el.ScheduleKeyed(odTick, sim.PFCOrd(3, 1), fabric.FuncEvent(send), 0) }, true},
 	}
 	for _, f := range feeds {

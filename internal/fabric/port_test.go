@@ -45,8 +45,8 @@ func TestPortPauseResumesAtBoundary(t *testing.T) {
 	port.Enqueue(a.NewData(1, 0, 1, 0, 9000))
 	port.Enqueue(a.NewData(1, 0, 1, 1, 9000))
 	// Pause mid-first-packet: first packet completes, second waits.
-	el.At(sim.Microsecond, func() { port.SetPaused(true) })
-	el.At(100*sim.Microsecond, func() { port.SetPaused(false) })
+	el.Schedule(sim.Microsecond, FuncEvent(func() { port.SetPaused(true) }), 0)
+	el.Schedule(100*sim.Microsecond, FuncEvent(func() { port.SetPaused(false) }), 0)
 	el.Run()
 
 	if sink.Packets != 2 {

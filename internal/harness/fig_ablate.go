@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"ndp/internal/core"
 	"ndp/internal/fabric"
@@ -24,7 +25,7 @@ func overloadRun(o Options, seed uint64, n int, queue topo.QueueFactory) (mean, 
 	tt := topo.NewTwoTier(1, n+1, 0, topo.Config{Seed: seed, SwitchQueue: queue})
 	core.WireBounce(tt.Switches)
 
-	perFlow := make(map[uint64]int64)
+	perFlow := make([]int64, n+1) // bytes delivered, by flow id 1..n
 	tt.Hosts[0].Stack = fabric.SinkFunc(func(p *fabric.Packet) {
 		if p.Type == fabric.Data && !p.Trimmed() {
 			perFlow[p.Flow] += int64(p.DataSize)
@@ -39,16 +40,13 @@ func overloadRun(o Options, seed uint64, n int, queue topo.QueueFactory) (mean, 
 	warm := 2 * sim.Millisecond
 	window := sim.Time(o.pick(4, 8, 16)) * sim.Millisecond
 	tt.EL.RunUntil(warm)
-	snap := make(map[uint64]int64, len(perFlow))
-	for f, b := range perFlow {
-		snap[f] = b
-	}
+	snap := slices.Clone(perFlow)
 	tt.EL.RunUntil(warm + window)
 
 	fair := float64(tt.LinkRate()) / float64(n) / 1e9
 	var d stats.Dist
 	for i := 1; i <= n; i++ {
-		g := stats.Gbps(perFlow[uint64(i)]-snap[uint64(i)], window)
+		g := stats.Gbps(perFlow[i]-snap[i], window)
 		d.Add(pct(g, fair))
 	}
 	return d.Mean(), d.MeanOfBottom(0.10), tt.CollectStats().Drops

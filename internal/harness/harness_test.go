@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strconv"
@@ -166,16 +167,61 @@ func TestFig14PaperShape(t *testing.T) {
 	}
 }
 
+// TestFig2PaperShape asserts what fig2's note states, at Scale 0.1 (1, 5, 20
+// and 60 unresponsive flows into one egress): CP's mean does not rise as the
+// flow count grows (measured 99.9 -> 97.2 -> 86.4 -> 57.6, and 100.1 ->
+// 57.78 at seed 2) and its worst 10 % collapse to at most 10 % of fair at 20
+// and 60 flows (measured 1.8 and 5.4 at 20, 0 and 0 at 60); NDP's mean stays
+// at 90 % or more at every count (measured >= 93.24), and from 5 flows up
+// NDP's worst 10 % are above CP's. "Fair" is not asserted: NDP's own worst
+// 10 % read 12.6-30.6 % of fair at 20 and 60 flows, and README "Known gaps"
+// lists it.
+func TestFig2PaperShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short mode")
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		tab := Get("fig2").Run(Options{Scale: 0.1, Seed: seed}).Tables[0]
+		if len(tab.Rows) != 4 {
+			t.Fatalf("seed %d: rows %v, want 1, 5, 20 and 60 flows", seed, tab.Rows)
+		}
+		prevCP := math.Inf(1)
+		for _, row := range tab.Rows {
+			var v [4]float64 // NDP mean and worst 10 %, CP mean and worst 10 %
+			for i := range v {
+				var err error
+				if v[i], err = strconv.ParseFloat(row[i+1], 64); err != nil {
+					t.Fatalf("seed %d: unparsable row %v", seed, row)
+				}
+			}
+			ndpMean, ndpWorst, cpMean, cpWorst := v[0], v[1], v[2], v[3]
+			if cpMean > prevCP {
+				t.Errorf("seed %d, %s flows: CP mean %.4g%% rose from %.4g%%; want it never to rise with the flow count", seed, row[0], cpMean, prevCP)
+			}
+			prevCP = cpMean
+			if (row[0] == "20" || row[0] == "60") && cpWorst > 10 {
+				t.Errorf("seed %d, %s flows: CP worst 10%% at %.4g%% of fair, want <= 10%%", seed, row[0], cpWorst)
+			}
+			if ndpMean < 90 {
+				t.Errorf("seed %d, %s flows: NDP mean %.4g%% of fair, want >= 90%%", seed, row[0], ndpMean)
+			}
+			if row[0] != "1" && ndpWorst <= cpWorst {
+				t.Errorf("seed %d, %s flows: NDP worst 10%% %.4g%%, CP %.4g%%; want NDP above CP", seed, row[0], ndpWorst, cpWorst)
+			}
+		}
+	}
+}
+
 // TestFig9PaperShape asserts what fig9's note states, at Scale 0.1, for the
 // 250 KB and 1,000 KB rows: a 7:1 NDP incast completes within 5 % of the
 // serialization optimum with p90 within 5 % of the median (measured
 // 1.014-1.021 and 1.00-1.01), and TCP's p90 is at least one 200 ms MinRTO
-// (measured 600-1,202 ms). Two parts of the note are not asserted, and README
-// "Experiments" lists them as known gaps: the 10 KB row (its optimum is bare
-// serialization, 56 us, and leaves out the path delay that dominates at this
-// size, so NDP reads 22-28 % over it; TCP loses nothing there, so no RTO),
-// and "TCP ~4x slower" (three to six RTOs against a 1.4-5.6 ms optimum are
-// 180-430x here).
+// (measured 600-1,202 ms). Two parts of the note are not asserted, and
+// README "Known gaps" lists them: the 10 KB row (its optimum is bare
+// serialization, 56 us, and leaves out the path delay that dominates at
+// this size, so NDP reads 22-28 % over it; TCP loses nothing there, so no
+// RTO), and "TCP ~4x slower" (three to six RTOs against a 1.4-5.6 ms
+// optimum are 180-430x here).
 func TestFig9PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
@@ -218,7 +264,7 @@ func TestFig9PaperShape(t *testing.T) {
 // is not asserted: one packet in flight moves one packet per round trip
 // (129.4 % over). Nor is "return-to-sender takes over above ~100 senders":
 // 100 is the largest fan-in at this scale, and there NACKs still lead (0.56
-// against 0.21 per packet at IW 23). README "Experiments" lists both gaps.
+// against 0.21 per packet at IW 23). README "Known gaps" lists both.
 func TestFig20PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
@@ -300,7 +346,7 @@ func TestTrimLocalityPaperShape(t *testing.T) {
 // and at 10 connections per host, the high load, NDP completes at least
 // 0.9 times as many flows as DCTCP, no collapse (measured 0.97 and 0.92). The
 // note's "p99 ~a third" is not asserted: at this scale NDP's p99 is 1.4-2.6
-// times DCTCP's, and README "Experiments" lists it as a known gap.
+// times DCTCP's, and README "Known gaps" lists it.
 func TestFig23PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")

@@ -2,9 +2,9 @@ package lint
 
 // An analysistest-style fixture harness on the stdlib alone: each check
 // has a package under testdata/src/<name> whose `// want "regex"` comments
-// state the expected findings, line by line. A fixture's import of
-// ndp/internal/sim resolves to the stub under testdata/src/ndp/...
-// (ExtraSrc), so it type-checks without loading the engine.
+// state the expected findings, line by line. The loader resolves a fixture's
+// import path under testdata/src (ExtraSrc); fixtures import the standard
+// library only.
 
 import (
 	"path/filepath"
@@ -14,8 +14,7 @@ import (
 
 var wantRE = regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
 
-// loadFixture loads the fixture package testdata/src/<name> with stub
-// resolution enabled.
+// loadFixture loads the fixture package testdata/src/<name>.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	modRoot, err := filepath.Abs(filepath.Join("..", ".."))

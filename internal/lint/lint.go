@@ -4,8 +4,9 @@
 //   - virtual time is the only clock: no time.Now/Since/Sleep and no
 //     math/rand import (WallClock);
 //   - map iteration order never reaches event order, a slice's order or a
-//     float sum (MapOrder) — NewSizeDist's map-order CDF sum moved only the
-//     last bits of a distribution, where no golden looks.
+//     float sum, because engine code does not range over a map at all
+//     (MapOrder) — NewSizeDist's map-order CDF sum moved only the last bits
+//     of a distribution, where no golden looks.
 //
 // TestRepoClean runs both over every package of the module except the
 // wall-clock set — cmd/…, examples/…, internal/simd and this package —
@@ -20,8 +21,9 @@
 // owns panics in fabric.Free, a deferred command inside the pair lookahead
 // panics in topo's Defer, a mailbox can only be scheduled by its own
 // unexported handler, and state shared across shards is a report of the
-// shard matrix under -race. README "Determinism discipline" has the table
-// and the seeded regressions.
+// shard matrix under -race. docs/determinism.md "Where each property is
+// enforced" has the table, and docs/determinism.md "Tried and lost" the
+// seeded regressions.
 //
 // The checks and the loader use the standard library alone (go/ast,
 // go/types, a from-source loader), so `go test ./internal/lint` needs no

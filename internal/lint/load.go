@@ -48,9 +48,9 @@ type Package struct {
 type Loader struct {
 	ModRoot string
 	ModPath string
-	// ExtraSrc, when set, is an analysistest-style source root: an import
+	// ExtraSrc, when set, is an analysistest-style source root: a package
 	// path resolves to ExtraSrc/<path> when that directory exists, taking
-	// priority over module and GOROOT packages. Fixture stubs live there.
+	// priority over module packages. Fixtures live there.
 	ExtraSrc string
 
 	fset     *token.FileSet
@@ -220,14 +220,8 @@ func (l *Loader) dirFor(path string) (string, error) {
 	return "", fmt.Errorf("cannot resolve import %q (not in module %s)", path, l.ModPath)
 }
 
-// inModule reports whether the import path belongs to the module or the
-// fixture root.
+// inModule reports whether the import path belongs to the module.
 func (l *Loader) inModule(path string) bool {
-	if l.ExtraSrc != "" {
-		if d := filepath.Join(l.ExtraSrc, filepath.FromSlash(path)); len(l.sourceFiles(d)) > 0 {
-			return true
-		}
-	}
 	return path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/")
 }
 

@@ -122,6 +122,12 @@ func TestLateFeedbackCounters(t *testing.T) {
 	}
 }
 
+// relaunch starts the next flow of a closed loop from the source host its
+// argument names.
+type relaunch func(src int)
+
+func (f relaunch) OnEvent(src uint64) { f(int(src)) }
+
 // TestRetiredListsStayChurnSized is core's test of the same name for pHost's
 // free-lists: five one-packet connections per host in a closed loop with a
 // ~1 ms gap keep about ten endpoints per host waiting out their 2*MSL, and
@@ -138,7 +144,7 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 			dst++
 		}
 		ph[src].Connect(int32(dst), launched, 1500, func(*Sender) {
-			net.EL.After(sim.Millisecond/2+rnd.Duration(sim.Millisecond), func() { launch(src) })
+			net.EL.ScheduleAfter(sim.Millisecond/2+rnd.Duration(sim.Millisecond), relaunch(launch), uint64(src))
 		})
 	}
 	for src := range ph {

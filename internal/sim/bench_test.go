@@ -5,32 +5,15 @@ import (
 	"testing"
 )
 
-// BenchmarkEventListChurn measures raw scheduler throughput: schedule one
-// event per step at a random-ish future offset, pop the earliest. This is
-// the per-packet overhead floor of every simulation in the repository.
-func BenchmarkEventListChurn(b *testing.B) {
-	el := NewEventList()
-	r := NewRand(1)
-	// Keep a standing population of events, as real simulations do.
-	for i := 0; i < 1024; i++ {
-		el.At(Time(r.Intn(1_000_000)), func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		el.After(Time(r.Intn(10_000))*Nanosecond, func() {})
-		el.Step()
-	}
-}
-
 type nopHandler struct{ n uint64 }
 
 func (h *nopHandler) OnEvent(arg uint64) { h.n += arg }
 
-// BenchmarkEventListChurnTyped is the same churn on the typed Handler path
-// the hot call-sites use — no closure per event — at three standing
-// populations: a small incast, the median pending count of the benchmark's
-// perm-ndp workload (sim.heap_depth_p50 = 1011), and a figure-scale FatTree.
+// BenchmarkEventListChurnTyped measures raw scheduler throughput: schedule
+// one event per step at a random-ish future offset, pop the earliest, at
+// three standing populations: a small incast, the median pending count of
+// the benchmark's perm-ndp workload (sim.heap_depth_p50 = 1011), and a
+// figure-scale FatTree.
 func BenchmarkEventListChurnTyped(b *testing.B) {
 	for _, pending := range []int{64, 1011, 8192} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {

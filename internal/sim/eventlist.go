@@ -13,11 +13,9 @@ import "math/bits"
 // counts as scheduling it anew: it moves behind everything already queued at
 // the same instant.
 //
-// The scheduler is allocation-free on its hot paths. Components that
-// schedule per packet implement Handler and pass a uint64 argument, so an
-// event is two interface words plus plain integers — no closure is created.
-// The func()-based At/After remain for cold call-sites where a closure per
-// event is irrelevant.
+// The scheduler is allocation-free. There is one event shape: a component
+// implements Handler and is scheduled with a uint64 argument, so an event is
+// two interface words plus plain integers — no closure is created.
 //
 // Equal-timestamp ordering is a 64-bit ord word, not the raw sequence
 // counter: plainly-scheduled events carry ordNormal|seq (FIFO, as before),
@@ -316,13 +314,6 @@ type eventVal struct {
 	id  int32 // slot index for cancellable events, -1 otherwise
 }
 
-// funcEvent adapts the closure fallback path onto Handler. A func value is
-// pointer-shaped, so the interface conversion in At does not allocate; the
-// only allocation on that path is the caller's own closure.
-type funcEvent func()
-
-func (f funcEvent) OnEvent(uint64) { f() }
-
 // firingNone is the firing ord between events: higher than any event's, so
 // code running outside the event loop (set-up between RunUntil slices) sees
 // everything keyed at or before now as fired.
@@ -341,20 +332,10 @@ func (el *EventList) Len() int { return len(el.keys) + el.bucketed + len(el.run)
 // event-throughput numerator of the bench harness.
 func (el *EventList) Executed() uint64 { return el.executed }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error; it is clamped to "now" so the event still fires, which
-// is the least surprising recovery during development. This is the closure
-// fallback path, which no product code takes any more (ROADMAP 5(b)): At and
-// After stay for tests.
-func (el *EventList) At(t Time, fn func()) {
-	el.push(t, eventVal{h: funcEvent(fn), id: -1})
-}
-
-// After schedules fn to run d after the current time.
-func (el *EventList) After(d Time, fn func()) { el.At(el.now+d, fn) }
-
 // Schedule arranges for h.OnEvent(arg) to run at absolute time t without
-// allocating. Past times clamp to now, as with At.
+// allocating. Scheduling in the past is a programming error; it is clamped
+// to "now" so the event still fires, which is the least surprising recovery
+// during development.
 func (el *EventList) Schedule(t Time, h Handler, arg uint64) {
 	el.push(t, eventVal{h: h, arg: arg, id: -1})
 }
@@ -877,7 +858,8 @@ type Timer struct {
 
 // NewTimer returns a stopped timer that will invoke fn on expiry. Product
 // code embeds a Timer by value and InitHandlers it instead; NewTimer and
-// Init stay for tests and the frozen benchmark/layers.go (ROADMAP 5(b)).
+// Init stay because the frozen benchmark/layers.go:83 is their only caller
+// outside tests.
 func NewTimer(el *EventList, fn func()) *Timer {
 	t := &Timer{}
 	t.Init(el, fn)

@@ -208,10 +208,10 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 			nextTag++
 			el.Schedule(at, rec, nextTag)
 			model.schedule(at, nextTag)
-		case 2: // closure fallback event
+		case 2: // a second handler type, scheduled relative to now
 			nextTag++
 			tag := nextTag
-			el.At(at, func() { rec.log = append(rec.log, tag) })
+			el.ScheduleAfter(at-el.Now(), call(func() { rec.log = append(rec.log, tag) }), 0)
 			model.schedule(at, tag)
 		case 3, 4: // cancellable event
 			pruneLive()

@@ -7,13 +7,19 @@ import (
 	"testing/quick"
 )
 
+// call lets a test schedule a closure through the one event shape the
+// engine has, a Handler and its argument.
+type call func()
+
+func (f call) OnEvent(uint64) { f() }
+
 func TestEventListOrdering(t *testing.T) {
 	el := NewEventList()
 	var got []Time
 	times := []Time{50, 10, 30, 10, 20, 40, 10}
 	for _, at := range times {
 		at := at
-		el.At(at, func() { got = append(got, at) })
+		el.Schedule(at, call(func() { got = append(got, at) }), 0)
 	}
 	el.Run()
 	want := append([]Time(nil), times...)
@@ -36,7 +42,7 @@ func TestEventListFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		el.At(7*Microsecond, func() { order = append(order, i) })
+		el.Schedule(7*Microsecond, call(func() { order = append(order, i) }), 0)
 	}
 	el.Run()
 	for i, v := range order {
@@ -54,7 +60,7 @@ func TestEventListOrderingProperty(t *testing.T) {
 		var fired []Time
 		for _, o := range offsets {
 			at := Time(o) * Nanosecond
-			el.At(at, func() { fired = append(fired, el.Now()) })
+			el.Schedule(at, call(func() { fired = append(fired, el.Now()) }), 0)
 		}
 		el.Run()
 		if len(fired) != len(offsets) {
@@ -75,10 +81,10 @@ func TestEventListOrderingProperty(t *testing.T) {
 func TestEventListPastClamps(t *testing.T) {
 	el := NewEventList()
 	var at Time = -1
-	el.At(10*Microsecond, func() {
+	el.Schedule(10*Microsecond, call(func() {
 		// Scheduling in the past must clamp to now, not fire before now.
-		el.At(5*Microsecond, func() { at = el.Now() })
-	})
+		el.Schedule(5*Microsecond, call(func() { at = el.Now() }), 0)
+	}), 0)
 	el.Run()
 	if at != 10*Microsecond {
 		t.Errorf("past event fired at %v, want clamp to 10us", at)
@@ -89,7 +95,7 @@ func TestRunUntil(t *testing.T) {
 	el := NewEventList()
 	fired := 0
 	for _, at := range []Time{Microsecond, 2 * Microsecond, 3 * Microsecond} {
-		el.At(at, func() { fired++ })
+		el.Schedule(at, call(func() { fired++ }), 0)
 	}
 	el.RunUntil(2 * Microsecond)
 	if fired != 2 {
@@ -118,16 +124,16 @@ func TestReserveOrdAndFired(t *testing.T) {
 	note := func(name string) func() {
 		return func() { order = append(order, name, fmt.Sprint(fired())) }
 	}
-	el.At(2*Microsecond, note("before"))
-	el.At(Microsecond, func() {
+	el.Schedule(2*Microsecond, call(note("before")), 0)
+	el.Schedule(Microsecond, call(func() {
 		reserved = el.ReserveOrd()
-		el.At(2*Microsecond, note("after"))
-	})
+		el.Schedule(2*Microsecond, call(note("after")), 0)
+	}), 0)
 	el.RunUntil(Microsecond)
 	if fired() {
 		t.Fatal("a key later than now counts as fired")
 	}
-	el.ScheduleKeyed(2*Microsecond, reserved, funcEvent(note("reserved")), 0)
+	el.ScheduleKeyed(2*Microsecond, reserved, call(note("reserved")), 0)
 	el.RunUntil(2 * Microsecond)
 	if got, want := fmt.Sprint(order), "[before false reserved true after true]"; got != want {
 		t.Errorf("order = %v, want %v", got, want)
@@ -140,11 +146,11 @@ func TestReserveOrdAndFired(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	el := NewEventList()
 	var seq []int
-	el.At(Microsecond, func() {
+	el.Schedule(Microsecond, call(func() {
 		seq = append(seq, 1)
-		el.After(Microsecond, func() { seq = append(seq, 3) })
-		el.After(Nanosecond, func() { seq = append(seq, 2) })
-	})
+		el.ScheduleAfter(Microsecond, call(func() { seq = append(seq, 3) }), 0)
+		el.ScheduleAfter(Nanosecond, call(func() { seq = append(seq, 2) }), 0)
+	}), 0)
 	el.Run()
 	if len(seq) != 3 || seq[0] != 1 || seq[1] != 2 || seq[2] != 3 {
 		t.Fatalf("nested scheduling order = %v, want [1 2 3]", seq)
@@ -156,7 +162,7 @@ func TestTimerResetSupersedes(t *testing.T) {
 	fired := 0
 	tm := NewTimer(el, func() { fired++ })
 	tm.Reset(10 * Microsecond)
-	el.At(5*Microsecond, func() { tm.Reset(20 * Microsecond) })
+	el.Schedule(5*Microsecond, call(func() { tm.Reset(20 * Microsecond) }), 0)
 	el.Run()
 	if fired != 1 {
 		t.Fatalf("timer fired %d times, want 1", fired)
@@ -174,7 +180,7 @@ func TestTimerStop(t *testing.T) {
 	if !tm.Pending() {
 		t.Fatal("timer should be pending after Reset")
 	}
-	el.At(Microsecond, func() { tm.Stop() })
+	el.Schedule(Microsecond, call(func() { tm.Stop() }), 0)
 	el.Run()
 	if fired {
 		t.Error("stopped timer fired")
@@ -206,7 +212,7 @@ func TestNextAt(t *testing.T) {
 	if el.NextAt() != Infinity {
 		t.Errorf("empty NextAt = %v, want Infinity", el.NextAt())
 	}
-	el.At(42*Nanosecond, func() {})
+	el.Schedule(42*Nanosecond, call(func() {}), 0)
 	if el.NextAt() != 42*Nanosecond {
 		t.Errorf("NextAt = %v, want 42ns", el.NextAt())
 	}

@@ -98,6 +98,11 @@ func TestFacebookWebShape(t *testing.T) {
 	}
 }
 
+// completion is a test flow's end, scheduled as a sim.Handler.
+type completion func()
+
+func (f completion) OnEvent(uint64) { f() }
+
 func TestClosedLoopKeepsConnsRunning(t *testing.T) {
 	el := sim.NewEventList()
 	active := 0
@@ -117,11 +122,11 @@ func TestClosedLoopKeepsConnsRunning(t *testing.T) {
 		}
 		active++
 		// Flows complete after 100us.
-		el.After(100*sim.Microsecond, func() {
+		el.ScheduleAfter(100*sim.Microsecond, completion(func() {
 			active--
 			completions++
 			done(el.Now())
-		})
+		}), 0)
 	}
 	cl.Run()
 	el.RunUntil(20 * sim.Millisecond)

@@ -17,8 +17,8 @@ import (
 // three times as long, and judge the difference in runtime.MemStats.Mallocs:
 // topology, hosts, pools and first-use growth are the same on both sides and
 // cancel, what remains is what the extra simulated time cost. A budget below
-// is a measurement plus slack, pinned per row; the README ("Allocation
-// discipline is a test") says how to read a failure and when to re-pin.
+// is a measurement plus slack, pinned per row; docs/memory.md "Allocation
+// discipline is a test" says how to read a failure and when to re-pin.
 
 // mallocsDuring runs spec and returns its Metrics and the heap objects the
 // process allocated meanwhile. Neither test is parallel, so nothing else in
@@ -114,11 +114,14 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		{DCTCP, 0.25},
 		// 54.55, and not fixed here: 5 per subflow (the sender pool never
 		// hits: a group retires only when all eight subflows complete, and a
-		// one-packet flow uses one) plus 14 per connection; README
-		// "Allocation discipline is a test" has the profile. No
-		// BENCHMARK.json workload churns MPTCP flows, so a fix has nothing
-		// to be measured against. 73 until PR 25 embedded the sender's
-		// timer (two objects fewer per subflow).
+		// one-packet flow uses one) plus 14 per connection: per subflow a
+		// tcp.Sender, its bound liaIncrease, its OnComplete closure, a
+		// receiver and its OnData closure; per connection the Flow, its
+		// sources, two path permutations, the Senders and Receivers slices
+		// doubling 1 -> 8, and first window growth. No BENCHMARK.json
+		// workload churns MPTCP flows, so a fix has nothing to be measured
+		// against. 73 until the sender embedded its timer (two objects
+		// fewer per subflow).
 		{MPTCP, 57},
 		{DCQCN, 0.25}, // 0.021
 		{PHost, 0.25}, // 0.086: tombstones from the host's slab (1.05 when each was an object)

@@ -1,8 +1,8 @@
 // The one Go benchmark of the module root measures what no other surface
 // does: the sweep-job worker pool's effect on one experiment. What each
 // experiment costs is timed by benchmark/'s `figures` workload
-// (harness.exp_ms.<id>), and its tables are checked by
-// harness.TestAllExperimentsSmoke.
+// (harness.exp_ms.<id>), and its tables and claims are checked by
+// harness.TestAllExperimentsClaims.
 //
 //	go test -run '^$' -bench ParallelSweep -benchmem
 package ndp

@@ -128,6 +128,15 @@ func main() {
 			continue
 		}
 		fmt.Print(res)
+		// A failed claim is a finding about this scale and seed, not a run
+		// error: the exit code stays 0.
+		for _, c := range res.Claims {
+			verdict := "PASS"
+			if !c.Pass {
+				verdict = "FAIL"
+			}
+			fmt.Printf("claim: %s %s: %s (%s)\n", verdict, id, c.Name, c.Got)
+		}
 		fmt.Printf("(%s wall time: %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	switch {

@@ -20,10 +20,6 @@ type Config struct {
 	// doubly-bounced packets. With small queues the worst-case RTT is
 	// ~400us, so 1ms is safe (§3.2.4).
 	RTO sim.Time
-	// PullSpacing is the interval between PULL packets from one receiver.
-	// Zero derives it from the NIC rate so that pulled data arrives just
-	// under line rate (MTU+header serialization time).
-	PullSpacing sim.Time
 	// PullJitter, when set, adds a sample to each pull gap — the empirical
 	// imperfect-pacing model of Figures 12/13.
 	PullJitter func(r *sim.Rand) sim.Time
@@ -146,15 +142,12 @@ func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 		arena:   fabric.AttachArena(host.EventList()),
 		pathsTo: pathsTo,
 	}
-	spacing := cfg.PullSpacing
-	if spacing == 0 {
-		// Pace pulls so the elicited data arrives marginally below line
-		// rate (~1.5% slack). Exactly line rate would leave the last-hop
-		// queue wherever the first-RTT burst put it — often full — and
-		// then path-length jitter re-trims pulled retransmissions; a
-		// little slack drains the queue between pulls.
-		spacing = sim.TransmissionTime(cfg.MTU+2*fabric.HeaderSize, host.LinkRate())
-	}
+	// Pace pulls so the elicited data arrives marginally below line rate
+	// (~1.5% slack). Exactly line rate would leave the last-hop queue
+	// wherever the first-RTT burst put it — often full — and then
+	// path-length jitter re-trims pulled retransmissions; a little slack
+	// drains the queue between pulls.
+	spacing := sim.TransmissionTime(cfg.MTU+2*fabric.HeaderSize, host.LinkRate())
 	st.rand.Init(cfg.Seed ^ (uint64(host.ID)+1)*0x9e3779b97f4a7c15)
 	st.pacer.init(st, spacing)
 	if cfg.RxDelay > 0 {

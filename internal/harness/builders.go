@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"strings"
+
 	"ndp/internal/core"
 	"ndp/internal/dcqcn"
 	"ndp/internal/fabric"
@@ -341,36 +343,13 @@ func on(t Transport, build BuildFunc) func(seed uint64) Net {
 	return func(seed uint64) Net { return pinned(t.Build(build, topo.Config{Seed: seed})) }
 }
 
-// contenders returns the named transports as the paper sets them up for the
-// given MTU, each on the same topology recipe, in the order asked: NDP
-// (8-packet trimming queues), MPTCP (200-packet drop-tail, 8 subflows on
-// distinct paths), DCTCP (ECN queues, one fixed path per flow as the ECMP
-// stand-in), DCQCN (lossless fabric, rate-based, single path), TCP
-// (8-packet drop-tail, 200ms MinRTO) and pHost (8-packet drop-tail,
-// per-packet spraying).
+// contenders returns the named transports (display names: "NDP", "pHost",
+// ...; lower-cased, each is a PaperTransport id) for the given MTU, each on
+// the same topology recipe, in the order asked.
 func contenders(build BuildFunc, mtu int, names ...string) []contender {
 	out := make([]contender, len(names))
 	for i, name := range names {
-		var t Transport
-		switch name {
-		case "NDP":
-			t = DefaultNDPTransport(mtu)
-		case "MPTCP":
-			t = DefaultMPTCPTransport(mtu)
-		case "DCTCP":
-			t = DCTCPTransport(mtu)
-		case "DCQCN":
-			t = DCQCNTransport{MTU: mtu}
-		case "TCP":
-			t = PlainTCPTransport(mtu)
-		case "pHost":
-			cfg := phost.DefaultConfig()
-			cfg.MTU = mtu
-			t = PHostTransport{Cfg: cfg}
-		default:
-			panic("harness: no contender named " + name)
-		}
-		out[i] = contender{name, on(t, build)}
+		out[i] = contender{name, on(PaperTransport(strings.ToLower(name), mtu), build)}
 	}
 	return out
 }
@@ -467,7 +446,6 @@ type Blaster struct {
 	mtu   int
 	gap   sim.Time
 	el    *sim.EventList
-	stop  bool
 }
 
 // StartBlast begins blasting from src toward dst on the first enumerated
@@ -494,15 +472,8 @@ func StartBlast(c topo.Cluster, src, dst int, flow uint64, mtu int, offset sim.T
 // OnEvent emits one packet and schedules the next (sim.Handler: the typed
 // event costs no allocation per packet).
 func (b *Blaster) OnEvent(uint64) {
-	if b.stop {
-		return
-	}
-	seq := int64(0)
-	p := b.arena.NewData(b.flow, b.host.ID, b.dst, seq, int32(b.mtu))
+	p := b.arena.NewData(b.flow, b.host.ID, b.dst, 0, int32(b.mtu))
 	p.Path = b.path
 	b.host.Send(p)
 	b.el.ScheduleAfter(b.gap, b, 0)
 }
-
-// Stop halts the blaster.
-func (b *Blaster) Stop() { b.stop = true }

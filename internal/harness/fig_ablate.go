@@ -69,21 +69,34 @@ func tAblate(o Options, r *Result) {
 		{"trim arriving only (no coin)", func(c *core.SwitchConfig) { c.TrimArrivingOnly = true }},
 		{"no return-to-sender", func(c *core.SwitchConfig) { c.DisableBounce = true }},
 	}
-	jobs := make([]Job[Row], len(variants))
+	type outcome struct {
+		mean, worst float64
+		drops       int64
+	}
+	jobs := make([]Job[outcome], len(variants))
 	for i, v := range variants {
 		v := v
-		jobs[i] = NewJob("t-ablate/"+v.name, o.Seed, func(seed uint64) Row {
+		jobs[i] = NewJob("t-ablate/"+v.name, o.Seed, func(seed uint64) outcome {
 			scfg := core.DefaultSwitchConfig(9000)
 			v.mut(&scfg)
 			mean, worst, drops := overloadRun(o, seed, n, core.QueueFactory(scfg, seed+99))
-			return Row{v.name, f4(mean), f4(worst), fmt.Sprint(drops)}
+			return outcome{mean, worst, drops}
 		})
 	}
 
 	t := &stats.Table{Header: []string{"variant", "mean%", "worst10%", "drops"}}
-	for _, row := range RunJobs(o, jobs) {
-		t.AddRow(row...)
+	res := RunJobs(o, jobs) // in variants order
+	for i, v := range res {
+		t.AddRow(variants[i].name, f4(v.mean), f4(v.worst), fmt.Sprint(v.drops))
 	}
 	r.AddTable(fmt.Sprintf("%d unresponsive flows into one 10G egress", n), t)
 	r.Notef("expected: strict priority lets the header flood crowd out data (CP-style goodput collapse); removing the coin collapses worst-10%% fairness (phase effects); disabling bounce turns overflow headers into silent drops")
+	paper, strict, noCoin, noBounce := res[0], res[1], res[2], res[3]
+	r.Check("strict priority's mean is below the paper switch's", strict.mean < paper.mean,
+		"%.4g vs %.4g %%", strict.mean, paper.mean)
+	r.Check("trimming the arriving packet only lowers the worst 10%", noCoin.worst < paper.worst,
+		"%.4g vs %.4g %%", noCoin.worst, paper.worst)
+	r.Check("drops appear only without return-to-sender",
+		paper.drops == 0 && strict.drops == 0 && noCoin.drops == 0 && noBounce.drops > 0,
+		"%d, %d, %d, %d", paper.drops, strict.drops, noCoin.drops, noBounce.drops)
 }

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 
 	"ndp/internal/core"
 	"ndp/internal/sim"
@@ -38,13 +41,18 @@ func fig14(o Options, r *Result) {
 	}
 
 	t := &stats.Table{Header: []string{"protocol", "util%", "min_gbps", "p10_gbps", "p50_gbps", "mean_gbps", "jain"}}
+	util, worst := make([]float64, len(protos)), make([]float64, len(protos)) // in protos order
 	for i, g := range RunJobs(o, jobs) {
 		d := distOf(g)
-		t.AddFloats(protos[i].name, 100*utilization(g, 10e9),
-			d.Min(), d.Quantile(0.1), d.Median(), d.Mean(), stats.JainIndex(g))
+		util[i], worst[i] = 100*utilization(g, 10e9), d.Min()
+		t.AddFloats(protos[i].name, util[i], worst[i], d.Quantile(0.1), d.Median(), d.Mean(), stats.JainIndex(g))
 	}
 	r.AddTable(fmt.Sprintf("permutation on %d-host FatTree", (k*k*k)/4), t)
 	r.Notef("paper shape: NDP >=92%% with worst flow ~9G; MPTCP ~89%%; DCTCP/DCQCN ~40%% with <1G stragglers from ECMP collisions")
+	r.Check("NDP's utilization is >= 92% and its worst flow >= 9 Gb/s", util[0] >= 92 && worst[0] >= 9,
+		"%.4g%%, %.4g Gb/s", util[0], worst[0])
+	r.Check("utilization is ordered NDP >= MPTCP > DCTCP > DCQCN", util[0] >= util[1] && util[1] > util[2] && util[2] > util[3],
+		"%s %%", f4s(util...))
 }
 
 // fig15 measures FCTs of repeated 90KB transfers between two otherwise-idle
@@ -56,9 +64,9 @@ func fig15(o Options, r *Result) {
 	const probeSrc = 0
 
 	protos := contenders(FatTreeBuilder(k), 9000, "NDP", "DCTCP", "DCQCN", "MPTCP")
-	jobs := make([]Job[Row], len(protos))
+	jobs := make([]Job[*stats.Dist], len(protos))
 	for i, p := range protos {
-		jobs[i] = NewJob("fig15/"+p.name, o.Seed, func(seed uint64) Row {
+		jobs[i] = NewJob("fig15/"+p.name, o.Seed, func(seed uint64) *stats.Dist {
 			n := p.build(seed)
 			defer n.Close()
 			hosts := n.Cluster().NumHosts()
@@ -76,7 +84,7 @@ func fig15(o Options, r *Result) {
 					n.StartFlow(h, d, -1, StartOpts{})
 				}
 			}
-			var fcts stats.Dist
+			fcts := &stats.Dist{}
 			var start sim.Time
 			var probe func()
 			opts := StartOpts{OnDone: func(at sim.Time) {
@@ -89,16 +97,20 @@ func fig15(o Options, r *Result) {
 			}
 			probe()
 			n.EL().RunUntil(deadline)
-			return Row{p.name, f4(fcts.Median()), f4(fcts.Quantile(0.9)), f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}
+			return fcts
 		})
 	}
 
 	t := &stats.Table{Header: []string{"protocol", "p50_ms", "p90_ms", "p99_ms", "n"}}
-	for _, row := range RunJobs(o, jobs) {
-		t.AddRow(row...)
+	p50, p99 := make([]float64, len(protos)), make([]float64, len(protos)) // in protos order
+	for i, fcts := range RunJobs(o, jobs) {
+		p50[i], p99[i] = fcts.Median(), fcts.Quantile(0.99)
+		t.AddRow(protos[i].name, f4(p50[i]), f4(fcts.Quantile(0.9)), f4(p99[i]), fmt.Sprint(fcts.N()))
 	}
 	r.AddTable("90KB probe FCTs under background load", t)
 	r.Notef("paper shape: NDP ~3x better than DCTCP at the median, ~4x at p99; DCQCN slightly worse than DCTCP; MPTCP ~10x worse")
+	r.Check("NDP's median FCT is below DCTCP's", 0 < p50[0] && p50[0] < p50[1], "NDP/DCTCP %.4g", p50[0]/p50[1])
+	r.Check("NDP's p99 FCT is <= 1/4 of DCTCP's", 4*p99[0] <= p99[1], "NDP/DCTCP %.4g", p99[0]/p99[1])
 }
 
 // fig16 sweeps incast fan-in with 450KB responses across the transports,
@@ -124,30 +136,73 @@ func fig16(o Options, r *Result) {
 	fineRTO.Cfg.TCP.MinRTO = 2 * sim.Millisecond
 	protos[2].build = on(fineRTO, FatTreeBuilder(k))
 
-	var jobs []Job[Row]
+	type fct struct {
+		first, last sim.Time
+		all         bool // every sender finished
+	}
+	optimal := make([]sim.Time, len(fanins))
+	var jobs []Job[fct]
 	seeds := SweepSeeds(o.Seed, len(fanins))
 	for fi, nsend := range fanins {
-		optimal := sim.FromSeconds(float64(nsend) * size * 8 / 10e9)
+		optimal[fi] = sim.FromSeconds(float64(nsend) * size * 8 / 10e9)
 		for _, p := range protos {
-			jobs = append(jobs, NewJob(fmt.Sprintf("fig16/%d/%s", nsend, p.name), seeds[fi], func(seed uint64) Row {
+			jobs = append(jobs, NewJob(fmt.Sprintf("fig16/%d/%s", nsend, p.name), seeds[fi], func(seed uint64) fct {
 				n := p.build(seed)
 				defer n.Close()
 				in := startIncast(n, 0, workload.IncastSenders(0, nsend, hosts), size)
-				n.EL().RunUntil(optimal*20 + 500*sim.Millisecond)
-				return Row{fmt.Sprint(nsend), f4(optimal.Millis()), p.name, f4(in.first.Millis()), f4(in.last.Millis())}
+				n.EL().RunUntil(optimal[fi]*20 + 500*sim.Millisecond)
+				return fct{first: in.first, last: in.last, all: in.done == nsend}
 			}))
 		}
 	}
 
 	t := &stats.Table{Header: []string{"senders", "optimal_ms", "protocol", "first_ms", "last_ms"}}
-	for _, row := range RunJobs(o, jobs) {
-		t.AddRow(row...)
+	var tight, mptcp []float64 // last over optimal, +Inf when a sender never finished
+	for i, f := range RunJobs(o, jobs) {
+		fi, name := i/len(protos), protos[i%len(protos)].name
+		t.AddRow(fmt.Sprint(fanins[fi]), f4(optimal[fi].Millis()), name, f4(f.first.Millis()), f4(f.last.Millis()))
+		over := math.Inf(1)
+		if f.all {
+			over = float64(f.last) / float64(optimal[fi])
+		}
+		switch name {
+		case "NDP", "DCQCN":
+			tight = append(tight, over)
+		case "MPTCP":
+			mptcp = append(mptcp, over)
+		}
 	}
 	r.AddTable("450KB incast completion", t)
 	r.Notef("paper shape: NDP/DCQCN ~1%% over optimal and tight (last <= 1.2x first); DCTCP ~5%% with up to 7x spread; MPTCP erratic")
+	r.Check("NDP's and DCQCN's last flow finishes within 2% of optimal", slices.Max(tight) <= 1.02,
+		"last/optimal %s", f4s(tight...))
+	r.Check("MPTCP's last flow takes >= 2x optimal", slices.Min(mptcp) >= 2, "last/optimal %s", f4s(mptcp...))
 }
 
 func f4(v float64) string { return fmt.Sprintf("%.4g", v) }
+
+// f4s renders numbers to four significant digits, comma-separated, into
+// one buffer: a claim's Got.
+func f4s(vs ...float64) string {
+	b := make([]byte, 0, 8*len(vs))
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendFloat(b, v, 'g', 4, 64)
+	}
+	return string(b)
+}
+
+// pairwise reports whether ok holds for every adjacent pair of xs.
+func pairwise(xs []float64, ok func(prev, next float64) bool) bool {
+	for i := 1; i < len(xs); i++ {
+		if !ok(xs[i-1], xs[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // fig17 sweeps initial window against switch buffer configurations on the
 // permutation matrix. One job per (IW, buffer) cell; every cell shares the
@@ -189,15 +244,25 @@ func fig17(o Options, r *Result) {
 	utils := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"IW", "6pkt_9K%", "8pkt_9K%", "10pkt_9K%", "8pkt_1.5K%"}}
+	var fill, low, jumbo, small []float64 // 8pkt_9K from IW 20; the 9K columns up to IW 10; 8pkt at 9K and 1.5K
+	smallBelow := true
 	for i, iw := range iws {
-		row := Row{fmt.Sprint(iw)}
-		for j := range bufs {
-			row = append(row, f4(utils[i*len(bufs)+j]))
+		u := utils[i*len(bufs) : (i+1)*len(bufs)] // in bufs order
+		t.AddFloats(fmt.Sprint(iw), u...)
+		if iw >= 20 {
+			fill = append(fill, u[1])
 		}
-		t.AddRow(row...)
+		if iw <= 10 {
+			low = append(low, u[:3]...)
+		}
+		jumbo, small = append(jumbo, u[1]), append(small, u[3])
+		smallBelow = smallBelow && u[3] < u[1]
 	}
 	r.AddTable("permutation utilization (%)", t)
 	r.Notef("paper shape: IW~20 needed to fill the network; 8pkt buffers >=95%%, 6pkt ~90%%; very large IW slightly hurts; 1.5K MTU needs IW~30")
+	r.Check("8pkt_9K reaches >= 95% from IW 20", slices.Min(fill) >= 95, "%s %%", f4s(fill...))
+	r.Check("every 9K buffer stays below 90% up to IW 10", slices.Max(low) < 90, "%s %%", f4s(low...))
+	r.Check("8pkt_1.5K is below 8pkt_9K at every IW", smallBelow, "%s vs %s %%", f4s(small...), f4s(jumbo...))
 }
 
 // fig19 runs a long flow to one host while a 64:1 incast hits its ToR
@@ -228,6 +293,11 @@ func fig19(o Options, r *Result) {
 		})
 	}
 
+	// The claims read the long flow from 1 ms after the incast starts: its
+	// minimum, its mean, and the bins where it stalled while the incast ran
+	// (in protos order: DCTCP, DCQCN, NDP).
+	after := int(incastAt/bin) + 1
+	minAfter, meanAfter, stalls := make([]float64, len(protos)), make([]float64, len(protos)), make([]int, len(protos))
 	for i, res := range RunJobs(o, jobs) {
 		t := &stats.Table{Header: []string{"t_ms", "long_gbps", "incast_gbps"}}
 		long := res.long.RateGbps()
@@ -242,12 +312,27 @@ func fig19(o Options, r *Result) {
 			}
 			return 0
 		}
+		minAfter[i] = math.Inf(1)
 		for bi := 0; bi < nbins; bi++ {
 			t.AddFloats(fmt.Sprint(bi), at(long, bi), at(in, bi))
+			if bi >= after {
+				minAfter[i] = min(minAfter[i], at(long, bi))
+				meanAfter[i] += at(long, bi)
+				if at(long, bi) == 0 && at(in, bi) > 0 {
+					stalls[i]++
+				}
+			}
 		}
+		meanAfter[i] /= float64(nbins - after)
 		r.AddTable(protos[i].name+fmt.Sprintf(" (incast of %d x 900KB at t=%dms)", nIncast, incastAt/sim.Millisecond), t)
 	}
 	r.Notef("paper shape: DCTCP: both dip and recover slowly; DCQCN: incast finishes fast but PFC pauses batter the long flow; NDP: <1ms dip then full recovery")
+	r.Check("NDP's long flow keeps >= 9 Gb/s in every bin from 1 ms after the incast starts", minAfter[2] >= 9,
+		"min %.4g Gb/s", minAfter[2])
+	r.Check("DCQCN's long flow stalls at 0 in at least one bin while the incast runs", stalls[1] >= 1,
+		"%d bins at 0", stalls[1])
+	r.Check("DCTCP's long flow averages less than NDP's from 1 ms after the incast starts", meanAfter[0] < meanAfter[2],
+		"%.4g vs %.4g Gb/s", meanAfter[0], meanAfter[2])
 }
 
 // lateIncast starts fig19's incast into host 1 when it fires (sim.Handler):
@@ -327,10 +412,14 @@ func fig20(o Options, r *Result) {
 
 	over := &stats.Table{Header: []string{"senders", "iw23_over%", "iw10_over%", "iw1_over%"}}
 	rtx := &stats.Table{Header: []string{"senders", "iw23_nack", "iw23_bounce", "iw10_nack", "iw10_bounce", "iw1_nack", "iw1_bounce"}}
+	// The claims read the worst cells: overhead and completion, retransmissions
+	// per packet, and bounces per packet at 10 and 50 senders.
+	complete := true
+	var worstOver, worstRtx, bounced float64
 	for fi, nsend := range fanins {
 		overRow := Row{fmt.Sprint(nsend)}
 		rtxRow := Row{fmt.Sprint(nsend)}
-		for ii := range iws {
+		for ii, iw := range iws {
 			p := points[fi*len(iws)+ii]
 			cell := f4(p.overPct)
 			if p.incomplete {
@@ -338,6 +427,14 @@ func fig20(o Options, r *Result) {
 			}
 			overRow = append(overRow, cell)
 			rtxRow = append(rtxRow, f4(p.nackPerPkt), f4(p.bouncePerPkt))
+			if nsend != 1 || iw != 1 { // one packet in flight cannot fill the link
+				complete = complete && !p.incomplete
+				worstOver = max(worstOver, p.overPct)
+			}
+			worstRtx = max(worstRtx, p.nackPerPkt+p.bouncePerPkt)
+			if nsend == 10 || nsend == 50 {
+				bounced = max(bounced, p.bouncePerPkt)
+			}
 		}
 		over.AddRow(overRow...)
 		rtx.AddRow(rtxRow...)
@@ -345,6 +442,10 @@ func fig20(o Options, r *Result) {
 	r.AddTable("last-flow completion overhead over optimal", over)
 	r.AddTable("retransmissions per packet, by mechanism", rtx)
 	r.Notef("paper shape: overhead within a few %%; NACKs dominate small incasts, return-to-sender takes over above ~100 senders; mean rtx/packet ~<=1")
+	r.Check("every incast but 1 sender at IW 1 completes within 5% of optimal", complete && worstOver <= 5,
+		"worst %.4g%% over, every sender finished: %v", worstOver, complete)
+	r.Check("<= 1 retransmission per packet in every cell", worstRtx <= 1, "worst %.4g", worstRtx)
+	r.Check("NACKs alone at 10 and 50 senders, no return-to-sender", bounced == 0, "%.4g bounces per packet", bounced)
 	if !o.Full {
 		r.Notef("run with -full for the paper's 8192-host (k=32) FatTree")
 	}
@@ -389,6 +490,13 @@ func fig21(o Options, r *Result) {
 		r.AddTable(labels[i], t)
 	}
 	r.Notef("paper shape: A's four flows split A's link ~2.5G each; F fills the rest of E's link (~7.5G); both bottleneck links ~saturated")
+	fair := res[0]
+	fromA := fair.flows[:4]
+	r.Check("with the fair pull queue each of A's four flows gets 2-3 Gb/s", slices.Min(fromA) >= 2 && slices.Max(fromA) <= 3,
+		"%s Gb/s", f4s(fromA...))
+	r.Check("with the fair pull queue F->E gets >= 7 Gb/s and both links carry >= 9.5",
+		fair.flows[4] >= 7 && fair.fromA >= 9.5 && fair.toE >= 9.5,
+		"F->E %.4g, from A %.4g, to E %.4g Gb/s", fair.flows[4], fair.fromA, fair.toE)
 }
 
 // fig22 degrades one core<->agg link to 1Gb/s and compares per-flow
@@ -424,10 +532,16 @@ func fig22(o Options, r *Result) {
 	}
 
 	t := &stats.Table{Header: []string{"variant", "util%", "min_gbps", "p5_gbps", "p10_gbps", "p50_gbps"}}
+	util, worst := make([]float64, len(protos)), make([]float64, len(protos)) // in protos order
 	for i, g := range RunJobs(o, jobs) {
 		d := distOf(g)
-		t.AddFloats(protos[i].name, 100*utilization(g, 10e9), d.Min(), d.Quantile(0.05), d.Quantile(0.1), d.Median())
+		util[i], worst[i] = 100*utilization(g, 10e9), d.Min()
+		t.AddFloats(protos[i].name, util[i], worst[i], d.Quantile(0.05), d.Quantile(0.1), d.Median())
 	}
 	r.AddTable("permutation with one agg->core link at 1Gb/s", t)
 	r.Notef("paper shape: NDP and MPTCP route around the failure; NDP without the path penalty leaves ~15 flows near 3G; DCTCP's worst flow ~0.4G")
+	r.Check("utilization is ordered NDP >= MPTCP > DCTCP", util[0] >= util[2] && util[2] > util[3],
+		"%.4g / %.4g / %.4g %%", util[0], util[2], util[3])
+	r.Check("DCTCP's worst flow gets <= 1 Gb/s while NDP's gets >= 4", worst[3] <= 1 && worst[0] >= 4,
+		"%.4g vs %.4g Gb/s", worst[3], worst[0])
 }

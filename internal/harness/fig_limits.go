@@ -46,9 +46,11 @@ func tLimits(o Options, r *Result) {
 	}
 
 	t := &stats.Table{Header: []string{"topology", "protocol", "util%", "min_gbps", "p50_gbps"}}
+	util := make([]float64, len(protos)) // in protos order
 	for i, g := range RunJobs(o, jobs) {
 		d := distOf(g)
-		t.AddRow(topos[i], protos[i].name, f4(100*utilization(g, 10e9)), f4(d.Min()), f4(d.Median()))
+		util[i] = 100 * utilization(g, 10e9)
+		t.AddRow(topos[i], protos[i].name, f4(util[i]), f4(d.Min()), f4(d.Median()))
 	}
 
 	jf := topo.NewJellyfish(nSwitches, hostsPer, degree, 8, topo.Config{Seed: o.Seed})
@@ -56,4 +58,6 @@ func tLimits(o Options, r *Result) {
 	r.AddTable(fmt.Sprintf("permutation on jellyfish (%d switches x deg %d, path lengths %d-%d hops)",
 		nSwitches, degree, min, max), t)
 	r.Notef("paper claim (section 3, Limitations): NDP 'will behave poorly' on asymmetric topologies. Compare each protocol against its own Clos number (fig14): NDP loses far more moving to Jellyfish than MPTCP does, because uniform spraying keeps paying for the long paths while per-path congestion control walks away from them")
+	r.Check("NDP's utilization on the Jellyfish is below its FatTree's", util[0] < util[2],
+		"%.4g vs %.4g %%", util[0], util[2])
 }

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"ndp/internal/core"
 	"ndp/internal/cp"
@@ -59,12 +62,28 @@ func fig2(o Options, r *Result) {
 	cells := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"flows", "ndp_mean%", "ndp_worst10%", "cp_mean%", "cp_worst10%"}}
+	var ndpMean, ndpWorst, cpMean, cpWorst []float64 // by flow count; the first is 1
 	for fi, n := range flowCounts {
 		ndp, cpCell := cells[fi], cells[len(flowCounts)+fi]
 		t.AddFloats(fmt.Sprint(n), ndp.mean, ndp.worst, cpCell.mean, cpCell.worst)
+		ndpMean, ndpWorst = append(ndpMean, ndp.mean), append(ndpWorst, ndp.worst)
+		cpMean, cpWorst = append(cpMean, cpCell.mean), append(cpWorst, cpCell.worst)
 	}
 	r.AddTable("percent of ideal fair goodput", t)
 	r.Notef("paper shape: CP mean decays with flow count and its worst-10%% collapses (phase effects); NDP stays high and fair")
+	r.Check("CP's mean never rises with the flow count", pairwise(cpMean, func(a, b float64) bool { return b <= a }),
+		"CP mean %s %% of fair", f4s(cpMean...))
+	from20 := slices.IndexFunc(flowCounts, func(n int) bool { return n >= 20 })
+	r.Check("CP's worst 10% get <= 10% of fair from 20 flows up", slices.Max(cpWorst[from20:]) <= 10,
+		"CP worst 10%% %s %%", f4s(cpWorst[from20:]...))
+	r.Check("NDP's mean is >= 90% of fair at every flow count", slices.Min(ndpMean) >= 90,
+		"NDP mean %s %%", f4s(ndpMean...))
+	above := true
+	for i := 1; i < len(flowCounts); i++ {
+		above = above && ndpWorst[i] > cpWorst[i]
+	}
+	r.Check("with more than one flow, NDP's worst 10% are above CP's", above,
+		"NDP %s %% vs CP %s %%", f4s(ndpWorst[1:]...), f4s(cpWorst[1:]...))
 }
 
 // fig4 reproduces the delivery-latency CDF (first send to ACK at sender)
@@ -76,8 +95,11 @@ func fig4(o Options, r *Result) {
 
 	// Each scenario launches its flows on a fresh network and returns them
 	// with the deadline to run until; every sender gets the latency hook.
-	scenario := func(label string, launch func(n Net, seed uint64) ([]Flow, sim.Time)) Job[Row] {
-		return NewJob("fig4/"+label, o.Seed, func(seed uint64) Row {
+	// The job returns the table row's quantiles.
+	var labels []string
+	scenario := func(label string, launch func(n Net, seed uint64) ([]Flow, sim.Time)) Job[[]float64] {
+		labels = append(labels, label)
+		return NewJob("fig4/"+label, o.Seed, func(seed uint64) []float64 {
 			n := DefaultNDPTransport(9000).Build(FatTreeBuilder(k), topo.Config{Seed: seed})
 			defer n.Close()
 			var lat stats.Dist
@@ -87,12 +109,11 @@ func fig4(o Options, r *Result) {
 				f.(*core.Sender).OnPacketLatency = hook
 			}
 			n.EL().RunUntil(deadline)
-			return Row{label, f4(lat.Quantile(0.1)), f4(lat.Median()), f4(lat.Quantile(0.9)),
-				f4(lat.Quantile(0.99)), f4(lat.Max())}
+			return []float64{lat.Quantile(0.1), lat.Median(), lat.Quantile(0.9), lat.Quantile(0.99), lat.Max()}
 		})
 	}
 
-	jobs := []Job[Row]{
+	jobs := []Job[[]float64]{
 		scenario("permutation", func(n Net, seed uint64) ([]Flow, sim.Time) {
 			return startMatrix(n, workload.Permutation(n.Cluster().NumHosts(), sim.NewRand(seed))), runDur
 		}),
@@ -112,11 +133,17 @@ func fig4(o Options, r *Result) {
 	}
 
 	t := &stats.Table{Header: []string{"scenario", "p10_us", "p50_us", "p90_us", "p99_us", "max_us"}}
-	for _, row := range RunJobs(o, jobs) {
-		t.AddRow(row...)
+	var tail []float64 // max over p99, by incast
+	for i, q := range RunJobs(o, jobs) {
+		t.AddFloats(labels[i], q...)
+		if strings.HasPrefix(labels[i], "incast") {
+			tail = append(tail, q[4]/q[3])
+		}
 	}
 	r.AddTable("per-packet delivery latency (first send -> ACK)", t)
 	r.Notef("paper shape: permutation/random medians ~100us at full load; incast tails bounded (no RTO cliffs)")
+	r.Check("every incast's max latency is <= 1.2x its p99: no RTO-length outlier", slices.Max(tail) <= 1.2,
+		"max/p99 %s", f4s(tail...))
 }
 
 // fig8 measures the 1KB RPC latency of NDP against TCP Fast Open and TCP,
@@ -148,12 +175,17 @@ func fig8(o Options, r *Result) {
 		{"TFO", 1, hostmodel.TCPHostDeepSleep()},
 		{"TCP", 2, hostmodel.TCPHostDeepSleep()},
 	}
-	for _, v := range variants {
+	vsNDP := make([]float64, len(variants))
+	for i, v := range variants {
 		l := hostmodel.RPCLatency(netRTT, v.rounds, v.d)
-		t.AddFloats(v.name, l.Micros(), float64(l)/float64(ndp))
+		vsNDP[i] = float64(l) / float64(ndp)
+		t.AddFloats(v.name, l.Micros(), vsNDP[i])
 	}
 	r.AddTable("1KB RPC latency", t)
 	r.Notef("raw wire request+response: %v; paper shape: TFO ~4x and TCP ~5x NDP with sleep states, ~2x/~3x without", netRTT)
+	r.Check("latency is ordered NDP < TFO (no sleep) < TCP (no sleep) < TFO < TCP",
+		pairwise(vsNDP, func(a, b float64) bool { return a < b }), "vs NDP %s", f4s(vsNDP...))
+	r.Check("TFO without sleep states is 1.5-2.5x NDP", vsNDP[1] >= 1.5 && vsNDP[1] <= 2.5, "%.4gx", vsNDP[1])
 }
 
 // fig9 runs the 7:1 incast of the NetFPGA testbed (4 ToRs x 2 hosts, 2
@@ -192,6 +224,7 @@ func fig9(o Options, r *Result) {
 	res := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"size_KB", "optimal_ms", "ndp_med_ms", "ndp_p90_ms", "tcp_med_ms", "tcp_p90_ms"}}
+	var medOver, p90Over, tcpP90 []float64 // sizes above 10 KB
 	for si, size := range sizes {
 		row := []float64{sim.FromSeconds(7 * float64(size) * 8 / 10e9).Millis()}
 		for pi := range protos {
@@ -204,9 +237,19 @@ func fig9(o Options, r *Result) {
 			row = append(row, d.Median(), d.Quantile(0.9))
 		}
 		t.AddFloats(fmt.Sprintf("%d", size/1000), row...)
+		if size > 10_000 {
+			medOver = append(medOver, row[1]/row[0])
+			p90Over = append(p90Over, row[2]/row[1])
+			tcpP90 = append(tcpP90, row[4])
+		}
 	}
 	r.AddTable("7:1 incast completion time", t)
 	r.Notef("paper shape: NDP within ~5%% of optimal with p90~median; TCP ~4x slower, p90 RTO-dominated")
+	r.Check("above 10 KB, NDP's median is within 5% of optimal and its p90 within 5% of the median",
+		slices.Max(medOver) <= 1.05 && slices.Max(p90Over) <= 1.05,
+		"median/optimal %s, p90/median %s", f4s(medOver...), f4s(p90Over...))
+	r.Check("above 10 KB, TCP's p90 is at least one 200 ms MinRTO", slices.Min(tcpP90) >= 200,
+		"TCP p90 %s ms", f4s(tcpP90...))
 }
 
 // fig10 measures the FCT of a 200KB flow to a host also receiving six long
@@ -240,6 +283,8 @@ func fig10(o Options, r *Result) {
 	t.AddFloats("without prioritization", without.Micros(), (without - idle).Micros())
 	r.AddTable("200KB flow vs six long flows", t)
 	r.Notef("paper shape: prioritized FCT within ~50us of idle; unprioritized ~500us worse (1/7 share in the pull queue)")
+	r.Check("the prioritized flow's delay over idle is <= 0.5x the unprioritized one's", 2*(with-idle) <= without-idle,
+		"%.4g vs %.4g us", (with - idle).Micros(), (without - idle).Micros())
 }
 
 // fig11 sweeps the initial window on back-to-back hosts and reports
@@ -286,21 +331,38 @@ func fig11(o Options, r *Result) {
 	res := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"IW_pkts", "perfect_gbps", "experimental_gbps"}}
+	var perfectFrom16, expFrom64 []float64
+	var perfect16, exp16 float64
 	for i, iw := range iws {
-		t.AddFloats(fmt.Sprint(iw), res[2*i], res[2*i+1])
+		perfect, exp := res[2*i], res[2*i+1]
+		t.AddFloats(fmt.Sprint(iw), perfect, exp)
+		if iw == 16 {
+			perfect16, exp16 = perfect, exp
+		}
+		if iw >= 16 {
+			perfectFrom16 = append(perfectFrom16, perfect)
+		}
+		if iw >= 64 {
+			expFrom64 = append(expFrom64, exp)
+		}
 	}
 	r.AddTable("throughput vs initial window", t)
 	r.Notef("paper shape: simulation saturates near IW=15; the prototype's host delays push the knee to ~25")
+	r.Check("the perfect host reaches >= 9.5 Gb/s from IW 16", slices.Min(perfectFrom16) >= 9.5,
+		"%s Gb/s", f4s(perfectFrom16...))
+	r.Check("the experimental host is below the perfect one at IW 16 and >= 9.5 Gb/s from IW 64",
+		exp16 < perfect16 && slices.Min(expFrom64) >= 9.5,
+		"%.4g vs %.4g Gb/s at IW 16, %s from 64", exp16, perfect16, f4s(expFrom64...))
 }
 
 // fig12 measures actual PULL spacing under the empirical jitter model for
 // 1500B and 9000B packets. One job per MTU.
 func fig12(o Options, r *Result) {
 	mtus := []int{1500, 9000}
-	jobs := make([]Job[Row], len(mtus))
+	jobs := make([]Job[[]float64], len(mtus))
 	for i, mtu := range mtus {
 		mtu := mtu
-		jobs[i] = NewJob(fmt.Sprintf("fig12/mtu%d", mtu), o.Seed, func(seed uint64) Row {
+		jobs[i] = NewJob(fmt.Sprintf("fig12/mtu%d", mtu), o.Seed, func(seed uint64) []float64 {
 			tr := DefaultNDPTransport(mtu)
 			tr.Host.PullJitter = hostmodel.PullJitter(mtu)
 			n := tr.Build(BackToBackBuilder(), topo.Config{Seed: seed}).(*NDPNet)
@@ -310,17 +372,22 @@ func fig12(o Options, r *Result) {
 			n.StartFlow(0, 1, int64(mtu)*2000, StartOpts{})
 			n.EL().RunUntil(sim.Second)
 			target := sim.TransmissionTime(mtu+fabric.HeaderSize, 10e9)
-			return Row{fmt.Sprint(mtu), f4(target.Micros()),
-				f4(gaps.Quantile(0.1)), f4(gaps.Median()), f4(gaps.Quantile(0.9)), f4(gaps.Quantile(0.99))}
+			return []float64{target.Micros(),
+				gaps.Quantile(0.1), gaps.Median(), gaps.Quantile(0.9), gaps.Quantile(0.99)}
 		})
 	}
 
 	t := &stats.Table{Header: []string{"mtu", "target_us", "p10_us", "p50_us", "p90_us", "p99_us"}}
-	for _, row := range RunJobs(o, jobs) {
-		t.AddRow(row...)
+	var medOver, spread []float64 // p50/target and p90/p50, by MTU
+	for i, q := range RunJobs(o, jobs) {
+		t.AddFloats(fmt.Sprint(mtus[i]), q...)
+		medOver, spread = append(medOver, q[2]/q[0]), append(spread, q[3]/q[2])
 	}
 	r.AddTable("measured PULL spacing", t)
 	r.Notef("paper shape: medians at the 1.2us/7.2us targets, visibly more variance at 1500B")
+	r.Check("both medians are within 10% of the target spacing", slices.Min(medOver) >= 0.9 && slices.Max(medOver) <= 1.1,
+		"p50/target %s", f4s(medOver...))
+	r.Check("1500B's p90/p50 is above 9000B's", spread[0] > spread[1], "%s", f4s(spread...))
 }
 
 // fig13 compares incast FCTs with perfect versus experimentally-jittered
@@ -359,9 +426,13 @@ func fig13(o Options, r *Result) {
 	res := RunJobs(o, jobs)
 
 	t := &stats.Table{Header: []string{"flow_KB", "perfect_ms", "jittered_ms"}}
+	off := make([]float64, len(sizes)) // |jittered/perfect - 1|, in percent
 	for i, size := range sizes {
 		t.AddFloats(fmt.Sprint(size/1000), res[2*i], res[2*i+1])
+		off[i] = math.Abs(pct(res[2*i+1], res[2*i]) - 100)
 	}
 	r.AddTable("200:1 incast, last-flow completion", t)
 	r.Notef("paper shape: no discernible difference between perfect and measured pull spacing")
+	r.Check("jittered pulls complete within 10% of perfect ones at every size", slices.Max(off) <= 10,
+		"%s %% apart", f4s(off...))
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"ndp/internal/core"
 	"ndp/internal/sim"
@@ -29,6 +30,8 @@ func fig23(o Options, r *Result) {
 
 	type cell struct {
 		row   Row
+		p50   float64
+		flows int
 		notes []string
 	}
 	protos := contenders(OversubFatTreeBuilder(k, oversub), mtu, "NDP", "DCTCP")
@@ -71,7 +74,7 @@ func fig23(o Options, r *Result) {
 				cl.Run()
 				n.EL().RunUntil(deadline)
 				out := cell{row: Row{fmt.Sprint(conns), p.name, f4(fcts.Median()), f4(fcts.Quantile(0.9)),
-					f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}}
+					f4(fcts.Quantile(0.99)), fmt.Sprint(fcts.N())}, p50: fcts.Median(), flows: fcts.N()}
 				if p.name == "NDP" {
 					st := c.CollectStats()
 					out.notes = []string{fmt.Sprintf("NDP conns=%d: %d trims, %d bounces, %d drops",
@@ -83,7 +86,8 @@ func fig23(o Options, r *Result) {
 	}
 
 	t := &stats.Table{Header: []string{"conns/host", "protocol", "p50_ms", "p90_ms", "p99_ms", "flows"}}
-	for _, c := range RunJobs(o, jobs) {
+	cells := RunJobs(o, jobs) // by load, then NDP and DCTCP
+	for _, c := range cells {
 		t.AddRow(c.row...)
 		for _, n := range c.notes {
 			r.Notef("%s", n)
@@ -91,6 +95,17 @@ func fig23(o Options, r *Result) {
 	}
 	r.AddTable("closed-loop web-workload FCTs (4:1 oversubscribed core)", t)
 	r.Notef("paper shape: moderate load: NDP median ~half of DCTCP, p99 ~a third; high load: NDP still at least matches DCTCP, no collapse")
+	halved := true
+	var ratio []float64 // NDP's median over DCTCP's, by load
+	for l := range loads {
+		ndp, dctcp := cells[2*l], cells[2*l+1]
+		halved = halved && ndp.p50 > 0 && ndp.p50 <= 0.5*dctcp.p50
+		ratio = append(ratio, ndp.p50/dctcp.p50)
+	}
+	r.Check("NDP's median FCT is at most half of DCTCP's at both loads", halved, "NDP/DCTCP %s", f4s(ratio...))
+	high := cells[len(cells)-2:]
+	r.Check("at the high load NDP completes >= 0.9x as many flows as DCTCP", float64(high[0].flows) >= 0.9*float64(high[1].flows),
+		"%d vs %d", high[0].flows, high[1].flows)
 }
 
 // tPhost reproduces the section 6.2 comparison: pHost (no trimming,
@@ -128,6 +143,8 @@ func tPhost(o Options, r *Result) {
 	t.AddRow("permutation utilization (%)", f4(100*res[2]), f4(100*res[3]))
 	r.AddTable("pHost vs NDP", t)
 	r.Notef("paper shape: pHost's incast ~10x slower than NDP; permutation ~70%% vs NDP ~95%%")
+	r.Check("pHost's incast finishes after NDP's", res[0] > res[1] && res[1] > 0, "pHost/NDP %.4gx", res[0]/res[1])
+	r.Check("pHost's permutation utilization is below NDP's", res[2] < res[3], "%.4g vs %.4g %%", 100*res[2], 100*res[3])
 }
 
 // tScale measures permutation utilization as the FatTree grows. One job
@@ -162,6 +179,8 @@ func tScale(o Options, r *Result) {
 	}
 	r.AddTable("permutation utilization vs size (8pkt buffers, IW 30)", t)
 	r.Notef("paper shape: gentle decline from ~98%% (128 hosts) to ~90%% (8192 hosts); pass -full for k=32")
+	r.Check("utilization never rises with size and stays >= 90%",
+		pairwise(res, func(a, b float64) bool { return b <= a }) && slices.Min(res) >= 90, "%s %%", f4s(res...))
 }
 
 // tTrim compares where packets get trimmed when the sender chooses paths
@@ -212,4 +231,11 @@ func tTrim(o Options, r *Result) {
 	}
 	r.AddTable("trim locality under permutation", t)
 	r.Notef("paper shape: uplink trims ~0.01%% with source LB vs ~2.4%% with switch LB; source LB also buys a few %% utilization")
+	source, atSwitch := res[0], res[1]
+	r.Check("<= 0.05% of packets are trimmed on an uplink with source load balancing", source.uplinkPct <= 0.05,
+		"%.4g%%", source.uplinkPct)
+	r.Check("1-5% of packets are trimmed on an uplink with per-packet ECMP at the switches", atSwitch.uplinkPct >= 1 && atSwitch.uplinkPct <= 5,
+		"%.4g%%", atSwitch.uplinkPct)
+	r.Check("source load balancing buys utilization", source.util > atSwitch.util,
+		"%.4g vs %.4g %%", source.util, atSwitch.util)
 }

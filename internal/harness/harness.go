@@ -65,15 +65,26 @@ func (o Options) pick(small, medium, full int) int {
 	}
 }
 
-// Result is an experiment's output: one or more labelled tables plus notes
-// comparing the measured shape against the paper's claims. It marshals to
-// JSON for machine-readable output (ndpsim -json).
+// Result is an experiment's output: one or more labelled tables, notes
+// stating the shape the paper reports, and the claims that decide, from the
+// numbers in the tables, whether this run shows it. It marshals to JSON for
+// machine-readable output (ndpsim -json).
 type Result struct {
 	ID     string         `json:"id"`
 	Title  string         `json:"title"`
 	Tables []*stats.Table `json:"tables"`
 	Labels []string       `json:"labels"` // one per table
 	Notes  []string       `json:"notes,omitempty"`
+	Claims []Claim        `json:"claims"`
+}
+
+// Claim is one executable part of an experiment's paper-shape note: Name
+// states it with its threshold, Pass says whether this run shows it, and Got
+// holds the measured numbers it was decided on.
+type Claim struct {
+	Name string `json:"name"`
+	Pass bool   `json:"pass"`
+	Got  string `json:"got"`
 }
 
 // AddTable appends a labelled table.
@@ -87,7 +98,14 @@ func (r *Result) Notef(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// String renders the result for the CLI.
+// Check records a claim, decided by the runner from the numbers it just put
+// in its tables; format and args render those numbers as the claim's Got.
+func (r *Result) Check(name string, pass bool, format string, args ...any) {
+	r.Claims = append(r.Claims, Claim{Name: name, Pass: pass, Got: fmt.Sprintf(format, args...)})
+}
+
+// String renders the tables and notes for the CLI. Claims are not part of
+// it, so a claim never moves the digest benchmark/expected.json pins.
 func (r *Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
@@ -139,7 +157,8 @@ func All() []*Experiment {
 func run(id, title string, fn func(o Options, r *Result)) {
 	Register(&Experiment{ID: id, Title: title, Run: func(o Options) *Result {
 		o = o.withDefaults()
-		r := &Result{ID: id, Title: title}
+		// Four is the most claims a runner checks: one allocation holds them.
+		r := &Result{ID: id, Title: title, Claims: make([]Claim, 0, 4)}
 		fn(o, r)
 		return r
 	}})

@@ -89,6 +89,38 @@ type Transport interface {
 	Build(build BuildFunc, base topo.Config) Net
 }
 
+// PaperTransport returns the transport named id as the paper sets it up for
+// the given MTU:
+//
+//   - "ndp": 8-packet trimming queues, a 30-packet initial window;
+//   - "tcp": the Linux-like baseline, 8-packet drop-tail, 200ms MinRTO;
+//   - "dctcp": ECN-marking queues with the recommended 200-packet buffers,
+//     the ECN-fraction sender, one fixed path per flow as the ECMP stand-in;
+//   - "mptcp": 200-packet drop-tail, 8 subflows on distinct paths;
+//   - "dcqcn": a lossless fabric, rate-based, single path;
+//   - "phost": 8-packet drop-tail, per-packet spraying.
+func PaperTransport(id string, mtu int) Transport {
+	switch id {
+	case "ndp":
+		return DefaultNDPTransport(mtu)
+	case "tcp":
+		cfg := tcp.DefaultConfig()
+		cfg.MSS = mtu
+		return TCPTransport{Cfg: cfg, Queue: fabric.FIFOQueues(8 * mtu)}
+	case "dctcp":
+		return TCPTransport{Cfg: dctcp.SenderConfig(mtu), Queue: dctcp.QueueFactory(mtu)}
+	case "mptcp":
+		return DefaultMPTCPTransport(mtu)
+	case "dcqcn":
+		return DCQCNTransport{MTU: mtu}
+	case "phost":
+		cfg := phost.DefaultConfig()
+		cfg.MTU = mtu
+		return PHostTransport{Cfg: cfg}
+	}
+	panic("harness: no transport named " + id)
+}
+
 // ------------------------------------------------------------------ NDP ----
 
 // NDPTransport builds NDP networks: trimming switch queues, return-to-
@@ -179,21 +211,6 @@ func (t TCPTransport) Build(build BuildFunc, base topo.Config) Net {
 	return newTCPNet(c, t.Cfg, base.Seed)
 }
 
-// DCTCPTransport returns the paper's DCTCP baseline for the given MTU:
-// ECN-marking queues with the recommended 200-packet buffers and the
-// ECN-fraction sender.
-func DCTCPTransport(mtu int) TCPTransport {
-	return TCPTransport{Cfg: dctcp.SenderConfig(mtu), Queue: dctcp.QueueFactory(mtu)}
-}
-
-// PlainTCPTransport returns the Linux-like TCP baseline for the given MTU:
-// small drop-tail buffers and a 200ms MinRTO.
-func PlainTCPTransport(mtu int) TCPTransport {
-	cfg := tcp.DefaultConfig()
-	cfg.MSS = mtu
-	return TCPTransport{Cfg: cfg, Queue: fabric.FIFOQueues(8 * mtu)}
-}
-
 // Cluster implements Net.
 func (t *TCPNet) Cluster() topo.Cluster { return t.C }
 
@@ -280,14 +297,9 @@ type MPTCPNet struct {
 // value drawn at the source, so the choice is deterministic without
 // sharing a stream across shards.
 func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
-	// Reserve the same stride NewSenderHalf will register: a zero-value
-	// Config defaults to 8 subflows there, and under-reserving would let
-	// the next flow's ids collide with this one's live subflows.
-	subflows := m.Cfg.Subflows
-	if subflows <= 0 {
-		subflows = 8
-	}
-	flow := m.src.flowID(src, uint64(subflows)+1)
+	// Reserve the stride NewSenderHalf registers: one id per subflow plus
+	// the connection's.
+	flow := m.src.flowID(src, uint64(m.Cfg.Subflows)+1)
 	hs, hd := m.C.HostList()[src], m.C.HostList()[dst]
 	r := &m.src.rand[src]
 	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
@@ -312,9 +324,6 @@ func (t DCQCNTransport) Name() string { return "dcqcn" }
 // Build implements Transport.
 func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 	mtu := t.MTU
-	if mtu == 0 {
-		mtu = 9000
-	}
 	base.Lossless = true
 	base.SwitchQueue = dcqcn.QueueFactory(mtu)
 	if base.LosslessLimit == 0 {
@@ -418,16 +427,11 @@ func (t PHostTransport) Name() string { return "phost" }
 
 // Build implements Transport.
 func (t PHostTransport) Build(build BuildFunc, base topo.Config) Net {
-	cfg := t.Cfg
-	mtu := cfg.MTU
-	if mtu == 0 {
-		mtu = 9000
-	}
-	base.SwitchQueue = fabric.FIFOQueues(8 * mtu)
+	base.SwitchQueue = fabric.FIFOQueues(8 * t.Cfg.MTU)
 	c := build(base)
 	p := &PHostNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
 	for _, h := range c.HostList() {
-		ph := phost.NewHost(h, cfg)
+		ph := phost.NewHost(h, t.Cfg)
 		ph.Listen(nil)
 		p.Hosts = append(p.Hosts, ph)
 	}

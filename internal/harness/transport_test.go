@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"ndp/internal/phost"
 	"ndp/internal/sim"
 	"ndp/internal/topo"
 )
@@ -12,18 +11,18 @@ import (
 // transports and the three pinned adapters the figure runners reach the TCP
 // family and DCQCN through — to what a runner written against Net relies on.
 func TestNetContract(t *testing.T) {
-	transports := []Transport{
-		DefaultNDPTransport(9000), PlainTCPTransport(9000), DCTCPTransport(9000),
-		DefaultMPTCPTransport(9000), DCQCNTransport{MTU: 9000}, PHostTransport{Cfg: phost.DefaultConfig()},
-	}
 	type netCase struct {
 		name  string
 		build func() Net
 	}
 	var cases []netCase
-	for _, tr := range transports {
+	for _, id := range []string{"ndp", "tcp", "dctcp", "mptcp", "dcqcn", "phost"} {
+		tr := PaperTransport(id, 9000)
+		if tr.Name() != id {
+			t.Errorf("PaperTransport(%q) is named %q", id, tr.Name())
+		}
 		build := func() Net { return tr.Build(FatTreeBuilder(4), topo.Config{Seed: 1}) }
-		cases = append(cases, netCase{tr.Name(), build})
+		cases = append(cases, netCase{id, build})
 		if n := build(); pinned(n) != n {
 			cases = append(cases, netCase{tr.Name() + "/pinned", func() Net { return pinned(build()) }})
 		}

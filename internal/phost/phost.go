@@ -15,10 +15,9 @@ import (
 
 // Config parameterizes pHost endpoints.
 type Config struct {
-	MTU          int
-	IW           int      // first-RTT burst, packets
-	RTO          sim.Time // loss-recovery timeout
-	TokenSpacing sim.Time // 0: derive from link rate
+	MTU int
+	IW  int      // first-RTT burst, packets
+	RTO sim.Time // loss-recovery timeout
 }
 
 // DefaultConfig mirrors the NDP comparison settings.
@@ -69,13 +68,9 @@ func NewHost(h *fabric.Host, cfg Config) *Host {
 	if cfg.RTO == 0 {
 		cfg.RTO = sim.Millisecond
 	}
-	spacing := cfg.TokenSpacing
-	if spacing == 0 {
-		spacing = sim.TransmissionTime(cfg.MTU+fabric.HeaderSize, h.LinkRate())
-	}
 	ph := &Host{
-		host: h, el: h.EventList(), arena: fabric.AttachArena(h.EventList()),
-		demux: fabric.NewDemux(), spacing: spacing, cfg: cfg,
+		host: h, el: h.EventList(), arena: fabric.AttachArena(h.EventList()), demux: fabric.NewDemux(),
+		spacing: sim.TransmissionTime(cfg.MTU+fabric.HeaderSize, h.LinkRate()), cfg: cfg,
 	}
 	h.Stack = ph.demux
 	return ph

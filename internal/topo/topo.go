@@ -24,10 +24,12 @@ import (
 // ECN queues for DCTCP, plain drop-tail for TCP.
 type QueueFactory func(seeds []uint64) []fabric.Queue
 
+// LinkRateBps is the line rate of every link a topology builds, 10Gb/s as in
+// the paper; FatTree.DegradeLink slows one link afterwards.
+const LinkRateBps int64 = 10e9
+
 // Config carries the physical parameters shared by all topology builders.
 type Config struct {
-	// LinkRateBps is the line rate of every link (default 10Gb/s).
-	LinkRateBps int64
 	// LinkDelay is the one-way propagation delay per link (default 500ns).
 	LinkDelay sim.Time
 	// SwitchQueue builds each switch egress queue (default: drop-tail FIFO
@@ -59,9 +61,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.LinkRateBps == 0 {
-		c.LinkRateBps = 10e9
-	}
 	if c.LinkDelay == 0 {
 		c.LinkDelay = 500 * sim.Nanosecond
 	}
@@ -264,7 +263,7 @@ func (n *Network) HostList() []*fabric.Host { return n.Hosts }
 func (n *Network) SwitchList() []*fabric.Switch { return n.Switches }
 
 // LinkRate returns the line rate in bits per second.
-func (n *Network) LinkRate() int64 { return n.cfg.LinkRateBps }
+func (n *Network) LinkRate() int64 { return LinkRateBps }
 
 // LinkDelay returns the per-link one-way propagation delay.
 func (n *Network) LinkDelay() sim.Time { return n.cfg.LinkDelay }
@@ -577,7 +576,7 @@ func (n *Network) connect(from, to fabric.Sink) *fabric.Port {
 	i := len(n.portSlab)
 	n.portSlab = n.portSlab[:i+1]
 	p := &n.portSlab[i]
-	p.Init(n.els[fs], fl, tl, n.cfg.LinkRateBps, n.cfg.LinkDelay)
+	p.Init(n.els[fs], fl, tl, LinkRateBps, n.cfg.LinkDelay)
 	p.UID = uint32(i + 1)
 	var iq *fabric.IngressQueue
 	if sw, ok := to.(*fabric.Switch); ok && sw.Lossless() {

@@ -38,7 +38,8 @@ import (
 type Options = harness.Options
 
 // Result is a rendered experiment outcome; its String method prints the
-// same rows/series the paper's figure plots.
+// same rows/series the paper's figure plots, and Claims says whether this
+// run shows what the paper reports.
 type Result = harness.Result
 
 // Run executes the experiment with the given id. The registered ids —

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"ndp/internal/core"
 	"ndp/internal/harness"
-	"ndp/internal/phost"
 	"ndp/internal/sim"
 	"ndp/internal/stats"
 	"ndp/internal/topo"
@@ -488,27 +486,14 @@ func merge(spec Spec, outs []*runOut) *Metrics {
 }
 
 // harnessTransport maps the Spec's transport and tuning knobs onto the
-// internal Transport recipe.
+// internal Transport recipe: the paper's, plus the path-penalty ablation.
 func (s Spec) harnessTransport() harness.Transport {
-	switch s.Transport {
-	case TCP:
-		return harness.PlainTCPTransport(s.MTU)
-	case DCTCP:
-		return harness.DCTCPTransport(s.MTU)
-	case MPTCP:
-		return harness.DefaultMPTCPTransport(s.MTU)
-	case DCQCN:
-		return harness.DCQCNTransport{MTU: s.MTU}
-	case PHost:
-		cfg := phost.DefaultConfig()
-		cfg.MTU = s.MTU
-		return harness.PHostTransport{Cfg: cfg}
-	default: // NDP; Validate rejected anything else
-		hcfg := core.DefaultConfig()
-		hcfg.MTU = s.MTU
-		hcfg.DisablePathPenalty = s.DisablePathPenalty
-		return harness.NDPTransport{Switch: core.DefaultSwitchConfig(s.MTU), Host: hcfg}
+	t := harness.PaperTransport(string(s.Transport), s.MTU)
+	if ndp, ok := t.(harness.NDPTransport); ok {
+		ndp.Host.DisablePathPenalty = s.DisablePathPenalty
+		return ndp
 	}
+	return t
 }
 
 // runTo advances the runner to deadline. With a progress hook installed

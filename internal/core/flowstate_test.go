@@ -6,15 +6,17 @@ import (
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
+	"ndp/internal/topo"
 )
 
-// tableLens is the size of a stack's live-flow and time-wait tables.
-func tableLens(st *Stack) [2]int { return [2]int{st.flows.Len(), st.timeWait.Len()} }
+// tables is the size of a stack's per-flow state: the flows it holds, and
+// the slots its live-flow and demux tables have allocated.
+func tables(st *Stack) [3]int { return [3]int{st.flows.Len(), st.flows.Cap(), st.demux.Cap()} }
 
 // TestPooledStateUnregistersOldFlow: once a completed flow is 2*MSL old, the
 // next flow between the same hosts reuses its Sender and Receiver objects,
 // and at that moment the old id leaves the live-flow table and the demux on
-// both hosts and is pinned in time-wait forever.
+// both hosts, leaving nothing behind.
 func TestPooledStateUnregistersOldFlow(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	const oldFlow, newFlow = 1001, 1002
@@ -26,9 +28,6 @@ func TestPooledStateUnregistersOldFlow(t *testing.T) {
 	}
 	if st[0].Sender(oldFlow) != sOld || st[0].demux.Handler(oldFlow) == nil || st[15].demux.Handler(oldFlow) == nil {
 		t.Fatal("a completed flow stays registered until its state is reused")
-	}
-	if exp, ok := st[15].timeWait.Get(oldFlow); !ok || exp != rOld.CompletedAt+sim.Millisecond {
-		t.Errorf("receiver time-wait expiry = %v, %v; want completion + MSL", exp, ok)
 	}
 
 	net.EL.RunUntil(3 * sim.Millisecond) // past completion + 2*MSL
@@ -47,20 +46,16 @@ func TestPooledStateUnregistersOldFlow(t *testing.T) {
 		if st[h].demux.Handler(oldFlow) != nil {
 			t.Errorf("host %d: reclaimed flow still registered in the demux", h)
 		}
-		if exp, ok := st[h].timeWait.Get(oldFlow); !ok || exp != sim.Infinity {
-			t.Errorf("host %d: reclaimed flow's time-wait = %v, %v; want pinned forever", h, exp, ok)
-		}
-		// Live: the new flow. Time-wait: both ids.
-		if got, want := tableLens(st[h]), [2]int{1, 2}; got != want {
-			t.Errorf("host %d: table sizes (flows, time-wait) = %v, want %v", h, got, want)
+		if n := st[h].flows.Len(); n != 1 {
+			t.Errorf("host %d holds %d flows, want only the new one", h, n)
 		}
 	}
 }
 
-// TestStrayPacketsDoNotGrowTables: a late SYN for a reclaimed flow is
-// rejected and counted (at-most-once survives reclamation), a non-SYN packet
-// for a flow nobody knows is unclaimed, and neither leaves a trace in any
-// per-flow table.
+// TestStrayPacketsDoNotGrowTables: a late SYN for a reclaimed flow finds no
+// announced flow and is unclaimed (at-most-once survives reclamation), as is
+// a SYN for a flow never announced here and a non-SYN packet for a flow
+// nobody knows; none of them leaves a trace in any per-flow table.
 func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1001})
@@ -68,29 +63,25 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1002}) // reuses and reclaims 1001
 	net.EL.RunUntil(4 * sim.Millisecond)
 	rx := st[15]
-	before := tableLens(rx)
+	before := tables(rx)
 	a := fabric.AttachArena(net.EL)
 
-	late := a.NewData(1001, 0, 15, 0, 9000)
-	late.Flags |= fabric.FlagSYN
-	rx.Host.Receive(late)
-	if rx.DupRejected != 1 || rx.demux.Unclaimed != 1 {
-		t.Errorf("late SYN for a reclaimed flow: DupRejected=%d Unclaimed=%d, want 1 and 1", rx.DupRejected, rx.demux.Unclaimed)
+	for i, p := range []*fabric.Packet{
+		a.NewData(1001, 0, 15, 0, 9000),  // late SYN for the reclaimed flow
+		a.NewData(4343, 0, 15, 0, 9000),  // SYN for a flow never announced
+		a.NewData(4242, 0, 15, 40, 9000), // beyond IW: no SYN
+	} {
+		if p.Seq == 0 {
+			p.Flags |= fabric.FlagSYN
+		}
+		rx.Host.Receive(p)
+		if rx.demux.Unclaimed != int64(i+1) || rx.Receiver(p.Flow) != nil || rx.demux.Handler(p.Flow) != nil {
+			t.Errorf("stray %d (flow %d, seq %d): Unclaimed=%d, receiver %v: want it unclaimed, with no state",
+				i, p.Flow, p.Seq, rx.demux.Unclaimed, rx.Receiver(p.Flow) != nil)
+		}
 	}
-	if rx.Receiver(1001) != nil {
-		t.Error("late SYN resurrected a receiver for a reclaimed flow")
-	}
-
-	stray := a.NewData(4242, 0, 15, 40, 9000) // beyond IW: no SYN
-	rx.Host.Receive(stray)
-	if rx.DupRejected != 1 || rx.demux.Unclaimed != 2 {
-		t.Errorf("stray non-SYN packet: DupRejected=%d Unclaimed=%d, want 1 and 2", rx.DupRejected, rx.demux.Unclaimed)
-	}
-	if after := tableLens(rx); after != before {
-		t.Errorf("stray packets changed table sizes (flows, time-wait): %v -> %v", before, after)
-	}
-	if rx.demux.Handler(1001) != nil || rx.demux.Handler(4242) != nil {
-		t.Error("a stray packet registered a demux handler")
+	if after := tables(rx); after != before {
+		t.Errorf("stray packets changed the tables (flows, flow slots, demux slots): %v -> %v", before, after)
 	}
 	closeNoLeak(t, net, st)
 }
@@ -101,20 +92,17 @@ type relaunch func(src int)
 
 func (f relaunch) OnEvent(src uint64) { f(int(src)) }
 
-// TestRetiredListsStayChurnSized: the free-lists of retired endpoints hold
-// what is waiting out its 2*MSL and nothing else, however long the churn
-// runs. Every host keeps five one-packet connections going in a closed loop
-// with a ~1 ms gap (the rpc scenario's shape, see
-// scenario.TestChurnAllocsPerFlow), so about ten endpoints per host are
-// always waiting and the lists never drain: a queue that reclaims its front
-// only on draining grows without bound here.
-func TestRetiredListsStayChurnSized(t *testing.T) {
-	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+// churn starts a closed loop on every host: five one-packet connections
+// each, the next flow of a connection ~1 ms after the last completed (the
+// rpc scenario's shape, see scenario.TestChurnAllocsPerFlow). About ten
+// endpoints per host are therefore always waiting out their 2*MSL, and the
+// retired lists never drain. It returns the count of flows launched so far.
+func churn(net *topo.FatTree, st []*Stack) *int {
 	rnd := sim.NewRand(7)
-	launched := 0
+	launched := new(int)
 	var launch func(src int)
 	launch = func(src int) {
-		launched++
+		*launched++
 		dst := rnd.Intn(len(st) - 1)
 		if dst >= src {
 			dst++
@@ -128,26 +116,78 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 			launch(src)
 		}
 	}
+	return launched
+}
+
+// churnT is how long a churn test runs before its first look; it looks
+// again at 3*churnT.
+const churnT = 20 * sim.Millisecond
+
+// checkChurned fails the test unless the loop ran steadily: a thousand flows
+// by churnT, and about three times as many by 3*churnT.
+func checkChurned(t *testing.T, byT, by3T int) {
+	t.Helper()
+	if byT < 1000 || by3T < 3*byT-100 {
+		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, by3T)
+	}
+}
+
+// TestRetiredListsStayChurnSized: the free-lists of retired endpoints hold
+// what is waiting out its 2*MSL and nothing else, however long the churn
+// runs. The lists never drain, so a queue that reclaims its front only on
+// draining grows without bound here.
+func TestRetiredListsStayChurnSized(t *testing.T) {
+	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	launched := churn(net, st)
 	caps := func() (c [2]int) {
 		for _, s := range st {
 			c[0], c[1] = max(c[0], s.retiredS.Cap()), max(c[1], s.retiredR.Cap())
 		}
 		return c
 	}
-	const T = 20 * sim.Millisecond
-	net.EL.RunUntil(T)
-	atT, byT := caps(), launched
+	net.EL.RunUntil(churnT)
+	atT, byT := caps(), *launched
 	t.Logf("capacities %v after %d flows", atT, byT)
-	net.EL.RunUntil(3 * T)
+	net.EL.RunUntil(3 * churnT)
 	if at3T := caps(); at3T != atT {
 		t.Errorf("free-list capacities (senders, receivers) grew with simulated time: %v at T, %v at 3T", atT, at3T)
 	}
 	if atT[0] == 0 || atT[0] > 64 || atT[1] == 0 || atT[1] > 64 {
 		t.Errorf("free-list capacities %v: want a few slots per host", atT)
 	}
-	if byT < 1000 || launched < 3*byT-100 {
-		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, launched)
+	checkChurned(t, byT, *launched)
+}
+
+// TestFlowStateStaysChurnSized: a host's per-flow tables follow the flows in
+// flight, not the flows ever run. Under the same closed loop every stack's
+// live-flow and demux tables have the capacity at 3T they had at T: a
+// completed flow leaves both when its pooled state is reused, and no mark of
+// it is kept anywhere, so an id pinned forever (the time-wait table this
+// replaced grew by one entry a flow) shows here as a doubling.
+func TestFlowStateStaysChurnSized(t *testing.T) {
+	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	launched := churn(net, st)
+	caps := func() [][2]int {
+		c := make([][2]int, len(st))
+		for i, s := range st {
+			c[i] = [2]int{s.flows.Cap(), s.demux.Cap()}
+		}
+		return c
 	}
+	net.EL.RunUntil(churnT)
+	atT, byT := caps(), *launched
+	t.Logf("capacities (flows, demux) per host %v after %d flows", atT, byT)
+	net.EL.RunUntil(3 * churnT)
+	at3T := caps()
+	for h := range st {
+		if at3T[h] != atT[h] {
+			t.Errorf("host %d: table capacities (flows, demux) grew with simulated time: %v at T, %v at 3T", h, atT[h], at3T[h])
+		}
+		if atT[h][0] > 128 || atT[h][1] > 128 {
+			t.Errorf("host %d: table capacities %v: want room for a few dozen flows", h, atT[h])
+		}
+	}
+	checkChurned(t, byT, *launched)
 }
 
 // TestRecycleBeforeRegistrationPanics: a flow's receiver-side set-up travels

@@ -164,13 +164,13 @@ func (r *Receiver) clampPulls() {
 }
 
 // finish completes the transfer: pending pulls for this sender are removed
-// from the pull queue ("to avoid sending unnecessary pull packets") and the
-// flow id enters time-wait.
+// from the pull queue ("to avoid sending unnecessary pull packets"), and the
+// receiver stays registered, answering late duplicates, until a later flow
+// reuses it.
 func (r *Receiver) finish() {
 	r.complete = true
 	r.CompletedAt = r.st.el.Now()
 	r.st.pacer.removeFlow(r.fp)
-	r.st.enterTimeWait(r.Flow)
 	if r.OnComplete != nil {
 		r.OnComplete(r)
 	}

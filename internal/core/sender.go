@@ -48,6 +48,8 @@ type Sender struct {
 	// pkts is the per-packet scoreboard: one entry per sequence number from
 	// the oldest un-ACKed packet to the newest sent. Its base advances over
 	// the ACKed prefix, so a sequence number below Base is an ACKed packet.
+	// An unpooled sender sizes it by the flow's length (SizeFor): a
+	// one-packet flow's scoreboard is one entry.
 	pkts fabric.SeqWindow[pkt]
 
 	paths [][]int16
@@ -140,6 +142,7 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16)
 	} else {
 		s.total = -1
 	}
+	s.pkts.SizeFor(s.total)
 	s.iw = int64(st.cfg.IW)
 	if opts.IW > 0 {
 		s.iw = int64(opts.IW)
@@ -464,7 +467,6 @@ func (s *Sender) onAck(p *fabric.Packet) {
 		s.complete = true
 		s.CompletedAt = s.st.el.Now()
 		s.timer.Stop()
-		s.st.enterTimeWait(s.Flow)
 		if s.onDone != nil {
 			s.onDone(s)
 		}

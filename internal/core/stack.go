@@ -66,9 +66,10 @@ type PathsFunc func(dst int32) [][]int16
 
 // Stack is the per-host NDP endpoint: it owns the host's flow demultiplexer,
 // the single shared pull pacer ("a receiver only has one pull queue, shared
-// by all connections for which it is the receiver"), time-wait state for
-// at-most-once connection semantics, and the listen hook that instantiates
-// receiver state from whichever first-window packet arrives first.
+// by all connections for which it is the receiver"), the live-flow table
+// that gives connections at-most-once semantics, and the listen hook that
+// instantiates receiver state from whichever first-window packet of an
+// announced flow arrives first.
 type Stack struct {
 	Host *fabric.Host
 
@@ -91,29 +92,23 @@ type Stack struct {
 	connects   uint64 // flow ids Connect has allocated
 
 	// flows holds every flow this host currently has state for — as sender,
-	// as receiver, or pre-registered ahead of its first packet: one entry,
-	// and so one insert and one delete, per flow. The entry goes when the
-	// flow's pooled state is reused (reclaimFlow).
+	// as receiver, or announced ahead of its first packet (PreRegister): one
+	// entry, and so one insert and one delete, per flow. The entry goes when
+	// the flow's pooled state is reused (reclaimFlow). It is also what makes
+	// a connection at-most-once (§3.2.2): listen builds a receiver only for
+	// an announced entry that has none yet, so a duplicate SYN finds the
+	// live receiver and a SYN after reclamation finds no entry at all.
 	flows fabric.FlowTable[flowEntry]
-
-	// timeWait records closed flow ids with their expiry, fabric.MSL after
-	// closing, so duplicate connections are rejected (at-most-once, §3.2.2).
-	// A reclaimed flow's id is pinned forever (expiry Infinity), so this
-	// table only grows — which is why it is a thin flow -> expiry table of
-	// its own (16 bytes an id) and not a field of the flows entry: an entry
-	// that can never be deleted must not be a fat one.
-	timeWait    fabric.FlowTable[sim.Time]
-	DupRejected int64
 
 	// retiredS/retiredR are FIFO free-lists of completed flow state whose
 	// slice-backed per-packet arrays (and pull-queue entries) later flows
 	// reuse. A retired object is only taken once quiescent: at least two
-	// maximum segment lifetimes past its completion — by the same
-	// datacenter-MSL argument that bounds time-wait (§3.2.2), no packet
-	// for the flow can still exist in the network — with its timer
-	// disarmed and its pull entry drained. Until then the old flow stays
-	// registered, so late duplicates and stale headers are handled
-	// exactly as before pooling existed. Closed-loop workloads (the rpc
+	// maximum segment lifetimes past its completion — by the datacenter-MSL
+	// argument of §3.2.2, no packet for the flow can still exist in the
+	// network — with its timer disarmed and its pull entry drained. Until
+	// then the old flow stays registered, so late duplicates and stale
+	// headers are handled exactly as before pooling existed. Closed-loop
+	// workloads (the rpc
 	// scenario starts thousands of short flows per host) were allocating
 	// a full Sender/Receiver pair plus packet-state arrays per StartFlow.
 	// A closed loop never lets these lists drain (something is always
@@ -189,23 +184,16 @@ func (st *Stack) Listen(onComplete func(*Receiver)) {
 	st.onComplete = onComplete
 }
 
-// SetPriority marks a flow for strict-priority pulling at this receiver
-// ("the receiver knows its own priorities, and can pull high priority
-// traffic more often than low priority traffic").
-func (st *Stack) SetPriority(flow uint64) { st.flows.Ref(flow).prio = true }
-
-// listen is the demux hook: it creates receiver state for an unknown flow,
-// but only from packets that carry the SYN flag (every packet of the first
-// window does) and only if the flow id is not in time-wait.
+// listen is the demux hook: it creates receiver state for a flow with no
+// handler, but only from packets that carry the SYN flag (every packet of the
+// first window does) and only for a flow announced here (PreRegister) that
+// has no sender or receiver yet. Anything else — a duplicate connection, a
+// SYN for a flow reclaimed long ago — is turned away and stays a stray.
 func (st *Stack) listen(p *fabric.Packet) fabric.Sink {
-	if !st.listening || p.Flags&fabric.FlagSYN == 0 {
+	if !st.listening || p.Flags&fabric.FlagSYN == 0 || p.Type != fabric.Data {
 		return nil
 	}
-	if p.Type != fabric.Data {
-		return nil
-	}
-	if exp, ok := st.timeWait.Get(p.Flow); ok && st.el.Now() < exp {
-		st.DupRejected++
+	if e, ok := st.flows.Get(p.Flow); !ok || e.sender != nil || e.receiver != nil {
 		return nil
 	}
 	// newReceiver may reclaim a retired flow, which deletes from st.flows:
@@ -236,12 +224,6 @@ func (st *Stack) Sender(flow uint64) *Sender {
 	return e.sender
 }
 
-// enterTimeWait records a flow id for MSL so a duplicate connection attempt
-// with the same id is rejected.
-func (st *Stack) enterTimeWait(flow uint64) {
-	st.timeWait.Put(flow, st.el.Now()+fabric.MSL)
-}
-
 // retireSender parks a completed sender on the free-list; takeRetiredSender
 // may hand its state to a later flow once it is quiescent.
 func (st *Stack) retireSender(s *Sender) { st.retiredS.Push(s, retiredFirst) }
@@ -267,16 +249,16 @@ func (st *Stack) takeRetiredSender() *Sender {
 
 // reclaimFlow forgets a flow whose pooled state is being reused: its demux
 // registration and its flows entry (sender or receiver pointer, observers,
-// priority) go, and its id is pinned in time-wait forever. Flow ids are
-// never legitimately reused (every allocator is a monotone per-source-host
-// counter), so a packet for the id arriving after reclamation can only be a
-// pathologically late duplicate — the permanent time-wait entry makes
-// listen() reject it instead of resurrecting a ghost receiver that would
-// re-fire the flow's completion callbacks.
+// priority) go, and nothing of it stays behind. Flow ids are never
+// legitimately reused (every allocator is a monotone per-source-host
+// counter) and a flow is announced once, before its first packet, so a
+// packet for the id arriving after reclamation — a pathologically late
+// duplicate, at least 2*MSL old — finds no announced entry: listen() turns
+// it away instead of resurrecting a ghost receiver that would re-fire the
+// flow's completion callbacks, and the demux frees it as unclaimed.
 func (st *Stack) reclaimFlow(flow uint64) {
 	st.demux.Unregister(flow)
 	st.flows.Delete(flow)
-	st.timeWait.Put(flow, sim.Infinity)
 }
 
 // takeRetiredReceiver pops the oldest retired receiver if quiescent: 2*MSL
@@ -372,19 +354,18 @@ type flowObs struct {
 	data   func(int64)
 }
 
-// PreRegister installs receiver-side flow state ahead of the first packet:
-// pull priority and completion/goodput observers. It runs in this stack's
-// scheduling domain: the source host defers it here as the flow's
-// Registration command (it must land before the first SYN arrives — the
-// first data packet is at least a serialization plus the path's
-// propagation away).
+// PreRegister announces a flow to its receiving stack ahead of the first
+// packet: it creates the flow's entry, which is what lets a first-window
+// packet open the connection, with the completion/goodput observers and
+// pull priority (strict-priority pulling: "the receiver knows its own
+// priorities, and can pull high priority traffic more often than low
+// priority traffic"). It runs in this stack's scheduling domain: the source
+// host defers it here as the flow's Registration command (it must land
+// before the first SYN arrives — the first data packet is at least a
+// serialization plus the path's propagation away).
 func (st *Stack) PreRegister(flow uint64, priority bool, onDone func(*Receiver), onDoneAt func(sim.Time), onData func(int64)) {
-	if priority {
-		st.SetPriority(flow)
-	}
-	if onDone != nil || onDoneAt != nil || onData != nil {
-		st.flows.Ref(flow).obs = flowObs{done: onDone, doneAt: onDoneAt, data: onData}
-	}
+	e := st.flows.Ref(flow)
+	e.prio, e.obs = priority, flowObs{done: onDone, doneAt: onDoneAt, data: onData}
 }
 
 // Open builds the sender half of an NDP transfer toward host dst, touching

@@ -77,9 +77,11 @@ func TestZeroRTTFirstPacket(t *testing.T) {
 }
 
 func TestConnectionFromAnyFirstWindowPacket(t *testing.T) {
-	// Deliver packet seq=5 (SYN set, as all first-window packets) before
-	// seq=0: receiver state must be created and the packet NACK/ACKed.
+	// Announce the flow, then deliver packet seq=5 (SYN set, as all
+	// first-window packets) before seq=0: receiver state must be created and
+	// the packet NACK/ACKed.
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+	st[0].PreRegister(777, false, nil, nil, nil)
 	p := fabric.AttachArena(net.EL).NewData(777, 15, 0, 5, 9000)
 	p.Flags |= fabric.FlagSYN
 	p.Sent = net.EL.Now()
@@ -106,22 +108,36 @@ func TestNonSYNUnknownPacketRejected(t *testing.T) {
 	closeNoLeak(t, net, st)
 }
 
-func TestTimeWaitRejectsDuplicateConnection(t *testing.T) {
+// TestLiveFlowRejectsDuplicateConnection: at-most-once (§3.2.2) comes from
+// the live-flow table. A duplicate first-window packet for a completed flow
+// whose state is not yet reused reaches the completed receiver as a
+// duplicate; and should it miss the demux, listen still finds the flow's
+// receiver in the table and opens no second connection.
+func TestLiveFlowRejectsDuplicateConnection(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 555})
-	net.EL.RunUntil(200 * sim.Microsecond) // transfer done, still within MSL
-	if got := st[15].DupRejected; got != 0 {
-		t.Fatalf("unexpected rejections before duplicate: %d", got)
+	net.EL.RunUntil(200 * sim.Microsecond) // transfer done, well within 2*MSL
+	r := st[15].Receiver(555)
+	if r == nil || !r.Complete() {
+		t.Fatal("transfer did not complete")
 	}
-	// Simulate a duplicate connection attempt with the same id arriving
-	// within the MSL. The receiver side must reject it (at-most-once).
-	st[15].demux.Unregister(555) // original receiver state closed
-	dup := fabric.AttachArena(net.EL).NewData(555, 0, 15, 0, 9000)
-	dup.Flags |= fabric.FlagSYN
-	st[15].Host.Receive(dup)
+	a := fabric.AttachArena(net.EL)
+	dup := func() {
+		p := a.NewData(555, 0, 15, 0, 9000)
+		p.Flags |= fabric.FlagSYN
+		st[15].Host.Receive(p)
+	}
+	dup()
 	net.EL.RunUntil(300 * sim.Microsecond)
-	if st[15].DupRejected != 1 {
-		t.Errorf("duplicate connection not rejected (DupRejected=%d)", st[15].DupRejected)
+	if r.Dups != 1 || st[15].demux.Unclaimed != 0 {
+		t.Errorf("duplicate to a registered flow: Dups=%d Unclaimed=%d, want 1 and 0", r.Dups, st[15].demux.Unclaimed)
+	}
+	st[15].demux.Unregister(555)
+	dup()
+	net.EL.RunUntil(400 * sim.Microsecond)
+	if st[15].demux.Unclaimed != 1 || st[15].Receiver(555) != r || st[15].demux.Handler(555) != nil {
+		t.Errorf("duplicate past the demux: Unclaimed=%d, receiver kept %v, handler %v: want it turned away",
+			st[15].demux.Unclaimed, st[15].Receiver(555) == r, st[15].demux.Handler(555))
 	}
 	closeNoLeak(t, net, st)
 }

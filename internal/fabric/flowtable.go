@@ -3,8 +3,8 @@ package fabric
 import "math/bits"
 
 // FlowTable maps flow ids to values of type V: the one table type behind
-// every per-host flow lookup (Demux handlers, the NDP stack's live-flow and
-// time-wait state). It is an open-addressed power-of-two array with a
+// every per-host flow lookup (Demux handlers, the NDP stack's live-flow
+// state). It is an open-addressed power-of-two array with a
 // Fibonacci hash and linear probing. Deletion shifts the following run back
 // over the hole, so there are no tombstones: the slot layout is a pure
 // function of the sequence of operations, and a table that churns forever
@@ -46,6 +46,10 @@ func (t *FlowTable[V]) Len() int {
 	}
 	return t.n
 }
+
+// Cap returns the number of slots allocated: what the table's memory
+// follows, where Len is what it holds now.
+func (t *FlowTable[V]) Cap() int { return len(t.slots) }
 
 // home returns flow's home slot: the top bits of its Fibonacci hash.
 func (t *FlowTable[V]) home(flow uint64) int { return int(flow * fibMul >> t.shift) }

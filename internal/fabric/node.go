@@ -192,6 +192,9 @@ func (d *Demux) Register(flow uint64, s Sink) { d.handlers.Put(flow, s) }
 // Unregister removes a flow handler.
 func (d *Demux) Unregister(flow uint64) { d.handlers.Delete(flow) }
 
+// Cap returns the slots the handler table has allocated (FlowTable.Cap).
+func (d *Demux) Cap() int { return d.handlers.Cap() }
+
 // Handler returns the handler registered for a flow, or nil.
 func (d *Demux) Handler(flow uint64) Sink {
 	h, _ := d.handlers.Get(flow)

@@ -12,9 +12,10 @@ package fabric
 // ever seen: a flow that runs forever keeps the buffer it had after its
 // first round trip.
 //
-// The zero value is an empty window at sequence 0; storage is allocated on
-// the first Push. Not safe for concurrent use — a window belongs to one flow
-// endpoint and is only touched from that host's scheduling domain.
+// The zero value is an empty window at sequence 0; storage is allocated by
+// SizeFor or on the first Push. Not safe for concurrent use — a window
+// belongs to one flow endpoint and is only touched from that host's
+// scheduling domain.
 type SeqWindow[T any] struct {
 	// buf has power-of-two length (or is nil); slot seq & (len(buf)-1)
 	// holds seq's entry for Base <= seq < End, anything elsewhere is stale.
@@ -22,8 +23,9 @@ type SeqWindow[T any] struct {
 	base, end int64
 }
 
-// seqWindowMinCap is the size of the first allocation: two NDP initial
-// windows, so most flows never grow past it.
+// seqWindowMinCap is the size of the first allocation, unless SizeFor chose
+// a smaller one, and the least any growth makes: two NDP initial windows, so
+// most flows never grow past it.
 const seqWindowMinCap = 64
 
 // Base returns the first sequence number still in the window. Everything
@@ -68,10 +70,32 @@ func (w *SeqWindow[T]) Advance() {
 // for the next flow (pooled endpoints reuse their scoreboards).
 func (w *SeqWindow[T]) Reset() { w.base, w.end = 0, 0 }
 
+// SizeFor gives a window that has no buffer yet one sized for an owner that
+// will never hold more than n entries: the next power of two at or above n,
+// but never more than the 64 entries a first Push would take; n < 0 (no
+// bound known) means 64. A window that already has a buffer keeps it. A
+// one-packet flow's scoreboard thus costs one entry, not 64; should a pooled
+// owner later need more, its first growth goes straight to 64, so sizing
+// costs it one allocation at most.
+func (w *SeqWindow[T]) SizeFor(n int64) {
+	if w.buf != nil {
+		return
+	}
+	size := int64(seqWindowMinCap)
+	if n >= 0 && n < size {
+		size = 1
+		for size < n {
+			size *= 2
+		}
+	}
+	w.buf = make([]T, size)
+}
+
 // grow doubles the buffer (or makes the first one) and moves every live
-// entry to the slot its sequence number has under the new mask. It runs only
-// when the live span End−Base outgrows the buffer: O(log span) times per
-// endpoint, the buffer kept across Reset, never per packet.
+// entry to the slot its sequence number has under the new mask, never to
+// fewer than 64 entries. It runs only when the live span End−Base outgrows
+// the buffer: O(log span) times per endpoint, the buffer kept across Reset,
+// never per packet.
 func (w *SeqWindow[T]) grow() {
 	size := 2 * len(w.buf)
 	if size < seqWindowMinCap {

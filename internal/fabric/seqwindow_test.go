@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/bits"
 	"testing"
 
 	"ndp/internal/sim"
@@ -17,16 +18,30 @@ const (
 	swAdvance             // advance arg%64+1 times, stopping when empty
 	swSet                 // overwrite the entry arg%span above Base through At
 	swReset               // Reset
+	swSizeFor             // SizeFor(arg%72 - 4): no bound, zero, below, at and above the floor
+	swNumOps
 )
 
 // swStats is what a stream provably reached.
 type swStats struct {
 	wraps         int // pushes that landed below Base's slot: the live span wraps the buffer's end
-	grows         int // buffer allocations (the first included)
+	grows         int // buffer allocations by Push (the first included)
 	straddleGrows int // doublings while the live span straddled the buffer's end
 	refills       int // pushes into a window that Advance had emptied at a non-zero base
 	reuses        int // pushes after a Reset that found the old buffer
+	sized         int // SizeFor calls that made a buffer below the 64-entry floor
+	floorGrows    int // growths from such a buffer straight to the floor
+	sizedReuses   int // reuses of a buffer that a floor growth made
 	maxSpan       int
+}
+
+// sizeForCap is SizeFor's contract, written out independently: the least
+// power of two that holds n entries, between 1 and the 64-entry floor.
+func sizeForCap(n int64) int {
+	if n < 0 || n >= seqWindowMinCap {
+		return seqWindowMinCap
+	}
+	return 1 << bits.Len64(uint64(max(n, 1)-1))
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -45,7 +60,7 @@ func checkSeqWindow(t *testing.T, w *SeqWindow[uint64], base int64, model []uint
 	if w.Base() != base || w.End() != base+int64(len(model)) {
 		t.Fatalf("window [%d, %d), model [%d, %d)", w.Base(), w.End(), base, base+int64(len(model)))
 	}
-	if c := w.Cap(); c&(c-1) != 0 || c < len(model) || (c != 0 && c < seqWindowMinCap) {
+	if c := w.Cap(); c&(c-1) != 0 || c < len(model) {
 		t.Fatalf("Cap() = %d with %d live entries", c, len(model))
 	}
 	for i, want := range model {
@@ -67,10 +82,11 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 		st        swStats
 		stamp     uint64
 		afterWipe bool // the last structural operation was a Reset
+		fromFloor bool // the buffer is one a floor growth made
 	)
 	for i := 0; i+1 < len(ops); i += 2 {
 		arg := int(ops[i+1])
-		switch ops[i] % 4 {
+		switch ops[i] % swNumOps {
 		case swPush:
 			for k := 0; k <= arg%64; k++ {
 				capBefore, mask := w.Cap(), int64(w.Cap()-1)
@@ -83,15 +99,25 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 				}
 				if afterWipe && capBefore > 0 {
 					st.reuses++
+					if fromFloor {
+						st.sizedReuses++
+					}
 				}
 				afterWipe = false
 				stamp++
 				w.Push(stamp)
 				model = append(model, stamp)
 				if w.Cap() != capBefore {
+					if want := max(2*capBefore, seqWindowMinCap); w.Cap() != want {
+						t.Fatalf("Push grew Cap() %d -> %d, want %d", capBefore, w.Cap(), want)
+					}
 					st.grows++
 					if straddles {
 						st.straddleGrows++
+					}
+					fromFloor = capBefore > 0 && capBefore < seqWindowMinCap
+					if fromFloor {
+						st.floorGrows++
 					}
 					checkSeqWindow(t, &w, base, model)
 				}
@@ -123,6 +149,23 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 			if w.Cap() != capBefore {
 				t.Fatalf("Reset changed Cap() %d -> %d", capBefore, w.Cap())
 			}
+		case swSizeFor:
+			n := int64(arg%72) - 4
+			capBefore := w.Cap()
+			w.SizeFor(n)
+			if capBefore > 0 {
+				if w.Cap() != capBefore {
+					t.Fatalf("SizeFor(%d) resized an existing buffer: Cap() %d -> %d", n, capBefore, w.Cap())
+				}
+				break
+			}
+			if want := sizeForCap(n); w.Cap() != want {
+				t.Fatalf("SizeFor(%d) on a window with no buffer: Cap() = %d, want %d", n, w.Cap(), want)
+			}
+			if w.Cap() < seqWindowMinCap {
+				st.sized++
+			}
+			afterWipe, fromFloor = false, false
 		}
 		checkSeqWindow(t, &w, base, model)
 		if len(model) > st.maxSpan {
@@ -149,6 +192,12 @@ func seqWindowStreams() map[string][]byte {
 		"advance-to-empty-then-push": swOps(swPush, 4, swAdvance, 4, swAdvance, 0, swPush, 2, swSet, 1),
 		// A flow that needed 128 slots hands its buffer to the next one.
 		"reset-reuse": swOps(swPush, 63, swPush, 35, swAdvance, 9, swReset, 0, swPush, 9, swSet, 3, swReset, 0, swReset, 0, swPush, 0),
+		// A pooled sender's scoreboard: sized for a 5-packet flow (8 slots),
+		// wrapped at Base 3, grown straight to the 64 floor while straddling
+		// the wrap; then Reset, a SizeFor that keeps the buffer, and the
+		// next, longer flow reusing it.
+		"sized-grow-reset-reuse": swOps(swSizeFor, 9, swPush, 4, swAdvance, 2, swPush, 5, swPush, 0,
+			swReset, 0, swSizeFor, 5, swPush, 19, swSet, 7),
 		// A short version of TestSeqWindowBoundedSpan for the fuzzer's corpus.
 		"sliding": func() (out []byte) {
 			out = swOps(swPush, 63)
@@ -167,7 +216,10 @@ func TestSeqWindowBoundaryStreams(t *testing.T) {
 		"grow-straddling-wrap":       func(s swStats) bool { return s.straddleGrows >= 1 && s.grows >= 3 && s.maxSpan == 193 },
 		"advance-to-empty-then-push": func(s swStats) bool { return s.refills == 1 && s.grows == 1 },
 		"reset-reuse":                func(s swStats) bool { return s.reuses == 2 && s.grows == 2 && s.maxSpan == 100 },
-		"sliding":                    func(s swStats) bool { return s.grows == 1 && s.wraps > 1000 && s.maxSpan == 64 },
+		"sized-grow-reset-reuse": func(s swStats) bool {
+			return s.sized == 1 && s.floorGrows == 1 && s.straddleGrows == 1 && s.sizedReuses == 1 && s.maxSpan == 20
+		},
+		"sliding": func(s swStats) bool { return s.grows == 1 && s.wraps > 1000 && s.maxSpan == 64 },
 	}
 	for name, ops := range streams {
 		t.Run(name, func(t *testing.T) {

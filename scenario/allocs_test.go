@@ -14,16 +14,17 @@ import (
 // typed events in place of closures, rings and scoreboards that stop growing
 // once they fit the window — is guarded here, by counting what the runtime
 // actually allocated. Both tests run one Spec twice, once short and once
-// three times as long, and judge the difference in runtime.MemStats.Mallocs:
-// topology, hosts, pools and first-use growth are the same on both sides and
-// cancel, what remains is what the extra simulated time cost. A budget below
-// is a measurement plus slack, pinned per row; docs/memory.md "Allocation
-// discipline is a test" says how to read a failure and when to re-pin.
+// three times as long, and judge the difference in runtime.MemStats.Mallocs
+// (and, for churn, TotalAlloc): topology, hosts, pools and first-use growth
+// are the same on both sides and cancel, what remains is what the extra
+// simulated time cost. A budget below is a measurement plus slack, pinned
+// per row; docs/memory.md "Allocation discipline is a test" says how to read
+// a failure and when to re-pin.
 
-// mallocsDuring runs spec and returns its Metrics and the heap objects the
-// process allocated meanwhile. Neither test is parallel, so nothing else in
-// the test binary is running.
-func mallocsDuring(t *testing.T, spec Spec) (*Metrics, int64) {
+// allocsDuring runs spec and returns its Metrics and the heap objects and
+// bytes the process allocated meanwhile. Neither test is parallel, so
+// nothing else in the test binary is running.
+func allocsDuring(t *testing.T, spec Spec) (m *Metrics, objects, bytes int64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -32,7 +33,7 @@ func mallocsDuring(t *testing.T, spec Spec) (*Metrics, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, int64(after.Mallocs - before.Mallocs)
+	return m, int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // skipUnlessCountable skips under -short (these run real simulations) and
@@ -78,8 +79,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards%d", row.transport, shards), func(t *testing.T) {
 				spec := New(WithTransport(row.transport), WithShards(shards), WithWarmup(time.Millisecond))
-				_, short := mallocsDuring(t, spec.With(WithWindow(3*time.Millisecond)))
-				m, long := mallocsDuring(t, spec.With(WithWindow(11*time.Millisecond)))
+				_, short, _ := allocsDuring(t, spec.With(WithWindow(3*time.Millisecond)))
+				m, long, _ := allocsDuring(t, spec.With(WithWindow(11*time.Millisecond)))
 				if m.UtilizationPct < 20 {
 					t.Fatalf("utilization %.1f%%: the run did not keep the fabric busy", m.UtilizationPct)
 				}
@@ -100,18 +101,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 // cover the pools' take and retire paths, StartFlow, the deferred
 // registration and teardown commands (values carried by the pooled flow
 // state: none of them may cost an object), FlowTable growth and the
-// completion records.
+// completion records. The marginal bytes per completed flow are what a
+// closed loop's memory grows by with simulated time: state a flow leaves
+// behind (TCP's and pHost's tombstones, docs/memory.md "Still grows with
+// simulated time") and the completion records every transport keeps.
 func TestChurnAllocsPerFlow(t *testing.T) {
 	skipUnlessCountable(t)
 	rows := []struct {
 		transport Transport
-		budget    float64 // measured (five runs, spread 0.001) plus slack
+		budget    float64 // objects: measured (five runs, spread 0.001) plus slack
+		bytes     float64 // bytes: measured (three runs, spread 0.1) plus slack
 	}{
-		{NDP, 0.25}, // 0.086: no object per flow; time-wait and flow tables doubling, completion chunks
-		// 0.021 and 0.015: the sender carries its data source, and tombstones
-		// come from the pool's slab (2.02 and 2.01 when each was an object).
-		{TCP, 0.25},
-		{DCTCP, 0.25},
+		// 0.076 objects: no object per flow; the pools' working set still
+		// filling, table doublings, completion chunks (0.086 with the
+		// time-wait table). 79.2 bytes, budget 96: the 32-byte completion
+		// record and the FCT slices it feeds. 212.2 before the time-wait
+		// table went and completions were merged instead of copied.
+		{NDP, 0.25, 96},
+		// 0.021 and 0.015 objects: the sender carries its data source, and
+		// tombstones come from the pool's slab (2.02 and 2.01 when each was
+		// an object). 224.2 and 208.5 bytes, budget 256: the tombstones and
+		// their demux slots, and the completion record.
+		{TCP, 0.25, 256},
+		{DCTCP, 0.25, 256},
 		// 54.55, and not fixed here: 5 per subflow (the sender pool never
 		// hits: a group retires only when all eight subflows complete, and a
 		// one-packet flow uses one) plus 14 per connection: per subflow a
@@ -121,10 +133,13 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		// doubling 1 -> 8, and first window growth. No BENCHMARK.json
 		// workload churns MPTCP flows, so a fix has nothing to be measured
 		// against. 73 until the sender embedded its timer (two objects
-		// fewer per subflow).
-		{MPTCP, 57},
-		{DCQCN, 0.25}, // 0.021
-		{PHost, 0.25}, // 0.086: tombstones from the host's slab (1.05 when each was an object)
+		// fewer per subflow). 8,888.8 bytes, budget 9,216: those objects.
+		{MPTCP, 57, 9216},
+		{DCQCN, 0.25, 128}, // 0.021 objects; 102.9 bytes, budget 128
+		// 0.086 objects: tombstones from the host's slab (1.05 when each was
+		// an object). 193.8 bytes, budget 224: the tombstones and their demux
+		// slots, and the completion record.
+		{PHost, 0.25, 224},
 	}
 	for _, row := range rows {
 		t.Run(string(row.transport), func(t *testing.T) {
@@ -132,16 +147,19 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, short := mallocsDuring(t, spec.With(WithDeadline(10*time.Millisecond)))
-			ml, long := mallocsDuring(t, spec.With(WithDeadline(30*time.Millisecond)))
+			ms, short, shortB := allocsDuring(t, spec.With(WithDeadline(10*time.Millisecond)))
+			ml, long, longB := allocsDuring(t, spec.With(WithDeadline(30*time.Millisecond)))
 			flows := ml.FlowsCompleted - ms.FlowsCompleted
 			if flows < 3000 {
 				t.Fatalf("only %d more flows completed in the longer run", flows)
 			}
-			per := float64(long-short) / float64(flows)
-			t.Logf("%.3f objects per flow over %d flows", per, flows)
+			per, perB := float64(long-short)/float64(flows), float64(longB-shortB)/float64(flows)
+			t.Logf("%.3f objects and %.1f bytes per flow over %d flows", per, perB, flows)
 			if per > row.budget {
 				t.Errorf("%.2f objects per churned flow (%d objects, %d flows), budget %.2f", per, long-short, flows, row.budget)
+			}
+			if perB > row.bytes {
+				t.Errorf("%.1f bytes per churned flow (%d bytes, %d flows), budget %.0f", perB, longB-shortB, flows, row.bytes)
 			}
 		})
 	}

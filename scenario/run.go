@@ -296,6 +296,17 @@ func (l *rpcLog) add(r rpcDone) {
 	l.chunks[last] = append(l.chunks[last], r)
 }
 
+// len returns the number of records logged.
+func (l *rpcLog) len() int {
+	if len(l.chunks) == 0 {
+		return 0
+	}
+	return (len(l.chunks)-1)*rpcLogChunk + len(l.chunks[len(l.chunks)-1])
+}
+
+// get returns record i in logging order.
+func (l *rpcLog) get(i int) *rpcDone { return &l.chunks[i/rpcLogChunk][i%rpcLogChunk] }
+
 // runRPC keeps Degree closed-loop request flows per host in flight until
 // the deadline, recording every completion.
 func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
@@ -357,33 +368,59 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 	runTo(spec, rep, net.Runner(), simDur(deadline), simDur(deadline))
 	out.launched = int(cl.Launched())
 
-	// Merge the per-shard completion buffers into one canonical order:
+	// Merge the per-shard completion logs into one canonical order:
 	// completion time, then receiver, then sender — a key identical for
-	// every shard count (per-shard buffer order is only per-receiver-shard
-	// FIFO, which a different partition would interleave differently).
-	// The chunks are copied once, into a slice of exactly their size.
-	var chunks [][]rpcDone
-	for _, l := range recs {
-		chunks = append(chunks, l.chunks...)
+	// every shard count (per-shard log order is only per-receiver-shard
+	// FIFO, which a different partition would interleave differently). A
+	// shard records completions as its clock advances, so each log is in
+	// time order already: merging by time, ties to the lower shard, yields
+	// the order a stable sort of the logs' concatenation by time would, and
+	// only each equal-time group still needs a stable sort by (dst, src).
+	n := 0
+	for i := range recs {
+		n += recs[i].len()
 	}
-	all := slices.Concat(chunks...)
-	slices.SortStableFunc(all, func(a, b rpcDone) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
+	out.fcts = make([]float64, 0, n)
+	next := make([]int, len(recs))
+	var group []rpcDone // the merged records completing at group[0].at
+	for range n {
+		best := -1
+		for s := range recs {
+			if next[s] < recs[s].len() && (best < 0 || recs[s].get(next[s]).at < recs[best].get(next[best]).at) {
+				best = s
+			}
 		}
+		r := *recs[best].get(next[best])
+		next[best]++
+		if len(group) > 0 && r.at != group[0].at {
+			if r.at < group[0].at {
+				panic("scenario: a shard's completion log is out of time order")
+			}
+			out.fcts = appendByReceiver(out.fcts, group)
+			group = group[:0]
+		}
+		group = append(group, r)
+	}
+	out.fcts = appendByReceiver(out.fcts, group)
+	out.completed = n
+	if len(group) > 0 {
+		out.last = group[0].at
+	}
+}
+
+// appendByReceiver appends the FCTs of one equal-time group of completions
+// in (receiver, sender) order, stable on ties.
+func appendByReceiver(fcts []float64, group []rpcDone) []float64 {
+	slices.SortStableFunc(group, func(a, b rpcDone) int {
 		if c := cmp.Compare(a.dst, b.dst); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.src, b.src)
 	})
-	out.fcts = make([]float64, 0, len(all))
-	for _, r := range all {
-		out.fcts = append(out.fcts, r.us)
-		out.completed++
-		if r.at > out.last {
-			out.last = r.at
-		}
+	for _, r := range group {
+		fcts = append(fcts, r.us)
 	}
+	return fcts
 }
 
 // pathExcluder is the optional sender capability behind

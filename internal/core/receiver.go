@@ -131,7 +131,6 @@ func (r *Receiver) sendAckLike(t fabric.PacketType, p *fabric.Packet) {
 	c := r.st.arena.NewControl(t, r.Flow, r.st.Host.ID, r.Peer)
 	c.Seq = p.Seq
 	c.PathID = p.PathID
-	c.TSEcho = p.Sent
 	r.st.sendControl(c)
 }
 
@@ -330,7 +329,7 @@ func (pp *pullPacer) fire() {
 	fp.nextSeq++
 	r := fp.r
 	p := pp.st.arena.NewControl(fabric.Pull, r.Flow, pp.st.Host.ID, r.Peer)
-	p.PullSeq = fp.nextSeq
+	p.SetPullSeq(fp.nextSeq)
 	pp.st.sendControl(p)
 	pp.schedule()
 }

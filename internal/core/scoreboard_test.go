@@ -14,7 +14,7 @@ func TestPathScoreboardExcludesNackOutliers(t *testing.T) {
 	// Poison path 0's statistics: heavy NACKs vs clean ACKs elsewhere.
 	for i := 0; i < 40; i++ {
 		s.pstats[0].naks++
-		for p := 1; p < len(s.paths); p++ {
+		for p := 1; p < s.routes; p++ {
 			s.pstats[p].acks++
 		}
 	}
@@ -36,7 +36,7 @@ func TestPathScoreboardExclusionIsTemporary(t *testing.T) {
 	s := st[0].Connect(st[15], -1, FlowOpts{})
 	for i := 0; i < 40; i++ {
 		s.pstats[0].naks++
-		for p := 1; p < len(s.paths); p++ {
+		for p := 1; p < s.routes; p++ {
 			s.pstats[p].acks++
 		}
 	}
@@ -62,7 +62,7 @@ func TestPathScoreboardSymmetricNacksNotExcluded(t *testing.T) {
 	_ = net
 	s := st[0].Connect(st[15], -1, FlowOpts{})
 	for i := 0; i < 40; i++ {
-		for p := 0; p < len(s.paths); p++ {
+		for p := 0; p < s.routes; p++ {
 			s.pstats[p].naks++
 			if i%3 == 0 {
 				s.pstats[p].acks++
@@ -83,7 +83,7 @@ func TestDisablePathPenalty(t *testing.T) {
 	s := st[0].Connect(st[15], -1, FlowOpts{})
 	for i := 0; i < 40; i++ {
 		s.pstats[0].naks++
-		for p := 1; p < len(s.paths); p++ {
+		for p := 1; p < s.routes; p++ {
 			s.pstats[p].acks++
 		}
 	}
@@ -99,7 +99,7 @@ func TestPathPermutationCoversAllPaths(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	_ = net
 	s := st[0].Connect(st[15], -1, FlowOpts{})
-	n := len(s.paths)
+	n := s.routes
 	seen := make(map[int16]int)
 	// Fresh cycle boundary: drain the current permutation first.
 	for s.permPos < len(s.perm) {
@@ -181,7 +181,7 @@ func TestPullSequenceDeltaOnReorder(t *testing.T) {
 
 func newPull(a *fabric.Arena, flow uint64, src, dst int32, seq int64) *fabric.Packet {
 	p := a.NewControl(fabric.Pull, flow, src, dst)
-	p.PullSeq = seq
+	p.SetPullSeq(seq)
 	return p
 }
 

@@ -23,9 +23,11 @@ type pkt struct {
 	state    pktState
 }
 
-// pathStat is one path's feedback scoreboard (§3.2.3).
+// pathStat is one path's feedback scoreboard (§3.2.3). The counters decay
+// by a quarter every path cycle, so 32 bits hold them: at k = 32, where a
+// sender has 256 paths, the scoreboard is 3 KB, not 6.
 type pathStat struct {
-	acks, naks, loss int64
+	acks, naks, loss int32
 }
 
 // Sender is the sending half of one NDP connection. It pushes the first
@@ -52,13 +54,15 @@ type Sender struct {
 	// one-packet flow's scoreboard is one entry.
 	pkts fabric.SeqWindow[pkt]
 
-	paths [][]int16
+	// routes is how many source routes lead to Dst; a path id is an index
+	// below it, sent as the packet's Route.
+	routes int
 	// perm is the current permutation cycle, rebuilt in place by repermute:
 	// its backing array is reused across cycles and across pooled flows
 	// (repermute used to allocate a fresh slice on every permutation cycle
 	// of every flow, about half the remaining steady-state allocations
 	// after the scheduler rewrite).
-	perm    []int
+	perm    []int16
 	permPos int
 	// pstats is the per-path scoreboard (acks, nacks, timeouts), again one
 	// array for all three counters.
@@ -110,7 +114,7 @@ type Sender struct {
 // window at a time, and a sender in a large incast doubles it.
 const rtxFirst = 8
 
-func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16) *Sender {
+func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sender {
 	s := st.takeRetiredSender()
 	if s == nil {
 		s = &Sender{st: st}
@@ -121,8 +125,8 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, paths [][]int16)
 	s.Flow = opts.Flow
 	s.Dst = dst
 	s.size = size
-	s.paths = paths
-	s.pstats = growZeroPathStats(s.pstats, len(paths))
+	s.routes = routes
+	s.pstats = growZeroPathStats(s.pstats, routes)
 	s.onDone = opts.OnSenderDone
 	s.reg = registration{prio: opts.Priority, doneAt: opts.OnReceiverDoneAt, data: opts.OnReceiverData}
 	s.probeSeq = -1
@@ -255,7 +259,7 @@ func (s *Sender) nextPathID() int16 {
 	}
 	id := s.perm[s.permPos]
 	s.permPos++
-	return int16(id)
+	return id
 }
 
 // repermute rebuilds the randomized path order, temporarily excluding
@@ -266,9 +270,9 @@ func (s *Sender) nextPathID() int16 {
 // It runs once per full path cycle, not per packet, and the scratch array is
 // reused across cycles once grown.
 func (s *Sender) repermute() {
-	n := len(s.paths)
+	n := s.routes
 	if cap(s.perm) < n {
-		s.perm = make([]int, 0, n)
+		s.perm = make([]int16, 0, n)
 	}
 	// The new cycle is built over the old one's array; that is safe because
 	// perm is fully rebuilt here before it is read again (nextPathID only
@@ -283,7 +287,7 @@ func (s *Sender) repermute() {
 				fracSum += float64(s.pstats[i].naks) / float64(t)
 				qualified++
 			}
-			lossSum += s.pstats[i].loss
+			lossSum += int64(s.pstats[i].loss)
 		}
 		meanFrac, meanLoss := 0.0, float64(lossSum)/float64(n)
 		if qualified > 0 {
@@ -302,13 +306,13 @@ func (s *Sender) repermute() {
 				s.excludedActive++
 				continue
 			}
-			include = append(include, i)
+			include = append(include, int16(i))
 		}
 	}
 	if len(include) == 0 {
 		include = include[:0]
 		for i := 0; i < n; i++ {
-			include = append(include, i)
+			include = append(include, int16(i))
 		}
 		s.excludedActive = 0
 	}
@@ -319,7 +323,7 @@ func (s *Sender) repermute() {
 		s.pstats[i].naks -= s.pstats[i].naks / 4
 		s.pstats[i].loss -= s.pstats[i].loss / 4
 	}
-	s.st.rand.ShuffleInts(include)
+	sim.Shuffle(&s.st.rand, include)
 	s.perm = include
 	s.permPos = 0
 }
@@ -345,14 +349,14 @@ func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
 		size = s.lastSize
 	}
 	pid := s.nextPathID()
-	if avoid >= 0 && pid == avoid && len(s.paths) > 1 {
+	if avoid >= 0 && pid == avoid && s.routes > 1 {
 		pid = s.nextPathID()
 	}
 	p := s.st.arena.NewData(s.Flow, s.st.Host.ID, s.Dst, seq, size)
 	if s.st.cfg.SwitchLB {
 		pid = -1 // destination-routed: switches spray per packet
 	} else {
-		p.Path = s.paths[pid]
+		p.Route = pid
 	}
 	p.PathID = pid
 	p.Sent = s.st.el.Now()
@@ -500,11 +504,11 @@ func (s *Sender) onNack(p *fabric.Packet) {
 
 func (s *Sender) onPull(p *fabric.Packet) {
 	s.rxEvents++
-	delta := p.PullSeq - s.lastPullSeq
+	delta := p.PullSeq() - s.lastPullSeq
 	if delta <= 0 {
 		return // reordered pull: a later one already released this credit
 	}
-	s.lastPullSeq = p.PullSeq
+	s.lastPullSeq = p.PullSeq()
 	for i := int64(0); i < delta; i++ {
 		s.sendNext()
 	}

@@ -60,9 +60,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// PathsFunc enumerates source routes from this stack's host to a
-// destination host; topologies provide it (e.g. (*topo.FatTree).Paths).
-type PathsFunc func(dst int32) [][]int16
+// PathsFunc returns how many source routes lead from this stack's host to a
+// destination host; topologies provide it (e.g. (*topo.FatTree).Paths). A
+// packet carries one of them as an index, Packet.Route.
+type PathsFunc func(dst int32) int
 
 // Stack is the per-host NDP endpoint: it owns the host's flow demultiplexer,
 // the single shared pull pacer ("a receiver only has one pull queue, shared
@@ -126,7 +127,7 @@ const retiredFirst = 16
 // processing delay, which at line rate is a few packets.
 const rxqFirst = 8
 
-// NewStack installs an NDP endpoint on a host. pathsTo must enumerate source
+// NewStack installs an NDP endpoint on a host. pathsTo must count the source
 // routes toward any peer the host will talk to.
 func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 	cfg = cfg.withDefaults()
@@ -280,10 +281,8 @@ func (st *Stack) takeRetiredReceiver() *Receiver {
 // control-priority band.
 func (st *Stack) sendControl(p *fabric.Packet) {
 	if !st.cfg.SwitchLB {
-		paths := st.pathsTo(p.Dst)
-		if len(paths) > 0 {
-			p.Path = paths[st.rand.Intn(len(paths))]
-			p.Hop = 0
+		if n := st.pathsTo(p.Dst); n > 0 {
+			p.Route = int16(st.rand.Intn(n))
 		}
 	}
 	st.Host.Send(p)
@@ -377,11 +376,11 @@ func (st *Stack) Open(dst int32, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
 		panic("core: Open needs an explicit flow id")
 	}
-	paths := st.pathsTo(dst)
-	if len(paths) == 0 {
+	routes := st.pathsTo(dst)
+	if routes == 0 {
 		panic(fmt.Sprintf("core: no paths from host %d to host %d", st.Host.ID, dst))
 	}
-	s := newSender(st, opts, dst, size, paths)
+	s := newSender(st, opts, dst, size, routes)
 	st.flows.Ref(opts.Flow).sender = s
 	st.demux.Register(opts.Flow, s)
 	return s

@@ -20,7 +20,7 @@ func ndpNet(k int, scfg SwitchConfig, ccfg Config) (*topo.FatTree, []*Stack) {
 	for i, h := range net.Hosts {
 		ccfg := ccfg
 		ccfg.Seed = uint64(i) + 1
-		stacks[i] = NewStack(h, func(dst int32) [][]int16 { return net.Paths(h.ID, dst) }, ccfg)
+		stacks[i] = NewStack(h, func(dst int32) int { return net.Paths(h.ID, dst) }, ccfg)
 		stacks[i].Listen(nil)
 	}
 	return net, stacks

@@ -74,7 +74,7 @@ func countersOf(s *Sender, path int16) senderCounters {
 		rxEvents: s.rxEvents, nacksSeen: s.NacksSeen, bouncesSeen: s.BouncesSeen,
 		ackedCount: s.ackedCount, ackedOrNacked: s.ackedOrNacked, inflight: s.inflight,
 		noted:    s.recentAcks + s.recentNacks,
-		pathAcks: s.pstats[path].acks, pathNaks: s.pstats[path].naks,
+		pathAcks: int64(s.pstats[path].acks), pathNaks: int64(s.pstats[path].naks),
 		rtxNack: s.RtxFromNack, rtxBounce: s.RtxFromBounce,
 		rtxQueued: int64(s.rtxq.Len()), packetsSent: s.PacketsSent,
 		fwBounced: s.fwBounced,

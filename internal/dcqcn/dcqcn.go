@@ -67,7 +67,7 @@ type Sender struct {
 	host  *fabric.Host
 	arena *fabric.Arena
 	dst   int32
-	path  []int16
+	route int16
 
 	size int64 // bytes; <0 unbounded
 	sent int64 // bytes handed to the NIC
@@ -97,11 +97,11 @@ type Sender struct {
 
 // NewSender builds a DCQCN sender; call Start to begin transmitting. Pool
 // calls it only on a miss: recycle reuses the state.
-func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) *Sender {
+func NewSender(host *fabric.Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
 	s := &Sender{
 		Flow: flow, cfg: cfg, el: host.EventList(), host: host, dst: dst,
 		arena: fabric.AttachArena(host.EventList()),
-		path:  path, size: size,
+		route: route, size: size,
 		rc: float64(cfg.LineRate), rt: float64(cfg.LineRate), alpha: 1,
 	}
 	s.alphaTimer.InitHandler(s.el, (*alphaTick)(s))
@@ -112,14 +112,14 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int
 // recycle resets a retired sender for a new transfer, keeping the event
 // list, the two rate-machine timers (their handlers are this object) and
 // the arena.
-func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) {
+func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, route int16, size int64, cfg Config) {
 	if s.split.Net != nil && s.el.Now() <= s.split.At {
 		panic("dcqcn: sender recycled before its deferred receiver attach ran")
 	}
 	el, arena, at, it := s.el, s.arena, s.alphaTimer, s.incTimer
 	*s = Sender{
 		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, arena: arena,
-		path: path, size: size,
+		route: route, size: size,
 		rc: float64(cfg.LineRate), rt: float64(cfg.LineRate), alpha: 1,
 		alphaTimer: at, incTimer: it,
 	}
@@ -145,7 +145,7 @@ func (s *Sender) sendLoop() {
 		n = s.size - s.sent
 	}
 	p := s.arena.NewData(s.Flow, s.host.ID, s.dst, s.seq, int32(n))
-	p.Path = s.path
+	p.Route = s.route
 	p.Sent = s.el.Now()
 	s.seq++
 	s.sent += n
@@ -270,7 +270,7 @@ type Receiver struct {
 	host  *fabric.Host
 	arena *fabric.Arena
 	peer  int32
-	path  []int16
+	route int16
 	cfg   Config
 
 	lastCNP  sim.Time
@@ -291,11 +291,11 @@ type Receiver struct {
 	OnData func(bytes int64)
 }
 
-// NewReceiver builds the receiving side; path carries CNPs back. Pool calls
-// it only on a miss.
-func NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath []int16, cfg Config) *Receiver {
+// NewReceiver builds the receiving side; revRoute carries CNPs back. Pool
+// calls it only on a miss.
+func NewReceiver(host *fabric.Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
 	return &Receiver{
-		Flow: flow, host: host, peer: peer, path: revPath, cfg: cfg,
+		Flow: flow, host: host, peer: peer, route: revRoute, cfg: cfg,
 		arena: fabric.AttachArena(host.EventList()),
 	}
 }
@@ -320,7 +320,7 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 			r.everCNP = true
 			r.lastCNP = now
 			c := r.arena.NewControl(fabric.CNP, r.Flow, r.host.ID, r.peer)
-			c.Path = r.path
+			c.Route = r.route
 			r.host.Send(c)
 		}
 	}

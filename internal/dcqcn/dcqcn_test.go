@@ -29,10 +29,8 @@ func dcqcnNet(k int) (*topo.FatTree, []*fabric.Demux) {
 
 func start(net *topo.FatTree, dm []*fabric.Demux, src, dst int32, flow uint64, size int64) (*Sender, *Receiver) {
 	cfg := DefaultConfig()
-	fwd := net.Paths(src, dst)[0]
-	rev := net.Paths(dst, src)[0]
-	s := NewSender(net.Hosts[src], dst, flow, fwd, size, cfg)
-	r := NewReceiver(net.Hosts[dst], src, flow, rev, cfg)
+	s := NewSender(net.Hosts[src], dst, flow, 0, size, cfg)
+	r := NewReceiver(net.Hosts[dst], src, flow, 0, cfg)
 	dm[src].Register(flow, s)
 	dm[dst].Register(flow, r)
 	s.Start()
@@ -133,7 +131,7 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 	h.NIC = fabric.NewPort(el, "nic", fabric.NewFIFOQueue(0), 10e9, 0)
 	h.NIC.Connect(fabric.SinkFunc(func(p *fabric.Packet) { fabric.Free(p) }))
 	cfg := DefaultConfig()
-	s := NewSender(h, 1, 1, nil, -1, cfg)
+	s := NewSender(h, 1, 1, -1, -1, cfg)
 	s.Start()
 	el.RunUntil(sim.Microsecond)
 	if s.Rate() != 10e9 {
@@ -165,7 +163,7 @@ func TestSplitFlowLifecycle(t *testing.T) {
 	cfg.LineRate = net.LinkRate()
 	hs, hd := net.Hosts[0], net.Hosts[15]
 	flow := func(id uint64, doneAt *sim.Time) *Sender {
-		s := pool.NewSender(hs, hd.ID, id, net.Paths(hs.ID, hd.ID)[0], 90_000, cfg)
+		s := pool.NewSender(hs, hd.ID, id, 0, 90_000, cfg)
 		dm[0].Register(id, s)
 		at := net.EL.Now() + net.MinPathDelay(0, 15)
 		net.Defer(0, 15, at, s.Attach(Split{
@@ -188,8 +186,8 @@ func TestSplitFlowLifecycle(t *testing.T) {
 		t.Fatalf("receiver %+v, completion observed at %v", rc, doneAt)
 	}
 	revs := net.Paths(hd.ID, hs.ID)
-	if want := revs[5%len(revs)]; &rc.path[0] != &want[0] {
-		t.Errorf("receiver sends CNPs on %v, RevPick 5 selects %v", rc.path, want)
+	if want := int16(5 % revs); rc.route != want {
+		t.Errorf("receiver sends CNPs on route %d, RevPick 5 selects %d", rc.route, want)
 	}
 	if dm[0].Handler(7) != nil || dm[15].Handler(7) != nil || !s.stopped || s.alphaTimer.Pending() || s.incTimer.Pending() {
 		t.Error("teardown left the flow registered or the sender's timers running")
@@ -213,6 +211,6 @@ func TestSplitFlowLifecycle(t *testing.T) {
 			t.Errorf("recovered %q, want the recycle-before-attach panic", msg)
 		}
 	}()
-	pool.NewSender(hs, hd.ID, 9, net.Paths(hs.ID, hd.ID)[0], 90_000, cfg)
+	pool.NewSender(hs, hd.ID, 9, 0, 90_000, cfg)
 	t.Error("the sender was recycled under its pending attach")
 }

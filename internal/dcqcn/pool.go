@@ -24,12 +24,12 @@ const retiredFirst = 8
 func NewPool() *Pool { return &Pool{} }
 
 // NewSender builds or recycles a sender; call Start to begin transmitting.
-func (pl *Pool) NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, cfg Config) *Sender {
+func (pl *Pool) NewSender(host *fabric.Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
 	if s := pl.takeSender(host); s != nil {
-		s.recycle(host, dst, flow, path, size, cfg)
+		s.recycle(host, dst, flow, route, size, cfg)
 		return s
 	}
-	return NewSender(host, dst, flow, path, size, cfg)
+	return NewSender(host, dst, flow, route, size, cfg)
 }
 
 // takeSender pops the oldest retired sender once it is fully quiescent:
@@ -50,14 +50,14 @@ func (pl *Pool) takeSender(host *fabric.Host) *Sender {
 func (pl *Pool) RetireSender(s *Sender) { pl.senders.Push(s, retiredFirst) }
 
 // NewReceiver builds or recycles a receiver.
-func (pl *Pool) NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath []int16, cfg Config) *Receiver {
+func (pl *Pool) NewReceiver(host *fabric.Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
 	r := pl.receivers.Peek()
 	if r == nil || r.host.EventList() != host.EventList() {
-		return NewReceiver(host, peer, flow, revPath, cfg)
+		return NewReceiver(host, peer, flow, revRoute, cfg)
 	}
 	pl.receivers.Pop()
 	*r = Receiver{
-		Flow: flow, host: host, peer: peer, path: revPath, cfg: cfg,
+		Flow: flow, host: host, peer: peer, route: revRoute, cfg: cfg,
 		arena: r.arena,
 	}
 	return r

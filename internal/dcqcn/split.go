@@ -18,7 +18,7 @@ import (
 type Fabric interface {
 	Defer(from, to int, at sim.Time, h sim.Handler, arg uint64)
 	MinPathDelay(src, dst int) sim.Time
-	Paths(src, dst int32) [][]int16
+	Paths(src, dst int32) int
 }
 
 // End is one side of the flow: the host, the index the cluster knows it by,
@@ -63,7 +63,7 @@ func (s *Sender) Attach(sp Split) *Attach {
 func (a *Attach) OnEvent(uint64) {
 	s, sp := (*Sender)(a), &a.split
 	revs := sp.Net.Paths(sp.Dst.Host.ID, sp.Src.Host.ID)
-	rc := sp.Dst.Pool.NewReceiver(sp.Dst.Host, sp.Src.Host.ID, s.Flow, revs[sp.RevPick%uint64(len(revs))], s.cfg)
+	rc := sp.Dst.Pool.NewReceiver(sp.Dst.Host, sp.Src.Host.ID, s.Flow, int16(sp.RevPick%uint64(revs)), s.cfg)
 	rc.OnData = sp.OnData
 	rc.OnCompleteAt = sp.OnCompleteAt
 	rc.snd = s

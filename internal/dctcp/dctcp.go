@@ -39,14 +39,14 @@ func SenderConfig(mtu int) tcp.Config {
 	}
 }
 
-// NewSender builds a DCTCP sender over a fixed path.
-func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, size int64, mtu int) *tcp.Sender {
+// NewSender builds a DCTCP sender over a fixed route.
+func NewSender(host *fabric.Host, dst int32, flow uint64, route int16, size int64, mtu int) *tcp.Sender {
 	cfg := SenderConfig(mtu)
-	return tcp.NewSender(host, dst, flow, path, tcp.NewFixedSource(size, mtu), cfg)
+	return tcp.NewSender(host, dst, flow, route, tcp.NewFixedSource(size, mtu), cfg)
 }
 
 // NewReceiver builds the matching receiver; DCTCP receivers are plain TCP
 // receivers with per-packet ECN echo, which internal/tcp always does.
-func NewReceiver(host *fabric.Host, peer int32, flow uint64, revPath []int16) *tcp.Receiver {
-	return tcp.NewReceiver(host, peer, flow, revPath)
+func NewReceiver(host *fabric.Host, peer int32, flow uint64, revRoute int16) *tcp.Receiver {
+	return tcp.NewReceiver(host, peer, flow, revRoute)
 }

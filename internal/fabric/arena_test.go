@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // noLeak frees what the queues still hold and fails the test when a packet
@@ -38,17 +40,17 @@ func TestArenaProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				p = a.Get()
-				if p.Type != 0 || p.Flow != 0 || p.Seq != 0 || p.Size != 0 || p.Flags != 0 {
+				if p.Type != 0 || p.Flow != 0 || p.Seq != 0 || p.Size != 0 || p.Flags != 0 || p.Route != -1 {
 					t.Fatalf("step %d: Get returned dirty packet %+v", step, p)
 				}
 			case 1:
 				p = a.NewControl(Ack, next, 1, 2)
-				if p.Type != Ack || p.Flow != next || p.Size != HeaderSize || p.Seq != 0 {
+				if p.Type != Ack || p.Flow != next || p.Size != HeaderSize || p.Seq != 0 || p.Route != -1 {
 					t.Fatalf("step %d: NewControl dirty or misbuilt: %+v", step, p)
 				}
 			default:
 				p = a.NewData(next, 1, 2, 42, 1500)
-				if p.Type != Data || p.Flow != next || p.Seq != 42 || p.Size != 1500 {
+				if p.Type != Data || p.Flow != next || p.Seq != 42 || p.Size != 1500 || p.Route != -1 {
 					t.Fatalf("step %d: NewData dirty or misbuilt: %+v", step, p)
 				}
 			}
@@ -166,4 +168,31 @@ func FuzzArenaInterleaving(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPacketIsOneCacheLine pins the layout: a Packet is one 64-byte line, no
+// field of it is a slice or points to one (a source route is an index the
+// switch resolves, not a hop list to load), and an arena chunk is 512 of
+// them, 32 KiB, a page-aligned large object, so that every packet of a chunk
+// starts on a line of its own.
+func TestPacketIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 64 {
+		t.Errorf("Packet is %d bytes, want 64", size)
+	}
+	typ := reflect.TypeOf(Packet{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if k := f.Type.Kind(); k == reflect.Slice || k == reflect.Pointer && f.Type.Elem().Kind() == reflect.Slice {
+			t.Errorf("Packet.%s is a %v", f.Name, f.Type)
+		}
+	}
+	if chunk := arenaChunk * unsafe.Sizeof(Packet{}); chunk != 32<<10 {
+		t.Errorf("an arena chunk is %d bytes, want 32 KiB", chunk)
+	}
+	a := NewArena()
+	for i := 0; i < 2*arenaChunk; i++ {
+		if p := a.Get(); uintptr(unsafe.Pointer(p))%64 != 0 {
+			t.Fatalf("packet %d of the arena starts at %p, inside a cache line", i, p)
+		}
+	}
 }

@@ -51,12 +51,12 @@ func (t PacketType) String() string {
 	return fmt.Sprintf("PacketType(%d)", uint8(t))
 }
 
-// Packet flags.
+// Packet flags: eight, one byte.
 const (
 	// FlagSYN marks first-window packets (NDP puts it on every packet of
 	// the first RTT so connection state can be established by whichever
 	// arrives first; TCP uses it conventionally).
-	FlagSYN uint16 = 1 << iota
+	FlagSYN uint8 = 1 << iota
 	// FlagFIN marks the sender's last packet ("when the sender runs out of
 	// data to send, it marks the last packet").
 	FlagFIN
@@ -84,39 +84,55 @@ const HeaderSize = 64
 // repository. Fields are a union of what the protocols need; keeping one
 // pooled struct avoids per-protocol allocation in the forwarding path.
 //
-// Path, when non-nil, is a source route: Path[i] is the egress port index to
-// take at the i-th switch. It references a slice owned by the topology and
-// must never be mutated through a Packet.
+// It is one 64-byte cache line (TestPacketIsOneCacheLine), and an arena
+// chunk starts every packet on a line of its own: a hop touches one line of
+// packet. Two words are shared between transports that never use both:
+//
+//   - AckNo is TCP's cumulative ACK; on an NDP PULL and a pHost token the same
+//     word is the pull sequence (PullSeq, SetPullSeq).
+//   - Sent is when a data packet left its sender; on a TCP ACK, whose own send
+//     time nothing reads, it is that data packet's Sent echoed back for the
+//     RTT sample.
+//
+// Route is a source route as an index, not a hop list: the topology's
+// RouteFunc resolves it switch by switch (FatTree and TwoTier compute the
+// egress port, Jellyfish looks up its enumerated route, using Hop). −1 means
+// destination-routed. PathID is the sender's scoreboard index, which an NDP
+// ACK or NACK echoes from the data packet while riding a Route of its own,
+// so on those two fields differ.
 type Packet struct {
 	Type  PacketType
-	Flags uint16
+	Flags uint8
+	Hop   uint8 // switches passed on an enumerated route (Jellyfish)
+	// freed guards against double frees.
+	freed  bool
+	Route  int16 // index into Cluster.Paths(Src, Dst); -1 = destination-routed
+	PathID int16 // sender's index for the path scoreboard
 
 	Flow uint64 // connection identifier, globally unique
 	Src  int32  // source host id
 	Dst  int32  // destination host id
 
 	Seq      int64 // data sequence (packets for NDP, bytes for TCP-family)
-	AckNo    int64 // cumulative ACK (TCP-family) or acked seq (NDP)
-	PullSeq  int64 // NDP pull sequence number
+	AckNo    int64 // cumulative ACK (TCP-family); PullSeq (NDP, pHost)
 	Size     int32 // current wire size in bytes (shrinks when trimmed)
 	DataSize int32 // payload bytes this packet delivers when untrimmed
 
-	Path   []int16 // source route (shared, read-only); nil = destination-routed
-	Hop    int16   // next index into Path
-	PathID int16   // sender's index for the path scoreboard
-
-	Sent     sim.Time // when the packet (or its first incarnation) left the sender
-	TSEcho   sim.Time // timestamp echoed for RTT measurement
-	QueueOcc int32    // queue occupancy snapshot (DCQCN-style telemetry)
+	Sent sim.Time // when the packet left the sender; a TCP ACK's RTT echo
 
 	// owner is the Arena whose books the packet is on: the one it was
 	// allocated from, or after a cross-shard handoff the one that adopted
 	// it. Free routes through it, so the ~25 call sites that release
-	// packets never need to know which shard allocated one. freed guards
-	// against double frees.
+	// packets never need to know which shard allocated one.
 	owner *Arena
-	freed bool
 }
+
+// PullSeq is an NDP PULL's (or a pHost token's) sequence number: the
+// cumulative credit the receiver has granted, kept in the AckNo word.
+func (p *Packet) PullSeq() int64 { return p.AckNo }
+
+// SetPullSeq sets the pull sequence number.
+func (p *Packet) SetPullSeq(n int64) { p.AckNo = n }
 
 // IsControl reports whether the packet gets control-plane priority at NDP
 // switches and host NICs: trimmed headers, ACKs, NACKs, PULLs and CNPs.
@@ -135,11 +151,12 @@ func (p *Packet) Trimmed() bool { return p.Flags&FlagTrimmed != 0 }
 
 // Bounce converts a header into a return-to-sender packet: source and
 // destination swap and the packet loses its source route so that switches
-// fall back to destination-based routing toward the original sender.
+// fall back to destination-based routing toward the original sender. PathID
+// stays: the sender charges the bounce to the path the data took.
 func (p *Packet) Bounce() {
 	p.Flags |= FlagBounced
 	p.Src, p.Dst = p.Dst, p.Src
-	p.Path = nil
+	p.Route = -1
 	p.Hop = 0
 }
 

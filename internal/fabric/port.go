@@ -99,7 +99,10 @@ type Port struct {
 	freeOrd uint64
 
 	// flight holds packets on the wire or in propagation toward the peer,
-	// in transmission order, each with its due time and emission sequence.
+	// in transmission order, each with its due time. emitSeq counts the
+	// emissions, one per packet, and a port that pushes to flight pushes
+	// every one there (a cut port pushes none), so the head's emission
+	// sequence is emitSeq - flight.Len() + 1 and no entry stores its own.
 	// At most the head of flight has a delivery event in the heap (armed):
 	// the delivery handler re-arms for the next entry when it fires, and
 	// drains consecutive entries due at the same instant in one event
@@ -289,7 +292,7 @@ func (p *Port) start(at sim.Time) {
 	if p.flight.Cap() == 0 {
 		first = flightCap(p.Delay, p.RateBps)
 	}
-	p.flight.Push(flightEntry{pkt: pkt, due: due, seq: p.emitSeq}, first)
+	p.flight.Push(flightEntry{pkt: pkt, due: due}, first)
 	if !p.armed && (p.onDemand || !p.wake) {
 		p.arm()
 	}
@@ -297,9 +300,9 @@ func (p *Port) start(at sim.Time) {
 
 // arm schedules the delivery event for the head of flight.
 func (p *Port) arm() {
-	e := p.flight.Peek()
+	seq := p.emitSeq - uint64(p.flight.Len()) + 1
 	p.armed = true
-	p.el.ScheduleKeyed(e.due, sim.DeliveryOrd(p.UID, e.seq), p, portDeliver)
+	p.el.ScheduleKeyed(p.flight.Peek().due, sim.DeliveryOrd(p.UID, seq), p, portDeliver)
 }
 
 // OnEvent advances the port's transmit pipeline (sim.Handler).
@@ -363,12 +366,12 @@ func (p *Port) ReleasePackets() {
 	}
 }
 
-// flightEntry is one packet on the wire or in propagation: what to deliver,
-// when it arrives, and the emission sequence that keys its delivery order.
+// flightEntry is one packet on the wire or in propagation: what to deliver
+// and when it arrives. Its emission sequence, which keys the delivery order,
+// follows from its place in the flight (arm).
 type flightEntry struct {
 	pkt *Packet
 	due sim.Time
-	seq uint64
 }
 
 // flightCap returns the size of a link's first flight buffer: what the link

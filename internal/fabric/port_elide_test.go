@@ -31,7 +31,7 @@ type eagerPort struct {
 
 	busy, paused bool
 	serializing  *Packet
-	flight       Ring[flightEntry]
+	flight       Ring[eagerEntry]
 	emitSeq      uint64
 
 	bytesSent   int64
@@ -55,6 +55,14 @@ type eagerPort struct {
 	hadWork  bool
 	elidable int
 	idleEnds int
+}
+
+// eagerEntry is a reference flight entry: it stores its emission sequence,
+// which Port derives from the entry's place in its flight.
+type eagerEntry struct {
+	pkt *Packet
+	due sim.Time
+	seq uint64
 }
 
 func (p *eagerPort) Enqueue(pkt *Packet) {
@@ -104,7 +112,7 @@ func (p *eagerPort) OnEvent(arg uint64) {
 		p.emitSeq++
 		at := p.el.Now() + p.delay
 		arm := p.flight.Len() == 0
-		p.flight.Push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq}, flightCapMax)
+		p.flight.Push(eagerEntry{pkt: pkt, due: at, seq: p.emitSeq}, flightCapMax)
 		if arm {
 			p.el.ScheduleKeyed(at, sim.DeliveryOrd(p.uid, p.emitSeq), p, portDeliver)
 		}

@@ -96,7 +96,7 @@ type odDelivery struct {
 	at    sim.Time
 	flow  uint64
 	size  int32
-	flags uint16
+	flags uint8
 }
 
 // odWorld is one switch under test: the ingress links, the egress (the

@@ -126,14 +126,7 @@ func TestSwitchSourceRouting(t *testing.T) {
 	el := sim.NewEventList()
 	a := AttachArena(el)
 	sw := NewSwitch(el, 0, "s0")
-	sw.Route = func(s *Switch, p *Packet) int {
-		if p.Path == nil {
-			return -1
-		}
-		out := int(p.Path[p.Hop])
-		p.Hop++
-		return out
-	}
+	sw.Route = func(s *Switch, p *Packet) int { return int(p.Route) }
 
 	h0 := NewHost(el, 0, "h0")
 	h1 := NewHost(el, 1, "h1")
@@ -151,10 +144,10 @@ func TestSwitchSourceRouting(t *testing.T) {
 	sw.AddPort(toH0)
 
 	p := a.NewData(1, 0, 1, 0, 9000)
-	p.Path = []int16{0}
+	p.Route = 0
 	h0.Send(p)
 
-	// Packet with no route: dropped at switch.
+	// Packet with no route (destination-routed, -1): dropped at switch.
 	bad := a.NewData(2, 0, 1, 0, 9000)
 	h0.Send(bad)
 

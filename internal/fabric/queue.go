@@ -156,7 +156,6 @@ func (q *ECNQueue) Enqueue(p *Packet) {
 		p.Flags |= FlagCE
 		q.Marks++
 	}
-	p.QueueOcc = int32(q.bytes)
 	q.FIFOQueue.Enqueue(p)
 }
 

@@ -126,14 +126,16 @@ func TestPacketTrimAndBounce(t *testing.T) {
 	if p.DataSize != 9000 {
 		t.Errorf("DataSize must survive trimming, got %d", p.DataSize)
 	}
-	p.Path = []int16{1, 2, 3}
-	p.Hop = 2
+	p.Route, p.Hop, p.PathID = 5, 2, 5
 	p.Bounce()
 	if p.Src != 9 || p.Dst != 3 {
 		t.Errorf("bounce should swap src/dst: %d->%d", p.Src, p.Dst)
 	}
-	if p.Path != nil || p.Hop != 0 {
+	if p.Route != -1 || p.Hop != 0 {
 		t.Error("bounce should clear the source route")
+	}
+	if p.PathID != 5 {
+		t.Error("bounce should keep the path id the sender charges it to")
 	}
 	Free(p)
 	noLeak(t, a)

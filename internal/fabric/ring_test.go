@@ -184,7 +184,7 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 // flight, a PFC ingress backlog).
 func mkPacket(stamp uint64) *Packet { return &Packet{Seq: int64(stamp)} }
 func mkFlight(stamp uint64) flightEntry {
-	return flightEntry{pkt: &Packet{Seq: int64(stamp)}, due: sim.Time(stamp), seq: stamp}
+	return flightEntry{pkt: &Packet{Seq: int64(stamp)}, due: sim.Time(stamp)}
 }
 
 func rgOps(pairs ...byte) []byte { return pairs }

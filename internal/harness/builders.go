@@ -62,7 +62,7 @@ func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 		h := h
 		cfg := hcfg
 		cfg.Seed = seed + uint64(i)*7919
-		st := core.NewStack(h, func(dst int32) [][]int16 { return c.Paths(h.ID, dst) }, cfg)
+		st := core.NewStack(h, func(dst int32) int { return c.Paths(h.ID, dst) }, cfg)
 		st.Listen(nil)
 		n.Stacks = append(n.Stacks, st)
 	}
@@ -269,18 +269,17 @@ func (t *TCPNet) flowID(stride uint64) uint64 {
 	return id
 }
 
-// randPath picks one fixed source route — the per-flow ECMP stand-in.
-func (t *TCPNet) randPath(src, dst int32) []int16 {
-	paths := t.C.Paths(src, dst)
-	return paths[t.rand.Intn(len(paths))]
+// randRoute picks one fixed source route — the per-flow ECMP stand-in.
+func (t *TCPNet) randRoute(src, dst int32) int16 {
+	return int16(t.rand.Intn(t.C.Paths(src, dst)))
 }
 
 // flow starts a single-path TCP (or DCTCP, via Cfg.DCTCP) transfer.
 func (t *TCPNet) flow(src, dst int, size int64) (*tcp.Sender, *tcp.Receiver) {
 	flow := t.flowID(1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randPath(hs.ID, hd.ID), size, t.Cfg)
-	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randPath(hd.ID, hs.ID))
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randRoute(hs.ID, hd.ID), size, t.Cfg)
+	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randRoute(hd.ID, hs.ID))
 	snd.Start()
 	return snd, rcv
 }
@@ -305,8 +304,8 @@ func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcq
 	fwd := d.C.Paths(hs.ID, hd.ID)
 	rev := d.C.Paths(hd.ID, hs.ID)
 	r := sim.NewRand(flow * 2654435761)
-	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
-	rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, rev[r.Intn(len(rev))], d.Cfg)
+	s := d.pool(src).NewSender(hs, hd.ID, flow, int16(r.Intn(fwd)), size, d.Cfg)
+	rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, int16(r.Intn(rev)), d.Cfg)
 	// On a lossless fixed path nothing arrives after the FIN, so both
 	// endpoints retire as soon as the receiver completes — after the
 	// caller's hook, which may start the next flow, and after stopping the
@@ -435,24 +434,23 @@ func utilization(gbps []float64, linkRate int64) float64 {
 }
 
 // Blaster is an unresponsive line-rate data source used by the Figure 2
-// switch-service-model experiment: it emits MTU-sized packets on a fixed
-// one-hop route forever, ignoring all feedback.
+// switch-service-model experiment: it emits MTU-sized packets on route 0
+// forever, ignoring all feedback.
 type Blaster struct {
 	host  *fabric.Host
 	arena *fabric.Arena
 	dst   int32
 	flow  uint64
-	path  []int16
 	mtu   int
 	gap   sim.Time
 	el    *sim.EventList
 }
 
-// StartBlast begins blasting from src toward dst on the first enumerated
-// path, with the given static phase offset for the first packet. Real
-// senders are never synchronized to the picosecond, but their relative
-// phases are stable at identical rates — exactly the regularity that
-// produces CP's phase effects (and that NDP's trim coin must break).
+// StartBlast begins blasting from src toward dst on route 0, with the given
+// static phase offset for the first packet. Real senders are never
+// synchronized to the picosecond, but their relative phases are stable at
+// identical rates — exactly the regularity that produces CP's phase effects
+// (and that NDP's trim coin must break).
 func StartBlast(c topo.Cluster, src, dst int, flow uint64, mtu int, offset sim.Time) *Blaster {
 	h := c.HostList()[src]
 	b := &Blaster{
@@ -460,7 +458,6 @@ func StartBlast(c topo.Cluster, src, dst int, flow uint64, mtu int, offset sim.T
 		arena: fabric.AttachArena(h.EventList()),
 		dst:   c.HostList()[dst].ID,
 		flow:  flow,
-		path:  c.Paths(h.ID, c.HostList()[dst].ID)[0],
 		mtu:   mtu,
 		gap:   sim.TransmissionTime(mtu, c.LinkRate()),
 		el:    c.EventList(),
@@ -473,7 +470,7 @@ func StartBlast(c topo.Cluster, src, dst int, flow uint64, mtu int, offset sim.T
 // event costs no allocation per packet).
 func (b *Blaster) OnEvent(uint64) {
 	p := b.arena.NewData(b.flow, b.host.ID, b.dst, 0, int32(b.mtu))
-	p.Path = b.path
+	p.Route = 0
 	b.host.Send(p)
 	b.el.ScheduleAfter(b.gap, b, 0)
 }

@@ -238,8 +238,7 @@ func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
 	r := &t.src.rand[src]
-	fwd := t.C.Paths(hs.ID, hd.ID)
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, fwd[r.Intn(len(fwd))], size, t.Cfg)
+	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, int16(r.Intn(t.C.Paths(hs.ID, hd.ID))), size, t.Cfg)
 	at := hs.EventList().Now() + t.C.MinPathDelay(src, dst)
 	t.C.Defer(src, dst, at, snd.Attach(tcp.ReceiverAttach{
 		At: at, Host: hd, Demux: t.Demux[dst], Pool: t.pool(dst),
@@ -384,8 +383,7 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	c := d.C
 	hs, hd := c.HostList()[src], c.HostList()[dst]
 	r := &d.src.rand[src]
-	fwd := c.Paths(hs.ID, hd.ID)
-	s := d.pool(src).NewSender(hs, hd.ID, flow, fwd[r.Intn(len(fwd))], size, d.Cfg)
+	s := d.pool(src).NewSender(hs, hd.ID, flow, int16(r.Intn(c.Paths(hs.ID, hd.ID))), size, d.Cfg)
 	d.Demux[src].Register(flow, s)
 	d.srcSenders[src] = append(d.srcSenders[src], s)
 	at := hs.EventList().Now() + c.MinPathDelay(src, dst)

@@ -77,9 +77,9 @@ type unboundedSource struct{ mss int }
 func (s *unboundedSource) Claim() int      { return s.mss }
 func (s *unboundedSource) Exhausted() bool { return false }
 
-// New builds an MPTCP flow from srcHost to dstHost. paths must contain the
-// forward source routes and revPaths the reverse ones; subflows are pinned
-// to distinct paths chosen by rand (wrapping if there are fewer paths than
+// New builds an MPTCP flow from srcHost to dstHost. routes counts the
+// forward source routes and revRoutes the reverse ones; subflows are pinned
+// to distinct routes chosen by rand (wrapping if there are fewer routes than
 // subflows). Flows are registered on the given demuxes under ids
 // flow..flow+Subflows-1.
 //
@@ -88,14 +88,14 @@ func (s *unboundedSource) Exhausted() bool { return false }
 // on the source's domain, then AttachReceivers deferred onto the
 // destination's.
 func New(src, dst *fabric.Host, srcDemux, dstDemux *fabric.Demux, flow uint64,
-	size int64, paths, revPaths [][]int16, rand *sim.Rand, cfg Config) *Flow {
-	f := NewSenderHalf(src, dst.ID, srcDemux, flow, size, paths, rand, cfg, nil)
-	f.AttachReceivers(dst, dstDemux, revPaths, rand, nil, nil)
+	size int64, routes, revRoutes int, rand *sim.Rand, cfg Config) *Flow {
+	f := NewSenderHalf(src, dst.ID, srcDemux, flow, size, routes, rand, cfg, nil)
+	f.AttachReceivers(dst, dstDemux, revRoutes, rand, nil, nil)
 	return f
 }
 
 // NewSenderHalf builds the source-side half of an MPTCP flow: the subflow
-// senders on their permuted forward paths, registered on srcDemux and
+// senders on a permutation of the forward routes, registered on srcDemux and
 // coupled by LIA, but not yet started. It touches only source-host state
 // and draws only from rand (the forward permutation), so it is safe to run
 // in the source's scheduling domain of a sharded engine; complete the flow
@@ -107,7 +107,7 @@ func New(src, dst *fabric.Host, srcDemux, dstDemux *fabric.Demux, flow uint64,
 // once every one of them has completed, because LIA reads sibling windows
 // for as long as any subflow is still growing.
 func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uint64,
-	size int64, paths [][]int16, rand *sim.Rand, cfg Config, pool *tcp.Pool) *Flow {
+	size int64, routes int, rand *sim.Rand, cfg Config, pool *tcp.Pool) *Flow {
 	if cfg.Subflows <= 0 {
 		cfg.Subflows = 8
 	}
@@ -120,10 +120,10 @@ func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uin
 		source = &sharedSource{inner: tcp.NewFixedSource(size, cfg.TCP.MSS)}
 	}
 
-	fwdPerm := rand.Perm(len(paths))
+	fwdPerm := rand.Perm(routes)
 	for i := 0; i < cfg.Subflows; i++ {
 		id := flow + uint64(i)
-		fwd := paths[fwdPerm[i%len(fwdPerm)]]
+		fwd := int16(fwdPerm[i%len(fwdPerm)])
 		var snd *tcp.Sender
 		if pool != nil {
 			snd = pool.NewGroupSender(src, srcDemux, dst, id, fwd, source, cfg.TCP)
@@ -154,8 +154,9 @@ func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uin
 }
 
 // AttachReceivers builds the destination-side half: one receiver per
-// subflow on reverse paths permuted by rand, registered on dstDemux, with
-// the completion accounting chained to the optional onData observer. It
+// subflow on a permutation, by rand, of the revRoutes reverse routes,
+// registered on dstDemux, with the completion accounting chained to the
+// optional onData observer. It
 // touches only destination-host state (plus the Flow's receiver-owned
 // fields), so a sharded engine defers it onto the destination's domain —
 // with a rand seeded from a value drawn in the source's domain, which
@@ -164,11 +165,11 @@ func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uin
 // pool, when non-nil, recycles completed subflow receiver state; it must
 // belong to the destination's scheduling domain.
 func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
-	revPaths [][]int16, rand *sim.Rand, onData func(n int64), pool *tcp.Pool) {
-	revPerm := rand.Perm(len(revPaths))
+	revRoutes int, rand *sim.Rand, onData func(n int64), pool *tcp.Pool) {
+	revPerm := rand.Perm(revRoutes)
 	for i := 0; i < f.subflows; i++ {
 		id := f.Flow + uint64(i)
-		rev := revPaths[revPerm[i%len(revPerm)]]
+		rev := int16(revPerm[i%len(revPerm)])
 		var rcv *tcp.Receiver
 		if pool != nil {
 			rcv = pool.NewReceiver(dst, dstDemux, f.Senders[i].Host().ID, id, rev)
@@ -203,7 +204,7 @@ func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
 type Attach Flow
 
 // Attach records the arguments of AttachReceivers — the reverse routes are
-// enumerated on the destination's domain, whose route cache it is, and
+// counted on the destination's domain, whose route table it is, and
 // permuted by a generator seeded with revSeed, a value drawn from the
 // source's stream — and returns the command that calls it.
 func (f *Flow) Attach(dst *fabric.Host, dstDemux *fabric.Demux, routes tcp.Routes, revSeed uint64,

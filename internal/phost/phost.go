@@ -287,9 +287,9 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			s.ph.retiredS.Push(s, retiredFirst)
 		}
 	case fabric.Pull: // token
-		delta := p.PullSeq - s.lastToken
+		delta := p.PullSeq() - s.lastToken
 		if delta > 0 {
-			s.lastToken = p.PullSeq
+			s.lastToken = p.PullSeq()
 			for i := int64(0); i < delta; i++ {
 				s.sendNext()
 			}
@@ -435,7 +435,7 @@ func (ph *Host) fire() {
 		}
 		r.tokSeq++
 		p := ph.arena.NewControl(fabric.Pull, r.Flow, ph.host.ID, r.Peer)
-		p.PullSeq = r.tokSeq
+		p.SetPullSeq(r.tokSeq)
 		ph.lastSent = ph.el.Now()
 		ph.everSent = true
 		ph.host.Send(p)

@@ -102,23 +102,17 @@ func (r *Rand) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.ShuffleInts(p)
+	Shuffle(r, p)
 	return p
 }
 
-// ShuffleInts permutes p in place (Fisher–Yates).
-func (r *Rand) ShuffleInts(p []int) {
+// Shuffle permutes p in place (Fisher–Yates) with r's Intn draws: the same
+// draws, and so the same order, for a slice of any element type. It is a
+// function because a method cannot take a type parameter.
+func Shuffle[T any](r *Rand, p []T) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle permutes n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestShuffleCoverage(t *testing.T) {
 	perms := make(map[[3]int]int)
 	for i := 0; i < 6000; i++ {
 		p := [3]int{0, 1, 2}
-		r.Shuffle(3, func(i, j int) { p[i], p[j] = p[j], p[i] })
+		Shuffle(r, p[:])
 		perms[p]++
 	}
 	if len(perms) != 6 {

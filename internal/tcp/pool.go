@@ -46,8 +46,8 @@ func NewPool() *Pool { return &Pool{} }
 // costs no source object. The sender returns to the pool automatically when
 // the stream completes.
 func (pl *Pool) NewSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	path []int16, size int64, cfg Config) *Sender {
-	s := pl.newSender(host, demux, dst, flow, path, nil, cfg)
+	route int16, size int64, cfg Config) *Sender {
+	s := pl.newSender(host, demux, dst, flow, route, nil, cfg)
 	s.groupOwned = false
 	if size < 0 {
 		size = math.MaxInt64
@@ -61,20 +61,20 @@ func (pl *Pool) NewSender(host *fabric.Host, demux *fabric.Demux, dst int32, flo
 // retires the whole group with RetireSender once its coupled state is dead
 // (MPTCP's LIA reads sibling windows until every subflow has completed).
 func (pl *Pool) NewGroupSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	path []int16, source DataSource, cfg Config) *Sender {
-	s := pl.newSender(host, demux, dst, flow, path, source, cfg)
+	route int16, source DataSource, cfg Config) *Sender {
+	s := pl.newSender(host, demux, dst, flow, route, source, cfg)
 	s.groupOwned = true
 	return s
 }
 
 func (pl *Pool) newSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	path []int16, source DataSource, cfg Config) *Sender {
+	route int16, source DataSource, cfg Config) *Sender {
 	s := pl.takeSender(host.EventList())
 	if s == nil {
-		s = NewSender(host, dst, flow, path, source, cfg)
+		s = NewSender(host, dst, flow, route, source, cfg)
 		s.pool = pl
 	} else {
-		s.recycle(host, dst, flow, path, source, cfg)
+		s.recycle(host, dst, flow, route, source, cfg)
 	}
 	s.demux = demux
 	demux.Register(flow, s)
@@ -106,13 +106,13 @@ func (pl *Pool) takeSender(el *sim.EventList) *Sender {
 // must demux the receiving host's packets. The receiver returns to the pool
 // automatically when the stream completes.
 func (pl *Pool) NewReceiver(host *fabric.Host, demux *fabric.Demux, peer int32, flow uint64,
-	path []int16) *Receiver {
+	route int16) *Receiver {
 	r := pl.takeReceiver(host.EventList())
 	if r == nil {
-		r = NewReceiver(host, peer, flow, path)
+		r = NewReceiver(host, peer, flow, route)
 		r.pool = pl
 	} else {
-		r.recycle(host, peer, flow, path)
+		r.recycle(host, peer, flow, route)
 	}
 	r.demux = demux
 	demux.Register(flow, r)
@@ -133,7 +133,7 @@ func (pl *Pool) takeReceiver(el *sim.EventList) *Receiver {
 	// One small tombstone per recycled receiver, in place of keeping a
 	// whole Receiver alive, carved from the pool's slab.
 	t := pl.tombstones.New()
-	*t = tombstone{host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer, path: r.path, cumAck: r.got.Base()}
+	*t = tombstone{host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer, route: r.route, cumAck: r.got.Base()}
 	r.demux.Register(r.Flow, t)
 	return r
 }
@@ -147,7 +147,7 @@ type tombstone struct {
 	arena  *fabric.Arena
 	flow   uint64
 	peer   int32
-	path   []int16
+	route  int16
 	cumAck int64
 }
 
@@ -159,11 +159,11 @@ func (t *tombstone) Receive(p *fabric.Packet) {
 	}
 	a := t.arena.NewControl(fabric.Ack, t.flow, t.host.ID, t.peer)
 	a.AckNo = t.cumAck
-	a.TSEcho = p.Sent
+	a.Sent = p.Sent
 	if p.Flags&fabric.FlagCE != 0 {
 		a.Flags |= fabric.FlagECNEcho
 	}
-	a.Path = t.path
+	a.Route = t.route
 	t.host.Send(a)
 	fabric.Free(p)
 }

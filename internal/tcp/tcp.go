@@ -116,7 +116,7 @@ type Sender struct {
 	el    *sim.EventList
 	host  *fabric.Host
 	dst   int32
-	path  []int16 // fixed source route (per-flow "ECMP" path)
+	route int16 // fixed source route (per-flow "ECMP" path); -1 = destination-routed
 	arena *fabric.Arena
 
 	// Pool plumbing (nil for unpooled senders): the pool the sender returns
@@ -176,10 +176,11 @@ type segment struct {
 	rtxed bool  // Karn: retransmitted at least once
 }
 
-// NewSender builds a TCP sender. path is the fixed source route to the
-// destination (nil for destination-based ECMP routing); source supplies the
-// stream. Pool calls it only on a miss: recycle reuses the state.
-func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) *Sender {
+// NewSender builds a TCP sender. route is the fixed source route to the
+// destination, an index below Routes.Paths (-1 for destination-based ECMP
+// routing); source supplies the stream. Pool calls it only on a miss:
+// recycle reuses the state.
+func NewSender(host *fabric.Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{
 		Flow:     flow,
@@ -187,7 +188,7 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source D
 		el:       host.EventList(),
 		host:     host,
 		dst:      dst,
-		path:     path,
+		route:    route,
 		arena:    fabric.AttachArena(host.EventList()),
 		source:   source,
 		cwnd:     cfg.InitialCwnd,
@@ -201,7 +202,7 @@ func NewSender(host *fabric.Host, dst int32, flow uint64, path []int16, source D
 // recycle resets a retired sender for a new connection, keeping the
 // identity-bound resources: the event list, the timer (its handler is this
 // object), the arena, and the emptied segment window's buffer.
-func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16, source DataSource, cfg Config) {
+func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) {
 	if s.attach.Host != nil && s.el.Now() <= s.attach.At {
 		panic("tcp: sender recycled before its deferred receiver attach ran")
 	}
@@ -210,16 +211,16 @@ func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, path []int16
 	segs := s.segs
 	segs.Reset()
 	*s = Sender{
-		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, path: path,
+		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, route: route,
 		arena: arena, pool: pool, source: source,
 		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd, rto: cfg.MinRTO,
 		timer: timer, segs: segs,
 	}
 }
 
-// Routes enumerates the source routes between two hosts (topo.Cluster).
+// Routes counts the source routes between two hosts (topo.Cluster).
 type Routes interface {
-	Paths(src, dst int32) [][]int16
+	Paths(src, dst int32) int
 }
 
 // ReceiverAttach is what the destination's scheduling domain needs to build
@@ -232,9 +233,9 @@ type ReceiverAttach struct {
 	Host  *fabric.Host
 	Demux *fabric.Demux
 	Pool  *Pool
-	// Routes enumerates the reverse routes — on the destination's domain,
-	// whose route cache it is — and RevPick, a raw value drawn from the
-	// source's stream, picks one of them modulo their count.
+	// Routes counts the reverse routes — on the destination's domain, whose
+	// route table it is — and RevPick, a raw value drawn from the source's
+	// stream, picks one of them modulo their count.
 	Routes  Routes
 	RevPick uint64
 	// OnData and OnCompleteAt are installed on the receiver.
@@ -263,7 +264,7 @@ func (s *Sender) Attach(a ReceiverAttach) *Attach {
 func (a *Attach) OnEvent(uint64) {
 	at := &a.attach
 	revs := at.Routes.Paths(at.Host.ID, a.host.ID)
-	rcv := at.Pool.NewReceiver(at.Host, at.Demux, a.host.ID, a.Flow, revs[at.RevPick%uint64(len(revs))])
+	rcv := at.Pool.NewReceiver(at.Host, at.Demux, a.host.ID, a.Flow, int16(at.RevPick%uint64(revs)))
 	rcv.OnData = at.OnData
 	rcv.OnCompleteAt = at.OnCompleteAt
 }
@@ -302,7 +303,7 @@ func (s *Sender) sendSyn() {
 	p.Seq = -1
 	p.Size = fabric.HeaderSize
 	p.Sent = s.el.Now()
-	p.Path = s.path
+	p.Route = s.route
 	s.host.Send(p)
 	s.timer.Reset(s.rto)
 }
@@ -338,7 +339,7 @@ func (s *Sender) sendNew() bool {
 func (s *Sender) transmit(seq int64, rtx bool) {
 	seg := s.segs.At(seq)
 	p := s.arena.NewData(s.Flow, s.host.ID, s.dst, seq, seg.size)
-	p.Path = s.path
+	p.Route = s.route
 	p.Sent = s.el.Now()
 	if rtx {
 		p.Flags |= fabric.FlagRTX
@@ -419,9 +420,10 @@ func (s *Sender) onNewAck(p *fabric.Packet, ack int64) {
 		s.AckedBytes += int64(s.segs.At(seq).size)
 	}
 	s.AckedPackets += newly
-	// Karn: only un-retransmitted segments yield RTT samples.
-	if last := ack - 1; last < s.segs.End() && !s.segs.At(last).rtxed && p.TSEcho > 0 {
-		s.sampleRTT(s.el.Now() - p.TSEcho)
+	// Karn: only un-retransmitted segments yield RTT samples. An ACK's Sent
+	// echoes the Sent of the data packet it answers.
+	if last := ack - 1; last < s.segs.End() && !s.segs.At(last).rtxed && p.Sent > 0 {
+		s.sampleRTT(s.el.Now() - p.Sent)
 	}
 	s.sndUna = ack
 	// Segments below both sndUna and sndNxt are done with. sndNxt counts:
@@ -582,7 +584,7 @@ type Receiver struct {
 	Flow  uint64
 	host  *fabric.Host
 	peer  int32
-	path  []int16 // fixed reverse route for ACKs
+	route int16 // fixed reverse route for ACKs
 	arena *fabric.Arena
 
 	// Pool plumbing (nil for unpooled receivers); see Sender.
@@ -608,22 +610,23 @@ type Receiver struct {
 	OnCompleteAt func(at sim.Time)
 }
 
-// NewReceiver builds the receiving side; path routes ACKs back. Pool calls
-// it only on a miss.
-func NewReceiver(host *fabric.Host, peer int32, flow uint64, path []int16) *Receiver {
+// NewReceiver builds the receiving side; route, an index below
+// Routes.Paths(host, peer) (-1: destination-routed), takes ACKs back. Pool
+// calls it only on a miss.
+func NewReceiver(host *fabric.Host, peer int32, flow uint64, route int16) *Receiver {
 	return &Receiver{
-		Flow: flow, host: host, peer: peer, path: path, finSeq: -1,
+		Flow: flow, host: host, peer: peer, route: route, finSeq: -1,
 		arena: fabric.AttachArena(host.EventList()),
 	}
 }
 
 // recycle resets a retired receiver for a new connection, keeping the arena
 // and the emptied arrival bitmap's buffer.
-func (r *Receiver) recycle(host *fabric.Host, peer int32, flow uint64, path []int16) {
+func (r *Receiver) recycle(host *fabric.Host, peer int32, flow uint64, route int16) {
 	pool, arena, got := r.pool, r.arena, r.got
 	got.Reset()
 	*r = Receiver{
-		Flow: flow, host: host, peer: peer, path: path, finSeq: -1,
+		Flow: flow, host: host, peer: peer, route: route, finSeq: -1,
 		arena: arena, pool: pool, got: got,
 	}
 }
@@ -643,7 +646,7 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		a := r.arena.NewControl(fabric.Ack, r.Flow, r.host.ID, r.peer)
 		a.Flags |= fabric.FlagSYN
 		a.AckNo = 0
-		a.Path = r.path
+		a.Route = r.route
 		r.host.Send(a)
 		fabric.Free(p)
 		return
@@ -668,11 +671,11 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	cumAck := r.got.Base()
 	a := r.arena.NewControl(fabric.Ack, r.Flow, r.host.ID, r.peer)
 	a.AckNo = cumAck
-	a.TSEcho = p.Sent
+	a.Sent = p.Sent // the echo: an ACK's own send time is never read
 	if p.Flags&fabric.FlagCE != 0 {
 		a.Flags |= fabric.FlagECNEcho
 	}
-	a.Path = r.path
+	a.Route = r.route
 	r.host.Send(a)
 	if r.finSeq >= 0 && cumAck == r.finSeq+1 && !r.complete {
 		r.complete = true

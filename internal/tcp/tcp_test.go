@@ -27,13 +27,11 @@ func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []*fabric.Demux) {
 	return net, demux
 }
 
-// startFlow wires one TCP flow between two hosts over fixed forward/reverse
-// paths and starts it.
+// startFlow wires one TCP flow between two hosts over route 0 each way and
+// starts it.
 func startFlow(net *topo.FatTree, dm []*fabric.Demux, src, dst int32, flow uint64, size int64, cfg Config) (*Sender, *Receiver) {
-	fwd := net.Paths(src, dst)[0]
-	rev := net.Paths(dst, src)[0]
-	snd := NewSender(net.Hosts[src], dst, flow, fwd, NewFixedSource(size, cfg.withDefaults().MSS), cfg)
-	rcv := NewReceiver(net.Hosts[dst], src, flow, rev)
+	snd := NewSender(net.Hosts[src], dst, flow, 0, NewFixedSource(size, cfg.withDefaults().MSS), cfg)
+	rcv := NewReceiver(net.Hosts[dst], src, flow, 0)
 	dm[src].Register(flow, snd)
 	dm[dst].Register(flow, rcv)
 	snd.Start()
@@ -229,7 +227,7 @@ func TestAttachCommand(t *testing.T) {
 	pool, cfg := NewPool(), DefaultConfig()
 	hs, hd := net.Hosts[0], net.Hosts[15]
 	flow := func(id uint64) *Sender {
-		return pool.NewSender(hs, dm[0], hd.ID, id, net.Paths(hs.ID, hd.ID)[0], 90_000, cfg)
+		return pool.NewSender(hs, dm[0], hd.ID, id, 0, 90_000, cfg)
 	}
 	s := flow(7)
 	var bytes int64
@@ -246,8 +244,8 @@ func TestAttachCommand(t *testing.T) {
 		t.Fatalf("transfer incomplete: receiver %v", rcv)
 	}
 	revs := net.Paths(hd.ID, hs.ID)
-	if want := revs[5%len(revs)]; &rcv.path[0] != &want[0] {
-		t.Errorf("receiver acks on %v, RevPick 5 selects %v", rcv.path, want)
+	if want := int16(5 % revs); rcv.route != want {
+		t.Errorf("receiver acks on route %d, RevPick 5 selects %d", rcv.route, want)
 	}
 	if bytes != 90_000 || doneAt != rcv.CompletedAt || doneAt == 0 {
 		t.Errorf("observers saw %d bytes, completion at %v; receiver completed at %v", bytes, doneAt, rcv.CompletedAt)

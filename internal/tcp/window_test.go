@@ -41,8 +41,8 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 		return func(net *topo.FatTree, dm []*fabric.Demux) (e endpoints) {
 			for i, src := range []int32{5, 10} {
 				flow := uint64(i + 1)
-				snd := tcp.NewSender(net.Hosts[src], 0, flow, net.Paths(src, 0)[0], endless{cfg.MSS}, cfg)
-				rcv := tcp.NewReceiver(net.Hosts[0], src, flow, net.Paths(0, src)[0])
+				snd := tcp.NewSender(net.Hosts[src], 0, flow, 0, endless{cfg.MSS}, cfg)
+				rcv := tcp.NewReceiver(net.Hosts[0], src, flow, 0)
 				dm[src].Register(flow, snd)
 				dm[0].Register(flow, rcv)
 				snd.Start()
@@ -148,9 +148,9 @@ func TestLateAckCounters(t *testing.T) {
 	net, dm := windowNet(fabric.FIFOQueues(100 * 9000))
 	cfg := tcp.DefaultConfig()
 	cfg.Handshake, cfg.MaxCwnd = false, 40
-	s := tcp.NewSender(net.Hosts[5], 0, 1, net.Paths(5, 0)[0], endless{cfg.MSS}, cfg)
+	s := tcp.NewSender(net.Hosts[5], 0, 1, 0, endless{cfg.MSS}, cfg)
 	dm[5].Register(1, s)
-	dm[0].Register(1, tcp.NewReceiver(net.Hosts[0], 5, 1, net.Paths(0, 5)[0]))
+	dm[0].Register(1, tcp.NewReceiver(net.Hosts[0], 5, 1, 0))
 	s.Start()
 	net.EL.RunUntil(2 * sim.Millisecond)
 	una, nxt, _ := s.SeqState()

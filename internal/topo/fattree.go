@@ -34,7 +34,7 @@ type FatTree struct {
 	idx   []int // per switch ID: position within pod (or core index)
 
 	// hostRack and hostPod are locate's rack (global ToR index) and pod per
-	// host id, tabulated so the warm Paths lookup does no division.
+	// host id, tabulated so that neither route nor Paths divides.
 	hostRack, hostPod []int32
 }
 
@@ -173,26 +173,53 @@ func (ft *FatTree) locate(h int32) (pod, tor, off int) {
 	return t / half, t % half, off
 }
 
-// route is the FatTree RouteFunc: source routes are followed verbatim;
-// destination-routed packets (baselines and bounced NDP headers) use
-// up/down routing with ECMP on the up segments.
+// route is the FatTree RouteFunc. Every route climbs to the lowest tier
+// from which dst lies below and descends the one way there is, so a switch
+// picks the egress from its own place, dst and the packet's route index: the
+// way down is fixed by dst, the routes differ only on the way up. Route i of
+// an inter-pod pair runs through core i: up the source ToR's uplink i/(k/2)
+// to that agg, and up the agg's uplink i%(k/2). Route i of an intra-pod pair
+// runs through agg i, and a rack's one route is the ToR's port to dst. The
+// source ToR, which every route starts at, drops an index past Paths' count.
+// A destination-routed packet (the baselines that spray, bounced NDP
+// headers) takes its up hops from the switch's ECMP stream.
 func (ft *FatTree) route(sw *fabric.Switch, p *fabric.Packet) int {
-	if out, ok := sourceRouteHop(p); ok {
-		return out
-	}
 	half := ft.K / 2
-	dpod, dtor, doff := ft.locate(p.Dst)
-	switch ft.level[sw.ID] {
+	id := sw.ID
+	dpod, drack := int(ft.hostPod[p.Dst]), int(ft.hostRack[p.Dst])
+	r := int(p.Route)
+	switch ft.level[id] {
 	case levelTor:
-		if ft.pod[sw.ID] == dpod && ft.idx[sw.ID] == dtor {
-			return doff
+		if ft.pod[id]*half+ft.idx[id] == drack {
+			if r > 0 && int(ft.hostRack[p.Src]) == drack {
+				return -1 // a rack's hosts have one route to each other
+			}
+			return int(p.Dst) - drack*ft.HostsPerTor
 		}
-		return ft.HostsPerTor + ft.pickUp(sw, half)
+		switch {
+		case r < 0:
+			r = ft.pickUp(sw, half)
+		case ft.pod[id] == dpod:
+			if r >= half {
+				return -1
+			}
+		default:
+			if r >= half*half {
+				return -1
+			}
+			r /= half
+		}
+		return ft.HostsPerTor + r
 	case levelAgg:
-		if ft.pod[sw.ID] == dpod {
-			return dtor
+		if ft.pod[id] == dpod {
+			return drack - dpod*half
 		}
-		return half + ft.pickUp(sw, half)
+		if r < 0 {
+			r = ft.pickUp(sw, half)
+		} else {
+			r %= half
+		}
+		return half + r
 	default: // core
 		return dpod
 	}
@@ -205,60 +232,21 @@ func (ft *FatTree) pickUp(sw *fabric.Switch, n int) int {
 	return ft.swRand[sw.ID].Intn(n)
 }
 
-// Paths enumerates the source routes from src to dst: one route per core
-// switch for inter-pod pairs ((k/2)^2 routes), one per aggregation switch
-// within a pod (k/2 routes), and the single ToR hop within a rack. A route
-// starts at the source's ToR and names egress ports only, so it depends on
-// dst and on whether src shares dst's rack or pod, not on src: the result is
-// cached under 3*dst + that relation and shared by every such source;
-// callers must not mutate the slices.
-func (ft *FatTree) Paths(src, dst int32) [][]int16 {
-	if src == dst {
-		return nil
-	}
-	rel := 2 // other pod
-	switch {
-	case ft.hostRack[src] == ft.hostRack[dst]:
-		rel = 0
-	case ft.hostPod[src] == ft.hostPod[dst]:
-		rel = 1
-	}
-	t := &ft.routes[ft.hostShard[src]]
-	row := t.row(0, 1, 3*len(ft.Hosts))
-	key := 3*int(dst) + rel
-	if p := row[key]; p != nil {
-		return p
-	}
-	dpod, dtor, doff := ft.locate(dst)
+// Paths returns the number of source routes from src to dst: one per core
+// switch between pods ((k/2)^2), one per aggregation switch within a pod
+// (k/2), and the one ToR hop within a rack. route resolves an index hop by
+// hop, so nothing is enumerated or stored.
+func (ft *FatTree) Paths(src, dst int32) int {
 	half := ft.K / 2
-	var paths [][]int16
-	switch rel {
-	case 0:
-		paths = t.slab.alloc(1, 1)
-		paths[0][0] = int16(doff)
-	case 1:
-		paths = t.slab.alloc(half, 3)
-		for a := 0; a < half; a++ {
-			p := paths[a]
-			p[0] = int16(ft.HostsPerTor + a) // ToR up to agg a
-			p[1] = int16(dtor)               // agg down to dst ToR
-			p[2] = int16(doff)               // ToR down to host
-		}
-	default:
-		paths = t.slab.alloc(half*half, 5)
-		for a := 0; a < half; a++ {
-			for j := 0; j < half; j++ {
-				p := paths[a*half+j]
-				p[0] = int16(ft.HostsPerTor + a) // ToR up to agg a
-				p[1] = int16(half + j)           // agg up to its j-th core
-				p[2] = int16(dpod)               // core down to dst pod
-				p[3] = int16(dtor)               // agg down to dst ToR
-				p[4] = int16(doff)               // ToR down to host
-			}
-		}
+	switch {
+	case src == dst:
+		return 0
+	case ft.hostRack[src] == ft.hostRack[dst]:
+		return 1
+	case ft.hostPod[src] == ft.hostPod[dst]:
+		return half
 	}
-	row[key] = paths
-	return paths
+	return half * half
 }
 
 // NumHosts returns the number of hosts in the tree.

@@ -32,6 +32,54 @@ type Jellyfish struct {
 	// it per packet from every shard, so a lazily-filled cache would be a
 	// cross-shard data race.
 	dists [][]int
+
+	// routes[shard] holds the routes that shard has enumerated, filled
+	// lazily: by Paths for its hosts, and by route for packets crossing its
+	// switches. A table is only ever read and written by its own shard's
+	// goroutine, so shards never share one; the route sets are identical
+	// values in every table that holds them.
+	routes []routeTable
+}
+
+// routeTable is one shard's enumerated routes: rows[source switch][dst] is
+// the route set from a host of that switch to host dst, each route the
+// egress ports to take from the source switch on. A row is allocated on
+// first use; a nil set has not been enumerated yet.
+type routeTable struct {
+	rows [][][][]int16
+	// slab backs the route sets: hop arrays and route headers are carved
+	// from large shared chunks, so a cold entry costs amortized-zero
+	// allocations instead of one per route.
+	slab pathSlab
+}
+
+// pathSlab carves route storage out of chunked arrays. Entries are written
+// once when a route set is first enumerated and are immutable after
+// publication in the route table; a chunk's unused tail is abandoned (not
+// reused) when a request does not fit, so published slices never alias new
+// ones.
+type pathSlab struct {
+	hops []int16
+	hdrs [][]int16
+}
+
+// alloc returns n route headers of hopLen hops each, zeroed, as one
+// contiguous capacity-clamped slice. The caller fills in the hops.
+func (s *pathSlab) alloc(n, hopLen int) [][]int16 {
+	need := n * hopLen
+	if cap(s.hops)-len(s.hops) < need {
+		s.hops = make([]int16, 0, max(4096, need))
+	}
+	if cap(s.hdrs)-len(s.hdrs) < n {
+		s.hdrs = make([][]int16, 0, max(512, n))
+	}
+	base := len(s.hdrs)
+	for i := 0; i < n; i++ {
+		h := len(s.hops)
+		s.hops = s.hops[:h+hopLen]
+		s.hdrs = append(s.hdrs, s.hops[h:h+hopLen:h+hopLen])
+	}
+	return s.hdrs[base : base+n : base+n]
 }
 
 // NewJellyfish builds a connected random regular topology. n*degree must be
@@ -57,6 +105,7 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 		shards = n // at most one shard per switch
 	}
 	j.initShards(cfg, shards)
+	j.routes = make([]routeTable, j.Shards())
 
 	j.adj = randomRegularGraph(n, degree, j.Rand)
 	parts := greedyEdgeCutParts(j.adj, j.Shards())
@@ -146,7 +195,7 @@ func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
 		if len(stubs) == 0 {
 			return adj
 		}
-		r.ShuffleInts(stubs)
+		sim.Shuffle(r, stubs)
 		progress := false
 		for i := 0; i+1 < len(stubs); i += 2 {
 			a, b := stubs[i], stubs[i+1]
@@ -227,11 +276,20 @@ func (j *Jellyfish) precomputeDists() {
 // dist returns the precomputed BFS distances toward the destination switch.
 func (j *Jellyfish) dist(dstSwitch int) []int { return j.dists[dstSwitch] }
 
-// route follows source routes; destination-routed packets walk downhill on
-// BFS distance (random tie-break among equally-good neighbors).
+// route follows a source route through the route set of the packet's
+// source switch, enumerated in the table of sw's own shard; a
+// destination-routed packet walks downhill on BFS distance (random
+// tie-break among equally-good neighbors).
 func (j *Jellyfish) route(sw *fabric.Switch, p *fabric.Packet) int {
-	if out, ok := sourceRouteHop(p); ok {
-		return out
+	if p.Route >= 0 {
+		ssw, _ := j.locate(p.Src)
+		routes := j.routeSet(j.swShard[sw.ID], ssw, p.Dst)
+		if int(p.Route) >= len(routes) || int(p.Hop) >= len(routes[p.Route]) {
+			return -1 // past the route count, or off the end of the route
+		}
+		out := routes[p.Route][p.Hop]
+		p.Hop++
+		return int(out)
 	}
 	dsw, doff := j.locate(p.Dst)
 	if sw.ID == dsw {
@@ -255,22 +313,36 @@ func (j *Jellyfish) route(sw *fabric.Switch, p *fabric.Packet) int {
 	return j.HostsPerSwitch + best[j.swRand[sw.ID].Intn(len(best))]
 }
 
-// Paths enumerates up to MaxPaths source routes: all shortest switch paths
-// plus paths allowing one sideways (equal-distance) hop — a deliberately
-// length-mixed set reflecting Jellyfish ECMP. Routes start at the source's
-// switch, so the set is cached per (source switch, dst) and shared by the
-// hosts of that switch; callers must not mutate it.
-func (j *Jellyfish) Paths(src, dst int32) [][]int16 {
+// Paths returns the number of source routes from src to dst: up to MaxPaths,
+// enumerated (routeSet) in the table of src's shard.
+func (j *Jellyfish) Paths(src, dst int32) int {
 	if src == dst {
-		return nil
+		return 0
 	}
 	ssw, _ := j.locate(src)
-	dsw, doff := j.locate(dst)
-	t := &j.routes[j.hostShard[src]]
-	row := t.row(ssw, j.NSwitches, len(j.Hosts))
+	return len(j.routeSet(j.hostShard[src], ssw, dst))
+}
+
+// routeSet returns the routes from a host of switch ssw to host dst,
+// enumerating them into shard's table on first use: all shortest switch
+// paths plus paths allowing one sideways (equal-distance) hop — a
+// deliberately length-mixed set reflecting Jellyfish ECMP. Routes start at
+// the source switch, so the set is shared by the hosts of that switch;
+// callers must not mutate it.
+func (j *Jellyfish) routeSet(shard, ssw int, dst int32) [][]int16 {
+	t := &j.routes[shard]
+	if t.rows == nil {
+		t.rows = make([][][][]int16, j.NSwitches)
+	}
+	row := t.rows[ssw]
+	if row == nil {
+		row = make([][][]int16, len(j.Hosts))
+		t.rows[ssw] = row
+	}
 	if p := row[dst]; p != nil {
 		return p
 	}
+	dsw, doff := j.locate(dst)
 	var paths [][]int16
 	if ssw == dsw {
 		paths = t.slab.alloc(1, 1)
@@ -340,7 +412,8 @@ func (j *Jellyfish) PathLengthSpread(samples int, r *sim.Rand) (min, max int) {
 		if a == b {
 			continue
 		}
-		for _, p := range j.Paths(a, b) {
+		ssw, _ := j.locate(a)
+		for _, p := range j.routeSet(j.hostShard[a], ssw, b) {
 			if len(p) < min {
 				min = len(p)
 			}

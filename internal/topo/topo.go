@@ -1,9 +1,9 @@
 // Package topo builds the Clos topologies the paper evaluates on: k-ary
 // 3-tier FatTrees (optionally oversubscribed), 2-tier leaf/spine networks,
-// and degenerate test topologies (back-to-back hosts, single switch). It
-// also provides path enumeration for source routing and destination-based
-// ECMP routing (per-packet random or per-flow hashed) for the baselines and
-// for NDP's return-to-sender headers.
+// and degenerate test topologies (back-to-back hosts, single switch). Each
+// resolves a source route — an index a sender draws below Paths' count —
+// switch by switch, and routes the rest by destination with per-packet ECMP
+// (the baselines that spray, and NDP's return-to-sender headers).
 package topo
 
 import (
@@ -83,7 +83,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Cluster is the view of a topology that transport harnesses need: the
-// scheduler (single-list or sharded), the hosts, source-route enumeration
+// scheduler (single-list or sharded), the hosts, the source-route count
 // and telemetry. All concrete topologies (*FatTree, *TwoTier, *BackToBack)
 // implement it.
 type Cluster interface {
@@ -104,7 +104,10 @@ type Cluster interface {
 	MinPathDelay(src, dst int) sim.Time
 	HostList() []*fabric.Host
 	SwitchList() []*fabric.Switch
-	Paths(src, dst int32) [][]int16
+	// Paths returns how many source routes lead from host src to host dst
+	// (0 when src == dst). A sender picks one as Packet.Route, an index in
+	// [0, Paths); a switch drops a larger index as a RouteDrop.
+	Paths(src, dst int32) int
 	NumHosts() int
 	LinkRate() int64
 	CollectStats() SwitchStats
@@ -121,8 +124,7 @@ type Cluster interface {
 }
 
 // Network is the common state every topology exposes: the per-shard event
-// lists and their runner, the hosts and switches, and the cached source
-// routes.
+// lists and their runner, the hosts and the switches.
 type Network struct {
 	EL       *sim.EventList // shard 0's list (the only list when unsharded)
 	Rand     *sim.Rand      // construction-time randomness (graph wiring)
@@ -160,78 +162,6 @@ type Network struct {
 	switchSlab []fabric.Switch
 	portSlab   []fabric.Port
 	portLists  []*fabric.Port
-	// routes[shard] caches the enumerated source routes of the hosts that
-	// shard owns. A table is only ever written by its own shard's goroutine
-	// (enumeration happens mid-run: control-packet routing, flow starts), so
-	// concurrent shards never share mutable state; the cached route sets
-	// themselves are identical read-only values in every shard.
-	routes []routeTable
-}
-
-// routeTable is one shard's route cache: a dense two-level array of route
-// sets indexed by a small integer key the topology computes from (src, dst).
-// A topology's route set depends on the destination and on where the source
-// sits relative to it, not on the source itself, so the key space is
-// O(destinations): FatTree keeps one row of 3*hosts sets (same rack, same
-// pod, other pod), TwoTier one row of 2*hosts, Jellyfish one row of hosts
-// sets per source switch. Every source in the same relation to dst gets the
-// same read-only set. Rows are allocated on first use and filled lazily; a
-// nil set has not been enumerated yet.
-type routeTable struct {
-	rows [][][][]int16
-	// slab backs the cached routes: hop arrays and route headers are carved
-	// from large shared chunks, so a cold entry costs amortized-zero
-	// allocations instead of one per route.
-	slab pathSlab
-}
-
-// row returns row r of the table — cols route sets — allocating the row
-// index (rows entries) and the row itself on first use.
-func (t *routeTable) row(r, rows, cols int) [][][]int16 {
-	if t.rows == nil {
-		t.rows = make([][][][]int16, rows)
-	}
-	if t.rows[r] == nil {
-		t.rows[r] = make([][][]int16, cols)
-	}
-	return t.rows[r]
-}
-
-// pathSlab carves route storage out of chunked arrays. Entries are written
-// once when a route set is first enumerated and are immutable after
-// publication in the route table; a chunk's unused tail is abandoned (not
-// reused) when a request does not fit, so published slices never alias new
-// ones.
-type pathSlab struct {
-	hops []int16
-	hdrs [][]int16
-}
-
-// alloc returns n route headers of hopLen hops each, zeroed, as one
-// contiguous capacity-clamped slice. The caller fills in the hops.
-func (s *pathSlab) alloc(n, hopLen int) [][]int16 {
-	need := n * hopLen
-	if cap(s.hops)-len(s.hops) < need {
-		c := 4096
-		if c < need {
-			c = need
-		}
-		s.hops = make([]int16, 0, c)
-	}
-	if cap(s.hdrs)-len(s.hdrs) < n {
-		c := 512
-		if c < n {
-			c = n
-		}
-		s.hdrs = make([][]int16, 0, c)
-	}
-	base := len(s.hdrs)
-	for i := 0; i < n; i++ {
-		h := len(s.hops)
-		s.hops = s.hops[:h+hopLen]
-		s.hdrs = append(s.hdrs, s.hops[h:h+hopLen:h+hopLen])
-	}
-	return s.hdrs[base : base+n : base+n]
 }
 
 // EventList returns shard 0's scheduler — the simulation scheduler for
@@ -343,7 +273,6 @@ func (n *Network) initShards(cfg Config, shards int) {
 	}
 	n.EL = n.els[0]
 	n.Rand = sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	n.routes = make([]routeTable, shards)
 	n.lookahead = sim.Infinity
 	if shards > 1 {
 		n.boxes = make([][]fabric.CrossBox, shards)
@@ -634,20 +563,6 @@ func hashName(name []byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// sourceRouteHop consumes one hop of a packet's source route, or returns
-// false if the packet is destination-routed.
-func sourceRouteHop(p *fabric.Packet) (int, bool) {
-	if p.Path == nil {
-		return 0, false
-	}
-	if int(p.Hop) >= len(p.Path) {
-		return -1, true // malformed: off the end of the route
-	}
-	out := int(p.Path[p.Hop])
-	p.Hop++
-	return out, true
 }
 
 // SwitchStats aggregates queue counters across a set of switches.

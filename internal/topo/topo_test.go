@@ -32,9 +32,8 @@ func TestFatTreeDimensions(t *testing.T) {
 				len(ft.Tors), len(ft.Aggs), len(ft.Cores), tt.tors, tt.aggs, tt.cores)
 		}
 		// Inter-pod pair: host 0 and the last host are in different pods.
-		paths := ft.Paths(0, int32(tt.hosts-1))
-		if len(paths) != tt.pathsPerPair {
-			t.Errorf("k=%d: inter-pod paths=%d want %d", tt.k, len(paths), tt.pathsPerPair)
+		if paths := ft.Paths(0, int32(tt.hosts-1)); paths != tt.pathsPerPair {
+			t.Errorf("k=%d: inter-pod paths=%d want %d", tt.k, paths, tt.pathsPerPair)
 		}
 	}
 }
@@ -42,23 +41,24 @@ func TestFatTreeDimensions(t *testing.T) {
 func TestFatTreePathCounts(t *testing.T) {
 	ft := NewFatTree(4, Config{})
 	// k=4: 2 hosts/ToR, 2 ToRs/pod, 4 hosts/pod.
-	if got := len(ft.Paths(0, 1)); got != 1 {
+	if got := ft.Paths(0, 1); got != 1 {
 		t.Errorf("same-ToR paths = %d, want 1", got)
 	}
-	if got := len(ft.Paths(0, 2)); got != 2 {
+	if got := ft.Paths(0, 2); got != 2 {
 		t.Errorf("same-pod paths = %d, want k/2 = 2", got)
 	}
-	if got := len(ft.Paths(0, 4)); got != 4 {
+	if got := ft.Paths(0, 4); got != 4 {
 		t.Errorf("inter-pod paths = %d, want (k/2)^2 = 4", got)
 	}
-	if ft.Paths(3, 3) != nil {
-		t.Error("self paths should be nil")
+	if got := ft.Paths(3, 3); got != 0 {
+		t.Errorf("self paths = %d, want 0", got)
 	}
 }
 
-// deliver injects a data packet at src with the given source route and runs
-// the simulation; it returns the host the packet arrived at (or -1).
-func deliver(t *testing.T, n *Network, hosts []*fabric.Host, src, dst int32, path []int16) int32 {
+// deliver injects a data packet at src on the given route (-1:
+// destination-routed) and runs the simulation; it returns the host the
+// packet arrived at (or -1).
+func deliver(t *testing.T, n *Network, hosts []*fabric.Host, src, dst int32, route int16) int32 {
 	t.Helper()
 	arrived := int32(-1)
 	for _, h := range hosts {
@@ -69,7 +69,7 @@ func deliver(t *testing.T, n *Network, hosts []*fabric.Host, src, dst int32, pat
 		})
 	}
 	p := fabric.AttachArena(n.EL).NewData(uint64(src)<<32|uint64(dst), src, dst, 0, 1500)
-	p.Path = path
+	p.Route = route
 	hosts[src].Send(p)
 	n.EL.Run()
 	if leaked := n.PacketsInUse(); leaked != 0 {
@@ -78,8 +78,8 @@ func deliver(t *testing.T, n *Network, hosts []*fabric.Host, src, dst int32, pat
 	return arrived
 }
 
-// Property: every enumerated FatTree path physically delivers the packet to
-// its destination.
+// Property: every FatTree route physically delivers the packet to its
+// destination.
 func TestFatTreePathsDeliverProperty(t *testing.T) {
 	prop := func(srcRaw, dstRaw uint8) bool {
 		ft := NewFatTree(4, Config{})
@@ -88,8 +88,8 @@ func TestFatTreePathsDeliverProperty(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		for _, path := range ft.Paths(src, dst) {
-			if got := deliver(t, &ft.Network, ft.Hosts, src, dst, path); got != dst {
+		for r := 0; r < ft.Paths(src, dst); r++ {
+			if got := deliver(t, &ft.Network, ft.Hosts, src, dst, int16(r)); got != dst {
 				return false
 			}
 		}
@@ -101,10 +101,10 @@ func TestFatTreePathsDeliverProperty(t *testing.T) {
 }
 
 func TestFatTreeDestinationRouting(t *testing.T) {
-	// Per-packet random ECMP (Path == nil) must still deliver correctly.
+	// Per-packet random ECMP (Route -1) must still deliver correctly.
 	ft := NewFatTree(4, Config{})
 	for dst := int32(1); dst < 16; dst += 3 {
-		if got := deliver(t, &ft.Network, ft.Hosts, 0, dst, nil); got != dst {
+		if got := deliver(t, &ft.Network, ft.Hosts, 0, dst, -1); got != dst {
 			t.Errorf("destination-routed packet to %d arrived at %d", dst, got)
 		}
 	}
@@ -125,19 +125,19 @@ func TestTwoTierPathsAndRouting(t *testing.T) {
 	if tt.NumHosts() != 8 {
 		t.Fatalf("hosts = %d, want 8", tt.NumHosts())
 	}
-	if got := len(tt.Paths(0, 1)); got != 1 {
+	if got := tt.Paths(0, 1); got != 1 {
 		t.Errorf("same-rack paths = %d, want 1", got)
 	}
-	if got := len(tt.Paths(0, 7)); got != 2 {
+	if got := tt.Paths(0, 7); got != 2 {
 		t.Errorf("cross-rack paths = %d, want #spines = 2", got)
 	}
 	for dst := int32(1); dst < 8; dst++ {
-		for _, path := range tt.Paths(0, dst) {
-			if got := deliver(t, &tt.Network, tt.Hosts, 0, dst, path); got != dst {
-				t.Errorf("path to %d delivered to %d", dst, got)
+		for r := 0; r < tt.Paths(0, dst); r++ {
+			if got := deliver(t, &tt.Network, tt.Hosts, 0, dst, int16(r)); got != dst {
+				t.Errorf("route %d to %d delivered to %d", r, dst, got)
 			}
 		}
-		if got := deliver(t, &tt.Network, tt.Hosts, 0, dst, nil); got != dst {
+		if got := deliver(t, &tt.Network, tt.Hosts, 0, dst, -1); got != dst {
 			t.Errorf("ECMP to %d delivered to %d", dst, got)
 		}
 	}
@@ -145,10 +145,10 @@ func TestTwoTierPathsAndRouting(t *testing.T) {
 
 func TestSingleLeafTwoTier(t *testing.T) {
 	tt := NewTwoTier(1, 6, 0, Config{})
-	if got := len(tt.Paths(0, 5)); got != 1 {
+	if got := tt.Paths(0, 5); got != 1 {
 		t.Fatalf("single-leaf paths = %d, want 1", got)
 	}
-	if got := deliver(t, &tt.Network, tt.Hosts, 0, 5, tt.Paths(0, 5)[0]); got != 5 {
+	if got := deliver(t, &tt.Network, tt.Hosts, 0, 5, 0); got != 5 {
 		t.Errorf("delivered to %d, want 5", got)
 	}
 }
@@ -201,7 +201,7 @@ func TestLosslessFatTreeWiring(t *testing.T) {
 		}
 	}
 	// Destination routing must still work through ingress queues.
-	if got := deliver(t, &ft.Network, ft.Hosts, 0, 9, nil); got != 9 {
+	if got := deliver(t, &ft.Network, ft.Hosts, 0, 9, -1); got != 9 {
 		t.Errorf("lossless delivery to 9 arrived at %d", got)
 	}
 }
@@ -227,7 +227,7 @@ func TestPacketHopsStoppedMidRun(t *testing.T) {
 				paths := ft.Paths(src, dst)
 				for n := 0; n < 12; n++ {
 					p := arena.NewData(uint64(src)<<8|uint64(i), src, dst, int64(n), 9000)
-					p.Path = paths[n%len(paths)]
+					p.Route = int16(n % paths)
 					ft.Hosts[src].Send(p)
 				}
 			}

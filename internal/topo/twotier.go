@@ -91,54 +91,43 @@ func (tt *TwoTier) locate(h int32) (tor, off int) {
 	return int(h) / tt.HostsPerTor, int(h) % tt.HostsPerTor
 }
 
+// route is the TwoTier RouteFunc: route s between racks runs through spine
+// s, and a rack's one route is the ToR's port to dst. The source ToR drops
+// an index past Paths' count; a destination-routed packet takes its up hop
+// from the ToR's ECMP stream.
 func (tt *TwoTier) route(sw *fabric.Switch, p *fabric.Packet) int {
-	if out, ok := sourceRouteHop(p); ok {
-		return out
-	}
 	dtor, doff := tt.locate(p.Dst)
 	if tt.level[sw.ID] == 1 { // spine
 		return dtor
 	}
+	s := int(p.Route)
 	if tt.idx[sw.ID] == dtor {
+		if s > 0 && int(p.Src)/tt.HostsPerTor == dtor {
+			return -1 // a rack's hosts have one route to each other
+		}
 		return doff
 	}
-	return tt.HostsPerTor + tt.swRand[sw.ID].Intn(tt.NSpines)
+	if s < 0 {
+		s = tt.swRand[sw.ID].Intn(tt.NSpines)
+	} else if s >= tt.NSpines {
+		return -1
+	}
+	return tt.HostsPerTor + s
 }
 
-// Paths enumerates source routes: one per spine between racks, the single
-// ToR hop within a rack. Routes name egress ports from the source's ToR on,
-// so the set depends only on dst and on whether src shares its rack: it is
-// cached under 2*dst + that relation and shared; callers must not mutate it.
-func (tt *TwoTier) Paths(src, dst int32) [][]int16 {
-	if src == dst {
-		return nil
-	}
+// Paths returns the number of source routes from src to dst: one per spine
+// between racks, the one ToR hop within a rack. route resolves an index hop
+// by hop, so nothing is enumerated or stored.
+func (tt *TwoTier) Paths(src, dst int32) int {
 	stor, _ := tt.locate(src)
-	dtor, doff := tt.locate(dst)
-	key := 2 * int(dst)
-	if stor != dtor {
-		key++
+	dtor, _ := tt.locate(dst)
+	switch {
+	case src == dst:
+		return 0
+	case stor == dtor:
+		return 1
 	}
-	t := &tt.routes[tt.hostShard[src]]
-	row := t.row(0, 1, 2*len(tt.Hosts))
-	if p := row[key]; p != nil {
-		return p
-	}
-	var paths [][]int16
-	if stor == dtor {
-		paths = t.slab.alloc(1, 1)
-		paths[0][0] = int16(doff)
-	} else {
-		paths = t.slab.alloc(tt.NSpines, 3)
-		for s := 0; s < tt.NSpines; s++ {
-			p := paths[s]
-			p[0] = int16(tt.HostsPerTor + s)
-			p[1] = int16(dtor)
-			p[2] = int16(doff)
-		}
-	}
-	row[key] = paths
-	return paths
+	return tt.NSpines
 }
 
 // NumHosts returns the number of hosts.
@@ -178,17 +167,14 @@ func NewBackToBack(cfg Config) *BackToBack {
 	return b
 }
 
-// Paths returns a single zero-hop route (there are no switches).
-func (b *BackToBack) Paths(src, dst int32) [][]int16 {
+// Paths returns 1: the hosts are wired NIC to NIC, and the one route has no
+// switch to resolve it.
+func (b *BackToBack) Paths(src, dst int32) int {
 	if src == dst {
-		return nil
+		return 0
 	}
-	return backToBackPaths
+	return 1
 }
-
-// backToBackPaths is the one route set of every BackToBack, shared and
-// read-only like every other topology's.
-var backToBackPaths = [][]int16{{}}
 
 // NumHosts returns 2.
 func (b *BackToBack) NumHosts() int { return 2 }

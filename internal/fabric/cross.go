@@ -64,8 +64,7 @@ func (b *CrossBox) AddDelivery(at sim.Time, ord uint64, pkt *Packet, sink Sink) 
 // with a CommandOrd key, and PFC transitions toward an upstream transmitter
 // on the other side with a PFCOrd key and the Port itself as the handler —
 // those apply at emission + link delay, the same instant they would on a
-// single list, and the link delay is at least the pair lookahead because the
-// PFC reverse channel is itself registered as a cross link, so the
+// single list, and the link delay is at least the lookahead, so the
 // conservative window never needs to be narrowed for pause state.
 func (b *CrossBox) AddCommand(at sim.Time, ord uint64, h sim.Handler, arg uint64) {
 	b.add(CrossEntry{At: at, Ord: ord, H: h, Arg: arg})

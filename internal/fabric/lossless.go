@@ -89,8 +89,8 @@ type IngressQueue struct {
 	// transmitter's shard: the upstream port lives on the other side of a
 	// shard cut, so pause/resume transitions travel as keyed cross-shard
 	// entries instead of locally scheduled events. The topology layer
-	// registers the reverse channel with noteCrossLink, so the link delay
-	// the signal travels is itself part of the pair lookahead.
+	// gives the reverse channel the pair's mailbox, and the link delay the
+	// signal travels is at least the lookahead.
 	Cross *CrossBox
 
 	held  Ring[heldEntry]

@@ -171,11 +171,12 @@ func (n *NDPNet) DoneHost(src, dst int) int { return dst }
 // deferral is what lets a mid-run flow start (closed-loop RPC) work when
 // source and destination live on different shards — and it runs
 // identically when they don't, so results never depend on the shard
-// layout. The offset must be the pairwise MinPathDelay, not one link
-// delay: the command channel's lookahead contract is per shard pair, and
-// non-adjacent shards can be several cut crossings apart. The
-// registration still lands before the first SYN, which trails it by at
-// least a serialization time (same minimum path, plus transmission).
+// layout. The offset is the pairwise MinPathDelay, the earliest anything
+// sent at src can physically reach dst: it depends on the topology alone,
+// never on the layout, and it is at least the lookahead whenever src and
+// dst are on different shards. The registration still lands before the
+// first SYN, which trails it by at least a serialization time (same
+// minimum path, plus transmission).
 func (n *NDPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	c, srcStack, dstStack := n.C, n.Stacks[src], n.Stacks[dst]
 	s := srcStack.Open(dstStack.Host.ID, size, core.FlowOpts{Flow: n.src.flowID(src, 1),
@@ -227,13 +228,12 @@ func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 // created on the destination's scheduling domain the minimum src->dst
 // path delay later via the cluster's command channel — always before the
 // first SYN, which trails by at least a serialization time. The offset is
-// the pairwise MinPathDelay because the command channel's lookahead
-// contract is per shard pair (one link delay is not enough between
-// non-adjacent shards). The reverse route is fixed by a raw value drawn
-// at the source and reduced modulo the destination's path count inside
-// the deferred command, because the path enumeration cache is per
-// source-host shard and must only be touched from its own domain. The
-// command is the pooled sender's own tcp.Attach record, not a closure.
+// the pairwise MinPathDelay for the reason NDPNet.StartFlow gives. The
+// reverse route is fixed by a raw value drawn at the source and reduced
+// modulo the destination's path count inside the deferred command,
+// because the path enumeration cache is per source-host shard and must
+// only be touched from its own domain. The command is the pooled sender's
+// own tcp.Attach record, not a closure.
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
@@ -290,8 +290,8 @@ type MPTCPNet struct {
 // StartFlow implements Net. Construction is split across the shard cut:
 // the subflow senders (forward-path permutation from the source's stream)
 // start on the source host's domain, and the receivers attach on the
-// destination's domain the minimum src->dst path delay later (the
-// per-pair lookahead bound; see TCPNet.StartFlow) — before any subflow's
+// destination's domain the minimum src->dst path delay later (see
+// TCPNet.StartFlow) — before any subflow's
 // SYN arrives — permuting reverse paths with a generator seeded from a
 // value drawn at the source, so the choice is deterministic without
 // sharing a stream across shards.

@@ -18,7 +18,7 @@
 //
 // Every other invariant is enforced where it breaks, not argued about its
 // source: a sim.Rand cannot be copied (noCopy, go vet), a packet no arena
-// owns panics in fabric.Free, a deferred command inside the pair lookahead
+// owns panics in fabric.Free, a deferred command inside the lookahead
 // panics in topo's Defer, a mailbox can only be scheduled by its own
 // unexported handler, and state shared across shards is a report of the
 // shard matrix under -race. docs/determinism.md "Where each property is

@@ -71,8 +71,9 @@ type Mailboxes interface {
 type MultiRunner struct {
 	// Lists are the per-shard schedulers, index = shard id.
 	Lists []*EventList
-	// Lookahead is a lower bound on every entry of the lookahead matrix: a
-	// summary for callers. The matrix governs the windows.
+	// Lookahead is the least latency of any interaction one shard can emit
+	// toward another: whatever shard j emits at t reaches any other shard at
+	// t + Lookahead or later.
 	Lookahead Time
 	// Exchange drains all cross-shard mailboxes into the destination
 	// lists — or, with Inbound set, only publishes them. It runs
@@ -84,17 +85,6 @@ type MultiRunner struct {
 	// execution is bit-identical (behavior is fixed by event keys, not by
 	// the execution schedule); parallel is the point of sharding.
 	Parallel bool
-
-	// matrix is the per-pair lookahead: matrix[j][i] is the minimum
-	// latency of any interaction emitted by shard j that reaches shard i
-	// (Infinity when nothing j does can ever reach i). NewMultiRunner
-	// installs the uniform matrix; SetLookaheadMatrix replaces it.
-	matrix [][]Time
-	// react[i] is the minimum round-trip lookahead out of and back into
-	// shard i: min over j != i of matrix[i][j] + matrix[j][i]. It bounds
-	// how soon a *reaction* to shard i's own emissions can return (2L
-	// under the uniform matrix).
-	react []Time
 
 	// next and limits are the per-shard next-event snapshot and window
 	// horizon, rewritten by the coordinator before each window and
@@ -273,67 +263,20 @@ func (s WindowStats) CriticalShare() float64 {
 	return float64(s.Critical) / float64(total)
 }
 
-// NewMultiRunner builds a runner over the given shard lists with a uniform
-// lookahead between every pair. Parallel defaults to off on a single-CPU
-// process, where there is nothing to run a second shard on; behavior is
-// identical either way.
+// NewMultiRunner builds a runner over the given shard lists with the given
+// lookahead. Parallel defaults to off on a single-CPU process, where there
+// is nothing to run a second shard on; behavior is identical either way.
 func NewMultiRunner(lists []*EventList, lookahead Time, exchange func()) *MultiRunner {
 	if lookahead <= 0 {
 		panic("sim: MultiRunner needs positive lookahead")
 	}
 	n := len(lists)
-	mr := &MultiRunner{Lists: lists, Lookahead: lookahead, Exchange: exchange,
+	return &MultiRunner{Lists: lists, Lookahead: lookahead, Exchange: exchange,
 		Parallel: runtime.GOMAXPROCS(0) > 1,
 		next:     make([]Time, n), limits: make([]Time, n),
 		stats:    WindowStats{Events: make([]uint64, n)},
 		executed: make([]uint64, n),
 		coord:    parker{wake: make(chan struct{}, 1)}}
-	uniform := make([][]Time, n)
-	for i := range uniform {
-		uniform[i] = make([]Time, n)
-		for j := range uniform[i] {
-			if i != j {
-				uniform[i][j] = lookahead
-			}
-		}
-	}
-	mr.SetLookaheadMatrix(uniform)
-	return mr
-}
-
-// SetLookaheadMatrix installs the per-pair lookahead: L[j][i] is the
-// minimum latency of any interaction shard j can emit toward shard i —
-// the minimum total path delay across the actual cut edges from j to i,
-// Infinity when no path crosses. Off-diagonal entries must be positive
-// and at least the scalar Lookahead; diagonal entries are ignored. The
-// matrix must be the metric closure of the shard quotient graph (L[j][i]
-// <= L[j][k] + L[k][i] for all k), which the topology layer guarantees by
-// computing it as an all-pairs shortest path; windowLimits relies on the
-// triangle inequality to bound multi-hop reaction chains by round trips.
-func (mr *MultiRunner) SetLookaheadMatrix(L [][]Time) {
-	n := len(mr.Lists)
-	if len(L) != n {
-		panic("sim: lookahead matrix must be shards x shards")
-	}
-	react := make([]Time, n)
-	for i := range L {
-		if len(L[i]) != n {
-			panic("sim: lookahead matrix must be shards x shards")
-		}
-		react[i] = Infinity
-		for j, l := range L[i] {
-			if i == j {
-				continue
-			}
-			if l < mr.Lookahead {
-				panic("sim: lookahead matrix entry below the scalar lookahead")
-			}
-			if rt := SatAdd(l, L[j][i]); rt < react[i] {
-				react[i] = rt
-			}
-		}
-	}
-	mr.matrix, mr.react = L, react
 }
 
 // WindowStats returns the window counters accumulated so far. Call it
@@ -407,21 +350,18 @@ func (mr *MultiRunner) snapshot() Time {
 
 // windowLimits computes each shard's horizon for the next window from the
 // snapshot of next-event times and returns how many shards have work below
-// theirs. Shard i may safely run every event with a timestamp strictly
-// below
+// theirs. With N_j shard j's earliest pending event and L the lookahead,
+// shard i may safely run every event with a timestamp strictly below
 //
-//	safe_i = min( min_{j != i}(N_j + L[j][i]),  N_i + R_i )
+//	safe_i = min( min_{j != i} N_j + L,  N_i + 2L )
 //
-// where N_j is shard j's earliest pending event and L[j][i] the pair
-// lookahead from j to i:
+// for two reasons:
 //   - any message another shard j emits this window comes from an event at
-//     time >= N_j and needs at least L[j][i] to reach i, so it arrives at
-//     >= N_j + L[j][i] >= safe_i;
+//     time >= N_j and needs at least L to reach i, so it arrives at
+//     >= N_j + L >= safe_i;
 //   - any *future* message toward i is a reaction to something i itself
-//     emitted this window — a chain i -> j -> ... -> i costs at least the
-//     round trip R_i = min_j(L[i][j] + L[j][i]), because the matrix is a
-//     metric closure and longer chains only add hops — so it arrives at
-//     >= N_i + R_i >= safe_i.
+//     emitted this window, and a chain out of i and back costs at least two
+//     crossings, so it arrives at >= N_i + 2L >= safe_i.
 //
 // Nothing injected at this or any later barrier can therefore land in
 // shard i's past, and the same holds for any horizon at or below safe_i.
@@ -436,29 +376,35 @@ func (mr *MultiRunner) snapshot() Time {
 // themselves cap a 2-shard speedup near 1.3x. Ending the window at T_end
 // removes the skew in one window, for a few percent more windows.
 //
-// Progress holds: the globally earliest shard has work (every N_j + L[j][i]
-// term is at least its own N_i plus a positive lookahead), so T_end exists
-// and the shard that sets it fires at least one event. When peer shards are
+// Progress holds: the globally earliest shard has work (every N_j + L term
+// is at least its own N_i plus a positive lookahead), so T_end exists and
+// the shard that sets it fires at least one event. When peer shards are
 // idle (N_j far ahead or Infinity) a lone busy shard still runs to
-// N_i + R_i, well beyond the fixed lookahead, and distant shard pairs
-// (multi-hop cuts, or no connecting path at all: L = Infinity) do not
-// constrain each other.
+// N_i + 2L, twice the lookahead.
+//
+// The peer term is the earliest N_j over the other shards: the earliest of
+// all, except for the shard that holds it, whose peer term is the second
+// earliest. So the limits cost one pass, not one per pair of shards.
 func (mr *MultiRunner) windowLimits(deadline Time) (busy int) {
 	// The +1 makes the exclusive window bound inclusive of events at
 	// exactly the deadline, still within the conservative limit. Saturate:
 	// a deadline at or near Infinity must clamp, not wrap every horizon
 	// to 0 and livelock RunUntil.
 	end := SatAdd(deadline, 1)
+	first, second, earliest := Infinity, Infinity, -1
 	for i, at := range mr.next {
-		limit := SatAdd(at, mr.react[i])
-		for j, peer := range mr.next {
-			if j == i {
-				continue
-			}
-			if h := SatAdd(peer, mr.matrix[j][i]); h < limit {
-				limit = h
-			}
+		if at < first {
+			first, second, earliest = at, first, i
+		} else if at < second {
+			second = at
 		}
+	}
+	for i, at := range mr.next {
+		peer := first
+		if i == earliest {
+			peer = second
+		}
+		limit := min(SatAdd(peer, mr.Lookahead), SatAdd(at, 2*mr.Lookahead))
 		mr.limits[i] = limit
 		if at < limit && limit < end {
 			end = limit

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 // every actor must observe the identical event sequence. The workload
 // exercises exactly the properties the real fabric relies on: per-actor
 // RNG streams, canonical (uid, seq) keys on cross-actor messages, and a
-// minimum cross-shard latency equal to the runner's lookahead.
+// minimum cross-shard latency of at least the runner's lookahead.
 
 const (
 	refLookahead = 500 * Nanosecond
@@ -43,8 +44,8 @@ type refWorld struct {
 	actors []*refActor
 	send   func(src, dst *refActor, at Time, ord uint64, arg uint64)
 	// lat, when non-nil, is the per-shard-pair minimum cross latency the
-	// actors must respect (the lookahead-matrix twin); nil means the
-	// uniform refLookahead.
+	// actors respect, each entry at least refLookahead; nil means
+	// refLookahead for every pair.
 	lat [][]Time
 }
 
@@ -97,8 +98,8 @@ func (m refMsg) OnEvent(arg uint64) { m.dst.OnEvent(arg) }
 
 // buildRefWorld creates the actor set for one mode. lists has one entry in
 // single-list mode or one per shard in sharded mode.
-func buildRefWorld(seed uint64, shards int, lists []*EventList) *refWorld {
-	w := &refWorld{}
+func buildRefWorld(seed uint64, shards int, lists []*EventList, lat [][]Time) *refWorld {
+	w := &refWorld{lat: lat}
 	for s := 0; s < shards; s++ {
 		el := lists[0]
 		if len(lists) > 1 {
@@ -122,9 +123,9 @@ func buildRefWorld(seed uint64, shards int, lists []*EventList) *refWorld {
 }
 
 // runRefSingle executes the workload on one shared list.
-func runRefSingle(seed uint64, shards int, until Time) *refWorld {
+func runRefSingle(seed uint64, shards int, until Time, lat [][]Time) *refWorld {
 	el := NewEventList()
-	w := buildRefWorld(seed, shards, []*EventList{el})
+	w := buildRefWorld(seed, shards, []*EventList{el}, lat)
 	w.send = func(src, dst *refActor, at Time, ord uint64, arg uint64) {
 		el.ScheduleKeyed(at, ord, refMsg{dst}, arg)
 	}
@@ -135,13 +136,13 @@ func runRefSingle(seed uint64, shards int, until Time) *refWorld {
 
 // runRefSharded executes the workload across shard lists under the
 // windowed runner, with test-local mailboxes standing in for the fabric's
-// cross-shard boxes.
-func runRefSharded(seed uint64, shards int, until Time, serial bool) *refWorld {
+// cross-shard boxes. The runner knows only refLookahead, never lat.
+func runRefSharded(seed uint64, shards int, until Time, serial bool, lat [][]Time) *refWorld {
 	lists := make([]*EventList, shards)
 	for i := range lists {
 		lists[i] = NewEventList()
 	}
-	w := buildRefWorld(seed, shards, lists)
+	w := buildRefWorld(seed, shards, lists, lat)
 	type boxEntry struct {
 		at  Time
 		ord uint64
@@ -209,10 +210,10 @@ func TestMultiRunnerVsSingleList(t *testing.T) {
 	const until = 200 * Microsecond
 	for seed := uint64(1); seed <= 25; seed++ {
 		for _, shards := range []int{2, 3, 5} {
-			ref := runRefSingle(seed, shards, until)
-			par := runRefSharded(seed, shards, until, false)
+			ref := runRefSingle(seed, shards, until, nil)
+			par := runRefSharded(seed, shards, until, false, nil)
 			compareRefWorlds(t, "parallel", ref, par)
-			ser := runRefSharded(seed, shards, until, true)
+			ser := runRefSharded(seed, shards, until, true, nil)
 			compareRefWorlds(t, "serial", ref, ser)
 		}
 	}
@@ -225,8 +226,139 @@ func FuzzMultiRunner(f *testing.F) {
 	f.Add(uint64(42), uint8(7))
 	f.Fuzz(func(t *testing.T, seed uint64, shards uint8) {
 		s := int(shards%7) + 2
-		ref := runRefSingle(seed, s, 100*Microsecond)
-		got := runRefSharded(seed, s, 100*Microsecond, false)
+		ref := runRefSingle(seed, s, 100*Microsecond, nil)
+		got := runRefSharded(seed, s, 100*Microsecond, false, nil)
 		compareRefWorlds(t, "fuzz", ref, got)
 	})
+}
+
+// buildPairLatencies derives a deterministic asymmetric per-pair minimum
+// cross latency of one to four lookaheads, the spread a topology with
+// shard pairs several cut crossings apart has.
+func buildPairLatencies(seed uint64, shards int) [][]Time {
+	rng := NewRand(seed*0x9e3779b97f4a7c15 + 1)
+	L := make([][]Time, shards)
+	for i := range L {
+		L[i] = make([]Time, shards)
+		for j := range L[i] {
+			if i != j {
+				L[i][j] = Time(1+rng.Intn(4)) * refLookahead
+			}
+		}
+	}
+	return L
+}
+
+// TestMultiRunnerMatrixVsSingleList: cross-shard messages that take longer
+// than the lookahead, by a different amount per shard pair (L[i][j] !=
+// L[j][i]), run exactly as on one list under a runner that knows only the
+// lookahead — the always-on property test behind FuzzMultiRunnerMatrix.
+func TestMultiRunnerMatrixVsSingleList(t *testing.T) {
+	const until = 200 * Microsecond
+	for seed := uint64(1); seed <= 15; seed++ {
+		for _, shards := range []int{2, 3, 5} {
+			L := buildPairLatencies(seed, shards)
+			ref := runRefSingle(seed, shards, until, L)
+			par := runRefSharded(seed, shards, until, false, L)
+			compareRefWorlds(t, "matrix-parallel", ref, par)
+			ser := runRefSharded(seed, shards, until, true, L)
+			compareRefWorlds(t, "matrix-serial", ref, ser)
+		}
+	}
+}
+
+// FuzzMultiRunnerMatrix lets the fuzzer vary the seed and shard count:
+// go test -fuzz=FuzzMultiRunnerMatrix ./internal/sim
+func FuzzMultiRunnerMatrix(f *testing.F) {
+	f.Add(uint64(1), uint8(2))
+	f.Add(uint64(42), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, shards uint8) {
+		s := int(shards%7) + 2
+		L := buildPairLatencies(seed, s)
+		ref := runRefSingle(seed, s, 100*Microsecond, L)
+		got := runRefSharded(seed, s, 100*Microsecond, false, L)
+		compareRefWorlds(t, "fuzz-matrix", ref, got)
+	})
+}
+
+// TestWindowLimitsMatchPairwiseBound: windowLimits takes each shard's peer
+// term from the two earliest shards in one pass; it must give every shard
+// the horizon min(min_{j != i} N_j + L, N_i + 2L) taken pair by pair, with
+// ties, idle (Infinity) shards and deadlines below the horizons included.
+func TestWindowLimitsMatchPairwiseBound(t *testing.T) {
+	const L = refLookahead
+	rng := NewRand(7)
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(6)
+		mr := NewMultiRunner(make([]*EventList, n), L, nil)
+		for i := range mr.next {
+			switch rng.Intn(4) {
+			case 0:
+				mr.next[i] = Infinity
+			case 1:
+				mr.next[i] = Time(rng.Intn(3)) * L // ties
+			default:
+				mr.next[i] = Time(rng.Intn(5000)) * Nanosecond
+			}
+		}
+		if rng.Intn(3) == 0 {
+			mr.next[rng.Intn(n)] = 0 // some shard always has work
+		}
+		deadline := Infinity
+		if rng.Intn(2) == 0 {
+			deadline = Time(rng.Intn(5000)) * Nanosecond
+		}
+		want := make([]Time, n)
+		end := SatAdd(deadline, 1)
+		for i, at := range mr.next {
+			want[i] = SatAdd(at, 2*L)
+			for j, peer := range mr.next {
+				if j != i {
+					want[i] = min(want[i], SatAdd(peer, L))
+				}
+			}
+			if at < want[i] {
+				end = min(end, want[i])
+			}
+		}
+		busy := 0
+		for i, at := range mr.next {
+			want[i] = min(want[i], end)
+			if at < want[i] {
+				busy++
+			}
+		}
+		if got := mr.windowLimits(deadline); got != busy || !slices.Equal(mr.limits, want) {
+			t.Fatalf("next %v, deadline %v: limits %v with %d busy, want %v with %d busy",
+				mr.next, deadline, mr.limits, got, want, busy)
+		}
+	}
+}
+
+// countHandler counts firings; the minimal Handler for livelock probes.
+type countHandler struct{ n int }
+
+func (c *countHandler) OnEvent(uint64) { c.n++ }
+
+// TestRunUntilInfinityDeadline is the regression test for the
+// windowLimits horizon overflow: `bound := deadline + 1` wrapped negative
+// for a deadline at Infinity, collapsing every horizon below the pending
+// events and livelocking RunUntil. With SatAdd (and the Infinity guard in
+// the drive loop) the run must terminate having fired everything.
+func TestRunUntilInfinityDeadline(t *testing.T) {
+	for _, deadline := range []Time{Infinity, Infinity - 1} {
+		lists := []*EventList{NewEventList(), NewEventList()}
+		var c0, c1 countHandler
+		lists[0].Schedule(10*Nanosecond, &c0, 0)
+		lists[1].Schedule(20*Nanosecond, &c1, 0)
+		mr := NewMultiRunner(lists, refLookahead, nil)
+		mr.Parallel = false
+		mr.RunUntil(deadline)
+		if c0.n != 1 || c1.n != 1 {
+			t.Fatalf("deadline=%v: fired %d/%d events, want 1/1", deadline, c0.n, c1.n)
+		}
+		if got := mr.Now(); got != deadline {
+			t.Fatalf("deadline=%v: Now() = %v", deadline, got)
+		}
+	}
 }

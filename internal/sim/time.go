@@ -40,8 +40,8 @@ const (
 const Infinity = Time(1<<63 - 1)
 
 // SatAdd adds a latency to a timestamp, or two latencies, saturating at
-// Infinity instead of overflowing (lookahead matrices hold Infinity for
-// shard pairs with no path between them).
+// Infinity instead of overflowing (an idle shard's next event is at
+// Infinity).
 func SatAdd(t, d Time) Time {
 	if t >= Infinity-d {
 		return Infinity

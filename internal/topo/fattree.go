@@ -52,9 +52,8 @@ func NewFatTree(k int, cfg Config) *FatTree { return NewFatTreeOversub(k, 1, cfg
 //
 // With cfg.Shards > 1 the tree is partitioned by pod (pods are contiguous
 // runs of hosts, ToRs and aggs; core switches spread round-robin), each
-// shard owning its own event list. Only agg<->core links cross the cut, so
-// the conservative lookahead is the link propagation delay. Shards is
-// clamped to the pod count.
+// shard owning its own event list. Only agg<->core links cross the cut.
+// Shards is clamped to the pod count.
 func NewFatTreeOversub(k, oversub int, cfg Config) *FatTree {
 	if k < 2 || k%2 != 0 {
 		panic(fmt.Sprintf("topo: FatTree k must be even and >= 2, got %d", k))
@@ -155,7 +154,7 @@ func NewFatTreeOversub(k, oversub int, cfg Config) *FatTree {
 			ft.connect(core, ft.Aggs[p*half+a])
 		}
 	}
-	ft.finishShards()
+	ft.finishBuild()
 	return ft
 }
 

@@ -86,11 +86,11 @@ func (s *pathSlab) alloc(n, hopLen int) [][]int16 {
 // even; degree >= 2. maxPaths bounds the per-pair path enumeration
 // (default 8).
 //
-// With cfg.Shards > 1 the random graph is split by greedyEdgeCutParts into
-// balanced BFS-grown switch regions, each owning its own event list; hosts
-// live with their switch. Any inter-switch link whose endpoints land in
-// different regions crosses the cut, so the conservative lookahead is the
-// link propagation delay. Shards is clamped to the switch count.
+// With cfg.Shards > 1 each shard owns a contiguous arc of the Hamiltonian
+// ring the wiring starts from (groupShard over ring positions), so the ring
+// edges cross the cut only where arcs meet; hosts live with their switch.
+// Any other inter-switch link whose endpoints land in different arcs
+// crosses the cut too. Shards is clamped to the switch count.
 func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfish {
 	if n < 3 || degree < 2 || n*degree%2 != 0 {
 		panic(fmt.Sprintf("topo: invalid Jellyfish n=%d degree=%d", n, degree))
@@ -107,8 +107,12 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 	j.initShards(cfg, shards)
 	j.routes = make([]routeTable, j.Shards())
 
-	j.adj = randomRegularGraph(n, degree, j.Rand)
-	parts := greedyEdgeCutParts(j.adj, j.Shards())
+	var ring []int
+	j.adj, ring = randomRegularGraph(n, degree, j.Rand)
+	shard := make([]int, n)
+	for pos, s := range ring {
+		shard[s] = groupShard(pos, n, j.Shards())
+	}
 	j.precomputeDists()
 
 	links := 0
@@ -119,13 +123,13 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 	j.reserve(n, nHosts, 2*nHosts+links)
 	route := fabric.RouteFunc(j.route)
 	for s := 0; s < n; s++ {
-		j.newSwitch(fabric.Label{Kind: "jf", A: int32(s), B: -1}, parts[s], hostsPerSwitch+len(j.adj[s]), route)
+		j.newSwitch(fabric.Label{Kind: "jf", A: int32(s), B: -1}, shard[s], hostsPerSwitch+len(j.adj[s]), route)
 	}
 	// Hosts and host ports: hosts always share their switch's shard, so
 	// these links never cross the cut.
 	for s, sw := range j.Switches {
 		for o := 0; o < hostsPerSwitch; o++ {
-			host := j.newHost(parts[s])
+			host := j.newHost(shard[s])
 			j.connect(sw, host)
 			j.connect(host, sw)
 		}
@@ -136,17 +140,18 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 			j.connect(sw, j.Switches[nb])
 		}
 	}
-	j.finishShards()
+	j.finishBuild()
 	return j
 }
 
 // randomRegularGraph wires a connected degree-regular graph: a Hamiltonian
 // ring guarantees connectivity and degree 2; remaining stubs are matched
-// randomly with rejection of self-loops and duplicate edges.
-func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
+// randomly with rejection of self-loops and duplicate edges. It returns the
+// adjacency lists and the ring, switch ids in ring order.
+func randomRegularGraph(n, degree int, r *sim.Rand) (adj [][]int, ring []int) {
 	// Every list is carved from one array at its final size: no node ever
 	// holds more than degree edges.
-	adj := make([][]int, n)
+	adj = make([][]int, n)
 	edges := make([]int, n*degree)
 	for i := range adj {
 		adj[i] = edges[i*degree : i*degree : (i+1)*degree]
@@ -163,9 +168,9 @@ func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	perm := r.Perm(n) // random ring order
+	ring = r.Perm(n) // random ring order
 	for i := 0; i < n; i++ {
-		addEdge(perm[i], perm[(i+1)%n])
+		addEdge(ring[i], ring[(i+1)%n])
 	}
 	removeEdge := func(a, b int) {
 		for i, x := range adj[a] {
@@ -193,7 +198,7 @@ func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
 			}
 		}
 		if len(stubs) == 0 {
-			return adj
+			return adj, ring
 		}
 		sim.Shuffle(r, stubs)
 		progress := false
@@ -238,7 +243,7 @@ func randomRegularGraph(n, degree int, r *sim.Rand) [][]int {
 			}
 		}
 	}
-	return adj
+	return adj, ring
 }
 
 func (j *Jellyfish) locate(h int32) (sw, off int) {

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,7 +82,7 @@ func TestJellyfishPathsProperty(t *testing.T) {
 
 func TestRandomRegularGraphConnected(t *testing.T) {
 	for seed := uint64(1); seed < 20; seed++ {
-		adj := randomRegularGraph(14, 3, sim.NewRand(seed))
+		adj, _ := randomRegularGraph(14, 3, sim.NewRand(seed))
 		// BFS from 0 must reach everything (ring guarantees it).
 		seen := make([]bool, 14)
 		seen[0] = true
@@ -100,6 +101,55 @@ func TestRandomRegularGraphConnected(t *testing.T) {
 			if !ok {
 				t.Fatalf("seed %d: switch %d unreachable", seed, i)
 			}
+		}
+	}
+}
+
+// TestJellyfishShardsAreRingArcs: a sharded Jellyfish gives each shard a
+// contiguous arc of the ring its wiring starts from, balanced to within one
+// switch, with hosts beside their switch. Switch ids carry no locality, so
+// the arcs are what keeps the cut below that of contiguous id ranges: the
+// ring's own edges cross only where two arcs meet.
+func TestJellyfishShardsAreRingArcs(t *testing.T) {
+	const n, hosts, degree = 64, 4, 8
+	for seed := uint64(1); seed <= 3; seed++ {
+		// The wiring's draws, replayed from the seed the build derives.
+		adj, ring := randomRegularGraph(n, degree, sim.NewRand(seed^0x9e3779b97f4a7c15))
+		for _, shards := range []int{2, 4, 8} {
+			j := NewJellyfish(n, hosts, degree, 8, Config{Seed: seed, Shards: shards})
+			if !slices.EqualFunc(adj, j.adj, slices.Equal) {
+				t.Fatalf("seed %d: the replayed wiring differs from the build's", seed)
+			}
+			size := make([]int, shards)
+			for pos, s := range ring {
+				if got, want := j.swShard[s], pos*shards/n; got != want {
+					t.Fatalf("seed %d, %d shards: switch %d at ring position %d is on shard %d, want %d", seed, shards, s, pos, got, want)
+				}
+				size[j.swShard[s]]++
+			}
+			if slices.Min(size) < slices.Max(size)-1 {
+				t.Errorf("seed %d, %d shards: arc sizes %v", seed, shards, size)
+			}
+			for h := range j.Hosts {
+				if sw, _ := j.locate(int32(h)); j.hostShard[h] != j.swShard[sw] {
+					t.Fatalf("seed %d, %d shards: host %d not on its switch's shard", seed, shards, h)
+				}
+			}
+			cut, idCut := 0, 0
+			for s, nbs := range j.adj {
+				for _, nb := range nbs {
+					if j.swShard[s] != j.swShard[nb] {
+						cut++
+					}
+					if s*shards/n != nb*shards/n {
+						idCut++
+					}
+				}
+			}
+			if cut >= idCut {
+				t.Errorf("seed %d, %d shards: %d cut links along the ring, %d by id range", seed, shards, cut, idCut)
+			}
+			j.Close()
 		}
 	}
 }

@@ -47,16 +47,16 @@ type Config struct {
 	Seed uint64
 	// Shards partitions the topology into this many per-core shards, each
 	// with its own event list, advanced in conservative windows
-	// (sim.MultiRunner) bounded by a per-shard-pair lookahead matrix (the
-	// minimum total path delay across the cut edges between each pair).
-	// 0 or 1 keeps the proven single-list engine. Results are
-	// bit-identical for every value. FatTree partitions by pod (the cut
-	// runs through the agg<->core layer), TwoTier by ToR group (spines
-	// spread across shards), Jellyfish by BFS-grown balanced switch
-	// regions (greedy edge-cut). BackToBack supports only 1. Lossless
-	// (PFC) fabrics shard too: pause/resume transitions crossing a cut
-	// travel as keyed cross-shard entries over the reverse channel, whose
-	// link delay is part of the lookahead matrix.
+	// (sim.MultiRunner) whose lookahead is one link delay: every link has
+	// that delay, so nothing crosses a cut faster. 0 or 1 keeps the proven
+	// single-list engine. Results are bit-identical for every value. Every
+	// partition follows one rule (groupShard): contiguous runs of groups
+	// per shard — FatTree pods (the cut runs through the agg<->core
+	// layer), TwoTier ToR groups (spines spread across shards), Jellyfish
+	// switches in the order of the ring its wiring starts from.
+	// BackToBack supports only 1. Lossless (PFC) fabrics shard too:
+	// pause/resume transitions crossing a cut travel as keyed cross-shard
+	// entries over the reverse channel, one link delay ahead.
 	Shards int
 }
 
@@ -97,10 +97,10 @@ type Cluster interface {
 	// physical path from host src to host dst — the earliest a causal
 	// effect of an event at src can reach dst. Cross-shard deferred
 	// commands (Defer) and receiver registrations use it as their delivery
-	// offset: it is at least the pair lookahead L[shard(src)][shard(dst)]
-	// (every src->dst path crosses the same cuts the matrix is built
-	// from), yet depends only on the topology, never on the shard layout —
-	// which keeps N-shard runs bit-identical to 1-shard runs.
+	// offset: between hosts of different shards it is at least the
+	// lookahead (a path crossing a cut has at least one link), yet it
+	// depends only on the topology, never on the shard layout — which
+	// keeps N-shard runs bit-identical to 1-shard runs.
 	MinPathDelay(src, dst int) sim.Time
 	HostList() []*fabric.Host
 	SwitchList() []*fabric.Switch
@@ -142,19 +142,11 @@ type Network struct {
 	// inboundAt[dst] is the earliest entry published to shard dst at the
 	// last exchange (sim.Mailboxes).
 	inboundAt []sim.Time
-	lookahead sim.Time
-	// pairLookahead is the all-pairs matrix L that finishShards closes
-	// crossDelay into: handed to the runner, and checked by Defer.
-	pairLookahead [][]sim.Time
-	// crossDelay[src][dst] is the minimum delay of any single cut edge
-	// from shard src to shard dst reported via noteCrossLink (Infinity
-	// when none).
-	crossDelay [][]sim.Time
-	hostShard  []int
-	swShard    []int
-	released   bool       // Close already freed the fabric's held packets
-	swRand     []sim.Rand // per-switch ECMP stream, index = switch ID
-	cmdSeq     []uint64   // per-host command emission counters (Defer ord)
+	hostShard []int
+	swShard   []int
+	released  bool       // Close already freed the fabric's held packets
+	swRand    []sim.Rand // per-switch ECMP stream, index = switch ID
+	cmdSeq    []uint64   // per-host command emission counters (Defer ord)
 	// The components, carved from one array per kind that the builder sizes
 	// up front (reserve): a build allocates per kind, not per port or node.
 	// portLists backs every switch's Ports.
@@ -181,10 +173,6 @@ func (n *Network) ShardOfHost(h int) int { return n.hostShard[h] }
 
 // ShardEventList returns the scheduler of one shard.
 func (n *Network) ShardEventList(shard int) *sim.EventList { return n.els[shard] }
-
-// Lookahead returns the conservative window bound: the minimum latency of
-// any cross-shard interaction (Infinity when nothing crosses).
-func (n *Network) Lookahead() sim.Time { return n.lookahead }
 
 // HostList returns the hosts in id order.
 func (n *Network) HostList() []*fabric.Host { return n.Hosts }
@@ -273,22 +261,16 @@ func (n *Network) initShards(cfg Config, shards int) {
 	}
 	n.EL = n.els[0]
 	n.Rand = sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	n.lookahead = sim.Infinity
 	if shards > 1 {
 		n.boxes = make([][]fabric.CrossBox, shards)
 		n.inboxes = make([]*fabric.Inbox, shards)
 		n.inboundAt = make([]sim.Time, shards)
-		n.crossDelay = make([][]sim.Time, shards)
 		for i := range n.boxes {
 			n.boxes[i] = make([]fabric.CrossBox, shards)
 			n.inboxes[i] = fabric.NewInbox(n.els[i])
-			n.crossDelay[i] = make([]sim.Time, shards)
-			for j := range n.crossDelay[i] {
-				if i != j {
-					n.crossDelay[i][j] = sim.Infinity
-				}
-			}
 		}
+		// Every link is built with the link delay (connect), so that is the
+		// least latency of anything crossing a cut: the lookahead.
 		mr := sim.NewMultiRunner(n.els, cfg.LinkDelay, n.exchange)
 		mr.Inbound = n
 		n.runner = mr
@@ -297,62 +279,11 @@ func (n *Network) initShards(cfg Config, shards int) {
 	}
 }
 
-// finishShards ends every build: it attaches the queues, and computes the
-// runner's lookahead once the builder has reported every cross-shard link
-// via noteCrossLink: the scalar minimum
-// (the classic window bound, still the Lookahead() summary) and the
-// per-shard-pair matrix L[i][j] — the minimum total path delay across the
-// actual cut edges from shard i to shard j, the metric closure of the
-// per-pair single-edge minima under Floyd-Warshall. Non-adjacent shard
-// pairs get multi-hop sums (wider windows than the scalar), pairs no path
-// connects stay at Infinity (no constraint at all).
-func (n *Network) finishShards() {
+// finishBuild ends every build: it attaches the queues and sizes the
+// per-host command counters.
+func (n *Network) finishBuild() {
 	n.attachQueues()
 	n.cmdSeq = make([]uint64, len(n.Hosts))
-	mr, ok := n.runner.(*sim.MultiRunner)
-	if !ok {
-		return
-	}
-	if n.lookahead == sim.Infinity {
-		// No link crosses the partition: windows can be arbitrarily
-		// wide, but link delay is a safe, simple bound.
-		n.lookahead = n.cfg.LinkDelay
-	}
-	mr.Lookahead = n.lookahead
-	shards := len(n.els)
-	L := make([][]sim.Time, shards)
-	for i := range L {
-		L[i] = append([]sim.Time(nil), n.crossDelay[i]...)
-	}
-	for k := 0; k < shards; k++ {
-		for i := 0; i < shards; i++ {
-			if i == k {
-				continue
-			}
-			for j := 0; j < shards; j++ {
-				if j == i || j == k {
-					continue
-				}
-				if via := sim.SatAdd(L[i][k], L[k][j]); via < L[i][j] {
-					L[i][j] = via
-				}
-			}
-		}
-	}
-	n.pairLookahead = L
-	mr.SetLookaheadMatrix(L)
-}
-
-// noteCrossLink registers a shard-crossing link's latency for the
-// lookahead computation and returns the mailbox its traffic must use.
-func (n *Network) noteCrossLink(from, to int, delay sim.Time) *fabric.CrossBox {
-	if delay < n.lookahead {
-		n.lookahead = delay
-	}
-	if delay < n.crossDelay[from][to] {
-		n.crossDelay[from][to] = delay
-	}
-	return &n.boxes[from][to]
 }
 
 // exchange publishes every cross-shard mailbox to its destination shard and
@@ -394,7 +325,7 @@ func (n *Network) DrainInbound(shard int) {
 // caller writes that state before Defer and must not rewrite it before at:
 // the destination reads it once, at at, behind the window barrier's
 // happens-before edge. Cross-shard deferrals must satisfy the conservative
-// bound at >= now(from) + L[shard(from)][shard(to)] — MinPathDelay(from,
+// bound at >= now(from) + lookahead (one link delay) — MinPathDelay(from,
 // to) always does — and one that does not panics here, at its emitter: the
 // destination may already have run past at, and would otherwise find out a
 // window later (CrossBox.DrainPublished), or never, on a layout where the
@@ -407,8 +338,8 @@ func (n *Network) Defer(from, to int, at sim.Time, h sim.Handler, arg uint64) {
 		n.els[st].ScheduleKeyed(at, ord, h, arg)
 		return
 	}
-	if now, l := n.els[sf].Now(), n.pairLookahead[sf][st]; at-now < l {
-		panic(fmt.Sprintf("topo: Defer from host %d (shard %d, now %v) to host %d (shard %d) at %v is inside the pair lookahead %v",
+	if now, l := n.els[sf].Now(), n.cfg.LinkDelay; at-now < l {
+		panic(fmt.Sprintf("topo: Defer from host %d (shard %d, now %v) to host %d (shard %d) at %v is inside the lookahead %v",
 			from, sf, now, to, st, at, l))
 	}
 	n.boxes[sf][st].AddCommand(at, ord, h, arg)
@@ -441,6 +372,17 @@ func (n *Network) reserve(switches, hosts, ports int) {
 	n.hostShard = make([]int, 0, hosts)
 	n.portSlab = make([]fabric.Port, 0, ports)
 	n.portLists = make([]*fabric.Port, 0, ports-hosts)
+}
+
+// groupShard is the one partition rule: group g of nGroups lands on shard
+// g*shards/nGroups, so every shard owns a contiguous run of groups and the
+// runs differ in size by at most one group. A group is a FatTree pod, a
+// TwoTier ToR or spine, a position on a Jellyfish's ring. Partitions only
+// decide which goroutine simulates a component — results are bit-identical
+// for every layout — so what a rule can win is a smaller cut (less mailbox
+// traffic, fewer eagerly serialized cut ports) and even load.
+func groupShard(group, nGroups, shards int) int {
+	return group * shards / nGroups
 }
 
 // newSwitch builds the next switch — its ID is its index in Switches — on
@@ -514,9 +456,9 @@ func (n *Network) connect(from, to fabric.Sink) *fabric.Port {
 		p.Connect(to)
 	}
 	if fs != ts {
-		p.Cross = n.noteCrossLink(fs, ts, p.Delay)
+		p.Cross = &n.boxes[fs][ts]
 		if iq != nil {
-			iq.Cross = n.noteCrossLink(ts, fs, p.Delay)
+			iq.Cross = &n.boxes[ts][fs]
 		}
 	}
 	switch v := from.(type) {

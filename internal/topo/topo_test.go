@@ -282,10 +282,10 @@ func (c *countingCommand) OnEvent(uint64) { c.fired++ }
 
 // TestDeferBelowLookaheadPanics: Defer checks the conservative bound where
 // it is broken. On a 2-shard FatTree a cross-shard command timed one
-// picosecond inside the pair lookahead panics at the call, naming both
-// hosts; exactly the lookahead away it is accepted and fires; and between
-// hosts of one shard there is no bound at all. It is checked against the
-// emitter's clock, not against zero.
+// picosecond inside the lookahead (one link delay) panics at the call,
+// naming both hosts; exactly the lookahead away it is accepted and fires;
+// and between hosts of one shard there is no bound at all. It is checked
+// against the emitter's clock, not against zero.
 func TestDeferBelowLookaheadPanics(t *testing.T) {
 	ft := NewFatTree(4, Config{Shards: 2})
 	defer ft.Close()
@@ -294,9 +294,9 @@ func TestDeferBelowLookaheadPanics(t *testing.T) {
 	if sf == st || ft.ShardOfHost(near) != sf {
 		t.Fatalf("set-up: hosts %d, %d, %d on shards %d, %d, %d", from, near, far, sf, ft.ShardOfHost(near), st)
 	}
-	l := ft.pairLookahead[sf][st]
-	if l <= 0 || l == sim.Infinity || l > ft.MinPathDelay(from, far) {
-		t.Fatalf("set-up: pair lookahead %v, minimum path delay %v", l, ft.MinPathDelay(from, far))
+	l := ft.LinkDelay()
+	if l <= 0 || l > ft.MinPathDelay(from, far) {
+		t.Fatalf("set-up: lookahead %v, minimum path delay %v", l, ft.MinPathDelay(from, far))
 	}
 	ft.Runner().RunUntil(3 * sim.Microsecond)
 	now := ft.ShardEventList(sf).Now()
@@ -309,7 +309,7 @@ func TestDeferBelowLookaheadPanics(t *testing.T) {
 	func() {
 		defer func() {
 			msg, _ := recover().(string)
-			for _, want := range []string{"from host 0 ", "to host 15 ", "pair lookahead " + l.String()} {
+			for _, want := range []string{"from host 0 ", "to host 15 ", "inside the lookahead " + l.String()} {
 				if !strings.Contains(msg, want) {
 					t.Errorf("Defer one picosecond inside the lookahead panicked with %q, want %q in it", msg, want)
 				}

@@ -29,8 +29,7 @@ type TwoTier struct {
 // With cfg.Shards > 1 the network is partitioned by ToR group: each shard
 // owns a contiguous run of ToRs with their hosts, and the spine switches
 // spread across shards. Every ToR<->spine link whose endpoints land in
-// different shards crosses the cut, so the conservative lookahead is the
-// link propagation delay. Shards is clamped to the ToR count.
+// different shards crosses the cut. Shards is clamped to the ToR count.
 func NewTwoTier(tors, hostsPerTor, spines int, cfg Config) *TwoTier {
 	if tors < 1 || hostsPerTor < 1 || (tors > 1 && spines < 1) {
 		panic(fmt.Sprintf("topo: invalid TwoTier %d/%d/%d", tors, hostsPerTor, spines))
@@ -83,7 +82,7 @@ func NewTwoTier(tors, hostsPerTor, spines int, cfg Config) *TwoTier {
 			tt.connect(spine, tor)
 		}
 	}
-	tt.finishShards()
+	tt.finishBuild()
 	return tt
 }
 
@@ -163,7 +162,7 @@ func NewBackToBack(cfg Config) *BackToBack {
 	h0, h1 := b.newHost(0), b.newHost(0)
 	b.connect(h0, h1)
 	b.connect(h1, h0)
-	b.finishShards()
+	b.finishBuild()
 	return b
 }
 

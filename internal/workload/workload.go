@@ -148,10 +148,9 @@ type ClosedLoop struct {
 	// NotifyLatency is the delay between a flow completing at host from
 	// (where done runs) and source host to learning about it. It models
 	// the returning notice and must be at least the engine's cross-shard
-	// lookahead for the pair, which depends on where the two hosts landed
-	// — wire it to the cluster's MinPathDelay (the minimum physical path
-	// is never shorter than the shard cut it crosses). Unsharded callers
-	// may return any constant.
+	// lookahead when the two hosts landed on different shards — wire it to
+	// the cluster's MinPathDelay (a physical path that crosses a shard cut
+	// has at least one link). Unsharded callers may return any constant.
 	NotifyLatency func(from, to int) sim.Time
 
 	// Start launches a flow of size bytes from src to dst; it must call

@@ -89,7 +89,7 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// Shards splits each single simulation into this many per-core
 	// partitions advanced in conservative time windows (one event list per
-	// shard, windows bounded by the per-shard-pair lookahead matrix). 0/1
+	// shard, windows bounded by a lookahead of one link delay). 0/1
 	// keeps the proven single-list engine. Metrics are bit-identical for
 	// any value. Supported for every transport — including dcqcn, whose
 	// PFC pause signals cross shard cuts as keyed mailbox entries with the

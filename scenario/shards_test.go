@@ -109,7 +109,7 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	}{
 		{"fattree", FatTree(4)},           // 16 hosts, partitioned by pod
 		{"twotier", TwoTier(4, 4, 4)},     // 16 hosts, partitioned by ToR group
-		{"jellyfish", Jellyfish(8, 2, 3)}, // 16 hosts, BFS-grown parts
+		{"jellyfish", Jellyfish(8, 2, 3)}, // 16 hosts, partitioned by ring arc
 	}
 	transports := []Transport{NDP, TCP, DCTCP, MPTCP, DCQCN, PHost}
 	for name, spec := range matrixSpecs(t) {

@@ -4,7 +4,9 @@
 // EWMA of the marked fraction. The congestion-control machinery itself
 // lives in internal/tcp (Config.DCTCP); this package pins the paper's
 // recommended parameters — 200-packet switch buffers with a 30-packet
-// marking threshold — and provides the switch queue factory.
+// marking threshold — and provides the switch queue factory. Endpoints are
+// internal/tcp's, built with SenderConfig; DCTCP receivers are plain TCP
+// receivers, whose per-packet ECN echo internal/tcp always does.
 package dctcp
 
 import (
@@ -37,16 +39,4 @@ func SenderConfig(mtu int) tcp.Config {
 		DCTCP:       true,
 		G:           1.0 / 16,
 	}
-}
-
-// NewSender builds a DCTCP sender over a fixed route.
-func NewSender(host *fabric.Host, dst int32, flow uint64, route int16, size int64, mtu int) *tcp.Sender {
-	cfg := SenderConfig(mtu)
-	return tcp.NewSender(host, dst, flow, route, tcp.NewFixedSource(size, mtu), cfg)
-}
-
-// NewReceiver builds the matching receiver; DCTCP receivers are plain TCP
-// receivers with per-packet ECN echo, which internal/tcp always does.
-func NewReceiver(host *fabric.Host, peer int32, flow uint64, revRoute int16) *tcp.Receiver {
-	return tcp.NewReceiver(host, peer, flow, revRoute)
 }

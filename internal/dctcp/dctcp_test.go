@@ -48,8 +48,8 @@ func TestDCTCPIncastNoDrops(t *testing.T) {
 	net, dm := dctcpNet(4)
 	done := 0
 	for i := int32(1); i < 16; i++ {
-		snd := NewSender(net.Hosts[i], 0, uint64(i), 0, 450_000, 9000)
-		rcv := NewReceiver(net.Hosts[0], i, uint64(i), 0)
+		snd := tcp.NewSender(net.Hosts[i], 0, uint64(i), 0, tcp.NewFixedSource(450_000, 9000), SenderConfig(9000))
+		rcv := tcp.NewReceiver(net.Hosts[0], i, uint64(i), 0)
 		rcv.OnComplete = func(r *tcp.Receiver) { done++ }
 		dm[i].Register(uint64(i), snd)
 		dm[0].Register(uint64(i), rcv)

@@ -9,13 +9,15 @@ import "math/bits"
 //
 // Events with equal timestamps fire in the order they were scheduled
 // (FIFO tie-break via a sequence counter), which keeps simulations
-// deterministic regardless of scheduler internals. Rescheduling an event
-// counts as scheduling it anew: it moves behind everything already queued at
-// the same instant.
+// deterministic regardless of scheduler internals.
 //
 // The scheduler is allocation-free. There is one event shape: a component
 // implements Handler and is scheduled with a uint64 argument, so an event is
-// two interface words plus plain integers — no closure is created.
+// two interface words plus plain integers — no closure is created. Every
+// event fires exactly once: nothing is cancelled or moved once scheduled. A
+// component that may not need an event it has to plan for (a port's
+// serialization end, a Timer's expiry) reserves the event's key with
+// ReserveOrd and decides when it fires.
 //
 // Equal-timestamp ordering is a 64-bit ord word, not the raw sequence
 // counter: plainly-scheduled events carry ordNormal|seq (FIFO, as before),
@@ -29,21 +31,20 @@ import "math/bits"
 // Two tiers, one order. The firing order is a pure function of the
 // (at, ord) keys; where an event waits only decides what the wait costs. A
 // packet simulation schedules almost every event a few tens of nanoseconds
-// to a few microseconds ahead and never cancels it, so such an event goes
-// into the wheel, where a push is O(1) and a pop is an array read; the heap
-// keeps its generality for the rest. Every pending event has exactly one
-// home, chosen by one predicate (admit) when it is pushed.
+// to a few microseconds ahead, so such an event goes into the wheel, where a
+// push is O(1) and a pop is an array read; the heap keeps its generality for
+// the rest. Every pending event has exactly one home, chosen by one
+// predicate (admit) when it is pushed.
 //
 // The wheel is wheelBuckets buckets of 2^wheelShift ps — 1024 × 16.384 ns,
 // a 16.8 µs span that covers a 9 KB packet's serialization plus a link
 // delay at 10 Gb/s. A bucket is a LIFO list threaded through one node slab;
 // an occupancy bitmap finds the next non-empty one. An event is admitted
-// iff it is not cancellable (Cancel and Reschedule address heap slots), its
-// bucket number at>>wheelShift is below now>>wheelShift + wheelBuckets, it
-// lies strictly beyond the bucket of the active run while one is loaded,
-// and at least wheelMinPending events are pending (below that a heap of two
-// or three levels is cheaper than the wheel's bookkeeping). Timers, RTO
-// horizons, pushes into the bucket being drained and sparse simulations
+// iff its bucket number at>>wheelShift is below now>>wheelShift +
+// wheelBuckets, it lies strictly beyond the bucket of the active run while
+// one is loaded, and at least wheelMinPending events are pending (below that
+// a heap of two or three levels is cheaper than the wheel's bookkeeping).
+// RTO horizons, pushes into the bucket being drained and sparse simulations
 // take the heap, which is always correct — no case needs special handling.
 //
 // The active run: when the earliest event is asked for and no run is
@@ -68,7 +69,7 @@ import "math/bits"
 // every run entry precedes every bucketed entry; Len counts both tiers; a
 // popped node's Handler is cleared, so the slab never pins one.
 //
-// Heap layout notes, because it still carries every timer and every
+// Heap layout notes, because it still carries every RTO horizon and every
 // workload the wheel does not admit: the heap is split into parallel
 // key/value arrays so that sift comparisons touch only 16-byte (time, ord)
 // keys, and the 4-ary shape halves the levels per pop versus a binary heap.
@@ -76,15 +77,12 @@ import "math/bits"
 // cache line, so it straddles two lines; the key array is cache-resident and
 // what a pop pays for is mispredicted compares, which is why minChild picks
 // the smallest sibling without branching. Sifts move a hole instead of
-// swapping, writing each displaced record once. Events removed or
-// rescheduled in place (Cancel, Reschedule) never leave ghost entries.
+// swapping, writing each displaced record once.
 type EventList struct {
 	now      Time
 	seq      uint64
 	keys     []eventKey
 	vals     []eventVal
-	slots    []int32 // EventID -> heap index, -1 when the id is free
-	free     []int32 // recycled EventIDs, a LIFO stack (order among free ids means nothing)
 	executed uint64
 
 	// firing is the ord of the event being executed, firingNone between
@@ -141,7 +139,6 @@ type QueueStats struct {
 	Runs   uint64 `json:"runs"`
 	MaxRun int    `json:"max_run"`
 	// Heap pushes by the admission clause that sent them there.
-	HeapCancelable   uint64 `json:"heap_pushes_cancelable"`
 	HeapBeyondSpan   uint64 `json:"heap_pushes_beyond_span"`
 	HeapActiveBucket uint64 `json:"heap_pushes_active_bucket"`
 	HeapSparse       uint64 `json:"heap_pushes_sparse"`
@@ -156,7 +153,6 @@ func (s *QueueStats) Add(o QueueStats) {
 	s.HeapPops += o.HeapPops
 	s.Runs += o.Runs
 	s.MaxRun = max(s.MaxRun, o.MaxRun)
-	s.HeapCancelable += o.HeapCancelable
 	s.HeapBeyondSpan += o.HeapBeyondSpan
 	s.HeapActiveBucket += o.HeapActiveBucket
 	s.HeapSparse += o.HeapSparse
@@ -199,14 +195,6 @@ func (el *EventList) Allocator() any { return el.allocator }
 type Handler interface {
 	OnEvent(arg uint64)
 }
-
-// EventID names a cancellable event in the heap. The sentinel NoEvent means
-// "none"; ids are recycled after the event fires or is cancelled, so holding
-// a stale id is a programming error.
-type EventID int32
-
-// NoEvent is the null EventID.
-const NoEvent EventID = -1
 
 // eventKey is the heap ordering key: fire time, then the 64-bit ord word
 // (ordNormal|seq for plain events, a canonical class/uid/seq key for keyed
@@ -306,12 +294,10 @@ func PFCOrd(uid uint32, seq uint64) uint64 {
 	return ordPFCClass | uint64(uid)<<ordSeqBits | seq&(1<<ordSeqBits-1)
 }
 
-// eventVal is the heap payload: what to call and, for cancellable events,
-// which slot tracks the record's position.
+// eventVal is the heap payload: what to call, and with which argument.
 type eventVal struct {
 	arg uint64
 	h   Handler
-	id  int32 // slot index for cancellable events, -1 otherwise
 }
 
 // firingNone is the firing ord between events: higher than any event's, so
@@ -337,7 +323,7 @@ func (el *EventList) Executed() uint64 { return el.executed }
 // to "now" so the event still fires, which is the least surprising recovery
 // during development.
 func (el *EventList) Schedule(t Time, h Handler, arg uint64) {
-	el.push(t, eventVal{h: h, arg: arg, id: -1})
+	el.push(t, eventVal{h: h, arg: arg})
 }
 
 // ScheduleKeyed schedules h.OnEvent(arg) at t with an explicit equal-time
@@ -345,60 +331,12 @@ func (el *EventList) Schedule(t Time, h Handler, arg uint64) {
 // one timestamp fire in ord order regardless of when they were scheduled,
 // which is what keeps sharded and single-list execution identical.
 func (el *EventList) ScheduleKeyed(t Time, ord uint64, h Handler, arg uint64) {
-	el.pushKeyed(t, ord, eventVal{h: h, arg: arg, id: -1})
+	el.pushKeyed(t, ord, eventVal{h: h, arg: arg})
 }
 
 // ScheduleAfter arranges for h.OnEvent(arg) to run d after the current time.
 func (el *EventList) ScheduleAfter(d Time, h Handler, arg uint64) {
-	el.push(el.now+d, eventVal{h: h, arg: arg, id: -1})
-}
-
-// ScheduleCancelable schedules h.OnEvent(arg) at t and returns an id that
-// Cancel or Reschedule accept. The id is valid until the event fires or is
-// cancelled.
-func (el *EventList) ScheduleCancelable(t Time, h Handler, arg uint64) EventID {
-	id := el.allocSlot()
-	el.push(t, eventVal{h: h, arg: arg, id: int32(id)})
-	return id
-}
-
-// Cancel removes a pending event from the heap. It reports whether the id
-// named a live event; cancelling an already-fired or already-cancelled id
-// returns false. The id is recycled either way.
-func (el *EventList) Cancel(id EventID) bool {
-	if !el.live(id) {
-		return false
-	}
-	el.remove(int(el.slots[id]))
-	el.freeSlot(id)
-	return true
-}
-
-// Reschedule moves a pending event to absolute time t (clamped to now) and
-// gives it a fresh FIFO sequence number, exactly as if it had been cancelled
-// and scheduled anew — but in place, with no heap garbage. It reports
-// whether the id named a live event.
-func (el *EventList) Reschedule(id EventID, t Time) bool {
-	if !el.live(id) {
-		return false
-	}
-	if t < el.now {
-		t = el.now
-	}
-	i := int(el.slots[id])
-	el.keys[i] = eventKey{at: t, ord: el.ReserveOrd()}
-	if !el.down(i) {
-		el.up(i)
-	}
-	return true
-}
-
-// Pending reports whether id names a live (scheduled, not yet fired or
-// cancelled) event.
-func (el *EventList) Pending(id EventID) bool { return el.live(id) }
-
-func (el *EventList) live(id EventID) bool {
-	return id >= 0 && int(id) < len(el.slots) && el.slots[id] >= 0
+	el.push(el.now+d, eventVal{h: h, arg: arg})
 }
 
 // ReserveOrd takes the FIFO ord the next plainly-scheduled event would get,
@@ -472,9 +410,6 @@ func (el *EventList) fire(tier int) {
 		k = el.keys[0]
 		v := el.vals[0]
 		el.popMin()
-		if v.id >= 0 {
-			el.freeSlot(EventID(v.id))
-		}
 		h, arg = v.h, v.arg
 	}
 	el.now = k.at
@@ -564,25 +499,19 @@ func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
 	if pending >= el.qs.PeakPending {
 		el.qs.PeakPending = pending + 1
 	}
-	if el.admit(at, v.id, pending) {
+	if el.admit(at, pending) {
 		el.bucket(eventKey{at: at, ord: ord}, v)
 		return
 	}
 	el.keys = append(el.keys, eventKey{at: at, ord: ord}) // keys and vals grow in lockstep: capacity bounded by peak pending events and reused across pops
 	el.vals = append(el.vals, v)
-	i := len(el.keys) - 1
-	if v.id >= 0 {
-		el.slots[v.id] = int32(i)
-	}
-	el.up(i)
+	el.up(len(el.keys) - 1)
 }
 
 // admit is the admission predicate: whether an event at (clamped) time at
 // goes to the wheel. Each refusal is counted by its reason.
-func (el *EventList) admit(at Time, id int32, pending int) bool {
+func (el *EventList) admit(at Time, pending int) bool {
 	switch b := at >> wheelShift; {
-	case id >= 0:
-		el.qs.HeapCancelable++
 	case b >= el.now>>wheelShift+wheelBuckets:
 		el.qs.HeapBeyondSpan++
 	case len(el.run) > 0 && b <= el.run[0].key.at>>wheelShift:
@@ -723,10 +652,10 @@ func (el *EventList) popMin() {
 				end = last
 			}
 			smallest := minChild(keys, first, end)
-			el.set(i, keys[smallest], vals[smallest])
+			keys[i], vals[i] = keys[smallest], vals[smallest]
 			i = smallest
 		}
-		el.set(i, keys[last], vals[last])
+		keys[i], vals[i] = keys[last], vals[last]
 		vals[last] = eventVal{}
 		el.keys = keys[:last]
 		el.vals = vals[:last]
@@ -738,57 +667,13 @@ func (el *EventList) popMin() {
 	el.vals = vals[:0]
 }
 
-// remove deletes the record at heap index i, keeping slot indices current.
-// The vacated tail value is zeroed so the heap never retains a Handler or
-// closure beyond the event's life.
-func (el *EventList) remove(i int) {
-	last := len(el.keys) - 1
-	if i != last {
-		el.set(i, el.keys[last], el.vals[last])
-	}
-	el.vals[last] = eventVal{}
-	el.keys = el.keys[:last]
-	el.vals = el.vals[:last]
-	if i < last {
-		// At most one direction applies: the replacement either sinks or
-		// (when removing mid-heap) may need to rise past its new parent.
-		if !el.down(i) {
-			el.up(i)
-		}
-	}
-}
-
-// set writes a record into position i and updates its slot if cancellable.
-func (el *EventList) set(i int, k eventKey, v eventVal) {
-	el.keys[i] = k
-	el.vals[i] = v
-	if v.id >= 0 {
-		el.slots[v.id] = int32(i)
-	}
-}
-
-func (el *EventList) allocSlot() EventID {
-	if n := len(el.free); n > 0 {
-		id := el.free[n-1]
-		el.free = el.free[:n-1]
-		return EventID(id)
-	}
-	el.slots = append(el.slots, -1) // grows to peak concurrent cancelable events once, then the free-list recycles ids
-	return EventID(len(el.slots) - 1)
-}
-
-func (el *EventList) freeSlot(id EventID) {
-	el.slots[id] = -1
-	el.free = append(el.free, int32(id)) // capacity bounded by the slot table
-}
-
 // up sifts index i toward the root (parent of i is (i-1)/4). It moves a
 // hole rather than swapping: parents shift down one copy each, and the
 // moving record is written exactly once at its final position. The fast
 // path (already in place, the common case for pushes into a deep heap)
 // performs one comparison and zero writes.
 func (el *EventList) up(i int) {
-	keys := el.keys
+	keys, vals := el.keys, el.vals
 	if i == 0 {
 		return
 	}
@@ -796,9 +681,9 @@ func (el *EventList) up(i int) {
 	if !keys[i].less(&keys[parent]) {
 		return
 	}
-	k, v := keys[i], el.vals[i]
+	k, v := keys[i], vals[i]
 	for {
-		el.set(i, keys[parent], el.vals[parent])
+		keys[i], vals[i] = keys[parent], vals[parent]
 		i = parent
 		if i == 0 {
 			break
@@ -808,53 +693,37 @@ func (el *EventList) up(i int) {
 			break
 		}
 	}
-	el.set(i, k, v)
+	keys[i], vals[i] = k, v
 }
 
-// down sifts index i toward the leaves (children of i are 4i+1 .. 4i+4),
-// with the same single-write hole technique as up, and reports whether the
-// record moved. Only 16-byte keys are read while choosing a child.
-func (el *EventList) down(i int) bool {
-	keys := el.keys
-	n := len(keys)
-	k, v := keys[i], el.vals[i]
-	moved := false
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		smallest := minChild(keys, first, end)
-		if !keys[smallest].less(&k) {
-			break
-		}
-		el.set(i, keys[smallest], el.vals[smallest])
-		i = smallest
-		moved = true
-	}
-	if moved {
-		el.set(i, k, v)
-	}
-	return moved
-}
-
-// Timer is a restartable one-shot timer bound to an EventList, used for
-// retransmission timeouts. A Timer may be rescheduled or stopped at any
-// time. Reset and Stop operate on the timer's single in-heap entry —
-// rescheduling moves it, stopping removes it — so a timer contributes at
-// most one pending event no matter how often it is re-armed. (The previous
-// implementation abandoned a dead closure in the heap on every Reset, which
-// made RTO-heavy incasts accumulate thousands of ghost events.)
+// Timer is a restartable one-shot timer bound to an EventList: the
+// retransmission timeout of every transport. The scheduler cancels and
+// moves nothing, so a timer is a reserved key, the idiom of a port's
+// serialization end: an arm is the key (at, ord), with ord taken by
+// ReserveOrd — the FIFO ord a Schedule call made at that moment would get —
+// and the expiry fires exactly there.
+//
+// A timer relies on at most one pending entry, the one it scheduled under
+// cOrd, due no later than at. Re-arming no earlier than at keeps that entry;
+// re-arming earlier schedules a new entry at the arm's key and relies on it
+// instead. The relied-on entry, when it fires, expires the timer if it is the
+// arm's own key and otherwise carries the arm forward to its key. An entry
+// that expires nothing — superseded by an earlier arm, orphaned by
+// InitHandler, or due while the timer is stopped — fires at its time as a
+// no-op. So an RTO re-armed later on every packet holds one entry however
+// often it is reset, and a stopped timer holds one until its old expiry.
 type Timer struct {
-	el *EventList
-	fn func()
-	h  Handler
-	id EventID
+	el   *EventList
+	h    Handler
+	at   Time   // the arm's time, or the last arm's once stopped or expired
+	ord  uint64 // the arm's ord; 0 when stopped
+	cOrd uint64 // ord of the entry relied on, its argument too; 0 when none
 }
+
+// timerFunc adapts a closure to the Handler a Timer expires into.
+type timerFunc func()
+
+func (f timerFunc) OnEvent(uint64) { f() }
 
 // NewTimer returns a stopped timer that will invoke fn on expiry. Product
 // code embeds a Timer by value and InitHandlers it instead; NewTimer and
@@ -866,48 +735,51 @@ func NewTimer(el *EventList, fn func()) *Timer {
 	return t
 }
 
-// Init readies a timer in place: the allocation-free NewTimer, for a Timer
-// embedded by value in a larger struct.
-func (t *Timer) Init(el *EventList, fn func()) {
-	*t = Timer{el: el, fn: fn, id: NoEvent}
-}
+// Init readies a timer in place to invoke fn on expiry.
+func (t *Timer) Init(el *EventList, fn func()) { t.InitHandler(el, timerFunc(fn)) }
 
-// InitHandler is Init with a Handler expiry instead of a closure — storing
-// a pointer in an interface field does not allocate, where binding a
-// method value does.
+// InitHandler readies a timer in place to call h.OnEvent(0) on expiry. An
+// entry still pending from before fires as a no-op.
 func (t *Timer) InitHandler(el *EventList, h Handler) {
-	*t = Timer{el: el, h: h, id: NoEvent}
+	*t = Timer{el: el, h: h}
 }
 
-// OnEvent is the timer's expiry; it is public only to satisfy Handler.
-func (t *Timer) OnEvent(uint64) {
-	t.id = NoEvent
-	if t.h != nil {
-		t.h.OnEvent(0)
-		return
+// OnEvent runs the entry scheduled under ord; it is public only to satisfy
+// Handler.
+func (t *Timer) OnEvent(ord uint64) {
+	if ord != t.cOrd {
+		return // superseded, or left from before InitHandler
 	}
-	t.fn()
+	t.cOrd = 0
+	switch t.ord {
+	case 0: // stopped
+	case ord:
+		t.ord = 0
+		t.h.OnEvent(0)
+	default: // re-armed later
+		t.cOrd = t.ord
+		t.el.ScheduleKeyed(t.at, t.ord, t, t.ord)
+	}
 }
 
 // Reset (re)arms the timer to fire d from now.
 func (t *Timer) Reset(d Time) { t.ResetAt(t.el.Now() + d) }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
+// ResetAt (re)arms the timer to fire at absolute time at (clamped to now).
 func (t *Timer) ResetAt(at Time) {
-	if t.id != NoEvent {
-		t.el.Reschedule(t.id, at)
-		return
+	if at < t.el.now {
+		at = t.el.now
 	}
-	t.id = t.el.ScheduleCancelable(at, t, 0)
+	keep := t.cOrd != 0 && t.at <= at
+	t.at, t.ord = at, t.el.ReserveOrd()
+	if !keep {
+		t.cOrd = t.ord
+		t.el.ScheduleKeyed(at, t.ord, t, t.ord)
+	}
 }
 
 // Stop disarms the timer. It is safe to call on a stopped timer.
-func (t *Timer) Stop() {
-	if t.id != NoEvent {
-		t.el.Cancel(t.id)
-		t.id = NoEvent
-	}
-}
+func (t *Timer) Stop() { t.ord = 0 }
 
 // Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.id != NoEvent }
+func (t *Timer) Pending() bool { return t.ord != 0 }

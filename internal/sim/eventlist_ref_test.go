@@ -8,9 +8,11 @@ import (
 // This file checks the two-tier scheduler against a naive reference model:
 // a flat slice popped by linear minimum scan over (time, ord). The model is
 // obviously correct — the scheduler must match it operation for operation,
-// including equal-timestamp ties across all four ord classes, interleaved
-// cancels and in-place reschedules, events that cross from one wheel lap
-// into the next, and pushes made from inside a handler.
+// including equal-timestamp ties across all four ord classes, events that
+// cross from one wheel lap into the next, and pushes made from inside a
+// handler. The model is also the oracle for Timer: it keeps each armed
+// timer as one event it cancels and reschedules eagerly in place, which is
+// what the timer's lazily carried entries must be indistinguishable from.
 
 type refEvent struct {
 	at  Time
@@ -78,6 +80,8 @@ func (m *refModel) cancel(tag uint64) bool {
 	return false
 }
 
+// reschedule moves a pending event to t under the next FIFO ord, as if it
+// were cancelled and scheduled anew.
 func (m *refModel) reschedule(tag uint64, t Time) bool {
 	for i := range m.events {
 		if m.events[i].tag == tag {
@@ -87,6 +91,22 @@ func (m *refModel) reschedule(tag uint64, t Time) bool {
 			m.seq++
 			m.events[i].at = t
 			m.events[i].ord = ordNormal | m.seq
+			return true
+		}
+	}
+	return false
+}
+
+// arm is a timer's ResetAt: its one event, moved or scheduled anew.
+func (m *refModel) arm(tag uint64, t Time) {
+	if !m.reschedule(tag, t) {
+		m.schedule(t, tag)
+	}
+}
+
+func (m *refModel) pending(tag uint64) bool {
+	for _, e := range m.events {
+		if e.tag == tag {
 			return true
 		}
 	}
@@ -135,12 +155,68 @@ func keyedOrd(class, uid uint32, seq uint64) uint64 {
 	return 0
 }
 
+// schedTimers is how many timers a stream drives; the high nibble of an op
+// byte picks one.
+const schedTimers = 4
+
+// timerTag is the tag a timer's expiry logs.
+func timerTag(k int) uint64 { return 1<<56 | uint64(k) }
+
+// streamStats is what a stream reached: the list's tier counters, and the
+// timer edges counted by the harness just before the operation that takes
+// them.
+type streamStats struct {
+	Queue QueueStats
+	// Earlier: an armed timer moved before the entry it relied on.
+	// RearmStopped: a stopped timer re-armed while its old entry is pending.
+	// RearmAtStale: of those, re-armed at exactly the old entry's time.
+	// InitPending: InitHandler with an entry pending.
+	// Past: a reset to a time before now.
+	Earlier, RearmStopped, RearmAtStale, InitPending, Past int
+}
+
+func (s *streamStats) add(o streamStats) {
+	s.Queue.Add(o.Queue)
+	s.Earlier += o.Earlier
+	s.RearmStopped += o.RearmStopped
+	s.RearmAtStale += o.RearmAtStale
+	s.InitPending += o.InitPending
+	s.Past += o.Past
+}
+
+// timerKeys lists the keys of the pending events whose handler is a Timer,
+// in both tiers (a wheel node holds a Handler exactly while its event is
+// pending).
+func timerKeys(el *EventList) []eventKey {
+	var keys []eventKey
+	for i, v := range el.vals {
+		if _, ok := v.h.(*Timer); ok {
+			keys = append(keys, el.keys[i])
+		}
+	}
+	for i := range el.nodes {
+		if _, ok := el.nodes[i].h.(*Timer); ok {
+			keys = append(keys, el.nodes[i].key)
+		}
+	}
+	return keys
+}
+
 // runSchedulerOps drives an EventList and the reference model through the
 // same operation stream and fails the test on any divergence. Each byte
 // pair of ops selects an operation and a time offset, so the corpus is
 // trivially minimizable by the fuzzer. It returns the list's tier counters
-// so callers can check a stream reached the tier it was written for.
-func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
+// and the timer edges reached, so callers can check a stream reached the
+// case it was written for.
+//
+// Timer entries the model does not have — superseded, stopped or carried
+// forward — fire on the list's side as events nothing observes: a step of
+// the model is a run of list steps up to the next one that logs, and a
+// clock the list moved through such entries alone is the model's too. The
+// harness accounts for every timer entry after every operation: each timer
+// relies on exactly one entry while it has one, due no later than its arm,
+// and every other entry is one a timer stopped relying on.
+func runSchedulerOps(t *testing.T, ops []byte) streamStats {
 	t.Helper()
 	el := NewEventList()
 	model := &refModel{}
@@ -149,25 +225,15 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 	spawnDelay := make(map[uint64]Time) // spawner tag -> its children's delay
 	var modelLog []uint64
 	var nextTag uint64
+	var st streamStats
 
-	// Live cancellable events, in creation order so picks are deterministic.
-	// EventIDs recycle once an event fires or is cancelled, so entries must
-	// be pruned (fired) or removed (cancelled) before the id can be reused —
-	// otherwise a stale entry would alias a newer event's id.
-	type liveEv struct {
-		tag uint64
-		id  EventID
-	}
-	var live []liveEv
-	fired := make(map[uint64]bool)
-	pruneLive := func() {
-		kept := live[:0]
-		for _, le := range live {
-			if !fired[le.tag] {
-				kept = append(kept, le)
-			}
-		}
-		live = kept
+	var timers [schedTimers]Timer
+	superseded := make(map[uint64]bool) // ords of entries no timer relies on any more
+	expiry := make([]Handler, schedTimers)
+	for k := range timers {
+		tag := timerTag(k)
+		expiry[k] = call(func() { rec.log = append(rec.log, tag) })
+		timers[k].InitHandler(el, expiry[k])
 	}
 
 	// modelFire pops the model's earliest event and mirrors what its
@@ -178,7 +244,6 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 			return 0, false
 		}
 		modelLog = append(modelLog, tag)
-		fired[tag] = true
 		if d, ok := spawnDelay[tag]; ok {
 			model.schedule(model.now, spawnChildTag(tag, 0))
 			model.schedule(model.now+d, spawnChildTag(tag, 1))
@@ -191,11 +256,28 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 			t.Fatalf("clock mismatch after %s: scheduler %v, model %v", what, el.Now(), model.now)
 		}
 	}
+	// syncClock accepts a list clock that unobserved timer entries moved
+	// past the model's, as far as the model's next event.
+	syncClock := func(what string) {
+		if el.Now() < model.now || el.Now() > model.nextAt() {
+			t.Fatalf("clock mismatch after %s: scheduler %v, model %v (next event %v)", what, el.Now(), model.now, model.nextAt())
+		}
+		model.now = el.Now()
+	}
 	step := func() {
-		stepped := el.Step()
-		_, ok := modelFire()
-		if stepped != ok {
-			t.Fatalf("step mismatch: scheduler stepped=%v, model had event=%v", stepped, ok)
+		tag, ok := modelFire()
+		n := len(rec.log)
+		for len(rec.log) == n && el.Step() {
+		}
+		if fired := len(rec.log) > n; fired != ok {
+			t.Fatalf("step mismatch: scheduler fired an observed event=%v, model had one=%v", fired, ok)
+		}
+		if !ok {
+			syncClock("draining unobserved timer entries")
+			return
+		}
+		if rec.log[n] != tag {
+			t.Fatalf("step fired tag %d, model tag %d", rec.log[n], tag)
 		}
 		checkClock("a step")
 	}
@@ -203,6 +285,8 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, off := ops[i], Time(ops[i+1])
 		at := el.Now() + (off-16)*Nanosecond // occasionally in the past: clamp path
+		k := int(op>>4) % schedTimers
+		tm := &timers[k]
 		switch op % 16 {
 		case 0, 1: // typed handler event
 			nextTag++
@@ -213,34 +297,45 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 			tag := nextTag
 			el.ScheduleAfter(at-el.Now(), call(func() { rec.log = append(rec.log, tag) }), 0)
 			model.schedule(at, tag)
-		case 3, 4: // cancellable event
-			pruneLive()
-			nextTag++
-			id := el.ScheduleCancelable(at, rec, nextTag)
-			model.schedule(at, nextTag)
-			live = append(live, liveEv{tag: nextTag, id: id})
-		case 5: // cancel a live event
-			pruneLive()
-			if len(live) > 0 {
-				pick := int(off) % len(live)
-				le := live[pick]
-				got := el.Cancel(le.id)
-				want := model.cancel(le.tag)
-				if got != want {
-					t.Fatalf("cancel(tag %d) mismatch: scheduler %v, model %v", le.tag, got, want)
-				}
-				live = append(live[:pick], live[pick+1:]...)
+		case 3, 4: // arm a timer: near (3), or 0-25.5 us ahead like an RTO (4)
+			if op%16 == 4 {
+				at = el.Now() + off*100*Nanosecond
 			}
-		case 6: // reschedule a live event
-			pruneLive()
-			if len(live) > 0 {
-				le := live[int(off/2)%len(live)]
-				got := el.Reschedule(le.id, at)
-				want := model.reschedule(le.tag, at)
-				if got != want {
-					t.Fatalf("reschedule(tag %d) mismatch: scheduler %v, model %v", le.tag, got, want)
+			to, relied := max(at, el.Now()), tm.cOrd
+			if at < el.Now() {
+				st.Past++
+			}
+			if relied != 0 {
+				if tm.ord == 0 {
+					st.RearmStopped++
+					for _, key := range timerKeys(el) {
+						if key.ord == relied && key.at == to {
+							st.RearmAtStale++
+						}
+					}
+				} else if to < tm.at {
+					st.Earlier++
 				}
 			}
+			if op%16 == 3 {
+				tm.ResetAt(at)
+			} else {
+				tm.Reset(at - el.Now())
+			}
+			model.arm(timerTag(k), at)
+			if relied != 0 && tm.cOrd != relied {
+				superseded[relied] = true
+			}
+		case 5: // stop a timer
+			tm.Stop()
+			model.cancel(timerTag(k))
+		case 6: // re-initialise a timer, perhaps with an entry pending
+			if tm.cOrd != 0 {
+				st.InitPending++
+				superseded[tm.cOrd] = true
+			}
+			tm.InitHandler(el, expiry[k])
+			model.cancel(timerTag(k))
 		case 7: // pop
 			step()
 		case 8: // far event, 16.0-41.5 us ahead: either side of the wheel's span
@@ -269,9 +364,13 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 			model.now = deadline
 			checkClock("RunUntil")
 		case 11: // peek, then advance an idle clock as far as the peek allows
-			next := model.nextAt()
-			if got := el.NextAt(); got != next {
-				t.Fatalf("NextAt = %v, model says %v", got, next)
+			next := el.NextAt()
+			exact := el.Len() == len(model.events)
+			for k := range timers {
+				exact = exact && timers[k].cOrd == timers[k].ord
+			}
+			if want := model.nextAt(); next > want || exact && next != want {
+				t.Fatalf("NextAt = %v, model says %v (no unobserved entries: %v)", next, want, exact)
 			}
 			to := min(el.Now()+off*Microsecond, next)
 			el.AdvanceTo(to)
@@ -302,14 +401,46 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 					break
 				}
 			}
-			checkClock("RunBefore")
+			syncClock("RunBefore")
 		case 15: // pop burst: back down through the sparse threshold
 			for k := int(off) % 32; k > 0; k-- {
 				step()
 			}
 		}
-		if el.Len() != len(model.events) {
-			t.Fatalf("pending count mismatch after op %d: scheduler %d, model %d", i, el.Len(), len(model.events))
+		keys, armed, accounted := timerKeys(el), 0, 0
+		for _, key := range keys {
+			if superseded[key.ord] {
+				accounted++
+			}
+		}
+		for k := range timers {
+			tm := &timers[k]
+			if tm.Pending() != model.pending(timerTag(k)) {
+				t.Fatalf("timer %d Pending = %v after op %d, model disagrees", k, tm.Pending(), i)
+			}
+			if tm.Pending() {
+				armed++
+			}
+			if tm.cOrd == 0 {
+				if tm.Pending() {
+					t.Fatalf("timer %d armed after op %d with no entry to rely on", k, i)
+				}
+				continue
+			}
+			for _, key := range keys {
+				if key.ord == tm.cOrd {
+					accounted++
+					if key.at > tm.at {
+						t.Fatalf("timer %d relies on an entry at %v, after its arm at %v", k, key.at, tm.at)
+					}
+				}
+			}
+		}
+		if accounted != len(keys) {
+			t.Fatalf("after op %d: %d timer entries, %d of them relied on or superseded", i, len(keys), accounted)
+		}
+		if got, want := el.Len()-len(keys), len(model.events)-armed; got != want {
+			t.Fatalf("pending count mismatch after op %d: scheduler %d events besides timers', model %d", i, got, want)
 		}
 	}
 	// Drain both completely; the full pop order must match.
@@ -329,31 +460,36 @@ func runSchedulerOps(t *testing.T, ops []byte) QueueStats {
 			t.Fatalf("drained list still holds a Handler in wheel node %d", i)
 		}
 	}
-	return el.QueueStats()
+	st.Queue = el.QueueStats()
+	return st
 }
 
 // TestSchedulerVsReference drives long random op streams from fixed seeds —
 // the always-on property test behind FuzzEventList — and checks that between
-// them they reached both tiers and every admission clause.
+// them they reached both tiers, every admission clause and every timer edge.
 func TestSchedulerVsReference(t *testing.T) {
-	var total QueueStats
+	var total streamStats
 	for seed := uint64(1); seed <= 50; seed++ {
 		r := NewRand(seed)
 		ops := make([]byte, 2000)
 		for i := range ops {
 			ops[i] = byte(r.Intn(256))
 		}
-		total.Add(runSchedulerOps(t, ops))
+		total.add(runSchedulerOps(t, ops))
 	}
-	if total.WheelPops == 0 || total.HeapPops == 0 || total.MaxRun < 200 ||
-		total.HeapCancelable == 0 || total.HeapBeyondSpan == 0 || total.HeapActiveBucket == 0 || total.HeapSparse == 0 {
-		t.Errorf("random streams missed a tier or an admission clause: %+v", total)
+	q := total.Queue
+	if q.WheelPops == 0 || q.HeapPops == 0 || q.MaxRun < 200 ||
+		q.HeapBeyondSpan == 0 || q.HeapActiveBucket == 0 || q.HeapSparse == 0 {
+		t.Errorf("random streams missed a tier or an admission clause: %+v", q)
+	}
+	if total.Earlier == 0 || total.RearmStopped == 0 || total.InitPending == 0 || total.Past == 0 {
+		t.Errorf("random streams missed a timer edge: %+v", total)
 	}
 }
 
 // Boundary streams, one per way an event can meet the wheel's edges. Each
-// interleaves cancels and reschedules, is checked on its own by
-// TestWheelBoundaryStreams and seeds FuzzEventList's corpus.
+// interleaves timer resets, stops and re-initialisations, is checked on its
+// own by TestWheelBoundaryStreams and seeds FuzzEventList's corpus.
 
 // fill is n plain events 30-60 ns ahead: enough pending to open the wheel.
 func fill(n int) []byte {
@@ -381,15 +517,16 @@ func farThenNear() []byte {
 }
 
 // keyedTies puts all four ord classes on shared timestamps in one bucket,
-// from both tiers (cancellable ties take the heap).
+// from both tiers (ties pushed while their bucket is the active run take the
+// heap), with a timer re-armed among them.
 func keyedTies() []byte {
 	ops := fill(20)
 	for off := 0; off < 64; off++ {
 		ops = append(ops, 9, byte(off), 9, byte(off^0x13), 3, 16+4)
 	}
 	ops = append(ops, 6, 3, 5, 1, 15, 31, 15, 31)
-	for off := 64; off < 128; off++ {
-		ops = append(ops, 9, byte(off), 7, 0)
+	for off := 0; off < 64; off++ {
+		ops = append(ops, 9, byte(off^0x2a), 7, 0)
 	}
 	return ops
 }
@@ -414,14 +551,15 @@ func handlerPushes() []byte {
 	for i := 0; i < 120; i++ {
 		ops = append(ops, 12, byte(16+i%48), 12, byte(17+i%5), 0, byte(30+i), 7, 0, 7, 0)
 		if i%9 == 0 {
-			ops = append(ops, 4, 40, 6, byte(i), 14, 2)
+			ops = append(ops, 3, 40, 6, byte(i), 14, 2)
 		}
 	}
 	return ops
 }
 
-// lockstep loads runs of 200+ ties, with a cancellable tie in the middle of
-// each and stragglers behind it.
+// lockstep loads runs of 200+ ties, with a timer's entry in the middle of
+// each — orphaned by a re-initialisation, so it fires as a no-op — and
+// stragglers behind it.
 func lockstep() []byte {
 	ops := fill(16)
 	for _, n := range []byte{200, 255, 231} {
@@ -455,7 +593,7 @@ func boundaryStreams() map[string][]byte {
 func TestWheelBoundaryStreams(t *testing.T) {
 	reached := map[string]func(QueueStats) bool{
 		"far-then-near":   func(s QueueStats) bool { return s.HeapBeyondSpan >= 20 && s.WheelPops > 300 },
-		"keyed-ties":      func(s QueueStats) bool { return s.WheelPops > 100 && s.HeapCancelable >= 64 },
+		"keyed-ties":      func(s QueueStats) bool { return s.WheelPops > 100 && s.HeapActiveBucket >= 32 },
 		"lap-jumps":       func(s QueueStats) bool { return s.Runs > 100 && s.WheelPops > 500 && s.HeapBeyondSpan > 0 },
 		"handler-pushes":  func(s QueueStats) bool { return s.HeapActiveBucket > 100 && s.WheelPops > 100 },
 		"lockstep":        func(s QueueStats) bool { return s.MaxRun >= 400 },
@@ -465,8 +603,73 @@ func TestWheelBoundaryStreams(t *testing.T) {
 		if len(ops) > 4096 {
 			t.Errorf("%s: %d bytes, over the fuzz target's 4096-byte cut", name, len(ops))
 		}
-		if s := runSchedulerOps(t, ops); !reached[name](s) {
-			t.Errorf("%s did not reach the case it is named for: %+v", name, s)
+		if s := runSchedulerOps(t, ops); !reached[name](s.Queue) {
+			t.Errorf("%s did not reach the case it is named for: %+v", name, s.Queue)
+		}
+	}
+}
+
+// Timer streams, one per edge of a timer's lazily carried entry, each with
+// the harness counter that proves the stream got there. The high nibble of
+// an op byte picks the timer, so each stream spreads over all of them.
+var timerStreams = []struct {
+	name    string
+	ops     []byte
+	reached func(streamStats) bool
+}{
+	// An RTO horizon pulled in to a near time, over and over: each earlier
+	// move leaves the superseded entry pending behind the new one, and the
+	// later re-arm that follows keeps the new one and carries.
+	{"earlier-move", timerOps(func(k byte, i int) []byte {
+		ops := []byte{k | 4, byte(100 + i), k | 3, byte(40 + i), 7, 0, k | 4, byte(200 - i), 7, 0}
+		if i%8 == 7 {
+			ops = append(ops, 10, 25)
+		}
+		return ops
+	}), func(s streamStats) bool { return s.Earlier >= 40 }},
+	// A stopped timer re-armed while its entry is pending: before the entry
+	// is due (a new entry; the old one fires as a no-op), and after it (the
+	// old entry carries the arm forward).
+	{"stop-then-rearm", timerOps(func(k byte, i int) []byte {
+		return []byte{k | 4, 50, k | 5, 0, k | 3, byte(60 + i), 7, 0, k | 5, 0, k | 4, byte(60 + i), 14, byte(i)}
+	}), func(s streamStats) bool { return s.RearmStopped >= 40 }},
+	// Re-armed at exactly the stopped entry's time, around a plain event at
+	// that instant: the old entry fires first and carries the arm to its own
+	// key, behind the plain event.
+	{"rearm-at-stale-time", timerOps(func(k byte, i int) []byte {
+		off := byte(40 + i%60)
+		return []byte{k | 3, off, 0, off, k | 5, 0, k | 3, off, 15, 3}
+	}), func(s streamStats) bool { return s.RearmAtStale >= 30 }},
+	// InitHandler while an entry is pending, armed and stopped, then a new
+	// arm: the orphaned entries fire as no-ops among the new arms' entries.
+	{"init-pending", timerOps(func(k byte, i int) []byte {
+		return []byte{k | 3, byte(30 + i), k | 6, 0, k | 3, byte(30 + i), 7, 0, k | 4, 20, k | 5, 0, k | 6, 0, k | 4, 10, 7, 0}
+	}), func(s streamStats) bool { return s.InitPending >= 60 }},
+	// Resets before now, clamped to it, while the timer relies on an entry
+	// due now (kept: it carries within the instant), later (an earlier move)
+	// or stopped.
+	{"past-reset", timerOps(func(k byte, i int) []byte {
+		return []byte{k | 3, 16, k | 3, byte(i % 16), k | 4, 30, k | 3, 0, 7, 0, 14, 3, k | 5, 0, k | 3, 2}
+	}), func(s streamStats) bool { return s.Past >= 100 && s.Earlier >= 20 }},
+}
+
+// timerOps is forty rounds of body over the timers in turn, after enough
+// plain events to open the wheel.
+func timerOps(body func(k byte, i int) []byte) []byte {
+	ops := fill(20)
+	for i := 0; i < 40; i++ {
+		ops = append(ops, body(byte(i%schedTimers)<<4, i)...)
+	}
+	return ops
+}
+
+func TestTimerStreams(t *testing.T) {
+	for _, c := range timerStreams {
+		if len(c.ops) > 4096 {
+			t.Errorf("%s: %d bytes, over the fuzz target's 4096-byte cut", c.name, len(c.ops))
+		}
+		if s := runSchedulerOps(t, c.ops); !c.reached(s) {
+			t.Errorf("%s did not reach the case it is named for: %+v", c.name, s)
 		}
 	}
 }
@@ -483,6 +686,9 @@ func FuzzEventList(f *testing.F) {
 	for _, ops := range boundaryStreams() {
 		f.Add(ops)
 	}
+	for _, c := range timerStreams {
+		f.Add(c.ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -492,17 +698,17 @@ func FuzzEventList(f *testing.F) {
 }
 
 // heapShapeOps is an op stream that builds a heap of exactly n events tied
-// at one timestamp (offsets below 16 lie in the past and clamp to now),
-// sinks one of them with a reschedule, and drains it: n = 1…70 walks the
-// sift kernel through every shape of last sibling group, one to four
-// children, at one to four levels.
+// at one timestamp beyond the wheel's span, pushes one more ahead of them
+// (a sift-up through every level), and drains it: n = 1…70 walks the sift
+// kernel through every shape of last sibling group, one to four children,
+// at one to four levels.
 func heapShapeOps(n int) []byte {
-	ops := make([]byte, 0, 4*n+2)
+	ops := make([]byte, 0, 4*n+4)
 	for i := 0; i < n; i++ {
-		ops = append(ops, 3, byte(i%16)) // cancellable, clamped to now
+		ops = append(ops, 8, 250) // 41 us ahead: the heap
 	}
-	ops = append(ops, 6, 200) // reschedule one to far later: a full sift-down
-	for i := 0; i < n; i++ {
+	ops = append(ops, 8, 200)
+	for i := 0; i <= n; i++ {
 		ops = append(ops, 7, 0)
 	}
 	return ops
@@ -610,11 +816,10 @@ func TestMinChildTiesGoLeft(t *testing.T) {
 	}
 }
 
-// TestTimerResetBoundedHeap is the regression test for the ghost-entry leak:
-// Reset/Stop used to abandon a dead closure in the heap until its old expiry
-// time, so an RTO-heavy sender grew the heap by one entry per reset. A timer
-// must contribute at most one pending event no matter how often it is
-// re-armed.
+// TestTimerResetBoundedHeap: a timer re-armed later, however often, relies
+// on one pending entry — an RTO-heavy sender once grew the heap by one
+// entry per reset. Stop leaves that entry in place until its time, when it
+// fires as a no-op; an arm after that schedules anew.
 func TestTimerResetBoundedHeap(t *testing.T) {
 	el := NewEventList()
 	fired := 0
@@ -629,59 +834,22 @@ func TestTimerResetBoundedHeap(t *testing.T) {
 			t.Fatalf("heap holds %d events after %d resets, want <= 1 (ghost-entry leak)", n, i+1)
 		}
 	}
-	// Stop must remove the in-heap entry entirely, not leave a tombstone.
 	tm.Stop()
-	if n := el.Len(); n != 0 {
-		t.Fatalf("heap holds %d events after Stop, want 0", n)
+	due := el.NextAt()
+	if n := el.Len(); n != 1 || tm.Pending() || due != Millisecond {
+		t.Fatalf("after Stop: %d pending, next at %v, armed %v; want the first arm's entry left at 1ms", n, due, tm.Pending())
 	}
-	if fired != 0 {
-		t.Fatalf("timer fired %d times while being continually reset", fired)
+	el.RunUntil(due - 1)
+	executed := el.Executed()
+	el.RunUntil(due)
+	if el.Len() != 0 || el.Executed() != executed+1 || fired != 0 {
+		t.Fatalf("at its time: %d pending, %d events fired, timer fired %d times; want the entry fired once as a no-op",
+			el.Len(), el.Executed()-executed, fired)
 	}
 	// And a final arm still works.
 	tm.Reset(Microsecond)
 	el.Run()
 	if fired != 1 {
 		t.Fatalf("timer fired %d times after final arm, want 1", fired)
-	}
-}
-
-// TestCancelReschedulePublicAPI covers the id lifecycle edges: double
-// cancel, cancel after fire, Pending on dead ids, and id reuse.
-func TestCancelReschedulePublicAPI(t *testing.T) {
-	el := NewEventList()
-	rec := &tagRecorder{}
-	id := el.ScheduleCancelable(5*Microsecond, rec, 1)
-	if !el.Pending(id) || el.NextAt() != 5*Microsecond {
-		t.Fatalf("live event not visible: pending=%v next=%v", el.Pending(id), el.NextAt())
-	}
-	if !el.Reschedule(id, 2*Microsecond) {
-		t.Fatal("reschedule of live event failed")
-	}
-	if el.NextAt() != 2*Microsecond {
-		t.Fatalf("NextAt after reschedule = %v, want 2us", el.NextAt())
-	}
-	if !el.Cancel(id) {
-		t.Fatal("cancel of live event failed")
-	}
-	if el.Cancel(id) {
-		t.Fatal("double cancel succeeded")
-	}
-	if el.Reschedule(id, Microsecond) {
-		t.Fatal("reschedule of cancelled event succeeded")
-	}
-	if el.Pending(id) || el.NextAt() != Infinity {
-		t.Fatal("cancelled event still visible")
-	}
-	if el.Pending(NoEvent) || el.Cancel(NoEvent) {
-		t.Fatal("NoEvent behaved like a live id")
-	}
-
-	id2 := el.ScheduleCancelable(Microsecond, rec, 2)
-	el.Run()
-	if len(rec.log) != 1 || rec.log[0] != 2 {
-		t.Fatalf("fired %v, want [2] (cancelled event must not fire)", rec.log)
-	}
-	if el.Cancel(id2) {
-		t.Fatal("cancel after fire succeeded")
 	}
 }

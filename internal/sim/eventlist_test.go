@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // call lets a test schedule a closure through the one event shape the
@@ -204,6 +205,17 @@ func TestTimerRestartAfterFire(t *testing.T) {
 	el.Run()
 	if fired != 3 {
 		t.Fatalf("periodic-style timer fired %d times, want 3", fired)
+	}
+}
+
+// TestTimerAndEventSizes: a Timer is embedded in every sender, whose size
+// class core pins, and a heap value is moved on every sift.
+func TestTimerAndEventSizes(t *testing.T) {
+	if size := unsafe.Sizeof(Timer{}); size > 48 {
+		t.Errorf("Timer is %d bytes, want at most 48", size)
+	}
+	if size := unsafe.Sizeof(eventVal{}); size != 24 {
+		t.Errorf("eventVal is %d bytes, want 24: a handler and its argument", size)
 	}
 }
 

@@ -50,9 +50,9 @@ func TestBenchSuite(t *testing.T) {
 // here, and only a sharded run has a windows line.
 func TestRunStatsString(t *testing.T) {
 	s := RunStats{Events: 42, PacketHops: 7, SerEndEvents: 3, CommandEvents: 5,
-		Queue: sim.QueueStats{WheelPops: 30, HeapPops: 10, Runs: 4, MaxRun: 9, HeapCancelable: 8, HeapSparse: 2, PeakPending: 17}}
+		Queue: sim.QueueStats{WheelPops: 30, HeapPops: 10, Runs: 4, MaxRun: 9, HeapBeyondSpan: 8, HeapSparse: 2, PeakPending: 17}}
 	want := "engine: events=42 ser_end_events=3 command_events=5 pkt_hops=7 ev/hop=6.00 leaked=0\n" +
-		"        queue: wheel_share=0.750 mean_run=7.5 max_run=9 peak_pending=17 heap_pushes=10 (cancelable 8, beyond_span 0, active_bucket 0, sparse 2)\n"
+		"        queue: wheel_share=0.750 mean_run=7.5 max_run=9 peak_pending=17 heap_pushes=10 (beyond_span 8, active_bucket 0, sparse 2)\n"
 	if got := s.String(); got != want {
 		t.Errorf("unsharded block:\n%s\nwant:\n%s", got, want)
 	}

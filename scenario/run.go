@@ -55,7 +55,7 @@ type RunStats struct {
 	PacketsLeaked int64 `json:"packets_leaked"`
 	// Queue is what the scheduler's two tiers did, summed over the run's
 	// event lists. A wheel share that falls, or heap pushes that move from
-	// "cancelable" to "active_bucket" or "sparse", say a workload has left
+	// "beyond_span" to "active_bucket" or "sparse", say a workload has left
 	// the near-future regime the wheel serves.
 	Queue sim.QueueStats `json:"queue"`
 	// Windows is what the sharded runner's windows did: windows run, windows
@@ -87,10 +87,10 @@ func (s RunStats) String() string {
 		s.Events, s.SerEndEvents, s.CommandEvents, s.PacketHops,
 		float64(s.Events)/float64(max(s.PacketHops, 1)), s.PacketsLeaked)
 	q := s.Queue
-	fmt.Fprintf(&b, "        queue: wheel_share=%.3f mean_run=%.1f max_run=%d peak_pending=%d heap_pushes=%d (cancelable %d, beyond_span %d, active_bucket %d, sparse %d)\n",
+	fmt.Fprintf(&b, "        queue: wheel_share=%.3f mean_run=%.1f max_run=%d peak_pending=%d heap_pushes=%d (beyond_span %d, active_bucket %d, sparse %d)\n",
 		q.WheelShare(), q.MeanRun(), q.MaxRun, q.PeakPending,
-		q.HeapCancelable+q.HeapBeyondSpan+q.HeapActiveBucket+q.HeapSparse,
-		q.HeapCancelable, q.HeapBeyondSpan, q.HeapActiveBucket, q.HeapSparse)
+		q.HeapBeyondSpan+q.HeapActiveBucket+q.HeapSparse,
+		q.HeapBeyondSpan, q.HeapActiveBucket, q.HeapSparse)
 	if w := s.Windows; w.Windows > 0 {
 		fmt.Fprintf(&b, "        windows=%d single_busy=%d critical_share=%.3f shard_events=%v\n",
 			w.Windows, w.SingleBusy, w.CriticalShare(), w.Events)

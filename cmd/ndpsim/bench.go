@@ -183,18 +183,19 @@ func (r *BenchReport) byName() map[string]BenchResult {
 	return rows
 }
 
-// maxAllocGrowthPct is how much a case's allocs/op may grow over the
-// baseline before compareBench reports it.
+// maxAllocGrowthPct is how much a case's allocs/op or bytes/op may grow over
+// the baseline before compareBench reports it.
 const maxAllocGrowthPct = 20
 
 // compareBench checks current against baseline and returns one message per
-// case whose allocs/op grew by more than maxAllocGrowthPct. Allocation
-// counts are exact and the same on any machine, which a committed baseline
-// from other hardware needs; host time is not judged. Cases present in only
-// one report are ignored (a suite may have grown since the baseline was
-// committed), as are baseline rows that predate the allocs_per_op field, but
-// comparing zero cases is reported as a failure — a silently-empty gate is
-// worse than none.
+// case and measure — allocs/op, bytes/op — that grew by more than
+// maxAllocGrowthPct. Both are exact and the same on any machine with one Go
+// version, which a committed baseline from other hardware needs; host time
+// is not judged. Cases present in only one report are ignored (a suite may
+// have grown since the baseline was committed), as are baseline rows that
+// predate the allocs_per_op field, and bytes/op where the baseline row has
+// none; but comparing zero cases is reported as a failure — a
+// silently-empty gate is worse than none.
 func compareBench(baseline, current *BenchReport) []string {
 	base := baseline.byName()
 	var msgs []string
@@ -205,11 +206,20 @@ func compareBench(baseline, current *BenchReport) []string {
 			continue
 		}
 		compared++
-		grow := 100 * float64(cur.AllocsPerOp-b.AllocsPerOp) / float64(b.AllocsPerOp)
-		if grow > maxAllocGrowthPct {
-			msgs = append(msgs, fmt.Sprintf(
-				"%s: allocs/op regressed %.1f%% (baseline %d -> current %d, limit %d%%)",
-				cur.Name, grow, b.AllocsPerOp, cur.AllocsPerOp, maxAllocGrowthPct))
+		for _, m := range []struct {
+			name     string
+			was, now int64
+		}{
+			{"allocs/op", b.AllocsPerOp, cur.AllocsPerOp},
+			{"bytes/op", b.BytesPerOp, cur.BytesPerOp},
+		} {
+			if m.was <= 0 {
+				continue
+			}
+			if grow := 100 * float64(m.now-m.was) / float64(m.was); grow > maxAllocGrowthPct {
+				msgs = append(msgs, fmt.Sprintf("%s: %s regressed %.1f%% (baseline %d -> current %d, limit %d%%)",
+					cur.Name, m.name, grow, m.was, m.now, maxAllocGrowthPct))
+			}
 		}
 	}
 	if compared == 0 {

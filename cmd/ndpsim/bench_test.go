@@ -17,9 +17,9 @@ func report(results ...BenchResult) *BenchReport {
 
 func TestCompareBench(t *testing.T) {
 	base := report(
-		BenchResult{Name: "a", AllocsPerOp: 1000},
-		BenchResult{Name: "b", AllocsPerOp: 2000},
-		BenchResult{Name: "old", WallMs: 5}, // predates allocs_per_op
+		BenchResult{Name: "a", AllocsPerOp: 1000, BytesPerOp: 100_000},
+		BenchResult{Name: "b", AllocsPerOp: 2000}, // no bytes_per_op
+		BenchResult{Name: "old", WallMs: 5},       // predates allocs_per_op
 		BenchResult{Name: "gone", AllocsPerOp: 500},
 	)
 	// Within tolerance: 10% growth on a, improvement on b; host time is not
@@ -41,6 +41,19 @@ func TestCompareBench(t *testing.T) {
 	msgs := compareBench(base, bad)
 	if len(msgs) != 1 || !strings.Contains(msgs[0], "allocs/op") || !strings.Contains(msgs[0], "a:") {
 		t.Errorf("50%% alloc regression on a not flagged correctly: %v", msgs)
+	}
+	// Bytes are gated like allocations: 30% more on a is flagged, 10% is
+	// not, and b's baseline has no bytes to compare against.
+	heavy := report(
+		BenchResult{Name: "a", AllocsPerOp: 1000, BytesPerOp: 130_000},
+		BenchResult{Name: "b", AllocsPerOp: 2000, BytesPerOp: 1 << 30},
+	)
+	msgs = compareBench(base, heavy)
+	if len(msgs) != 1 || !strings.HasPrefix(msgs[0], "a: bytes/op regressed 30.0%") {
+		t.Errorf("30%% bytes regression on a not flagged correctly: %v", msgs)
+	}
+	if msgs := compareBench(base, report(BenchResult{Name: "a", AllocsPerOp: 1000, BytesPerOp: 110_000})); len(msgs) != 0 {
+		t.Errorf("10%% bytes growth flagged: %v", msgs)
 	}
 	// New cases absent from the baseline are not compared.
 	fresh := report(BenchResult{Name: "new-case", AllocsPerOp: 1 << 30}, BenchResult{Name: "a", AllocsPerOp: 1000})

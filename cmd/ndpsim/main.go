@@ -309,10 +309,10 @@ func runScenario(name, transport string, hosts, degree int, flowsize int64,
 // runBench executes the pinned suite (with -scaling, the shard-scaling curves
 // too), prints the report, optionally persists it, and optionally compares it
 // with a committed baseline: the cases whose deterministic counts moved are
-// listed (compareCounts), and any case whose allocs/op grew more than 20
-// percent (compareBench) is an error. With -cpuprofile/-memprofile the suite
-// runs under the profiler, so hot paths and allocation sites can be read
-// straight off the pinned workloads.
+// listed (compareCounts), and any case whose allocs/op or bytes/op grew more
+// than 20 percent (compareBench) is an error. With -cpuprofile/-memprofile
+// the suite runs under the profiler, so hot paths and allocation sites can be
+// read straight off the pinned workloads.
 func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool, cpuProfile, memProfile string) error {
 	cases := scenario.BenchSuite()
 	if scaling {
@@ -373,7 +373,7 @@ func runBench(scaling bool, outPath, label, baselinePath string, jsonOut bool, c
 	if regressions := compareBench(base, rep); len(regressions) > 0 {
 		return errors.New("bench: REGRESSION: " + strings.Join(regressions, "\nbench: REGRESSION: "))
 	}
-	fmt.Fprintf(os.Stderr, "bench: no allocs/op regression vs %s\n", baselinePath)
+	fmt.Fprintf(os.Stderr, "bench: no allocs/op or bytes/op regression vs %s\n", baselinePath)
 	return nil
 }
 

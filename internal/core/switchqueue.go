@@ -61,12 +61,16 @@ func DefaultSwitchConfig(mtu int) SwitchConfig {
 //     been bounced once is dropped.
 type SwitchQueue struct {
 	fabric.QueueStats
-	cfg SwitchConfig
+	// cfg is shared by every queue of one QueueFactory and never written.
+	cfg *SwitchConfig
 
-	data, hdr       fabric.Ring[*fabric.Packet]
-	hdrServed       int // consecutive header packets served since last data
-	dataBytesQueued int
-	hdrBytesQueued  int
+	data, hdr fabric.Ring[*fabric.Packet]
+	// The counts are int32, as a Ring's are: a port's queue holds a few
+	// jumbograms and a bounded header queue, far below 2 GB, and the three
+	// share two words.
+	hdrServed       int32 // consecutive header packets served since last data
+	dataBytesQueued int32
+	hdrBytesQueued  int32
 
 	// BounceSink receives headers being returned to their sender; wire it
 	// to the owning switch (WireBounce), whose Receive routes them back. If
@@ -79,13 +83,20 @@ type SwitchQueue struct {
 	rand sim.Rand
 }
 
-// ringFirstMax is the most a switch queue's ring allocates up front. The
-// header queue is bounded in bytes (1125 headers at the paper's sizes), so
-// it starts here and a busy one doubles; the data queue never exceeds
-// DataCapPackets, so its first buffer is that — the paper's 8 exactly — or
-// this when the bound is larger: a deep ablation queue that really fills
-// doubles its way up.
+// ringFirstMax is the most a switch queue's data ring allocates up front.
+// The data queue never exceeds DataCapPackets, so its first buffer is that —
+// the paper's 8 exactly — or this when the bound is larger: a deep ablation
+// queue that really fills doubles its way up.
 const ringFirstMax = 64
+
+// hdrFirst is the header ring's first buffer. The header queue is bounded in
+// bytes (1125 headers at the paper's sizes), but it drains ahead of data and
+// rarely holds many: of the header rings a run used, 5,254 of 5,592 in one
+// pass of all 22 experiments at Scale 0.1 never held more than 8, 620 of 640
+// in the 128-host permutation and 422 of 432 in the closed-loop rpc run. A
+// ring that does fill doubles from here (TestHeaderRingsStayAtFirstSize
+// keeps the premise).
+const hdrFirst = 8
 
 // NewSwitchQueue builds an NDP port queue whose 50% trim coin draws from a
 // stream of its own, seeded from one draw of rand. The stream must belong to
@@ -93,7 +104,7 @@ const ringFirstMax = 64
 // the global order in which queues trim — an order a sharded run cannot
 // reproduce (see QueueFactory).
 func NewSwitchQueue(cfg SwitchConfig, rand *sim.Rand) *SwitchQueue {
-	q := &SwitchQueue{cfg: cfg}
+	q := &SwitchQueue{cfg: &cfg}
 	q.rand.Init(rand.SplitSeed())
 	return q
 }
@@ -106,9 +117,9 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 		return
 	}
 	if q.data.Len() < q.cfg.DataCapPackets {
-		q.dataBytesQueued += int(p.Size)
+		q.dataBytesQueued += p.Size
 		q.data.Push(p, min(q.cfg.DataCapPackets, ringFirstMax))
-		q.NoteDepth(q.dataBytesQueued + q.hdrBytesQueued)
+		q.NoteDepth(q.Bytes())
 		return
 	}
 	// Data queue full: trim. With probability 1/2 the tail of the data
@@ -116,8 +127,8 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 	victim := p
 	if !q.cfg.TrimArrivingOnly && q.data.Len() > 0 && q.rand.Bool() {
 		victim = q.data.PopTail()
-		q.dataBytesQueued -= int(victim.Size)
-		q.dataBytesQueued += int(p.Size)
+		q.dataBytesQueued -= victim.Size
+		q.dataBytesQueued += p.Size
 		q.data.Push(p, min(q.cfg.DataCapPackets, ringFirstMax))
 	}
 	victim.Trim()
@@ -126,10 +137,10 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 }
 
 func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {
-	if q.hdrBytesQueued+int(p.Size) <= q.cfg.HeaderCapBytes {
-		q.hdrBytesQueued += int(p.Size)
-		q.hdr.Push(p, ringFirstMax)
-		q.NoteDepth(q.dataBytesQueued + q.hdrBytesQueued)
+	if int(q.hdrBytesQueued)+int(p.Size) <= q.cfg.HeaderCapBytes {
+		q.hdrBytesQueued += p.Size
+		q.hdr.Push(p, hdrFirst)
+		q.NoteDepth(q.Bytes())
 		return
 	}
 	// Header queue overflow: return-to-sender, unless the packet has
@@ -151,15 +162,15 @@ func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {
 // headers cannot starve payloads (the anti-collapse measure of §3.1).
 func (q *SwitchQueue) Dequeue() *fabric.Packet {
 	serveData := q.hdr.Len() == 0 ||
-		(q.cfg.HeaderWRR > 0 && q.hdrServed >= q.cfg.HeaderWRR && q.data.Len() > 0)
+		(q.cfg.HeaderWRR > 0 && int(q.hdrServed) >= q.cfg.HeaderWRR && q.data.Len() > 0)
 	if serveData && q.data.Len() > 0 {
 		p := q.data.Pop()
-		q.dataBytesQueued -= int(p.Size)
+		q.dataBytesQueued -= p.Size
 		q.hdrServed = 0
 		return p
 	}
 	if p := q.hdr.Pop(); p != nil {
-		q.hdrBytesQueued -= int(p.Size)
+		q.hdrBytesQueued -= p.Size
 		q.hdrServed++
 		return p
 	}
@@ -170,7 +181,7 @@ func (q *SwitchQueue) Dequeue() *fabric.Packet {
 func (q *SwitchQueue) Empty() bool { return q.data.Len() == 0 && q.hdr.Len() == 0 }
 
 // Bytes returns total queued bytes across both queues.
-func (q *SwitchQueue) Bytes() int { return q.dataBytesQueued + q.hdrBytesQueued }
+func (q *SwitchQueue) Bytes() int { return int(q.dataBytesQueued) + int(q.hdrBytesQueued) }
 
 // DataPackets returns the data-queue depth in packets.
 func (q *SwitchQueue) DataPackets() int { return q.data.Len() }
@@ -180,17 +191,18 @@ func (q *SwitchQueue) HeaderPackets() int { return q.hdr.Len() }
 
 // QueueFactory returns a topo.Config-compatible queue factory producing NDP
 // switch queues with the given configuration, all of one topology's carved
-// from one slab. Each queue's trim coin draws from its own RNG stream,
-// derived from the seed and the port's seed (a hash of its stable name):
-// coin values then depend only on the sequence of trims at that one port,
-// never on the global interleaving of trims across the fabric, which keeps
-// results identical for any shard count. Call WireBounce on the built
-// topology's switches afterwards so return-to-sender headers re-enter the
-// routing pipeline.
+// from one slab and sharing one copy of cfg. Each queue's trim coin draws
+// from its own RNG stream, derived from the seed and the port's seed (a hash
+// of its stable name): coin values then depend only on the sequence of trims
+// at that one port, never on the global interleaving of trims across the
+// fabric, which keeps results identical for any shard count. Call WireBounce
+// on the built topology's switches afterwards so return-to-sender headers
+// re-enter the routing pipeline.
 func QueueFactory(cfg SwitchConfig, seed uint64) func(seeds []uint64) []fabric.Queue {
+	shared := &cfg
 	return func(seeds []uint64) []fabric.Queue {
 		return fabric.QueueSlab(len(seeds), func(i int, q *SwitchQueue) {
-			q.cfg = cfg
+			q.cfg = shared
 			q.rand.Init(seed ^ seeds[i])
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
@@ -236,5 +237,70 @@ func TestSwitchQueueDataRingSizedFromCap(t *testing.T) {
 	}
 	if q.data.Cap() != 8 || q.DataPackets() != 8 {
 		t.Errorf("after 500 arrivals: %d packets in a data ring of %d, want 8 in 8", q.DataPackets(), q.data.Cap())
+	}
+}
+
+// ringTraffic is the seeded NDP traffic the first-size premise tests run on
+// FatTree(4): a permutation of unbounded flows for 2 ms, and an incast of
+// 90 KB flows from every other host to one receiver, run to completion.
+var ringTraffic = []struct {
+	name  string
+	start func(st []*Stack, r *sim.Rand)
+	run   sim.Time
+}{
+	{"permutation", func(st []*Stack, r *sim.Rand) {
+		for src, dst := range r.Perm(len(st)) {
+			if src != dst {
+				st[src].Connect(st[dst], -1, FlowOpts{})
+			}
+		}
+	}, 2 * sim.Millisecond},
+	{"incast", func(st []*Stack, r *sim.Rand) {
+		dst := r.Intn(len(st))
+		for src := range st {
+			if src != dst {
+				st[src].Connect(st[dst], 90_000, FlowOpts{})
+			}
+		}
+	}, 10 * sim.Millisecond},
+}
+
+// TestHeaderRingsStayAtFirstSize keeps hdrFirst's premise: a header queue
+// drains ahead of data, so at least 90 % of the header rings that seeded NDP
+// traffic on FatTree(4) uses still have their first hdrFirst slots when the
+// run ends. A model change that makes header queues deeper fails here, and
+// hdrFirst is measured again.
+func TestHeaderRingsStayAtFirstSize(t *testing.T) {
+	for _, tc := range ringTraffic {
+		for seed := uint64(1); seed <= 2; seed++ {
+			net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
+			tc.start(st, sim.NewRand(seed))
+			net.EL.RunUntil(tc.run)
+			used, first := 0, 0
+			for _, sw := range net.Switches {
+				for _, p := range sw.Ports {
+					if c := p.Q.(*SwitchQueue).hdr.Cap(); c > 0 {
+						used++
+						if c == hdrFirst {
+							first++
+						}
+					}
+				}
+			}
+			t.Logf("%s seed %d: %d of %d used header rings at %d slots", tc.name, seed, first, used, hdrFirst)
+			if used == 0 || 10*first < 9*used {
+				t.Errorf("%s seed %d: %d of %d used header rings kept their first %d slots, want at least 90 %%",
+					tc.name, seed, first, used, hdrFirst)
+			}
+			closeNoLeak(t, net, st)
+		}
+	}
+}
+
+// TestSwitchQueueSize pins a switch queue's state: a k=32 FatTree carves
+// 40,960 of them from one slab, so one word more is 328 KB per build.
+func TestSwitchQueueSize(t *testing.T) {
+	if size := unsafe.Sizeof(SwitchQueue{}); size > 192 {
+		t.Errorf("SwitchQueue is %d bytes, want at most 192: a word more is 328 KB in a k=32 FatTree", size)
 	}
 }

@@ -67,3 +67,9 @@ func (f FuncEvent) OnEvent(uint64) { f() }
 
 // FreeCap is the capacity of the arena's free-list.
 func (a *Arena) FreeCap() int { return cap(a.free) }
+
+// CtrlFirst is the first buffer of a NIC's control band.
+const CtrlFirst = ctrlFirst
+
+// CtrlCap is the capacity of the control band's ring.
+func (q *CtrlPrioQueue) CtrlCap() int { return q.ctrl.Cap() }

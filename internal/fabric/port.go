@@ -117,14 +117,18 @@ type Port struct {
 	flight  Ring[flightEntry]
 	emitSeq uint64
 
-	// Telemetry.
+	// Telemetry. The packets sent are emitSeq (PacketsSent).
 	BytesSent    int64
-	PacketsSent  int64
 	DataBytes    int64    // non-control wire bytes, for utilization
 	BusyTime     sim.Time // cumulative serialization time
 	PauseCount   int64    // times this port was paused (PFC)
 	SerEndEvents int64    // serialization-end events fired (none on demand)
 }
+
+// PacketsSent returns how many packets the port has put on the wire: its
+// emission count, one per transmission started. Like the other transmit-side
+// counters it is read after Sync.
+func (p *Port) PacketsSent() int64 { return int64(p.emitSeq) }
 
 // NewPort creates a transmitter with the given queue discipline, line rate
 // in bits per second and one-way propagation delay.
@@ -203,7 +207,7 @@ func (p *Port) Busy() bool {
 
 // Sync brings the transmit side up to the clock: an on-demand port starts
 // the transmissions whose turn has come. Anything that reads BytesSent,
-// PacketsSent, DataBytes or BusyTime, or changes RateBps mid-run, calls it
+// PacketsSent(), DataBytes or BusyTime, or changes RateBps mid-run, calls it
 // first; on an event-driven port there is never anything to do.
 func (p *Port) Sync() {
 	if p.onDemand && p.wake {
@@ -271,7 +275,6 @@ func (p *Port) start(at sim.Time) {
 		p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
 	}
 	p.BytesSent += int64(pkt.Size)
-	p.PacketsSent++
 	if !pkt.IsControl() {
 		p.DataBytes += int64(pkt.Size)
 	}

@@ -159,8 +159,8 @@ func newODWorld(kind odQueue, delay sim.Time, eager bool) *odWorld {
 // look accounts the packets the on-demand port has started since the
 // harness last looked, and returns how many.
 func (w *odWorld) look() int64 {
-	d := w.port.PacketsSent - w.seen
-	w.seen = w.port.PacketsSent
+	d := w.port.PacketsSent() - w.seen
+	w.seen = w.port.PacketsSent()
 	return d
 }
 
@@ -276,9 +276,9 @@ func compareOnDemand(t testing.TB, kind odQueue, delay sim.Time, ops []odOp) (re
 		}
 	}
 	st := ref.eager.State()
-	if p := dut.port; p.BytesSent != st.BytesSent || p.PacketsSent != st.PacketsSent || p.BusyTime != st.BusyTime {
+	if p := dut.port; p.BytesSent != st.BytesSent || p.PacketsSent() != st.PacketsSent || p.BusyTime != st.BusyTime {
 		t.Errorf("telemetry bytes/packets/busy = %d/%d/%v, reference %d/%d/%v",
-			p.BytesSent, p.PacketsSent, p.BusyTime, st.BytesSent, st.PacketsSent, st.BusyTime)
+			p.BytesSent, p.PacketsSent(), p.BusyTime, st.BytesSent, st.PacketsSent, st.BusyTime)
 	}
 	if *dut.q.Stats() != *ref.q.Stats() {
 		t.Errorf("queue counters %+v, reference %+v", *dut.q.Stats(), *ref.q.Stats())
@@ -524,7 +524,7 @@ func TestOnDemandPortStoppedMidRun(t *testing.T) {
 				ref.runTo(stop)
 				dut.runTo(stop)
 				st, p := ref.eager.State(), dut.port
-				if p.PacketsSent != st.PacketsSent {
+				if p.PacketsSent() != st.PacketsSent {
 					lagged++
 				}
 				// Any of the readers brings the port up to date.
@@ -537,9 +537,9 @@ func TestOnDemandPortStoppedMidRun(t *testing.T) {
 				case 2:
 					p.Utilization(stop)
 				}
-				if p.PacketsSent != st.PacketsSent || p.BytesSent != st.BytesSent || p.BusyTime != st.BusyTime || busy != st.Busy {
+				if p.PacketsSent() != st.PacketsSent || p.BytesSent != st.BytesSent || p.BusyTime != st.BusyTime || busy != st.Busy {
 					t.Fatalf("stopped at %v: packets/bytes/busy time/busy = %d/%d/%v/%v, reference %d/%d/%v/%v", stop,
-						p.PacketsSent, p.BytesSent, p.BusyTime, busy, st.PacketsSent, st.BytesSent, st.BusyTime, st.Busy)
+						p.PacketsSent(), p.BytesSent, p.BusyTime, busy, st.PacketsSent, st.BytesSent, st.BusyTime, st.Busy)
 				}
 				if err := p.CheckOnDemand(); err != nil {
 					t.Fatalf("after Sync at %v: %v", stop, err)

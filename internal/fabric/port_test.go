@@ -29,8 +29,8 @@ func TestPortSerializationTiming(t *testing.T) {
 			t.Errorf("arrival %d = %v, want %v", i, arrivals[i], want[i])
 		}
 	}
-	if port.BytesSent != 18000 || port.PacketsSent != 2 {
-		t.Errorf("telemetry: bytes=%d pkts=%d", port.BytesSent, port.PacketsSent)
+	if port.BytesSent != 18000 || port.PacketsSent() != 2 {
+		t.Errorf("telemetry: bytes=%d pkts=%d", port.BytesSent, port.PacketsSent())
 	}
 	noLeak(t, a)
 }

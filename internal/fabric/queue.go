@@ -88,7 +88,18 @@ func CtrlPrioQueues(seeds []uint64) []Queue {
 // queueFirst is the first buffer of a switch or NIC queue's ring: a queue
 // bounded in bytes holds anything from a handful of jumbograms to hundreds
 // of headers, so it starts where a busy one settles and doubles from there.
+// About half of the drop-tail and ECN queues a run uses outgrow 8 (357 of
+// 726 and 414 of 827 stay within it in one pass of all 22 experiments at
+// Scale 0.1), and each doubling is one more object.
 const queueFirst = 64
+
+// ctrlFirst is the first buffer of a NIC's control band. ACKs, NACKs and
+// PULLs leave ahead of any data, so the band stays shallow: of the control
+// bands a run used, 1,066 of 1,081 in one pass of all 22 experiments at Scale
+// 0.1 never held more than 8, and all of them in the 128-host permutation
+// and the closed-loop rpc run. A band that does fill doubles from here
+// (TestControlBandsStayAtFirstSize keeps the premise).
+const ctrlFirst = 8
 
 // FIFOQueue is a byte-bounded drop-tail FIFO: the classic switch queue used
 // by the TCP, MPTCP and pHost baselines.
@@ -177,7 +188,7 @@ func (q *CtrlPrioQueue) Enqueue(p *Packet) {
 	q.NoteEnqueue(p)
 	q.bytes += int(p.Size)
 	if p.IsControl() {
-		q.ctrl.Push(p, queueFirst)
+		q.ctrl.Push(p, ctrlFirst)
 	} else {
 		q.data.Push(p, queueFirst)
 	}

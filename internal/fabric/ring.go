@@ -22,13 +22,14 @@ package fabric
 type Ring[T any] struct {
 	// buf has power-of-two length (or is nil); the n live entries are
 	// buf[head], buf[head+1], ... taken modulo len(buf), every other slot
-	// holds the zero T.
+	// holds the zero T. The two counts are int32, so a Ring is four words:
+	// one is embedded in every port and two in every switch queue.
 	buf     []T
-	head, n int
+	head, n int32
 }
 
 // Len returns the number of queued entries.
-func (r *Ring[T]) Len() int { return r.n }
+func (r *Ring[T]) Len() int { return int(r.n) }
 
 // Cap returns the number of entries the buffer holds without growing; zero
 // until the first Push.
@@ -38,10 +39,10 @@ func (r *Ring[T]) Cap() int { return len(r.buf) }
 // Push allocates, rounded up to a power of two; once a buffer exists the
 // argument is ignored.
 func (r *Ring[T]) Push(v T, first int) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow(first)
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.buf[int(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -53,7 +54,7 @@ func (r *Ring[T]) Pop() T {
 	}
 	v := r.buf[r.head]
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & int32(len(r.buf)-1)
 	r.n--
 	return v
 }
@@ -66,7 +67,7 @@ func (r *Ring[T]) PopTail() T {
 		return zero
 	}
 	r.n--
-	i := (r.head + r.n) & (len(r.buf) - 1)
+	i := int(r.head+r.n) & (len(r.buf) - 1)
 	v := r.buf[i]
 	r.buf[i] = zero
 	return v

@@ -62,7 +62,7 @@ func checkRing[T comparable](t *testing.T, r *Ring[T], model []T) {
 	}
 	for slot, got := range r.buf {
 		want := zero
-		if i := (slot - r.head) & (c - 1); i < len(model) {
+		if i := (slot - int(r.head)) & (c - 1); i < len(model) {
 			want = model[i]
 		}
 		if got != want {
@@ -91,18 +91,18 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 		switch ops[i] % 4 {
 		case rgPush:
 			for k := 0; k < burst; k++ {
-				capBefore := r.Cap()
-				if capBefore > 0 && len(model) < capBefore && (r.head+len(model))&(capBefore-1) < r.head {
+				capBefore, head := r.Cap(), int(r.head)
+				if capBefore > 0 && len(model) < capBefore && (head+len(model))&(capBefore-1) < head {
 					st.wraps++
 				}
-				if len(model) == 0 && r.head != 0 {
+				if len(model) == 0 && head != 0 {
 					st.refills++
 				}
 				if afterWipe && capBefore > 0 {
 					st.reuses++
 				}
 				afterWipe = false
-				straddles := len(model) == capBefore && r.head != 0
+				straddles := len(model) == capBefore && head != 0
 				stamp++
 				v := mk(stamp)
 				r.Push(v, first)
@@ -126,7 +126,7 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 				want := zero
 				if len(model) > 0 {
 					want, model = model[0], model[1:]
-					if r.head == r.Cap()-1 && len(model) > 0 {
+					if int(r.head) == r.Cap()-1 && len(model) > 0 {
 						st.headWraps++
 					}
 				} else {
@@ -141,7 +141,7 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 				want := zero
 				if n := len(model); n > 0 {
 					want, model = model[n-1], model[:n-1]
-					if slot := (r.head + n - 1) & (r.Cap() - 1); slot < r.head {
+					if slot := (int(r.head) + n - 1) & (r.Cap() - 1); slot < int(r.head) {
 						st.tailWraps++
 						if slot == 0 {
 							st.tailCrossings++

@@ -535,7 +535,7 @@ func (n *Network) PacketHops() int64 {
 	var hops int64
 	n.eachPort(func(p *fabric.Port) {
 		p.Sync() // started on demand: count what has gone out by now
-		hops += p.PacketsSent
+		hops += p.PacketsSent()
 	})
 	return hops
 }

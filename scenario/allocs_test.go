@@ -224,30 +224,40 @@ func TestDeferAllocatesNothing(t *testing.T) {
 // heaviest: a trim coin each) and return-to-sender wiring; the objects the
 // larger build makes beyond the smaller, per port it adds, must stay near
 // zero. A per-port, per-switch or per-host object anywhere in a builder
-// shows as 1, ~0.1 or ~0.2 here.
+// shows as 1, ~0.1 or ~0.2 here. The bytes per added port are what a port
+// costs at paper scale — its Port, its queue, its slot in the port list and
+// its share of the hosts and switches — so a word added to any of them shows
+// as 8 bytes or more.
 func TestBuildAllocsPerPort(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves allocation counts")
 	}
 	cfg := topo.Config{Seed: 1, SwitchQueue: core.QueueFactory(core.DefaultSwitchConfig(9000), 1)}
+	// Object budgets are measured plus slack. Bytes per added port are the
+	// same on every run: 439.8, 429.2–429.3, 438.7 and 535.0 with a 192-byte
+	// Port and SwitchQueue (505.1, 486.0, 505.3 and 607.7 with a 208-byte
+	// Port and a 240-byte SwitchQueue). Each budget is 1.5 bytes above: a
+	// word on a Port or a queue costs 6 to 8 bytes per added port, and one
+	// on a Label, which every host and switch has, about 2.
 	rows := []struct {
 		name   string
 		build  func(big bool) topo.Cluster
-		budget float64 // measured plus slack
+		budget float64 // objects
+		bytes  float64
 	}{
-		{"fattree", func(big bool) topo.Cluster { return topo.NewFatTree(pick(big, 4, 8), cfg) }, 0.01},
-		{"fattree-oversub4", func(big bool) topo.Cluster { return topo.NewFatTreeOversub(pick(big, 4, 8), 4, cfg) }, 0.01},
+		{"fattree", func(big bool) topo.Cluster { return topo.NewFatTree(pick(big, 4, 8), cfg) }, 0.01, 441.3},
+		{"fattree-oversub4", func(big bool) topo.Cluster { return topo.NewFatTreeOversub(pick(big, 4, 8), 4, cfg) }, 0.01, 430.8},
 		{"twotier", func(big bool) topo.Cluster {
 			return topo.NewTwoTier(pick(big, 4, 16), pick(big, 4, 8), pick(big, 2, 4), cfg)
-		}, 0.01},
-		{"jellyfish", func(big bool) topo.Cluster { return topo.NewJellyfish(pick(big, 16, 64), 2, 4, 0, cfg) }, 0.02},
+		}, 0.01, 440.2},
+		{"jellyfish", func(big bool) topo.Cluster { return topo.NewJellyfish(pick(big, 16, 64), 2, 4, 0, cfg) }, 0.02, 536.5},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			var objs [2]float64
+			var objs, bytes [2]float64
 			var ports [2]int
 			for i, big := range []bool{false, true} {
-				objs[i] = testing.AllocsPerRun(3, func() {
+				objs[i], bytes[i] = buildCost(func() {
 					c := row.build(big)
 					core.WireBounce(c.SwitchList())
 					c.Close()
@@ -258,13 +268,33 @@ func TestBuildAllocsPerPort(t *testing.T) {
 					ports[i] += len(sw.Ports)
 				}
 			}
-			per := (objs[1] - objs[0]) / float64(ports[1]-ports[0])
-			t.Logf("%.0f objects for %d ports, %.0f for %d: %.3f per added port", objs[0], ports[0], objs[1], ports[1], per)
+			added := float64(ports[1] - ports[0])
+			per, perB := (objs[1]-objs[0])/added, (bytes[1]-bytes[0])/added
+			t.Logf("%.0f objects and %.0f bytes for %d ports, %.0f and %.0f for %d: %.3f objects and %.1f bytes per added port",
+				objs[0], bytes[0], ports[0], objs[1], bytes[1], ports[1], per, perB)
 			if per > row.budget {
 				t.Errorf("%.3f objects per added port, budget %.2f", per, row.budget)
 			}
+			if perB > row.bytes {
+				t.Errorf("%.1f bytes per added port, budget %.1f", perB, row.bytes)
+			}
 		})
 	}
+}
+
+// buildCost returns the heap objects and bytes one call of build allocates,
+// averaged over three calls after one to warm up, with one P as
+// testing.AllocsPerRun has it.
+func buildCost(build func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / 3, float64(after.TotalAlloc-before.TotalAlloc) / 3
 }
 
 // pick returns small, or big when big is set.

@@ -28,11 +28,16 @@ func AttachArena(el *sim.EventList) *Arena {
 // InUse counter tracks outstanding packets; a simulation that ends with
 // InUse() != 0 has leaked, and the golden suite asserts this for every
 // registry scenario.
+//
+// A closed network's arenas serve the next network (Recycle): an arena
+// keeps the chunks it grew and the most packets it held at once, its peak.
 type Arena struct {
 	// free is a LIFO stack, not a fabric.Ring: the packet freed last is the
 	// one still in cache, and order among free packets means nothing.
-	free  []*Packet
-	inUse int64
+	free   []*Packet
+	inUse  int64
+	peak   int64
+	chunks []*[arenaChunk]Packet
 }
 
 // arenaChunk is how many packets one slab growth adds. Chunks amortize both
@@ -50,21 +55,25 @@ func NewArena() *Arena { return &Arena{} }
 
 // take pops a recycled packet (growing a fresh slab when empty) without
 // initializing it. Callers must overwrite every field before releasing the
-// packet into the simulation.
+// packet into the simulation. take inlines into every allocation at a cost
+// of 79 against the compiler's 80 (a call to an out-of-line grow costs
+// more than the loop), which is why the popped slot is not cleared: its
+// packet is in a chunk the arena holds anyway, and Recycle clears the array
+// past what it rebuilds.
 func (a *Arena) take() *Packet {
-	n := len(a.free)
-	if n == 0 {
-		chunk := make([]Packet, arenaChunk)
+	if len(a.free) == 0 {
+		chunk := new([arenaChunk]Packet)
+		a.chunks = append(a.chunks, chunk)
 		for i := range chunk {
 			chunk[i].freed = true
 			a.free = append(a.free, &chunk[i])
 		}
-		n = len(a.free)
 	}
-	p := a.free[n-1]
-	a.free[n-1] = nil
-	a.free = a.free[:n-1]
+	n := len(a.free) - 1
+	p := a.free[n]
+	a.free = a.free[:n]
 	a.inUse++
+	a.peak = max(a.peak, a.inUse)
 	return p
 }
 
@@ -117,6 +126,40 @@ func (a *Arena) settle(p *Packet) {
 // Zero after a completed run means no packet leaked.
 func (a *Arena) InUse() int64 { return a.inUse }
 
+// Peak reports the most packets the arena has held at once since it was
+// built or last recycled.
+func (a *Arena) Peak() int64 { return a.peak }
+
+// Recycle readies the arena of a closed simulation for the next one. It
+// keeps the chunks its peak needed — ceil(peak/arenaChunk), the first ones
+// it grew — drops the rest, and rebuilds the free-list from exactly the kept
+// chunks' packets, each marked freed and owned by nobody, so nothing of the
+// old simulation stays reachable through them. The free-list keeps its
+// array, a pointer per packet (an eighth of a packet's bytes), cleared past
+// the rebuilt part so that it pins no dropped chunk. Packets migrate between
+// the shards' arenas, so a free-list may hold another arena's packets:
+// Recycle is only consistent when every arena of a network whose packets
+// are all settled (no InUse, nothing in a mailbox) is recycled at once,
+// which is what topo.Network.Close does.
+func (a *Arena) Recycle() {
+	keep := min(int((a.peak+arenaChunk-1)/arenaChunk), len(a.chunks))
+	clear(a.chunks[keep:])
+	a.chunks = a.chunks[:keep]
+	if n := keep * arenaChunk; cap(a.free) < n {
+		a.free = make([]*Packet, 0, n)
+	} else {
+		clear(a.free[n:cap(a.free)])
+	}
+	a.free = a.free[:0]
+	for _, chunk := range a.chunks {
+		for i := range chunk {
+			chunk[i] = Packet{freed: true}
+			a.free = append(a.free, &chunk[i])
+		}
+	}
+	a.inUse, a.peak = 0, 0
+}
+
 // park takes a packet that is leaving its shard off its arena's books, and
 // adopt puts it on the books of the arena whose goroutine will free it. The
 // source shard parks (CrossBox.AddDelivery) and the destination shard
@@ -129,5 +172,6 @@ func (p *Packet) adopt(a *Arena) {
 	if p != nil { // a command entry carries no packet
 		p.owner = a
 		a.inUse++
+		a.peak = max(a.peak, a.inUse)
 	}
 }

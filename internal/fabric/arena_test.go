@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -139,12 +140,19 @@ func TestArenaTransferMovesAccounting(t *testing.T) {
 
 // FuzzArenaInterleaving replays fuzz-chosen byte strings as get/free
 // programs: even bytes allocate, odd bytes free the (b/2 mod len)-th
-// outstanding packet. The invariant under any program is exact InUse
-// accounting and no aliasing among outstanding packets.
+// outstanding packet, or with nothing outstanding recycle the arena, as a
+// closed network's is. The invariant under any program is exact InUse
+// accounting, a peak no lower than it, no aliasing among outstanding
+// packets, and after a recycle a free-list of exactly the packets of the
+// chunks the peak needed, each once, freed and owned by nobody.
 func FuzzArenaInterleaving(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 4, 3, 5})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 1})
 	f.Add([]byte{7})
+	// Two chunks' worth out and back, a recycle (to two chunks), a smaller
+	// run, a recycle (to one) and allocations from the rebuilt list.
+	big := append(bytes.Repeat([]byte{0}, 600), bytes.Repeat([]byte{1}, 601)...)
+	f.Add(append(big, append(bytes.Repeat([]byte{2, 3}, 40), 1, 0, 0, 0)...))
 	f.Fuzz(func(t *testing.T, program []byte) {
 		a := NewArena()
 		var out []*Packet
@@ -162,9 +170,23 @@ func FuzzArenaInterleaving(f *testing.F) {
 				Free(out[i])
 				out[i] = out[len(out)-1]
 				out = out[:len(out)-1]
+			} else {
+				want := int(a.Peak()+arenaChunk-1) / arenaChunk * arenaChunk
+				a.Recycle()
+				if len(a.free) != want || len(a.chunks)*arenaChunk != want || a.Peak() != 0 {
+					t.Fatalf("recycled to %d free packets in %d chunks with peak %d, want %d free",
+						len(a.free), len(a.chunks), a.Peak(), want)
+				}
+				seen := make(map[*Packet]bool, want)
+				for _, p := range a.free {
+					if seen[p] || !p.freed || p.owner != nil {
+						t.Fatalf("recycled free-list holds %p twice, not freed or still owned", p)
+					}
+					seen[p] = true
+				}
 			}
-			if a.InUse() != int64(len(out)) {
-				t.Fatalf("InUse()=%d with %d outstanding", a.InUse(), len(out))
+			if a.InUse() != int64(len(out)) || a.Peak() < a.InUse() {
+				t.Fatalf("InUse()=%d and Peak()=%d with %d outstanding", a.InUse(), a.Peak(), len(out))
 			}
 		}
 	})

@@ -65,8 +65,14 @@ type FuncEvent func()
 
 func (f FuncEvent) OnEvent(uint64) { f() }
 
-// FreeCap is the capacity of the arena's free-list.
-func (a *Arena) FreeCap() int { return cap(a.free) }
+// FreeLen is how many packets the arena's free-list holds.
+func (a *Arena) FreeLen() int { return len(a.free) }
+
+// Chunks is how many chunks of packets the arena holds.
+func (a *Arena) Chunks() int { return len(a.chunks) }
+
+// ArenaChunk is how many packets one chunk holds.
+const ArenaChunk = arenaChunk
 
 // CtrlFirst is the first buffer of a NIC's control band.
 const CtrlFirst = ctrlFirst

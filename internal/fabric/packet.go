@@ -189,9 +189,10 @@ func Free(p *Packet) {
 
 // Release is Free at teardown: it settles the owning arena's books — InUse,
 // and the flag a second free panics on — without putting the packet back on
-// a free-list nothing will allocate from again. The ReleasePackets paths and
-// the stacks' Close use it: refilling the list of a finished simulation with
-// everything in flight at the deadline only reallocated it, up to that size.
+// a free-list. The ReleasePackets paths and the stacks' Close use it:
+// refilling the list of a finished simulation with everything in flight at
+// the deadline only reallocated it, up to that size, and Arena.Recycle
+// rebuilds the list of a closed network whole.
 func Release(p *Packet) {
 	if p != nil {
 		p.owner.settle(p)

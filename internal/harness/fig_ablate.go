@@ -23,6 +23,7 @@ func init() {
 func overloadRun(o Options, seed uint64, n int, queue topo.QueueFactory) (mean, worst float64, drops int64) {
 	const mtu = 9000
 	tt := topo.NewTwoTier(1, n+1, 0, topo.Config{Seed: seed, SwitchQueue: queue})
+	defer tt.Close()
 	core.WireBounce(tt.Switches)
 
 	perFlow := make([]int64, n+1) // bytes delivered, by flow id 1..n

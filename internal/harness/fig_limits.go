@@ -55,6 +55,7 @@ func tLimits(o Options, r *Result) {
 
 	jf := topo.NewJellyfish(nSwitches, hostsPer, degree, 8, topo.Config{Seed: o.Seed})
 	min, max := jf.PathLengthSpread(200, sim.NewRand(o.Seed))
+	jf.Close()
 	r.AddTable(fmt.Sprintf("permutation on jellyfish (%d switches x deg %d, path lengths %d-%d hops)",
 		nSwitches, degree, min, max), t)
 	r.Notef("paper claim (section 3, Limitations): NDP 'will behave poorly' on asymmetric topologies. Compare each protocol against its own Clos number (fig14): NDP loses far more moving to Jellyfish than MPTCP does, because uniform spraying keeps paying for the long paths while per-path congestion control walks away from them")

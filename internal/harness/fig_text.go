@@ -208,6 +208,7 @@ func tTrim(o Options, r *Result) {
 			queue := core.QueueFactory(core.DefaultSwitchConfig(9000), seed+41)
 			ft := topo.NewFatTree(k, topo.Config{Seed: seed, SwitchQueue: queue})
 			n := newNDPNet(ft, hcfg, seed)
+			defer n.Close()
 			flows := startMatrix(n, workload.Permutation(ft.NumHosts(), sim.NewRand(seed)))
 			g := runWarmMeasure(n.EL(), warm, window, flows)
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ndp/internal/stats"
+	"ndp/internal/topo"
 )
 
 // TestAllExperimentsClaims runs every registered experiment at Scale 0.1,
@@ -20,6 +21,12 @@ import (
 // one of which passes. The claims live in the runners, beside the notes they
 // check. The pin file is read, never written: a change that is meant to move a
 // table re-pins it with `go run -C benchmark . -pin`.
+//
+// The seed-1 pass runs on every core; the seed-2 pass then runs on one
+// worker, as a second pass in one process, and its domains subtest requires
+// that it made no event list fresh — every network it built took the
+// scheduling domain a closed one handed on (topo.Network.Close) — and that
+// no network of either pass closed with a packet in use.
 func TestAllExperimentsClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
@@ -44,12 +51,31 @@ func TestAllExperimentsClaims(t *testing.T) {
 			t.Fatalf("expected.json pins %d experiments at scale %v for seed %d; want %d at %v", n, pinned.Scale, seed, len(All()), scale)
 		}
 	}
-	for _, e := range All() {
+	exps := All()
+	runs := make([][]*Result, len(exps)) // by experiment, then seed
+	before := topo.Domains()
+	var warm topo.DomainStats
+	for i, seed := range seeds {
+		workers := 0
+		if i > 0 {
+			workers, warm = 1, topo.Domains()
+		}
+		for j, e := range exps {
+			runs[j] = append(runs[j], e.Run(Options{Scale: scale, Seed: seed, Workers: workers}))
+		}
+	}
+	t.Run("domains", func(t *testing.T) {
+		d := topo.Domains()
+		if d.Made != warm.Made {
+			t.Errorf("the second pass made %d event lists fresh", d.Made-warm.Made)
+		}
+		if d.Leaky != before.Leaky {
+			t.Errorf("%d networks closed with a packet in use", d.Leaky-before.Leaky)
+		}
+	})
+	for j, e := range exps {
+		results := runs[j]
 		t.Run(e.ID, func(t *testing.T) {
-			results := make([]*Result, len(seeds))
-			for i, seed := range seeds {
-				results[i] = e.Run(Options{Scale: scale, Seed: seed})
-			}
 			t.Run("digest", func(t *testing.T) {
 				for i, seed := range seeds {
 					out, want := results[i].String(), pinned.Seeds[strconv.FormatUint(seed, 10)].Experiments[e.ID].Digest

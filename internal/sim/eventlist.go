@@ -308,6 +308,34 @@ const firingNone = ^uint64(0)
 // NewEventList returns an empty scheduler with the clock at zero.
 func NewEventList() *EventList { return &EventList{firing: firingNone} }
 
+// Reset returns the list to NewEventList's state — clock at zero, nothing
+// pending, every counter cleared — so a closed simulation's list can serve
+// the next one. Pending events are dropped and every Handler reference is
+// cleared, so a reset list pins nothing of the simulation that used it. It
+// keeps its allocator and its buffers, which hold no more events than the
+// most any run on the list had pending at once (QueueStats.PeakPending
+// bounds the heap and the node slab, MaxRun the active run). The firing
+// order is a function of the (at, ord) keys alone, so reused buffers cannot
+// move an event.
+func (el *EventList) Reset() {
+	clear(el.vals) // popped slots are already zero: popMin clears them
+	clear(el.nodes)
+	clear(el.whead)
+	*el = EventList{
+		firing:    firingNone,
+		keys:      el.keys[:0],
+		vals:      el.vals[:0],
+		nodes:     el.nodes[:0],
+		whead:     el.whead,
+		run:       el.run[:0],
+		allocator: el.allocator,
+	}
+}
+
+// Capacity returns how many events the heap and the wheel's node slab hold
+// before they grow: what Reset keeps for the next run.
+func (el *EventList) Capacity() (heap, nodes int) { return cap(el.keys), cap(el.nodes) }
+
 // Now returns the current simulated time.
 func (el *EventList) Now() Time { return el.now }
 

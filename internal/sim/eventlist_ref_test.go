@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -163,8 +164,8 @@ const schedTimers = 4
 func timerTag(k int) uint64 { return 1<<56 | uint64(k) }
 
 // streamStats is what a stream reached: the list's tier counters, and the
-// timer edges counted by the harness just before the operation that takes
-// them.
+// timer and list edges counted by the harness just before the operation that
+// takes them.
 type streamStats struct {
 	Queue QueueStats
 	// Earlier: an armed timer moved before the entry it relied on.
@@ -172,7 +173,9 @@ type streamStats struct {
 	// RearmAtStale: of those, re-armed at exactly the old entry's time.
 	// InitPending: InitHandler with an entry pending.
 	// Past: a reset to a time before now.
-	Earlier, RearmStopped, RearmAtStale, InitPending, Past int
+	// ResetPending: the list Reset with wheel, heap and timer entries
+	// pending.
+	Earlier, RearmStopped, RearmAtStale, InitPending, Past, ResetPending int
 }
 
 func (s *streamStats) add(o streamStats) {
@@ -182,6 +185,7 @@ func (s *streamStats) add(o streamStats) {
 	s.RearmAtStale += o.RearmAtStale
 	s.InitPending += o.InitPending
 	s.Past += o.Past
+	s.ResetPending += o.ResetPending
 }
 
 // timerKeys lists the keys of the pending events whose handler is a Timer,
@@ -202,12 +206,67 @@ func timerKeys(el *EventList) []eventKey {
 	return keys
 }
 
+// resetOp is the op byte that resets the list: a pop's byte with the high
+// nibble set, which a pop ignores.
+const resetOp = 0xf7
+
 // runSchedulerOps drives an EventList and the reference model through the
 // same operation stream and fails the test on any divergence. Each byte
 // pair of ops selects an operation and a time offset, so the corpus is
 // trivially minimizable by the fuzzer. It returns the list's tier counters
-// and the timer edges reached, so callers can check a stream reached the
-// case it was written for.
+// and the timer and list edges reached, summed over the stream, so callers
+// can check a stream reached the case it was written for.
+//
+// A reset op splits the stream: the list is Reset with whatever it has
+// pending, and the rest of the stream runs on it with a new reference model
+// and new timers. Up to the next reset, the reset list must then be a new
+// one: the same rest of the stream run on a NewEventList must fire the same
+// events and end with the same clock, pending count, tier counters and edges.
+func runSchedulerOps(t *testing.T, ops []byte) streamStats {
+	t.Helper()
+	el := NewEventList()
+	seg := runSegment(t, el, ops)
+	total := seg.st
+	for seg.reset {
+		el.Reset()
+		for i, v := range el.vals[:cap(el.vals)] {
+			if v.h != nil {
+				t.Fatalf("reset list still holds a Handler in heap slot %d", i)
+			}
+		}
+		for i, n := range el.nodes[:cap(el.nodes)] {
+			if n.h != nil {
+				t.Fatalf("reset list still holds a Handler in wheel node %d", i)
+			}
+		}
+		ref := runSegment(t, NewEventList(), seg.rest)
+		seg = runSegment(t, el, seg.rest)
+		if !slices.Equal(seg.log, ref.log) {
+			t.Fatalf("after a reset the list fired %v, a new list %v", seg.log, ref.log)
+		}
+		if seg.now != ref.now || seg.pending != ref.pending || seg.nextOrd != ref.nextOrd || seg.st != ref.st {
+			t.Fatalf("after a reset the list ended at %v with %d pending, next ord %#x and %+v, a new list at %v with %d, %#x and %+v",
+				seg.now, seg.pending, seg.nextOrd, seg.st, ref.now, ref.pending, ref.nextOrd, ref.st)
+		}
+		total.add(seg.st)
+	}
+	return total
+}
+
+// segment is what one stretch of a stream, up to a reset op or its end, did
+// on one list.
+type segment struct {
+	st      streamStats
+	log     []uint64 // the tags fired, in order
+	now     Time     // the clock at the end
+	pending int      // events pending at the end: 0 once drained
+	nextOrd uint64   // the FIFO ord the next plain event would get
+	reset   bool     // the stretch ended at a reset op
+	rest    []byte   // the ops after it
+}
+
+// runSegment runs ops on el and a new reference model up to the first reset
+// op, or to the end and then drains both.
 //
 // Timer entries the model does not have — superseded, stopped or carried
 // forward — fire on the list's side as events nothing observes: a step of
@@ -216,9 +275,8 @@ func timerKeys(el *EventList) []eventKey {
 // harness accounts for every timer entry after every operation: each timer
 // relies on exactly one entry while it has one, due no later than its arm,
 // and every other entry is one a timer stopped relying on.
-func runSchedulerOps(t *testing.T, ops []byte) streamStats {
+func runSegment(t *testing.T, el *EventList, ops []byte) segment {
 	t.Helper()
-	el := NewEventList()
 	model := &refModel{}
 	rec := &tagRecorder{}
 	spawn := &spawner{el: el, rec: rec}
@@ -336,7 +394,14 @@ func runSchedulerOps(t *testing.T, ops []byte) streamStats {
 			}
 			tm.InitHandler(el, expiry[k])
 			model.cancel(timerTag(k))
-		case 7: // pop
+		case 7: // pop, or reset the list
+			if op == resetOp {
+				if el.bucketed+len(el.run) > 0 && len(el.keys) > 0 && len(timerKeys(el)) > 0 {
+					st.ResetPending++
+				}
+				st.Queue = el.QueueStats()
+				return segment{st: st, log: rec.log, now: el.Now(), pending: el.Len(), nextOrd: el.ReserveOrd(), reset: true, rest: ops[i+2:]}
+			}
 			step()
 		case 8: // far event, 16.0-41.5 us ahead: either side of the wheel's span
 			nextTag++
@@ -461,7 +526,7 @@ func runSchedulerOps(t *testing.T, ops []byte) streamStats {
 		}
 	}
 	st.Queue = el.QueueStats()
-	return st
+	return segment{st: st, log: rec.log, now: el.Now(), nextOrd: el.ReserveOrd()}
 }
 
 // TestSchedulerVsReference drives long random op streams from fixed seeds —
@@ -674,6 +739,31 @@ func TestTimerStreams(t *testing.T) {
 	}
 }
 
+// resetWithPending resets the list, over and over, while events wait in
+// the wheel (plain events near now, with more than the sparse threshold
+// pending), in the heap (far events) and under timers (an RTO-like arm), and
+// with a run loaded; after each reset the stream goes on from a clock at
+// zero, as a new list would.
+func resetWithPending() []byte {
+	var ops []byte
+	for i := 0; i < 12; i++ {
+		ops = append(ops, fill(20)...)
+		ops = append(ops, 8, byte(i*20), 3, byte(40+i), 0x14, 250, 7, 0, 12, byte(20+i), 7, 0, 0x25, 0, 7, 0)
+		ops = append(ops, resetOp, 0)
+	}
+	return append(ops, fill(20)...)
+}
+
+func TestResetWithPending(t *testing.T) {
+	ops := resetWithPending()
+	if len(ops) > 4096 {
+		t.Errorf("%d bytes, over the fuzz target's 4096-byte cut", len(ops))
+	}
+	if s := runSchedulerOps(t, ops); s.ResetPending < 12 || s.Queue.WheelPops == 0 || s.Queue.HeapBeyondSpan == 0 {
+		t.Errorf("reset-with-pending did not reach the case it is named for: %+v", s)
+	}
+}
+
 // FuzzEventList lets the fuzzer hunt for op interleavings the random
 // streams miss: go test -fuzz=FuzzEventList ./internal/sim
 func FuzzEventList(f *testing.F) {
@@ -689,6 +779,7 @@ func FuzzEventList(f *testing.F) {
 	for _, c := range timerStreams {
 		f.Add(c.ops)
 	}
+	f.Add(resetWithPending())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

@@ -232,7 +232,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("cache-phase first run: %+v", ffinal)
 	}
 	// The job document carries the engine block `ndpsim -scenario` prints.
-	if e := ffinal.Engine; e.Events != ffinal.Events || e.PacketHops <= 0 || e.Queue.WheelPops == 0 || e.PacketsLeaked != 0 {
+	if e := ffinal.Engine; e.Events != ffinal.Events || e.PacketHops <= 0 || e.Queue.WheelPops == 0 || e.PacketsLeaked != 0 || e.ArenaPeak <= 0 {
 		t.Errorf("first run's engine block: %+v", e)
 	}
 

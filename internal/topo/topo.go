@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"sync"
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
@@ -116,10 +117,15 @@ type Cluster interface {
 	CommandEvents() int64
 	// PacketsInUse sums the outstanding packets of every shard arena: the
 	// leak counter the golden suite asserts returns to zero after Close.
+	// After Close it is the count Close left, read from no list.
 	PacketsInUse() int64
+	// ArenaPeak is the most packets any one shard arena held at once.
+	ArenaPeak() int64
 	// Close releases engine resources (the sharded runner's persistent
 	// shard workers) and frees every packet the fabric still holds, so the
-	// arena leak counters settle. Idempotent.
+	// arena leak counters settle; a network that settled at zero hands its
+	// event lists and arenas to the next network built. Nothing may read
+	// the network's lists after Close. Idempotent.
 	Close()
 }
 
@@ -145,6 +151,7 @@ type Network struct {
 	hostShard []int
 	swShard   []int
 	released  bool       // Close already freed the fabric's held packets
+	leaked    int64      // PacketsInUse when Close had freed them
 	swRand    []sim.Rand // per-switch ECMP stream, index = switch ID
 	cmdSeq    []uint64   // per-host command emission counters (Defer ord)
 	// The components, carved from one array per kind that the builder sizes
@@ -200,7 +207,9 @@ func (n *Network) init(cfg Config) {
 // packet the fabric still holds (port pipelines, queues, lossless ingress
 // backlogs, cross-shard mailboxes) back into the shard arenas. A run that
 // hits its deadline mid-traffic still ends with PacketsInUse() == 0 unless
-// something truly leaked. Idempotent.
+// something truly leaked. A network that settled at zero hands its
+// scheduling domains, each event list with its arena, to the next network
+// built (recycle); a leaky one leaves them to the GC. Idempotent.
 func (n *Network) Close() {
 	if mr, ok := n.runner.(*sim.MultiRunner); ok {
 		mr.Close()
@@ -225,16 +234,29 @@ func (n *Network) Close() {
 	for _, ib := range n.inboxes {
 		ib.ReleasePackets()
 	}
+	if n.leaked = n.packetsInUse(); n.leaked == 0 {
+		recycle(n.els)
+	} else {
+		domains.Lock()
+		domains.leaky++
+		domains.Unlock()
+	}
 }
 
 // PacketsInUse implements Cluster: outstanding packets across shard arenas,
-// plus those in flight between two of them in a cross-shard mailbox.
+// plus those in flight between two of them in a cross-shard mailbox. After
+// Close it is what Close left: the lists may serve another network by then.
 func (n *Network) PacketsInUse() int64 {
+	if n.released {
+		return n.leaked
+	}
+	return n.packetsInUse()
+}
+
+func (n *Network) packetsInUse() int64 {
 	var total int64
 	for _, el := range n.els {
-		if a, ok := el.Allocator().(*fabric.Arena); ok {
-			total += a.InUse()
-		}
+		total += arena(el).InUse()
 	}
 	for i := range n.boxes {
 		for j := range n.boxes[i] {
@@ -242,6 +264,80 @@ func (n *Network) PacketsInUse() int64 {
 		}
 	}
 	return total
+}
+
+// ArenaPeak implements Cluster: the most packets one shard arena held at
+// once, counting those it adopted from other shards.
+func (n *Network) ArenaPeak() int64 {
+	var peak int64
+	for _, el := range n.els {
+		peak = max(peak, arena(el).Peak())
+	}
+	return peak
+}
+
+// arena is the packet arena of a scheduling domain (initShards attaches
+// one to every list).
+func arena(el *sim.EventList) *fabric.Arena { return el.Allocator().(*fabric.Arena) }
+
+// domains is the process-wide free-list of scheduling domains: the event
+// lists, each with its arena attached, of closed networks that settled at
+// zero packets in use. It is a LIFO stack under a mutex, not a sync.Pool,
+// which the GC would drain between one simulation and the next; it never
+// holds more lists than were ever live at once, since a list is only made
+// when the stack is empty. made counts the lists made fresh, leaky the
+// closed networks whose lists went to the GC instead.
+var domains struct {
+	sync.Mutex
+	free        []*sim.EventList
+	made, leaky int64
+}
+
+// newDomain takes a closed network's list, or makes one with an arena.
+func newDomain() *sim.EventList {
+	domains.Lock()
+	defer domains.Unlock()
+	if n := len(domains.free); n > 0 {
+		el := domains.free[n-1]
+		domains.free[n-1] = nil
+		domains.free = domains.free[:n-1]
+		return el
+	}
+	domains.made++
+	el := sim.NewEventList()
+	fabric.AttachArena(el)
+	return el
+}
+
+// recycle hands a closed network's lists to the next network. Packets
+// migrate between the shards' arenas, so every arena of the network is
+// rebuilt at once, each from its own chunks and trimmed to its peak; every
+// list is reset to a new one's state. The lists go on the stack last shard
+// first, so that the next network of as many shards takes each shard's own
+// list back.
+func recycle(els []*sim.EventList) {
+	for _, el := range els {
+		arena(el).Recycle()
+		el.Reset()
+	}
+	domains.Lock()
+	for i := len(els) - 1; i >= 0; i-- {
+		domains.free = append(domains.free, els[i])
+	}
+	domains.Unlock()
+}
+
+// DomainStats is what the free-list of scheduling domains has done since the
+// process started: Made lists were made fresh, and Leaky closed networks
+// still held a packet, so their lists went to the GC instead of the next
+// network.
+type DomainStats struct{ Made, Leaky int64 }
+
+// Domains returns the free-list's counters.
+func Domains() DomainStats {
+	domains.Lock()
+	defer domains.Unlock()
+	return DomainStats{Made: domains.made, Leaky: domains.leaky}
 }
 
 // initShards sets up the common state for a topology split into shards
@@ -254,10 +350,9 @@ func (n *Network) initShards(cfg Config, shards int) {
 	n.cfg = cfg
 	n.els = make([]*sim.EventList, shards)
 	for i := range n.els {
-		n.els[i] = sim.NewEventList()
 		// Every shard owns one packet arena; components scheduled on this
 		// list allocate from it and free into it.
-		fabric.AttachArena(n.els[i])
+		n.els[i] = newDomain()
 	}
 	n.EL = n.els[0]
 	n.Rand = sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15)

@@ -49,18 +49,18 @@ func TestBenchSuite(t *testing.T) {
 // `ndpsim -scenario` and every `-bench` row print: the quotients are computed
 // here, and only a sharded run has a windows line.
 func TestRunStatsString(t *testing.T) {
-	s := RunStats{Events: 42, PacketHops: 7, SerEndEvents: 3, CommandEvents: 5,
+	s := RunStats{Events: 42, PacketHops: 7, SerEndEvents: 3, CommandEvents: 5, ArenaPeak: 11,
 		Queue: sim.QueueStats{WheelPops: 30, HeapPops: 10, Runs: 4, MaxRun: 9, HeapBeyondSpan: 8, HeapSparse: 2, PeakPending: 17}}
-	want := "engine: events=42 ser_end_events=3 command_events=5 pkt_hops=7 ev/hop=6.00 leaked=0\n" +
+	want := "engine: events=42 ser_end_events=3 command_events=5 pkt_hops=7 ev/hop=6.00 leaked=0 arena_peak=11\n" +
 		"        queue: wheel_share=0.750 mean_run=7.5 max_run=9 peak_pending=17 heap_pushes=10 (beyond_span 8, active_bucket 0, sparse 2)\n"
 	if got := s.String(); got != want {
 		t.Errorf("unsharded block:\n%s\nwant:\n%s", got, want)
 	}
 	var sum RunStats
 	sum.Add(s)
-	sum.Add(RunStats{Events: 8, PacketsLeaked: 1,
+	sum.Add(RunStats{Events: 8, PacketsLeaked: 1, ArenaPeak: 6,
 		Windows: sim.WindowStats{Windows: 5, SingleBusy: 1, Events: []uint64{30, 10}, Critical: 30}})
-	if sum.Events != 50 || sum.PacketsLeaked != 1 || sum.Queue.MaxRun != 9 || sum.Windows.Windows != 5 {
+	if sum.Events != 50 || sum.PacketsLeaked != 1 || sum.ArenaPeak != 11 || sum.Queue.MaxRun != 9 || sum.Windows.Windows != 5 {
 		t.Errorf("Add lost a field: %+v", sum)
 	}
 	if got := sum.String(); !strings.HasSuffix(got, "        windows=5 single_busy=1 critical_share=0.750 shard_events=[30 10]\n") {

@@ -28,10 +28,10 @@ func Run(spec Spec) (*Metrics, error) {
 // of Metrics — event counts change whenever the scheduler changes, while
 // Metrics are pinned bit-for-bit by the golden regression suite. Every field
 // is deterministic for a Spec and seed, on any machine and any worker count;
-// Events, SerEndEvents, Queue and Windows depend on the shard layout, the
-// rest does not. This is the one block every reader gets: `ndpsim -scenario`
-// and `-bench` print it (String), BENCH_*.json and the daemon's job document
-// store it (the JSON tags).
+// Events, SerEndEvents, ArenaPeak, Queue and Windows depend on the shard
+// layout, the rest does not. This is the one block every reader gets:
+// `ndpsim -scenario` and `-bench` print it (String), BENCH_*.json and the
+// daemon's job document store it (the JSON tags).
 type RunStats struct {
 	// Events is the total scheduler events executed across repeats.
 	Events int64 `json:"events"`
@@ -53,6 +53,12 @@ type RunStats struct {
 	// fabric and endpoints held. Always zero unless a component lost track
 	// of a packet; the golden suite asserts it.
 	PacketsLeaked int64 `json:"packets_leaked"`
+	// ArenaPeak is the most packets one packet arena held at once: for a
+	// sharded run the fullest shard's, counting packets it adopted from
+	// other shards; across repeats, the largest of their peaks. A closed
+	// network's arena keeps the chunks its own peak needed for the next
+	// network (topo.Network.Close).
+	ArenaPeak int64 `json:"arena_peak"`
 	// Queue is what the scheduler's two tiers did, summed over the run's
 	// event lists. A wheel share that falls, or heap pushes that move from
 	// "beyond_span" to "active_bucket" or "sparse", say a workload has left
@@ -65,13 +71,15 @@ type RunStats struct {
 	Windows sim.WindowStats `json:"windows,omitzero"`
 }
 
-// Add accumulates another run's (or repetition's) observables.
+// Add accumulates another run's (or repetition's) observables: sums, and
+// maxima for the peaks.
 func (s *RunStats) Add(o RunStats) {
 	s.Events += o.Events
 	s.SerEndEvents += o.SerEndEvents
 	s.CommandEvents += o.CommandEvents
 	s.PacketHops += o.PacketHops
 	s.PacketsLeaked += o.PacketsLeaked
+	s.ArenaPeak = max(s.ArenaPeak, o.ArenaPeak)
 	s.Queue.Add(o.Queue)
 	s.Windows.Add(o.Windows)
 }
@@ -83,9 +91,9 @@ func (s *RunStats) Add(o RunStats) {
 // ends its cut ports keep.
 func (s RunStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine: events=%d ser_end_events=%d command_events=%d pkt_hops=%d ev/hop=%.2f leaked=%d\n",
+	fmt.Fprintf(&b, "engine: events=%d ser_end_events=%d command_events=%d pkt_hops=%d ev/hop=%.2f leaked=%d arena_peak=%d\n",
 		s.Events, s.SerEndEvents, s.CommandEvents, s.PacketHops,
-		float64(s.Events)/float64(max(s.PacketHops, 1)), s.PacketsLeaked)
+		float64(s.Events)/float64(max(s.PacketHops, 1)), s.PacketsLeaked, s.ArenaPeak)
 	q := s.Queue
 	fmt.Fprintf(&b, "        queue: wheel_share=%.3f mean_run=%.1f max_run=%d peak_pending=%d heap_pushes=%d (beyond_span %d, active_bucket %d, sparse %d)\n",
 		q.WheelShare(), q.MeanRun(), q.MaxRun, q.PeakPending,
@@ -180,13 +188,16 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 		SerEndEvents:  net.Cluster().SerEndEvents(),
 		CommandEvents: net.Cluster().CommandEvents(),
 		PacketHops:    net.Cluster().PacketHops(),
+		ArenaPeak:     net.Cluster().ArenaPeak(),
 		Queue:         net.Runner().QueueStats(),
 	}
 	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
 		out.stats.Windows = mr.WindowStats()
 	}
 	// Close releases every packet the fabric and endpoints still hold;
-	// whatever the arenas then report outstanding has truly been lost.
+	// whatever the arenas then report outstanding has truly been lost. The
+	// lists may serve another network after it, so everything read from
+	// them is read above.
 	net.Close()
 	out.stats.PacketsLeaked = net.Cluster().PacketsInUse()
 	return out

@@ -37,15 +37,16 @@ func TestShardDeterminism(t *testing.T) {
 }
 
 // acrossShards is the part of the engine stats no shard layout changes.
-// Four fields legitimately depend on the layout: ports cut by a shard
+// Five fields legitimately depend on the layout: ports cut by a shard
 // boundary keep their serialization-end events while ports inside one shard
 // serialize on demand (SerEndEvents, and Events with it, so the event count is
-// compared without them); each shard has a scheduler of its own (Queue); and
-// only a sharded run has windows (Windows). Everything else — deferred
-// commands emitted, packet hops, leaked packets — is compared as it is.
+// compared without them); each shard has a scheduler and a packet arena of
+// its own (Queue, ArenaPeak); and only a sharded run has windows (Windows).
+// Everything else — deferred commands emitted, packet hops, leaked packets —
+// is compared as it is.
 func acrossShards(s RunStats) RunStats {
 	s.Events -= s.SerEndEvents
-	s.SerEndEvents = 0
+	s.SerEndEvents, s.ArenaPeak = 0, 0
 	s.Queue, s.Windows = sim.QueueStats{}, sim.WindowStats{}
 	return s
 }
@@ -128,6 +129,39 @@ func TestShardDeterminismMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestShardDeterminismAcrossWorkers runs a sharded Spec's repeats on one
+// worker and on four: with eight repeats of two shards each, four sweep
+// workers build and close networks concurrently, so the event lists and
+// arenas a closed network hands on (topo.Network.Close) pass from one
+// worker's goroutine to another's. Metrics and engine stats must be
+// bit-identical to the serial run; under -race with GOMAXPROCS > 1 (CI) a
+// list carrying state across the handoff is a race report.
+func TestShardDeterminismAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	spec := matrixSpecs(t)["permutation"].With(WithShards(2), WithRepeats(8))
+	serial, sstats, err := RunWithStats(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, pstats, err := RunWithStats(spec.With(WithWorkers(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, _ := json.Marshal(serial)
+	pj, _ := json.Marshal(parallel)
+	if string(sj) != string(pj) {
+		t.Errorf("metrics differ between 1 and 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", sj, pj)
+	}
+	if !reflect.DeepEqual(sstats, pstats) {
+		t.Errorf("engine stats differ between 1 and 4 workers: %+v vs %+v", sstats, pstats)
+	}
+	if sstats.PacketsLeaked != 0 || sstats.ArenaPeak == 0 || sstats.Windows.Windows == 0 {
+		t.Errorf("not a clean sharded run: %+v", sstats)
 	}
 }
 

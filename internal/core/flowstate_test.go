@@ -9,14 +9,14 @@ import (
 	"ndp/internal/topo"
 )
 
-// tables is the size of a stack's per-flow state: the flows it holds, and
-// the slots its live-flow and demux tables have allocated.
-func tables(st *Stack) [3]int { return [3]int{st.flows.Len(), st.flows.Cap(), st.demux.Cap()} }
+// tables is the size of a stack's per-flow state: the flows its one flow
+// table holds, and the slots it has allocated.
+func tables(st *Stack) [2]int { return [2]int{st.flows.Len(), st.flows.Cap()} }
 
 // TestPooledStateUnregistersOldFlow: once a completed flow is 2*MSL old, the
 // next flow between the same hosts reuses its Sender and Receiver objects,
-// and at that moment the old id leaves the live-flow table and the demux on
-// both hosts, leaving nothing behind.
+// and at that moment the old id leaves the flow table on both hosts, leaving
+// nothing behind.
 func TestPooledStateUnregistersOldFlow(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	const oldFlow, newFlow = 1001, 1002
@@ -26,7 +26,7 @@ func TestPooledStateUnregistersOldFlow(t *testing.T) {
 	if !sOld.Complete() || rOld == nil || !rOld.Complete() {
 		t.Fatal("first transfer did not complete")
 	}
-	if st[0].Sender(oldFlow) != sOld || st[0].demux.Handler(oldFlow) == nil || st[15].demux.Handler(oldFlow) == nil {
+	if st[0].Sender(oldFlow) != sOld {
 		t.Fatal("a completed flow stays registered until its state is reused")
 	}
 
@@ -42,9 +42,6 @@ func TestPooledStateUnregistersOldFlow(t *testing.T) {
 	for _, h := range []int{0, 15} {
 		if st[h].Sender(oldFlow) != nil || st[h].Receiver(oldFlow) != nil {
 			t.Errorf("host %d still has live state for the reclaimed flow", h)
-		}
-		if st[h].demux.Handler(oldFlow) != nil {
-			t.Errorf("host %d: reclaimed flow still registered in the demux", h)
 		}
 		if n := st[h].flows.Len(); n != 1 {
 			t.Errorf("host %d holds %d flows, want only the new one", h, n)
@@ -75,13 +72,13 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 			p.Flags |= fabric.FlagSYN
 		}
 		rx.Host.Receive(p)
-		if rx.demux.Unclaimed != int64(i+1) || rx.Receiver(p.Flow) != nil || rx.demux.Handler(p.Flow) != nil {
-			t.Errorf("stray %d (flow %d, seq %d): Unclaimed=%d, receiver %v: want it unclaimed, with no state",
-				i, p.Flow, p.Seq, rx.demux.Unclaimed, rx.Receiver(p.Flow) != nil)
+		if rx.unclaimed != int64(i+1) || rx.Receiver(p.Flow) != nil {
+			t.Errorf("stray %d (flow %d, seq %d): unclaimed=%d, receiver %v: want it unclaimed, with no state",
+				i, p.Flow, p.Seq, rx.unclaimed, rx.Receiver(p.Flow) != nil)
 		}
 	}
 	if after := tables(rx); after != before {
-		t.Errorf("stray packets changed the tables (flows, flow slots, demux slots): %v -> %v", before, after)
+		t.Errorf("stray packets changed the flow table (flows, slots): %v -> %v", before, after)
 	}
 	closeNoLeak(t, net, st)
 }
@@ -158,34 +155,54 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 	checkChurned(t, byT, *launched)
 }
 
-// TestFlowStateStaysChurnSized: a host's per-flow tables follow the flows in
+// TestFlowStateStaysChurnSized: a host's flow table follows the flows in
 // flight, not the flows ever run. Under the same closed loop every stack's
-// live-flow and demux tables have the capacity at 3T they had at T: a
-// completed flow leaves both when its pooled state is reused, and no mark of
-// it is kept anywhere, so an id pinned forever (the time-wait table this
-// replaced grew by one entry a flow) shows here as a doubling.
+// table has the capacity at 3T it had at T: a completed flow leaves it when
+// its pooled state is reused, and no mark of it is kept anywhere, so an id
+// pinned forever (the time-wait table this replaced grew by one entry a
+// flow) shows here as a doubling. And an entry whose receiver is open no
+// longer points at its registration: the sender that holds that record may
+// rewrite it once recycled.
 func TestFlowStateStaysChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	launched := churn(net, st)
-	caps := func() [][2]int {
-		c := make([][2]int, len(st))
+	caps := func() []int {
+		c := make([]int, len(st))
 		for i, s := range st {
-			c[i] = [2]int{s.flows.Cap(), s.demux.Cap()}
+			c[i] = s.flows.Cap()
 		}
 		return c
 	}
 	net.EL.RunUntil(churnT)
 	atT, byT := caps(), *launched
-	t.Logf("capacities (flows, demux) per host %v after %d flows", atT, byT)
+	t.Logf("flow table capacity per host %v after %d flows", atT, byT)
 	net.EL.RunUntil(3 * churnT)
 	at3T := caps()
 	for h := range st {
 		if at3T[h] != atT[h] {
-			t.Errorf("host %d: table capacities (flows, demux) grew with simulated time: %v at T, %v at 3T", h, atT[h], at3T[h])
+			t.Errorf("host %d: flow table capacity grew with simulated time: %d at T, %d at 3T", h, atT[h], at3T[h])
 		}
-		if atT[h][0] > 128 || atT[h][1] > 128 {
-			t.Errorf("host %d: table capacities %v: want room for a few dozen flows", h, atT[h])
+		if atT[h] > 128 {
+			t.Errorf("host %d: flow table capacity %d: want room for a few dozen flows", h, atT[h])
 		}
+	}
+	// Every id Connect allocated, looked up on every host.
+	open := 0
+	for _, src := range st {
+		for c := uint64(1); c <= src.connects; c++ {
+			flow := uint64(src.Host.ID+1)<<32 | c
+			for h, s := range st {
+				if e, _ := s.flows.Get(flow); e.receiver != nil {
+					open++
+					if e.reg != nil {
+						t.Errorf("host %d: flow %#x has an open receiver and still points at its registration", h, flow)
+					}
+				}
+			}
+		}
+	}
+	if open == 0 {
+		t.Error("no entry with an open receiver to check")
 	}
 	checkChurned(t, byT, *launched)
 }
@@ -210,6 +227,15 @@ func TestRecycleBeforeRegistrationPanics(t *testing.T) {
 	}()
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1002})
 	t.Error("the sender was recycled under its pending registration")
+}
+
+// TestFlowEntrySize: a flow table entry is three pointers. Every flow a host
+// holds costs one, and a table at most 3/4 full has a third more slots than
+// flows, so each word here is paid per flow in flight on every host.
+func TestFlowEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(flowEntry{}); size != 24 {
+		t.Errorf("core.flowEntry is %d bytes, want 24", size)
+	}
 }
 
 // TestSenderFitsItsSizeClass: the allocator rounds a Sender up to a size

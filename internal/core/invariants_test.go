@@ -93,10 +93,10 @@ func TestNoDuplicateDeliveryProperty(t *testing.T) {
 	prop := func(sizeRaw uint32) bool {
 		size := int64(sizeRaw%200_000) + 1
 		net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-		var rcv *Receiver
-		st[1].Connect(st[14], size, FlowOpts{OnReceiverDone: func(r *Receiver) { rcv = r }})
+		s := st[1].Connect(st[14], size, FlowOpts{})
 		net.EL.RunUntil(time500ms())
-		return rcv != nil && rcv.Bytes() == size && rcv.Dups == 0
+		rcv := st[14].Receiver(s.Flow)
+		return rcv != nil && rcv.Complete() && rcv.Bytes() == size && rcv.Dups == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -133,7 +133,7 @@ func TestBounceProbeBoundsEcho(t *testing.T) {
 	var snds []*Sender
 	for i := 1; i < 16; i++ {
 		snds = append(snds, st[i].Connect(st[0], 270_000, FlowOpts{
-			OnReceiverDone: func(r *Receiver) { done++ },
+			OnReceiverDoneAt: func(sim.Time) { done++ },
 		}))
 	}
 	net.EL.RunUntil(2 * sim.Second)

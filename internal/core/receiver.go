@@ -31,9 +31,7 @@ type Receiver struct {
 
 	FirstArrival sim.Time
 	CompletedAt  sim.Time
-	OnComplete   func(*Receiver)
-	// OnCompleteAt is the narrow completion hook (see
-	// FlowOpts.OnReceiverDoneAt); it fires after OnComplete.
+	// OnCompleteAt observes the completion time (FlowOpts.OnReceiverDoneAt).
 	OnCompleteAt func(sim.Time)
 	// OnData observes each newly received payload byte count (goodput
 	// time-series probes).
@@ -170,9 +168,6 @@ func (r *Receiver) finish() {
 	r.complete = true
 	r.CompletedAt = r.st.el.Now()
 	r.st.pacer.removeFlow(r.fp)
-	if r.OnComplete != nil {
-		r.OnComplete(r)
-	}
 	if r.OnCompleteAt != nil {
 		r.OnCompleteAt(r.CompletedAt)
 	}

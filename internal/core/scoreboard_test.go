@@ -122,16 +122,14 @@ func TestSwitchLBModeSpraysWithoutSourceRoutes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SwitchLB = true
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), cfg)
-	done := false
-	st[0].Connect(st[15], 90_000, FlowOpts{OnReceiverDone: func(r *Receiver) {
-		done = true
-		if r.Bytes() != 90_000 {
-			t.Errorf("bytes = %d", r.Bytes())
-		}
-	}})
+	s := st[0].Connect(st[15], 90_000, FlowOpts{})
 	net.EL.RunUntil(50 * sim.Millisecond)
-	if !done {
+	r := st[15].Receiver(s.Flow)
+	if r == nil || !r.Complete() {
 		t.Fatal("switch-LB transfer incomplete")
+	}
+	if r.Bytes() != 90_000 {
+		t.Errorf("bytes = %d", r.Bytes())
 	}
 }
 
@@ -145,7 +143,7 @@ func TestPullFIFOAblationIsUnfair(t *testing.T) {
 		net, st := ndpNet(4, DefaultSwitchConfig(9000), cfg)
 		done := 0
 		for i := 1; i <= 8; i++ {
-			st[i].Connect(st[0], 450_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }})
+			st[i].Connect(st[0], 450_000, FlowOpts{OnReceiverDoneAt: func(sim.Time) { done++ }})
 		}
 		net.EL.RunUntil(200 * sim.Millisecond)
 		if done != 8 {
@@ -191,9 +189,7 @@ func TestRxDelaySlowsDelivery(t *testing.T) {
 		cfg.RxDelay = d
 		net, st := ndpNet(4, DefaultSwitchConfig(9000), cfg)
 		var done sim.Time
-		st[0].Connect(st[15], 900_000, FlowOpts{OnReceiverDone: func(r *Receiver) {
-			done = r.CompletedAt
-		}})
+		st[0].Connect(st[15], 900_000, FlowOpts{OnReceiverDoneAt: func(at sim.Time) { done = at }})
 		net.EL.RunUntil(sim.Second)
 		return done
 	}

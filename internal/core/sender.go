@@ -194,7 +194,9 @@ func growZeroPathStats(s []pathStat, n int) []pathStat {
 }
 
 // registration is what the destination stack must learn ahead of a flow's
-// first packet: pull priority and the receiver-side observers.
+// first packet: pull priority and the receiver-side observers. The sender
+// carries it, and the destination's flow entry points at it until the first
+// SYN opens the receiver.
 type registration struct {
 	dst    *Stack
 	at     sim.Time
@@ -209,11 +211,15 @@ type registration struct {
 // the record lives where the flow already lives, in the pooled Sender.
 //
 // The record is written on the source's domain before the command is
-// emitted, read once on the destination's at the command's time, and not
-// rewritten until the sender is recycled, at least 2*MSL after the flow
-// completed and so long after the registration ran; recycle panics if that
-// ever fails to hold. Nothing else of the Sender is touched from the
-// destination's domain.
+// emitted. The command makes the destination's flow entry point at it, and
+// the destination reads it from the command's time until the first SYN
+// opens the receiver, which copies what it needs and drops the pointer. The
+// source does not rewrite it until the sender is recycled, and that comes
+// later still: a sender completes only once every packet is ACKed, so only
+// after its receiver exists, and it is recycled at least 2*MSL after it
+// completed. No entry therefore points at a record being rewritten; recycle
+// panics if the command itself is still due. Nothing else of the Sender is
+// touched from the destination's domain.
 type Registration Sender
 
 // Registration records where and when the receiver-side set-up of this flow
@@ -225,10 +231,7 @@ func (s *Sender) Registration(dst *Stack, at sim.Time) *Registration {
 
 // OnEvent pre-registers the flow on the destination stack (sim.Handler); it
 // runs in the destination's scheduling domain.
-func (r *Registration) OnEvent(uint64) {
-	reg := &r.reg
-	reg.dst.PreRegister(r.Flow, reg.prio, nil, reg.doneAt, reg.data)
-}
+func (r *Registration) OnEvent(uint64) { r.reg.dst.PreRegister(r.Flow, &r.reg) }
 
 // Start pushes the first window at line rate (zero-RTT fast start).
 func (s *Sender) Start() {

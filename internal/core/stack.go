@@ -65,12 +65,12 @@ func (c Config) withDefaults() Config {
 // packet carries one of them as an index, Packet.Route.
 type PathsFunc func(dst int32) int
 
-// Stack is the per-host NDP endpoint: it owns the host's flow demultiplexer,
-// the single shared pull pacer ("a receiver only has one pull queue, shared
-// by all connections for which it is the receiver"), the live-flow table
-// that gives connections at-most-once semantics, and the listen hook that
-// instantiates receiver state from whichever first-window packet of an
-// announced flow arrives first.
+// Stack is the per-host NDP endpoint and the host's packet sink: it owns the
+// single shared pull pacer ("a receiver only has one pull queue, shared by
+// all connections for which it is the receiver"), the live-flow table that
+// dispatches arrivals and gives connections at-most-once semantics, and the
+// listen hook that instantiates receiver state from whichever first-window
+// packet of an announced flow arrives first.
 type Stack struct {
 	Host *fabric.Host
 
@@ -78,27 +78,28 @@ type Stack struct {
 	el      *sim.EventList
 	arena   *fabric.Arena
 	pathsTo PathsFunc
-	// rand, demux and pacer live inside the stack (one allocation for all
-	// four objects); code passes &st.rand etc. where a pointer is needed.
+	// rand and pacer live inside the stack (one allocation for all three
+	// objects); code passes &st.rand etc. where a pointer is needed.
 	rand  sim.Rand
-	demux fabric.Demux
 	pacer pullPacer
 
 	// rxq holds packets inside the RxDelay processing window, in arrival
 	// order (the delay is constant, so release order is FIFO).
 	rxq fabric.Ring[*fabric.Packet]
 
-	listening  bool
-	onComplete func(*Receiver)
-	connects   uint64 // flow ids Connect has allocated
+	listening bool
+	connects  uint64 // flow ids Connect has allocated
+	unclaimed int64  // stray arrivals freed: no flow state, and not a connection
 
-	// flows holds every flow this host currently has state for — as sender,
-	// as receiver, or announced ahead of its first packet (PreRegister): one
-	// entry, and so one insert and one delete, per flow. The entry goes when
-	// the flow's pooled state is reused (reclaimFlow). It is also what makes
-	// a connection at-most-once (§3.2.2): listen builds a receiver only for
-	// an announced entry that has none yet, so a duplicate SYN finds the
-	// live receiver and a SYN after reclamation finds no entry at all.
+	// flows is the host's one flow table: every flow this host currently
+	// has state for — as sender, as receiver, or announced ahead of its
+	// first packet (PreRegister) — and so one insert and one delete per
+	// flow. Receive dispatches every arrival through it. The entry goes
+	// when the flow's pooled state is reused (reclaimFlow). It is also what
+	// makes a connection at-most-once (§3.2.2): listen builds a receiver
+	// only for an announced entry that has none yet, so a duplicate SYN
+	// finds the live receiver and a SYN after reclamation finds no entry at
+	// all.
 	flows fabric.FlowTable[flowEntry]
 
 	// retiredS/retiredR are FIFO free-lists of completed flow state whose
@@ -149,9 +150,8 @@ func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 	if cfg.RxDelay > 0 {
 		host.Stack = fabric.SinkFunc(st.delayRx)
 	} else {
-		host.Stack = &st.demux
+		host.Stack = st
 	}
-	st.demux.Listen = st.listen
 	return st
 }
 
@@ -164,8 +164,29 @@ func (st *Stack) delayRx(p *fabric.Packet) {
 	st.el.ScheduleAfter(st.cfg.RxDelay, st, 0)
 }
 
-// OnEvent releases the oldest delayed arrival into the demux (sim.Handler).
-func (st *Stack) OnEvent(uint64) { st.demux.Receive(st.rxq.Pop()) }
+// OnEvent releases the oldest delayed arrival into the stack (sim.Handler).
+func (st *Stack) OnEvent(uint64) { st.Receive(st.rxq.Pop()) }
+
+// Receive dispatches an arrival (fabric.Sink) with one probe of the flow
+// table: to the flow's sender or receiver, else to listen for an announced
+// flow's first-window packet. A packet neither claims is a stray: it is
+// freed and counted, and leaves no trace in the table.
+func (st *Stack) Receive(p *fabric.Packet) {
+	e, _ := st.flows.Get(p.Flow)
+	switch {
+	case e.sender != nil:
+		e.sender.Receive(p)
+	case e.receiver != nil:
+		e.receiver.Receive(p)
+	default:
+		if r := st.listen(p, e.reg); r != nil {
+			r.Receive(p)
+			return
+		}
+		st.unclaimed++
+		fabric.Free(p)
+	}
+}
 
 // Close releases packets the stack still holds — arrivals parked inside the
 // RxDelay processing window. Teardown only; idempotent.
@@ -178,38 +199,27 @@ func (st *Stack) Close() {
 // Config returns the stack's effective configuration.
 func (st *Stack) Config() Config { return st.cfg }
 
-// Listen accepts incoming connections; onComplete (may be nil) fires when a
-// receiver has all its data.
-func (st *Stack) Listen(onComplete func(*Receiver)) {
-	st.listening = true
-	st.onComplete = onComplete
-}
+// Listen accepts incoming connections.
+func (st *Stack) Listen() { st.listening = true }
 
-// listen is the demux hook: it creates receiver state for a flow with no
-// handler, but only from packets that carry the SYN flag (every packet of the
-// first window does) and only for a flow announced here (PreRegister) that
-// has no sender or receiver yet. Anything else — a duplicate connection, a
-// SYN for a flow reclaimed long ago — is turned away and stays a stray.
-func (st *Stack) listen(p *fabric.Packet) fabric.Sink {
-	if !st.listening || p.Flags&fabric.FlagSYN == 0 || p.Type != fabric.Data {
-		return nil
-	}
-	if e, ok := st.flows.Get(p.Flow); !ok || e.sender != nil || e.receiver != nil {
+// listen creates receiver state for a flow with none, but only from packets
+// that carry the SYN flag (every packet of the first window does) and only
+// for a flow announced here and not yet opened — reg, the registration its
+// entry points at, is set. Anything else — a duplicate connection, a SYN for
+// a flow reclaimed long ago — is turned away and stays a stray. The receiver
+// takes its priority and observers from reg, and the entry drops the pointer:
+// nothing on this host reads the registration again.
+func (st *Stack) listen(p *fabric.Packet, reg *registration) *Receiver {
+	if reg == nil || !st.listening || p.Flags&fabric.FlagSYN == 0 || p.Type != fabric.Data {
 		return nil
 	}
 	// newReceiver may reclaim a retired flow, which deletes from st.flows:
 	// take the entry only afterwards.
 	r := newReceiver(st, p.Flow, p.Src)
-	e := st.flows.Ref(p.Flow)
-	r.fp.prio = e.prio
-	if e.obs.done != nil {
-		r.OnComplete = e.obs.done
-	} else {
-		r.OnComplete = st.onComplete
-	}
-	r.OnCompleteAt = e.obs.doneAt
-	r.OnData = e.obs.data
-	e.receiver = r
+	r.fp.prio = reg.prio
+	r.OnCompleteAt = reg.doneAt
+	r.OnData = reg.data
+	*st.flows.Ref(p.Flow) = flowEntry{receiver: r}
 	return r
 }
 
@@ -248,19 +258,15 @@ func (st *Stack) takeRetiredSender() *Sender {
 	return s
 }
 
-// reclaimFlow forgets a flow whose pooled state is being reused: its demux
-// registration and its flows entry (sender or receiver pointer, observers,
-// priority) go, and nothing of it stays behind. Flow ids are never
+// reclaimFlow forgets a flow whose pooled state is being reused: its flows
+// entry goes, and nothing of it stays behind. Flow ids are never
 // legitimately reused (every allocator is a monotone per-source-host
 // counter) and a flow is announced once, before its first packet, so a
 // packet for the id arriving after reclamation — a pathologically late
 // duplicate, at least 2*MSL old — finds no announced entry: listen() turns
 // it away instead of resurrecting a ghost receiver that would re-fire the
-// flow's completion callbacks, and the demux frees it as unclaimed.
-func (st *Stack) reclaimFlow(flow uint64) {
-	st.demux.Unregister(flow)
-	st.flows.Delete(flow)
-}
+// flow's completion callbacks, and Receive frees it as a stray.
+func (st *Stack) reclaimFlow(flow uint64) { st.flows.Delete(flow) }
 
 // takeRetiredReceiver pops the oldest retired receiver if quiescent: 2*MSL
 // past completion and its pull-queue entry fully drained (a stale queued
@@ -300,13 +306,8 @@ type FlowOpts struct {
 	Priority bool
 	// OnSenderDone fires when every packet has been cumulatively acked.
 	OnSenderDone func(s *Sender)
-	// OnReceiverDone fires when the receiver holds all data (the FCT
-	// event used throughout the evaluation).
-	OnReceiverDone func(r *Receiver)
-	// OnReceiverDoneAt is a narrower completion hook: it receives only the
-	// completion time. Callers that need nothing else use it so the
-	// harness never has to wrap their callback in a per-flow adapter
-	// closure. Both hooks fire if both are set.
+	// OnReceiverDoneAt fires with the completion time when the receiver
+	// holds all data (the FCT event used throughout the evaluation).
 	OnReceiverDoneAt func(at sim.Time)
 	// OnReceiverData observes every newly received payload byte count
 	// (goodput time series).
@@ -324,47 +325,40 @@ type FlowOpts struct {
 // (harness.NDPNet.StartFlow). Without an explicit opts.Flow the id comes
 // from this stack's own counter, host index in the high word, so it is
 // unique across stacks and repeats from run to run; nothing reads a flow id
-// but the demuxes, as identity.
+// but the flow tables, as identity.
 func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
 		st.connects++
 		opts.Flow = uint64(st.Host.ID+1)<<32 | st.connects
 	}
-	dst.PreRegister(opts.Flow, opts.Priority, opts.OnReceiverDone, opts.OnReceiverDoneAt, opts.OnReceiverData)
 	s := st.Open(dst.Host.ID, size, opts)
+	dst.PreRegister(opts.Flow, &s.reg)
 	s.Start()
 	return s
 }
 
-// flowEntry is what a stack knows about one live flow. A host is the flow's
-// sender or its receiver, never both (a host has no route to itself).
+// flowEntry is what a stack knows about one live flow: three pointers. A
+// host is the flow's sender or its receiver, never both (a host has no route
+// to itself); an announced flow not yet opened holds only reg.
 type flowEntry struct {
 	sender   *Sender
 	receiver *Receiver
-	obs      flowObs
-	prio     bool
-}
-
-// flowObs bundles the receiver-side observers a caller installs for one
-// flow ahead of its first packet.
-type flowObs struct {
-	done   func(*Receiver)
-	doneAt func(sim.Time)
-	data   func(int64)
+	reg      *registration
 }
 
 // PreRegister announces a flow to its receiving stack ahead of the first
 // packet: it creates the flow's entry, which is what lets a first-window
-// packet open the connection, with the completion/goodput observers and
-// pull priority (strict-priority pulling: "the receiver knows its own
-// priorities, and can pull high priority traffic more often than low
-// priority traffic"). It runs in this stack's scheduling domain: the source
-// host defers it here as the flow's Registration command (it must land
-// before the first SYN arrives — the first data packet is at least a
-// serialization plus the path's propagation away).
-func (st *Stack) PreRegister(flow uint64, priority bool, onDone func(*Receiver), onDoneAt func(sim.Time), onData func(int64)) {
-	e := st.flows.Ref(flow)
-	e.prio, e.obs = priority, flowObs{done: onDone, doneAt: onDoneAt, data: onData}
+// packet open the connection, pointing at reg — the pull priority
+// (strict-priority pulling: "the receiver knows its own priorities, and can
+// pull high priority traffic more often than low priority traffic") and the
+// completion/goodput observers, which the pooled sender carries. listen
+// reads reg when the first SYN opens the receiver. It runs in this stack's
+// scheduling domain: the source host defers it here as the flow's
+// Registration command (it must land before the first SYN arrives — the
+// first data packet is at least a serialization plus the path's propagation
+// away).
+func (st *Stack) PreRegister(flow uint64, reg *registration) {
+	st.flows.Ref(flow).reg = reg
 }
 
 // Open builds the sender half of an NDP transfer toward host dst, touching
@@ -382,6 +376,5 @@ func (st *Stack) Open(dst int32, size int64, opts FlowOpts) *Sender {
 	}
 	s := newSender(st, opts, dst, size, routes)
 	st.flows.Ref(opts.Flow).sender = s
-	st.demux.Register(opts.Flow, s)
 	return s
 }

@@ -21,7 +21,7 @@ func ndpNet(k int, scfg SwitchConfig, ccfg Config) (*topo.FatTree, []*Stack) {
 		ccfg := ccfg
 		ccfg.Seed = uint64(i) + 1
 		stacks[i] = NewStack(h, func(dst int32) int { return net.Paths(h.ID, dst) }, ccfg)
-		stacks[i].Listen(nil)
+		stacks[i].Listen()
 	}
 	return net, stacks
 }
@@ -42,17 +42,13 @@ func closeNoLeak(t *testing.T, net *topo.FatTree, st []*Stack) {
 func TestSingleTransferCompletes(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	var fct sim.Time
-	done := false
-	st[0].Connect(st[15], 90_000, FlowOpts{OnReceiverDone: func(r *Receiver) {
-		done = true
-		fct = r.CompletedAt
-		if r.Bytes() != 90_000 {
-			t.Errorf("received %d bytes, want 90000", r.Bytes())
-		}
-	}})
+	s := st[0].Connect(st[15], 90_000, FlowOpts{OnReceiverDoneAt: func(at sim.Time) { fct = at }})
 	net.EL.RunUntil(50 * sim.Millisecond)
-	if !done {
+	if fct == 0 {
 		t.Fatal("transfer did not complete")
+	}
+	if r := st[15].Receiver(s.Flow); r.Bytes() != 90_000 {
+		t.Errorf("received %d bytes, want 90000", r.Bytes())
 	}
 	// 10 packets of 9KB over 6 store-and-forward hops: first packet needs
 	// ~46us, the rest pipeline behind it. Anything under ~200us is sane.
@@ -65,14 +61,15 @@ func TestZeroRTTFirstPacket(t *testing.T) {
 	// NDP has no handshake: data must arrive after exactly the one-way
 	// path latency (6 hops x (7.2us + 500ns) for the first 9KB packet).
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	var firstArrival sim.Time
-	st[0].Connect(st[15], 9000, FlowOpts{OnReceiverDone: func(r *Receiver) {
-		firstArrival = r.FirstArrival
-	}})
+	s := st[0].Connect(st[15], 9000, FlowOpts{})
 	net.EL.RunUntil(10 * sim.Millisecond)
+	r := st[15].Receiver(s.Flow)
+	if r == nil || !r.Complete() {
+		t.Fatal("transfer did not complete")
+	}
 	want := 6 * (7200*sim.Nanosecond + 500*sim.Nanosecond)
-	if firstArrival != want {
-		t.Errorf("first data arrived at %v, want %v (zero-RTT)", firstArrival, want)
+	if r.FirstArrival != want {
+		t.Errorf("first data arrived at %v, want %v (zero-RTT)", r.FirstArrival, want)
 	}
 }
 
@@ -81,7 +78,7 @@ func TestConnectionFromAnyFirstWindowPacket(t *testing.T) {
 	// first-window packets) before seq=0: receiver state must be created and
 	// the packet NACK/ACKed.
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	st[0].PreRegister(777, false, nil, nil, nil)
+	st[0].PreRegister(777, &registration{})
 	p := fabric.AttachArena(net.EL).NewData(777, 15, 0, 5, 9000)
 	p.Flags |= fabric.FlagSYN
 	p.Sent = net.EL.Now()
@@ -111,8 +108,9 @@ func TestNonSYNUnknownPacketRejected(t *testing.T) {
 // TestLiveFlowRejectsDuplicateConnection: at-most-once (§3.2.2) comes from
 // the live-flow table. A duplicate first-window packet for a completed flow
 // whose state is not yet reused reaches the completed receiver as a
-// duplicate; and should it miss the demux, listen still finds the flow's
-// receiver in the table and opens no second connection.
+// duplicate. Once a later flow has reused that state and reclaimed the id,
+// the same SYN finds no entry: it is a counted stray and opens no second
+// connection.
 func TestLiveFlowRejectsDuplicateConnection(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 555})
@@ -129,15 +127,21 @@ func TestLiveFlowRejectsDuplicateConnection(t *testing.T) {
 	}
 	dup()
 	net.EL.RunUntil(300 * sim.Microsecond)
-	if r.Dups != 1 || st[15].demux.Unclaimed != 0 {
-		t.Errorf("duplicate to a registered flow: Dups=%d Unclaimed=%d, want 1 and 0", r.Dups, st[15].demux.Unclaimed)
+	if r.Dups != 1 || st[15].unclaimed != 0 {
+		t.Errorf("duplicate to a registered flow: Dups=%d unclaimed=%d, want 1 and 0", r.Dups, st[15].unclaimed)
 	}
-	st[15].demux.Unregister(555)
+	net.EL.RunUntil(3 * sim.Millisecond)             // past completion + 2*MSL
+	st[0].Connect(st[15], 9000, FlowOpts{Flow: 556}) // reuses the state, reclaims 555
+	net.EL.RunUntil(3*sim.Millisecond + 200*sim.Microsecond)
+	if st[15].Receiver(556) != r {
+		t.Fatal("the quiescent receiver was not reused")
+	}
 	dup()
-	net.EL.RunUntil(400 * sim.Microsecond)
-	if st[15].demux.Unclaimed != 1 || st[15].Receiver(555) != r || st[15].demux.Handler(555) != nil {
-		t.Errorf("duplicate past the demux: Unclaimed=%d, receiver kept %v, handler %v: want it turned away",
-			st[15].demux.Unclaimed, st[15].Receiver(555) == r, st[15].demux.Handler(555))
+	net.EL.RunUntil(3*sim.Millisecond + 300*sim.Microsecond)
+	_, entry := st[15].flows.Get(555)
+	if st[15].unclaimed != 1 || entry || r.Dups != 0 {
+		t.Errorf("SYN after reclamation: unclaimed=%d, entry %v, Dups=%d: want a counted stray and no entry",
+			st[15].unclaimed, entry, r.Dups)
 	}
 	closeNoLeak(t, net, st)
 }
@@ -154,11 +158,9 @@ func TestFig3TrimNackRetransmitBeforeDrain(t *testing.T) {
 	dones := 0
 	var last sim.Time
 	for i := 1; i <= 9; i++ {
-		st[i].Connect(st[0], 27_000, FlowOpts{OnReceiverDone: func(r *Receiver) {
+		st[i].Connect(st[0], 27_000, FlowOpts{OnReceiverDoneAt: func(at sim.Time) {
 			dones++
-			if r.CompletedAt > last {
-				last = r.CompletedAt
-			}
+			last = max(last, at)
 		}})
 	}
 	net.EL.RunUntil(20 * sim.Millisecond)
@@ -189,11 +191,9 @@ func TestIncast50to1(t *testing.T) {
 	var last sim.Time
 	for rep := 0; rep < 3; rep++ {
 		for i := 1; i < 16; i++ {
-			st[i].Connect(st[0], flowSize, FlowOpts{OnReceiverDone: func(r *Receiver) {
+			st[i].Connect(st[0], flowSize, FlowOpts{OnReceiverDoneAt: func(at sim.Time) {
 				total++
-				if r.CompletedAt > last {
-					last = r.CompletedAt
-				}
+				last = max(last, at)
 			}})
 		}
 	}
@@ -221,8 +221,8 @@ func TestReceiverPrioritization(t *testing.T) {
 		}
 		// One short flow, possibly prioritized.
 		st[7].Connect(st[0], 200_000, FlowOpts{
-			Priority:       prio,
-			OnReceiverDone: func(r *Receiver) { fct = r.CompletedAt },
+			Priority:         prio,
+			OnReceiverDoneAt: func(at sim.Time) { fct = at },
 		})
 		net.EL.RunUntil(50 * sim.Millisecond)
 		if fct == 0 {
@@ -247,8 +247,8 @@ func TestFairSharingTwoSenders(t *testing.T) {
 	const size = 1_800_000 // 200 packets each
 	var fcts []sim.Time
 	for _, src := range []int{1, 2} {
-		st[src].Connect(st[0], size, FlowOpts{OnReceiverDone: func(r *Receiver) {
-			fcts = append(fcts, r.CompletedAt)
+		st[src].Connect(st[0], size, FlowOpts{OnReceiverDoneAt: func(at sim.Time) {
+			fcts = append(fcts, at)
 		}})
 	}
 	net.EL.RunUntil(50 * sim.Millisecond)
@@ -306,7 +306,7 @@ func TestBounceRecoveryUnderExtremeIncast(t *testing.T) {
 	done := 0
 	var senders []*Sender
 	for i := 1; i < 16; i++ {
-		senders = append(senders, st[i].Connect(st[0], 270_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }}))
+		senders = append(senders, st[i].Connect(st[0], 270_000, FlowOpts{OnReceiverDoneAt: func(sim.Time) { done++ }}))
 	}
 	net.EL.RunUntil(200 * sim.Millisecond)
 	if done != 15 {
@@ -329,7 +329,7 @@ func TestRTOBackstopWhenBounceDisabled(t *testing.T) {
 	done := 0
 	var senders []*Sender
 	for i := 1; i < 16; i++ {
-		senders = append(senders, st[i].Connect(st[0], 90_000, FlowOpts{OnReceiverDone: func(r *Receiver) { done++ }}))
+		senders = append(senders, st[i].Connect(st[0], 90_000, FlowOpts{OnReceiverDoneAt: func(sim.Time) { done++ }}))
 	}
 	net.EL.RunUntil(500 * sim.Millisecond)
 	if done != 15 {
@@ -347,7 +347,7 @@ func TestRTOBackstopWhenBounceDisabled(t *testing.T) {
 func TestZeroByteTransfer(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	done := false
-	st[0].Connect(st[15], 0, FlowOpts{OnReceiverDone: func(r *Receiver) { done = true }})
+	st[0].Connect(st[15], 0, FlowOpts{OnReceiverDoneAt: func(sim.Time) { done = true }})
 	net.EL.RunUntil(10 * sim.Millisecond)
 	if !done {
 		t.Fatal("zero-byte transfer (bare FIN) did not complete")
@@ -362,17 +362,17 @@ func TestTransferSizesProperty(t *testing.T) {
 		n := int(senders%5) + 1
 		net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 		done := 0
-		ok := true
+		var snds []*Sender
 		for i := 1; i <= n; i++ {
-			st[i].Connect(st[0], size, FlowOpts{OnReceiverDone: func(r *Receiver) {
-				done++
-				if r.Bytes() != size {
-					ok = false
-				}
-			}})
+			snds = append(snds, st[i].Connect(st[0], size, FlowOpts{OnReceiverDoneAt: func(sim.Time) { done++ }}))
 		}
 		net.EL.RunUntil(500 * sim.Millisecond)
-		return ok && done == n
+		for _, s := range snds {
+			if r := st[0].Receiver(s.Flow); r == nil || r.Bytes() != size {
+				return false
+			}
+		}
+		return done == n
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -47,7 +47,7 @@ func TestControlBandsStayAtFirstSize(t *testing.T) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = uint64(i) + 1
 				st[i] = core.NewStack(h, func(dst int32) int { return net.Paths(h.ID, dst) }, cfg)
-				st[i].Listen(nil)
+				st[i].Listen()
 			}
 			tc.start(st, sim.NewRand(seed))
 			net.EL.RunUntil(tc.run)

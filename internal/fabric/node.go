@@ -128,8 +128,9 @@ type Host struct {
 	Label Label
 	NIC   *Port
 
-	// Stack receives every packet addressed to this host. Typically a
-	// *Demux shared by all transport instances on the host.
+	// Stack receives every packet addressed to this host: a *Demux shared
+	// by the host's transport instances, or the NDP stack, which dispatches
+	// by its own flow table.
 	Stack Sink
 
 	el *sim.EventList
@@ -167,9 +168,8 @@ func (h *Host) EventList() *sim.EventList { return h.el }
 func (h *Host) LinkRate() int64 { return h.NIC.RateBps }
 
 // Demux dispatches packets to per-flow handlers. Unknown flows go to the
-// Listen hook, which may install a handler on the fly (NDP's zero-RTT
-// connection establishment creates receiver state from whichever first-RTT
-// packet arrives first).
+// Listen hook, which may install a handler on the fly (pHost creates
+// receiver state from whichever first packet of a flow arrives first).
 type Demux struct {
 	handlers FlowTable[Sink]
 

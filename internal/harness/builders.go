@@ -63,7 +63,7 @@ func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 		cfg := hcfg
 		cfg.Seed = seed + uint64(i)*7919
 		st := core.NewStack(h, func(dst int32) int { return c.Paths(h.ID, dst) }, cfg)
-		st.Listen(nil)
+		st.Listen()
 		n.Stacks = append(n.Stacks, st)
 	}
 	return n

@@ -283,11 +283,12 @@ func runMatrix(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 // shard of the transport's DoneHost (the receiver for NDP and the TCP
 // family, the sender for pHost); records are buffered per shard and merged
 // into one deterministic order afterwards, so concurrent shards never
-// contend and the merged result is independent of the shard layout.
+// contend and the merged result is independent of the shard layout. Host
+// ids are int32, as everywhere in the fabric: a record is 24 bytes.
 type rpcDone struct {
 	at       sim.Time
 	us       float64
-	src, dst int
+	src, dst int32
 }
 
 // rpcLog is one shard's completion records in fixed-size chunks: a run
@@ -341,7 +342,7 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 	type rpcSlot struct {
 		start    sim.Time
 		shard    int
-		src, dst int
+		src, dst int32
 		inner    func(at sim.Time)
 		onDone   func(at sim.Time)
 	}
@@ -365,7 +366,7 @@ func runRPC(spec Spec, seed uint64, rep int, net harness.Net, out *runOut) {
 			}
 			sl.start = c.HostList()[src].EventList().Now()
 			sl.shard = c.ShardOfHost(net.DoneHost(src, dst))
-			sl.src, sl.dst = src, dst
+			sl.src, sl.dst = int32(src), int32(dst)
 			sl.inner = done
 			net.StartFlow(src, dst, size, harness.StartOpts{OnDone: sl.onDone})
 		},
@@ -478,6 +479,8 @@ func collectFCTs(out *runOut, done []sim.Time) {
 }
 
 // merge folds the per-repetition outputs, in job order, into one Metrics.
+// The first repetition's FCT and goodput slices become the Metrics' own, and
+// the others' are appended to them; the distributions keep sorted copies.
 func merge(spec Spec, outs []*runOut) *Metrics {
 	m := &Metrics{
 		Scenario:  spec.name,
@@ -495,11 +498,15 @@ func merge(spec Spec, outs []*runOut) *Metrics {
 		nFCT += len(o.fcts)
 		nGoodput += len(o.goodput)
 	}
-	m.FCTsUs = slices.Grow(m.FCTsUs, nFCT)
-	m.GoodputGbps = slices.Grow(m.GoodputGbps, nGoodput)
+	if nFCT > 0 {
+		m.FCTsUs = slices.Grow(outs[0].fcts, nFCT-len(outs[0].fcts))
+	}
+	if nGoodput > 0 {
+		m.GoodputGbps = slices.Grow(outs[0].goodput, nGoodput-len(outs[0].goodput))
+	}
 	fcts.Grow(nFCT)
 	goodput.Grow(nGoodput)
-	for _, o := range outs {
+	for i, o := range outs {
 		m.FlowsLaunched += o.launched
 		m.FlowsCompleted += o.completed
 		m.PathsExcluded += o.excluded
@@ -507,11 +514,13 @@ func merge(spec Spec, outs []*runOut) *Metrics {
 		m.Switch.Bounces += o.counters.Bounces
 		m.Switch.Drops += o.counters.Drops
 		m.Switch.Marks += o.counters.Marks
-		m.FCTsUs = append(m.FCTsUs, o.fcts...)
+		if i > 0 {
+			m.FCTsUs = append(m.FCTsUs, o.fcts...)
+			m.GoodputGbps = append(m.GoodputGbps, o.goodput...)
+		}
 		for _, v := range o.fcts {
 			fcts.Add(v)
 		}
-		m.GoodputGbps = append(m.GoodputGbps, o.goodput...)
 		for _, v := range o.goodput {
 			goodput.Add(v)
 		}

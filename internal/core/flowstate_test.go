@@ -89,31 +89,52 @@ type relaunch func(src int)
 
 func (f relaunch) OnEvent(src uint64) { f(int(src)) }
 
+// loop is a closed loop's bookkeeping: the flows launched so far, and per
+// host the flows it has live as sender (until its sender completes) and as
+// receiver (from the flow's launch until its receiver completes), and the
+// most of each it has had live at once.
+type loop struct {
+	launched   int
+	live, peak [][2]int
+}
+
+const asSender, asReceiver = 0, 1
+
+func (l *loop) add(h, kind, n int) {
+	l.live[h][kind] += n
+	l.peak[h][kind] = max(l.peak[h][kind], l.live[h][kind])
+}
+
 // churn starts a closed loop on every host: five one-packet connections
 // each, the next flow of a connection ~1 ms after the last completed (the
 // rpc scenario's shape, see scenario.TestChurnAllocsPerFlow). About ten
 // endpoints per host are therefore always waiting out their 2*MSL, and the
-// retired lists never drain. It returns the count of flows launched so far.
-func churn(net *topo.FatTree, st []*Stack) *int {
+// retired lists never drain.
+func churn(net *topo.FatTree, st []*Stack) *loop {
 	rnd := sim.NewRand(7)
-	launched := new(int)
+	l := &loop{live: make([][2]int, len(st)), peak: make([][2]int, len(st))}
 	var launch func(src int)
 	launch = func(src int) {
-		*launched++
+		l.launched++
 		dst := rnd.Intn(len(st) - 1)
 		if dst >= src {
 			dst++
 		}
-		st[src].Connect(st[dst], 1500, FlowOpts{OnReceiverDoneAt: func(sim.Time) {
-			net.EL.ScheduleAfter(sim.Millisecond/2+rnd.Duration(sim.Millisecond), relaunch(launch), uint64(src))
-		}})
+		l.add(src, asSender, 1)
+		l.add(dst, asReceiver, 1)
+		st[src].Connect(st[dst], 1500, FlowOpts{
+			OnSenderDone: func(*Sender) { l.add(src, asSender, -1) },
+			OnReceiverDoneAt: func(sim.Time) {
+				l.add(dst, asReceiver, -1)
+				net.EL.ScheduleAfter(sim.Millisecond/2+rnd.Duration(sim.Millisecond), relaunch(launch), uint64(src))
+			}})
 	}
 	for src := range st {
 		for conn := 0; conn < 5; conn++ {
 			launch(src)
 		}
 	}
-	return launched
+	return l
 }
 
 // churnT is how long a churn test runs before its first look; it looks
@@ -132,10 +153,11 @@ func checkChurned(t *testing.T, byT, by3T int) {
 // TestRetiredListsStayChurnSized: the free-lists of retired endpoints hold
 // what is waiting out its 2*MSL and nothing else, however long the churn
 // runs. The lists never drain, so a queue that reclaims its front only on
-// draining grows without bound here.
+// draining grows without bound here. And what waits out its 2*MSL is a flow's
+// identity, not its buffers: no retired Sender or Receiver holds an array.
 func TestRetiredListsStayChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	launched := churn(net, st)
+	l := churn(net, st)
 	caps := func() (c [2]int) {
 		for _, s := range st {
 			c[0], c[1] = max(c[0], s.retiredS.Cap()), max(c[1], s.retiredR.Cap())
@@ -143,7 +165,7 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 		return c
 	}
 	net.EL.RunUntil(churnT)
-	atT, byT := caps(), *launched
+	atT, byT := caps(), l.launched
 	t.Logf("capacities %v after %d flows", atT, byT)
 	net.EL.RunUntil(3 * churnT)
 	if at3T := caps(); at3T != atT {
@@ -152,7 +174,25 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 	if atT[0] == 0 || atT[0] > 64 || atT[1] == 0 || atT[1] > 64 {
 		t.Errorf("free-list capacities %v: want a few slots per host", atT)
 	}
-	checkChurned(t, byT, *launched)
+	checkChurned(t, byT, l.launched)
+	retired := 0
+	for h, x := range st {
+		for x.retiredS.Len() > 0 {
+			retired++
+			if s := x.retiredS.Pop(); s.pkts.Cap() != 0 || s.rtxq.Cap() != 0 || s.perm != nil || s.pstats != nil {
+				t.Fatalf("host %d: retired sender of flow %#x holds a buffer", h, s.Flow)
+			}
+		}
+		for x.retiredR.Len() > 0 {
+			retired++
+			if r := x.retiredR.Pop(); r.got.Cap() != 0 {
+				t.Fatalf("host %d: retired receiver of flow %#x holds a buffer", h, r.Flow)
+			}
+		}
+	}
+	if retired == 0 {
+		t.Error("no retired endpoint to check")
+	}
 }
 
 // TestFlowStateStaysChurnSized: a host's flow table follows the flows in
@@ -160,12 +200,27 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 // table has the capacity at 3T it had at T: a completed flow leaves it when
 // its pooled state is reused, and no mark of it is kept anywhere, so an id
 // pinned forever (the time-wait table this replaced grew by one entry a
-// flow) shows here as a doubling. And an entry whose receiver is open no
-// longer points at its registration: the sender that holds that record may
-// rewrite it once recycled.
+// flow) shows here as a doubling. An entry whose receiver is open no longer
+// points at its registration: the sender that holds that record may rewrite
+// it once recycled. And the spare arrays follow the flows in flight too: no
+// spare list is longer than the most flows of its kind its host has had live
+// at once.
 func TestFlowStateStaysChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	launched := churn(net, st)
+	l := churn(net, st)
+	checkSpare := func(when string) {
+		t.Helper()
+		spare := 0
+		for h, x := range st {
+			if n := [2]int{len(x.spareS), len(x.spareR)}; n[0] > l.peak[h][asSender] || n[1] > l.peak[h][asReceiver] {
+				t.Errorf("%s: host %d: %v spare (senders, receivers), but at most %v live at once", when, h, n, l.peak[h])
+			}
+			spare += len(x.spareS) + len(x.spareR)
+		}
+		if spare == 0 {
+			t.Errorf("%s: no spare list to check", when)
+		}
+	}
 	caps := func() []int {
 		c := make([]int, len(st))
 		for i, s := range st {
@@ -174,9 +229,11 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 		return c
 	}
 	net.EL.RunUntil(churnT)
-	atT, byT := caps(), *launched
+	atT, byT := caps(), l.launched
 	t.Logf("flow table capacity per host %v after %d flows", atT, byT)
+	checkSpare("T")
 	net.EL.RunUntil(3 * churnT)
+	checkSpare("3T")
 	at3T := caps()
 	for h := range st {
 		if at3T[h] != atT[h] {
@@ -189,7 +246,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 	// Every id Connect allocated, looked up on every host.
 	open := 0
 	for _, src := range st {
-		for c := uint64(1); c <= src.connects; c++ {
+		for c := uint64(1); c <= uint64(src.connects); c++ {
 			flow := uint64(src.Host.ID+1)<<32 | c
 			for h, s := range st {
 				if e, _ := s.flows.Get(flow); e.receiver != nil {
@@ -204,7 +261,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 	if open == 0 {
 		t.Error("no entry with an open receiver to check")
 	}
-	checkChurned(t, byT, *launched)
+	checkChurned(t, byT, l.launched)
 }
 
 // TestRecycleBeforeRegistrationPanics: a flow's receiver-side set-up travels
@@ -244,5 +301,14 @@ func TestFlowEntrySize(t *testing.T) {
 func TestSenderFitsItsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Sender{}); size > 512 {
 		t.Errorf("core.Sender is %d bytes, over the 512-byte size class", size)
+	}
+}
+
+// TestStackFitsItsSizeClass: every host allocates one Stack, rounded up to
+// the allocator's 448-byte size class; the one above is 480, which a
+// workload that never completes a flow pays for and gains nothing by.
+func TestStackFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Stack{}); size > 448 {
+		t.Errorf("core.Stack is %d bytes, over the 448-byte size class", size)
 	}
 }

@@ -50,19 +50,23 @@ func newReceiver(st *Stack, flow uint64, peer int32) *Receiver {
 	} else {
 		r.recycle()
 	}
+	if n := len(st.spareR); n > 0 {
+		r.got.Attach(st.spareR[n-1])
+		st.spareR[n-1] = nil
+		st.spareR = st.spareR[:n-1]
+	}
 	r.Flow = flow
 	r.Peer = peer
 	r.total = -1
 	return r
 }
 
-// recycle resets a retired receiver to the zero state, keeping its stack,
-// its pull-queue entry (already drained — takeRetiredReceiver checked) and
-// the backing array of its arrival bitmap.
+// recycle resets a retired receiver to the zero state, keeping its stack
+// and its pull-queue entry (already drained — takeRetiredReceiver checked).
+// Its arrival bitmap went to the stack's spareR when it finished.
 func (r *Receiver) recycle() {
-	st, fp, got := r.st, r.fp, r.got
-	got.Reset()
-	*r = Receiver{st: st, fp: fp, got: got}
+	st, fp := r.st, r.fp
+	*r = Receiver{st: st, fp: fp}
 	*fp = flowPull{r: r}
 }
 
@@ -163,7 +167,9 @@ func (r *Receiver) clampPulls() {
 // finish completes the transfer: pending pulls for this sender are removed
 // from the pull queue ("to avoid sending unnecessary pull packets"), and the
 // receiver stays registered, answering late duplicates, until a later flow
-// reuses it.
+// reuses it. Every packet has arrived, so the got window is empty and a late
+// duplicate or header reads only its Base: the bitmap's buffer goes to the
+// stack's spareR at once.
 func (r *Receiver) finish() {
 	r.complete = true
 	r.CompletedAt = r.st.el.Now()
@@ -171,6 +177,7 @@ func (r *Receiver) finish() {
 	if r.OnCompleteAt != nil {
 		r.OnCompleteAt(r.CompletedAt)
 	}
+	r.st.spareR = append(r.st.spareR, r.got.Detach())
 	r.st.retireReceiver(r)
 }
 
@@ -209,7 +216,6 @@ type flowPull struct {
 type pullPacer struct {
 	st      *Stack
 	spacing sim.Time
-	fifo    bool // serve pulls in arrival order (fairness ablation)
 
 	// The pacer pops the head and re-pushes the round-robin survivor on
 	// every transmitted pull, the pattern that makes an advance-the-slice
@@ -217,13 +223,17 @@ type pullPacer struct {
 	// simulator's largest allocation site); a ring reuses the freed front.
 	high, norm fabric.Ring[*flowPull]
 	lastSent   sim.Time
-	scheduled  bool
-	everSent   bool
 
 	// PullsSent counts transmitted pulls; Gaps records actual send gaps
 	// when a recorder is installed (Figure 12).
 	PullsSent int64
 	OnGap     func(gap sim.Time)
+
+	// The flags share one word: the pacer is embedded in the Stack, whose
+	// size class every host pays for.
+	fifo      bool // serve pulls in arrival order (fairness ablation)
+	scheduled bool
+	everSent  bool
 }
 
 // pullFirst is a pull queue's first buffer: one slot per connection with

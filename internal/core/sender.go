@@ -122,6 +122,14 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sen
 	} else {
 		s.recycle()
 	}
+	if n := len(st.spareS); n > 0 {
+		b := st.spareS[n-1]
+		st.spareS[n-1] = sendBufs{}
+		st.spareS = st.spareS[:n-1]
+		s.pkts.Attach(b.pkts)
+		s.rtxq.Attach(b.rtxq)
+		s.perm, s.pstats = b.perm, b.pstats
+	}
 	s.Flow = opts.Flow
 	s.Dst = dst
 	s.size = size
@@ -164,20 +172,27 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sen
 }
 
 // recycle resets a retired sender to the zero state while keeping its
-// identity-bound resources (stack, embedded timer — whose expiry handler
-// already points at this object) and the backing arrays of its per-packet
-// and per-path state, emptied for the next flow to refill.
+// identity-bound resources: its stack and its embedded timer, whose expiry
+// handler already points at this object. It holds no array: those went to
+// the stack's spareS when it completed (giveBack).
 func (s *Sender) recycle() {
 	if s.reg.dst != nil && s.st.el.Now() <= s.reg.at {
 		panic("core: sender recycled before its deferred registration ran")
 	}
-	st, timer := s.st, s.timer
-	pkts, rtxq := s.pkts, s.rtxq
-	pkts.Reset()
-	rtxq.Reset()
-	perm, pstats := s.perm[:0], s.pstats
-	*s = Sender{st: st, timer: timer,
-		pkts: pkts, rtxq: rtxq, perm: perm, pstats: pstats}
+	*s = Sender{st: s.st, timer: s.timer}
+}
+
+// giveBack puts the working arrays of a sender that has just completed on
+// its stack's spareS. Nothing reads them again: every packet is ACKed,
+// so the pkts window is empty and a late ACK, NACK or bounce reads only its
+// Base and End; a complete sender never sends, so perm, pstats and any
+// stale rtxq entries (sequence numbers ACKed while queued, which a late PULL
+// would only have skipped) are dead.
+func (s *Sender) giveBack() {
+	s.rtxq.Reset()
+	b := sendBufs{pkts: s.pkts.Detach(), perm: s.perm, pstats: s.pstats, rtxq: s.rtxq.Detach()}
+	s.st.spareS = append(s.st.spareS, b)
+	s.perm, s.pstats = nil, nil
 }
 
 // growZeroPathStats returns s resized to n zeroed entries, reusing its
@@ -477,6 +492,7 @@ func (s *Sender) onAck(p *fabric.Packet) {
 		if s.onDone != nil {
 			s.onDone(s)
 		}
+		s.giveBack()
 		s.st.retireSender(s)
 	}
 }

@@ -88,7 +88,7 @@ type Stack struct {
 	rxq fabric.Ring[*fabric.Packet]
 
 	listening bool
-	connects  uint64 // flow ids Connect has allocated
+	connects  uint32 // flow ids Connect has allocated: the low word of each
 	unclaimed int64  // stray arrivals freed: no flow state, and not a connection
 
 	// flows is the host's one flow table: every flow this host currently
@@ -102,22 +102,39 @@ type Stack struct {
 	// all.
 	flows fabric.FlowTable[flowEntry]
 
-	// retiredS/retiredR are FIFO free-lists of completed flow state whose
-	// slice-backed per-packet arrays (and pull-queue entries) later flows
-	// reuse. A retired object is only taken once quiescent: at least two
-	// maximum segment lifetimes past its completion — by the datacenter-MSL
-	// argument of §3.2.2, no packet for the flow can still exist in the
-	// network — with its timer disarmed and its pull entry drained. Until
-	// then the old flow stays registered, so late duplicates and stale
-	// headers are handled exactly as before pooling existed. Closed-loop
-	// workloads (the rpc
-	// scenario starts thousands of short flows per host) were allocating
-	// a full Sender/Receiver pair plus packet-state arrays per StartFlow.
-	// A closed loop never lets these lists drain (something is always
-	// waiting out its 2*MSL), so they must give back the front a Pop frees
-	// without draining, or they grow with simulated time.
+	// retiredS/retiredR are FIFO free-lists of completed Sender and Receiver
+	// objects waiting out their quarantine. An object holds its flow's
+	// identity — the flow stays registered, so late duplicates and stale
+	// headers are handled exactly as before pooling existed — but no working
+	// array: those went to spareS or spareR the moment it completed. It is
+	// only taken for a later flow once quiescent: at least two maximum
+	// segment lifetimes past its completion — by the datacenter-MSL argument
+	// of §3.2.2, no packet for the flow can still exist in the network —
+	// with its timer disarmed and its pull entry drained. A closed loop (the
+	// rpc scenario starts thousands of short flows per host) never lets
+	// these lists drain (something is always waiting out its 2*MSL), so they
+	// must give back the front a Pop frees without draining, or they grow
+	// with simulated time.
 	retiredS fabric.Ring[*Sender]
 	retiredR fabric.Ring[*Receiver]
+
+	// spareS and spareR are LIFOs of the working arrays that flows
+	// finishing here gave back — a Sender's four, a Receiver's arrival
+	// bitmap — which the next flows take: the newest were in use moments
+	// ago, so they are still warm. Neither is longer than the most flows of
+	// its kind the host has had live at once: the arrays follow the live
+	// flows, not the flows in quarantine.
+	spareS []sendBufs
+	spareR [][]bool
+}
+
+// sendBufs is a Sender's working arrays: the buffers of its pkts window and
+// rtxq ring (every slot zero), its perm and its pstats.
+type sendBufs struct {
+	pkts   []pkt
+	perm   []int16
+	pstats []pathStat
+	rtxq   []int64
 }
 
 // retiredFirst is a free-list's first buffer: room for the flows one host
@@ -329,7 +346,7 @@ type FlowOpts struct {
 func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
 		st.connects++
-		opts.Flow = uint64(st.Host.ID+1)<<32 | st.connects
+		opts.Flow = uint64(st.Host.ID+1)<<32 | uint64(st.connects)
 	}
 	s := st.Open(dst.Host.ID, size, opts)
 	dst.PreRegister(opts.Flow, &s.reg)

@@ -16,11 +16,12 @@ import "math/bits"
 // is only touched from that host's scheduling domain.
 type FlowTable[V any] struct {
 	// slots has power-of-two length (or is nil); key 0 marks an empty slot,
-	// so flow id 0 itself lives out of line in zero.
-	slots []flowSlot[V]
-	shift uint // 64 - log2(len(slots)); see home
-	n     int  // occupied slots
-
+	// so flow id 0 itself lives out of line in zero. The counts share one
+	// word: a table is embedded in every NDP stack, whose size class every
+	// host pays for.
+	slots   []flowSlot[V]
+	n       int32 // occupied slots
+	shift   uint8 // 64 - log2(len(slots)); see home
 	hasZero bool
 	zero    V
 }
@@ -42,9 +43,9 @@ const (
 // Len returns the number of flows in the table.
 func (t *FlowTable[V]) Len() int {
 	if t.hasZero {
-		return t.n + 1
+		return int(t.n) + 1
 	}
-	return t.n
+	return int(t.n)
 }
 
 // Cap returns the number of slots allocated: what the table's memory
@@ -99,7 +100,7 @@ func (t *FlowTable[V]) Ref(flow uint64) *V {
 	}
 	// Grow at 3/4 load: linear probing stays at a couple of probes per
 	// operation, and the probe loops always meet an empty slot.
-	if 4*(t.n+1) > 3*len(t.slots) {
+	if 4*(int(t.n)+1) > 3*len(t.slots) {
 		t.grow()
 		i, _ = t.find(flow)
 	}
@@ -152,7 +153,7 @@ func (t *FlowTable[V]) grow() {
 		size = flowTableMinSlots
 	}
 	t.slots = make([]flowSlot[V], size)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for i := range old {
 		if old[i].key != 0 {
 			j, _ := t.find(old[i].key)

@@ -59,7 +59,7 @@ func checkFlowTable(t *testing.T, ft *FlowTable[uint64], model map[uint64]uint64
 	if size&(size-1) != 0 {
 		t.Fatalf("slot array length %d is not a power of two", size)
 	}
-	if 4*ft.n > 3*size {
+	if 4*int(ft.n) > 3*size {
 		t.Fatalf("load %d/%d above 3/4", ft.n, size)
 	}
 	occupied := 0
@@ -83,7 +83,7 @@ func checkFlowTable(t *testing.T, ft *FlowTable[uint64], model map[uint64]uint64
 			maxDisp = disp
 		}
 	}
-	if occupied != ft.n {
+	if occupied != int(ft.n) {
 		t.Fatalf("%d occupied slots, n = %d", occupied, ft.n)
 	}
 	for k, want := range model {

@@ -17,8 +17,9 @@ package fabric
 // scheduling domain.
 //
 // Deliberately not a Ring: the slot free-lists of Inbox, Arena and
-// sim.EventList are LIFO stacks (the slot freed last is the warm one), and
-// SeqWindow is indexed by sequence number, not by arrival order.
+// sim.EventList and an NDP stack's spare flow arrays are LIFO stacks (the
+// one freed last is the warm one), and SeqWindow is indexed by sequence
+// number, not by arrival order.
 type Ring[T any] struct {
 	// buf has power-of-two length (or is nil); the n live entries are
 	// buf[head], buf[head+1], ... taken modulo len(buf), every other slot
@@ -91,6 +92,27 @@ func (r *Ring[T]) Reset() {
 		r.Pop()
 	}
 	r.head = 0
+}
+
+// Detach hands the buffer of an empty ring back and leaves the ring owning
+// no memory. Every slot of it holds the zero T.
+func (r *Ring[T]) Detach() []T {
+	if r.n != 0 {
+		panic("fabric: Ring.Detach on a non-empty ring")
+	}
+	buf := r.buf
+	r.buf, r.head = nil, 0
+	return buf
+}
+
+// Attach gives an empty ring buf, of power-of-two length or nil, as its
+// storage in place of its own. Every slot of buf must hold the zero T, as
+// every buffer Detach returns does.
+func (r *Ring[T]) Attach(buf []T) {
+	if r.n != 0 || len(buf)&(len(buf)-1) != 0 {
+		panic("fabric: Ring.Attach to a non-empty ring or of a buffer not a power of two")
+	}
+	r.buf, r.head = buf, 0
 }
 
 // grow makes the first buffer or doubles a full one, moving the live span to

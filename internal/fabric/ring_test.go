@@ -17,6 +17,9 @@ const (
 	rgPop                 // pop arg%32+1 times, running into the empty ring if the burst is longer
 	rgPopTail             // the same from the tail
 	rgReset               // Reset
+	rgDetach              // Detach, keeping the buffer for rgAttach
+	rgAttach              // Attach: the kept buffer if arg is even, else a foreign one of 1<<(arg/2%7) zero slots
+	rgNumOps
 )
 
 // rgStats is what a stream provably reached.
@@ -30,6 +33,11 @@ type rgStats struct {
 	refills       int // pushes into a ring that popping had emptied at a non-zero head
 	reuses        int // pushes after a Reset that found the old buffer
 	emptyPops     int // Pop or PopTail on an empty ring (the zero T came back)
+	handBacks     int // Detaches of a buffer from a ring popped empty at a non-zero head
+	reattaches    int // Attaches of the buffer the last Detach handed back
+	attachSmaller int // Attaches of a foreign buffer smaller than the ring's own
+	attachLarger  int // Attaches of a foreign buffer larger than the ring's own
+	attachedWraps int // pushes that wrapped the end of a buffer Attach gave
 	maxLen        int
 	cap           int // Cap() at the end of the stream
 }
@@ -82,18 +90,23 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 		st        rgStats
 		stamp     uint64
 		afterWipe bool // the last structural operation was a Reset
+		attached  bool // the buffer is one Attach gave
+		kept      []T
 	)
 	if r.Cap() != 0 || r.Len() != 0 || r.Peek() != zero {
 		t.Fatalf("zero ring: Cap() = %d, Len() = %d", r.Cap(), r.Len())
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		burst := int(ops[i+1])%32 + 1
-		switch ops[i] % 4 {
+		switch ops[i] % rgNumOps {
 		case rgPush:
 			for k := 0; k < burst; k++ {
 				capBefore, head := r.Cap(), int(r.head)
 				if capBefore > 0 && len(model) < capBefore && (head+len(model))&(capBefore-1) < head {
 					st.wraps++
+					if attached {
+						st.attachedWraps++
+					}
 				}
 				if len(model) == 0 && head != 0 {
 					st.refills++
@@ -109,6 +122,7 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 				model = append(model, v)
 				if r.Cap() != capBefore {
 					st.grows++
+					attached = false
 					if straddles {
 						st.straddleGrows++
 					}
@@ -161,6 +175,50 @@ func runRingOps[T comparable](t *testing.T, ops []byte, first int, mk func(stamp
 			if r.Cap() != capBefore {
 				t.Fatalf("Reset changed Cap() %d -> %d", capBefore, r.Cap())
 			}
+		case rgDetach:
+			if len(model) > 0 {
+				mustPanic(t, "Detach of a non-empty ring", func() { r.Detach() })
+				break
+			}
+			capBefore, head := r.Cap(), r.head
+			kept = r.Detach()
+			if len(kept) != capBefore || r.Cap() != 0 {
+				t.Fatalf("Detach handed back %d slots of %d and left Cap() = %d", len(kept), capBefore, r.Cap())
+			}
+			for slot, v := range kept {
+				if v != zero {
+					t.Fatalf("Detach handed back slot %d holding %v", slot, v)
+				}
+			}
+			if capBefore > 0 && head != 0 {
+				st.handBacks++
+			}
+			attached = false
+		case rgAttach:
+			buf, foreign := kept, ops[i+1]%2 == 1 || kept == nil
+			if foreign {
+				buf = make([]T, 1<<(ops[i+1]/2%7))
+			}
+			if len(model) > 0 {
+				mustPanic(t, "Attach to a non-empty ring", func() { r.Attach(buf) })
+				break
+			}
+			mustPanic(t, "Attach of a buffer of 3", func() { r.Attach(make([]T, 3)) })
+			capBefore := r.Cap()
+			r.Attach(buf)
+			if r.Cap() != len(buf) || r.head != 0 {
+				t.Fatalf("Attach of %d slots: Cap() = %d, head %d", len(buf), r.Cap(), r.head)
+			}
+			switch {
+			case !foreign:
+				st.reattaches++
+				kept = nil
+			case capBefore > 0 && len(buf) < capBefore:
+				st.attachSmaller++
+			case capBefore > 0 && len(buf) > capBefore:
+				st.attachLarger++
+			}
+			attached = true
 		}
 		checkRing(t, &r, model)
 		if len(model) > st.maxLen {
@@ -228,6 +286,19 @@ func ringStreams() map[string]ringStream {
 		}(),
 		// The old TestRingFIFO: 100 in, 100 out in order, then an empty pop;
 		// 64 slots first, as a switch queue asks for.
+		// A retransmission queue drained by Pop at head 5 of 8 hands its
+		// buffer back; the ring grows a fresh one and takes the old back, and
+		// the entries of a refill wrap its end (head 6, slots 6, 7, then 0..2).
+		"hand-back-drained": {8, rgOps(rgPush, 4, rgPop, 4, rgDetach, 0, rgPush, 0, rgPop, 0,
+			rgAttach, 0, rgPush, 5, rgPop, 5, rgPush, 4, rgPopTail, 1)},
+		// Emptied in its own 8 slots, the ring takes a foreign buffer of 4
+		// and wraps it (head 2, slots 2, 3, then 0, 1); the next push doubles
+		// it while straddling the wrap. Then, emptied again, it takes a
+		// foreign buffer of 64 and wraps that too (head 60, slots 60..63,
+		// then 0, 1).
+		"attach-smaller-then-larger-refill-wrap": {8, rgOps(rgPush, 5, rgPop, 5, rgAttach, 5,
+			rgPush, 1, rgPop, 1, rgPush, 3, rgPush, 0, rgPop, 31,
+			rgAttach, 13, rgPush, 31, rgPush, 27, rgPop, 31, rgPop, 27, rgPush, 5, rgPop, 0)},
 		"fill-then-drain": {64, rgOps(rgPush, 31, rgPush, 31, rgPush, 31, rgPush, 3, rgPop, 31, rgPop, 31, rgPop, 31, rgPop, 4)},
 		// The old wraparound-and-resize pattern of fabric's and core's ring
 		// tests: pushes outnumber tail and head pops, so the ring doubles
@@ -251,7 +322,13 @@ func TestRingBoundaryStreams(t *testing.T) {
 		"reset-reuse":                  func(s rgStats) bool { return s.reuses == 2 && s.grows == 3 && s.cap == 32 },
 		"first-size-honoured":          func(s rgStats) bool { return s.grows == 1 && s.cap == 8 && s.wraps > 100 && s.headWraps > 50 },
 		"fill-then-drain":              func(s rgStats) bool { return s.grows == 2 && s.maxLen == 100 && s.emptyPops == 1 },
-		"net-growth":                   func(s rgStats) bool { return s.grows >= 4 && s.straddleGrows >= 1 && s.wraps > 10 },
+		"hand-back-drained": func(s rgStats) bool {
+			return s.handBacks == 1 && s.reattaches == 1 && s.attachedWraps == 3 && s.grows == 2 && s.cap == 8
+		},
+		"attach-smaller-then-larger-refill-wrap": func(s rgStats) bool {
+			return s.attachSmaller == 1 && s.attachLarger == 1 && s.attachedWraps == 4 && s.straddleGrows == 1 && s.cap == 64
+		},
+		"net-growth": func(s rgStats) bool { return s.grows >= 4 && s.straddleGrows >= 1 && s.wraps > 10 },
 	}
 	for name, rs := range ringStreams() {
 		t.Run(name, func(t *testing.T) {

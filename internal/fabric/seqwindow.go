@@ -67,8 +67,31 @@ func (w *SeqWindow[T]) Advance() {
 }
 
 // Reset empties the window and rewinds it to sequence 0, keeping the buffer
-// for the next flow (pooled endpoints reuse their scoreboards).
+// for the next flow (pooled TCP and pHost endpoints reuse their
+// scoreboards).
 func (w *SeqWindow[T]) Reset() { w.base, w.end = 0, 0 }
+
+// Detach hands the buffer back and leaves the window owning no memory, at
+// the Base and End it had: a finished owner reads no more than those. The
+// window must be empty, so no live entry goes with the buffer.
+func (w *SeqWindow[T]) Detach() []T {
+	if w.base != w.end {
+		panic("fabric: SeqWindow.Detach on a non-empty window")
+	}
+	buf := w.buf
+	w.buf = nil
+	return buf
+}
+
+// Attach gives an empty window buf, of power-of-two length or nil, as its
+// storage in place of its own; the entries it holds are stale. A pooled
+// owner takes the buffer another one detached.
+func (w *SeqWindow[T]) Attach(buf []T) {
+	if w.base != w.end || len(buf)&(len(buf)-1) != 0 {
+		panic("fabric: SeqWindow.Attach to a non-empty window or of a buffer not a power of two")
+	}
+	w.buf = buf
+}
 
 // SizeFor gives a window that has no buffer yet one sized for an owner that
 // will never hold more than n entries: the next power of two at or above n,

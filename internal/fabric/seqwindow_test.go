@@ -19,6 +19,8 @@ const (
 	swSet                 // overwrite the entry arg%span above Base through At
 	swReset               // Reset
 	swSizeFor             // SizeFor(arg%72 - 4): no bound, zero, below, at and above the floor
+	swDetach              // Detach, keeping the buffer for swAttach
+	swAttach              // Attach: the kept buffer if arg is even, else a foreign one of 1<<(arg/2%8) stale entries
 	swNumOps
 )
 
@@ -32,6 +34,11 @@ type swStats struct {
 	sized         int // SizeFor calls that made a buffer below the 64-entry floor
 	floorGrows    int // growths from such a buffer straight to the floor
 	sizedReuses   int // reuses of a buffer that a floor growth made
+	handBacks     int // Detaches of a buffer from a window drained at a non-zero base
+	reattaches    int // Attaches of the buffer the last Detach handed back
+	attachSmaller int // Attaches of a foreign buffer smaller than the window's own
+	attachLarger  int // Attaches of a foreign buffer larger than the window's own
+	attachedWraps int // pushes that wrapped the end of a buffer Attach gave a window at a non-zero base
 	maxSpan       int
 }
 
@@ -83,6 +90,8 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 		stamp     uint64
 		afterWipe bool // the last structural operation was a Reset
 		fromFloor bool // the buffer is one a floor growth made
+		attached  bool // the buffer is one Attach gave at a non-zero base
+		kept      []uint64
 	)
 	for i := 0; i+1 < len(ops); i += 2 {
 		arg := int(ops[i+1])
@@ -93,6 +102,9 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 				straddles := capBefore > 0 && len(model) > 0 && (w.End()-1)&mask < base&mask
 				if capBefore > 0 && len(model) < capBefore && len(model) > 0 && w.End()&mask < base&mask {
 					st.wraps++
+					if attached {
+						st.attachedWraps++
+					}
 				}
 				if len(model) == 0 && base > 0 {
 					st.refills++
@@ -115,7 +127,7 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 					if straddles {
 						st.straddleGrows++
 					}
-					fromFloor = capBefore > 0 && capBefore < seqWindowMinCap
+					fromFloor, attached = capBefore > 0 && capBefore < seqWindowMinCap, false
 					if fromFloor {
 						st.floorGrows++
 					}
@@ -166,6 +178,48 @@ func runSeqWindowOps(t *testing.T, ops []byte) swStats {
 				st.sized++
 			}
 			afterWipe, fromFloor = false, false
+		case swDetach:
+			if len(model) > 0 {
+				mustPanic(t, "Detach of a non-empty window", func() { w.Detach() })
+				break
+			}
+			capBefore := w.Cap()
+			kept = w.Detach()
+			if len(kept) != capBefore || w.Cap() != 0 {
+				t.Fatalf("Detach handed back %d entries of %d and left Cap() = %d", len(kept), capBefore, w.Cap())
+			}
+			if capBefore > 0 && base > 0 {
+				st.handBacks++
+			}
+			fromFloor, attached = false, false
+		case swAttach:
+			buf, foreign := kept, arg%2 == 1 || kept == nil
+			if foreign {
+				buf = make([]uint64, 1<<(arg/2%8))
+				for j := range buf {
+					buf[j] = ^uint64(j) // stale entries no live sequence number may read
+				}
+			}
+			if len(model) > 0 {
+				mustPanic(t, "Attach to a non-empty window", func() { w.Attach(buf) })
+				break
+			}
+			mustPanic(t, "Attach of a buffer of 3", func() { w.Attach(make([]uint64, 3)) })
+			capBefore := w.Cap()
+			w.Attach(buf)
+			if w.Cap() != len(buf) {
+				t.Fatalf("Attach of %d entries: Cap() = %d", len(buf), w.Cap())
+			}
+			switch {
+			case !foreign:
+				st.reattaches++
+				kept = nil
+			case capBefore > 0 && len(buf) < capBefore:
+				st.attachSmaller++
+			case len(buf) > capBefore && capBefore > 0:
+				st.attachLarger++
+			}
+			fromFloor, attached = false, base > 0
 		}
 		checkSeqWindow(t, &w, base, model)
 		if len(model) > st.maxSpan {
@@ -199,6 +253,21 @@ func seqWindowStreams() map[string][]byte {
 		"sized-grow-reset-reuse": swOps(swSizeFor, 9, swPush, 4, swAdvance, 2, swPush, 5, swPush, 0,
 			swReset, 0, swSizeFor, 5, swPush, 19, swSet, 7),
 		// A short version of TestSeqWindowBoundedSpan for the fuzzer's corpus.
+		// Drained to empty at Base 70 in a 128-slot buffer, which Detach hands
+		// back; the window grows a fresh one, drains it at Base 72, and takes
+		// the old buffer back, into which 100 more entries wrap (slots
+		// 72..127, then 0..43).
+		"hand-back-drained": swOps(swPush, 63, swPush, 5, swAdvance, 63, swAdvance, 5, swDetach, 0,
+			swPush, 1, swAdvance, 1, swAttach, 0, swPush, 63, swPush, 35, swSet, 90),
+		// Drained at Base 37 in its own 64 slots, the window takes a foreign
+		// buffer of 8; eight entries wrap it (slots 5..7, then 0..4) and the next
+		// push doubles it straight to the floor while straddling the wrap.
+		"attach-smaller-refill-wrap": swOps(swPush, 36, swAdvance, 36, swAttach, 7, swPush, 7, swSet, 6, swPush, 0),
+		// Sized for 5 (8 slots) and drained at Base 5, the window takes a
+		// foreign buffer of 128, and 126 entries wrap it (slots 5..127, then
+		// 0..2).
+		"attach-larger-refill-wrap": swOps(swSizeFor, 9, swPush, 4, swAdvance, 4, swAttach, 15,
+			swPush, 63, swPush, 61, swSet, 125, swAdvance, 2),
 		"sliding": func() (out []byte) {
 			out = swOps(swPush, 63)
 			for i := 0; i < 300; i++ {
@@ -218,6 +287,15 @@ func TestSeqWindowBoundaryStreams(t *testing.T) {
 		"reset-reuse":                func(s swStats) bool { return s.reuses == 2 && s.grows == 2 && s.maxSpan == 100 },
 		"sized-grow-reset-reuse": func(s swStats) bool {
 			return s.sized == 1 && s.floorGrows == 1 && s.straddleGrows == 1 && s.sizedReuses == 1 && s.maxSpan == 20
+		},
+		"hand-back-drained": func(s swStats) bool {
+			return s.handBacks == 1 && s.reattaches == 1 && s.attachedWraps == 44 && s.grows == 3 && s.maxSpan == 100
+		},
+		"attach-smaller-refill-wrap": func(s swStats) bool {
+			return s.attachSmaller == 1 && s.attachedWraps == 5 && s.straddleGrows == 1 && s.floorGrows == 1
+		},
+		"attach-larger-refill-wrap": func(s swStats) bool {
+			return s.sized == 1 && s.attachLarger == 1 && s.attachedWraps == 3 && s.grows == 0 && s.maxSpan == 126
 		},
 		"sliding": func(s swStats) bool { return s.grows == 1 && s.wraps > 1000 && s.maxSpan == 64 },
 	}

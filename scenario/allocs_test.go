@@ -117,14 +117,19 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		// lists and arenas, which its long half then reuses.
 		bytes float64
 	}{
-		// 0.074 objects: no object per flow; the pools' working set still
-		// filling, table doublings, completion chunks (0.086 with the
-		// time-wait table). 58.5 bytes, budget 64: the 24-byte completion
-		// record and the FCT slice and sorted copy it feeds. 78.5 with a
-		// 32-byte record, the FCTs copied once more and a demux beside the
-		// flow table; 212.2 before the time-wait table went and completions
-		// were merged instead of copied.
-		{NDP, 0.25, 64},
+		// 0.034 objects, budget 0.05: no object per flow. What is left is
+		// Sender and Receiver objects for the quarantine, which a longer run
+		// fills further (with random destinations, a host's peak of
+		// receivers waiting out 2*MSL keeps rising), the doublings of its
+		// free-lists, and completion chunks. 0.074 while every quarantined
+		// object held its working arrays, so that each new one brought them;
+		// 0.086 with the time-wait table. 56.6 bytes, budget 64: the 24-byte
+		// completion record and the FCT slice and sorted copy it feeds (58.5
+		// with the arrays in quarantine). 78.5 with a 32-byte record, the
+		// FCTs copied once more and a demux beside the flow table; 212.2
+		// before the time-wait table went and completions were merged
+		// instead of copied.
+		{NDP, 0.05, 64},
 		// 0.021 and 0.016 objects: the sender carries its data source, and
 		// tombstones come from the pool's slab (2.02 and 2.01 when each was
 		// an object). 179.5 and 159.2 bytes, budgets 192 and 176: the

@@ -65,6 +65,7 @@ type Sender struct {
 	cfg   Config
 	el    *sim.EventList
 	host  *fabric.Host
+	own   *Host // whose table the sender is in
 	arena *fabric.Arena
 	dst   int32
 	route int16
@@ -95,34 +96,37 @@ type Sender struct {
 	PacketsSent int64
 }
 
-// NewSender builds a DCQCN sender; call Start to begin transmitting. Pool
-// calls it only on a miss: recycle reuses the state.
-func NewSender(host *fabric.Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
+// NewSender builds a DCQCN sender registered on host; call Start to begin
+// transmitting. Pool calls it only on a miss: recycle reuses the state.
+func NewSender(host *Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
+	el := host.Host.EventList()
 	s := &Sender{
-		Flow: flow, cfg: cfg, el: host.EventList(), host: host, dst: dst,
-		arena: fabric.AttachArena(host.EventList()),
+		Flow: flow, cfg: cfg, el: el, host: host.Host, own: host, dst: dst,
+		arena: fabric.AttachArena(el),
 		route: route, size: size,
 		rc: float64(cfg.LineRate), rt: float64(cfg.LineRate), alpha: 1,
 	}
 	s.alphaTimer.InitHandler(s.el, (*alphaTick)(s))
 	s.incTimer.InitHandler(s.el, (*incTick)(s))
+	host.flows.Ref(flow).sender = s
 	return s
 }
 
-// recycle resets a retired sender for a new transfer, keeping the event
-// list, the two rate-machine timers (their handlers are this object) and
-// the arena.
-func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, route int16, size int64, cfg Config) {
-	if s.split.Net != nil && s.el.Now() <= s.split.At {
+// recycle resets a retired sender for a new transfer registered on host,
+// keeping the event list, the two rate-machine timers (their handlers are
+// this object) and the arena.
+func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, size int64, cfg Config) {
+	if s.split.Dst != nil && s.el.Now() <= s.split.At {
 		panic("dcqcn: sender recycled before its deferred receiver attach ran")
 	}
 	el, arena, at, it := s.el, s.arena, s.alphaTimer, s.incTimer
 	*s = Sender{
-		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, arena: arena,
+		Flow: flow, cfg: cfg, el: el, host: host.Host, own: host, dst: dst, arena: arena,
 		route: route, size: size,
 		rc: float64(cfg.LineRate), rt: float64(cfg.LineRate), alpha: 1,
 		alphaTimer: at, incTimer: it,
 	}
+	host.flows.Ref(flow).sender = s
 }
 
 // Start begins paced transmission at line rate (RoCE does not probe).
@@ -268,6 +272,7 @@ type Receiver struct {
 	Flow uint64
 
 	host  *fabric.Host
+	own   *Host // whose table the receiver is in
 	arena *fabric.Arena
 	peer  int32
 	route int16
@@ -291,13 +296,15 @@ type Receiver struct {
 	OnData func(bytes int64)
 }
 
-// NewReceiver builds the receiving side; revRoute carries CNPs back. Pool
-// calls it only on a miss.
-func NewReceiver(host *fabric.Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
-	return &Receiver{
-		Flow: flow, host: host, peer: peer, route: revRoute, cfg: cfg,
-		arena: fabric.AttachArena(host.EventList()),
+// NewReceiver builds the receiving side, registered on host; revRoute
+// carries CNPs back. Pool calls it only on a miss.
+func NewReceiver(host *Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
+	r := &Receiver{
+		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute, cfg: cfg,
+		arena: fabric.AttachArena(host.Host.EventList()),
 	}
+	host.flows.Ref(flow).receiver = r
+	return r
 }
 
 // Receive handles data packets.

@@ -8,8 +8,9 @@ import (
 	"ndp/internal/topo"
 )
 
-// dcqcnNet builds a lossless FatTree with ECN queues and a demux per host.
-func dcqcnNet(k int) (*topo.FatTree, []*fabric.Demux) {
+// dcqcnNet builds a lossless FatTree with ECN queues and a DCQCN host on
+// every host.
+func dcqcnNet(k int) (*topo.FatTree, []Host) {
 	cfg := topo.Config{
 		Seed:          3,
 		Lossless:      true,
@@ -19,27 +20,24 @@ func dcqcnNet(k int) (*topo.FatTree, []*fabric.Demux) {
 		SwitchQueue:   QueueFactory(9000),
 	}
 	net := topo.NewFatTree(k, cfg)
-	dm := make([]*fabric.Demux, net.NumHosts())
+	dh := make([]Host, net.NumHosts())
 	for i, h := range net.Hosts {
-		dm[i] = fabric.NewDemux()
-		h.Stack = dm[i]
+		dh[i].Init(h, net)
 	}
-	return net, dm
+	return net, dh
 }
 
-func start(net *topo.FatTree, dm []*fabric.Demux, src, dst int32, flow uint64, size int64) (*Sender, *Receiver) {
+func start(dh []Host, src, dst int32, flow uint64, size int64) (*Sender, *Receiver) {
 	cfg := DefaultConfig()
-	s := NewSender(net.Hosts[src], dst, flow, 0, size, cfg)
-	r := NewReceiver(net.Hosts[dst], src, flow, 0, cfg)
-	dm[src].Register(flow, s)
-	dm[dst].Register(flow, r)
+	s := NewSender(&dh[src], dst, flow, 0, size, cfg)
+	r := NewReceiver(&dh[dst], src, flow, 0, cfg)
 	s.Start()
 	return s, r
 }
 
 func TestDCQCNSingleTransferLineRate(t *testing.T) {
-	net, dm := dcqcnNet(4)
-	s, r := start(net, dm, 0, 15, 1, 9_000_000)
+	net, dh := dcqcnNet(4)
+	s, r := start(dh, 0, 15, 1, 9_000_000)
 	net.EL.RunUntil(20 * sim.Millisecond)
 	s.Stop()
 	if !r.Complete() {
@@ -58,9 +56,9 @@ func TestDCQCNSingleTransferLineRate(t *testing.T) {
 }
 
 func TestDCQCNConvergesUnderContention(t *testing.T) {
-	net, dm := dcqcnNet(4)
-	s1, r1 := start(net, dm, 1, 0, 1, -1)
-	s2, r2 := start(net, dm, 2, 0, 2, -1)
+	net, dh := dcqcnNet(4)
+	s1, r1 := start(dh, 1, 0, 1, -1)
+	s2, r2 := start(dh, 2, 0, 2, -1)
 	net.EL.RunUntil(30 * sim.Millisecond)
 	s1.Stop()
 	s2.Stop()
@@ -87,12 +85,12 @@ func TestDCQCNConvergesUnderContention(t *testing.T) {
 }
 
 func TestDCQCNIncastNoLoss(t *testing.T) {
-	net, dm := dcqcnNet(4)
+	net, dh := dcqcnNet(4)
 	done := 0
 	var rs []*Receiver
 	var ss []*Sender
 	for i := int32(1); i < 16; i++ {
-		s, r := start(net, dm, i, 0, uint64(i), 450_000)
+		s, r := start(dh, i, 0, uint64(i), 450_000)
 		r.OnComplete = func(*Receiver) { done++ }
 		rs = append(rs, r)
 		ss = append(ss, s)
@@ -131,7 +129,9 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 	h.NIC = fabric.NewPort(el, "nic", fabric.NewFIFOQueue(0), 10e9, 0)
 	h.NIC.Connect(fabric.SinkFunc(func(p *fabric.Packet) { fabric.Free(p) }))
 	cfg := DefaultConfig()
-	s := NewSender(h, 1, 1, -1, -1, cfg)
+	var dh Host
+	dh.Init(h, nil)
+	s := NewSender(&dh, 1, 1, -1, -1, cfg)
 	s.Start()
 	el.RunUntil(sim.Microsecond)
 	if s.Rate() != 10e9 {
@@ -154,22 +154,19 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 
 // TestSplitFlowLifecycle: a flow built across two scheduling domains attaches
 // its receiver by one command of the pooled sender, and when the FIN arrives
-// retires the receiver and stops, unregisters and retires the sender by
-// another — after which the pool hands both to the next flow, and refuses to
-// while an attach is still due.
+// retires the receiver and stops and retires the sender by another, each
+// leaving its host's table — after which the pool hands both to the next
+// flow, and refuses to while an attach is still due.
 func TestSplitFlowLifecycle(t *testing.T) {
-	net, dm := dcqcnNet(4)
+	net, dh := dcqcnNet(4)
 	pool, cfg := NewPool(), DefaultConfig()
 	cfg.LineRate = net.LinkRate()
 	hs, hd := net.Hosts[0], net.Hosts[15]
 	flow := func(id uint64, doneAt *sim.Time) *Sender {
-		s := pool.NewSender(hs, hd.ID, id, 0, 90_000, cfg)
-		dm[0].Register(id, s)
+		s := pool.NewSender(&dh[0], hd.ID, id, 0, 90_000, cfg)
 		at := net.EL.Now() + net.MinPathDelay(0, 15)
 		net.Defer(0, 15, at, s.Attach(Split{
-			Net: net, At: at, RevPick: 5,
-			Src:          End{Host: hs, Index: 0, Demux: dm[0], Pool: pool},
-			Dst:          End{Host: hd, Index: 15, Demux: dm[15], Pool: pool},
+			Dst: &dh[15], SrcPool: pool, DstPool: pool, At: at, RevPick: 5,
 			OnCompleteAt: func(at sim.Time) { *doneAt = at },
 		}), 0)
 		s.Start()
@@ -189,7 +186,7 @@ func TestSplitFlowLifecycle(t *testing.T) {
 	if want := int16(5 % revs); rc.route != want {
 		t.Errorf("receiver sends CNPs on route %d, RevPick 5 selects %d", rc.route, want)
 	}
-	if dm[0].Handler(7) != nil || dm[15].Handler(7) != nil || !s.stopped || s.alphaTimer.Pending() || s.incTimer.Pending() {
+	if dh[0].flows.Len() != 0 || dh[15].flows.Len() != 0 || !s.stopped || s.alphaTimer.Pending() || s.incTimer.Pending() {
 		t.Error("teardown left the flow registered or the sender's timers running")
 	}
 	if want := int64(2); net.CommandEvents() != want {
@@ -205,12 +202,12 @@ func TestSplitFlowLifecycle(t *testing.T) {
 		t.Error("the retired receiver was not reused, or the second flow did not complete")
 	}
 
-	s.Attach(Split{Net: net, At: net.EL.Now()}) // an attach still due at this instant
+	s.Attach(Split{Dst: &dh[15], At: net.EL.Now()}) // an attach still due at this instant
 	defer func() {
 		if msg, _ := recover().(string); msg != "dcqcn: sender recycled before its deferred receiver attach ran" {
 			t.Errorf("recovered %q, want the recycle-before-attach panic", msg)
 		}
 	}()
-	pool.NewSender(hs, hd.ID, 9, 0, 90_000, cfg)
+	pool.NewSender(&dh[0], hd.ID, 9, 0, 90_000, cfg)
 	t.Error("the sender was recycled under its pending attach")
 }

@@ -24,7 +24,7 @@ const retiredFirst = 8
 func NewPool() *Pool { return &Pool{} }
 
 // NewSender builds or recycles a sender; call Start to begin transmitting.
-func (pl *Pool) NewSender(host *fabric.Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
+func (pl *Pool) NewSender(host *Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
 	if s := pl.takeSender(host); s != nil {
 		s.recycle(host, dst, flow, route, size, cfg)
 		return s
@@ -36,34 +36,41 @@ func (pl *Pool) NewSender(host *fabric.Host, dst int32, flow uint64, route int16
 // rate timers stopped and no pacing event outstanding (sending is true
 // exactly while one is scheduled; after Stop the event fires once more as a
 // no-op and clears it).
-func (pl *Pool) takeSender(host *fabric.Host) *Sender {
+func (pl *Pool) takeSender(host *Host) *Sender {
 	s := pl.senders.Peek()
-	if s == nil || s.el != host.EventList() || s.sending ||
+	if s == nil || s.el != host.Host.EventList() || s.sending ||
 		s.alphaTimer.Pending() || s.incTimer.Pending() {
 		return nil
 	}
 	return pl.senders.Pop()
 }
 
-// RetireSender hands a stopped sender back to the pool. The caller must
-// have called Stop and unregistered the flow from its demux.
-func (pl *Pool) RetireSender(s *Sender) { pl.senders.Push(s, retiredFirst) }
+// RetireSender deletes a stopped sender from its host's table and hands it
+// back to the pool. The caller must have called Stop.
+func (pl *Pool) RetireSender(s *Sender) {
+	s.own.flows.Delete(s.Flow)
+	pl.senders.Push(s, retiredFirst)
+}
 
-// NewReceiver builds or recycles a receiver.
-func (pl *Pool) NewReceiver(host *fabric.Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
+// NewReceiver builds or recycles a receiver registered on host.
+func (pl *Pool) NewReceiver(host *Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
 	r := pl.receivers.Peek()
-	if r == nil || r.host.EventList() != host.EventList() {
+	if r == nil || r.host.EventList() != host.Host.EventList() {
 		return NewReceiver(host, peer, flow, revRoute, cfg)
 	}
 	pl.receivers.Pop()
 	*r = Receiver{
-		Flow: flow, host: host, peer: peer, route: revRoute, cfg: cfg,
+		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute, cfg: cfg,
 		arena: r.arena,
 	}
+	host.flows.Ref(flow).receiver = r
 	return r
 }
 
-// RetireReceiver hands a completed receiver back to the pool. The caller
-// must have unregistered the flow from its demux; on a lossless fixed path
-// nothing arrives after the FIN, so the state is immediately reusable.
-func (pl *Pool) RetireReceiver(r *Receiver) { pl.receivers.Push(r, retiredFirst) }
+// RetireReceiver deletes a completed receiver from its host's table and
+// hands it back to the pool. On a lossless fixed path nothing arrives after
+// the FIN, so the state is immediately reusable.
+func (pl *Pool) RetireReceiver(r *Receiver) {
+	r.own.flows.Delete(r.Flow)
+	pl.receivers.Push(r, retiredFirst)
+}

@@ -13,10 +13,10 @@ import (
 // alpha and rate-increase timers and PFC's hold queues all busy — allocate
 // nothing over the last six tenths of the run.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
-	net, dm := dcqcnNet(4)
+	net, dh := dcqcnNet(4)
 	var ss []*Sender
 	for i, src := range []int32{5, 10, 15} {
-		s, _ := start(net, dm, src, 0, uint64(i+1), -1)
+		s, _ := start(dh, src, 0, uint64(i+1), -1)
 		ss = append(ss, s)
 	}
 	const T = 5 * sim.Millisecond

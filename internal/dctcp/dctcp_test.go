@@ -9,15 +9,14 @@ import (
 	"ndp/internal/topo"
 )
 
-func dctcpNet(k int) (*topo.FatTree, []*fabric.Demux) {
+func dctcpNet(k int) (*topo.FatTree, []tcp.Host) {
 	cfg := topo.Config{Seed: 13, SwitchQueue: QueueFactory(9000)}
 	net := topo.NewFatTree(k, cfg)
-	dm := make([]*fabric.Demux, net.NumHosts())
+	th := make([]tcp.Host, net.NumHosts())
 	for i, h := range net.Hosts {
-		dm[i] = fabric.NewDemux()
-		h.Stack = dm[i]
+		th[i].Init(h, net)
 	}
-	return net, dm
+	return net, th
 }
 
 func TestQueueFactorySizing(t *testing.T) {
@@ -45,14 +44,12 @@ func TestSenderConfigIsDCTCP(t *testing.T) {
 // buffers absorb the burst with no drops — the reason the paper says DCTCP
 // is only ~5% off optimal on incast.
 func TestDCTCPIncastNoDrops(t *testing.T) {
-	net, dm := dctcpNet(4)
+	net, th := dctcpNet(4)
 	done := 0
 	for i := int32(1); i < 16; i++ {
-		snd := tcp.NewSender(net.Hosts[i], 0, uint64(i), 0, tcp.NewFixedSource(450_000, 9000), SenderConfig(9000))
-		rcv := tcp.NewReceiver(net.Hosts[0], i, uint64(i), 0)
-		rcv.OnComplete = func(r *tcp.Receiver) { done++ }
-		dm[i].Register(uint64(i), snd)
-		dm[0].Register(uint64(i), rcv)
+		snd := tcp.NewSender(&th[i], 0, uint64(i), 0, tcp.NewFixedSource(450_000, 9000), SenderConfig(9000))
+		rcv := tcp.NewReceiver(&th[0], i, uint64(i), 0)
+		rcv.OnCompleteAt = func(sim.Time) { done++ }
 		snd.Start()
 	}
 	net.EL.RunUntil(200 * sim.Millisecond)

@@ -3,8 +3,8 @@ package fabric
 import "math/bits"
 
 // FlowTable maps flow ids to values of type V: the one table type behind
-// every per-host flow lookup (Demux handlers, the NDP stack's live-flow
-// state). It is an open-addressed power-of-two array with a
+// every per-host flow lookup (each transport's host object dispatches by
+// one). It is an open-addressed power-of-two array with a
 // Fibonacci hash and linear probing. Deletion shifts the following run back
 // over the hole, so there are no tombstones: the slot layout is a pure
 // function of the sequence of operations, and a table that churns forever

@@ -128,9 +128,9 @@ type Host struct {
 	Label Label
 	NIC   *Port
 
-	// Stack receives every packet addressed to this host: a *Demux shared
-	// by the host's transport instances, or the NDP stack, which dispatches
-	// by its own flow table.
+	// Stack receives every packet addressed to this host: the host object
+	// of its transport (core.Stack, tcp.Host, dcqcn.Host, phost.Host), which
+	// dispatches by its own flow table.
 	Stack Sink
 
 	el *sim.EventList
@@ -167,55 +167,18 @@ func (h *Host) EventList() *sim.EventList { return h.el }
 // LinkRate returns the NIC line rate in bits per second.
 func (h *Host) LinkRate() int64 { return h.NIC.RateBps }
 
-// Demux dispatches packets to per-flow handlers. Unknown flows go to the
-// Listen hook, which may install a handler on the fly (pHost creates
-// receiver state from whichever first packet of a flow arrives first).
-type Demux struct {
-	handlers FlowTable[Sink]
+// Strays counts, by kind, the packets a host's transport freed because no
+// flow of the host claimed them: Data that reached a host which had
+// forgotten (or never knew) its flow; control such as a late ACK.
+type Strays struct{ Data, Control int64 }
 
-	// Listen is consulted for packets whose flow has no handler. If it
-	// returns a non-nil Sink, the sink is registered for the flow and
-	// receives the packet; otherwise the packet is freed.
-	Listen func(p *Packet) Sink
-
-	// Unclaimed counts packets freed because no handler matched.
-	Unclaimed int64
-}
-
-// NewDemux returns an empty demultiplexer. The zero Demux is ready to use
-// too, for embedding by value.
-func NewDemux() *Demux { return &Demux{} }
-
-// Register installs a handler for a flow.
-func (d *Demux) Register(flow uint64, s Sink) { d.handlers.Put(flow, s) }
-
-// Unregister removes a flow handler.
-func (d *Demux) Unregister(flow uint64) { d.handlers.Delete(flow) }
-
-// Cap returns the slots the handler table has allocated (FlowTable.Cap).
-func (d *Demux) Cap() int { return d.handlers.Cap() }
-
-// Handler returns the handler registered for a flow, or nil.
-func (d *Demux) Handler(flow uint64) Sink {
-	h, _ := d.handlers.Get(flow)
-	return h
-}
-
-// Receive dispatches by flow id. A packet no handler claims and Listen
-// turns away is freed without touching the table: strays never grow it.
-func (d *Demux) Receive(p *Packet) {
-	if h, ok := d.handlers.Get(p.Flow); ok {
-		h.Receive(p)
-		return
+// Free counts p and frees it.
+func (s *Strays) Free(p *Packet) {
+	if p.Type == Data {
+		s.Data++
+	} else {
+		s.Control++
 	}
-	if d.Listen != nil {
-		if h := d.Listen(p); h != nil {
-			d.handlers.Put(p.Flow, h)
-			h.Receive(p)
-			return
-		}
-	}
-	d.Unclaimed++
 	Free(p)
 }
 

@@ -81,45 +81,6 @@ func TestPortUtilization(t *testing.T) {
 	noLeak(t, a)
 }
 
-func TestDemuxDispatchAndListen(t *testing.T) {
-	a := NewArena()
-	d := NewDemux()
-	var got []uint64
-	d.Register(1, SinkFunc(func(p *Packet) { got = append(got, p.Flow); Free(p) }))
-	listened := 0
-	d.Listen = func(p *Packet) Sink {
-		if p.Flags&FlagSYN == 0 {
-			return nil // reject non-SYN unknown packets
-		}
-		listened++
-		return SinkFunc(func(p *Packet) { got = append(got, 100+p.Flow); Free(p) })
-	}
-
-	p1 := a.NewData(1, 0, 1, 0, 100)
-	d.Receive(p1)
-
-	syn := a.NewData(2, 0, 1, 0, 100)
-	syn.Flags |= FlagSYN
-	d.Receive(syn)
-	// Second packet for flow 2 must hit the now-registered handler without
-	// invoking Listen again.
-	d.Receive(a.NewData(2, 0, 1, 1, 100))
-
-	// Unknown, non-SYN: freed and counted.
-	d.Receive(a.NewData(3, 0, 1, 0, 100))
-
-	if len(got) != 3 || got[0] != 1 || got[1] != 102 || got[2] != 102 {
-		t.Errorf("dispatch order = %v", got)
-	}
-	if listened != 1 {
-		t.Errorf("Listen invoked %d times, want 1", listened)
-	}
-	if d.Unclaimed != 1 {
-		t.Errorf("Unclaimed = %d, want 1", d.Unclaimed)
-	}
-	noLeak(t, a)
-}
-
 // Build a 3-node chain host0 -> switch -> host1 and verify end-to-end
 // forwarding with a source route.
 func TestSwitchSourceRouting(t *testing.T) {

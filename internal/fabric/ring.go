@@ -133,30 +133,3 @@ func (r *Ring[T]) grow(first int) {
 	copy(nb[k:], r.buf[:r.head])
 	r.buf, r.head = nb, 0
 }
-
-// Slab hands out zeroed values of T carved from chunks, allocating a chunk
-// only when the last is used up: for objects made one at a time that live as
-// long as their owner, such as a pool's tombstones. Chunks double from
-// slabFirst to slabMax values, so a slab never holds much more than twice
-// what it has handed out. The zero Slab is ready to use; not safe for
-// concurrent use.
-type Slab[T any] struct {
-	free  []T
-	chunk int // the size of the last chunk
-}
-
-const (
-	slabFirst = 8
-	slabMax   = 256
-)
-
-// New returns a pointer to a zeroed T.
-func (s *Slab[T]) New() *T {
-	if len(s.free) == 0 {
-		s.chunk = min(max(2*s.chunk, slabFirst), slabMax)
-		s.free = make([]T, s.chunk)
-	}
-	v := &s.free[0]
-	s.free = s.free[1:]
-	return v
-}

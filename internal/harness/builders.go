@@ -77,11 +77,12 @@ func (n *NDPNet) Runner() sim.Runner { return n.C.Runner() }
 
 // ------------------------------------------------------------ TCP-family ----
 
-// TCPNet bundles a cluster with per-host demuxes for the TCP/DCTCP/MPTCP
-// baselines. Cfg is the flow configuration every flow gets.
+// TCPNet bundles a cluster with a TCP-family endpoint per host for the
+// TCP/DCTCP/MPTCP baselines, carved from one slab. Cfg is the flow
+// configuration every flow gets.
 type TCPNet struct {
 	C     topo.Cluster
-	Demux []*fabric.Demux
+	Hosts []tcp.Host
 	Cfg   tcp.Config
 
 	// StartFlow draws flow ids and connect-time random choices per source
@@ -128,28 +129,20 @@ func (p *perSource) flowID(src int, stride uint64) uint64 {
 	return id
 }
 
-// newTCPNet wires the shared TCP-family state onto a built cluster: a
-// demux per host, the pinned launchers' net-wide stream, and the
+// newTCPNet wires the shared TCP-family state onto a built cluster: an
+// endpoint per host, the pinned launchers' net-wide stream, and the
 // per-source-host counters and streams StartFlow draws from.
 func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
-	n := &TCPNet{C: c, Demux: newDemuxes(c), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
+	n := &TCPNet{C: c, Hosts: make([]tcp.Host, c.NumHosts()), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
 		src: newPerSource(c.NumHosts(), seed)}
+	for i, h := range c.HostList() {
+		n.Hosts[i].Init(h, c)
+	}
 	n.pools = make([]*tcp.Pool, c.Shards())
 	for i := range n.pools {
 		n.pools[i] = tcp.NewPool()
 	}
 	return n
-}
-
-// newDemuxes installs a demux, carved from one slab, as every host's stack.
-func newDemuxes(c topo.Cluster) []*fabric.Demux {
-	slab := make([]fabric.Demux, c.NumHosts())
-	demuxes := make([]*fabric.Demux, len(slab))
-	for i, h := range c.HostList() {
-		demuxes[i] = &slab[i]
-		h.Stack = demuxes[i]
-	}
-	return demuxes
 }
 
 // pool returns the flow-state recycling pool of host's scheduling domain.
@@ -163,10 +156,11 @@ func (t *TCPNet) Runner() sim.Runner { return t.C.Runner() }
 
 // --------------------------------------------------------------- DCQCN ----
 
-// DCQCNNet bundles a lossless cluster with demuxes and the DCQCN config.
+// DCQCNNet bundles a lossless cluster with a DCQCN endpoint per host,
+// carved from one slab, and the DCQCN config.
 type DCQCNNet struct {
 	C     topo.Cluster
-	Demux []*fabric.Demux
+	Hosts []dcqcn.Host
 	Cfg   dcqcn.Config
 
 	// StartFlow state, owned per source host; nextFlow is the pinned
@@ -193,10 +187,11 @@ func (d *DCQCNNet) pool(host int) *dcqcn.Pool { return d.pools[d.C.ShardOfHost(h
 
 // --------------------------------------------------------------- pHost ----
 
-// PHostNet bundles a drop-tail cluster with pHost agents.
+// PHostNet bundles a drop-tail cluster with pHost agents, carved from one
+// slab.
 type PHostNet struct {
 	C     topo.Cluster
-	Hosts []*phost.Host
+	Hosts []phost.Host
 
 	// Per-source-host flow-id counters; pHost draws nothing at connect
 	// time (packets are sprayed per hop), so there are no streams.
@@ -278,8 +273,8 @@ func (t *TCPNet) randRoute(src, dst int32) int16 {
 func (t *TCPNet) flow(src, dst int, size int64) (*tcp.Sender, *tcp.Receiver) {
 	flow := t.flowID(1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, t.randRoute(hs.ID, hd.ID), size, t.Cfg)
-	rcv := t.pool(dst).NewReceiver(hd, t.Demux[dst], hs.ID, flow, t.randRoute(hd.ID, hs.ID))
+	snd := t.pool(src).NewSender(&t.Hosts[src], &t.Hosts[dst], flow, t.randRoute(hs.ID, hd.ID), size, t.Cfg)
+	rcv := t.pool(dst).NewReceiver(&t.Hosts[dst], hs.ID, flow, t.randRoute(hd.ID, hs.ID))
 	snd.Start()
 	return snd, rcv
 }
@@ -289,8 +284,8 @@ func (t *TCPNet) flow(src, dst int, size int64) (*tcp.Sender, *tcp.Receiver) {
 func (t *TCPNet) mptcpFlow(src, dst int, size int64, cfg mptcp.Config, onData func(int64)) *mptcp.Flow {
 	flow := t.flowID(uint64(cfg.Subflows) + 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
-	f := mptcp.NewSenderHalf(hs, hd.ID, t.Demux[src], flow, size, t.C.Paths(hs.ID, hd.ID), t.rand, cfg, nil)
-	f.AttachReceivers(hd, t.Demux[dst], t.C.Paths(hd.ID, hs.ID), t.rand, onData, nil)
+	f := mptcp.NewSenderHalf(&t.Hosts[src], &t.Hosts[dst], flow, size, t.C.Paths(hs.ID, hd.ID), t.rand, cfg, nil)
+	f.AttachReceivers(&t.Hosts[dst], t.C.Paths(hd.ID, hs.ID), t.rand, onData, nil)
 	f.Start()
 	return f
 }
@@ -304,8 +299,8 @@ func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcq
 	fwd := d.C.Paths(hs.ID, hd.ID)
 	rev := d.C.Paths(hd.ID, hs.ID)
 	r := sim.NewRand(flow * 2654435761)
-	s := d.pool(src).NewSender(hs, hd.ID, flow, int16(r.Intn(fwd)), size, d.Cfg)
-	rc := d.pool(dst).NewReceiver(hd, hs.ID, flow, int16(r.Intn(rev)), d.Cfg)
+	s := d.pool(src).NewSender(&d.Hosts[src], hd.ID, flow, int16(r.Intn(fwd)), size, d.Cfg)
+	rc := d.pool(dst).NewReceiver(&d.Hosts[dst], hs.ID, flow, int16(r.Intn(rev)), d.Cfg)
 	// On a lossless fixed path nothing arrives after the FIN, so both
 	// endpoints retire as soon as the receiver completes — after the
 	// caller's hook, which may start the next flow, and after stopping the
@@ -314,14 +309,10 @@ func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcq
 		if onDone != nil {
 			onDone(rc.CompletedAt)
 		}
-		d.Demux[src].Unregister(flow)
-		d.Demux[dst].Unregister(flow)
 		s.Stop()
 		d.pool(src).RetireSender(s)
 		d.pool(dst).RetireReceiver(rc)
 	}
-	d.Demux[src].Register(flow, s)
-	d.Demux[dst].Register(flow, rc)
 	d.srcSenders[src] = append(d.srcSenders[src], s)
 	s.Start()
 	return rc

@@ -190,8 +190,9 @@ func (n *NDPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 // ----------------------------------------------------------- TCP / DCTCP ----
 
 // TCPTransport builds single-path TCP-family networks: the given switch
-// queue discipline, a demux per host, and Cfg applied to every flow started
-// through the Net surface. With Cfg.DCTCP set it is the DCTCP baseline.
+// queue discipline, a tcp.Host per host, and Cfg applied to every flow
+// started through the Net surface. With Cfg.DCTCP set it is the DCTCP
+// baseline.
 type TCPTransport struct {
 	Cfg   tcp.Config
 	Queue topo.QueueFactory
@@ -222,27 +223,22 @@ func (t *TCPNet) Close() { t.C.Close() }
 // (FIN acknowledged, stream fully received).
 func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 
-// StartFlow implements Net. The sender half starts immediately on the
-// source host, drawing its flow id and both path choices from the source's
-// private stream; the receiver half (state, reverse route, observers) is
-// created on the destination's scheduling domain the minimum src->dst
-// path delay later via the cluster's command channel — always before the
-// first SYN, which trails by at least a serialization time. The offset is
-// the pairwise MinPathDelay for the reason NDPNet.StartFlow gives. The
-// reverse route is fixed by a raw value drawn at the source and reduced
-// modulo the destination's path count inside the deferred command,
-// because the path enumeration cache is per source-host shard and must
-// only be touched from its own domain. The command is the pooled sender's
-// own tcp.Attach record, not a closure.
+// StartFlow implements Net. The sender half starts at once on the source
+// host, drawing its flow id and both path choices from the source's private
+// stream; the receiver half is built on the destination's domain the
+// pairwise MinPathDelay later (see NDPNet.StartFlow), before the first SYN,
+// by the pooled sender's tcp.Attach command. Its reverse route is a raw
+// value drawn at the source, reduced modulo the path count on the
+// destination's domain, whose route cache that is. The sender's completion
+// releases the receiver there 2*MSL later (tcp.Release).
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
 	r := &t.src.rand[src]
-	snd := t.pool(src).NewSender(hs, t.Demux[src], hd.ID, flow, int16(r.Intn(t.C.Paths(hs.ID, hd.ID))), size, t.Cfg)
+	snd := t.pool(src).NewSender(&t.Hosts[src], &t.Hosts[dst], flow, int16(r.Intn(t.C.Paths(hs.ID, hd.ID))), size, t.Cfg)
 	at := hs.EventList().Now() + t.C.MinPathDelay(src, dst)
 	t.C.Defer(src, dst, at, snd.Attach(tcp.ReceiverAttach{
-		At: at, Host: hd, Demux: t.Demux[dst], Pool: t.pool(dst),
-		Routes: t.C, RevPick: r.Uint64(),
+		At: at, Pool: t.pool(dst), RevPick: r.Uint64(),
 		OnData: opts.OnData, OnCompleteAt: opts.OnDone,
 	}), 0)
 	snd.Start()
@@ -287,24 +283,21 @@ type MPTCPNet struct {
 	Cfg mptcp.Config
 }
 
-// StartFlow implements Net. Construction is split across the shard cut:
-// the subflow senders (forward-path permutation from the source's stream)
-// start on the source host's domain, and the receivers attach on the
-// destination's domain the minimum src->dst path delay later (see
-// TCPNet.StartFlow) — before any subflow's
-// SYN arrives — permuting reverse paths with a generator seeded from a
-// value drawn at the source, so the choice is deterministic without
-// sharing a stream across shards.
+// StartFlow implements Net. Construction is split across the shard cut as
+// in TCPNet.StartFlow: the subflow senders (forward paths permuted by the
+// source's stream) start on the source's domain, and the receivers attach
+// on the destination's, permuting reverse paths with a generator seeded
+// from a value drawn at the source.
 func (m *MPTCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	// Reserve the stride NewSenderHalf registers: one id per subflow plus
 	// the connection's.
 	flow := m.src.flowID(src, uint64(m.Cfg.Subflows)+1)
 	hs, hd := m.C.HostList()[src], m.C.HostList()[dst]
 	r := &m.src.rand[src]
-	f := mptcp.NewSenderHalf(hs, hd.ID, m.Demux[src], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
+	f := mptcp.NewSenderHalf(&m.Hosts[src], &m.Hosts[dst], flow, size, m.C.Paths(hs.ID, hd.ID), r, m.Cfg, m.pool(src))
 	f.OnCompleteAt = opts.OnDone
 	at := hs.EventList().Now() + m.C.MinPathDelay(src, dst)
-	m.C.Defer(src, dst, at, f.Attach(hd, m.Demux[dst], m.C, r.Uint64(), opts.OnData, m.pool(dst)), 0)
+	m.C.Defer(src, dst, at, f.Attach(&m.Hosts[dst], r.Uint64(), opts.OnData, m.pool(dst)), 0)
 	f.Start()
 	return f
 }
@@ -338,7 +331,10 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 	cfg := dcqcn.DefaultConfig()
 	cfg.MTU = mtu
 	cfg.LineRate = c.LinkRate()
-	d := &DCQCNNet{C: c, Demux: newDemuxes(c), Cfg: cfg, nextFlow: 1, src: newPerSource(c.NumHosts(), base.Seed)}
+	d := &DCQCNNet{C: c, Hosts: make([]dcqcn.Host, c.NumHosts()), Cfg: cfg, nextFlow: 1, src: newPerSource(c.NumHosts(), base.Seed)}
+	for i, h := range c.HostList() {
+		d.Hosts[i].Init(h, c)
+	}
 	d.srcSenders = make([][]*dcqcn.Sender, c.NumHosts())
 	d.pools = make([]*dcqcn.Pool, c.Shards())
 	for i := range d.pools {
@@ -367,30 +363,23 @@ func (d *DCQCNNet) Close() {
 func (d *DCQCNNet) DoneHost(src, dst int) int { return dst }
 
 // StartFlow implements Net. Like the TCP family, construction is split
-// across the shard cut: the sender starts immediately on the source
-// host's domain (flow id and path picks drawn from the source's private
-// stream) and the receiver attaches on the destination's domain the
-// minimum src->dst path delay later — before the first data packet,
-// which trails by at least a serialization time. Teardown crosses back
-// the other way: the receiver retires at completion in its own domain
-// and defers the sender's rate-timer stop to the source's, so neither
-// endpoint's state is ever touched from a foreign shard. Both crossings
+// across the shard cut: the sender starts at once on the source's domain
+// (flow id and path picks drawn from the source's private stream) and the
+// receiver attaches on the destination's the minimum path delay later.
+// Teardown crosses back: the receiver retires at completion on its domain
+// and defers the sender's rate-timer stop to the source's. Both crossings
 // are commands of the pooled sender itself (dcqcn.Attach, dcqcn.Teardown)
-// over the one dcqcn.Split record written here. The same path runs at
-// every shard count, so results never depend on the layout.
+// over the dcqcn.Split record written here.
 func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := d.src.flowID(src, 1)
 	c := d.C
 	hs, hd := c.HostList()[src], c.HostList()[dst]
 	r := &d.src.rand[src]
-	s := d.pool(src).NewSender(hs, hd.ID, flow, int16(r.Intn(c.Paths(hs.ID, hd.ID))), size, d.Cfg)
-	d.Demux[src].Register(flow, s)
+	s := d.pool(src).NewSender(&d.Hosts[src], hd.ID, flow, int16(r.Intn(c.Paths(hs.ID, hd.ID))), size, d.Cfg)
 	d.srcSenders[src] = append(d.srcSenders[src], s)
 	at := hs.EventList().Now() + c.MinPathDelay(src, dst)
 	c.Defer(src, dst, at, s.Attach(dcqcn.Split{
-		Net: c, At: at, RevPick: r.Uint64(),
-		Src:    dcqcn.End{Host: hs, Index: src, Demux: d.Demux[src], Pool: d.pool(src)},
-		Dst:    dcqcn.End{Host: hd, Index: dst, Demux: d.Demux[dst], Pool: d.pool(dst)},
+		Dst: &d.Hosts[dst], SrcPool: d.pool(src), DstPool: d.pool(dst), At: at, RevPick: r.Uint64(),
 		OnData: opts.OnData, OnCompleteAt: opts.OnDone,
 	}), 0)
 	s.Start()
@@ -427,11 +416,10 @@ func (t PHostTransport) Name() string { return "phost" }
 func (t PHostTransport) Build(build BuildFunc, base topo.Config) Net {
 	base.SwitchQueue = fabric.FIFOQueues(8 * t.Cfg.MTU)
 	c := build(base)
-	p := &PHostNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
-	for _, h := range c.HostList() {
-		ph := phost.NewHost(h, t.Cfg)
-		ph.Listen(nil)
-		p.Hosts = append(p.Hosts, ph)
+	p := &PHostNet{C: c, Hosts: make([]phost.Host, c.NumHosts()), src: perSource{seq: make([]uint64, c.NumHosts())}}
+	for i, h := range c.HostList() {
+		p.Hosts[i].Init(h, c, t.Cfg)
+		p.Hosts[i].Listen(nil)
 	}
 	return p
 }
@@ -458,7 +446,7 @@ func (p *PHostNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	if size < 0 {
 		size = 1 << 40 // effectively unbounded
 	}
-	s := p.Hosts[src].Connect(p.C.HostList()[dst].ID, flow, size, nil)
+	s := p.Hosts[src].Connect(&p.Hosts[dst], flow, size, nil)
 	s.OnCompleteAt = opts.OnDone
 	return s
 }

@@ -7,7 +7,6 @@
 package mptcp
 
 import (
-	"ndp/internal/fabric"
 	"ndp/internal/sim"
 	"ndp/internal/tcp"
 )
@@ -55,9 +54,7 @@ type Flow struct {
 	// attach is the receiver half's construction, carried by the flow so
 	// that delivering it costs nothing; see Attach.
 	attach struct {
-		dst    *fabric.Host
-		demux  *fabric.Demux
-		routes tcp.Routes
+		dst    *tcp.Host
 		rand   sim.Rand
 		onData func(n int64)
 		pool   *tcp.Pool
@@ -77,25 +74,8 @@ type unboundedSource struct{ mss int }
 func (s *unboundedSource) Claim() int      { return s.mss }
 func (s *unboundedSource) Exhausted() bool { return false }
 
-// New builds an MPTCP flow from srcHost to dstHost. routes counts the
-// forward source routes and revRoutes the reverse ones; subflows are pinned
-// to distinct routes chosen by rand (wrapping if there are fewer routes than
-// subflows). Flows are registered on the given demuxes under ids
-// flow..flow+Subflows-1.
-//
-// New touches both hosts' state, so it is a single-scheduling-domain
-// convenience. Sharded engines use the split construction: NewSenderHalf
-// on the source's domain, then AttachReceivers deferred onto the
-// destination's.
-func New(src, dst *fabric.Host, srcDemux, dstDemux *fabric.Demux, flow uint64,
-	size int64, routes, revRoutes int, rand *sim.Rand, cfg Config) *Flow {
-	f := NewSenderHalf(src, dst.ID, srcDemux, flow, size, routes, rand, cfg, nil)
-	f.AttachReceivers(dst, dstDemux, revRoutes, rand, nil, nil)
-	return f
-}
-
 // NewSenderHalf builds the source-side half of an MPTCP flow: the subflow
-// senders on a permutation of the forward routes, registered on srcDemux and
+// senders on a permutation of the forward routes, registered on src and
 // coupled by LIA, but not yet started. It touches only source-host state
 // and draws only from rand (the forward permutation), so it is safe to run
 // in the source's scheduling domain of a sharded engine; complete the flow
@@ -103,10 +83,11 @@ func New(src, dst *fabric.Host, srcDemux, dstDemux *fabric.Demux, flow uint64,
 // packet arrives.
 //
 // pool, when non-nil, recycles completed subflow sender state; it must
-// belong to the source's scheduling domain. Subflows are group-retired only
-// once every one of them has completed, because LIA reads sibling windows
-// for as long as any subflow is still growing.
-func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uint64,
+// belong to the source's scheduling domain. Each pooled subflow releases
+// its receiver on dst 2*MSL after it completes (tcp.Release). Subflows are
+// group-retired only once every one of them has completed, because LIA
+// reads sibling windows for as long as any subflow is still growing.
+func NewSenderHalf(src, dst *tcp.Host, flow uint64,
 	size int64, routes int, rand *sim.Rand, cfg Config, pool *tcp.Pool) *Flow {
 	if cfg.Subflows <= 0 {
 		cfg.Subflows = 8
@@ -126,10 +107,9 @@ func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uin
 		fwd := int16(fwdPerm[i%len(fwdPerm)])
 		var snd *tcp.Sender
 		if pool != nil {
-			snd = pool.NewGroupSender(src, srcDemux, dst, id, fwd, source, cfg.TCP)
+			snd = pool.NewGroupSender(src, dst, id, fwd, source, cfg.TCP)
 		} else {
-			snd = tcp.NewSender(src, dst, id, fwd, source, cfg.TCP)
-			srcDemux.Register(id, snd)
+			snd = tcp.NewSender(src, dst.Host.ID, id, fwd, source, cfg.TCP)
 		}
 		f.Senders = append(f.Senders, snd)
 	}
@@ -155,7 +135,7 @@ func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uin
 
 // AttachReceivers builds the destination-side half: one receiver per
 // subflow on a permutation, by rand, of the revRoutes reverse routes,
-// registered on dstDemux, with the completion accounting chained to the
+// registered on dst, with the completion accounting chained to the
 // optional onData observer. It
 // touches only destination-host state (plus the Flow's receiver-owned
 // fields), so a sharded engine defers it onto the destination's domain —
@@ -164,7 +144,7 @@ func NewSenderHalf(src *fabric.Host, dst int32, srcDemux *fabric.Demux, flow uin
 // across shards.
 // pool, when non-nil, recycles completed subflow receiver state; it must
 // belong to the destination's scheduling domain.
-func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
+func (f *Flow) AttachReceivers(dst *tcp.Host,
 	revRoutes int, rand *sim.Rand, onData func(n int64), pool *tcp.Pool) {
 	revPerm := rand.Perm(revRoutes)
 	for i := 0; i < f.subflows; i++ {
@@ -172,7 +152,7 @@ func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
 		rev := int16(revPerm[i%len(revPerm)])
 		var rcv *tcp.Receiver
 		if pool != nil {
-			rcv = pool.NewReceiver(dst, dstDemux, f.Senders[i].Host().ID, id, rev)
+			rcv = pool.NewReceiver(dst, f.Senders[i].Host().ID, id, rev)
 		} else {
 			rcv = tcp.NewReceiver(dst, f.Senders[i].Host().ID, id, rev)
 		}
@@ -180,7 +160,7 @@ func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
 			f.received += n
 			if f.Size >= 0 && f.received >= f.Size && !f.complete {
 				f.complete = true
-				f.CompletedAt = dst.EventList().Now()
+				f.CompletedAt = dst.Host.EventList().Now()
 				if f.OnComplete != nil {
 					f.OnComplete(f)
 				}
@@ -192,7 +172,6 @@ func (f *Flow) AttachReceivers(dst *fabric.Host, dstDemux *fabric.Demux,
 				onData(n)
 			}
 		}
-		dstDemux.Register(id, rcv)
 		f.Receivers = append(f.Receivers, rcv)
 	}
 }
@@ -207,10 +186,9 @@ type Attach Flow
 // counted on the destination's domain, whose route table it is, and
 // permuted by a generator seeded with revSeed, a value drawn from the
 // source's stream — and returns the command that calls it.
-func (f *Flow) Attach(dst *fabric.Host, dstDemux *fabric.Demux, routes tcp.Routes, revSeed uint64,
-	onData func(n int64), pool *tcp.Pool) *Attach {
+func (f *Flow) Attach(dst *tcp.Host, revSeed uint64, onData func(n int64), pool *tcp.Pool) *Attach {
 	a := &f.attach
-	a.dst, a.demux, a.routes, a.onData, a.pool = dst, dstDemux, routes, onData, pool
+	a.dst, a.onData, a.pool = dst, onData, pool
 	a.rand.Init(revSeed)
 	return (*Attach)(f)
 }
@@ -220,7 +198,7 @@ func (f *Flow) Attach(dst *fabric.Host, dstDemux *fabric.Demux, routes tcp.Route
 func (a *Attach) OnEvent(uint64) {
 	f, at := (*Flow)(a), &a.attach
 	src := f.Senders[0].Host()
-	f.AttachReceivers(at.dst, at.demux, at.routes.Paths(at.dst.ID, src.ID), &at.rand, at.onData, at.pool)
+	f.AttachReceivers(at.dst, at.dst.Paths(src.ID), &at.rand, at.onData, at.pool)
 }
 
 // Start launches every subflow.
@@ -276,12 +254,3 @@ func (f *Flow) AckedBytes() int64 {
 
 // Complete reports whether the stream has been fully received.
 func (f *Flow) Complete() bool { return f.complete }
-
-// TotalRtx sums retransmissions across subflows.
-func (f *Flow) TotalRtx() int64 {
-	var n int64
-	for _, s := range f.Senders {
-		n += s.Rtx
-	}
-	return n
-}

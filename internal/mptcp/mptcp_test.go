@@ -5,35 +5,35 @@ import (
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
+	"ndp/internal/tcp"
 	"ndp/internal/topo"
 )
 
-func mptcpNet(k int) (*topo.FatTree, []*fabric.Demux) {
+func mptcpNet(k int) (*topo.FatTree, []tcp.Host) {
 	cfg := topo.Config{
 		Seed:        5,
 		SwitchQueue: fabric.FIFOQueues(200 * 9000),
 	}
 	net := topo.NewFatTree(k, cfg)
-	dm := make([]*fabric.Demux, net.NumHosts())
+	th := make([]tcp.Host, net.NumHosts())
 	for i, h := range net.Hosts {
-		dm[i] = fabric.NewDemux()
-		h.Stack = dm[i]
+		th[i].Init(h, net)
 	}
-	return net, dm
+	return net, th
 }
 
-func newFlow(net *topo.FatTree, dm []*fabric.Demux, src, dst int32, flow uint64, size int64, subflows int) *Flow {
+func newFlow(net *topo.FatTree, th []tcp.Host, src, dst int32, flow uint64, size int64, subflows int) *Flow {
 	cfg := DefaultConfig()
 	cfg.Subflows = subflows
-	f := New(net.Hosts[src], net.Hosts[dst], dm[src], dm[dst], flow, size,
-		net.Paths(src, dst), net.Paths(dst, src), net.Rand, cfg)
+	f := NewSenderHalf(&th[src], &th[dst], flow, size, net.Paths(src, dst), net.Rand, cfg, nil)
+	f.AttachReceivers(&th[dst], net.Paths(dst, src), net.Rand, nil, nil)
 	f.Start()
 	return f
 }
 
 func TestMPTCPTransferCompletes(t *testing.T) {
-	net, dm := mptcpNet(4)
-	f := newFlow(net, dm, 0, 15, 100, 1_800_000, 4)
+	net, th := mptcpNet(4)
+	f := newFlow(net, th, 0, 15, 100, 1_800_000, 4)
 	net.EL.RunUntil(100 * sim.Millisecond)
 	if !f.Complete() {
 		t.Fatal("MPTCP transfer incomplete")
@@ -44,8 +44,8 @@ func TestMPTCPTransferCompletes(t *testing.T) {
 }
 
 func TestMPTCPUsesMultipleSubflows(t *testing.T) {
-	net, dm := mptcpNet(4)
-	f := newFlow(net, dm, 0, 15, 100, 9_000_000, 4)
+	net, th := mptcpNet(4)
+	f := newFlow(net, th, 0, 15, 100, 9_000_000, 4)
 	net.EL.RunUntil(100 * sim.Millisecond)
 	if !f.Complete() {
 		t.Fatal("incomplete")
@@ -63,8 +63,8 @@ func TestMPTCPUsesMultipleSubflows(t *testing.T) {
 
 func TestMPTCPLIAIsBounded(t *testing.T) {
 	// LIA's per-ack increment must never exceed uncoupled NewReno's 1/w.
-	net, dm := mptcpNet(4)
-	f := newFlow(net, dm, 0, 15, 100, -1, 4)
+	net, th := mptcpNet(4)
+	f := newFlow(net, th, 0, 15, 100, -1, 4)
 	net.EL.RunUntil(5 * sim.Millisecond)
 	for _, s := range f.Senders {
 		if s.SRTT() == 0 {
@@ -86,11 +86,11 @@ func TestMPTCPOutperformsSinglePathUnderCollision(t *testing.T) {
 	// and finishes faster in aggregate. Run both configurations on the
 	// same traffic pattern and compare total completion time.
 	run := func(subflows int) sim.Time {
-		net, dm := mptcpNet(4)
+		net, th := mptcpNet(4)
 		var last sim.Time
 		n := 0
 		for i := 0; i < 4; i++ {
-			f := newFlow(net, dm, int32(i), int32(12+i), uint64(100*i+1), 9_000_000, subflows)
+			f := newFlow(net, th, int32(i), int32(12+i), uint64(100*i+1), 9_000_000, subflows)
 			f.OnComplete = func(f *Flow) {
 				n++
 				if f.CompletedAt > last {
@@ -114,8 +114,8 @@ func TestMPTCPOutperformsSinglePathUnderCollision(t *testing.T) {
 func TestSharedSourceStripesExactly(t *testing.T) {
 	// The shared stream must be claimed exactly once: total received equals
 	// the stream size even with many subflows and retransmissions.
-	net, dm := mptcpNet(4)
-	f := newFlow(net, dm, 0, 15, 100, 450_000, 8)
+	net, th := mptcpNet(4)
+	f := newFlow(net, th, 0, 15, 100, 450_000, 8)
 	net.EL.RunUntil(200 * sim.Millisecond)
 	if !f.Complete() {
 		t.Fatal("incomplete")

@@ -25,14 +25,23 @@ func DefaultConfig() Config {
 	return Config{MTU: 9000, IW: 30, RTO: sim.Millisecond}
 }
 
-// Host is the per-host pHost agent: demux plus the shared token pacer.
+// Host is the per-host pHost agent and its packet sink: one table of the
+// flows the host sends or receives, through which every arrival is
+// dispatched, plus the shared token pacer. A sender leaves the table when
+// its state is reused, a receiver by its flow's Release.
 type Host struct {
 	host    *fabric.Host
 	el      *sim.EventList
 	arena   *fabric.Arena
-	demux   *fabric.Demux
+	cmds    Commands
 	spacing sim.Time
 	cfg     Config
+
+	flows  fabric.FlowTable[flowEntry]
+	Strays fabric.Strays // arrivals no flow claimed and listen turned away
+
+	listening      bool
+	onReceiverDone func(r *Receiver)
 
 	// queue is the round-robin token queue. The pacer pops the head and
 	// re-pushes the survivor on every transmitted token, the pattern that
@@ -43,11 +52,22 @@ type Host struct {
 	lastSent  sim.Time
 	everSent  bool
 
-	// Free lists of completed flow state (see internal/tcp.Pool for the
-	// reuse rules): reusable 2*fabric.MSL after completion.
-	retiredS   fabric.Ring[*Sender]
-	retiredR   fabric.Ring[*Receiver]
-	tombstones fabric.Slab[tombstone]
+	// Free lists of completed flow state: a sender reusable 2*fabric.MSL
+	// after it completed, a receiver as soon as its Release put it here.
+	retiredS fabric.Ring[*Sender]
+	retiredR fabric.Ring[*Receiver]
+}
+
+// flowEntry is a flow's sender or receiver (never both: no host routes to
+// itself).
+type flowEntry struct {
+	sender   *Sender
+	receiver *Receiver
+}
+
+// Commands is the cluster's deferred-command channel (topo.Cluster.Defer).
+type Commands interface {
+	Defer(from, to int, at sim.Time, h sim.Handler, arg uint64)
 }
 
 // First buffers: a token queue holds one slot per receiving flow with
@@ -57,8 +77,8 @@ const (
 	retiredFirst = 8
 )
 
-// NewHost installs a pHost agent on a host.
-func NewHost(h *fabric.Host, cfg Config) *Host {
+// Init installs ph as h's pHost agent.
+func (ph *Host) Init(h *fabric.Host, cmds Commands, cfg Config) {
 	if cfg.MTU == 0 {
 		cfg.MTU = 9000
 	}
@@ -68,96 +88,109 @@ func NewHost(h *fabric.Host, cfg Config) *Host {
 	if cfg.RTO == 0 {
 		cfg.RTO = sim.Millisecond
 	}
-	ph := &Host{
-		host: h, el: h.EventList(), arena: fabric.AttachArena(h.EventList()), demux: fabric.NewDemux(),
+	*ph = Host{
+		host: h, el: h.EventList(), arena: fabric.AttachArena(h.EventList()), cmds: cmds,
 		spacing: sim.TransmissionTime(cfg.MTU+fabric.HeaderSize, h.LinkRate()), cfg: cfg,
 	}
-	h.Stack = ph.demux
-	return ph
+	h.Stack = ph
 }
 
-// Listen accepts incoming pHost transfers.
+// Listen accepts incoming pHost transfers; onComplete, when set, observes
+// each receiver's completion.
 func (ph *Host) Listen(onComplete func(r *Receiver)) {
-	ph.demux.Listen = func(p *fabric.Packet) fabric.Sink {
-		if p.Type != fabric.Data {
-			return nil
+	ph.listening, ph.onReceiverDone = true, onComplete
+}
+
+// Receive dispatches an arrival (fabric.Sink) with one probe of the flow
+// table, to listen if no flow claims it; what listen turns away is a stray.
+func (ph *Host) Receive(p *fabric.Packet) {
+	e, _ := ph.flows.Get(p.Flow)
+	switch {
+	case e.sender != nil:
+		e.sender.Receive(p)
+	case e.receiver != nil:
+		e.receiver.Receive(p)
+	default:
+		if r := ph.listen(p); r != nil {
+			r.Receive(p)
+			return
 		}
-		r := ph.takeReceiver()
-		if r == nil {
-			r = &Receiver{ph: ph}
-		} else {
-			got := r.got
-			got.Reset()
-			*r = Receiver{ph: ph, got: got}
-		}
-		r.Flow, r.Peer, r.total, r.OnComplete = p.Flow, p.Src, -1, onComplete
-		return r
+		ph.Strays.Free(p)
 	}
 }
 
-// takeReceiver pops the oldest retired receiver if it is quiescent: out of
-// the token round-robin and 2*MSL past completion. Its demux slot (the
-// registration Listen created) is replaced with a tombstone that keeps
-// re-ACKing late retransmissions exactly as the live completed receiver
-// would, so a sender whose ACKs were dropped still recovers.
-func (ph *Host) takeReceiver() *Receiver {
-	r := ph.retiredR.Peek()
-	if r == nil || r.queued || ph.el.Now() < r.CompletedAt+2*fabric.MSL {
+// listen opens a receiver from a data packet of a flow with none: pHost
+// announces nothing, so whichever packet of a flow arrives first opens it.
+func (ph *Host) listen(p *fabric.Packet) *Receiver {
+	if !ph.listening || p.Type != fabric.Data {
 		return nil
 	}
-	ph.retiredR.Pop()
-	t := ph.tombstones.New()
-	*t = tombstone{ph: ph, flow: r.Flow, peer: r.Peer}
-	ph.demux.Register(r.Flow, t)
+	r := ph.takeReceiver()
+	if r == nil {
+		r = &Receiver{ph: ph}
+	} else {
+		got := r.got
+		got.Reset()
+		*r = Receiver{ph: ph, got: got}
+	}
+	r.Flow, r.Peer, r.total, r.OnComplete = p.Flow, p.Src, -1, ph.onReceiverDone
+	ph.flows.Ref(p.Flow).receiver = r
 	return r
 }
 
+// takeReceiver pops the oldest released receiver if it is out of the token
+// round-robin.
+func (ph *Host) takeReceiver() *Receiver {
+	r := ph.retiredR.Peek()
+	if r == nil || r.queued {
+		return nil
+	}
+	return ph.retiredR.Pop()
+}
+
 // takeSender pops the oldest retired sender if its RTO timer is disarmed
-// and 2*MSL has passed since completion; late ACKs or tokens for the old
-// flow are freed unclaimed after the demux slot is released here, which a
-// completed sender would have ignored anyway.
+// and 2*MSL has passed since completion, deleting its table entry: a
+// completed sender ignores the late ACKs and tokens that are strays now.
 func (ph *Host) takeSender() *Sender {
 	s := ph.retiredS.Peek()
 	if s == nil || s.timer.Pending() || ph.el.Now() < s.CompletedAt+2*fabric.MSL {
 		return nil
 	}
 	ph.retiredS.Pop()
-	ph.demux.Unregister(s.Flow)
+	ph.flows.Delete(s.Flow)
 	return s
 }
 
-// tombstone answers late retransmissions for a completed, recycled receiver
-// with the per-packet ACK the live receiver would have sent.
-type tombstone struct {
-	ph   *Host
-	flow uint64
-	peer int32
-}
+// Release deletes a flow's receiver from its host's table and hands it to
+// the free-list: a deferred command over the host, the flow id its
+// argument. The sender emits it at completion, due 2*MSL later, when
+// nothing of the flow can be in flight; until then the receiver answers
+// late retransmissions.
+type Release Host
 
-// Receive mirrors a completed Receiver.Receive exactly.
-func (t *tombstone) Receive(p *fabric.Packet) {
-	if p.Type != fabric.Data {
-		fabric.Free(p)
-		return
+// OnEvent runs the release (sim.Handler) on the receiving host's domain.
+func (rl *Release) OnEvent(flow uint64) {
+	ph := (*Host)(rl)
+	e, _ := ph.flows.Get(flow)
+	ph.flows.Delete(flow)
+	if e.receiver != nil {
+		ph.retiredR.Push(e.receiver, retiredFirst)
 	}
-	a := t.ph.arena.NewControl(fabric.Ack, t.flow, t.ph.host.ID, t.peer)
-	a.Seq = p.Seq
-	t.ph.host.Send(a)
-	fabric.Free(p)
 }
 
-// Connect starts a transfer of size bytes toward the destination host.
-// Packets are destination-routed (per-packet ECMP spraying by switches).
-func (ph *Host) Connect(dst int32, flow uint64, size int64, onDone func(s *Sender)) *Sender {
+// Connect starts a transfer of size bytes toward the agent dst, whose
+// state only the flow's Release touches, on dst's domain. Packets are
+// destination-routed (per-packet ECMP spraying by switches).
+func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sender)) *Sender {
 	s := ph.takeSender()
 	if s == nil {
-		s = &Sender{ph: ph, Flow: flow, Dst: dst, size: size, onDone: onDone}
+		s = &Sender{ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, size: size, onDone: onDone}
 		s.timer.InitHandler(ph.el, s)
 	} else {
 		timer, pkts := s.timer, s.pkts
 		pkts.Reset()
 		*s = Sender{
-			ph: ph, Flow: flow, Dst: dst, size: size, onDone: onDone,
+			ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, size: size, onDone: onDone,
 			timer: timer, pkts: pkts,
 		}
 	}
@@ -170,7 +203,7 @@ func (ph *Host) Connect(dst int32, flow uint64, size int64, onDone func(s *Sende
 	if s.lastSize <= 0 {
 		s.lastSize = int32(mtu)
 	}
-	ph.demux.Register(flow, s)
+	ph.flows.Ref(flow).sender = s
 	burst := int64(ph.cfg.IW)
 	if s.total < burst {
 		burst = s.total
@@ -188,6 +221,7 @@ type Sender struct {
 	Dst  int32
 
 	ph       *Host
+	peer     *Host // the destination, which the flow's Release runs on
 	size     int64
 	total    int64
 	lastSize int32
@@ -284,6 +318,7 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			if s.OnCompleteAt != nil {
 				s.OnCompleteAt(s.CompletedAt)
 			}
+			s.ph.cmds.Defer(int(s.ph.host.ID), int(s.Dst), s.CompletedAt+2*fabric.MSL, (*Release)(s.peer), s.Flow)
 			s.ph.retiredS.Push(s, retiredFirst)
 		}
 	case fabric.Pull: // token
@@ -377,7 +412,6 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		if r.OnComplete != nil {
 			r.OnComplete(r)
 		}
-		r.ph.retiredR.Push(r, retiredFirst)
 	} else if !dup && !r.complete {
 		r.addToken()
 	}

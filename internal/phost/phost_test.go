@@ -10,15 +10,15 @@ import (
 
 // phostNet builds a FatTree with 8-packet drop-tail queues and per-packet
 // ECMP spraying — the §6.2 comparison configuration.
-func phostNet(k int) (*topo.FatTree, []*Host) {
+func phostNet(k int) (*topo.FatTree, []Host) {
 	cfg := topo.Config{
 		Seed:        9,
 		SwitchQueue: fabric.FIFOQueues(8 * 9000),
 	}
 	net := topo.NewFatTree(k, cfg)
-	hosts := make([]*Host, net.NumHosts())
+	hosts := make([]Host, net.NumHosts())
 	for i, h := range net.Hosts {
-		hosts[i] = NewHost(h, DefaultConfig())
+		hosts[i].Init(h, net, DefaultConfig())
 		hosts[i].Listen(nil)
 	}
 	return net, hosts
@@ -26,7 +26,7 @@ func phostNet(k int) (*topo.FatTree, []*Host) {
 
 func TestPHostSingleTransfer(t *testing.T) {
 	net, ph := phostNet(4)
-	s := ph[0].Connect(15, 1, 900_000, nil)
+	s := ph[0].Connect(&ph[15], 1, 900_000, nil)
 	net.EL.RunUntil(100 * sim.Millisecond)
 	if !s.Complete() {
 		t.Fatal("transfer incomplete")
@@ -40,7 +40,7 @@ func TestPHostRecoversSilentLossViaRTO(t *testing.T) {
 	done := 0
 	var ss []*Sender
 	for i := 1; i < 16; i++ {
-		s := ph[i].Connect(0, uint64(i), 270_000, func(*Sender) { done++ })
+		s := ph[i].Connect(&ph[0], uint64(i), 270_000, func(*Sender) { done++ })
 		ss = append(ss, s)
 	}
 	net.EL.RunUntil(2 * sim.Second)
@@ -70,7 +70,7 @@ func TestPHostTokensPaceSteadyState(t *testing.T) {
 		}
 		inner.Receive(p)
 	})
-	ph[15].Connect(0, 1, 2_700_000, nil)
+	ph[15].Connect(&ph[0], 1, 2_700_000, nil)
 	net.EL.RunUntil(100 * sim.Millisecond)
 	if len(arrivals) < 100 {
 		t.Fatalf("only %d arrivals", len(arrivals))
@@ -91,7 +91,7 @@ func TestPHostListenCreatesReceiverLazily(t *testing.T) {
 	net, ph := phostNet(4)
 	done := false
 	ph[0].Listen(func(r *Receiver) { done = true })
-	ph[15].Connect(0, 7, 90_000, nil)
+	ph[15].Connect(&ph[0], 7, 90_000, nil)
 	net.EL.RunUntil(50 * sim.Millisecond)
 	if !done {
 		t.Fatal("receiver completion callback not invoked")

@@ -17,11 +17,12 @@ const endlessSize = 1 << 40
 func TestScoreboardStaysWindowSized(t *testing.T) {
 	net, ph := phostNet(4)
 	var rs []*Receiver
-	ss := []*Sender{ph[5].Connect(0, 1, endlessSize, nil), ph[10].Connect(0, 2, endlessSize, nil)}
+	ss := []*Sender{ph[5].Connect(&ph[0], 1, endlessSize, nil), ph[10].Connect(&ph[0], 2, endlessSize, nil)}
 	const T = 5 * sim.Millisecond
 	net.EL.RunUntil(T)
 	for _, s := range ss {
-		rs = append(rs, ph[0].demux.Handler(s.Flow).(*Receiver))
+		e, _ := ph[0].flows.Get(s.Flow)
+		rs = append(rs, e.receiver)
 	}
 	caps := func() [4]int {
 		return [4]int{ss[0].pkts.Cap(), rs[0].got.Cap(), ss[1].pkts.Cap(), rs[1].got.Cap()}
@@ -69,9 +70,10 @@ func (a phostCounters) minus(b phostCounters) phostCounters {
 // true prefix, end as their length).
 func TestLateFeedbackCounters(t *testing.T) {
 	net, ph := phostNet(4)
-	s := ph[5].Connect(0, 1, endlessSize, nil)
+	s := ph[5].Connect(&ph[0], 1, endlessSize, nil)
 	net.EL.RunUntil(sim.Millisecond)
-	r := ph[0].demux.Handler(1).(*Receiver)
+	e, _ := ph[0].flows.Get(1)
+	r := e.receiver
 	sBase, sEnd, rBase, rEnd := s.pkts.Base(), s.pkts.End(), r.got.Base(), r.got.End()
 	if sBase < 100 || sEnd-sBase < 10 || rBase < 100 {
 		t.Fatalf("set-up: scoreboard [%d, %d), bitmap [%d, %d): want non-zero bases and a window in flight", sBase, sEnd, rBase, rEnd)
@@ -122,45 +124,22 @@ func TestLateFeedbackCounters(t *testing.T) {
 	}
 }
 
-// relaunch starts the next flow of a closed loop from the source host its
-// argument names.
-type relaunch func(src int)
-
-func (f relaunch) OnEvent(src uint64) { f(int(src)) }
-
 // TestRetiredListsStayChurnSized is core's test of the same name for pHost's
 // free-lists: five one-packet connections per host in a closed loop with a
-// ~1 ms gap keep about ten endpoints per host waiting out their 2*MSL, and
-// the rings holding them are as large at 3T as at T.
+// ~1 ms gap keep about five senders per host waiting out their 2*MSL (their
+// receivers wait in the tables), and the rings are as large at 3T as at T.
 func TestRetiredListsStayChurnSized(t *testing.T) {
 	net, ph := phostNet(4)
-	rnd := sim.NewRand(7)
-	launched := uint64(0)
-	var launch func(src int)
-	launch = func(src int) {
-		launched++
-		dst := rnd.Intn(len(ph) - 1)
-		if dst >= src {
-			dst++
-		}
-		ph[src].Connect(int32(dst), launched, 1500, func(*Sender) {
-			net.EL.ScheduleAfter(sim.Millisecond/2+rnd.Duration(sim.Millisecond), relaunch(launch), uint64(src))
-		})
-	}
-	for src := range ph {
-		for conn := 0; conn < 5; conn++ {
-			launch(src)
-		}
-	}
+	launched := churn(net, ph)
 	caps := func() (c [2]int) {
-		for _, h := range ph {
-			c[0], c[1] = max(c[0], h.retiredS.Cap()), max(c[1], h.retiredR.Cap())
+		for i := range ph {
+			c[0], c[1] = max(c[0], ph[i].retiredS.Cap()), max(c[1], ph[i].retiredR.Cap())
 		}
 		return c
 	}
 	const T = 20 * sim.Millisecond
 	net.EL.RunUntil(T)
-	atT, byT := caps(), launched
+	atT, byT := caps(), *launched
 	t.Logf("capacities %v after %d flows", atT, byT)
 	net.EL.RunUntil(3 * T)
 	if at3T := caps(); at3T != atT {
@@ -169,7 +148,7 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 	if atT[0] == 0 || atT[0] > 64 || atT[1] == 0 || atT[1] > 64 {
 		t.Errorf("free-list capacities %v: want a few slots per host", atT)
 	}
-	if byT < 1000 || launched < 3*byT-100 {
-		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, launched)
+	if byT < 1000 || *launched < 3*byT-100 {
+		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, *launched)
 	}
 }

@@ -15,22 +15,18 @@ import (
 //
 // Reuse is behavior-preserving, not just leak-safe:
 //
-//   - A completed sender emits nothing and ignores late duplicate ACKs, so
-//     its demux slot is simply unregistered at reuse time (the demux frees
-//     unclaimed packets, which is observationally identical).
-//   - A completed receiver still re-ACKs late retransmissions — behavior a
-//     stalled sender may depend on if the final ACK was dropped. At reuse
-//     time its demux slot is therefore replaced with a tombstone that
-//     replays exactly the ACK the live receiver would have sent. Tombstones
-//     occupy the demux slot forever, just as the retired receiver itself
-//     did before pooling existed.
+//   - A completed sender emits nothing and ignores late ACKs, so its table
+//     entry is simply deleted at reuse, 2*MSL after it completed.
+//   - A completed receiver still re-ACKs late retransmissions, which a
+//     sender whose final ACK was dropped depends on. It stays in its table
+//     until the flow's Release, 2*MSL after its sender completed, hands it
+//     here, reusable at once.
 //
 // Pools are not safe for concurrent use: build one per shard and only touch
 // it from that shard's scheduling domain.
 type Pool struct {
-	senders    fabric.Ring[*Sender]
-	receivers  fabric.Ring[*Receiver]
-	tombstones fabric.Slab[tombstone]
+	senders   fabric.Ring[*Sender]
+	receivers fabric.Ring[*Receiver]
 }
 
 // retiredFirst is a free-list's first buffer; a domain that completes more
@@ -41,13 +37,12 @@ const retiredFirst = 8
 func NewPool() *Pool { return &Pool{} }
 
 // NewSender builds (or recycles) the sender of a size-byte stream (size < 0
-// never runs out) registered on demux, which must demux the source host's
-// packets. The stream is a FixedSource the sender carries, so a flow start
-// costs no source object. The sender returns to the pool automatically when
-// the stream completes.
-func (pl *Pool) NewSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	route int16, size int64, cfg Config) *Sender {
-	s := pl.newSender(host, demux, dst, flow, route, nil, cfg)
+// never runs out) from src to dst, registered on src. The stream is a
+// FixedSource the sender carries, so a flow start costs no source object.
+// The sender returns to the pool automatically when the stream completes,
+// and releases the flow's receiver on dst 2*MSL later.
+func (pl *Pool) NewSender(src, dst *Host, flow uint64, route int16, size int64, cfg Config) *Sender {
+	s := pl.newSender(src, dst, flow, route, nil, cfg)
 	s.groupOwned = false
 	if size < 0 {
 		size = math.MaxInt64
@@ -60,24 +55,21 @@ func (pl *Pool) NewSender(host *fabric.Host, demux *fabric.Demux, dst int32, flo
 // NewGroupSender is NewSender without automatic retirement: the caller
 // retires the whole group with RetireSender once its coupled state is dead
 // (MPTCP's LIA reads sibling windows until every subflow has completed).
-func (pl *Pool) NewGroupSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	route int16, source DataSource, cfg Config) *Sender {
-	s := pl.newSender(host, demux, dst, flow, route, source, cfg)
+func (pl *Pool) NewGroupSender(src, dst *Host, flow uint64, route int16, source DataSource, cfg Config) *Sender {
+	s := pl.newSender(src, dst, flow, route, source, cfg)
 	s.groupOwned = true
 	return s
 }
 
-func (pl *Pool) newSender(host *fabric.Host, demux *fabric.Demux, dst int32, flow uint64,
-	route int16, source DataSource, cfg Config) *Sender {
-	s := pl.takeSender(host.EventList())
+func (pl *Pool) newSender(src, dst *Host, flow uint64, route int16, source DataSource, cfg Config) *Sender {
+	s := pl.takeSender(src.Host.EventList())
 	if s == nil {
-		s = NewSender(host, dst, flow, route, source, cfg)
+		s = NewSender(src, dst.Host.ID, flow, route, source, cfg)
 		s.pool = pl
 	} else {
-		s.recycle(host, dst, flow, route, source, cfg)
+		s.recycle(src, dst.Host.ID, flow, route, source, cfg)
 	}
-	s.demux = demux
-	demux.Register(flow, s)
+	s.peer = dst
 	return s
 }
 
@@ -89,8 +81,8 @@ func (pl *Pool) retireSender(s *Sender) { pl.senders.Push(s, retiredFirst) }
 
 // takeSender pops the oldest retired sender if it is quiescent: timer
 // disarmed, 2*MSL past completion (no old-flow packets in flight), and
-// owned by the requesting scheduling domain. Its demux registration is
-// removed here — late ACKs beyond this point are freed unclaimed, which a
+// owned by the requesting scheduling domain. Its table entry is deleted
+// here — late ACKs beyond this point are freed as strays, which a
 // completed sender would have ignored anyway.
 func (pl *Pool) takeSender(el *sim.EventList) *Sender {
 	s := pl.senders.Peek()
@@ -98,72 +90,32 @@ func (pl *Pool) takeSender(el *sim.EventList) *Sender {
 		return nil
 	}
 	pl.senders.Pop()
-	s.demux.Unregister(s.Flow)
+	s.own.flows.Delete(s.Flow)
 	return s
 }
 
-// NewReceiver builds (or recycles) a receiver registered on demux, which
-// must demux the receiving host's packets. The receiver returns to the pool
-// automatically when the stream completes.
-func (pl *Pool) NewReceiver(host *fabric.Host, demux *fabric.Demux, peer int32, flow uint64,
-	route int16) *Receiver {
-	r := pl.takeReceiver(host.EventList())
+// NewReceiver builds (or recycles) a receiver registered on host. It
+// returns to the pool when its sender's Release runs.
+func (pl *Pool) NewReceiver(host *Host, peer int32, flow uint64, route int16) *Receiver {
+	r := pl.takeReceiver(host.Host.EventList())
 	if r == nil {
 		r = NewReceiver(host, peer, flow, route)
 		r.pool = pl
 	} else {
 		r.recycle(host, peer, flow, route)
 	}
-	r.demux = demux
-	demux.Register(flow, r)
 	return r
 }
 
 func (pl *Pool) retireReceiver(r *Receiver) { pl.receivers.Push(r, retiredFirst) }
 
-// takeReceiver pops the oldest retired receiver if 2*MSL has elapsed since
-// completion and it belongs to the requesting domain, leaving a tombstone
-// in its demux slot so late retransmissions keep eliciting the final ACK.
+// takeReceiver pops the oldest released receiver if it belongs to the
+// requesting domain. A released receiver is out of its host's table and
+// its flow is over, so it is reusable as soon as it is here.
 func (pl *Pool) takeReceiver(el *sim.EventList) *Receiver {
 	r := pl.receivers.Peek()
-	if r == nil || r.host.EventList() != el || el.Now() < r.CompletedAt+2*fabric.MSL {
+	if r == nil || r.host.EventList() != el {
 		return nil
 	}
-	pl.receivers.Pop()
-	// One small tombstone per recycled receiver, in place of keeping a
-	// whole Receiver alive, carved from the pool's slab.
-	t := pl.tombstones.New()
-	*t = tombstone{host: r.host, arena: r.arena, flow: r.Flow, peer: r.peer, route: r.route, cumAck: r.got.Base()}
-	r.demux.Register(r.Flow, t)
-	return r
-}
-
-// tombstone stands in for a completed, recycled receiver: it answers late
-// retransmissions with the same final cumulative ACK the live receiver
-// would have produced, so a sender whose completion ACK was lost still
-// recovers. It holds ~1/10th the state of a full Receiver.
-type tombstone struct {
-	host   *fabric.Host
-	arena  *fabric.Arena
-	flow   uint64
-	peer   int32
-	route  int16
-	cumAck int64
-}
-
-// Receive mirrors a completed Receiver.Receive exactly.
-func (t *tombstone) Receive(p *fabric.Packet) {
-	if p.Type != fabric.Data {
-		fabric.Free(p)
-		return
-	}
-	a := t.arena.NewControl(fabric.Ack, t.flow, t.host.ID, t.peer)
-	a.AckNo = t.cumAck
-	a.Sent = p.Sent
-	if p.Flags&fabric.FlagCE != 0 {
-		a.Flags |= fabric.FlagECNEcho
-	}
-	a.Route = t.route
-	t.host.Send(a)
-	fabric.Free(p)
+	return pl.receivers.Pop()
 }

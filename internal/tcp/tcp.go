@@ -119,13 +119,15 @@ type Sender struct {
 	route int16 // fixed source route (per-flow "ECMP" path); -1 = destination-routed
 	arena *fabric.Arena
 
-	// Pool plumbing (nil for unpooled senders): the pool the sender returns
-	// to at completion, the demux it is registered on (unregistered when the
-	// pool hands the state to a new flow), and whether retirement is
-	// automatic or group-managed (MPTCP couples subflows via LIA, so no
-	// subflow may be reused while a sibling still reads its window).
+	// own is the host whose table the sender is in. Pool plumbing (nil for
+	// unpooled senders): the pool the sender returns to at completion, the
+	// destination host its completion releases the receiver on, and whether
+	// retirement is automatic or group-managed (MPTCP couples subflows via
+	// LIA, so no subflow may be reused while a sibling still reads its
+	// window).
+	own        *Host
 	pool       *Pool
-	demux      *fabric.Demux
+	peer       *Host
 	groupOwned bool
 
 	source DataSource
@@ -176,34 +178,38 @@ type segment struct {
 	rtxed bool  // Karn: retransmitted at least once
 }
 
-// NewSender builds a TCP sender. route is the fixed source route to the
-// destination, an index below Routes.Paths (-1 for destination-based ECMP
-// routing); source supplies the stream. Pool calls it only on a miss:
-// recycle reuses the state.
-func NewSender(host *fabric.Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) *Sender {
+// NewSender builds a TCP sender registered on host. route is the fixed
+// source route to the destination, an index below host.Paths(dst) (-1 for
+// destination-based ECMP routing); source supplies the stream. Pool calls
+// it only on a miss: recycle reuses the state.
+func NewSender(host *Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
+	el := host.Host.EventList()
 	s := &Sender{
 		Flow:     flow,
 		cfg:      cfg,
-		el:       host.EventList(),
-		host:     host,
+		el:       el,
+		host:     host.Host,
 		dst:      dst,
 		route:    route,
-		arena:    fabric.AttachArena(host.EventList()),
+		arena:    fabric.AttachArena(el),
+		own:      host,
 		source:   source,
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.MaxCwnd,
 		rto:      cfg.MinRTO,
 	}
 	s.timer.InitHandler(s.el, s)
+	host.flows.Ref(flow).sender = s
 	return s
 }
 
-// recycle resets a retired sender for a new connection, keeping the
-// identity-bound resources: the event list, the timer (its handler is this
-// object), the arena, and the emptied segment window's buffer.
-func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) {
-	if s.attach.Host != nil && s.el.Now() <= s.attach.At {
+// recycle resets a retired sender for a new connection registered on host,
+// keeping the identity-bound resources: the event list, the timer (its
+// handler is this object), the arena, and the emptied segment window's
+// buffer.
+func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) {
+	if s.attach.Pool != nil && s.el.Now() <= s.attach.At {
 		panic("tcp: sender recycled before its deferred receiver attach ran")
 	}
 	cfg = cfg.withDefaults()
@@ -211,16 +217,12 @@ func (s *Sender) recycle(host *fabric.Host, dst int32, flow uint64, route int16,
 	segs := s.segs
 	segs.Reset()
 	*s = Sender{
-		Flow: flow, cfg: cfg, el: el, host: host, dst: dst, route: route,
-		arena: arena, pool: pool, source: source,
+		Flow: flow, cfg: cfg, el: el, host: host.Host, dst: dst, route: route,
+		arena: arena, own: host, pool: pool, source: source,
 		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd, rto: cfg.MinRTO,
 		timer: timer, segs: segs,
 	}
-}
-
-// Routes counts the source routes between two hosts (topo.Cluster).
-type Routes interface {
-	Paths(src, dst int32) int
+	host.flows.Ref(flow).sender = s
 }
 
 // ReceiverAttach is what the destination's scheduling domain needs to build
@@ -228,15 +230,11 @@ type Routes interface {
 type ReceiverAttach struct {
 	// At is when the attach runs: before the flow's first packet can arrive.
 	At sim.Time
-	// Host, Demux and Pool are the destination host, its demux and its
-	// scheduling domain's pool.
-	Host  *fabric.Host
-	Demux *fabric.Demux
-	Pool  *Pool
-	// Routes counts the reverse routes — on the destination's domain, whose
-	// route table it is — and RevPick, a raw value drawn from the source's
-	// stream, picks one of them modulo their count.
-	Routes  Routes
+	// Pool is the destination's scheduling domain's pool.
+	Pool *Pool
+	// RevPick, a raw value drawn from the source's stream, picks one of the
+	// reverse routes modulo their count, taken on the destination's domain,
+	// whose route table it is.
 	RevPick uint64
 	// OnData and OnCompleteAt are installed on the receiver.
 	OnData       func(n int64)
@@ -263,8 +261,8 @@ func (s *Sender) Attach(a ReceiverAttach) *Attach {
 // destination's scheduling domain.
 func (a *Attach) OnEvent(uint64) {
 	at := &a.attach
-	revs := at.Routes.Paths(at.Host.ID, a.host.ID)
-	rcv := at.Pool.NewReceiver(at.Host, at.Demux, a.host.ID, a.Flow, int16(at.RevPick%uint64(revs)))
+	revs := a.peer.Paths(a.host.ID)
+	rcv := at.Pool.NewReceiver(a.peer, a.host.ID, a.Flow, int16(at.RevPick%uint64(revs)))
 	rcv.OnData = at.OnData
 	rcv.OnCompleteAt = at.OnCompleteAt
 }
@@ -368,6 +366,12 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			s.sampleRTT(s.el.Now() - s.SynSentAt)
 			s.timer.Stop()
 			s.trySend()
+			if s.sndNxt == 0 && s.source.Exhausted() {
+				// An MPTCP subflow whose siblings claimed the whole shared
+				// stream before its handshake ended: it has nothing to
+				// send, ever.
+				s.finish()
+			}
 		}
 		fabric.Free(p)
 		return
@@ -454,17 +458,27 @@ func (s *Sender) onNewAck(p *fabric.Packet, ack int64) {
 	if s.sndUna >= s.sndNxt {
 		s.timer.Stop()
 		if s.source.Exhausted() && s.sndUna == s.segs.End() && !s.complete {
-			s.complete = true
-			s.CompletedAt = s.el.Now()
-			if s.OnComplete != nil {
-				s.OnComplete(s)
-			}
-			if s.pool != nil && !s.groupOwned {
-				s.pool.retireSender(s)
-			}
+			s.finish()
 		}
 	} else {
 		s.timer.Reset(s.rto)
+	}
+}
+
+// finish completes the flow. A pooled sender sends the flow's Release to
+// the destination, due 2*MSL from now, and unless group-owned retires to
+// the pool.
+func (s *Sender) finish() {
+	s.complete = true
+	s.CompletedAt = s.el.Now()
+	if s.OnComplete != nil {
+		s.OnComplete(s)
+	}
+	if s.peer != nil {
+		s.own.net.Defer(int(s.host.ID), int(s.dst), s.CompletedAt+2*fabric.MSL, (*Release)(s.peer), s.Flow)
+	}
+	if s.pool != nil && !s.groupOwned {
+		s.pool.retireSender(s)
 	}
 }
 
@@ -587,9 +601,9 @@ type Receiver struct {
 	route int16 // fixed reverse route for ACKs
 	arena *fabric.Arena
 
-	// Pool plumbing (nil for unpooled receivers); see Sender.
-	pool  *Pool
-	demux *fabric.Demux
+	// pool is where the flow's Release hands the receiver (nil for
+	// unpooled receivers).
+	pool *Pool
 
 	// got is the arrival bitmap above the cumulative ACK: its base advances
 	// over the received prefix, so Base is the next sequence number expected.
@@ -602,33 +616,34 @@ type Receiver struct {
 	FirstArrival sim.Time
 	seenAny      bool
 	// OnData observes every newly received payload byte count (MPTCP
-	// aggregates across subflows); OnComplete fires when the stream is
-	// fully received (FIN seen and no holes), OnCompleteAt with it for
-	// callers that need the completion time only.
+	// aggregates across subflows); OnCompleteAt fires with the completion
+	// time when the stream is fully received (FIN seen and no holes).
 	OnData       func(n int64)
-	OnComplete   func(r *Receiver)
 	OnCompleteAt func(at sim.Time)
 }
 
-// NewReceiver builds the receiving side; route, an index below
-// Routes.Paths(host, peer) (-1: destination-routed), takes ACKs back. Pool
-// calls it only on a miss.
-func NewReceiver(host *fabric.Host, peer int32, flow uint64, route int16) *Receiver {
-	return &Receiver{
-		Flow: flow, host: host, peer: peer, route: route, finSeq: -1,
-		arena: fabric.AttachArena(host.EventList()),
+// NewReceiver builds the receiving side, registered on host; route, an
+// index below host.Paths(peer) (-1: destination-routed), takes ACKs back.
+// Pool calls it only on a miss.
+func NewReceiver(host *Host, peer int32, flow uint64, route int16) *Receiver {
+	r := &Receiver{
+		Flow: flow, host: host.Host, peer: peer, route: route, finSeq: -1,
+		arena: fabric.AttachArena(host.Host.EventList()),
 	}
+	host.flows.Ref(flow).receiver = r
+	return r
 }
 
-// recycle resets a retired receiver for a new connection, keeping the arena
-// and the emptied arrival bitmap's buffer.
-func (r *Receiver) recycle(host *fabric.Host, peer int32, flow uint64, route int16) {
+// recycle resets a released receiver for a new connection registered on
+// host, keeping the arena and the emptied arrival bitmap's buffer.
+func (r *Receiver) recycle(host *Host, peer int32, flow uint64, route int16) {
 	pool, arena, got := r.pool, r.arena, r.got
 	got.Reset()
 	*r = Receiver{
-		Flow: flow, host: host, peer: peer, route: route, finSeq: -1,
+		Flow: flow, host: host.Host, peer: peer, route: route, finSeq: -1,
 		arena: arena, pool: pool, got: got,
 	}
+	host.flows.Ref(flow).receiver = r
 }
 
 // Receive handles data and SYN packets.
@@ -680,14 +695,8 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	if r.finSeq >= 0 && cumAck == r.finSeq+1 && !r.complete {
 		r.complete = true
 		r.CompletedAt = r.host.EventList().Now()
-		if r.OnComplete != nil {
-			r.OnComplete(r)
-		}
 		if r.OnCompleteAt != nil {
 			r.OnCompleteAt(r.CompletedAt)
-		}
-		if r.pool != nil {
-			r.pool.retireReceiver(r)
 		}
 	}
 	fabric.Free(p)

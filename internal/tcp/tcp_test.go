@@ -9,9 +9,9 @@ import (
 	"ndp/internal/topo"
 )
 
-// tcpNet builds a FatTree with drop-tail (or ECN) queues and a demux on
-// every host.
-func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []*fabric.Demux) {
+// tcpNet builds a FatTree with drop-tail (or ECN) queues and a TCP host on
+// every host, sending its pooled flows' Releases through the network.
+func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []Host) {
 	cfg := topo.Config{Seed: 7}
 	if markBytes > 0 {
 		cfg.SwitchQueue = fabric.ECNQueues(queueBytes, markBytes)
@@ -19,29 +19,26 @@ func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []*fabric.Demux) {
 		cfg.SwitchQueue = fabric.FIFOQueues(queueBytes)
 	}
 	net := topo.NewFatTree(k, cfg)
-	demux := make([]*fabric.Demux, net.NumHosts())
+	hosts := make([]Host, net.NumHosts())
 	for i, h := range net.Hosts {
-		demux[i] = fabric.NewDemux()
-		h.Stack = demux[i]
+		hosts[i].Init(h, net)
 	}
-	return net, demux
+	return net, hosts
 }
 
 // startFlow wires one TCP flow between two hosts over route 0 each way and
 // starts it.
-func startFlow(net *topo.FatTree, dm []*fabric.Demux, src, dst int32, flow uint64, size int64, cfg Config) (*Sender, *Receiver) {
-	snd := NewSender(net.Hosts[src], dst, flow, 0, NewFixedSource(size, cfg.withDefaults().MSS), cfg)
-	rcv := NewReceiver(net.Hosts[dst], src, flow, 0)
-	dm[src].Register(flow, snd)
-	dm[dst].Register(flow, rcv)
+func startFlow(th []Host, src, dst int32, flow uint64, size int64, cfg Config) (*Sender, *Receiver) {
+	snd := NewSender(&th[src], dst, flow, 0, NewFixedSource(size, cfg.withDefaults().MSS), cfg)
+	rcv := NewReceiver(&th[dst], src, flow, 0)
 	snd.Start()
 	return snd, rcv
 }
 
 func TestTCPSingleTransfer(t *testing.T) {
-	net, dm := tcpNet(4, 200*9000, 0)
+	net, th := tcpNet(4, 200*9000, 0)
 	cfg := DefaultConfig()
-	snd, rcv := startFlow(net, dm, 0, 15, 1, 900_000, cfg)
+	snd, rcv := startFlow(th, 0, 15, 1, 900_000, cfg)
 	net.EL.RunUntil(100 * sim.Millisecond)
 	if !snd.Complete() || !rcv.Complete() {
 		t.Fatalf("transfer incomplete: snd=%v rcv=%v", snd.Complete(), rcv.Complete())
@@ -57,10 +54,10 @@ func TestTCPSingleTransfer(t *testing.T) {
 func TestTCPHandshakeCostsOneRTT(t *testing.T) {
 	// With handshake, first data arrives ~1 RTT later than without.
 	first := func(handshake bool) sim.Time {
-		net, dm := tcpNet(4, 200*9000, 0)
+		net, th := tcpNet(4, 200*9000, 0)
 		cfg := DefaultConfig()
 		cfg.Handshake = handshake
-		_, rcv := startFlow(net, dm, 0, 15, 1, 9000, cfg)
+		_, rcv := startFlow(th, 0, 15, 1, 9000, cfg)
 		net.EL.RunUntil(10 * sim.Millisecond)
 		return rcv.FirstArrival
 	}
@@ -79,11 +76,11 @@ func TestTCPHandshakeCostsOneRTT(t *testing.T) {
 func TestTCPFastRetransmit(t *testing.T) {
 	// Two senders bursting into one downlink overflow the 8-packet queue;
 	// fast retransmit must recover without waiting for the 200ms RTO.
-	net, dm := tcpNet(4, 8*9000, 0)
+	net, th := tcpNet(4, 8*9000, 0)
 	cfg := DefaultConfig()
 	cfg.InitialCwnd = 30 // combined burst overflows the 8-packet queue
-	s1, r1 := startFlow(net, dm, 1, 0, 1, 900_000, cfg)
-	s2, r2 := startFlow(net, dm, 2, 0, 2, 900_000, cfg)
+	s1, r1 := startFlow(th, 1, 0, 1, 900_000, cfg)
+	s2, r2 := startFlow(th, 2, 0, 2, 900_000, cfg)
 	net.EL.RunUntil(2 * sim.Second)
 	if !r1.Complete() || !r2.Complete() {
 		t.Fatal("transfers incomplete")
@@ -105,11 +102,11 @@ func TestTCPFastRetransmit(t *testing.T) {
 
 func TestTCPRTORecoversTailLoss(t *testing.T) {
 	// Lose the tail of a transfer: only the RTO can recover it.
-	net, dm := tcpNet(4, 2*9000, 0) // 2-packet queues drop aggressively
+	net, th := tcpNet(4, 2*9000, 0) // 2-packet queues drop aggressively
 	cfg := DefaultConfig()
 	cfg.MinRTO = 2 * sim.Millisecond
 	cfg.InitialCwnd = 20
-	snd, rcv := startFlow(net, dm, 0, 15, 1, 180_000, cfg)
+	snd, rcv := startFlow(th, 0, 15, 1, 180_000, cfg)
 	net.EL.RunUntil(2 * sim.Second)
 	if !rcv.Complete() {
 		t.Fatalf("transfer incomplete; timeouts=%d rtx=%d", snd.Timeouts, snd.Rtx)
@@ -117,10 +114,10 @@ func TestTCPRTORecoversTailLoss(t *testing.T) {
 }
 
 func TestTCPCwndGrowth(t *testing.T) {
-	net, dm := tcpNet(4, 200*9000, 0)
+	net, th := tcpNet(4, 200*9000, 0)
 	cfg := DefaultConfig()
 	cfg.InitialCwnd = 2
-	snd, _ := startFlow(net, dm, 0, 15, 1, 4_500_000, cfg)
+	snd, _ := startFlow(th, 0, 15, 1, 4_500_000, cfg)
 	net.EL.RunUntil(2 * sim.Millisecond)
 	if snd.Cwnd() <= 2 {
 		t.Errorf("cwnd did not grow from 2: %v", snd.Cwnd())
@@ -134,12 +131,12 @@ func TestDCTCPKeepsQueueShort(t *testing.T) {
 	// Two DCTCP flows share one downlink with ECN marking at 3 packets.
 	// DCTCP must hold the queue near the threshold: far below the 200pkt
 	// plain-TCP operating point, with no drops.
-	net, dm := tcpNet(4, 200*9000, 3*9000)
+	net, th := tcpNet(4, 200*9000, 3*9000)
 	cfg := DefaultConfig()
 	cfg.DCTCP = true
 	cfg.MinRTO = 10 * sim.Millisecond
-	s1, _ := startFlow(net, dm, 1, 0, 1, 20_000_000, cfg)
-	s2, _ := startFlow(net, dm, 2, 0, 2, 20_000_000, cfg)
+	s1, _ := startFlow(th, 1, 0, 1, 20_000_000, cfg)
+	s2, _ := startFlow(th, 2, 0, 2, 20_000_000, cfg)
 	net.EL.RunUntil(20 * sim.Millisecond)
 	if s1.Alpha() == 0 && s2.Alpha() == 0 {
 		t.Error("DCTCP alpha never moved; marking not reaching senders")
@@ -170,11 +167,11 @@ func TestTCPNoHandshakeDupAckInflation(t *testing.T) {
 	// deflates to ssthresh on exit. We just assert completion correctness
 	// under random drop pressure at several queue sizes.
 	for _, qpkts := range []int{2, 4, 8} {
-		net, dm := tcpNet(4, qpkts*9000, 0)
+		net, th := tcpNet(4, qpkts*9000, 0)
 		cfg := DefaultConfig()
 		cfg.MinRTO = 2 * sim.Millisecond
 		cfg.InitialCwnd = 16
-		_, rcv := startFlow(net, dm, 0, 14, 1, 450_000, cfg)
+		_, rcv := startFlow(th, 0, 14, 1, 450_000, cfg)
 		net.EL.RunUntil(time2s())
 		if !rcv.Complete() || rcv.Bytes != 450_000 {
 			t.Errorf("q=%d pkts: incomplete or wrong bytes (%d)", qpkts, rcv.Bytes)
@@ -188,10 +185,10 @@ func time2s() sim.Time { return 2 * sim.Second }
 func TestTCPTransferSizeProperty(t *testing.T) {
 	prop := func(raw uint32) bool {
 		size := int64(raw%300_000) + 1
-		net, dm := tcpNet(4, 8*9000, 0)
+		net, th := tcpNet(4, 8*9000, 0)
 		cfg := DefaultConfig()
 		cfg.MinRTO = 2 * sim.Millisecond
-		_, rcv := startFlow(net, dm, 0, 15, 1, size, cfg)
+		_, rcv := startFlow(th, 0, 15, 1, size, cfg)
 		net.EL.RunUntil(2 * sim.Second)
 		return rcv.Complete() && rcv.Bytes == size
 	}
@@ -219,27 +216,31 @@ func TestFixedSource(t *testing.T) {
 }
 
 // TestAttachCommand: the receiver half of a flow is built by a command over
-// the pooled sender — on the reverse route RevPick selects, with the
-// observers the record carries — and the pool refuses to recycle a sender
+// the pooled sender — on the reverse route RevPick selects, in the table of
+// the sender's destination, with the observers the record carries — and
+// released by another: the completed receiver stays in that table until
+// 2*MSL after its sender completed, when the flow's Release deletes the
+// entry and hands it to the pool. The pool refuses to recycle a sender
 // whose attach is still due.
 func TestAttachCommand(t *testing.T) {
-	net, dm := tcpNet(4, 200*9000, 0)
+	net, th := tcpNet(4, 200*9000, 0)
 	pool, cfg := NewPool(), DefaultConfig()
 	hs, hd := net.Hosts[0], net.Hosts[15]
 	flow := func(id uint64) *Sender {
-		return pool.NewSender(hs, dm[0], hd.ID, id, 0, 90_000, cfg)
+		return pool.NewSender(&th[0], &th[15], id, 0, 90_000, cfg)
 	}
 	s := flow(7)
 	var bytes int64
 	var doneAt sim.Time
 	at := net.MinPathDelay(0, 15)
 	net.Defer(0, 15, at, s.Attach(ReceiverAttach{
-		At: at, Host: hd, Demux: dm[15], Pool: pool, Routes: net, RevPick: 5,
+		At: at, Pool: pool, RevPick: 5,
 		OnData: func(n int64) { bytes += n }, OnCompleteAt: func(at sim.Time) { doneAt = at },
 	}), 0)
 	s.Start()
-	net.EL.RunUntil(3 * sim.Millisecond)
-	rcv, _ := dm[15].Handler(7).(*Receiver)
+	net.EL.RunUntil(sim.Millisecond)
+	e, _ := th[15].flows.Get(7)
+	rcv := e.receiver
 	if rcv == nil || !rcv.Complete() || !s.Complete() {
 		t.Fatalf("transfer incomplete: receiver %v", rcv)
 	}
@@ -251,8 +252,21 @@ func TestAttachCommand(t *testing.T) {
 		t.Errorf("observers saw %d bytes, completion at %v; receiver completed at %v", bytes, doneAt, rcv.CompletedAt)
 	}
 
-	net.EL.RunUntil(rcv.CompletedAt + 2*fabric.MSL + sim.Millisecond) // quiescent: the pool may reuse both halves
-	s.Attach(ReceiverAttach{At: net.EL.Now(), Host: hd})              // an attach still due at this instant
+	release := s.CompletedAt + 2*fabric.MSL
+	net.EL.RunUntil(release - 1)
+	if e, _ := th[15].flows.Get(7); e.receiver != rcv || pool.receivers.Len() != 0 {
+		t.Fatal("the receiver left its table before its sender was 2*MSL complete")
+	}
+	net.EL.RunUntil(release)
+	if n := th[15].flows.Len(); n != 0 || pool.receivers.Peek() != rcv {
+		t.Errorf("after the release: %d flows in the destination's table, receiver pooled: %v", n, pool.receivers.Peek() == rcv)
+	}
+	if want := int64(2); net.CommandEvents() != want {
+		t.Errorf("%d commands emitted, want %d (attach, release)", net.CommandEvents(), want)
+	}
+
+	net.EL.RunUntil(release + sim.Millisecond)             // quiescent: the pool may reuse both halves
+	s.Attach(ReceiverAttach{At: net.EL.Now(), Pool: pool}) // an attach still due at this instant
 	defer func() {
 		if msg, _ := recover().(string); msg != "tcp: sender recycled before its deferred receiver attach ran" {
 			t.Errorf("recovered %q, want the recycle-before-attach panic", msg)

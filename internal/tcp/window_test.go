@@ -17,14 +17,13 @@ type endless struct{ mss int }
 func (e endless) Claim() int      { return e.mss }
 func (e endless) Exhausted() bool { return false }
 
-func windowNet(queue topo.QueueFactory) (*topo.FatTree, []*fabric.Demux) {
+func windowNet(queue topo.QueueFactory) (*topo.FatTree, []tcp.Host) {
 	net := topo.NewFatTree(4, topo.Config{Seed: 7, SwitchQueue: queue})
-	dm := make([]*fabric.Demux, net.NumHosts())
+	th := make([]tcp.Host, net.NumHosts())
 	for i, h := range net.Hosts {
-		dm[i] = fabric.NewDemux()
-		h.Stack = dm[i]
+		th[i].Init(h, net)
 	}
-	return net, dm
+	return net, th
 }
 
 // TestSegmentWindowStaysWindowSized: for TCP, DCTCP and MPTCP, two unbounded
@@ -37,14 +36,12 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 		senders   []*tcp.Sender
 		receivers []*tcp.Receiver
 	}
-	single := func(cfg tcp.Config) func(*topo.FatTree, []*fabric.Demux) endpoints {
-		return func(net *topo.FatTree, dm []*fabric.Demux) (e endpoints) {
+	single := func(cfg tcp.Config) func(*topo.FatTree, []tcp.Host) endpoints {
+		return func(net *topo.FatTree, th []tcp.Host) (e endpoints) {
 			for i, src := range []int32{5, 10} {
 				flow := uint64(i + 1)
-				snd := tcp.NewSender(net.Hosts[src], 0, flow, 0, endless{cfg.MSS}, cfg)
-				rcv := tcp.NewReceiver(net.Hosts[0], src, flow, 0)
-				dm[src].Register(flow, snd)
-				dm[0].Register(flow, rcv)
+				snd := tcp.NewSender(&th[src], 0, flow, 0, endless{cfg.MSS}, cfg)
+				rcv := tcp.NewReceiver(&th[0], src, flow, 0)
 				snd.Start()
 				e.senders, e.receivers = append(e.senders, snd), append(e.receivers, rcv)
 			}
@@ -56,7 +53,7 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 	cases := []struct {
 		name  string
 		queue topo.QueueFactory
-		start func(*topo.FatTree, []*fabric.Demux) endpoints
+		start func(*topo.FatTree, []tcp.Host) endpoints
 		// loss: the run must have retransmitted (DCTCP's marks keep the
 		// queue below the drop point, so it need not).
 		loss bool
@@ -64,13 +61,13 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 		{"tcp", fabric.FIFOQueues(100 * 9000), single(plain), true},
 		{"dctcp", dctcp.QueueFactory(9000), single(dctcp.SenderConfig(9000)), false},
 		{"mptcp", fabric.FIFOQueues(100 * 9000),
-			func(net *topo.FatTree, dm []*fabric.Demux) (e endpoints) {
+			func(net *topo.FatTree, th []tcp.Host) (e endpoints) {
 				cfg := mptcp.DefaultConfig()
 				cfg.Subflows = 4
 				cfg.TCP.MinRTO = sim.Millisecond
 				for i, src := range []int32{5, 10} {
-					f := mptcp.New(net.Hosts[src], net.Hosts[0], dm[src], dm[0], uint64(100*(i+1)), -1,
-						net.Paths(src, 0), net.Paths(0, src), net.Rand, cfg)
+					f := mptcp.NewSenderHalf(&th[src], &th[0], uint64(100*(i+1)), -1, net.Paths(src, 0), net.Rand, cfg, nil)
+					f.AttachReceivers(&th[0], net.Paths(0, src), net.Rand, nil, nil)
 					f.Start()
 					e.senders, e.receivers = append(e.senders, f.Senders...), append(e.receivers, f.Receivers...)
 				}
@@ -79,8 +76,8 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net, dm := windowNet(tc.queue)
-			e := tc.start(net, dm)
+			net, th := windowNet(tc.queue)
+			e := tc.start(net, th)
 			caps := func() (c []int) {
 				for i := range e.senders {
 					_, _, sc := e.senders[i].Window()
@@ -145,12 +142,11 @@ func (a tcpCounters) minus(b tcpCounters) tcpCounters {
 // arrays did with an index past their length. Expected deltas captured from
 // the parent commit's sizes/rtxed arrays (end read as len(sizes)).
 func TestLateAckCounters(t *testing.T) {
-	net, dm := windowNet(fabric.FIFOQueues(100 * 9000))
+	net, th := windowNet(fabric.FIFOQueues(100 * 9000))
 	cfg := tcp.DefaultConfig()
 	cfg.Handshake, cfg.MaxCwnd = false, 40
-	s := tcp.NewSender(net.Hosts[5], 0, 1, 0, endless{cfg.MSS}, cfg)
-	dm[5].Register(1, s)
-	dm[0].Register(1, tcp.NewReceiver(net.Hosts[0], 5, 1, 0))
+	s := tcp.NewSender(&th[5], 0, 1, 0, endless{cfg.MSS}, cfg)
+	tcp.NewReceiver(&th[0], 5, 1, 0)
 	s.Start()
 	net.EL.RunUntil(2 * sim.Millisecond)
 	una, nxt, _ := s.SeqState()

@@ -103,9 +103,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 // registration and teardown commands (values carried by the pooled flow
 // state: none of them may cost an object), FlowTable growth and the
 // completion records. The marginal bytes per completed flow are what a
-// closed loop's memory grows by with simulated time: state a flow leaves
-// behind (TCP's and pHost's tombstones, docs/memory.md "Still grows with
-// simulated time") and the completion records every transport keeps.
+// closed loop's memory grows by with simulated time: the completion records
+// every transport keeps (docs/memory.md "Still grows with simulated time"),
+// and any state a flow leaves behind.
 func TestChurnAllocsPerFlow(t *testing.T) {
 	skipUnlessCountable(t)
 	rows := []struct {
@@ -130,32 +130,36 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		// before the time-wait table went and completions were merged
 		// instead of copied.
 		{NDP, 0.05, 64},
-		// 0.021 and 0.016 objects: the sender carries its data source, and
-		// tombstones come from the pool's slab (2.02 and 2.01 when each was
-		// an object). 179.5 and 159.2 bytes, budgets 192 and 176: the
-		// tombstones and their demux slots, and the completion record (194.6
-		// and 178.4 with a 32-byte record and one more FCT copy; 224.2 and
-		// 208.5 while a tombstone held its reverse route as a slice).
-		{TCP, 0.25, 192},
-		{DCTCP, 0.25, 176},
-		// 54.55, and not fixed here: 5 per subflow (the sender pool never
-		// hits: a group retires only when all eight subflows complete, and a
-		// one-packet flow uses one) plus 14 per connection: per subflow a
-		// tcp.Sender, its bound liaIncrease, its OnComplete closure, a
-		// receiver and its OnData closure; per connection the Flow, its
-		// sources, two path permutations, the Senders and Receivers slices
-		// doubling 1 -> 8, and first window growth. No BENCHMARK.json
-		// workload churns MPTCP flows, so a fix has nothing to be measured
-		// against. 73 until the sender embedded its timer (two objects
-		// fewer per subflow). 8,078.4 bytes, budget 8,448: those objects
-		// (8,097.5 with a 32-byte completion record, 8,888.8 while subflows
-		// held their routes as slices).
-		{MPTCP, 57, 8448},
+		// 0.004 and 0.001 objects: the sender carries its data source, and
+		// a flow leaves nothing behind (0.021 and 0.016 while a recycled
+		// receiver left a tombstone from a slab; 2.02 and 2.01 when each
+		// was an object). 43.8 and 49.2 bytes, budgets 56 and 64: the
+		// completion record and the FCT slice and sorted copy it feeds
+		// (179.5 and 159.2 with a tombstone and its demux slot per flow).
+		{TCP, 0.05, 56},
+		{DCTCP, 0.05, 64},
+		// 38.45: 3 per subflow plus 14 per connection. Per subflow the
+		// bound liaIncrease, the OnComplete closure and the receiver's
+		// OnData closure; per connection the Flow, its sources, two path
+		// permutations, the Senders and Receivers slices doubling 1 -> 8,
+		// and first window growth. The pooled senders and receivers are
+		// reused: a subflow whose handshake finds the shared stream claimed
+		// completes at once, so a group retires (54.55 while such a
+		// subflow never completed and no group did; 73 before the sender
+		// embedded its timer). No BENCHMARK.json workload churns MPTCP
+		// flows. 1,240.2 bytes, budget 1,344: those objects (8,078.4 while
+		// every subflow's sender and receiver were new).
+		{MPTCP, 40, 1344},
 		{DCQCN, 0.25, 96}, // 0.021 objects; 83.8 bytes, budget 96 (102.9 with a 32-byte record)
-		// 0.086 objects: tombstones from the host's slab (1.05 when each was
-		// an object). 174.7 bytes, budget 184: the tombstones and their demux
-		// slots, and the completion record (193.8 with a 32-byte one).
-		{PHost, 0.25, 184},
+		// 0.059 objects: no object per flow. What is left is Sender and
+		// Receiver objects, with their windows, for the endpoints waiting to
+		// be reused, which a longer run fills further (a host's peak of them
+		// keeps rising), and their free-lists' doublings (0.086 with a
+		// tombstone per recycled receiver, from the host's slab; 1.05 when
+		// each was an object). 61.4 bytes, budget 72: those and the
+		// completion record (174.7 with the tombstones and their demux
+		// slots).
+		{PHost, 0.1, 72},
 	}
 	for _, row := range rows {
 		t.Run(string(row.transport), func(t *testing.T) {

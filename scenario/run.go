@@ -166,7 +166,17 @@ type runOut struct {
 // and, with Shards > 1, lets the windowed multi-list runner advance the
 // partitions in parallel without perturbing them either.
 func runOnce(spec Spec, seed uint64, rep int) *runOut {
-	net := spec.harnessTransport().Build(spec.Topology.builder(), topo.Config{Seed: seed, Shards: spec.Shards})
+	return runOn(spec, seed, rep, spec.build(seed))
+}
+
+// build builds the Spec's network for one derived seed.
+func (s Spec) build(seed uint64) harness.Net {
+	return s.harnessTransport().Build(s.Topology.builder(), topo.Config{Seed: seed, Shards: s.Shards})
+}
+
+// runOn drives the workload on net, built by build for the same seed, and
+// closes it.
+func runOn(spec Spec, seed uint64, rep int, net harness.Net) *runOut {
 	// Close is idempotent; the deferred call only matters if a panic
 	// unwinds past the explicit one below.
 	defer net.Close()

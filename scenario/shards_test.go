@@ -104,17 +104,9 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	topologies := []struct {
-		name string
-		topo Topology
-	}{
-		{"fattree", FatTree(4)},           // 16 hosts, partitioned by pod
-		{"twotier", TwoTier(4, 4, 4)},     // 16 hosts, partitioned by ToR group
-		{"jellyfish", Jellyfish(8, 2, 3)}, // 16 hosts, partitioned by ring arc
-	}
 	transports := []Transport{NDP, TCP, DCTCP, MPTCP, DCQCN, PHost}
 	for name, spec := range matrixSpecs(t) {
-		for _, tp := range topologies {
+		for _, tp := range matrixTopologies {
 			if name == "failure" && tp.name != "fattree" {
 				continue // Validate: link failures are FatTree-only
 			}
@@ -163,6 +155,16 @@ func TestShardDeterminismAcrossWorkers(t *testing.T) {
 	if sstats.PacketsLeaked != 0 || sstats.ArenaPeak == 0 || sstats.Windows.Windows == 0 {
 		t.Errorf("not a clean sharded run: %+v", sstats)
 	}
+}
+
+// matrixTopologies are the matrix's topologies, each sized to 16 hosts.
+var matrixTopologies = []struct {
+	name string
+	topo Topology
+}{
+	{"fattree", FatTree(4)},           // 16 hosts, partitioned by pod
+	{"twotier", TwoTier(4, 4, 4)},     // 16 hosts, partitioned by ToR group
+	{"jellyfish", Jellyfish(8, 2, 3)}, // 16 hosts, partitioned by ring arc
 }
 
 // matrixSpecs pins every registry scenario at matrix scale: one repeat,

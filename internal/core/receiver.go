@@ -187,15 +187,6 @@ func (r *Receiver) Complete() bool { return r.complete }
 // Bytes returns distinct payload bytes received so far (receiver goodput).
 func (r *Receiver) Bytes() int64 { return r.bytes }
 
-// Missing returns how many packets are still outstanding (-1 if the
-// transfer length is not yet known).
-func (r *Receiver) Missing() int64 {
-	if r.total < 0 {
-		return -1
-	}
-	return r.total - r.nGot
-}
-
 // flowPull is one connection's entry in the shared pull queue: a count of
 // owed pulls plus round-robin bookkeeping. Pull sequence numbers are
 // assigned at transmission time so that reordered pulls still release the
@@ -224,10 +215,9 @@ type pullPacer struct {
 	high, norm fabric.Ring[*flowPull]
 	lastSent   sim.Time
 
-	// PullsSent counts transmitted pulls; Gaps records actual send gaps
-	// when a recorder is installed (Figure 12).
-	PullsSent int64
-	OnGap     func(gap sim.Time)
+	// OnGap records actual send gaps when a recorder is installed
+	// (Figure 12).
+	OnGap func(gap sim.Time)
 
 	// The flags share one word: the pacer is embedded in the Stack, whose
 	// size class every host pays for.
@@ -329,7 +319,6 @@ func (pp *pullPacer) fire() {
 	}
 	pp.lastSent = now
 	pp.everSent = true
-	pp.PullsSent++
 
 	fp.nextSeq++
 	r := fp.r

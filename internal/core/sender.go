@@ -41,8 +41,7 @@ type Sender struct {
 	Dst      int32
 	lastSize int32 // size of the final packet
 
-	st   *Stack
-	size int64 // bytes; <0 means unbounded
+	st *Stack
 
 	total int64 // packets; <0 means unbounded
 	iw    int64
@@ -74,7 +73,6 @@ type Sender struct {
 	rtxq        fabric.Ring[int64]
 	lastPullSeq int64
 
-	inflight       int64
 	ackedCount     int64
 	ackedBytes     int64
 	ackedOrNacked  int64
@@ -132,7 +130,6 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sen
 	}
 	s.Flow = opts.Flow
 	s.Dst = dst
-	s.size = size
 	s.routes = routes
 	s.pstats = growZeroPathStats(s.pstats, routes)
 	s.onDone = opts.OnSenderDone
@@ -156,9 +153,6 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sen
 	}
 	s.pkts.SizeFor(s.total)
 	s.iw = int64(st.cfg.IW)
-	if opts.IW > 0 {
-		s.iw = int64(opts.IW)
-	}
 	// The configured RTO assumes the first window leaves within one RTT;
 	// a very large IW takes IW serialization times just to exit the NIC,
 	// so scale the timeout with the sender's own burst duration to avoid
@@ -388,9 +382,6 @@ func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
 		p.Flags |= fabric.FlagRTX
 	}
 	e := s.pkts.At(seq)
-	if e.state != psInflight {
-		s.inflight++
-	}
 	e.state = psInflight
 	e.sentAt = s.st.el.Now()
 	if e.firstTx < 0 {
@@ -467,9 +458,6 @@ func (s *Sender) onAck(p *fabric.Packet) {
 		s.pstats[p.PathID].acks++
 	}
 	e := s.pkts.At(seq)
-	if e.state == psInflight {
-		s.inflight--
-	}
 	e.state = psAcked
 	s.ackedCount++
 	s.ackedOrNacked++
@@ -514,7 +502,6 @@ func (s *Sender) onNack(p *fabric.Packet) {
 	if s.state(seq) != psInflight {
 		return // already ACKed or already queued for rtx
 	}
-	s.inflight--
 	s.pkts.At(seq).state = psRtxQueued
 	s.ackedOrNacked++
 	s.rtxq.Push(seq, rtxFirst)
@@ -555,7 +542,6 @@ func (s *Sender) onBounce(p *fabric.Packet) {
 	if seq == s.probeSeq {
 		s.probeSeq = -1 // the probe itself bounced again
 	}
-	s.inflight--
 	s.pkts.At(seq).state = psRtxQueued
 	s.RtxFromBounce++
 
@@ -599,7 +585,6 @@ func (s *Sender) onTimeout() {
 			if pid := e.lastPath; pid >= 0 {
 				s.pstats[pid].loss++
 			}
-			s.inflight-- // sendDataAvoiding re-increments
 			e.state = psRtxQueued
 			s.RtxFromTimeout++
 			s.sendDataAvoiding(seq, true, e.lastPath)

@@ -329,8 +329,6 @@ type FlowOpts struct {
 	// OnReceiverData observes every newly received payload byte count
 	// (goodput time series).
 	OnReceiverData func(bytes int64)
-	// IW overrides the stack's initial window for this flow.
-	IW int
 }
 
 // Connect starts an NDP transfer of size bytes from this stack to the dst

@@ -111,7 +111,6 @@ func NewSwitchQueue(cfg SwitchConfig, rand *sim.Rand) *SwitchQueue {
 
 // Enqueue applies the NDP admission policy.
 func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
-	q.NoteEnqueue(p)
 	if p.IsControl() {
 		q.enqueueControl(p)
 		return

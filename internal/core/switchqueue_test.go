@@ -300,7 +300,7 @@ func TestHeaderRingsStayAtFirstSize(t *testing.T) {
 // TestSwitchQueueSize pins a switch queue's state: a k=32 FatTree carves
 // 40,960 of them from one slab, so one word more is 328 KB per build.
 func TestSwitchQueueSize(t *testing.T) {
-	if size := unsafe.Sizeof(SwitchQueue{}); size > 192 {
-		t.Errorf("SwitchQueue is %d bytes, want at most 192: a word more is 328 KB in a k=32 FatTree", size)
+	if size := unsafe.Sizeof(SwitchQueue{}); size > 176 {
+		t.Errorf("SwitchQueue is %d bytes, want at most 176: a word more is 328 KB in a k=32 FatTree", size)
 	}
 }

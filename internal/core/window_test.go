@@ -61,7 +61,7 @@ func TestScoreboardStaysWindowSized(t *testing.T) {
 // senderCounters is every counter the sender's feedback handlers touch.
 type senderCounters struct {
 	rxEvents, nacksSeen, bouncesSeen           int64
-	ackedCount, ackedOrNacked, inflight        int64
+	ackedCount, ackedOrNacked                  int64
 	noted                                      int64 // recentAcks + recentNacks: noteEvent calls
 	pathAcks, pathNaks                         int64 // pstats of the path the feedback names
 	rtxNack, rtxBounce, rtxQueued, packetsSent int64
@@ -72,7 +72,7 @@ type senderCounters struct {
 func countersOf(s *Sender, path int16) senderCounters {
 	return senderCounters{
 		rxEvents: s.rxEvents, nacksSeen: s.NacksSeen, bouncesSeen: s.BouncesSeen,
-		ackedCount: s.ackedCount, ackedOrNacked: s.ackedOrNacked, inflight: s.inflight,
+		ackedCount: s.ackedCount, ackedOrNacked: s.ackedOrNacked,
 		noted:    s.recentAcks + s.recentNacks,
 		pathAcks: int64(s.pstats[path].acks), pathNaks: int64(s.pstats[path].naks),
 		rtxNack: s.RtxFromNack, rtxBounce: s.RtxFromBounce,
@@ -85,7 +85,7 @@ func countersOf(s *Sender, path int16) senderCounters {
 func (a senderCounters) minus(b senderCounters) senderCounters {
 	return senderCounters{
 		a.rxEvents - b.rxEvents, a.nacksSeen - b.nacksSeen, a.bouncesSeen - b.bouncesSeen,
-		a.ackedCount - b.ackedCount, a.ackedOrNacked - b.ackedOrNacked, a.inflight - b.inflight,
+		a.ackedCount - b.ackedCount, a.ackedOrNacked - b.ackedOrNacked,
 		a.noted - b.noted, a.pathAcks - b.pathAcks, a.pathNaks - b.pathNaks,
 		a.rtxNack - b.rtxNack, a.rtxBounce - b.rtxBounce, a.rtxQueued - b.rtxQueued,
 		a.packetsSent - b.packetsSent, a.fwBounced - b.fwBounced,
@@ -135,17 +135,17 @@ func TestLateFeedbackCounters(t *testing.T) {
 		{"bounce at End", bounce(end), senderCounters{}},
 		// The same three for an entry ACKed inside the window (the hole at
 		// Base keeps it there), then again once Base has passed it.
-		{"ACK in window", feedback(fabric.Ack, base+2), senderCounters{rxEvents: 1, ackedCount: 1, ackedOrNacked: 1, inflight: -1, noted: 1, pathAcks: 1}},
+		{"ACK in window", feedback(fabric.Ack, base+2), senderCounters{rxEvents: 1, ackedCount: 1, ackedOrNacked: 1, noted: 1, pathAcks: 1}},
 		{"ACK again, still in window", feedback(fabric.Ack, base+2), senderCounters{rxEvents: 1}},
 		{"NACK for ACKed, still in window", feedback(fabric.Nack, base+2), senderCounters{rxEvents: 1, nacksSeen: 1, noted: 1, pathNaks: 1}},
 		{"bounce for ACKed, still in window", bounce(base + 2), senderCounters{}},
-		{"ACK at Base+1", feedback(fabric.Ack, base+1), senderCounters{rxEvents: 1, ackedCount: 1, ackedOrNacked: 1, inflight: -1, noted: 1, pathAcks: 1}},
-		{"ACK at Base closes the hole", feedback(fabric.Ack, base), senderCounters{rxEvents: 1, ackedCount: 1, ackedOrNacked: 1, inflight: -1, noted: 1, pathAcks: 1, base: 3}},
+		{"ACK at Base+1", feedback(fabric.Ack, base+1), senderCounters{rxEvents: 1, ackedCount: 1, ackedOrNacked: 1, noted: 1, pathAcks: 1}},
+		{"ACK at Base closes the hole", feedback(fabric.Ack, base), senderCounters{rxEvents: 1, ackedCount: 1, ackedOrNacked: 1, noted: 1, pathAcks: 1, base: 3}},
 		{"ACK again, now below Base", feedback(fabric.Ack, base+2), senderCounters{rxEvents: 1}},
 		{"NACK for ACKed, now below Base", feedback(fabric.Nack, base+2), senderCounters{rxEvents: 1, nacksSeen: 1, noted: 1, pathNaks: 1}},
 		{"bounce for ACKed, now below Base", bounce(base + 2), senderCounters{}},
 		// A NACK and a bounce that do find their packet in flight.
-		{"NACK in window", feedback(fabric.Nack, base+5), senderCounters{rxEvents: 1, nacksSeen: 1, ackedOrNacked: 1, inflight: -1, noted: 1, pathNaks: 1, rtxNack: 1, rtxQueued: 1}},
+		{"NACK in window", feedback(fabric.Nack, base+5), senderCounters{rxEvents: 1, nacksSeen: 1, ackedOrNacked: 1, noted: 1, pathNaks: 1, rtxNack: 1, rtxQueued: 1}},
 		{"bounce in window", bounce(base + 6), senderCounters{rxEvents: 1, bouncesSeen: 1, rtxBounce: 1, packetsSent: 1}},
 	}
 	for _, row := range rows {

@@ -39,7 +39,6 @@ func NewQueue(trimThreshold, maxBytes int) *Queue {
 // Enqueue stores the packet, trimming its payload above the threshold; if
 // even the header does not fit under the hard limit, the packet is dropped.
 func (q *Queue) Enqueue(p *fabric.Packet) {
-	q.NoteEnqueue(p)
 	if p.Type == fabric.Data && !p.Trimmed() {
 		if q.bytes+int(p.Size) <= q.TrimThreshold {
 			q.bytes += int(p.Size)

@@ -15,38 +15,29 @@ import (
 	"ndp/internal/sim"
 )
 
-// Config carries the DCQCN rate-machine parameters (defaults follow the
-// DCQCN paper's recommended values).
+// Config carries what differs between DCQCN fabrics: the packet size and
+// the line rate.
 type Config struct {
 	MTU      int
 	LineRate int64 // bps; also the starting rate
-	MinRate  int64 // floor for the sending rate (default 10Mb/s)
-
-	Rai         int64    // additive increase step (default 40Mb/s)
-	G           float64  // alpha gain (default 1/256)
-	AlphaTimer  sim.Time // alpha decay interval without CNPs (55us)
-	IncTimer    sim.Time // rate-increase timer period (55us)
-	IncBytes    int64    // rate-increase byte counter period (10MB)
-	F           int      // fast-recovery stages before additive increase (5)
-	CNPInterval sim.Time // min gap between CNPs per flow (50us)
 }
 
-// DefaultConfig returns the paper-recommended parameters for a 10Gb/s
-// fabric.
+// DefaultConfig returns the parameters of a 10Gb/s fabric.
 func DefaultConfig() Config {
-	return Config{
-		MTU:         9000,
-		LineRate:    10e9,
-		MinRate:     10e6,
-		Rai:         40e6,
-		G:           1.0 / 256,
-		AlphaTimer:  55 * sim.Microsecond,
-		IncTimer:    55 * sim.Microsecond,
-		IncBytes:    10 << 20,
-		F:           5,
-		CNPInterval: 50 * sim.Microsecond,
-	}
+	return Config{MTU: 9000, LineRate: 10e9}
 }
+
+// The rate machine's parameters, the DCQCN paper's recommended values.
+const (
+	minRate     = 10e6                 // floor for the sending rate, bps
+	rai         = 40e6                 // additive increase step, bps
+	g           = 1.0 / 256            // alpha gain
+	alphaTimer  = 55 * sim.Microsecond // alpha decay interval without CNPs
+	incTimer    = 55 * sim.Microsecond // rate-increase timer period
+	incBytes    = 10 << 20             // rate-increase byte counter period
+	fastStages  = 5                    // fast-recovery stages before additive increase (F)
+	cnpInterval = 50 * sim.Microsecond // min gap between CNPs per flow
+)
 
 // MarkThresholdPackets is the ECN threshold the paper recommends for DCQCN.
 const MarkThresholdPackets = 20
@@ -92,8 +83,7 @@ type Sender struct {
 	rcv   *Receiver
 
 	// Telemetry.
-	CNPs        int64
-	PacketsSent int64
+	CNPs int64
 }
 
 // NewSender builds a DCQCN sender registered on host; call Start to begin
@@ -131,8 +121,8 @@ func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, size i
 
 // Start begins paced transmission at line rate (RoCE does not probe).
 func (s *Sender) Start() {
-	s.alphaTimer.Reset(s.cfg.AlphaTimer)
-	s.incTimer.Reset(s.cfg.IncTimer)
+	s.alphaTimer.Reset(alphaTimer)
+	s.incTimer.Reset(incTimer)
 	s.sendLoop()
 }
 
@@ -156,13 +146,12 @@ func (s *Sender) sendLoop() {
 	if s.size >= 0 && s.sent >= s.size {
 		p.Flags |= fabric.FlagFIN
 	}
-	s.PacketsSent++
 	s.bytesCntr += n
 	s.host.Send(p)
 
 	rate := s.rc
-	if rate < float64(s.cfg.MinRate) {
-		rate = float64(s.cfg.MinRate)
+	if rate < minRate {
+		rate = minRate
 	}
 	gap := sim.TransmissionTime(int(n), int64(rate))
 	s.el.ScheduleAfter(gap, s, 0)
@@ -173,7 +162,7 @@ func (s *Sender) sendLoop() {
 // allocation-free.
 func (s *Sender) OnEvent(uint64) {
 	s.sending = false
-	if s.bytesCntr >= s.cfg.IncBytes {
+	if s.bytesCntr >= incBytes {
 		s.bytesCntr = 0
 		s.byteSt++
 		s.raiseRate()
@@ -195,14 +184,14 @@ func (s *Sender) onCNP() {
 	s.CNPs++
 	s.rt = s.rc
 	s.rc = s.rc * (1 - s.alpha/2)
-	if s.rc < float64(s.cfg.MinRate) {
-		s.rc = float64(s.cfg.MinRate)
+	if s.rc < minRate {
+		s.rc = minRate
 	}
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+	s.alpha = (1-g)*s.alpha + g
 	s.timerSt, s.byteSt = 0, 0
 	s.bytesCntr = 0
-	s.alphaTimer.Reset(s.cfg.AlphaTimer)
-	s.incTimer.Reset(s.cfg.IncTimer)
+	s.alphaTimer.Reset(alphaTimer)
+	s.incTimer.Reset(incTimer)
 }
 
 // alphaTick is the alpha timer's expiry and incTick the rate-increase
@@ -216,8 +205,8 @@ type (
 // OnEvent decays alpha (sim.Handler).
 func (a *alphaTick) OnEvent(uint64) {
 	s := (*Sender)(a)
-	s.alpha = (1 - s.cfg.G) * s.alpha
-	s.alphaTimer.Reset(s.cfg.AlphaTimer)
+	s.alpha = (1 - g) * s.alpha
+	s.alphaTimer.Reset(alphaTimer)
 }
 
 // OnEvent runs one timer stage of the increase machine (sim.Handler).
@@ -225,19 +214,19 @@ func (t *incTick) OnEvent(uint64) {
 	s := (*Sender)(t)
 	s.timerSt++
 	s.raiseRate()
-	s.incTimer.Reset(s.cfg.IncTimer)
+	s.incTimer.Reset(incTimer)
 }
 
 // raiseRate runs one step of the DCQCN increase machine: fast recovery
-// halves the gap to the target rate; past F stages, additive increase also
-// raises the target.
+// halves the gap to the target rate; past fastStages stages, additive
+// increase also raises the target.
 func (s *Sender) raiseRate() {
 	st := s.timerSt
 	if s.byteSt > st {
 		st = s.byteSt
 	}
-	if st > s.cfg.F {
-		s.rt += float64(s.cfg.Rai)
+	if st > fastStages {
+		s.rt += rai
 		if s.rt > float64(s.cfg.LineRate) {
 			s.rt = float64(s.cfg.LineRate)
 		}
@@ -251,15 +240,14 @@ func (s *Sender) raiseRate() {
 // Rate returns the current sending rate in bits per second.
 func (s *Sender) Rate() float64 { return s.rc }
 
-// SentBytes returns bytes handed to the NIC so far.
-func (s *Sender) SentBytes() int64 { return s.sent }
-
 // Done reports whether the whole stream has been transmitted (the fabric is
 // lossless, so transmitted means delivered).
 func (s *Sender) Done() bool { return s.size >= 0 && s.sent >= s.size }
 
-// Stop halts transmission and the rate-machine timers (end-of-simulation
-// cleanup for unbounded flows, which otherwise schedule events forever).
+// Stop halts transmission and the rate-machine timers, which otherwise tick
+// forever: a completed flow's teardown calls it before the sender retires.
+// An unbounded flow's timers end with its network, whose event lists are
+// reset before they serve another.
 func (s *Sender) Stop() {
 	s.stopped = true
 	s.alphaTimer.Stop()
@@ -267,7 +255,7 @@ func (s *Sender) Stop() {
 }
 
 // Receiver counts arriving bytes and returns CNPs for ECN-marked packets,
-// rate-limited to one per CNPInterval.
+// rate-limited to one per cnpInterval.
 type Receiver struct {
 	Flow uint64
 
@@ -276,16 +264,13 @@ type Receiver struct {
 	arena *fabric.Arena
 	peer  int32
 	route int16
-	cfg   Config
 
 	lastCNP  sim.Time
 	everCNP  bool
 	Bytes    int64
 	complete bool
 
-	CompletedAt  sim.Time
-	FirstArrival sim.Time
-	seen         bool
+	CompletedAt sim.Time
 	// OnComplete fires when the FIN arrives, OnCompleteAt with it for
 	// callers that need the completion time only.
 	OnComplete   func(r *Receiver)
@@ -298,9 +283,9 @@ type Receiver struct {
 
 // NewReceiver builds the receiving side, registered on host; revRoute
 // carries CNPs back. Pool calls it only on a miss.
-func NewReceiver(host *Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
+func NewReceiver(host *Host, peer int32, flow uint64, revRoute int16) *Receiver {
 	r := &Receiver{
-		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute, cfg: cfg,
+		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute,
 		arena: fabric.AttachArena(host.Host.EventList()),
 	}
 	host.flows.Ref(flow).receiver = r
@@ -313,17 +298,13 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		fabric.Free(p)
 		return
 	}
-	if !r.seen {
-		r.seen = true
-		r.FirstArrival = r.host.EventList().Now()
-	}
 	r.Bytes += int64(p.DataSize)
 	if r.OnData != nil {
 		r.OnData(int64(p.DataSize))
 	}
 	if p.Flags&fabric.FlagCE != 0 {
 		now := r.host.EventList().Now()
-		if !r.everCNP || now-r.lastCNP >= r.cfg.CNPInterval {
+		if !r.everCNP || now-r.lastCNP >= cnpInterval {
 			r.everCNP = true
 			r.lastCNP = now
 			c := r.arena.NewControl(fabric.CNP, r.Flow, r.host.ID, r.peer)

@@ -2,6 +2,7 @@ package dcqcn
 
 import (
 	"testing"
+	"unsafe"
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
@@ -30,7 +31,7 @@ func dcqcnNet(k int) (*topo.FatTree, []Host) {
 func start(dh []Host, src, dst int32, flow uint64, size int64) (*Sender, *Receiver) {
 	cfg := DefaultConfig()
 	s := NewSender(&dh[src], dst, flow, 0, size, cfg)
-	r := NewReceiver(&dh[dst], src, flow, 0, cfg)
+	r := NewReceiver(&dh[dst], src, flow, 0)
 	s.Start()
 	return s, r
 }
@@ -144,7 +145,7 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 	}
 	// Fast recovery: within F timer periods the rate approaches the target
 	// (the pre-cut rate) again.
-	el.RunUntil(el.Now() + 6*cfg.IncTimer)
+	el.RunUntil(el.Now() + 6*incTimer)
 	if s.Rate() < 0.9*10e9 {
 		t.Errorf("fast recovery did not approach target: %.3g", s.Rate())
 	}
@@ -210,4 +211,18 @@ func TestSplitFlowLifecycle(t *testing.T) {
 	}()
 	pool.NewSender(&dh[0], hd.ID, 9, 0, 90_000, cfg)
 	t.Error("the sender was recycled under its pending attach")
+}
+
+// TestEndpointsFitTheirSizeClasses: every flow a pool misses allocates a
+// Sender and a Receiver, each rounded up to the allocator's size class, and
+// a pooled endpoint is copied whole on every recycle. The rate machine's
+// parameters are constants, not Config fields each endpoint copies: the
+// Sender fits the 320-byte class and the Receiver the 112-byte one.
+func TestEndpointsFitTheirSizeClasses(t *testing.T) {
+	if size := unsafe.Sizeof(Sender{}); size > 312 {
+		t.Errorf("dcqcn.Sender is %d bytes, want at most 312", size)
+	}
+	if size := unsafe.Sizeof(Receiver{}); size > 112 {
+		t.Errorf("dcqcn.Receiver is %d bytes, over the 112-byte size class", size)
+	}
 }

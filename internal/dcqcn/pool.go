@@ -53,14 +53,14 @@ func (pl *Pool) RetireSender(s *Sender) {
 }
 
 // NewReceiver builds or recycles a receiver registered on host.
-func (pl *Pool) NewReceiver(host *Host, peer int32, flow uint64, revRoute int16, cfg Config) *Receiver {
+func (pl *Pool) NewReceiver(host *Host, peer int32, flow uint64, revRoute int16) *Receiver {
 	r := pl.receivers.Peek()
 	if r == nil || r.host.EventList() != host.Host.EventList() {
-		return NewReceiver(host, peer, flow, revRoute, cfg)
+		return NewReceiver(host, peer, flow, revRoute)
 	}
 	pl.receivers.Pop()
 	*r = Receiver{
-		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute, cfg: cfg,
+		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute,
 		arena: r.arena,
 	}
 	host.flows.Ref(flow).receiver = r

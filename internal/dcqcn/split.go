@@ -54,7 +54,7 @@ func (s *Sender) Attach(sp Split) *Attach {
 func (a *Attach) OnEvent(uint64) {
 	s, sp := (*Sender)(a), &a.split
 	revs := sp.Dst.net.Paths(s.dst, s.host.ID)
-	rc := sp.DstPool.NewReceiver(sp.Dst, s.host.ID, s.Flow, int16(sp.RevPick%uint64(revs)), s.cfg)
+	rc := sp.DstPool.NewReceiver(sp.Dst, s.host.ID, s.Flow, int16(sp.RevPick%uint64(revs)))
 	rc.OnData = sp.OnData
 	rc.OnCompleteAt = sp.OnCompleteAt
 	rc.snd = s

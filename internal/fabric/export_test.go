@@ -23,14 +23,12 @@ type EagerState struct {
 	Busy              bool
 	StartedAt, FreeAt sim.Time
 	Chained           bool // the packet on the wire was started by a serialization end
-	BytesSent         int64
 	PacketsSent       int64
-	BusyTime          sim.Time
 }
 
 func (p *eagerPort) State() EagerState {
 	return EagerState{Busy: p.busy, StartedAt: p.startedAt, FreeAt: p.freeAt, Chained: p.chained,
-		BytesSent: p.bytesSent, PacketsSent: p.packetsSent, BusyTime: p.busyTime}
+		PacketsSent: p.packetsSent}
 }
 
 // OnDemand reports the port's mode.

@@ -126,9 +126,6 @@ func (iq *IngressQueue) popForward() {
 	iq.updatePause()
 }
 
-// Backlog returns the bytes currently held at this ingress.
-func (iq *IngressQueue) Backlog() int { return iq.bytes }
-
 // releasePackets releases the held backlog at teardown.
 func (iq *IngressQueue) releasePackets() {
 	for iq.held.Len() > 0 {

@@ -42,7 +42,7 @@ type Sink interface {
 // picosecond later finds the next packet already started. Queue disciplines
 // are time-free, and moving a ReserveOrd call shifts later FIFO ords without
 // reordering them. Enqueue checks the premise (it panics inside an event of
-// a later class); readers of the transmit-side counters call Sync first.
+// a later class); readers of the transmit side call Sync first.
 //
 // Event-driven — everything else, with the serialization end scheduled under
 // its key once the queue holds a packet the port may send next. Host NICs:
@@ -118,16 +118,12 @@ type Port struct {
 	emitSeq uint64
 
 	// Telemetry. The packets sent are emitSeq (PacketsSent).
-	BytesSent    int64
-	DataBytes    int64    // non-control wire bytes, for utilization
-	BusyTime     sim.Time // cumulative serialization time
-	PauseCount   int64    // times this port was paused (PFC)
-	SerEndEvents int64    // serialization-end events fired (none on demand)
+	PauseCount   int64 // times this port was paused (PFC)
+	SerEndEvents int64 // serialization-end events fired (none on demand)
 }
 
 // PacketsSent returns how many packets the port has put on the wire: its
-// emission count, one per transmission started. Like the other transmit-side
-// counters it is read after Sync.
+// emission count, one per transmission started, read after Sync.
 func (p *Port) PacketsSent() int64 { return int64(p.emitSeq) }
 
 // NewPort creates a transmitter with the given queue discipline, line rate
@@ -196,9 +192,6 @@ func (p *Port) SetPaused(paused bool) {
 	}
 }
 
-// Paused reports whether the transmitter is PFC-paused.
-func (p *Port) Paused() bool { return p.paused }
-
 // Busy reports whether a packet is currently serializing.
 func (p *Port) Busy() bool {
 	p.Sync()
@@ -206,9 +199,9 @@ func (p *Port) Busy() bool {
 }
 
 // Sync brings the transmit side up to the clock: an on-demand port starts
-// the transmissions whose turn has come. Anything that reads BytesSent,
-// PacketsSent(), DataBytes or BusyTime, or changes RateBps mid-run, calls it
-// first; on an event-driven port there is never anything to do.
+// the transmissions whose turn has come. Anything that reads PacketsSent(),
+// or changes RateBps mid-run, calls it first; on an event-driven port there
+// is never anything to do.
 func (p *Port) Sync() {
 	if p.onDemand && p.wake {
 		p.catchUp()
@@ -274,12 +267,6 @@ func (p *Port) start(at sim.Time) {
 	if p.wake && !p.onDemand {
 		p.el.ScheduleKeyed(p.freeAt, p.freeOrd, p, portSerEnd)
 	}
-	p.BytesSent += int64(pkt.Size)
-	if !pkt.IsControl() {
-		p.DataBytes += int64(pkt.Size)
-	}
-	p.BusyTime += ser
-
 	p.emitSeq++
 	due := p.freeAt + p.Delay
 	if p.Cross != nil {
@@ -393,13 +380,3 @@ func flightCap(delay sim.Time, rateBps int64) int {
 
 // flightCapMax is the most a flight's first buffer takes up front.
 const flightCapMax = 64
-
-// Utilization returns the fraction of the interval [0, now] this port spent
-// serializing data (non-control) bytes.
-func (p *Port) Utilization(now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	p.Sync()
-	return float64(p.DataBytes*8) / (float64(p.RateBps) * now.Seconds())
-}

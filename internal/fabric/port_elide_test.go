@@ -14,9 +14,9 @@ import (
 // mode of a switch egress is checked against the same reference in
 // port_ondemand_test.go). Both are driven with
 // the same schedule of enqueues, pauses and un-pauses; the delivery
-// sequence, the telemetry and the FIFO ords other events receive must be
-// identical, and the event count must fall by exactly the serialization
-// ends the reference saw arrive with nothing to do.
+// sequence, the packet and pause counts and the FIFO ords other events
+// receive must be identical, and the event count must fall by exactly the
+// serialization ends the reference saw arrive with nothing to do.
 
 // eagerPort is the reference transmitter: one serialization-end event per
 // packet, delivery scheduled from it. Test-only.
@@ -34,9 +34,7 @@ type eagerPort struct {
 	flight       Ring[eagerEntry]
 	emitSeq      uint64
 
-	bytesSent   int64
 	packetsSent int64
-	busyTime    sim.Time
 	pauseCount  int64
 
 	// The packet on the wire: when it started and ends serializing, and
@@ -96,9 +94,7 @@ func (p *eagerPort) kick() {
 		p.onDequeue()
 	}
 	p.hadWork = !p.paused && !p.q.Empty()
-	p.bytesSent += int64(pkt.Size)
 	p.packetsSent++
-	p.busyTime += ser
 	p.startedAt, p.freeAt, p.chained = p.el.Now(), p.el.Now()+ser, false
 	p.el.ScheduleAfter(ser, p, portSerEnd)
 }
@@ -393,9 +389,9 @@ func comparePorts(t *testing.T, kind elideQueue, ops []elideOp) (elided int) {
 			t.Fatalf("delivery %d = %+v, reference %+v", i, dut.log[i], ref.log[i])
 		}
 	}
-	if port.BytesSent != eager.bytesSent || port.BusyTime != eager.busyTime || port.PauseCount != eager.pauseCount {
-		t.Errorf("telemetry bytes/busy/pauses = %d/%v/%d, reference %d/%v/%d",
-			port.BytesSent, port.BusyTime, port.PauseCount, eager.bytesSent, eager.busyTime, eager.pauseCount)
+	if port.PacketsSent() != eager.packetsSent || port.PauseCount != eager.pauseCount {
+		t.Errorf("packets/pauses = %d/%d, reference %d/%d",
+			port.PacketsSent(), port.PauseCount, eager.packetsSent, eager.pauseCount)
 	}
 	if dut.el.Now() != ref.el.Now() {
 		t.Errorf("clock ends at %v, reference %v", dut.el.Now(), ref.el.Now())

@@ -22,22 +22,15 @@ type Queue interface {
 // QueueStats counts the overload events a queue has taken. Every discipline
 // embeds one; harness code aggregates them across the topology.
 type QueueStats struct {
-	EnqPackets int64 // packets offered
-	EnqBytes   int64 // bytes offered
-	Drops      int64 // packets discarded entirely
-	Trims      int64 // payloads cut to headers (NDP/CP)
-	Marks      int64 // ECN CE marks applied
-	Bounces    int64 // headers returned to sender (NDP)
-	MaxBytes   int64 // high-watermark of queued bytes
+	Drops    int64 // packets discarded entirely
+	Trims    int64 // payloads cut to headers (NDP/CP)
+	Marks    int64 // ECN CE marks applied
+	Bounces  int64 // headers returned to sender (NDP)
+	MaxBytes int64 // high-watermark of queued bytes
 }
 
 // Stats returns s so that embedding types satisfy Queue.Stats.
 func (s *QueueStats) Stats() *QueueStats { return s }
-
-func (s *QueueStats) NoteEnqueue(p *Packet) {
-	s.EnqPackets++
-	s.EnqBytes += int64(p.Size)
-}
 
 func (s *QueueStats) NoteDepth(bytes int) {
 	if int64(bytes) > s.MaxBytes {
@@ -79,10 +72,10 @@ func ECNQueues(maxBytes, markThresholdBytes int) func(seeds []uint64) []Queue {
 	}
 }
 
-// CtrlPrioQueues is the queue factory of unbounded control-priority queues,
-// the host NIC discipline.
-func CtrlPrioQueues(seeds []uint64) []Queue {
-	return QueueSlab(len(seeds), func(int, *CtrlPrioQueue) {})
+// CtrlPrioQueues returns n unbounded control-priority queues, the host NIC
+// discipline, carved from one slab.
+func CtrlPrioQueues(n int) []Queue {
+	return QueueSlab(n, func(int, *CtrlPrioQueue) {})
 }
 
 // queueFirst is the first buffer of a switch or NIC queue's ring: a queue
@@ -117,7 +110,6 @@ func NewFIFOQueue(maxBytes int) *FIFOQueue {
 
 // Enqueue appends p, or drops it if the byte budget would be exceeded.
 func (q *FIFOQueue) Enqueue(p *Packet) {
-	q.NoteEnqueue(p)
 	if q.MaxQueue > 0 && q.bytes+int(p.Size) > q.MaxQueue {
 		q.Drops++
 		Free(p)
@@ -185,7 +177,6 @@ func NewCtrlPrioQueue() *CtrlPrioQueue { return &CtrlPrioQueue{} }
 
 // Enqueue classifies p by IsControl.
 func (q *CtrlPrioQueue) Enqueue(p *Packet) {
-	q.NoteEnqueue(p)
 	q.bytes += int(p.Size)
 	if p.IsControl() {
 		q.ctrl.Push(p, ctrlFirst)

@@ -39,16 +39,38 @@ func BackToBackBuilder() BuildFunc {
 	return func(c topo.Config) topo.Cluster { return topo.NewBackToBack(c) }
 }
 
+// netBase is what every Net holds and does alike: the cluster, the
+// per-source StartFlow state, and the Net methods that only forward to the
+// cluster. Completion fires at the receiver unless a Net says otherwise.
+type netBase struct {
+	C   topo.Cluster
+	src perSource
+}
+
+// EL returns the cluster's scheduler.
+func (b *netBase) EL() *sim.EventList { return b.C.EventList() }
+
+// Runner returns the cluster's engine driver.
+func (b *netBase) Runner() sim.Runner { return b.C.Runner() }
+
+// Cluster implements Net.
+func (b *netBase) Cluster() topo.Cluster { return b.C }
+
+// Close implements Net: it releases the cluster's fabric and engine
+// resources.
+func (b *netBase) Close() { b.C.Close() }
+
+// DoneHost implements Net: completion fires at the receiver.
+func (b *netBase) DoneHost(src, dst int) int { return dst }
+
 // ---------------------------------------------------------------- NDP ----
 
-// NDPNet bundles an NDP-enabled cluster with its per-host stacks.
+// NDPNet bundles an NDP-enabled cluster with its per-host stacks. NDP
+// picks paths per packet, so its per-source state has no connect-time
+// streams.
 type NDPNet struct {
-	C      topo.Cluster
+	netBase
 	Stacks []*core.Stack
-
-	// Per-source-host flow-id counters; NDP picks paths per packet, so there
-	// are no connect-time streams.
-	src perSource
 }
 
 // newNDPNet wires NDP endpoints onto a built cluster whose switches run the
@@ -57,7 +79,7 @@ type NDPNet struct {
 // and the two runners that pin their own switch-queue seed).
 func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 	core.WireBounce(c.SwitchList())
-	n := &NDPNet{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}
+	n := &NDPNet{netBase: netBase{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}}
 	for i, h := range c.HostList() {
 		h := h
 		cfg := hcfg
@@ -69,25 +91,18 @@ func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 	return n
 }
 
-// EL returns the cluster's scheduler.
-func (n *NDPNet) EL() *sim.EventList { return n.C.EventList() }
-
-// Runner returns the cluster's engine driver.
-func (n *NDPNet) Runner() sim.Runner { return n.C.Runner() }
-
 // ------------------------------------------------------------ TCP-family ----
 
 // TCPNet bundles a cluster with a TCP-family endpoint per host for the
 // TCP/DCTCP/MPTCP baselines, carved from one slab. Cfg is the flow
 // configuration every flow gets.
 type TCPNet struct {
-	C     topo.Cluster
+	netBase
 	Hosts []tcp.Host
 	Cfg   tcp.Config
 
 	// StartFlow draws flow ids and connect-time random choices per source
 	// host; the pinned launchers (below) draw from the net-wide pair.
-	src      perSource
 	rand     *sim.Rand
 	nextFlow uint64
 
@@ -133,8 +148,8 @@ func (p *perSource) flowID(src int, stride uint64) uint64 {
 // endpoint per host, the pinned launchers' net-wide stream, and the
 // per-source-host counters and streams StartFlow draws from.
 func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
-	n := &TCPNet{C: c, Hosts: make([]tcp.Host, c.NumHosts()), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1,
-		src: newPerSource(c.NumHosts(), seed)}
+	n := &TCPNet{netBase: netBase{C: c, src: newPerSource(c.NumHosts(), seed)},
+		Hosts: make([]tcp.Host, c.NumHosts()), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1}
 	for i, h := range c.HostList() {
 		n.Hosts[i].Init(h, c)
 	}
@@ -148,39 +163,22 @@ func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
 // pool returns the flow-state recycling pool of host's scheduling domain.
 func (t *TCPNet) pool(host int) *tcp.Pool { return t.pools[t.C.ShardOfHost(host)] }
 
-// EL returns the cluster's scheduler.
-func (t *TCPNet) EL() *sim.EventList { return t.C.EventList() }
-
-// Runner returns the cluster's engine driver.
-func (t *TCPNet) Runner() sim.Runner { return t.C.Runner() }
-
 // --------------------------------------------------------------- DCQCN ----
 
 // DCQCNNet bundles a lossless cluster with a DCQCN endpoint per host,
 // carved from one slab, and the DCQCN config.
 type DCQCNNet struct {
-	C     topo.Cluster
+	netBase
 	Hosts []dcqcn.Host
 	Cfg   dcqcn.Config
 
-	// StartFlow state, owned per source host; nextFlow is the pinned
-	// launcher's net-wide counter.
-	src      perSource
+	// nextFlow is the pinned launcher's net-wide flow counter.
 	nextFlow uint64
-	// srcSenders[src] lists every sender started from src, for Close:
-	// per-source slices so mid-run appends stay within one shard.
-	srcSenders [][]*dcqcn.Sender
 
 	// pools recycles completed flow state, one pool per scheduling domain,
 	// indexed by Cluster.ShardOfHost (built up front, read-only at runtime).
 	pools []*dcqcn.Pool
 }
-
-// EL returns the cluster's scheduler.
-func (d *DCQCNNet) EL() *sim.EventList { return d.C.EventList() }
-
-// Runner returns the cluster's engine driver.
-func (d *DCQCNNet) Runner() sim.Runner { return d.C.Runner() }
 
 // pool returns the flow-state recycling pool of host's scheduling domain.
 func (d *DCQCNNet) pool(host int) *dcqcn.Pool { return d.pools[d.C.ShardOfHost(host)] }
@@ -188,21 +186,12 @@ func (d *DCQCNNet) pool(host int) *dcqcn.Pool { return d.pools[d.C.ShardOfHost(h
 // --------------------------------------------------------------- pHost ----
 
 // PHostNet bundles a drop-tail cluster with pHost agents, carved from one
-// slab.
+// slab. pHost draws nothing at connect time (packets are sprayed per hop),
+// so its per-source state has no streams.
 type PHostNet struct {
-	C     topo.Cluster
+	netBase
 	Hosts []phost.Host
-
-	// Per-source-host flow-id counters; pHost draws nothing at connect
-	// time (packets are sprayed per hop), so there are no streams.
-	src perSource
 }
-
-// EL returns the cluster's scheduler.
-func (p *PHostNet) EL() *sim.EventList { return p.C.EventList() }
-
-// Runner returns the cluster's engine driver.
-func (p *PHostNet) Runner() sim.Runner { return p.C.Runner() }
 
 // ----------------------------------------------------- pinned launchers ----
 
@@ -300,7 +289,7 @@ func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcq
 	rev := d.C.Paths(hd.ID, hs.ID)
 	r := sim.NewRand(flow * 2654435761)
 	s := d.pool(src).NewSender(&d.Hosts[src], hd.ID, flow, int16(r.Intn(fwd)), size, d.Cfg)
-	rc := d.pool(dst).NewReceiver(&d.Hosts[dst], hs.ID, flow, int16(r.Intn(rev)), d.Cfg)
+	rc := d.pool(dst).NewReceiver(&d.Hosts[dst], hs.ID, flow, int16(r.Intn(rev)))
 	// On a lossless fixed path nothing arrives after the FIN, so both
 	// endpoints retire as soon as the receiver completes — after the
 	// caller's hook, which may start the next flow, and after stopping the
@@ -313,7 +302,6 @@ func (d *DCQCNNet) flow(src, dst int, size int64, onDone func(at sim.Time)) *dcq
 		d.pool(src).RetireSender(s)
 		d.pool(dst).RetireReceiver(rc)
 	}
-	d.srcSenders[src] = append(d.srcSenders[src], s)
 	s.Start()
 	return rc
 }

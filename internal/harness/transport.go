@@ -73,8 +73,9 @@ type Net interface {
 	// DCQCN), the sender for ack-counting ones (pHost). Sharded workload
 	// drivers route per-completion bookkeeping through this host's shard.
 	DoneHost(src, dst int) int
-	// Close releases transport timers (needed after unbounded DCQCN
-	// flows) and the cluster's engine resources (sharded-runner workers).
+	// Close releases what the transport holds past the run (packets in
+	// the NDP stacks' RxDelay windows) and the cluster's fabric and engine
+	// resources (sharded-runner workers).
 	Close()
 }
 
@@ -147,9 +148,6 @@ func DefaultNDPTransport(mtu int) NDPTransport {
 	return NDPTransport{Switch: core.DefaultSwitchConfig(mtu), Host: hcfg}
 }
 
-// Cluster implements Net.
-func (n *NDPNet) Cluster() topo.Cluster { return n.C }
-
 // Close implements Net: releases packets parked in the stacks' RxDelay
 // windows, then the cluster's fabric and engine resources.
 func (n *NDPNet) Close() {
@@ -158,9 +156,6 @@ func (n *NDPNet) Close() {
 	}
 	n.C.Close()
 }
-
-// DoneHost implements Net: NDP completion fires at the receiver.
-func (n *NDPNet) DoneHost(src, dst int) int { return dst }
 
 // StartFlow implements Net. The sender half starts immediately on the
 // source host; the receiver-side observers (pull priority, completion and
@@ -212,16 +207,6 @@ func (t TCPTransport) Build(build BuildFunc, base topo.Config) Net {
 	c := build(base)
 	return newTCPNet(c, t.Cfg, base.Seed)
 }
-
-// Cluster implements Net.
-func (t *TCPNet) Cluster() topo.Cluster { return t.C }
-
-// Close implements Net.
-func (t *TCPNet) Close() { t.C.Close() }
-
-// DoneHost implements Net: TCP-family completion fires at the receiver
-// (FIN acknowledged, stream fully received).
-func (t *TCPNet) DoneHost(src, dst int) int { return dst }
 
 // StartFlow implements Net. The sender half starts at once on the source
 // host, drawing its flow id and both path choices from the source's private
@@ -331,36 +316,17 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 	cfg := dcqcn.DefaultConfig()
 	cfg.MTU = mtu
 	cfg.LineRate = c.LinkRate()
-	d := &DCQCNNet{C: c, Hosts: make([]dcqcn.Host, c.NumHosts()), Cfg: cfg, nextFlow: 1, src: newPerSource(c.NumHosts(), base.Seed)}
+	d := &DCQCNNet{netBase: netBase{C: c, src: newPerSource(c.NumHosts(), base.Seed)},
+		Hosts: make([]dcqcn.Host, c.NumHosts()), Cfg: cfg, nextFlow: 1}
 	for i, h := range c.HostList() {
 		d.Hosts[i].Init(h, c)
 	}
-	d.srcSenders = make([][]*dcqcn.Sender, c.NumHosts())
 	d.pools = make([]*dcqcn.Pool, c.Shards())
 	for i := range d.pools {
 		d.pools[i] = dcqcn.NewPool()
 	}
 	return d
 }
-
-// Cluster implements Net.
-func (d *DCQCNNet) Cluster() topo.Cluster { return d.C }
-
-// Close implements Net: it stops every sender's rate timers, which tick
-// forever under an unbounded flow. Stopping a retired sender is a no-op; it
-// runs after the simulation, so cross-shard reads are barrier-published.
-func (d *DCQCNNet) Close() {
-	for _, list := range d.srcSenders {
-		for _, s := range list {
-			s.Stop()
-		}
-	}
-	d.C.Close()
-}
-
-// DoneHost implements Net: DCQCN completion fires at the receiver (the
-// FIN's arrival over the lossless fabric is the last byte delivered).
-func (d *DCQCNNet) DoneHost(src, dst int) int { return dst }
 
 // StartFlow implements Net. Like the TCP family, construction is split
 // across the shard cut: the sender starts at once on the source's domain
@@ -376,7 +342,6 @@ func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	hs, hd := c.HostList()[src], c.HostList()[dst]
 	r := &d.src.rand[src]
 	s := d.pool(src).NewSender(&d.Hosts[src], hd.ID, flow, int16(r.Intn(c.Paths(hs.ID, hd.ID))), size, d.Cfg)
-	d.srcSenders[src] = append(d.srcSenders[src], s)
 	at := hs.EventList().Now() + c.MinPathDelay(src, dst)
 	c.Defer(src, dst, at, s.Attach(dcqcn.Split{
 		Dst: &d.Hosts[dst], SrcPool: d.pool(src), DstPool: d.pool(dst), At: at, RevPick: r.Uint64(),
@@ -416,19 +381,14 @@ func (t PHostTransport) Name() string { return "phost" }
 func (t PHostTransport) Build(build BuildFunc, base topo.Config) Net {
 	base.SwitchQueue = fabric.FIFOQueues(8 * t.Cfg.MTU)
 	c := build(base)
-	p := &PHostNet{C: c, Hosts: make([]phost.Host, c.NumHosts()), src: perSource{seq: make([]uint64, c.NumHosts())}}
+	p := &PHostNet{netBase: netBase{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}},
+		Hosts: make([]phost.Host, c.NumHosts())}
 	for i, h := range c.HostList() {
 		p.Hosts[i].Init(h, c, t.Cfg)
 		p.Hosts[i].Listen(nil)
 	}
 	return p
 }
-
-// Cluster implements Net.
-func (p *PHostNet) Cluster() topo.Cluster { return p.C }
-
-// Close implements Net.
-func (p *PHostNet) Close() { p.C.Close() }
 
 // DoneHost implements Net: pHost completion fires at the *sender* (it
 // learns completion by counting acks; the receiver cannot tell a dropped

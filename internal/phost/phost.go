@@ -184,13 +184,13 @@ func (rl *Release) OnEvent(flow uint64) {
 func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sender)) *Sender {
 	s := ph.takeSender()
 	if s == nil {
-		s = &Sender{ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, size: size, onDone: onDone}
+		s = &Sender{ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, onDone: onDone}
 		s.timer.InitHandler(ph.el, s)
 	} else {
 		timer, pkts := s.timer, s.pkts
 		pkts.Reset()
 		*s = Sender{
-			ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, size: size, onDone: onDone,
+			ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, onDone: onDone,
 			timer: timer, pkts: pkts,
 		}
 	}
@@ -222,7 +222,6 @@ type Sender struct {
 
 	ph       *Host
 	peer     *Host // the destination, which the flow's Release runs on
-	size     int64
 	total    int64
 	lastSize int32
 	next     int64
@@ -375,10 +374,9 @@ type Receiver struct {
 	tokens int64 // pending token count
 	tokSeq int64
 
-	complete    bool
-	queued      bool // present in the host's token round-robin queue
-	CompletedAt sim.Time
-	OnComplete  func(r *Receiver)
+	complete   bool
+	queued     bool // present in the host's token round-robin queue
+	OnComplete func(r *Receiver)
 }
 
 // Receive handles data packets.
@@ -408,7 +406,6 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	r.ph.host.Send(a)
 	if r.total >= 0 && r.nGot == r.total && !r.complete {
 		r.complete = true
-		r.CompletedAt = r.ph.el.Now()
 		if r.OnComplete != nil {
 			r.OnComplete(r)
 		}

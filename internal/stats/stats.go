@@ -170,9 +170,6 @@ func (ts *TimeSeries) RateGbps() []float64 {
 	return out
 }
 
-// Bins returns the raw per-bin byte counts.
-func (ts *TimeSeries) Bins() []int64 { return append([]int64(nil), ts.bins...) }
-
 // JainIndex computes Jain's fairness index over per-flow throughputs:
 // (sum x)^2 / (n * sum x^2); 1.0 is perfectly fair.
 func JainIndex(xs []float64) float64 {

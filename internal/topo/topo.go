@@ -36,9 +36,6 @@ type Config struct {
 	// SwitchQueue builds each switch egress queue (default: drop-tail FIFO
 	// of 8 jumbograms).
 	SwitchQueue QueueFactory
-	// HostQueue builds each host NIC queue (default: unbounded control-
-	// priority queue, the NDP host discipline; harmless for others).
-	HostQueue QueueFactory
 	// Lossless enables PFC at every switch.
 	Lossless bool
 	// LosslessLimit, PFCXoff, PFCXon configure PFC byte budgets; zero
@@ -67,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SwitchQueue == nil {
 		c.SwitchQueue = fabric.FIFOQueues(8 * 9000)
-	}
-	if c.HostQueue == nil {
-		c.HostQueue = fabric.CtrlPrioQueues
 	}
 	if c.LosslessLimit == 0 {
 		c.LosslessLimit = 200 * 9000
@@ -565,25 +559,23 @@ func (n *Network) connect(from, to fabric.Sink) *fabric.Port {
 	return p
 }
 
-// attachQueues gives every port its queue discipline: one factory call for
-// the host NICs and one for the switch egresses, in construction order. The
-// seeds are hashed from the labels, without building a name string.
+// attachQueues gives every port its queue discipline: every host NIC the
+// unbounded control-priority queue of an NDP host (harmless for the other
+// transports), and the switch egresses one factory call, in construction
+// order. The egress seeds are hashed from the labels, without building a
+// name string.
 func (n *Network) attachQueues() {
-	var name [64]byte
-	seeds := make([]uint64, 0, len(n.portSlab))
-	for _, h := range n.Hosts {
-		seeds = append(seeds, hashName(h.Label.AppendTo(name[:0])))
+	for i, q := range fabric.CtrlPrioQueues(len(n.Hosts)) {
+		n.Hosts[i].NIC.Q = q
 	}
-	nics := len(seeds)
+	var name [64]byte
+	seeds := make([]uint64, 0, len(n.portSlab)-len(n.Hosts))
 	for _, sw := range n.Switches {
 		for _, p := range sw.Ports {
 			seeds = append(seeds, hashName(p.AppendName(name[:0])))
 		}
 	}
-	for i, q := range n.cfg.HostQueue(seeds[:nics:nics]) {
-		n.Hosts[i].NIC.Q = q
-	}
-	qs := n.cfg.SwitchQueue(seeds[nics:])
+	qs := n.cfg.SwitchQueue(seeds)
 	for _, sw := range n.Switches {
 		for _, p := range sw.Ports {
 			p.Q, qs = qs[0], qs[1:]

@@ -210,8 +210,7 @@ func TestLosslessFatTreeWiring(t *testing.T) {
 // demand (fabric.Port), ports cut by a shard boundary are event-driven, so a
 // 4-shard tree is a reference for most of an unsharded one's ports. Stopped
 // at fifty arbitrary instants mid-traffic, both report the same PacketHops
-// and the same total BusyTime — the readers Sync first — and a tree closed
-// mid-run leaks no packet.
+// — the reader Syncs first — and a tree closed mid-run leaks no packet.
 func TestPacketHopsStoppedMidRun(t *testing.T) {
 	build := func(shards int) *FatTree {
 		ft := NewFatTree(4, Config{Shards: shards})
@@ -234,15 +233,6 @@ func TestPacketHopsStoppedMidRun(t *testing.T) {
 		}
 		return ft
 	}
-	busy := func(ft *FatTree) (total sim.Time) {
-		for _, sw := range ft.Switches {
-			for _, p := range sw.Ports {
-				p.Sync()
-				total += p.BusyTime
-			}
-		}
-		return total
-	}
 	one, four := build(1), build(4)
 	r := sim.NewRand(3)
 	stop, moving, last := sim.Time(0), 0, int64(0)
@@ -253,9 +243,6 @@ func TestPacketHopsStoppedMidRun(t *testing.T) {
 		h1, h4 := one.PacketHops(), four.PacketHops()
 		if h1 != h4 {
 			t.Fatalf("stopped at %v: %d packet hops unsharded, %d at 4 shards", stop, h1, h4)
-		}
-		if b1, b4 := busy(one), busy(four); b1 != b4 {
-			t.Fatalf("stopped at %v: busy time %v unsharded, %v at 4 shards", stop, b1, b4)
 		}
 		if h1 > last {
 			moving++
@@ -323,15 +310,14 @@ func TestDeferBelowLookaheadPanics(t *testing.T) {
 	}
 }
 
-// TestQueueSeedsHashNames: a queue factory gets FNV-1a of the name each queue
-// was built under when names were strings ("tor0.1->agg0.0" for a switch
-// egress, "h3" for a NIC), hashed from the labels without building one, so
-// every queue's random stream is the one it always was. The names are
-// rebuilt here the old way, with fmt.
+// TestQueueSeedsHashNames: a switch queue factory gets FNV-1a of the name
+// each queue was built under when names were strings ("tor0.1->agg0.0"),
+// hashed from the labels without building one, so every queue's random
+// stream is the one it always was. The names are rebuilt here the old way,
+// with fmt.
 func TestQueueSeedsHashNames(t *testing.T) {
-	var nics, egress []uint64
+	var egress []uint64
 	ft := NewFatTree(4, Config{
-		HostQueue:   func(seeds []uint64) []fabric.Queue { nics = seeds; return fabric.CtrlPrioQueues(seeds) },
 		SwitchQueue: func(seeds []uint64) []fabric.Queue { egress = seeds; return fabric.FIFOQueues(0)(seeds) },
 	})
 	fnv1a := func(name string) uint64 {
@@ -372,13 +358,5 @@ func TestQueueSeedsHashNames(t *testing.T) {
 		if egress[i] != want[i] {
 			t.Fatalf("switch port %d: seed %x, want %x", i, egress[i], want[i])
 		}
-	}
-	for h, seed := range nics {
-		if want := fnv1a(fmt.Sprintf("h%d", h)); seed != want {
-			t.Fatalf("NIC of host %d: seed %x, want %x", h, seed, want)
-		}
-	}
-	if len(nics) != ft.NumHosts() {
-		t.Errorf("%d NIC seeds for %d hosts", len(nics), ft.NumHosts())
 	}
 }

@@ -150,7 +150,13 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		// flows. 1,240.2 bytes, budget 1,344: those objects (8,078.4 while
 		// every subflow's sender and receiver were new).
 		{MPTCP, 40, 1344},
-		{DCQCN, 0.25, 96}, // 0.021 objects; 83.8 bytes, budget 96 (102.9 with a 32-byte record)
+		// 0.001 objects (0.002 at most), budget 0.01: a flow leaves
+		// nothing behind (0.021 while the network listed every sender it
+		// started, for a Close that stopped them all). 48.6 bytes (48.9 at
+		// most), budget 56: the completion record and the FCT slice and
+		// sorted copy it feeds (83.8 with that list, 102.9 with a 32-byte
+		// record as well).
+		{DCQCN, 0.01, 56},
 		// 0.059 objects: no object per flow. What is left is Sender and
 		// Receiver objects, with their windows, for the endpoints waiting to
 		// be reused, which a longer run fills further (a host's peak of them

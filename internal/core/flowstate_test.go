@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -11,12 +12,13 @@ import (
 
 // tables is the size of a stack's per-flow state: the flows its one flow
 // table holds, and the slots it has allocated.
-func tables(st *Stack) [2]int { return [2]int{st.flows.Len(), st.flows.Cap()} }
+func tables(st *Stack) [2]int { return [2]int{st.Flows.Len(), st.Flows.Cap()} }
 
-// TestPooledStateUnregistersOldFlow: once a completed flow is 2*MSL old, the
-// next flow between the same hosts reuses its Sender and Receiver objects,
-// and at that moment the old id leaves the flow table on both hosts, leaving
-// nothing behind.
+// TestPooledStateUnregistersOldFlow: once a completed flow is 2*MSL old,
+// its release has taken the old id out of the receiving host's table, and
+// the next flow between the same hosts reuses its Sender and Receiver
+// objects, which takes the id out of the sending host's: nothing is left
+// behind.
 func TestPooledStateUnregistersOldFlow(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	const oldFlow, newFlow = 1001, 1002
@@ -43,28 +45,28 @@ func TestPooledStateUnregistersOldFlow(t *testing.T) {
 		if st[h].Sender(oldFlow) != nil || st[h].Receiver(oldFlow) != nil {
 			t.Errorf("host %d still has live state for the reclaimed flow", h)
 		}
-		if n := st[h].flows.Len(); n != 1 {
+		if n := st[h].Flows.Len(); n != 1 {
 			t.Errorf("host %d holds %d flows, want only the new one", h, n)
 		}
 	}
 }
 
-// TestStrayPacketsDoNotGrowTables: a late SYN for a reclaimed flow finds no
-// announced flow and is unclaimed (at-most-once survives reclamation), as is
+// TestStrayPacketsDoNotGrowTables: a late SYN for a released flow finds no
+// announced flow and is a stray (at-most-once survives the release), as is
 // a SYN for a flow never announced here and a non-SYN packet for a flow
 // nobody knows; none of them leaves a trace in any per-flow table.
 func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1001})
 	net.EL.RunUntil(3 * sim.Millisecond)
-	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1002}) // reuses and reclaims 1001
+	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1002}) // reuses 1001's state
 	net.EL.RunUntil(4 * sim.Millisecond)
 	rx := st[15]
 	before := tables(rx)
 	a := fabric.AttachArena(net.EL)
 
 	for i, p := range []*fabric.Packet{
-		a.NewData(1001, 0, 15, 0, 9000),  // late SYN for the reclaimed flow
+		a.NewData(1001, 0, 15, 0, 9000),  // late SYN for the released flow
 		a.NewData(4343, 0, 15, 0, 9000),  // SYN for a flow never announced
 		a.NewData(4242, 0, 15, 40, 9000), // beyond IW: no SYN
 	} {
@@ -72,15 +74,75 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 			p.Flags |= fabric.FlagSYN
 		}
 		rx.Host.Receive(p)
-		if rx.unclaimed != int64(i+1) || rx.Receiver(p.Flow) != nil {
-			t.Errorf("stray %d (flow %d, seq %d): unclaimed=%d, receiver %v: want it unclaimed, with no state",
-				i, p.Flow, p.Seq, rx.unclaimed, rx.Receiver(p.Flow) != nil)
+		if strays(rx) != int64(i+1) || rx.Receiver(p.Flow) != nil {
+			t.Errorf("stray %d (flow %d, seq %d): strays=%d, receiver %v: want it a stray, with no state",
+				i, p.Flow, p.Seq, strays(rx), rx.Receiver(p.Flow) != nil)
 		}
 	}
 	if after := tables(rx); after != before {
 		t.Errorf("stray packets changed the flow table (flows, slots): %v -> %v", before, after)
 	}
 	closeNoLeak(t, net, st)
+}
+
+// TestLostFinalAckRecoversByRTO is tcp's test of the same name for NDP: the
+// case a completed receiver stays in its table for. One flow's final ACK is
+// dropped on its way back, drops times in a row, so its sender recovers
+// only by retransmitting after its RTOs, more than 2*MSL after the first
+// drop, and the receiver, complete since before that drop, must still be
+// there to answer. Meanwhile every host churns flows, so a receiver
+// released 2*MSL after its own completion would have been reused by then,
+// and each retransmission would find no flow: a stray data packet, and a
+// sender that never completes.
+func TestLostFinalAckRecoversByRTO(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drops int
+		rto   sim.Time
+	}{
+		{"default", 4, DefaultConfig().RTO},
+		{"rto5ms", 1, 5 * sim.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.RTO = tc.rto
+			net, st := ndpNet(4, DefaultSwitchConfig(9000), cfg)
+			const victim = 1 << 40 // above every id churn hands out
+			dropped, first := 0, sim.Time(0)
+			inner := net.Hosts[0].Stack
+			net.Hosts[0].Stack = fabric.SinkFunc(func(p *fabric.Packet) {
+				if p.Type == fabric.Ack && p.Flow == victim && dropped < tc.drops {
+					if dropped == 0 {
+						first = net.EL.Now()
+					}
+					dropped++
+					fabric.Free(p)
+					return
+				}
+				inner.Receive(p)
+			})
+			l := churn(net, st)
+			var doneAt sim.Time
+			st[0].Connect(st[15], 1500, FlowOpts{Flow: victim, OnSenderDone: func(s *Sender) { doneAt = s.CompletedAt }})
+
+			net.EL.RunUntil(60 * sim.Millisecond)
+			if dropped != tc.drops {
+				t.Fatalf("%d final ACKs dropped, want %d", dropped, tc.drops)
+			}
+			if doneAt == 0 || doneAt-first <= 2*fabric.MSL {
+				t.Fatalf("sender completed at %v; first final ACK dropped at %v: want recovery by RTO more than 2*MSL later",
+					doneAt, first)
+			}
+			if l.launched < 1000 {
+				t.Errorf("only %d flows churned: the free-lists had little to reuse", l.launched)
+			}
+			for h, x := range st {
+				if x.Strays.Data != 0 {
+					t.Errorf("host %d: %d stray data packets: a receiver left its table while its sender could still send", h, x.Strays.Data)
+				}
+			}
+		})
+	}
 }
 
 // relaunch starts the next flow of a closed loop from the source host its
@@ -92,10 +154,11 @@ func (f relaunch) OnEvent(src uint64) { f(int(src)) }
 // loop is a closed loop's bookkeeping: the flows launched so far, and per
 // host the flows it has live as sender (until its sender completes) and as
 // receiver (from the flow's launch until its receiver completes), and the
-// most of each it has had live at once.
+// most of each it has had live at once. Once stopped it launches no more.
 type loop struct {
 	launched   int
 	live, peak [][2]int
+	stopped    bool
 }
 
 const asSender, asReceiver = 0, 1
@@ -115,6 +178,9 @@ func churn(net *topo.FatTree, st []*Stack) *loop {
 	l := &loop{live: make([][2]int, len(st)), peak: make([][2]int, len(st))}
 	var launch func(src int)
 	launch = func(src int) {
+		if l.stopped {
+			return
+		}
 		l.launched++
 		dst := rnd.Intn(len(st) - 1)
 		if dst >= src {
@@ -155,6 +221,8 @@ func checkChurned(t *testing.T, byT, by3T int) {
 // runs. The lists never drain, so a queue that reclaims its front only on
 // draining grows without bound here. And what waits out its 2*MSL is a flow's
 // identity, not its buffers: no retired Sender or Receiver holds an array.
+// Every endpoint retired when the churn stops is checked, once the
+// stopped loop's last flows are done and 2*MSL old, so every one is ready.
 func TestRetiredListsStayChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	l := churn(net, st)
@@ -175,19 +243,24 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 		t.Errorf("free-list capacities %v: want a few slots per host", atT)
 	}
 	checkChurned(t, byT, l.launched)
+	l.stopped = true
+	net.EL.RunUntil(3*churnT + 5*fabric.MSL)
 	retired := 0
 	for h, x := range st {
-		for x.retiredS.Len() > 0 {
+		for s, ok := x.retiredS.Take(net.EL); ok; s, ok = x.retiredS.Take(net.EL) {
 			retired++
-			if s := x.retiredS.Pop(); s.pkts.Cap() != 0 || s.rtxq.Cap() != 0 || s.perm != nil || s.pstats != nil {
+			if s.pkts.Cap() != 0 || s.rtxq.Cap() != 0 || s.perm != nil || s.pstats != nil {
 				t.Fatalf("host %d: retired sender of flow %#x holds a buffer", h, s.Flow)
 			}
 		}
-		for x.retiredR.Len() > 0 {
+		for r, ok := x.retiredR.Take(net.EL); ok; r, ok = x.retiredR.Take(net.EL) {
 			retired++
-			if r := x.retiredR.Pop(); r.got.Cap() != 0 {
+			if r.got.Cap() != 0 {
 				t.Fatalf("host %d: retired receiver of flow %#x holds a buffer", h, r.Flow)
 			}
+		}
+		if n := x.retiredS.Len() + x.retiredR.Len(); n != 0 {
+			t.Errorf("host %d: %d retired endpoints still not ready 5*MSL after the churn stopped", h, n)
 		}
 	}
 	if retired == 0 {
@@ -198,13 +271,14 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 // TestFlowStateStaysChurnSized: a host's flow table follows the flows in
 // flight, not the flows ever run. Under the same closed loop every stack's
 // table has the capacity at 3T it had at T: a completed flow leaves it when
-// its pooled state is reused, and no mark of it is kept anywhere, so an id
-// pinned forever (the time-wait table this replaced grew by one entry a
-// flow) shows here as a doubling. An entry whose receiver is open no longer
-// points at its registration: the sender that holds that record may rewrite
-// it once recycled. And the spare arrays follow the flows in flight too: no
-// spare list is longer than the most flows of its kind its host has had live
-// at once.
+// its release or its reuse takes it out, and no mark of it is kept
+// anywhere, so an id pinned forever (the time-wait table this replaced grew
+// by one entry a flow) shows here as a doubling. An entry is one end of its
+// flow, so an open receiver's entry cannot point at its registration, and
+// one that is still a registration points at the record of its flow's live
+// sender: that sender may rewrite the record once recycled. And the spare arrays follow the
+// flows in flight too: no spare list is longer than the most flows of its
+// kind its host has had live at once.
 func TestFlowStateStaysChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	l := churn(net, st)
@@ -224,7 +298,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 	caps := func() []int {
 		c := make([]int, len(st))
 		for i, s := range st {
-			c[i] = s.flows.Cap()
+			c[i] = s.Flows.Cap()
 		}
 		return c
 	}
@@ -249,10 +323,12 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 		for c := uint64(1); c <= uint64(src.connects); c++ {
 			flow := uint64(src.Host.ID+1)<<32 | c
 			for h, s := range st {
-				if e, _ := s.flows.Get(flow); e.receiver != nil {
+				switch e, _ := s.Flows.Get(flow); e := e.(type) {
+				case *Receiver:
 					open++
-					if e.reg != nil {
-						t.Errorf("host %d: flow %#x has an open receiver and still points at its registration", h, flow)
+				case *registration:
+					if snd := src.Sender(flow); snd == nil || &snd.reg != e {
+						t.Errorf("host %d: flow %#x is announced by a record its sender no longer holds", h, flow)
 					}
 				}
 			}
@@ -286,12 +362,15 @@ func TestRecycleBeforeRegistrationPanics(t *testing.T) {
 	t.Error("the sender was recycled under its pending registration")
 }
 
-// TestFlowEntrySize: a flow table entry is three pointers. Every flow a host
-// holds costs one, and a table at most 3/4 full has a third more slots than
-// flows, so each word here is paid per flow in flight on every host.
+// TestFlowEntrySize: a flow table slot is the flow id and the one Sink of
+// this host's end of the flow, 24 bytes (32 while an entry was a sender, a
+// receiver and a registration pointer). Every flow a host holds costs one,
+// and a table at most 3/4 full has a third more slots than flows, so each
+// word here is paid per flow in flight on every host.
 func TestFlowEntrySize(t *testing.T) {
-	if size := unsafe.Sizeof(flowEntry{}); size != 24 {
-		t.Errorf("core.flowEntry is %d bytes, want 24", size)
+	slots, _ := reflect.TypeOf(Stack{}.Flows).FieldByName("slots")
+	if size := slots.Type.Elem().Size(); size != 24 {
+		t.Errorf("a core.Stack flow table slot is %d bytes, want 24", size)
 	}
 }
 

@@ -93,9 +93,9 @@ func TestNoDuplicateDeliveryProperty(t *testing.T) {
 	prop := func(sizeRaw uint32) bool {
 		size := int64(sizeRaw%200_000) + 1
 		net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-		s := st[1].Connect(st[14], size, FlowOpts{})
+		var rcv *Receiver
+		st[1].Connect(st[14], size, completedReceiver(st[14], 1, &rcv, FlowOpts{}))
 		net.EL.RunUntil(time500ms())
-		rcv := st[14].Receiver(s.Flow)
 		return rcv != nil && rcv.Complete() && rcv.Bytes() == size && rcv.Dups == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

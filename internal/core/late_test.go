@@ -79,9 +79,9 @@ func TestLatePacketsAfterHandBack(t *testing.T) {
 	if !slices.Equal(arrived, want) {
 		t.Errorf("late packets drew\n%s\nwant\n%s", fmt.Sprintln(arrived), fmt.Sprintln(want))
 	}
-	counters := fmt.Sprintf("sender: nacks=%d bounces=%d sent=%d rtx=%d; receiver: dups=%d trims=%d arrivals=%d; unclaimed=%d,%d",
-		s.NacksSeen, s.BouncesSeen, s.PacketsSent, s.Retransmissions(), r.Dups, r.Trims, r.Arrivals, st[0].unclaimed, st[15].unclaimed)
-	if wantCounters := "sender: nacks=2 bounces=0 sent=3 rtx=1; receiver: dups=1 trims=1 arrivals=5; unclaimed=0,0"; counters != wantCounters {
+	counters := fmt.Sprintf("sender: nacks=%d bounces=%d sent=%d rtx=%d; receiver: dups=%d trims=%d arrivals=%d; strays=%d,%d",
+		s.NacksSeen, s.BouncesSeen, s.PacketsSent, s.Retransmissions(), r.Dups, r.Trims, r.Arrivals, strays(st[0]), strays(st[15]))
+	if wantCounters := "sender: nacks=2 bounces=0 sent=3 rtx=1; receiver: dups=1 trims=1 arrivals=5; strays=0,0"; counters != wantCounters {
 		t.Errorf("counters %s\nwant %s", counters, wantCounters)
 	}
 	if st[0].Sender(flow) != s || st[15].Receiver(flow) != r {

@@ -29,8 +29,7 @@ type Receiver struct {
 	bytes    int64
 	complete bool
 
-	FirstArrival sim.Time
-	CompletedAt  sim.Time
+	CompletedAt sim.Time
 	// OnCompleteAt observes the completion time (FlowOpts.OnReceiverDoneAt).
 	OnCompleteAt func(sim.Time)
 	// OnData observes each newly received payload byte count (goodput
@@ -42,13 +41,13 @@ type Receiver struct {
 }
 
 func newReceiver(st *Stack, flow uint64, peer int32) *Receiver {
-	r := st.takeRetiredReceiver()
-	if r == nil {
+	r, ok := st.retiredR.Take(st.el())
+	if ok {
+		r.recycle()
+	} else {
 		r = &Receiver{st: st}
 		r.fp = &r.fpv
 		r.fpv = flowPull{r: r}
-	} else {
-		r.recycle()
 	}
 	if n := len(st.spareR); n > 0 {
 		r.got.Attach(st.spareR[n-1])
@@ -62,8 +61,8 @@ func newReceiver(st *Stack, flow uint64, peer int32) *Receiver {
 }
 
 // recycle resets a retired receiver to the zero state, keeping its stack
-// and its pull-queue entry (already drained — takeRetiredReceiver checked).
-// Its arrival bitmap went to the stack's spareR when it finished.
+// and its pull-queue entry (already drained — Idle checked). Its arrival
+// bitmap went to the stack's spareR when it finished.
 func (r *Receiver) recycle() {
 	st, fp := r.st, r.fp
 	*r = Receiver{st: st, fp: fp}
@@ -75,9 +74,6 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	if p.Type != fabric.Data || p.Flags&fabric.FlagBounced != 0 {
 		fabric.Free(p)
 		return
-	}
-	if r.Arrivals == 0 {
-		r.FirstArrival = r.st.el.Now()
 	}
 	r.Arrivals++
 	seq := p.Seq
@@ -166,20 +162,28 @@ func (r *Receiver) clampPulls() {
 
 // finish completes the transfer: pending pulls for this sender are removed
 // from the pull queue ("to avoid sending unnecessary pull packets"), and the
-// receiver stays registered, answering late duplicates, until a later flow
-// reuses it. Every packet has arrived, so the got window is empty and a late
-// duplicate or header reads only its Base: the bitmap's buffer goes to the
-// stack's spareR at once.
+// receiver stays registered, answering late duplicates, until its flow's
+// release: 2*MSL after its sender completed, so a sender whose final ACK was
+// lost still finds it when it retransmits. Every packet has arrived, so the
+// got window is empty and a late duplicate or header reads only its Base:
+// the bitmap's buffer goes to the stack's spareR at once.
 func (r *Receiver) finish() {
 	r.complete = true
-	r.CompletedAt = r.st.el.Now()
+	r.CompletedAt = r.st.el().Now()
 	r.st.pacer.removeFlow(r.fp)
 	if r.OnCompleteAt != nil {
 		r.OnCompleteAt(r.CompletedAt)
 	}
 	r.st.spareR = append(r.st.spareR, r.got.Detach())
-	r.st.retireReceiver(r)
 }
+
+// Retire hands the receiver its flow's release has removed from the table
+// to the stack's free-list (fabric.Retirer).
+func (r *Receiver) Retire() { r.st.retiredR.Push(r) }
+
+// Idle reports whether a released receiver may serve another flow
+// (fabric.Idler): its pull-queue entry has drained.
+func (r *Receiver) Idle(*sim.EventList) bool { return !r.fp.queued }
 
 // Complete reports whether all data has been received.
 func (r *Receiver) Complete() bool { return r.complete }
@@ -269,12 +273,12 @@ func (pp *pullPacer) schedule() {
 	if pp.st.cfg.PullJitter != nil {
 		gap += pp.st.cfg.PullJitter(&pp.st.rand)
 	}
-	at := pp.st.el.Now()
+	at := pp.st.el().Now()
 	if pp.everSent && pp.lastSent+gap > at {
 		at = pp.lastSent + gap
 	}
 	pp.scheduled = true
-	pp.st.el.Schedule(at, pp, 0)
+	pp.st.el().Schedule(at, pp, 0)
 }
 
 // OnEvent fires the pacer (sim.Handler) — scheduled per transmitted pull,
@@ -313,7 +317,7 @@ func (pp *pullPacer) fire() {
 	if fp == nil {
 		return
 	}
-	now := pp.st.el.Now()
+	now := pp.st.el().Now()
 	if pp.everSent && pp.OnGap != nil {
 		pp.OnGap(now - pp.lastSent)
 	}

@@ -122,9 +122,9 @@ func TestSwitchLBModeSpraysWithoutSourceRoutes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SwitchLB = true
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), cfg)
-	s := st[0].Connect(st[15], 90_000, FlowOpts{})
+	var r *Receiver
+	st[0].Connect(st[15], 90_000, completedReceiver(st[15], 1, &r, FlowOpts{}))
 	net.EL.RunUntil(50 * sim.Millisecond)
-	r := st[15].Receiver(s.Flow)
 	if r == nil || !r.Complete() {
 		t.Fatal("switch-LB transfer incomplete")
 	}

@@ -113,12 +113,15 @@ type Sender struct {
 const rtxFirst = 8
 
 func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sender {
-	s := st.takeRetiredSender()
-	if s == nil {
-		s = &Sender{st: st}
-		s.timer.InitHandler(st.el, s)
-	} else {
+	s, ok := st.retiredS.Take(st.el())
+	if ok {
+		// Its flow leaves the table: a late arrival for it now would have
+		// been a no-op on the completed sender anyway.
+		st.Flows.Delete(s.Flow)
 		s.recycle()
+	} else {
+		s = &Sender{st: st}
+		s.timer.InitHandler(st.el(), s)
 	}
 	if n := len(st.spareS); n > 0 {
 		b := st.spareS[n-1]
@@ -170,11 +173,15 @@ func newSender(st *Stack, opts FlowOpts, dst int32, size int64, routes int) *Sen
 // handler already points at this object. It holds no array: those went to
 // the stack's spareS when it completed (giveBack).
 func (s *Sender) recycle() {
-	if s.reg.dst != nil && s.st.el.Now() <= s.reg.at {
+	if s.reg.dst != nil && s.st.el().Now() <= s.reg.at {
 		panic("core: sender recycled before its deferred registration ran")
 	}
 	*s = Sender{st: s.st, timer: s.timer}
 }
+
+// Idle reports whether a retired sender may serve another flow
+// (fabric.Idler): its timer is disarmed.
+func (s *Sender) Idle(*sim.EventList) bool { return !s.timer.Pending() }
 
 // giveBack puts the working arrays of a sender that has just completed on
 // its stack's spareS. Nothing reads them again: every packet is ACKed,
@@ -371,7 +378,7 @@ func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
 		p.Route = pid
 	}
 	p.PathID = pid
-	p.Sent = s.st.el.Now()
+	p.Sent = s.st.el().Now()
 	if seq < s.iw {
 		p.Flags |= fabric.FlagSYN
 	}
@@ -383,9 +390,9 @@ func (s *Sender) sendDataAvoiding(seq int64, rtx bool, avoid int16) {
 	}
 	e := s.pkts.At(seq)
 	e.state = psInflight
-	e.sentAt = s.st.el.Now()
+	e.sentAt = s.st.el().Now()
 	if e.firstTx < 0 {
-		e.firstTx = s.st.el.Now()
+		e.firstTx = s.st.el().Now()
 	}
 	e.lastPath = pid
 	s.PacketsSent++
@@ -468,20 +475,23 @@ func (s *Sender) onAck(p *fabric.Packet) {
 	}
 	s.ackedBytes += sz
 	if s.OnPacketLatency != nil && e.firstTx >= 0 {
-		s.OnPacketLatency(s.st.el.Now() - e.firstTx)
+		s.OnPacketLatency(s.st.el().Now() - e.firstTx)
 	}
 	for s.pkts.Base() < s.pkts.End() && s.pkts.At(s.pkts.Base()).state == psAcked {
 		s.pkts.Advance()
 	}
 	if s.total >= 0 && s.ackedCount == s.total && !s.complete {
 		s.complete = true
-		s.CompletedAt = s.st.el.Now()
+		s.CompletedAt = s.st.el().Now()
 		s.timer.Stop()
 		if s.onDone != nil {
 			s.onDone(s)
 		}
 		s.giveBack()
-		s.st.retireSender(s)
+		if dst := s.reg.dst; dst != nil {
+			s.st.Finish(&dst.Endpoint, s.Flow, s.CompletedAt)
+		}
+		s.st.retiredS.Quarantine(s, s.CompletedAt)
 	}
 }
 
@@ -578,7 +588,7 @@ func (s *Sender) onTimeout() {
 	if s.complete {
 		return
 	}
-	now := s.st.el.Now()
+	now := s.st.el().Now()
 	resent := 0
 	for seq := s.pkts.Base(); seq < s.pkts.End(); seq++ {
 		if e := s.pkts.At(seq); e.state == psInflight && e.sentAt+s.rto <= now {

@@ -60,24 +60,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// PathsFunc returns how many source routes lead from this stack's host to a
-// destination host; topologies provide it (e.g. (*topo.FatTree).Paths). A
-// packet carries one of them as an index, Packet.Route.
-type PathsFunc func(dst int32) int
-
 // Stack is the per-host NDP endpoint and the host's packet sink: it owns the
 // single shared pull pacer ("a receiver only has one pull queue, shared by
-// all connections for which it is the receiver"), the live-flow table that
-// dispatches arrivals and gives connections at-most-once semantics, and the
-// listen hook that instantiates receiver state from whichever first-window
-// packet of an announced flow arrives first.
+// all connections for which it is the receiver"), and its fabric.Endpoint
+// holds the live-flow table that dispatches arrivals and gives connections
+// at-most-once semantics. An announced flow's entry is its registration,
+// which opens the receiver from whichever first-window packet of the flow
+// arrives first.
 type Stack struct {
-	Host *fabric.Host
+	// Endpoint's table holds every flow this host currently has state for
+	// — as sender, as receiver, or announced ahead of its first packet
+	// (PreRegister) — and so one insert and one delete per flow. It is also
+	// what makes a connection at-most-once (§3.2.2): only a registration
+	// opens a receiver, and the first SYN replaces it with the receiver, so
+	// a duplicate SYN finds the live receiver and a SYN after the flow's
+	// release finds no entry at all.
+	fabric.Endpoint
 
-	cfg     Config
-	el      *sim.EventList
-	arena   *fabric.Arena
-	pathsTo PathsFunc
+	cfg   Config
+	arena *fabric.Arena
 	// rand and pacer live inside the stack (one allocation for all three
 	// objects); code passes &st.rand etc. where a pointer is needed.
 	rand  sim.Rand
@@ -89,34 +90,18 @@ type Stack struct {
 
 	listening bool
 	connects  uint32 // flow ids Connect has allocated: the low word of each
-	unclaimed int64  // stray arrivals freed: no flow state, and not a connection
 
-	// flows is the host's one flow table: every flow this host currently
-	// has state for — as sender, as receiver, or announced ahead of its
-	// first packet (PreRegister) — and so one insert and one delete per
-	// flow. Receive dispatches every arrival through it. The entry goes
-	// when the flow's pooled state is reused (reclaimFlow). It is also what
-	// makes a connection at-most-once (§3.2.2): listen builds a receiver
-	// only for an announced entry that has none yet, so a duplicate SYN
-	// finds the live receiver and a SYN after reclamation finds no entry at
-	// all.
-	flows fabric.FlowTable[flowEntry]
-
-	// retiredS/retiredR are FIFO free-lists of completed Sender and Receiver
-	// objects waiting out their quarantine. An object holds its flow's
-	// identity — the flow stays registered, so late duplicates and stale
-	// headers are handled exactly as before pooling existed — but no working
-	// array: those went to spareS or spareR the moment it completed. It is
-	// only taken for a later flow once quiescent: at least two maximum
-	// segment lifetimes past its completion — by the datacenter-MSL argument
-	// of §3.2.2, no packet for the flow can still exist in the network —
-	// with its timer disarmed and its pull entry drained. A closed loop (the
-	// rpc scenario starts thousands of short flows per host) never lets
-	// these lists drain (something is always waiting out its 2*MSL), so they
-	// must give back the front a Pop frees without draining, or they grow
-	// with simulated time.
-	retiredS fabric.Ring[*Sender]
-	retiredR fabric.Ring[*Receiver]
+	// retiredS/retiredR are the free-lists of completed Senders and of
+	// Receivers their flow's release handed back. An object there holds its
+	// flow's identity but no working array: those went to spareS or spareR
+	// the moment it completed. A sender waits out 2*MSL past its
+	// completion, its timer disarmed, and stays registered until a later
+	// flow takes it; a receiver is out of the table already, and waits only
+	// for its pull entry to drain (a stale queued entry still holds the
+	// pointer, and reusing it would release phantom pull credit for the new
+	// flow).
+	retiredS fabric.RetireList[*Sender]
+	retiredR fabric.RetireList[*Receiver]
 
 	// spareS and spareR are LIFOs of the working arrays that flows
 	// finishing here gave back — a Sender's four, a Receiver's arrival
@@ -137,25 +122,17 @@ type sendBufs struct {
 	rtxq   []int64
 }
 
-// retiredFirst is a free-list's first buffer: room for the flows one host
-// completes within 2*MSL in the rpc scenario (14 as sender); more doubles it.
-const retiredFirst = 16
-
 // rxqFirst is the RxDelay queue's first buffer: the arrivals of one
 // processing delay, which at line rate is a few packets.
 const rxqFirst = 8
 
-// NewStack installs an NDP endpoint on a host. pathsTo must count the source
-// routes toward any peer the host will talk to.
-func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
+// NewStack installs an NDP endpoint on a host of the cluster net, which
+// counts the source routes toward any peer the host will talk to and
+// carries the flows' deferred commands.
+func NewStack(host *fabric.Host, net fabric.Cluster, cfg Config) *Stack {
 	cfg = cfg.withDefaults()
-	st := &Stack{
-		Host:    host,
-		cfg:     cfg,
-		el:      host.EventList(),
-		arena:   fabric.AttachArena(host.EventList()),
-		pathsTo: pathsTo,
-	}
+	st := &Stack{cfg: cfg, arena: fabric.AttachArena(host.EventList())}
+	st.Endpoint.Init(host, net)
 	// Pace pulls so the elicited data arrives marginally below line rate
 	// (~1.5% slack). Exactly line rate would leave the last-hop queue
 	// wherever the first-RTT burst put it — often full — and then
@@ -166,11 +143,12 @@ func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 	st.pacer.init(st, spacing)
 	if cfg.RxDelay > 0 {
 		host.Stack = fabric.SinkFunc(st.delayRx)
-	} else {
-		host.Stack = st
 	}
 	return st
 }
+
+// el returns the scheduler the stack's host runs on.
+func (st *Stack) el() *sim.EventList { return st.Host.EventList() }
 
 // delayRx defers an arriving packet by the configured host processing delay
 // (the Figure 11 endpoint model). The delay is constant, so deferred
@@ -178,32 +156,11 @@ func NewStack(host *fabric.Host, pathsTo PathsFunc, cfg Config) *Stack {
 // typed event per arrival replaces a closure per packet.
 func (st *Stack) delayRx(p *fabric.Packet) {
 	st.rxq.Push(p, rxqFirst)
-	st.el.ScheduleAfter(st.cfg.RxDelay, st, 0)
+	st.el().ScheduleAfter(st.cfg.RxDelay, st, 0)
 }
 
 // OnEvent releases the oldest delayed arrival into the stack (sim.Handler).
 func (st *Stack) OnEvent(uint64) { st.Receive(st.rxq.Pop()) }
-
-// Receive dispatches an arrival (fabric.Sink) with one probe of the flow
-// table: to the flow's sender or receiver, else to listen for an announced
-// flow's first-window packet. A packet neither claims is a stray: it is
-// freed and counted, and leaves no trace in the table.
-func (st *Stack) Receive(p *fabric.Packet) {
-	e, _ := st.flows.Get(p.Flow)
-	switch {
-	case e.sender != nil:
-		e.sender.Receive(p)
-	case e.receiver != nil:
-		e.receiver.Receive(p)
-	default:
-		if r := st.listen(p, e.reg); r != nil {
-			r.Receive(p)
-			return
-		}
-		st.unclaimed++
-		fabric.Free(p)
-	}
-}
 
 // Close releases packets the stack still holds — arrivals parked inside the
 // RxDelay processing window. Teardown only; idempotent.
@@ -219,84 +176,42 @@ func (st *Stack) Config() Config { return st.cfg }
 // Listen accepts incoming connections.
 func (st *Stack) Listen() { st.listening = true }
 
-// listen creates receiver state for a flow with none, but only from packets
-// that carry the SYN flag (every packet of the first window does) and only
-// for a flow announced here and not yet opened — reg, the registration its
-// entry points at, is set. Anything else — a duplicate connection, a SYN for
-// a flow reclaimed long ago — is turned away and stays a stray. The receiver
-// takes its priority and observers from reg, and the entry drops the pointer:
-// nothing on this host reads the registration again.
-func (st *Stack) listen(p *fabric.Packet, reg *registration) *Receiver {
-	if reg == nil || !st.listening || p.Flags&fabric.FlagSYN == 0 || p.Type != fabric.Data {
-		return nil
+// Receive opens the receiver of an announced flow from its first packet to
+// arrive (fabric.Sink: a registration is the flow's entry until then), but
+// only from packets that carry the SYN flag (every packet of the first
+// window does) and only on a listening stack. Anything else is a stray. The
+// receiver takes its priority and observers from the registration and
+// replaces it in the table: nothing on this host reads the registration
+// again.
+func (reg *registration) Receive(p *fabric.Packet) {
+	st := reg.dst
+	if !st.listening || p.Flags&fabric.FlagSYN == 0 || p.Type != fabric.Data {
+		st.Strays.Free(p)
+		return
 	}
-	// newReceiver may reclaim a retired flow, which deletes from st.flows:
-	// take the entry only afterwards.
 	r := newReceiver(st, p.Flow, p.Src)
 	r.fp.prio = reg.prio
 	r.OnCompleteAt = reg.doneAt
 	r.OnData = reg.data
-	*st.flows.Ref(p.Flow) = flowEntry{receiver: r}
-	return r
+	st.Flows.Put(p.Flow, r)
+	r.Receive(p)
 }
 
 // Receiver returns the receiver state for a flow, if any.
 func (st *Stack) Receiver(flow uint64) *Receiver {
-	e, _ := st.flows.Get(flow)
-	return e.receiver
+	r, _ := st.flow(flow).(*Receiver)
+	return r
 }
 
 // Sender returns the sender state for a flow, if any.
 func (st *Stack) Sender(flow uint64) *Sender {
-	e, _ := st.flows.Get(flow)
-	return e.sender
-}
-
-// retireSender parks a completed sender on the free-list; takeRetiredSender
-// may hand its state to a later flow once it is quiescent.
-func (st *Stack) retireSender(s *Sender) { st.retiredS.Push(s, retiredFirst) }
-
-// retireReceiver parks a completed receiver on the free-list.
-func (st *Stack) retireReceiver(r *Receiver) { st.retiredR.Push(r, retiredFirst) }
-
-// takeRetiredSender pops the oldest retired sender if it is safely
-// reusable: complete, timer disarmed, and at least 2*MSL past completion
-// (no packet for the old flow can still exist). The old flow is
-// unregistered at that point — any later arrival for it would have been a
-// no-op on the completed sender anyway. Returns nil when the head is not
-// yet quiescent; the list is FIFO, so the head is always the oldest.
-func (st *Stack) takeRetiredSender() *Sender {
-	s := st.retiredS.Peek()
-	if s == nil || s.timer.Pending() || st.el.Now() < s.CompletedAt+2*fabric.MSL {
-		return nil
-	}
-	st.retiredS.Pop()
-	st.reclaimFlow(s.Flow)
+	s, _ := st.flow(flow).(*Sender)
 	return s
 }
 
-// reclaimFlow forgets a flow whose pooled state is being reused: its flows
-// entry goes, and nothing of it stays behind. Flow ids are never
-// legitimately reused (every allocator is a monotone per-source-host
-// counter) and a flow is announced once, before its first packet, so a
-// packet for the id arriving after reclamation — a pathologically late
-// duplicate, at least 2*MSL old — finds no announced entry: listen() turns
-// it away instead of resurrecting a ghost receiver that would re-fire the
-// flow's completion callbacks, and Receive frees it as a stray.
-func (st *Stack) reclaimFlow(flow uint64) { st.flows.Delete(flow) }
-
-// takeRetiredReceiver pops the oldest retired receiver if quiescent: 2*MSL
-// past completion and its pull-queue entry fully drained (a stale queued
-// entry still holds the pointer, and reusing it would release phantom pull
-// credit for the new flow).
-func (st *Stack) takeRetiredReceiver() *Receiver {
-	r := st.retiredR.Peek()
-	if r == nil || r.fp.queued || st.el.Now() < r.CompletedAt+2*fabric.MSL {
-		return nil
-	}
-	st.retiredR.Pop()
-	st.reclaimFlow(r.Flow)
-	return r
+func (st *Stack) flow(flow uint64) fabric.Sink {
+	s, _ := st.Flows.Get(flow)
+	return s
 }
 
 // sendControl emits an ACK/NACK/PULL toward peer on a random source route
@@ -304,7 +219,7 @@ func (st *Stack) takeRetiredReceiver() *Receiver {
 // control-priority band.
 func (st *Stack) sendControl(p *fabric.Packet) {
 	if !st.cfg.SwitchLB {
-		if n := st.pathsTo(p.Dst); n > 0 {
+		if n := st.Paths(p.Dst); n > 0 {
 			p.Route = int16(st.rand.Intn(n))
 		}
 	}
@@ -347,18 +262,9 @@ func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 		opts.Flow = uint64(st.Host.ID+1)<<32 | uint64(st.connects)
 	}
 	s := st.Open(dst.Host.ID, size, opts)
-	dst.PreRegister(opts.Flow, &s.reg)
+	s.Registration(dst, st.el().Now()).OnEvent(0)
 	s.Start()
 	return s
-}
-
-// flowEntry is what a stack knows about one live flow: three pointers. A
-// host is the flow's sender or its receiver, never both (a host has no route
-// to itself); an announced flow not yet opened holds only reg.
-type flowEntry struct {
-	sender   *Sender
-	receiver *Receiver
-	reg      *registration
 }
 
 // PreRegister announces a flow to its receiving stack ahead of the first
@@ -372,9 +278,7 @@ type flowEntry struct {
 // Registration command (it must land before the first SYN arrives — the
 // first data packet is at least a serialization plus the path's propagation
 // away).
-func (st *Stack) PreRegister(flow uint64, reg *registration) {
-	st.flows.Ref(flow).reg = reg
-}
+func (st *Stack) PreRegister(flow uint64, reg *registration) { st.Flows.Put(flow, reg) }
 
 // Open builds the sender half of an NDP transfer toward host dst, touching
 // only this stack's state; nothing is transmitted until Start. opts.Flow
@@ -385,11 +289,11 @@ func (st *Stack) Open(dst int32, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
 		panic("core: Open needs an explicit flow id")
 	}
-	routes := st.pathsTo(dst)
+	routes := st.Paths(dst)
 	if routes == 0 {
 		panic(fmt.Sprintf("core: no paths from host %d to host %d", st.Host.ID, dst))
 	}
 	s := newSender(st, opts, dst, size, routes)
-	st.flows.Ref(opts.Flow).sender = s
+	st.Flows.Put(opts.Flow, s)
 	return s
 }

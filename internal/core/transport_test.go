@@ -20,7 +20,7 @@ func ndpNet(k int, scfg SwitchConfig, ccfg Config) (*topo.FatTree, []*Stack) {
 	for i, h := range net.Hosts {
 		ccfg := ccfg
 		ccfg.Seed = uint64(i) + 1
-		stacks[i] = NewStack(h, func(dst int32) int { return net.Paths(h.ID, dst) }, ccfg)
+		stacks[i] = NewStack(h, net, ccfg)
 		stacks[i].Listen()
 	}
 	return net, stacks
@@ -39,15 +39,32 @@ func closeNoLeak(t *testing.T, net *topo.FatTree, st []*Stack) {
 	}
 }
 
+// completedReceiver returns opts, for a flow with the given id into dst,
+// with a completion observer that records the flow's receiver in *r. A
+// receiver leaves its stack's table 2*MSL after its sender completed: a
+// test that runs longer reads it through here.
+func completedReceiver(dst *Stack, flow uint64, r **Receiver, opts FlowOpts) FlowOpts {
+	opts.Flow = flow
+	done := opts.OnReceiverDoneAt
+	opts.OnReceiverDoneAt = func(at sim.Time) {
+		*r = dst.Receiver(flow)
+		if done != nil {
+			done(at)
+		}
+	}
+	return opts
+}
+
 func TestSingleTransferCompletes(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	var fct sim.Time
-	s := st[0].Connect(st[15], 90_000, FlowOpts{OnReceiverDoneAt: func(at sim.Time) { fct = at }})
+	var r *Receiver
+	st[0].Connect(st[15], 90_000, completedReceiver(st[15], 1, &r, FlowOpts{OnReceiverDoneAt: func(at sim.Time) { fct = at }}))
 	net.EL.RunUntil(50 * sim.Millisecond)
 	if fct == 0 {
 		t.Fatal("transfer did not complete")
 	}
-	if r := st[15].Receiver(s.Flow); r.Bytes() != 90_000 {
+	if r.Bytes() != 90_000 {
 		t.Errorf("received %d bytes, want 90000", r.Bytes())
 	}
 	// 10 packets of 9KB over 6 store-and-forward hops: first packet needs
@@ -61,15 +78,20 @@ func TestZeroRTTFirstPacket(t *testing.T) {
 	// NDP has no handshake: data must arrive after exactly the one-way
 	// path latency (6 hops x (7.2us + 500ns) for the first 9KB packet).
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	s := st[0].Connect(st[15], 9000, FlowOpts{})
+	var first sim.Time
+	var r *Receiver
+	st[0].Connect(st[15], 9000, completedReceiver(st[15], 1, &r, FlowOpts{OnReceiverData: func(int64) {
+		if first == 0 {
+			first = net.EL.Now()
+		}
+	}}))
 	net.EL.RunUntil(10 * sim.Millisecond)
-	r := st[15].Receiver(s.Flow)
 	if r == nil || !r.Complete() {
 		t.Fatal("transfer did not complete")
 	}
 	want := 6 * (7200*sim.Nanosecond + 500*sim.Nanosecond)
-	if r.FirstArrival != want {
-		t.Errorf("first data arrived at %v, want %v (zero-RTT)", r.FirstArrival, want)
+	if first != want {
+		t.Errorf("first data arrived at %v, want %v (zero-RTT)", first, want)
 	}
 }
 
@@ -78,7 +100,7 @@ func TestConnectionFromAnyFirstWindowPacket(t *testing.T) {
 	// first-window packets) before seq=0: receiver state must be created and
 	// the packet NACK/ACKed.
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	st[0].PreRegister(777, &registration{})
+	st[0].PreRegister(777, &registration{dst: st[0]})
 	p := fabric.AttachArena(net.EL).NewData(777, 15, 0, 5, 9000)
 	p.Flags |= fabric.FlagSYN
 	p.Sent = net.EL.Now()
@@ -105,11 +127,14 @@ func TestNonSYNUnknownPacketRejected(t *testing.T) {
 	closeNoLeak(t, net, st)
 }
 
+// strays counts the arrivals a stack freed because no flow claimed them.
+func strays(st *Stack) int64 { return st.Strays.Data + st.Strays.Control }
+
 // TestLiveFlowRejectsDuplicateConnection: at-most-once (§3.2.2) comes from
 // the live-flow table. A duplicate first-window packet for a completed flow
-// whose state is not yet reused reaches the completed receiver as a
-// duplicate. Once a later flow has reused that state and reclaimed the id,
-// the same SYN finds no entry: it is a counted stray and opens no second
+// not yet released reaches the completed receiver as a duplicate. Once the
+// release has removed the id and a later flow has reused the receiver, the
+// same SYN finds no entry: it is a counted stray and opens no second
 // connection.
 func TestLiveFlowRejectsDuplicateConnection(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
@@ -127,21 +152,21 @@ func TestLiveFlowRejectsDuplicateConnection(t *testing.T) {
 	}
 	dup()
 	net.EL.RunUntil(300 * sim.Microsecond)
-	if r.Dups != 1 || st[15].unclaimed != 0 {
-		t.Errorf("duplicate to a registered flow: Dups=%d unclaimed=%d, want 1 and 0", r.Dups, st[15].unclaimed)
+	if r.Dups != 1 || strays(st[15]) != 0 {
+		t.Errorf("duplicate to a registered flow: Dups=%d strays=%d, want 1 and 0", r.Dups, strays(st[15]))
 	}
 	net.EL.RunUntil(3 * sim.Millisecond)             // past completion + 2*MSL
-	st[0].Connect(st[15], 9000, FlowOpts{Flow: 556}) // reuses the state, reclaims 555
+	st[0].Connect(st[15], 9000, FlowOpts{Flow: 556}) // reuses the state of 555, released
 	net.EL.RunUntil(3*sim.Millisecond + 200*sim.Microsecond)
 	if st[15].Receiver(556) != r {
 		t.Fatal("the quiescent receiver was not reused")
 	}
 	dup()
 	net.EL.RunUntil(3*sim.Millisecond + 300*sim.Microsecond)
-	_, entry := st[15].flows.Get(555)
-	if st[15].unclaimed != 1 || entry || r.Dups != 0 {
-		t.Errorf("SYN after reclamation: unclaimed=%d, entry %v, Dups=%d: want a counted stray and no entry",
-			st[15].unclaimed, entry, r.Dups)
+	_, entry := st[15].Flows.Get(555)
+	if strays(st[15]) != 1 || entry || r.Dups != 0 {
+		t.Errorf("SYN after the release: strays=%d, entry %v, Dups=%d: want a counted stray and no entry",
+			strays(st[15]), entry, r.Dups)
 	}
 	closeNoLeak(t, net, st)
 }
@@ -362,13 +387,13 @@ func TestTransferSizesProperty(t *testing.T) {
 		n := int(senders%5) + 1
 		net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 		done := 0
-		var snds []*Sender
+		rs := make([]*Receiver, n)
 		for i := 1; i <= n; i++ {
-			snds = append(snds, st[i].Connect(st[0], size, FlowOpts{OnReceiverDoneAt: func(sim.Time) { done++ }}))
+			st[i].Connect(st[0], size, completedReceiver(st[0], uint64(i), &rs[i-1], FlowOpts{OnReceiverDoneAt: func(sim.Time) { done++ }}))
 		}
 		net.EL.RunUntil(500 * sim.Millisecond)
-		for _, s := range snds {
-			if r := st[0].Receiver(s.Flow); r == nil || r.Bytes() != size {
+		for _, r := range rs {
+			if r == nil || r.Bytes() != size {
 				return false
 			}
 		}

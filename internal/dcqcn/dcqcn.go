@@ -56,7 +56,7 @@ type Sender struct {
 	cfg   Config
 	el    *sim.EventList
 	host  *fabric.Host
-	own   *Host // whose table the sender is in
+	own   *fabric.Endpoint // whose table the sender is in
 	arena *fabric.Arena
 	dst   int32
 	route int16
@@ -88,7 +88,7 @@ type Sender struct {
 
 // NewSender builds a DCQCN sender registered on host; call Start to begin
 // transmitting. Pool calls it only on a miss: recycle reuses the state.
-func NewSender(host *Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
+func NewSender(host *fabric.Endpoint, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
 	el := host.Host.EventList()
 	s := &Sender{
 		Flow: flow, cfg: cfg, el: el, host: host.Host, own: host, dst: dst,
@@ -98,14 +98,14 @@ func NewSender(host *Host, dst int32, flow uint64, route int16, size int64, cfg 
 	}
 	s.alphaTimer.InitHandler(s.el, (*alphaTick)(s))
 	s.incTimer.InitHandler(s.el, (*incTick)(s))
-	host.flows.Ref(flow).sender = s
+	host.Flows.Put(flow, s)
 	return s
 }
 
 // recycle resets a retired sender for a new transfer registered on host,
 // keeping the event list, the two rate-machine timers (their handlers are
 // this object) and the arena.
-func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, size int64, cfg Config) {
+func (s *Sender) recycle(host *fabric.Endpoint, dst int32, flow uint64, route int16, size int64, cfg Config) {
 	if s.split.Dst != nil && s.el.Now() <= s.split.At {
 		panic("dcqcn: sender recycled before its deferred receiver attach ran")
 	}
@@ -116,7 +116,7 @@ func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, size i
 		rc: float64(cfg.LineRate), rt: float64(cfg.LineRate), alpha: 1,
 		alphaTimer: at, incTimer: it,
 	}
-	host.flows.Ref(flow).sender = s
+	host.Flows.Put(flow, s)
 }
 
 // Start begins paced transmission at line rate (RoCE does not probe).
@@ -260,7 +260,7 @@ type Receiver struct {
 	Flow uint64
 
 	host  *fabric.Host
-	own   *Host // whose table the receiver is in
+	own   *fabric.Endpoint // whose table the receiver is in
 	arena *fabric.Arena
 	peer  int32
 	route int16
@@ -283,12 +283,12 @@ type Receiver struct {
 
 // NewReceiver builds the receiving side, registered on host; revRoute
 // carries CNPs back. Pool calls it only on a miss.
-func NewReceiver(host *Host, peer int32, flow uint64, revRoute int16) *Receiver {
+func NewReceiver(host *fabric.Endpoint, peer int32, flow uint64, revRoute int16) *Receiver {
 	r := &Receiver{
 		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute,
 		arena: fabric.AttachArena(host.Host.EventList()),
 	}
-	host.flows.Ref(flow).receiver = r
+	host.Flows.Put(flow, r)
 	return r
 }
 

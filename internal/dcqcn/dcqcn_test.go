@@ -11,7 +11,7 @@ import (
 
 // dcqcnNet builds a lossless FatTree with ECN queues and a DCQCN host on
 // every host.
-func dcqcnNet(k int) (*topo.FatTree, []Host) {
+func dcqcnNet(k int) (*topo.FatTree, []fabric.Endpoint) {
 	cfg := topo.Config{
 		Seed:          3,
 		Lossless:      true,
@@ -21,14 +21,14 @@ func dcqcnNet(k int) (*topo.FatTree, []Host) {
 		SwitchQueue:   QueueFactory(9000),
 	}
 	net := topo.NewFatTree(k, cfg)
-	dh := make([]Host, net.NumHosts())
+	dh := make([]fabric.Endpoint, net.NumHosts())
 	for i, h := range net.Hosts {
 		dh[i].Init(h, net)
 	}
 	return net, dh
 }
 
-func start(dh []Host, src, dst int32, flow uint64, size int64) (*Sender, *Receiver) {
+func start(dh []fabric.Endpoint, src, dst int32, flow uint64, size int64) (*Sender, *Receiver) {
 	cfg := DefaultConfig()
 	s := NewSender(&dh[src], dst, flow, 0, size, cfg)
 	r := NewReceiver(&dh[dst], src, flow, 0)
@@ -130,7 +130,7 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 	h.NIC = fabric.NewPort(el, "nic", fabric.NewFIFOQueue(0), 10e9, 0)
 	h.NIC.Connect(fabric.SinkFunc(func(p *fabric.Packet) { fabric.Free(p) }))
 	cfg := DefaultConfig()
-	var dh Host
+	var dh fabric.Endpoint
 	dh.Init(h, nil)
 	s := NewSender(&dh, 1, 1, -1, -1, cfg)
 	s.Start()
@@ -187,7 +187,7 @@ func TestSplitFlowLifecycle(t *testing.T) {
 	if want := int16(5 % revs); rc.route != want {
 		t.Errorf("receiver sends CNPs on route %d, RevPick 5 selects %d", rc.route, want)
 	}
-	if dh[0].flows.Len() != 0 || dh[15].flows.Len() != 0 || !s.stopped || s.alphaTimer.Pending() || s.incTimer.Pending() {
+	if dh[0].Flows.Len() != 0 || dh[15].Flows.Len() != 0 || !s.stopped || s.alphaTimer.Pending() || s.incTimer.Pending() {
 		t.Error("teardown left the flow registered or the sender's timers running")
 	}
 	if want := int64(2); net.CommandEvents() != want {

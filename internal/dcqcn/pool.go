@@ -2,6 +2,7 @@ package dcqcn
 
 import (
 	"ndp/internal/fabric"
+	"ndp/internal/sim"
 )
 
 // Pool recycles completed DCQCN flow state. Lossless fabrics shard like
@@ -12,65 +13,60 @@ import (
 // flow and the network layer retires both endpoints — after stopping the
 // sender's rate-machine timers, which otherwise tick forever.
 type Pool struct {
-	senders   fabric.Ring[*Sender]
-	receivers fabric.Ring[*Receiver]
+	senders   fabric.RetireList[*Sender]
+	receivers fabric.RetireList[*Receiver]
 }
-
-// retiredFirst is a free-list's first buffer; more retired endpoints than
-// this at once double it.
-const retiredFirst = 8
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
 // NewSender builds or recycles a sender; call Start to begin transmitting.
-func (pl *Pool) NewSender(host *Host, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
-	if s := pl.takeSender(host); s != nil {
+func (pl *Pool) NewSender(host *fabric.Endpoint, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
+	if s, ok := pl.senders.Take(host.Host.EventList()); ok {
 		s.recycle(host, dst, flow, route, size, cfg)
 		return s
 	}
 	return NewSender(host, dst, flow, route, size, cfg)
 }
 
-// takeSender pops the oldest retired sender once it is fully quiescent:
-// rate timers stopped and no pacing event outstanding (sending is true
-// exactly while one is scheduled; after Stop the event fires once more as a
-// no-op and clears it).
-func (pl *Pool) takeSender(host *Host) *Sender {
-	s := pl.senders.Peek()
-	if s == nil || s.el != host.Host.EventList() || s.sending ||
-		s.alphaTimer.Pending() || s.incTimer.Pending() {
-		return nil
-	}
-	return pl.senders.Pop()
+// Idle reports whether a retired sender may serve a flow on el
+// (fabric.Idler): it belongs to el's domain, its rate timers are stopped
+// and no pacing event is outstanding (sending is true exactly while one is
+// scheduled; after Stop the event fires once more as a no-op and clears
+// it).
+func (s *Sender) Idle(el *sim.EventList) bool {
+	return s.el == el && !s.sending && !s.alphaTimer.Pending() && !s.incTimer.Pending()
 }
 
 // RetireSender deletes a stopped sender from its host's table and hands it
 // back to the pool. The caller must have called Stop.
 func (pl *Pool) RetireSender(s *Sender) {
-	s.own.flows.Delete(s.Flow)
-	pl.senders.Push(s, retiredFirst)
+	s.own.Flows.Delete(s.Flow)
+	pl.senders.Push(s)
 }
 
 // NewReceiver builds or recycles a receiver registered on host.
-func (pl *Pool) NewReceiver(host *Host, peer int32, flow uint64, revRoute int16) *Receiver {
-	r := pl.receivers.Peek()
-	if r == nil || r.host.EventList() != host.Host.EventList() {
+func (pl *Pool) NewReceiver(host *fabric.Endpoint, peer int32, flow uint64, revRoute int16) *Receiver {
+	r, ok := pl.receivers.Take(host.Host.EventList())
+	if !ok {
 		return NewReceiver(host, peer, flow, revRoute)
 	}
-	pl.receivers.Pop()
 	*r = Receiver{
 		Flow: flow, host: host.Host, own: host, peer: peer, route: revRoute,
 		arena: r.arena,
 	}
-	host.flows.Ref(flow).receiver = r
+	host.Flows.Put(flow, r)
 	return r
 }
+
+// Idle reports whether a retired receiver may serve a flow on el
+// (fabric.Idler): it belongs to el's domain.
+func (r *Receiver) Idle(el *sim.EventList) bool { return r.host.EventList() == el }
 
 // RetireReceiver deletes a completed receiver from its host's table and
 // hands it back to the pool. On a lossless fixed path nothing arrives after
 // the FIN, so the state is immediately reusable.
 func (pl *Pool) RetireReceiver(r *Receiver) {
-	r.own.flows.Delete(r.Flow)
-	pl.receivers.Push(r, retiredFirst)
+	r.own.Flows.Delete(r.Flow)
+	pl.receivers.Push(r)
 }

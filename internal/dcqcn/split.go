@@ -1,6 +1,9 @@
 package dcqcn
 
-import "ndp/internal/sim"
+import (
+	"ndp/internal/fabric"
+	"ndp/internal/sim"
+)
 
 // A flow whose two hosts live in different scheduling domains is built and
 // torn down in three steps, each in the domain that owns the state it
@@ -11,14 +14,6 @@ import "ndp/internal/sim"
 // command is a value: both are sim.Handlers over the pooled Sender, which
 // carries their arguments (Split), so a flow start allocates no closure.
 
-// Fabric is what such a flow needs of the cluster its hosts run on
-// (topo.Cluster).
-type Fabric interface {
-	Defer(from, to int, at sim.Time, h sim.Handler, arg uint64)
-	MinPathDelay(src, dst int) sim.Time
-	Paths(src, dst int32) int
-}
-
 // Split is the cross-domain part of one flow's life. It is written on the
 // source's domain before Attach is emitted and read-only from then until the
 // pool recycles the sender — which only a Teardown makes possible, and
@@ -26,7 +21,7 @@ type Fabric interface {
 type Split struct {
 	// Dst is the destination host; the pools are the two hosts' scheduling
 	// domains'.
-	Dst              *Host
+	Dst              *fabric.Endpoint
 	SrcPool, DstPool *Pool
 	// At is when the receiver attaches: before the first data packet, which
 	// trails the sender's start by at least a serialization time more.
@@ -53,7 +48,7 @@ func (s *Sender) Attach(sp Split) *Attach {
 // destination's scheduling domain.
 func (a *Attach) OnEvent(uint64) {
 	s, sp := (*Sender)(a), &a.split
-	revs := sp.Dst.net.Paths(s.dst, s.host.ID)
+	revs := sp.Dst.Paths(s.host.ID)
 	rc := sp.DstPool.NewReceiver(sp.Dst, s.host.ID, s.Flow, int16(sp.RevPick%uint64(revs)))
 	rc.OnData = sp.OnData
 	rc.OnCompleteAt = sp.OnCompleteAt
@@ -67,7 +62,7 @@ func (a *Attach) OnEvent(uint64) {
 // its deferred stop lands; after that its host frees it as a stray, and
 // flow ids are never reused.
 func (r *Receiver) retire() {
-	s, net := r.snd, r.own.net
+	s, net := r.snd, r.own.Net
 	s.split.DstPool.RetireReceiver(r)
 	from, to := int(r.host.ID), int(s.host.ID)
 	net.Defer(from, to, r.CompletedAt+net.MinPathDelay(from, to), (*Teardown)(s), 0)

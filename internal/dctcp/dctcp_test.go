@@ -9,10 +9,10 @@ import (
 	"ndp/internal/topo"
 )
 
-func dctcpNet(k int) (*topo.FatTree, []tcp.Host) {
+func dctcpNet(k int) (*topo.FatTree, []fabric.Endpoint) {
 	cfg := topo.Config{Seed: 13, SwitchQueue: QueueFactory(9000)}
 	net := topo.NewFatTree(k, cfg)
-	th := make([]tcp.Host, net.NumHosts())
+	th := make([]fabric.Endpoint, net.NumHosts())
 	for i, h := range net.Hosts {
 		th[i].Init(h, net)
 	}

@@ -46,7 +46,7 @@ func TestControlBandsStayAtFirstSize(t *testing.T) {
 			for i, h := range net.Hosts {
 				cfg := core.DefaultConfig()
 				cfg.Seed = uint64(i) + 1
-				st[i] = core.NewStack(h, func(dst int32) int { return net.Paths(h.ID, dst) }, cfg)
+				st[i] = core.NewStack(h, net, cfg)
 				st[i].Listen()
 			}
 			tc.start(st, sim.NewRand(seed))

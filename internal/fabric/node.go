@@ -128,9 +128,8 @@ type Host struct {
 	Label Label
 	NIC   *Port
 
-	// Stack receives every packet addressed to this host: the host object
-	// of its transport (core.Stack, tcp.Host, dcqcn.Host, phost.Host), which
-	// dispatches by its own flow table.
+	// Stack receives every packet addressed to this host: its transport's
+	// Endpoint, which dispatches by its flow table.
 	Stack Sink
 
 	el *sim.EventList

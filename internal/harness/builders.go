@@ -81,15 +81,17 @@ func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 	core.WireBounce(c.SwitchList())
 	n := &NDPNet{netBase: netBase{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}}
 	for i, h := range c.HostList() {
-		h := h
 		cfg := hcfg
 		cfg.Seed = seed + uint64(i)*7919
-		st := core.NewStack(h, func(dst int32) int { return c.Paths(h.ID, dst) }, cfg)
+		st := core.NewStack(h, c, cfg)
 		st.Listen()
 		n.Stacks = append(n.Stacks, st)
 	}
 	return n
 }
+
+// Endpoint implements Net.
+func (n *NDPNet) Endpoint(host int) *fabric.Endpoint { return &n.Stacks[host].Endpoint }
 
 // ------------------------------------------------------------ TCP-family ----
 
@@ -98,7 +100,7 @@ func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 // configuration every flow gets.
 type TCPNet struct {
 	netBase
-	Hosts []tcp.Host
+	Hosts []fabric.Endpoint
 	Cfg   tcp.Config
 
 	// StartFlow draws flow ids and connect-time random choices per source
@@ -149,7 +151,7 @@ func (p *perSource) flowID(src int, stride uint64) uint64 {
 // per-source-host counters and streams StartFlow draws from.
 func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
 	n := &TCPNet{netBase: netBase{C: c, src: newPerSource(c.NumHosts(), seed)},
-		Hosts: make([]tcp.Host, c.NumHosts()), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1}
+		Hosts: make([]fabric.Endpoint, c.NumHosts()), Cfg: cfg, rand: sim.NewRand(seed*48271 + 5), nextFlow: 1}
 	for i, h := range c.HostList() {
 		n.Hosts[i].Init(h, c)
 	}
@@ -160,6 +162,9 @@ func newTCPNet(c topo.Cluster, cfg tcp.Config, seed uint64) *TCPNet {
 	return n
 }
 
+// Endpoint implements Net.
+func (t *TCPNet) Endpoint(host int) *fabric.Endpoint { return &t.Hosts[host] }
+
 // pool returns the flow-state recycling pool of host's scheduling domain.
 func (t *TCPNet) pool(host int) *tcp.Pool { return t.pools[t.C.ShardOfHost(host)] }
 
@@ -169,7 +174,7 @@ func (t *TCPNet) pool(host int) *tcp.Pool { return t.pools[t.C.ShardOfHost(host)
 // carved from one slab, and the DCQCN config.
 type DCQCNNet struct {
 	netBase
-	Hosts []dcqcn.Host
+	Hosts []fabric.Endpoint
 	Cfg   dcqcn.Config
 
 	// nextFlow is the pinned launcher's net-wide flow counter.
@@ -179,6 +184,9 @@ type DCQCNNet struct {
 	// indexed by Cluster.ShardOfHost (built up front, read-only at runtime).
 	pools []*dcqcn.Pool
 }
+
+// Endpoint implements Net.
+func (d *DCQCNNet) Endpoint(host int) *fabric.Endpoint { return &d.Hosts[host] }
 
 // pool returns the flow-state recycling pool of host's scheduling domain.
 func (d *DCQCNNet) pool(host int) *dcqcn.Pool { return d.pools[d.C.ShardOfHost(host)] }
@@ -192,6 +200,9 @@ type PHostNet struct {
 	netBase
 	Hosts []phost.Host
 }
+
+// Endpoint implements Net.
+func (p *PHostNet) Endpoint(host int) *fabric.Endpoint { return &p.Hosts[host].Endpoint }
 
 // ----------------------------------------------------- pinned launchers ----
 

@@ -73,6 +73,9 @@ type Net interface {
 	// DCQCN), the sender for ack-counting ones (pHost). Sharded workload
 	// drivers route per-completion bookkeeping through this host's shard.
 	DoneHost(src, dst int) int
+	// Endpoint returns host's transport endpoint: its flow table and the
+	// count of the packets no flow of it claimed.
+	Endpoint(host int) *fabric.Endpoint
 	// Close releases what the transport holds past the run (packets in
 	// the NDP stacks' RxDelay windows) and the cluster's fabric and engine
 	// resources (sharded-runner workers).
@@ -185,7 +188,7 @@ func (n *NDPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 // ----------------------------------------------------------- TCP / DCTCP ----
 
 // TCPTransport builds single-path TCP-family networks: the given switch
-// queue discipline, a tcp.Host per host, and Cfg applied to every flow
+// queue discipline, a fabric.Endpoint per host, and Cfg applied to every flow
 // started through the Net surface. With Cfg.DCTCP set it is the DCTCP
 // baseline.
 type TCPTransport struct {
@@ -215,7 +218,7 @@ func (t TCPTransport) Build(build BuildFunc, base topo.Config) Net {
 // by the pooled sender's tcp.Attach command. Its reverse route is a raw
 // value drawn at the source, reduced modulo the path count on the
 // destination's domain, whose route cache that is. The sender's completion
-// releases the receiver there 2*MSL later (tcp.Release).
+// releases the receiver there 2*MSL later (fabric.ReleaseFlow).
 func (t *TCPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := t.src.flowID(src, 1)
 	hs, hd := t.C.HostList()[src], t.C.HostList()[dst]
@@ -317,7 +320,7 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 	cfg.MTU = mtu
 	cfg.LineRate = c.LinkRate()
 	d := &DCQCNNet{netBase: netBase{C: c, src: newPerSource(c.NumHosts(), base.Seed)},
-		Hosts: make([]dcqcn.Host, c.NumHosts()), Cfg: cfg, nextFlow: 1}
+		Hosts: make([]fabric.Endpoint, c.NumHosts()), Cfg: cfg, nextFlow: 1}
 	for i, h := range c.HostList() {
 		d.Hosts[i].Init(h, c)
 	}

@@ -7,6 +7,7 @@
 package mptcp
 
 import (
+	"ndp/internal/fabric"
 	"ndp/internal/sim"
 	"ndp/internal/tcp"
 )
@@ -54,7 +55,7 @@ type Flow struct {
 	// attach is the receiver half's construction, carried by the flow so
 	// that delivering it costs nothing; see Attach.
 	attach struct {
-		dst    *tcp.Host
+		dst    *fabric.Endpoint
 		rand   sim.Rand
 		onData func(n int64)
 		pool   *tcp.Pool
@@ -84,10 +85,10 @@ func (s *unboundedSource) Exhausted() bool { return false }
 //
 // pool, when non-nil, recycles completed subflow sender state; it must
 // belong to the source's scheduling domain. Each pooled subflow releases
-// its receiver on dst 2*MSL after it completes (tcp.Release). Subflows are
+// its receiver on dst 2*MSL after it completes (fabric.ReleaseFlow). Subflows are
 // group-retired only once every one of them has completed, because LIA
 // reads sibling windows for as long as any subflow is still growing.
-func NewSenderHalf(src, dst *tcp.Host, flow uint64,
+func NewSenderHalf(src, dst *fabric.Endpoint, flow uint64,
 	size int64, routes int, rand *sim.Rand, cfg Config, pool *tcp.Pool) *Flow {
 	if cfg.Subflows <= 0 {
 		cfg.Subflows = 8
@@ -144,7 +145,7 @@ func NewSenderHalf(src, dst *tcp.Host, flow uint64,
 // across shards.
 // pool, when non-nil, recycles completed subflow receiver state; it must
 // belong to the destination's scheduling domain.
-func (f *Flow) AttachReceivers(dst *tcp.Host,
+func (f *Flow) AttachReceivers(dst *fabric.Endpoint,
 	revRoutes int, rand *sim.Rand, onData func(n int64), pool *tcp.Pool) {
 	revPerm := rand.Perm(revRoutes)
 	for i := 0; i < f.subflows; i++ {
@@ -186,7 +187,7 @@ type Attach Flow
 // counted on the destination's domain, whose route table it is, and
 // permuted by a generator seeded with revSeed, a value drawn from the
 // source's stream — and returns the command that calls it.
-func (f *Flow) Attach(dst *tcp.Host, revSeed uint64, onData func(n int64), pool *tcp.Pool) *Attach {
+func (f *Flow) Attach(dst *fabric.Endpoint, revSeed uint64, onData func(n int64), pool *tcp.Pool) *Attach {
 	a := &f.attach
 	a.dst, a.onData, a.pool = dst, onData, pool
 	a.rand.Init(revSeed)

@@ -5,24 +5,23 @@ import (
 
 	"ndp/internal/fabric"
 	"ndp/internal/sim"
-	"ndp/internal/tcp"
 	"ndp/internal/topo"
 )
 
-func mptcpNet(k int) (*topo.FatTree, []tcp.Host) {
+func mptcpNet(k int) (*topo.FatTree, []fabric.Endpoint) {
 	cfg := topo.Config{
 		Seed:        5,
 		SwitchQueue: fabric.FIFOQueues(200 * 9000),
 	}
 	net := topo.NewFatTree(k, cfg)
-	th := make([]tcp.Host, net.NumHosts())
+	th := make([]fabric.Endpoint, net.NumHosts())
 	for i, h := range net.Hosts {
 		th[i].Init(h, net)
 	}
 	return net, th
 }
 
-func newFlow(net *topo.FatTree, th []tcp.Host, src, dst int32, flow uint64, size int64, subflows int) *Flow {
+func newFlow(net *topo.FatTree, th []fabric.Endpoint, src, dst int32, flow uint64, size int64, subflows int) *Flow {
 	cfg := DefaultConfig()
 	cfg.Subflows = subflows
 	f := NewSenderHalf(&th[src], &th[dst], flow, size, net.Paths(src, dst), net.Rand, cfg, nil)

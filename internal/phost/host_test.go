@@ -114,7 +114,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 	caps := func() []int {
 		c := make([]int, len(ph))
 		for i := range ph {
-			c[i] = ph[i].flows.Cap()
+			c[i] = ph[i].Flows.Cap()
 		}
 		return c
 	}

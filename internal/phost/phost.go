@@ -25,22 +25,18 @@ func DefaultConfig() Config {
 	return Config{MTU: 9000, IW: 30, RTO: sim.Millisecond}
 }
 
-// Host is the per-host pHost agent and its packet sink: one table of the
-// flows the host sends or receives, through which every arrival is
-// dispatched, plus the shared token pacer. A sender leaves the table when
-// its state is reused, a receiver by its flow's Release.
+// Host is the per-host pHost agent: its endpoint (the table of the flows
+// the host sends or receives, through which every arrival is dispatched,
+// and the listen hook that opens receivers) plus the shared token pacer. A
+// sender leaves the table when its state is reused, a receiver by its
+// flow's release.
 type Host struct {
-	host    *fabric.Host
+	fabric.Endpoint
 	el      *sim.EventList
 	arena   *fabric.Arena
-	cmds    Commands
 	spacing sim.Time
 	cfg     Config
 
-	flows  fabric.FlowTable[flowEntry]
-	Strays fabric.Strays // arrivals no flow claimed and listen turned away
-
-	listening      bool
 	onReceiverDone func(r *Receiver)
 
 	// queue is the round-robin token queue. The pacer pops the head and
@@ -53,32 +49,17 @@ type Host struct {
 	everSent  bool
 
 	// Free lists of completed flow state: a sender reusable 2*fabric.MSL
-	// after it completed, a receiver as soon as its Release put it here.
-	retiredS fabric.Ring[*Sender]
-	retiredR fabric.Ring[*Receiver]
+	// after it completed, a receiver as soon as its release put it here.
+	retiredS fabric.RetireList[*Sender]
+	retiredR fabric.RetireList[*Receiver]
 }
 
-// flowEntry is a flow's sender or receiver (never both: no host routes to
-// itself).
-type flowEntry struct {
-	sender   *Sender
-	receiver *Receiver
-}
+// tokenFirst is the token queue's first buffer: one slot per receiving flow
+// with tokens owed.
+const tokenFirst = 64
 
-// Commands is the cluster's deferred-command channel (topo.Cluster.Defer).
-type Commands interface {
-	Defer(from, to int, at sim.Time, h sim.Handler, arg uint64)
-}
-
-// First buffers: a token queue holds one slot per receiving flow with
-// tokens owed, a free-list the flows one host completes within 2*MSL.
-const (
-	tokenFirst   = 64
-	retiredFirst = 8
-)
-
-// Init installs ph as h's pHost agent.
-func (ph *Host) Init(h *fabric.Host, cmds Commands, cfg Config) {
+// Init installs ph as h's pHost agent on the cluster net.
+func (ph *Host) Init(h *fabric.Host, net fabric.Cluster, cfg Config) {
 	if cfg.MTU == 0 {
 		cfg.MTU = 9000
 	}
@@ -89,110 +70,68 @@ func (ph *Host) Init(h *fabric.Host, cmds Commands, cfg Config) {
 		cfg.RTO = sim.Millisecond
 	}
 	*ph = Host{
-		host: h, el: h.EventList(), arena: fabric.AttachArena(h.EventList()), cmds: cmds,
+		el: h.EventList(), arena: fabric.AttachArena(h.EventList()),
 		spacing: sim.TransmissionTime(cfg.MTU+fabric.HeaderSize, h.LinkRate()), cfg: cfg,
 	}
-	h.Stack = ph
+	ph.Endpoint.Init(h, net)
 }
 
 // Listen accepts incoming pHost transfers; onComplete, when set, observes
 // each receiver's completion.
 func (ph *Host) Listen(onComplete func(r *Receiver)) {
-	ph.listening, ph.onReceiverDone = true, onComplete
-}
-
-// Receive dispatches an arrival (fabric.Sink) with one probe of the flow
-// table, to listen if no flow claims it; what listen turns away is a stray.
-func (ph *Host) Receive(p *fabric.Packet) {
-	e, _ := ph.flows.Get(p.Flow)
-	switch {
-	case e.sender != nil:
-		e.sender.Receive(p)
-	case e.receiver != nil:
-		e.receiver.Receive(p)
-	default:
-		if r := ph.listen(p); r != nil {
-			r.Receive(p)
-			return
-		}
-		ph.Strays.Free(p)
-	}
+	ph.onReceiverDone = onComplete
+	ph.Endpoint.Listen = ph.listen
 }
 
 // listen opens a receiver from a data packet of a flow with none: pHost
 // announces nothing, so whichever packet of a flow arrives first opens it.
-func (ph *Host) listen(p *fabric.Packet) *Receiver {
-	if !ph.listening || p.Type != fabric.Data {
+func (ph *Host) listen(p *fabric.Packet) fabric.Sink {
+	if p.Type != fabric.Data {
 		return nil
 	}
-	r := ph.takeReceiver()
-	if r == nil {
-		r = &Receiver{ph: ph}
-	} else {
+	r, ok := ph.retiredR.Take(ph.el)
+	if ok {
 		got := r.got
 		got.Reset()
 		*r = Receiver{ph: ph, got: got}
+	} else {
+		r = &Receiver{ph: ph}
 	}
 	r.Flow, r.Peer, r.total, r.OnComplete = p.Flow, p.Src, -1, ph.onReceiverDone
-	ph.flows.Ref(p.Flow).receiver = r
+	ph.Flows.Put(p.Flow, r)
 	return r
 }
 
-// takeReceiver pops the oldest released receiver if it is out of the token
-// round-robin.
-func (ph *Host) takeReceiver() *Receiver {
-	r := ph.retiredR.Peek()
-	if r == nil || r.queued {
-		return nil
-	}
-	return ph.retiredR.Pop()
-}
+// Retire hands a receiver its flow's release took out of the table to the
+// free-list (fabric.Retirer).
+func (r *Receiver) Retire() { r.ph.retiredR.Push(r) }
 
-// takeSender pops the oldest retired sender if its RTO timer is disarmed
-// and 2*MSL has passed since completion, deleting its table entry: a
-// completed sender ignores the late ACKs and tokens that are strays now.
-func (ph *Host) takeSender() *Sender {
-	s := ph.retiredS.Peek()
-	if s == nil || s.timer.Pending() || ph.el.Now() < s.CompletedAt+2*fabric.MSL {
-		return nil
-	}
-	ph.retiredS.Pop()
-	ph.flows.Delete(s.Flow)
-	return s
-}
+// Idle reports whether a released receiver may serve another flow
+// (fabric.Idler): it is out of the token round-robin.
+func (r *Receiver) Idle(*sim.EventList) bool { return !r.queued }
 
-// Release deletes a flow's receiver from its host's table and hands it to
-// the free-list: a deferred command over the host, the flow id its
-// argument. The sender emits it at completion, due 2*MSL later, when
-// nothing of the flow can be in flight; until then the receiver answers
-// late retransmissions.
-type Release Host
-
-// OnEvent runs the release (sim.Handler) on the receiving host's domain.
-func (rl *Release) OnEvent(flow uint64) {
-	ph := (*Host)(rl)
-	e, _ := ph.flows.Get(flow)
-	ph.flows.Delete(flow)
-	if e.receiver != nil {
-		ph.retiredR.Push(e.receiver, retiredFirst)
-	}
-}
+// Idle reports whether a retired sender may serve another flow
+// (fabric.Idler): its RTO timer is disarmed.
+func (s *Sender) Idle(*sim.EventList) bool { return !s.timer.Pending() }
 
 // Connect starts a transfer of size bytes toward the agent dst, whose
-// state only the flow's Release touches, on dst's domain. Packets are
+// state only the flow's release touches, on dst's domain. Packets are
 // destination-routed (per-packet ECMP spraying by switches).
 func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sender)) *Sender {
-	s := ph.takeSender()
-	if s == nil {
-		s = &Sender{ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, onDone: onDone}
-		s.timer.InitHandler(ph.el, s)
-	} else {
+	s, ok := ph.retiredS.Take(ph.el)
+	if ok {
+		// A completed sender ignores the late ACKs and tokens that are
+		// strays once its flow leaves the table.
+		ph.Flows.Delete(s.Flow)
 		timer, pkts := s.timer, s.pkts
 		pkts.Reset()
 		*s = Sender{
-			ph: ph, peer: dst, Flow: flow, Dst: dst.host.ID, onDone: onDone,
+			ph: ph, peer: dst, Flow: flow, Dst: dst.Host.ID, onDone: onDone,
 			timer: timer, pkts: pkts,
 		}
+	} else {
+		s = &Sender{ph: ph, peer: dst, Flow: flow, Dst: dst.Host.ID, onDone: onDone}
+		s.timer.InitHandler(ph.el, s)
 	}
 	mtu := int64(ph.cfg.MTU)
 	s.total = (size + mtu - 1) / mtu
@@ -203,7 +142,7 @@ func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sende
 	if s.lastSize <= 0 {
 		s.lastSize = int32(mtu)
 	}
-	ph.flows.Ref(flow).sender = s
+	ph.Flows.Put(flow, s)
 	burst := int64(ph.cfg.IW)
 	if s.total < burst {
 		burst = s.total
@@ -221,7 +160,7 @@ type Sender struct {
 	Dst  int32
 
 	ph       *Host
-	peer     *Host // the destination, which the flow's Release runs on
+	peer     *Host // the destination, which the flow's release runs on
 	total    int64
 	lastSize int32
 	next     int64
@@ -263,7 +202,7 @@ func (s *Sender) send(seq int64, rtx bool) {
 	if seq == s.total-1 {
 		size = s.lastSize
 	}
-	p := s.ph.arena.NewData(s.Flow, s.ph.host.ID, s.Dst, seq, size)
+	p := s.ph.arena.NewData(s.Flow, s.ph.Host.ID, s.Dst, seq, size)
 	p.Sent = s.ph.el.Now()
 	if seq == s.total-1 {
 		p.Flags |= fabric.FlagFIN
@@ -277,7 +216,7 @@ func (s *Sender) send(seq int64, rtx bool) {
 	if !s.timer.Pending() {
 		s.timer.Reset(s.ph.cfg.RTO)
 	}
-	s.ph.host.Send(p)
+	s.ph.Host.Send(p)
 }
 
 // sendNext releases one token of credit: the oldest unacked timed-out
@@ -317,8 +256,8 @@ func (s *Sender) Receive(p *fabric.Packet) {
 			if s.OnCompleteAt != nil {
 				s.OnCompleteAt(s.CompletedAt)
 			}
-			s.ph.cmds.Defer(int(s.ph.host.ID), int(s.Dst), s.CompletedAt+2*fabric.MSL, (*Release)(s.peer), s.Flow)
-			s.ph.retiredS.Push(s, retiredFirst)
+			s.ph.Finish(&s.peer.Endpoint, s.Flow, s.CompletedAt)
+			s.ph.retiredS.Quarantine(s, s.CompletedAt)
 		}
 	case fabric.Pull: // token
 		delta := p.PullSeq() - s.lastToken
@@ -401,9 +340,9 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 		r.nGot++
 		r.bytes += int64(p.DataSize)
 	}
-	a := r.ph.arena.NewControl(fabric.Ack, r.Flow, r.ph.host.ID, r.Peer)
+	a := r.ph.arena.NewControl(fabric.Ack, r.Flow, r.ph.Host.ID, r.Peer)
 	a.Seq = seq
-	r.ph.host.Send(a)
+	r.ph.Host.Send(a)
 	if r.total >= 0 && r.nGot == r.total && !r.complete {
 		r.complete = true
 		if r.OnComplete != nil {
@@ -465,11 +404,11 @@ func (ph *Host) fire() {
 			r.queued = false
 		}
 		r.tokSeq++
-		p := ph.arena.NewControl(fabric.Pull, r.Flow, ph.host.ID, r.Peer)
+		p := ph.arena.NewControl(fabric.Pull, r.Flow, ph.Host.ID, r.Peer)
 		p.SetPullSeq(r.tokSeq)
 		ph.lastSent = ph.el.Now()
 		ph.everSent = true
-		ph.host.Send(p)
+		ph.Host.Send(p)
 		break
 	}
 	ph.schedule()

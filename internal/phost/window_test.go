@@ -21,8 +21,8 @@ func TestScoreboardStaysWindowSized(t *testing.T) {
 	const T = 5 * sim.Millisecond
 	net.EL.RunUntil(T)
 	for _, s := range ss {
-		e, _ := ph[0].flows.Get(s.Flow)
-		rs = append(rs, e.receiver)
+		e, _ := ph[0].Flows.Get(s.Flow)
+		rs = append(rs, e.(*Receiver))
 	}
 	caps := func() [4]int {
 		return [4]int{ss[0].pkts.Cap(), rs[0].got.Cap(), ss[1].pkts.Cap(), rs[1].got.Cap()}
@@ -72,8 +72,8 @@ func TestLateFeedbackCounters(t *testing.T) {
 	net, ph := phostNet(4)
 	s := ph[5].Connect(&ph[0], 1, endlessSize, nil)
 	net.EL.RunUntil(sim.Millisecond)
-	e, _ := ph[0].flows.Get(1)
-	r := e.receiver
+	e, _ := ph[0].Flows.Get(1)
+	r := e.(*Receiver)
 	sBase, sEnd, rBase, rEnd := s.pkts.Base(), s.pkts.End(), r.got.Base(), r.got.End()
 	if sBase < 100 || sEnd-sBase < 10 || rBase < 100 {
 		t.Fatalf("set-up: scoreboard [%d, %d), bitmap [%d, %d): want non-zero bases and a window in flight", sBase, sEnd, rBase, rEnd)

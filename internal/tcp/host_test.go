@@ -19,7 +19,7 @@ func (f relaunch) OnEvent(src uint64) { f(int(src)) }
 // ~1 ms after its sender completed (core's churn, the rpc scenario's shape),
 // each flow built as the harness builds it — its receiver attached by
 // command, released by another. It returns the count of flows launched.
-func churn(net *topo.FatTree, th []Host, pool *Pool, cfg Config) *int {
+func churn(net *topo.FatTree, th []fabric.Endpoint, pool *Pool, cfg Config) *int {
 	rnd := sim.NewRand(7)
 	launched := new(int)
 	var launch func(src int)
@@ -46,7 +46,7 @@ func churn(net *topo.FatTree, th []Host, pool *Pool, cfg Config) *int {
 }
 
 // strays sums the hosts' stray counters.
-func strays(th []Host) (s fabric.Strays) {
+func strays(th []fabric.Endpoint) (s fabric.Strays) {
 	for i := range th {
 		s.Data += th[i].Strays.Data
 		s.Control += th[i].Strays.Control
@@ -115,7 +115,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 	caps := func() []int {
 		c := make([]int, len(th))
 		for i := range th {
-			c[i] = th[i].flows.Cap()
+			c[i] = th[i].Flows.Cap()
 		}
 		return c
 	}

@@ -119,15 +119,15 @@ type Sender struct {
 	route int16 // fixed source route (per-flow "ECMP" path); -1 = destination-routed
 	arena *fabric.Arena
 
-	// own is the host whose table the sender is in. Pool plumbing (nil for
-	// unpooled senders): the pool the sender returns to at completion, the
-	// destination host its completion releases the receiver on, and whether
-	// retirement is automatic or group-managed (MPTCP couples subflows via
-	// LIA, so no subflow may be reused while a sibling still reads its
-	// window).
-	own        *Host
+	// own is the endpoint whose table the sender is in. Pool plumbing (nil
+	// for unpooled senders): the pool the sender returns to at completion,
+	// the destination endpoint its completion releases the receiver on, and
+	// whether retirement is automatic or group-managed (MPTCP couples
+	// subflows via LIA, so no subflow may be reused while a sibling still
+	// reads its window).
+	own        *fabric.Endpoint
 	pool       *Pool
-	peer       *Host
+	peer       *fabric.Endpoint
 	groupOwned bool
 
 	source DataSource
@@ -182,7 +182,7 @@ type segment struct {
 // source route to the destination, an index below host.Paths(dst) (-1 for
 // destination-based ECMP routing); source supplies the stream. Pool calls
 // it only on a miss: recycle reuses the state.
-func NewSender(host *Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) *Sender {
+func NewSender(host *fabric.Endpoint, dst int32, flow uint64, route int16, source DataSource, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	el := host.Host.EventList()
 	s := &Sender{
@@ -200,7 +200,7 @@ func NewSender(host *Host, dst int32, flow uint64, route int16, source DataSourc
 		rto:      cfg.MinRTO,
 	}
 	s.timer.InitHandler(s.el, s)
-	host.flows.Ref(flow).sender = s
+	host.Flows.Put(flow, s)
 	return s
 }
 
@@ -208,7 +208,7 @@ func NewSender(host *Host, dst int32, flow uint64, route int16, source DataSourc
 // keeping the identity-bound resources: the event list, the timer (its
 // handler is this object), the arena, and the emptied segment window's
 // buffer.
-func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, source DataSource, cfg Config) {
+func (s *Sender) recycle(host *fabric.Endpoint, dst int32, flow uint64, route int16, source DataSource, cfg Config) {
 	if s.attach.Pool != nil && s.el.Now() <= s.attach.At {
 		panic("tcp: sender recycled before its deferred receiver attach ran")
 	}
@@ -222,7 +222,7 @@ func (s *Sender) recycle(host *Host, dst int32, flow uint64, route int16, source
 		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd, rto: cfg.MinRTO,
 		timer: timer, segs: segs,
 	}
-	host.flows.Ref(flow).sender = s
+	host.Flows.Put(flow, s)
 }
 
 // ReceiverAttach is what the destination's scheduling domain needs to build
@@ -465,9 +465,9 @@ func (s *Sender) onNewAck(p *fabric.Packet, ack int64) {
 	}
 }
 
-// finish completes the flow. A pooled sender sends the flow's Release to
-// the destination, due 2*MSL from now, and unless group-owned retires to
-// the pool.
+// finish completes the flow. A pooled sender sends the flow's release to
+// the destination, due 2*MSL from now (fabric.Endpoint.Finish), and unless
+// group-owned retires to the pool.
 func (s *Sender) finish() {
 	s.complete = true
 	s.CompletedAt = s.el.Now()
@@ -475,10 +475,10 @@ func (s *Sender) finish() {
 		s.OnComplete(s)
 	}
 	if s.peer != nil {
-		s.own.net.Defer(int(s.host.ID), int(s.dst), s.CompletedAt+2*fabric.MSL, (*Release)(s.peer), s.Flow)
+		s.own.Finish(s.peer, s.Flow, s.CompletedAt)
 	}
 	if s.pool != nil && !s.groupOwned {
-		s.pool.retireSender(s)
+		s.pool.RetireSender(s)
 	}
 }
 
@@ -601,7 +601,7 @@ type Receiver struct {
 	route int16 // fixed reverse route for ACKs
 	arena *fabric.Arena
 
-	// pool is where the flow's Release hands the receiver (nil for
+	// pool is where the flow's release hands the receiver (nil for
 	// unpooled receivers).
 	pool *Pool
 
@@ -610,11 +610,9 @@ type Receiver struct {
 	got    fabric.SeqWindow[bool]
 	finSeq int64
 
-	Bytes        int64
-	complete     bool
-	CompletedAt  sim.Time
-	FirstArrival sim.Time
-	seenAny      bool
+	Bytes       int64
+	complete    bool
+	CompletedAt sim.Time
 	// OnData observes every newly received payload byte count (MPTCP
 	// aggregates across subflows); OnCompleteAt fires with the completion
 	// time when the stream is fully received (FIN seen and no holes).
@@ -625,25 +623,25 @@ type Receiver struct {
 // NewReceiver builds the receiving side, registered on host; route, an
 // index below host.Paths(peer) (-1: destination-routed), takes ACKs back.
 // Pool calls it only on a miss.
-func NewReceiver(host *Host, peer int32, flow uint64, route int16) *Receiver {
+func NewReceiver(host *fabric.Endpoint, peer int32, flow uint64, route int16) *Receiver {
 	r := &Receiver{
 		Flow: flow, host: host.Host, peer: peer, route: route, finSeq: -1,
 		arena: fabric.AttachArena(host.Host.EventList()),
 	}
-	host.flows.Ref(flow).receiver = r
+	host.Flows.Put(flow, r)
 	return r
 }
 
 // recycle resets a released receiver for a new connection registered on
 // host, keeping the arena and the emptied arrival bitmap's buffer.
-func (r *Receiver) recycle(host *Host, peer int32, flow uint64, route int16) {
+func (r *Receiver) recycle(host *fabric.Endpoint, peer int32, flow uint64, route int16) {
 	pool, arena, got := r.pool, r.arena, r.got
 	got.Reset()
 	*r = Receiver{
 		Flow: flow, host: host.Host, peer: peer, route: route, finSeq: -1,
 		arena: arena, pool: pool, got: got,
 	}
-	host.flows.Ref(flow).receiver = r
+	host.Flows.Put(flow, r)
 }
 
 // Receive handles data and SYN packets.
@@ -651,10 +649,6 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	if p.Type != fabric.Data {
 		fabric.Free(p)
 		return
-	}
-	if !r.seenAny && p.Seq >= 0 {
-		r.seenAny = true
-		r.FirstArrival = r.host.EventList().Now()
 	}
 	if p.Flags&fabric.FlagSYN != 0 && p.Seq < 0 {
 		// SYN: reply SYN-ACK.

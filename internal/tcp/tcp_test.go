@@ -11,7 +11,7 @@ import (
 
 // tcpNet builds a FatTree with drop-tail (or ECN) queues and a TCP host on
 // every host, sending its pooled flows' Releases through the network.
-func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []Host) {
+func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []fabric.Endpoint) {
 	cfg := topo.Config{Seed: 7}
 	if markBytes > 0 {
 		cfg.SwitchQueue = fabric.ECNQueues(queueBytes, markBytes)
@@ -19,7 +19,7 @@ func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []Host) {
 		cfg.SwitchQueue = fabric.FIFOQueues(queueBytes)
 	}
 	net := topo.NewFatTree(k, cfg)
-	hosts := make([]Host, net.NumHosts())
+	hosts := make([]fabric.Endpoint, net.NumHosts())
 	for i, h := range net.Hosts {
 		hosts[i].Init(h, net)
 	}
@@ -28,7 +28,7 @@ func tcpNet(k int, queueBytes, markBytes int) (*topo.FatTree, []Host) {
 
 // startFlow wires one TCP flow between two hosts over route 0 each way and
 // starts it.
-func startFlow(th []Host, src, dst int32, flow uint64, size int64, cfg Config) (*Sender, *Receiver) {
+func startFlow(th []fabric.Endpoint, src, dst int32, flow uint64, size int64, cfg Config) (*Sender, *Receiver) {
 	snd := NewSender(&th[src], dst, flow, 0, NewFixedSource(size, cfg.withDefaults().MSS), cfg)
 	rcv := NewReceiver(&th[dst], src, flow, 0)
 	snd.Start()
@@ -53,13 +53,18 @@ func TestTCPSingleTransfer(t *testing.T) {
 
 func TestTCPHandshakeCostsOneRTT(t *testing.T) {
 	// With handshake, first data arrives ~1 RTT later than without.
-	first := func(handshake bool) sim.Time {
+	first := func(handshake bool) (at sim.Time) {
 		net, th := tcpNet(4, 200*9000, 0)
 		cfg := DefaultConfig()
 		cfg.Handshake = handshake
 		_, rcv := startFlow(th, 0, 15, 1, 9000, cfg)
+		rcv.OnData = func(int64) {
+			if at == 0 {
+				at = net.EL.Now()
+			}
+		}
 		net.EL.RunUntil(10 * sim.Millisecond)
-		return rcv.FirstArrival
+		return at
 	}
 	with := first(true)
 	without := first(false)
@@ -239,8 +244,8 @@ func TestAttachCommand(t *testing.T) {
 	}), 0)
 	s.Start()
 	net.EL.RunUntil(sim.Millisecond)
-	e, _ := th[15].flows.Get(7)
-	rcv := e.receiver
+	e, _ := th[15].Flows.Get(7)
+	rcv, _ := e.(*Receiver)
 	if rcv == nil || !rcv.Complete() || !s.Complete() {
 		t.Fatalf("transfer incomplete: receiver %v", rcv)
 	}
@@ -254,12 +259,13 @@ func TestAttachCommand(t *testing.T) {
 
 	release := s.CompletedAt + 2*fabric.MSL
 	net.EL.RunUntil(release - 1)
-	if e, _ := th[15].flows.Get(7); e.receiver != rcv || pool.receivers.Len() != 0 {
+	if e, _ := th[15].Flows.Get(7); e != rcv || pool.receivers.Len() != 0 {
 		t.Fatal("the receiver left its table before its sender was 2*MSL complete")
 	}
 	net.EL.RunUntil(release)
-	if n := th[15].flows.Len(); n != 0 || pool.receivers.Peek() != rcv {
-		t.Errorf("after the release: %d flows in the destination's table, receiver pooled: %v", n, pool.receivers.Peek() == rcv)
+	pooled, _ := pool.receivers.Take(net.EL)
+	if n := th[15].Flows.Len(); n != 0 || pooled != rcv {
+		t.Errorf("after the release: %d flows in the destination's table, receiver pooled: %v", n, pooled == rcv)
 	}
 	if want := int64(2); net.CommandEvents() != want {
 		t.Errorf("%d commands emitted, want %d (attach, release)", net.CommandEvents(), want)

@@ -17,9 +17,9 @@ type endless struct{ mss int }
 func (e endless) Claim() int      { return e.mss }
 func (e endless) Exhausted() bool { return false }
 
-func windowNet(queue topo.QueueFactory) (*topo.FatTree, []tcp.Host) {
+func windowNet(queue topo.QueueFactory) (*topo.FatTree, []fabric.Endpoint) {
 	net := topo.NewFatTree(4, topo.Config{Seed: 7, SwitchQueue: queue})
-	th := make([]tcp.Host, net.NumHosts())
+	th := make([]fabric.Endpoint, net.NumHosts())
 	for i, h := range net.Hosts {
 		th[i].Init(h, net)
 	}
@@ -36,8 +36,8 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 		senders   []*tcp.Sender
 		receivers []*tcp.Receiver
 	}
-	single := func(cfg tcp.Config) func(*topo.FatTree, []tcp.Host) endpoints {
-		return func(net *topo.FatTree, th []tcp.Host) (e endpoints) {
+	single := func(cfg tcp.Config) func(*topo.FatTree, []fabric.Endpoint) endpoints {
+		return func(net *topo.FatTree, th []fabric.Endpoint) (e endpoints) {
 			for i, src := range []int32{5, 10} {
 				flow := uint64(i + 1)
 				snd := tcp.NewSender(&th[src], 0, flow, 0, endless{cfg.MSS}, cfg)
@@ -53,7 +53,7 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 	cases := []struct {
 		name  string
 		queue topo.QueueFactory
-		start func(*topo.FatTree, []tcp.Host) endpoints
+		start func(*topo.FatTree, []fabric.Endpoint) endpoints
 		// loss: the run must have retransmitted (DCTCP's marks keep the
 		// queue below the drop point, so it need not).
 		loss bool
@@ -61,7 +61,7 @@ func TestSegmentWindowStaysWindowSized(t *testing.T) {
 		{"tcp", fabric.FIFOQueues(100 * 9000), single(plain), true},
 		{"dctcp", dctcp.QueueFactory(9000), single(dctcp.SenderConfig(9000)), false},
 		{"mptcp", fabric.FIFOQueues(100 * 9000),
-			func(net *topo.FatTree, th []tcp.Host) (e endpoints) {
+			func(net *topo.FatTree, th []fabric.Endpoint) (e endpoints) {
 				cfg := mptcp.DefaultConfig()
 				cfg.Subflows = 4
 				cfg.TCP.MinRTO = sim.Millisecond

@@ -82,27 +82,16 @@ func (c Config) withDefaults() Config {
 // and telemetry. All concrete topologies (*FatTree, *TwoTier, *BackToBack)
 // implement it.
 type Cluster interface {
+	// Paths, MinPathDelay and Defer are what every host's transport
+	// endpoint is given of its cluster.
+	fabric.Cluster
 	EventList() *sim.EventList
 	Runner() sim.Runner
 	Shards() int
 	ShardOfHost(h int) int
-	Defer(from, to int, at sim.Time, h sim.Handler, arg uint64)
 	LinkDelay() sim.Time
-	// MinPathDelay returns the minimum total propagation delay of any
-	// physical path from host src to host dst — the earliest a causal
-	// effect of an event at src can reach dst. Cross-shard deferred
-	// commands (Defer) and receiver registrations use it as their delivery
-	// offset: between hosts of different shards it is at least the
-	// lookahead (a path crossing a cut has at least one link), yet it
-	// depends only on the topology, never on the shard layout — which
-	// keeps N-shard runs bit-identical to 1-shard runs.
-	MinPathDelay(src, dst int) sim.Time
 	HostList() []*fabric.Host
 	SwitchList() []*fabric.Switch
-	// Paths returns how many source routes lead from host src to host dst
-	// (0 when src == dst). A sender picks one as Packet.Route, an index in
-	// [0, Paths); a switch drops a larger index as a RouteDrop.
-	Paths(src, dst int32) int
 	NumHosts() int
 	LinkRate() int64
 	CollectStats() SwitchStats

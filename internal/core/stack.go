@@ -268,12 +268,12 @@ func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 }
 
 // PreRegister announces a flow to its receiving stack ahead of the first
-// packet: it creates the flow's entry, which is what lets a first-window
-// packet open the connection, pointing at reg — the pull priority
-// (strict-priority pulling: "the receiver knows its own priorities, and can
-// pull high priority traffic more often than low priority traffic") and the
-// completion/goodput observers, which the pooled sender carries. listen
-// reads reg when the first SYN opens the receiver. It runs in this stack's
+// packet: the flow's entry is reg, which is what lets a first-window packet
+// open the connection — reg carries the pull priority (strict-priority
+// pulling: "the receiver knows its own priorities, and can pull high
+// priority traffic more often than low priority traffic") and the
+// completion/goodput observers, and the pooled sender holds it. Its Receive
+// reads it when the first SYN opens the receiver. It runs in this stack's
 // scheduling domain: the source host defers it here as the flow's
 // Registration command (it must land before the first SYN arrives — the
 // first data packet is at least a serialization plus the path's propagation

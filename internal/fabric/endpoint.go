@@ -46,10 +46,11 @@ type Endpoint struct {
 	Flows FlowTable[Sink]
 	// Strays counts the arrivals no flow claimed.
 	Strays Strays
-	// Listen, when set, is asked for the end of a flow a packet opens when
-	// no flow claims it (pHost opens a receiver from whichever data packet
-	// of a flow arrives first); a nil answer makes the packet a stray.
-	Listen func(p *Packet) Sink
+	// Accept, when set, is the listen hook: it is asked for the end of a
+	// flow that a packet no flow claims opens (pHost opens a receiver from
+	// whichever data packet of a flow arrives first); a nil answer makes the
+	// packet a stray.
+	Accept func(p *Packet) Sink
 }
 
 // Init sets ep up as host's endpoint on net and installs it as the host's
@@ -60,15 +61,15 @@ func (ep *Endpoint) Init(host *Host, net Cluster) {
 }
 
 // Receive dispatches an arrival (Sink) to the end of its flow with one
-// probe of the flow table, else to Listen; what neither claims is counted
+// probe of the flow table, else to Accept; what neither claims is counted
 // and freed.
 func (ep *Endpoint) Receive(p *Packet) {
 	if s, ok := ep.Flows.Get(p.Flow); ok {
 		s.Receive(p)
 		return
 	}
-	if ep.Listen != nil {
-		if s := ep.Listen(p); s != nil {
+	if ep.Accept != nil {
+		if s := ep.Accept(p); s != nil {
 			s.Receive(p)
 			return
 		}

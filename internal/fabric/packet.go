@@ -201,7 +201,8 @@ func Release(p *Packet) {
 
 // MSL is the maximum segment lifetime every transport's reuse rules assume:
 // in a datacenter no packet outlives 1 ms (the worst-case RTT with NDP's
-// small queues is ~400 µs, §3.2.4). A retired endpoint's pooled state is
-// reusable 2*MSL after completion, by which point no packet of the old flow
-// can still exist; until then the old flow stays registered.
+// small queues is ~400 µs, §3.2.4). 2*MSL after a flow's sender completed
+// no packet of the flow can still exist: then its receiver is released and
+// both ends' pooled state may serve another flow (Endpoint.Finish,
+// RetireList); until then the flow stays registered.
 const MSL = sim.Millisecond

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,6 +29,11 @@ import (
 // that it made no event list fresh — every network it built took the
 // scheduling domain a closed one handed on (topo.Network.Close) — and that
 // no network of either pass closed with a packet in use.
+//
+// Its readme subtest holds README "Paper claims"' claim x scale table to the
+// seed-1 pass: every claim the runners state has a row, every row is a claim
+// they state, and each row's 0.1 column is PASS. The 0.5 and 1.0 columns are
+// measured with `ndpsim -exp all -scale S`; CI checks the 1.0 column.
 func TestAllExperimentsClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
@@ -73,6 +80,27 @@ func TestAllExperimentsClaims(t *testing.T) {
 			t.Errorf("%d networks closed with a packet in use", d.Leaky-before.Leaky)
 		}
 	})
+	t.Run("readme", func(t *testing.T) {
+		rows := readmeClaims(t)
+		seen := map[string]bool{}
+		for j, e := range exps {
+			for _, c := range runs[j][0].Claims {
+				key := e.ID + ": " + c.Name
+				seen[key] = true
+				switch v, ok := rows[key]; {
+				case !ok:
+					t.Errorf("claim %q has no row in README \"Paper claims\"", key)
+				case v[0] != "PASS":
+					t.Errorf("README \"Paper claims\" marks %q %s at scale 0.1, where it passes", key, v[0])
+				}
+			}
+		}
+		for _, key := range slices.Sorted(maps.Keys(rows)) {
+			if !seen[key] {
+				t.Errorf("README \"Paper claims\" has a row for %q, which no experiment states", key)
+			}
+		}
+	})
 	for j, e := range exps {
 		results := runs[j]
 		t.Run(e.ID, func(t *testing.T) {
@@ -98,6 +126,47 @@ func TestAllExperimentsClaims(t *testing.T) {
 			})
 		})
 	}
+}
+
+// readmeClaims reads the claim x scale table under README "Paper claims":
+// one row per claim, "| id | name | verdict at 0.1 | at 0.5 | at 1.0 |",
+// keyed "id: name" as ndpsim prints the claim.
+func readmeClaims(t *testing.T) map[string][3]string {
+	t.Helper()
+	blob, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(blob), "\n### Paper claims\n")
+	if !ok {
+		t.Fatal(`README has no "Paper claims" heading`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	rows := map[string][3]string{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 7 {
+			continue
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		v := [3]string{cells[3], cells[4], cells[5]}
+		if !slices.ContainsFunc(v[:], func(s string) bool { return s == "PASS" || s == "FAIL" }) {
+			continue // the header and its rule
+		}
+		key := cells[1] + ": " + cells[2]
+		if _, dup := rows[key]; dup {
+			t.Errorf("README \"Paper claims\" lists %q twice", key)
+		}
+		for _, s := range v {
+			if s != "PASS" && s != "FAIL" {
+				t.Errorf("README \"Paper claims\" row %q has verdict %q, want PASS or FAIL", key, s)
+			}
+		}
+		rows[key] = v
+	}
+	return rows
 }
 
 func TestRegistry(t *testing.T) {

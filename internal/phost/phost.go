@@ -80,7 +80,7 @@ func (ph *Host) Init(h *fabric.Host, net fabric.Cluster, cfg Config) {
 // each receiver's completion.
 func (ph *Host) Listen(onComplete func(r *Receiver)) {
 	ph.onReceiverDone = onComplete
-	ph.Endpoint.Listen = ph.listen
+	ph.Accept = ph.listen
 }
 
 // listen opens a receiver from a data packet of a flow with none: pHost

@@ -117,19 +117,21 @@ func TestChurnAllocsPerFlow(t *testing.T) {
 		// lists and arenas, which its long half then reuses.
 		bytes float64
 	}{
-		// 0.034 objects, budget 0.05: no object per flow. What is left is
+		// 0.031 objects, budget 0.04: no object per flow. What is left is
 		// Sender and Receiver objects for the quarantine, which a longer run
 		// fills further (with random destinations, a host's peak of
-		// receivers waiting out 2*MSL keeps rising), the doublings of its
-		// free-lists, and completion chunks. 0.074 while every quarantined
-		// object held its working arrays, so that each new one brought them;
-		// 0.086 with the time-wait table. 56.6 bytes, budget 64: the 24-byte
-		// completion record and the FCT slice and sorted copy it feeds (58.5
+		// receivers waiting for their release keeps rising), the doublings
+		// of its free-lists, and completion chunks. 0.034 while a receiver
+		// waited out 2*MSL from its own completion, not its sender's; 0.074
+		// while every quarantined object held its working arrays, so that
+		// each new one brought them; 0.086 with the time-wait table. 57.0
+		// bytes, budget 64: the 24-byte completion record and the FCT slice
+		// and sorted copy it feeds (56.5 with 8-byte free-list entries, 58.5
 		// with the arrays in quarantine). 78.5 with a 32-byte record, the
 		// FCTs copied once more and a demux beside the flow table; 212.2
 		// before the time-wait table went and completions were merged
 		// instead of copied.
-		{NDP, 0.05, 64},
+		{NDP, 0.04, 64},
 		// 0.004 and 0.001 objects: the sender carries its data source, and
 		// a flow leaves nothing behind (0.021 and 0.016 while a recycled
 		// receiver left a tombstone from a slab; 2.02 and 2.01 when each

@@ -276,9 +276,11 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 // by one entry a flow) shows here as a doubling. An entry is one end of its
 // flow, so an open receiver's entry cannot point at its registration, and
 // one that is still a registration points at the record of its flow's live
-// sender: that sender may rewrite the record once recycled. And the spare arrays follow the
-// flows in flight too: no spare list is longer than the most flows of its
-// kind its host has had live at once.
+// sender: that sender may rewrite the record once recycled. A registration
+// lives only from Connect to the first SYN, so each host connects once more
+// at 3T, from a recycled sender, to have some to look up. And the spare
+// arrays follow the flows in flight too: no spare list is longer than the
+// most flows of its kind its host has had live at once.
 func TestFlowStateStaysChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	l := churn(net, st)
@@ -317,8 +319,11 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 			t.Errorf("host %d: flow table capacity %d: want room for a few dozen flows", h, atT[h])
 		}
 	}
+	for h, src := range st {
+		src.Connect(st[(h+1)%len(st)], 1500, FlowOpts{})
+	}
 	// Every id Connect allocated, looked up on every host.
-	open := 0
+	open, announced := 0, 0
 	for _, src := range st {
 		for c := uint64(1); c <= uint64(src.connects); c++ {
 			flow := uint64(src.Host.ID+1)<<32 | c
@@ -327,6 +332,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 				case *Receiver:
 					open++
 				case *registration:
+					announced++
 					if snd := src.Sender(flow); snd == nil || &snd.reg != e {
 						t.Errorf("host %d: flow %#x is announced by a record its sender no longer holds", h, flow)
 					}
@@ -334,8 +340,8 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 			}
 		}
 	}
-	if open == 0 {
-		t.Error("no entry with an open receiver to check")
+	if open == 0 || announced < len(st) {
+		t.Errorf("%d entries with an open receiver and %d registrations to check, want some and one a host", open, announced)
 	}
 	checkChurned(t, byT, l.launched)
 }

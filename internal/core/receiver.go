@@ -179,7 +179,7 @@ func (r *Receiver) finish() {
 
 // Retire hands the receiver its flow's release has removed from the table
 // to the stack's free-list (fabric.Retirer).
-func (r *Receiver) Retire() { r.st.retiredR.Push(r) }
+func (r *Receiver) Retire() { r.st.retiredR.Push(r, retiredFirst) }
 
 // Idle reports whether a released receiver may serve another flow
 // (fabric.Idler): its pull-queue entry has drained.

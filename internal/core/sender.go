@@ -180,8 +180,10 @@ func (s *Sender) recycle() {
 }
 
 // Idle reports whether a retired sender may serve another flow
-// (fabric.Idler): its timer is disarmed.
-func (s *Sender) Idle(*sim.EventList) bool { return !s.timer.Pending() }
+// (fabric.Idler): its flow is Quiet and its timer disarmed.
+func (s *Sender) Idle(el *sim.EventList) bool {
+	return fabric.Quiet(el, s.CompletedAt) && !s.timer.Pending()
+}
 
 // giveBack puts the working arrays of a sender that has just completed on
 // its stack's spareS. Nothing reads them again: every packet is ACKed,
@@ -491,7 +493,7 @@ func (s *Sender) onAck(p *fabric.Packet) {
 		if dst := s.reg.dst; dst != nil {
 			s.st.Finish(&dst.Endpoint, s.Flow, s.CompletedAt)
 		}
-		s.st.retiredS.Quarantine(s, s.CompletedAt)
+		s.st.retiredS.Push(s, retiredFirst)
 	}
 }
 

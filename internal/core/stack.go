@@ -122,6 +122,10 @@ type sendBufs struct {
 	rtxq   []int64
 }
 
+// retiredFirst is a free-list's first buffer: room for the flows one host
+// completes within 2*MSL in the rpc scenario (14 as sender); more doubles it.
+const retiredFirst = 16
+
 // rxqFirst is the RxDelay queue's first buffer: the arrivals of one
 // processing delay, which at line rate is a few packets.
 const rxqFirst = 8

@@ -20,6 +20,10 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
+// retiredFirst is a free-list's first buffer; more retired endpoints than
+// this in one domain double it.
+const retiredFirst = 8
+
 // NewSender builds or recycles a sender; call Start to begin transmitting.
 func (pl *Pool) NewSender(host *fabric.Endpoint, dst int32, flow uint64, route int16, size int64, cfg Config) *Sender {
 	if s, ok := pl.senders.Take(host.Host.EventList()); ok {
@@ -42,7 +46,7 @@ func (s *Sender) Idle(el *sim.EventList) bool {
 // back to the pool. The caller must have called Stop.
 func (pl *Pool) RetireSender(s *Sender) {
 	s.own.Flows.Delete(s.Flow)
-	pl.senders.Push(s)
+	pl.senders.Push(s, retiredFirst)
 }
 
 // NewReceiver builds or recycles a receiver registered on host.
@@ -68,5 +72,5 @@ func (r *Receiver) Idle(el *sim.EventList) bool { return r.host.EventList() == e
 // the FIN, so the state is immediately reusable.
 func (pl *Pool) RetireReceiver(r *Receiver) {
 	r.own.Flows.Delete(r.Flow)
-	pl.receivers.Push(r)
+	pl.receivers.Push(r, retiredFirst)
 }

@@ -87,10 +87,13 @@ func (ep *Endpoint) Finish(dst *Endpoint, flow uint64, done sim.Time) {
 	ep.Net.Defer(int(ep.Host.ID), int(dst.Host.ID), quiet(done), (*ReleaseFlow)(dst), flow)
 }
 
-// quiet returns when nothing of a flow whose sender completed at done can
-// still be in flight: 2*MSL later, by the datacenter-MSL argument of
-// §3.2.2. It is the earliest a flow's receiver may forget the flow and
-// either end's state may serve another flow.
+// Quiet reports whether nothing of a flow whose sender completed at done
+// can still be in flight on el's domain: 2*MSL have passed, by the
+// datacenter-MSL argument of §3.2.2. It is the earliest a flow's receiver
+// may forget the flow (Finish's release is due then) and a retired sender
+// may serve another flow (its Idle states it).
+func Quiet(el *sim.EventList, done sim.Time) bool { return el.Now() >= quiet(done) }
+
 func quiet(done sim.Time) sim.Time { return done + 2*MSL }
 
 // ReleaseFlow is the one release command: a deferred command over the
@@ -115,57 +118,33 @@ func (rl *ReleaseFlow) OnEvent(flow uint64) {
 
 // Idler is an endpoint a RetireList holds: Idle reports whether it may
 // serve a new flow on el's scheduling domain. Each type states its own
-// condition — its timers disarmed, its pull or token entry drained, and
-// when its list serves several hosts, that it lives on el's domain — and
-// the list adds the time rule.
+// condition: a sender that Quiet, its timers disarmed, its pull or token
+// entry drained, and when its list serves several hosts, that it lives on
+// el's domain.
 type Idler interface{ Idle(el *sim.EventList) bool }
 
 // RetireList is the free-list of one kind of finished flow endpoint: a
 // FIFO, oldest first, from which a later flow takes the head once it is
-// ready. An endpoint is ready when its time has come — 2*MSL after its
-// flow's sender completed, for one parked by Quarantine; at once, for one
-// parked by Push — and it is Idle. A closed loop never lets a list drain
-// (something is always waiting out its 2*MSL), so the Ring beneath gives
-// back the front a Take frees, and the list holds what is waiting, never
-// more.
+// Idle. A closed loop never lets a list drain (something is always waiting
+// out its 2*MSL), so the Ring beneath gives back the front a Take frees,
+// and the list holds what is waiting, never more.
 //
 // An entry is a flow's identity, not its buffers: a transport moves its
 // endpoints' working arrays elsewhere at completion. Not safe for
 // concurrent use: a list belongs to one host or one scheduling domain.
-type RetireList[T Idler] struct{ ring Ring[retired[T]] }
+type RetireList[T Idler] struct{ ring Ring[T] }
 
-type retired[T any] struct {
-	x  T
-	at sim.Time // when x may serve another flow, if Idle
-}
+// Push parks a finished endpoint; first is the list's first buffer, as in
+// Ring.Push.
+func (l *RetireList[T]) Push(x T, first int) { l.ring.Push(x, first) }
 
-// retireFirst is a list's first buffer: room for the flows one host
-// completes within 2*MSL in the rpc scenario (14 as sender); more doubles
-// it.
-const retireFirst = 16
-
-// Quarantine parks a sender whose flow completed at done: it may serve
-// another flow once nothing of this one can be in flight, when Finish's
-// release reaches the receiver too.
-func (l *RetireList[T]) Quarantine(x T, done sim.Time) {
-	l.ring.Push(retired[T]{x, quiet(done)}, retireFirst)
-}
-
-// Push parks an endpoint that may serve another flow as soon as it is Idle:
-// a receiver its flow's release handed back, or the end of a lossless
-// flow, after which nothing of the flow arrives.
-func (l *RetireList[T]) Push(x T) { l.ring.Push(retired[T]{x: x}, retireFirst) }
-
-// Take pops the oldest endpoint if it is ready on el's domain, else returns
+// Take pops the oldest endpoint if it is Idle on el's domain, else returns
 // false: the list is FIFO, so the head is the one readiest.
 func (l *RetireList[T]) Take(el *sim.EventList) (x T, ok bool) {
-	if l.ring.Len() == 0 {
+	if l.ring.Len() == 0 || !l.ring.Peek().Idle(el) {
 		return x, false
 	}
-	if h := l.ring.Peek(); el.Now() < h.at || !h.x.Idle(el) {
-		return x, false
-	}
-	return l.ring.Pop().x, true
+	return l.ring.Pop(), true
 }
 
 // Len returns the number of parked endpoints.

@@ -54,9 +54,12 @@ type Host struct {
 	retiredR fabric.RetireList[*Receiver]
 }
 
-// tokenFirst is the token queue's first buffer: one slot per receiving flow
-// with tokens owed.
-const tokenFirst = 64
+// First buffers: a token queue holds one slot per receiving flow with
+// tokens owed, a free-list the flows one host completes within 2*MSL.
+const (
+	tokenFirst   = 64
+	retiredFirst = 8
+)
 
 // Init installs ph as h's pHost agent on the cluster net.
 func (ph *Host) Init(h *fabric.Host, net fabric.Cluster, cfg Config) {
@@ -104,15 +107,17 @@ func (ph *Host) listen(p *fabric.Packet) fabric.Sink {
 
 // Retire hands a receiver its flow's release took out of the table to the
 // free-list (fabric.Retirer).
-func (r *Receiver) Retire() { r.ph.retiredR.Push(r) }
+func (r *Receiver) Retire() { r.ph.retiredR.Push(r, retiredFirst) }
 
 // Idle reports whether a released receiver may serve another flow
 // (fabric.Idler): it is out of the token round-robin.
 func (r *Receiver) Idle(*sim.EventList) bool { return !r.queued }
 
 // Idle reports whether a retired sender may serve another flow
-// (fabric.Idler): its RTO timer is disarmed.
-func (s *Sender) Idle(*sim.EventList) bool { return !s.timer.Pending() }
+// (fabric.Idler): its flow is Quiet and its RTO timer disarmed.
+func (s *Sender) Idle(el *sim.EventList) bool {
+	return fabric.Quiet(el, s.CompletedAt) && !s.timer.Pending()
+}
 
 // Connect starts a transfer of size bytes toward the agent dst, whose
 // state only the flow's release touches, on dst's domain. Packets are
@@ -257,7 +262,7 @@ func (s *Sender) Receive(p *fabric.Packet) {
 				s.OnCompleteAt(s.CompletedAt)
 			}
 			s.ph.Finish(&s.peer.Endpoint, s.Flow, s.CompletedAt)
-			s.ph.retiredS.Quarantine(s, s.CompletedAt)
+			s.ph.retiredS.Push(s, retiredFirst)
 		}
 	case fabric.Pull: // token
 		delta := p.PullSeq() - s.lastToken

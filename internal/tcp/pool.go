@@ -32,6 +32,10 @@ type Pool struct {
 // NewPool returns an empty pool for one scheduling domain.
 func NewPool() *Pool { return &Pool{} }
 
+// retiredFirst is a free-list's first buffer; a domain that completes more
+// flows than this within 2*MSL doubles it.
+const retiredFirst = 8
+
 // NewSender builds (or recycles) the sender of a size-byte stream (size < 0
 // never runs out) from src to dst, registered on src. The stream is a
 // FixedSource the sender carries, so a flow start costs no source object.
@@ -76,11 +80,13 @@ func (pl *Pool) newSender(src, dst *fabric.Endpoint, flow uint64, route int16, s
 // RetireSender hands a completed sender back to the pool, reusable 2*MSL
 // after its completion. Senders built with NewSender retire themselves;
 // only group-owned senders need this.
-func (pl *Pool) RetireSender(s *Sender) { pl.senders.Quarantine(s, s.CompletedAt) }
+func (pl *Pool) RetireSender(s *Sender) { pl.senders.Push(s, retiredFirst) }
 
 // Idle reports whether a retired sender may serve a flow on el (fabric.Idler):
-// it belongs to el's domain, and its timer is disarmed.
-func (s *Sender) Idle(el *sim.EventList) bool { return s.el == el && !s.timer.Pending() }
+// it belongs to el's domain, its flow is Quiet, and its timer is disarmed.
+func (s *Sender) Idle(el *sim.EventList) bool {
+	return s.el == el && fabric.Quiet(el, s.CompletedAt) && !s.timer.Pending()
+}
 
 // NewReceiver builds (or recycles) a receiver registered on host. It
 // returns to the pool when its flow's release runs.
@@ -99,7 +105,7 @@ func (pl *Pool) NewReceiver(host *fabric.Endpoint, peer int32, flow uint64, rout
 // pool (fabric.Retirer), reusable at once: its flow is over.
 func (r *Receiver) Retire() {
 	if r.pool != nil {
-		r.pool.receivers.Push(r)
+		r.pool.receivers.Push(r, retiredFirst)
 	}
 }
 

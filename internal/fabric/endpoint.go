@@ -118,9 +118,9 @@ func (rl *ReleaseFlow) OnEvent(flow uint64) {
 
 // Idler is an endpoint a RetireList holds: Idle reports whether it may
 // serve a new flow on el's scheduling domain. Each type states its own
-// condition: a sender that Quiet, its timers disarmed, its pull or token
-// entry drained, and when its list serves several hosts, that it lives on
-// el's domain.
+// condition: for a sender, that its flow is Quiet; its timers disarmed; its
+// pull or token entry drained; and when its list serves several hosts, that
+// it lives on el's domain.
 type Idler interface{ Idle(el *sim.EventList) bool }
 
 // RetireList is the free-list of one kind of finished flow endpoint: a

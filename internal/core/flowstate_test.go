@@ -52,9 +52,9 @@ func TestPooledStateUnregistersOldFlow(t *testing.T) {
 }
 
 // TestStrayPacketsDoNotGrowTables: a late SYN for a released flow finds no
-// announced flow and is a stray (at-most-once survives the release), as is
-// a SYN for a flow never announced here and a non-SYN packet for a flow
-// nobody knows; none of them leaves a trace in any per-flow table.
+// entry and is a stray (at-most-once survives the release), as is a SYN for
+// a flow no sender attached here and a non-SYN packet for a flow nobody
+// knows; none of them leaves a trace in any per-flow table.
 func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 1001})
@@ -67,7 +67,7 @@ func TestStrayPacketsDoNotGrowTables(t *testing.T) {
 
 	for i, p := range []*fabric.Packet{
 		a.NewData(1001, 0, 15, 0, 9000),  // late SYN for the released flow
-		a.NewData(4343, 0, 15, 0, 9000),  // SYN for a flow never announced
+		a.NewData(4343, 0, 15, 0, 9000),  // SYN for a flow never attached
 		a.NewData(4242, 0, 15, 40, 9000), // beyond IW: no SYN
 	} {
 		if p.Seq == 0 {
@@ -273,14 +273,10 @@ func TestRetiredListsStayChurnSized(t *testing.T) {
 // table has the capacity at 3T it had at T: a completed flow leaves it when
 // its release or its reuse takes it out, and no mark of it is kept
 // anywhere, so an id pinned forever (the time-wait table this replaced grew
-// by one entry a flow) shows here as a doubling. An entry is one end of its
-// flow, so an open receiver's entry cannot point at its registration, and
-// one that is still a registration points at the record of its flow's live
-// sender: that sender may rewrite the record once recycled. A registration
-// lives only from Connect to the first SYN, so each host connects once more
-// at 3T, from a recycled sender, to have some to look up. And the spare
-// arrays follow the flows in flight too: no spare list is longer than the
-// most flows of its kind its host has had live at once.
+// by one entry a flow) shows here as a doubling. Every entry is one end of
+// its flow, a sender or a receiver. And the spare arrays follow the flows
+// in flight too: no spare list is longer than the most flows of its kind
+// its host has had live at once.
 func TestFlowStateStaysChurnSized(t *testing.T) {
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
 	l := churn(net, st)
@@ -319,29 +315,26 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 			t.Errorf("host %d: flow table capacity %d: want room for a few dozen flows", h, atT[h])
 		}
 	}
-	for h, src := range st {
-		src.Connect(st[(h+1)%len(st)], 1500, FlowOpts{})
-	}
 	// Every id Connect allocated, looked up on every host.
-	open, announced := 0, 0
+	open := 0
 	for _, src := range st {
 		for c := uint64(1); c <= uint64(src.connects); c++ {
 			flow := uint64(src.Host.ID+1)<<32 | c
 			for h, s := range st {
-				switch e, _ := s.Flows.Get(flow); e := e.(type) {
+				switch e, ok := s.Flows.Get(flow); e.(type) {
 				case *Receiver:
 					open++
-				case *registration:
-					announced++
-					if snd := src.Sender(flow); snd == nil || &snd.reg != e {
-						t.Errorf("host %d: flow %#x is announced by a record its sender no longer holds", h, flow)
+				case *Sender:
+				default:
+					if ok {
+						t.Errorf("host %d: flow %#x has an entry %T, neither sender nor receiver", h, flow, e)
 					}
 				}
 			}
 		}
 	}
-	if open == 0 || announced < len(st) {
-		t.Errorf("%d entries with an open receiver and %d registrations to check, want some and one a host", open, announced)
+	if open == 0 {
+		t.Error("no open receiver to check")
 	}
 	checkChurned(t, byT, l.launched)
 }
@@ -389,11 +382,13 @@ func TestSenderFitsItsSizeClass(t *testing.T) {
 	}
 }
 
-// TestStackFitsItsSizeClass: every host allocates one Stack, rounded up to
-// the allocator's 448-byte size class; the one above is 480, which a
-// workload that never completes a flow pays for and gains nothing by.
+// TestStackFitsItsSizeClass: every host allocates one Stack, 440 bytes
+// rounded up to the allocator's 448-byte size class; the one above is 480,
+// which a workload that never completes a flow pays for and gains nothing
+// by. The check holds the stack at 440, so a word added here is paid for by
+// one taken out.
 func TestStackFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Stack{}); size > 448 {
-		t.Errorf("core.Stack is %d bytes, over the 448-byte size class", size)
+	if size := unsafe.Sizeof(Stack{}); size > 440 {
+		t.Errorf("core.Stack is %d bytes, over its 440-byte budget", size)
 	}
 }

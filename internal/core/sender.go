@@ -211,10 +211,10 @@ func growZeroPathStats(s []pathStat, n int) []pathStat {
 	return s
 }
 
-// registration is what the destination stack must learn ahead of a flow's
-// first packet: pull priority and the receiver-side observers. The sender
-// carries it, and the destination's flow entry points at it until the first
-// SYN opens the receiver.
+// registration is what the destination stack must learn to open a flow's
+// receiver: pull priority ("the receiver knows its own priorities, and can
+// pull high priority traffic more often than low priority traffic") and the
+// receiver-side observers. The sender carries it.
 type registration struct {
 	dst    *Stack
 	at     sim.Time
@@ -229,15 +229,13 @@ type registration struct {
 // the record lives where the flow already lives, in the pooled Sender.
 //
 // The record is written on the source's domain before the command is
-// emitted. The command makes the destination's flow entry point at it, and
-// the destination reads it from the command's time until the first SYN
-// opens the receiver, which copies what it needs and drops the pointer. The
-// source does not rewrite it until the sender is recycled, and that comes
-// later still: a sender completes only once every packet is ACKed, so only
-// after its receiver exists, and it is recycled at least 2*MSL after it
-// completed. No entry therefore points at a record being rewritten; recycle
-// panics if the command itself is still due. Nothing else of the Sender is
-// touched from the destination's domain.
+// emitted and read on the destination's at the command's time, when the
+// receiver copies what it needs. The source does not rewrite it until the
+// sender is recycled, and that comes later still: a sender completes only
+// once every packet is ACKed, so only after its receiver exists, and it is
+// recycled at least 2*MSL after it completed; recycle panics if the command
+// itself is still due. Nothing else of the Sender is touched from the
+// destination's domain.
 type Registration Sender
 
 // Registration records where and when the receiver-side set-up of this flow
@@ -247,9 +245,18 @@ func (s *Sender) Registration(dst *Stack, at sim.Time) *Registration {
 	return (*Registration)(s)
 }
 
-// OnEvent pre-registers the flow on the destination stack (sim.Handler); it
-// runs in the destination's scheduling domain.
-func (r *Registration) OnEvent(uint64) { r.reg.dst.PreRegister(r.Flow, &r.reg) }
+// OnEvent opens the flow's receiver on the destination stack and puts it in
+// the stack's table (sim.Handler); it runs in the destination's scheduling
+// domain, ahead of the first packet: a first-window packet trails it by at
+// least a serialization time, and any later one is sent only on a pull.
+func (r *Registration) OnEvent(uint64) {
+	st, reg := r.reg.dst, &r.reg
+	rc := newReceiver(st, r.Flow, r.st.Host.ID)
+	rc.fp.prio = reg.prio
+	rc.OnCompleteAt = reg.doneAt
+	rc.OnData = reg.data
+	st.Flows.Put(r.Flow, rc)
+}
 
 // Start pushes the first window at line rate (zero-RTT fast start).
 func (s *Sender) Start() {

@@ -64,17 +64,14 @@ func (c Config) withDefaults() Config {
 // single shared pull pacer ("a receiver only has one pull queue, shared by
 // all connections for which it is the receiver"), and its fabric.Endpoint
 // holds the live-flow table that dispatches arrivals and gives connections
-// at-most-once semantics. An announced flow's entry is its registration,
-// which opens the receiver from whichever first-window packet of the flow
-// arrives first.
+// at-most-once semantics.
 type Stack struct {
-	// Endpoint's table holds every flow this host currently has state for
-	// — as sender, as receiver, or announced ahead of its first packet
-	// (PreRegister) — and so one insert and one delete per flow. It is also
-	// what makes a connection at-most-once (§3.2.2): only a registration
-	// opens a receiver, and the first SYN replaces it with the receiver, so
-	// a duplicate SYN finds the live receiver and a SYN after the flow's
-	// release finds no entry at all.
+	// Endpoint's table holds every flow this host currently has state for,
+	// as sender or as receiver, and so one insert and one delete per flow.
+	// It is also what makes a connection at-most-once (§3.2.2): only the
+	// sender's Registration opens a receiver, ahead of the flow's first
+	// packet, so a duplicate SYN finds the live receiver and a SYN after the
+	// flow's release finds no entry at all.
 	fabric.Endpoint
 
 	cfg   Config
@@ -88,8 +85,7 @@ type Stack struct {
 	// order (the delay is constant, so release order is FIFO).
 	rxq fabric.Ring[*fabric.Packet]
 
-	listening bool
-	connects  uint32 // flow ids Connect has allocated: the low word of each
+	connects uint32 // flow ids Connect has allocated: the low word of each
 
 	// retiredS/retiredR are the free-lists of completed Senders and of
 	// Receivers their flow's release handed back. An object there holds its
@@ -177,30 +173,6 @@ func (st *Stack) Close() {
 // Config returns the stack's effective configuration.
 func (st *Stack) Config() Config { return st.cfg }
 
-// Listen accepts incoming connections.
-func (st *Stack) Listen() { st.listening = true }
-
-// Receive opens the receiver of an announced flow from its first packet to
-// arrive (fabric.Sink: a registration is the flow's entry until then), but
-// only from packets that carry the SYN flag (every packet of the first
-// window does) and only on a listening stack. Anything else is a stray. The
-// receiver takes its priority and observers from the registration and
-// replaces it in the table: nothing on this host reads the registration
-// again.
-func (reg *registration) Receive(p *fabric.Packet) {
-	st := reg.dst
-	if !st.listening || p.Flags&fabric.FlagSYN == 0 || p.Type != fabric.Data {
-		st.Strays.Free(p)
-		return
-	}
-	r := newReceiver(st, p.Flow, p.Src)
-	r.fp.prio = reg.prio
-	r.OnCompleteAt = reg.doneAt
-	r.OnData = reg.data
-	st.Flows.Put(p.Flow, r)
-	r.Receive(p)
-}
-
 // Receiver returns the receiver state for a flow, if any.
 func (st *Stack) Receiver(flow uint64) *Receiver {
 	r, _ := st.flow(flow).(*Receiver)
@@ -253,9 +225,9 @@ type FlowOpts struct {
 // Connect starts an NDP transfer of size bytes from this stack to the dst
 // stack. size < 0 means an unbounded flow (permutation-style long flows).
 // Transfer begins immediately: NDP is a zero-RTT protocol, so the first
-// window leaves at line rate with SYN set on every packet. Connect touches
-// both stacks inline, so it is the single-scheduling-domain convenience; a
-// sharded engine defers the sender's Registration instead
+// window leaves at line rate with SYN set on every packet. Connect opens
+// the receiver on dst inline, so it is the single-scheduling-domain
+// convenience; a sharded engine defers the sender's Registration instead
 // (harness.NDPNet.StartFlow). Without an explicit opts.Flow the id comes
 // from this stack's own counter, host index in the high word, so it is
 // unique across stacks and repeats from run to run; nothing reads a flow id
@@ -271,24 +243,11 @@ func (st *Stack) Connect(dst *Stack, size int64, opts FlowOpts) *Sender {
 	return s
 }
 
-// PreRegister announces a flow to its receiving stack ahead of the first
-// packet: the flow's entry is reg, which is what lets a first-window packet
-// open the connection — reg carries the pull priority (strict-priority
-// pulling: "the receiver knows its own priorities, and can pull high
-// priority traffic more often than low priority traffic") and the
-// completion/goodput observers, and the pooled sender holds it. Its Receive
-// reads it when the first SYN opens the receiver. It runs in this stack's
-// scheduling domain: the source host defers it here as the flow's
-// Registration command (it must land before the first SYN arrives — the
-// first data packet is at least a serialization plus the path's propagation
-// away).
-func (st *Stack) PreRegister(flow uint64, reg *registration) { st.Flows.Put(flow, reg) }
-
 // Open builds the sender half of an NDP transfer toward host dst, touching
 // only this stack's state; nothing is transmitted until Start. opts.Flow
 // must be set. The receiver-side options travel separately: the caller
-// delivers the sender's Registration to the destination stack's domain
-// ahead of the first packet, then calls Start.
+// delivers the sender's Registration, which opens the receiver, to the
+// destination stack's domain ahead of the first packet, then calls Start.
 func (st *Stack) Open(dst int32, size int64, opts FlowOpts) *Sender {
 	if opts.Flow == 0 {
 		panic("core: Open needs an explicit flow id")

@@ -10,7 +10,7 @@ import (
 )
 
 // ndpNet builds a FatTree with NDP switch queues and an NDP stack on every
-// host, all listening.
+// host.
 func ndpNet(k int, scfg SwitchConfig, ccfg Config) (*topo.FatTree, []*Stack) {
 	cfg := topo.Config{Seed: 42}
 	cfg.SwitchQueue = QueueFactory(scfg, 4242)
@@ -21,7 +21,6 @@ func ndpNet(k int, scfg SwitchConfig, ccfg Config) (*topo.FatTree, []*Stack) {
 		ccfg := ccfg
 		ccfg.Seed = uint64(i) + 1
 		stacks[i] = NewStack(h, net, ccfg)
-		stacks[i].Listen()
 	}
 	return net, stacks
 }
@@ -95,23 +94,29 @@ func TestZeroRTTFirstPacket(t *testing.T) {
 	}
 }
 
+// TestConnectionFromAnyFirstWindowPacket: the sender's Registration opens
+// the receiver ahead of the first packet, so whichever first-window packet
+// arrives first is data of a live flow. Here seq=5 (SYN set, as on all
+// first-window packets) arrives before the sender starts: the receiver
+// takes it, and the first window that follows completes the flow with seq=5
+// a duplicate.
 func TestConnectionFromAnyFirstWindowPacket(t *testing.T) {
-	// Announce the flow, then deliver packet seq=5 (SYN set, as all
-	// first-window packets) before seq=0: receiver state must be created and
-	// the packet NACK/ACKed.
 	net, st := ndpNet(4, DefaultSwitchConfig(9000), DefaultConfig())
-	st[0].PreRegister(777, &registration{dst: st[0]})
+	s := st[15].Open(0, 90_000, FlowOpts{Flow: 777})
+	s.Registration(st[0], net.EL.Now()).OnEvent(0)
 	p := fabric.AttachArena(net.EL).NewData(777, 15, 0, 5, 9000)
 	p.Flags |= fabric.FlagSYN
 	p.Sent = net.EL.Now()
 	st[0].Host.Receive(p)
-	net.EL.RunUntil(sim.Millisecond)
 	r := st[0].Receiver(777)
-	if r == nil {
-		t.Fatal("no receiver created from out-of-order first-window packet")
+	if r == nil || r.Bytes() != 9000 {
+		t.Fatal("the attached receiver did not take an out-of-order first-window packet")
 	}
-	if r.Bytes() != 9000 {
-		t.Errorf("receiver bytes = %d, want 9000", r.Bytes())
+	s.Start()
+	net.EL.RunUntil(sim.Millisecond)
+	if !r.Complete() || r.Bytes() != 90_000 || r.Dups != 1 {
+		t.Errorf("complete %v, %d bytes, %d dups: want the flow complete at 90000 bytes, seq=5 a duplicate",
+			r.Complete(), r.Bytes(), r.Dups)
 	}
 	closeNoLeak(t, net, st)
 }
@@ -153,7 +158,7 @@ func TestLiveFlowRejectsDuplicateConnection(t *testing.T) {
 	dup()
 	net.EL.RunUntil(300 * sim.Microsecond)
 	if r.Dups != 1 || strays(st[15]) != 0 {
-		t.Errorf("duplicate to a registered flow: Dups=%d strays=%d, want 1 and 0", r.Dups, strays(st[15]))
+		t.Errorf("duplicate to a live flow: Dups=%d strays=%d, want 1 and 0", r.Dups, strays(st[15]))
 	}
 	net.EL.RunUntil(3 * sim.Millisecond)             // past completion + 2*MSL
 	st[0].Connect(st[15], 9000, FlowOpts{Flow: 556}) // reuses the state of 555, released

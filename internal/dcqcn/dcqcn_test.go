@@ -155,9 +155,9 @@ func TestRateMachineDecreaseAndRecovery(t *testing.T) {
 
 // TestSplitFlowLifecycle: a flow built across two scheduling domains attaches
 // its receiver by one command of the pooled sender, and when the FIN arrives
-// retires the receiver and stops and retires the sender by another, each
-// leaving its host's table — after which the pool hands both to the next
-// flow, and refuses to while an attach is still due.
+// retires the receiver and stops and retires the sender by the flow's
+// release, each leaving its host's table — after which the pool hands both
+// to the next flow, and refuses to while an attach is still due.
 func TestSplitFlowLifecycle(t *testing.T) {
 	net, dh := dcqcnNet(4)
 	pool, cfg := NewPool(), DefaultConfig()
@@ -191,7 +191,7 @@ func TestSplitFlowLifecycle(t *testing.T) {
 		t.Error("teardown left the flow registered or the sender's timers running")
 	}
 	if want := int64(2); net.CommandEvents() != want {
-		t.Errorf("%d commands emitted, want %d (attach, teardown)", net.CommandEvents(), want)
+		t.Errorf("%d commands emitted, want %d (attach, release)", net.CommandEvents(), want)
 	}
 
 	var doneAt2 sim.Time

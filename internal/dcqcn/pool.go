@@ -43,7 +43,8 @@ func (s *Sender) Idle(el *sim.EventList) bool {
 }
 
 // RetireSender deletes a stopped sender from its host's table and hands it
-// back to the pool. The caller must have called Stop.
+// back to the pool: a flow built in one domain retires inline. The caller
+// must have called Stop.
 func (pl *Pool) RetireSender(s *Sender) {
 	s.own.Flows.Delete(s.Flow)
 	pl.senders.Push(s, retiredFirst)

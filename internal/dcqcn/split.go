@@ -9,14 +9,15 @@ import (
 // torn down in three steps, each in the domain that owns the state it
 // touches: the sender starts on the source's, the receiver attaches on the
 // destination's the minimum path delay later (Attach), and when the FIN
-// arrives the receiver retires there and sends the sender's stop back to the
-// source's (Teardown). The two crossings are deferred commands, and a
-// command is a value: both are sim.Handlers over the pooled Sender, which
-// carries their arguments (Split), so a flow start allocates no closure.
+// arrives the receiver retires there and sends the sender's release back to
+// the source's (fabric.ReleaseFlow). The two crossings are deferred
+// commands, and a command is a value: the attach is a sim.Handler over the
+// pooled Sender, which carries its arguments (Split), and the release one
+// over the source's endpoint, so a flow start allocates no closure.
 
 // Split is the cross-domain part of one flow's life. It is written on the
 // source's domain before Attach is emitted and read-only from then until the
-// pool recycles the sender — which only a Teardown makes possible, and
+// pool recycles the sender — which only its release makes possible, and
 // recycle panics should it ever come before At.
 type Split struct {
 	// Dst is the destination host; the pools are the two hosts' scheduling
@@ -58,26 +59,23 @@ func (a *Attach) OnEvent(uint64) {
 
 // retire ends a split flow at its receiver. The fabric is lossless and the
 // path fixed, so nothing addressed to this flow arrives after the FIN: the
-// receiver retires immediately. The sender may still see a stale CNP until
-// its deferred stop lands; after that its host frees it as a stray, and
-// flow ids are never reused.
+// receiver retires immediately and releases the sender on the source's
+// domain, the minimum path delay later. A stale CNP may still reach the
+// sender until then; after that its host frees it as a stray, and flow ids
+// are never reused.
 func (r *Receiver) retire() {
 	s, net := r.snd, r.own.Net
 	s.split.DstPool.RetireReceiver(r)
 	from, to := int(r.host.ID), int(s.host.ID)
-	net.Defer(from, to, r.CompletedAt+net.MinPathDelay(from, to), (*Teardown)(s), 0)
+	net.Defer(from, to, r.CompletedAt+net.MinPathDelay(from, to), (*fabric.ReleaseFlow)(s.own), r.Flow)
 }
 
-// Teardown is the sender's stop as a deferred command: the rate-machine
-// timers otherwise tick forever.
-type Teardown Sender
-
-// OnEvent stops the sender and retires it, out of its host's table
-// (sim.Handler); it runs in the source's scheduling domain.
-func (t *Teardown) OnEvent(uint64) {
-	s := (*Sender)(t)
+// Retire stops a sender its flow's release took out of the table, since
+// the rate-machine timers otherwise tick forever, and hands it to its
+// pool (fabric.Retirer).
+func (s *Sender) Retire() {
 	s.Stop()
-	s.split.SrcPool.RetireSender(s)
+	s.split.SrcPool.senders.Push(s, retiredFirst)
 }
 
 // Receiver returns the receiving half of a split flow once it has attached

@@ -47,7 +47,6 @@ func TestControlBandsStayAtFirstSize(t *testing.T) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = uint64(i) + 1
 				st[i] = core.NewStack(h, net, cfg)
-				st[i].Listen()
 			}
 			tc.start(st, sim.NewRand(seed))
 			net.EL.RunUntil(tc.run)

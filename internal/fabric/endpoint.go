@@ -13,7 +13,7 @@ type Cluster interface {
 	// MinPathDelay returns the minimum total propagation delay of any
 	// physical path from host src to host dst — the earliest a causal
 	// effect of an event at src can reach dst. Cross-shard deferred
-	// commands (Defer) and receiver registrations use it as their delivery
+	// commands (Defer), a flow's attach among them, use it as their delivery
 	// offset: between hosts of different shards it is at least the
 	// lookahead (a path crossing a cut has at least one link), yet it
 	// depends only on the topology, never on the shard layout — which
@@ -32,25 +32,23 @@ type Cluster interface {
 // core.Stack, pHost's phost.Host) embeds one; the TCP family and DCQCN use
 // it as it is.
 //
-// A flow's end enters the table when it is built and leaves it in one of
-// two ways. A sender's entry is deleted when a later flow takes the
-// sender's state from its RetireList. A receiver's entry is deleted by the
-// flow's ReleaseFlow command, which its sender emits at completion
-// (Finish), due 2*MSL later: until then the receiver answers late
-// retransmissions, after it nothing of the flow is in flight.
+// A flow's end enters the table when it is built: a sender at its start, a
+// receiver by the attach command the sender defers to this host ahead of
+// its first packet. It leaves in one of two ways. A sender's entry is
+// deleted when a later flow takes the sender's state from its RetireList.
+// The far end's entry is deleted by the flow's ReleaseFlow command: a
+// completing sender emits its receiver's (Finish), due 2*MSL later, so the
+// receiver answers late retransmissions until nothing of the flow is in
+// flight; a DCQCN receiver, which nothing reaches after the FIN, emits its
+// sender's.
 type Endpoint struct {
 	Host *Host
 	Net  Cluster
-	// Flows maps a flow id to this host's end of the flow: its sender, its
-	// receiver, or what stands for one not yet open (an NDP registration).
+	// Flows maps a flow id to this host's end of the flow: its sender or
+	// its receiver.
 	Flows FlowTable[Sink]
 	// Strays counts the arrivals no flow claimed.
 	Strays Strays
-	// Accept, when set, is the listen hook: it is asked for the end of a
-	// flow that a packet no flow claims opens (pHost opens a receiver from
-	// whichever data packet of a flow arrives first); a nil answer makes the
-	// packet a stray.
-	Accept func(p *Packet) Sink
 }
 
 // Init sets ep up as host's endpoint on net and installs it as the host's
@@ -61,18 +59,11 @@ func (ep *Endpoint) Init(host *Host, net Cluster) {
 }
 
 // Receive dispatches an arrival (Sink) to the end of its flow with one
-// probe of the flow table, else to Accept; what neither claims is counted
-// and freed.
+// probe of the flow table; what no flow claims is counted and freed.
 func (ep *Endpoint) Receive(p *Packet) {
 	if s, ok := ep.Flows.Get(p.Flow); ok {
 		s.Receive(p)
 		return
-	}
-	if ep.Accept != nil {
-		if s := ep.Accept(p); s != nil {
-			s.Receive(p)
-			return
-		}
 	}
 	ep.Strays.Free(p)
 }
@@ -97,7 +88,7 @@ func Quiet(el *sim.EventList, done sim.Time) bool { return el.Now() >= quiet(don
 func quiet(done sim.Time) sim.Time { return done + 2*MSL }
 
 // ReleaseFlow is the one release command: a deferred command over the
-// receiving endpoint of a flow, the flow id its argument (Finish emits it).
+// endpoint of a flow's far end, the flow id its argument (Finish emits it).
 // It deletes the flow's entry and hands the end it held, if a Retirer, to
 // its retire list. It is not named Release: that frees a packet.
 type ReleaseFlow Endpoint
@@ -108,9 +99,7 @@ type Retirer interface{ Retire() }
 
 // OnEvent runs the release (sim.Handler) on the endpoint's domain.
 func (rl *ReleaseFlow) OnEvent(flow uint64) {
-	ep := (*Endpoint)(rl)
-	s, _ := ep.Flows.Get(flow)
-	ep.Flows.Delete(flow)
+	s, _ := rl.Flows.Delete(flow)
 	if r, ok := s.(Retirer); ok {
 		r.Retire()
 	}

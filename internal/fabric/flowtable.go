@@ -112,21 +112,23 @@ func (t *FlowTable[V]) Ref(flow uint64) *V {
 // Put stores v for flow, replacing any previous value.
 func (t *FlowTable[V]) Put(flow uint64, v V) { *t.Ref(flow) = v }
 
-// Delete removes flow and reports whether it was present.
-func (t *FlowTable[V]) Delete(flow uint64) bool {
+// Delete removes flow and returns the value it held and whether it was
+// present.
+func (t *FlowTable[V]) Delete(flow uint64) (v V, ok bool) {
 	if flow == 0 {
-		had := t.hasZero
+		v, ok = t.zero, t.hasZero
 		var zero V
 		t.hasZero, t.zero = false, zero
-		return had
+		return v, ok
 	}
 	if t.slots == nil {
-		return false
+		return v, false
 	}
 	hole, found := t.find(flow)
 	if !found {
-		return false
+		return v, false
 	}
+	v = t.slots[hole].val
 	// Backward shift: walk the run after the hole and move back every entry
 	// whose home slot does not lie cyclically in (hole, j] — one that a
 	// lookup would no longer reach across the hole.
@@ -140,7 +142,7 @@ func (t *FlowTable[V]) Delete(flow uint64) bool {
 	}
 	t.slots[hole] = flowSlot[V]{}
 	t.n--
-	return true
+	return v, true
 }
 
 // grow doubles the slot array (or makes the first one) and reinserts every

@@ -123,9 +123,9 @@ func runFlowTableOps(t *testing.T, ops []byte) ftStats {
 			}
 		case 2: // Delete
 			before := append([]flowSlot[uint64](nil), ft.slots...)
-			_, want := model[key]
-			if got := ft.Delete(key); got != want {
-				t.Fatalf("op %d: Delete(%d) = %v, model %v", i/2, key, got, want)
+			wantV, want := model[key]
+			if gotV, got := ft.Delete(key); got != want || gotV != wantV {
+				t.Fatalf("op %d: Delete(%d) = %d, %v; model %d, %v", i/2, key, gotV, got, wantV, want)
 			}
 			delete(model, key)
 			if want && key != 0 {
@@ -273,8 +273,11 @@ func TestFlowTableVsReference(t *testing.T) {
 // allocated, and the first allocation's size.
 func TestFlowTableZeroValue(t *testing.T) {
 	var ft FlowTable[Sink]
-	if _, ok := ft.Get(7); ok || ft.Delete(7) || ft.Len() != 0 || ft.slots != nil {
+	if _, ok := ft.Get(7); ok || ft.Len() != 0 || ft.slots != nil {
 		t.Fatal("the zero FlowTable is empty and allocates nothing on reads")
+	}
+	if _, ok := ft.Delete(7); ok || ft.slots != nil {
+		t.Fatal("a delete from the zero FlowTable finds nothing and allocates nothing")
 	}
 	ft.Put(7, SinkFunc(func(*Packet) {}))
 	if len(ft.slots) != flowTableMinSlots || ft.Len() != 1 {

@@ -74,18 +74,16 @@ type NDPNet struct {
 }
 
 // newNDPNet wires NDP endpoints onto a built cluster whose switches run the
-// NDP queue: return-to-sender, and a listening stack per host seeded from
-// seed. Every NDPNet construction site goes through here (NDPTransport.Build,
-// and the two runners that pin their own switch-queue seed).
+// NDP queue: return-to-sender, and a stack per host seeded from seed. Every
+// NDPNet construction site goes through here (NDPTransport.Build, and the
+// two runners that pin their own switch-queue seed).
 func newNDPNet(c topo.Cluster, hcfg core.Config, seed uint64) *NDPNet {
 	core.WireBounce(c.SwitchList())
 	n := &NDPNet{netBase: netBase{C: c, src: perSource{seq: make([]uint64, c.NumHosts())}}}
 	for i, h := range c.HostList() {
 		cfg := hcfg
 		cfg.Seed = seed + uint64(i)*7919
-		st := core.NewStack(h, c, cfg)
-		st.Listen()
-		n.Stacks = append(n.Stacks, st)
+		n.Stacks = append(n.Stacks, core.NewStack(h, c, cfg))
 	}
 	return n
 }

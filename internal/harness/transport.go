@@ -128,7 +128,7 @@ func PaperTransport(id string, mtu int) Transport {
 // ------------------------------------------------------------------ NDP ----
 
 // NDPTransport builds NDP networks: trimming switch queues, return-to-
-// sender wiring, and a listening NDP stack per host.
+// sender wiring, and an NDP stack per host.
 type NDPTransport struct {
 	Switch core.SwitchConfig
 	Host   core.Config
@@ -161,9 +161,9 @@ func (n *NDPNet) Close() {
 }
 
 // StartFlow implements Net. The sender half starts immediately on the
-// source host; the receiver-side observers (pull priority, completion and
-// goodput hooks) are delivered to the destination stack the minimum
-// src->dst path delay later via the cluster's command channel, as the
+// source host; the receiver opens on the destination stack the minimum
+// src->dst path delay later, with the receiver-side options (pull priority,
+// completion and goodput hooks), via the cluster's command channel, as the
 // sender's own Registration — a command is a value carried by the pooled
 // flow state, never a closure, so a flow start allocates nothing. That
 // deferral is what lets a mid-run flow start (closed-loop RPC) work when
@@ -172,8 +172,8 @@ func (n *NDPNet) Close() {
 // layout. The offset is the pairwise MinPathDelay, the earliest anything
 // sent at src can physically reach dst: it depends on the topology alone,
 // never on the layout, and it is at least the lookahead whenever src and
-// dst are on different shards. The registration still lands before the
-// first SYN, which trails it by at least a serialization time (same
+// dst are on different shards. The receiver still opens before the first
+// SYN arrives, which trails it by at least a serialization time (same
 // minimum path, plus transmission).
 func (n *NDPNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	c, srcStack, dstStack := n.C, n.Stacks[src], n.Stacks[dst]
@@ -335,10 +335,10 @@ func (t DCQCNTransport) Build(build BuildFunc, base topo.Config) Net {
 // across the shard cut: the sender starts at once on the source's domain
 // (flow id and path picks drawn from the source's private stream) and the
 // receiver attaches on the destination's the minimum path delay later.
-// Teardown crosses back: the receiver retires at completion on its domain
-// and defers the sender's rate-timer stop to the source's. Both crossings
-// are commands of the pooled sender itself (dcqcn.Attach, dcqcn.Teardown)
-// over the dcqcn.Split record written here.
+// The release crosses back: the receiver retires at completion on its
+// domain and defers the sender's fabric.ReleaseFlow to the source's, which
+// stops the sender's rate timers. The attach is a command of the pooled
+// sender itself (dcqcn.Attach) over the dcqcn.Split record written here.
 func (d *DCQCNNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := d.src.flowID(src, 1)
 	c := d.C
@@ -388,7 +388,6 @@ func (t PHostTransport) Build(build BuildFunc, base topo.Config) Net {
 		Hosts: make([]phost.Host, c.NumHosts())}
 	for i, h := range c.HostList() {
 		p.Hosts[i].Init(h, c, t.Cfg)
-		p.Hosts[i].Listen(nil)
 	}
 	return p
 }
@@ -400,10 +399,10 @@ func (p *PHostNet) DoneHost(src, dst int) int { return src }
 
 // StartFlow implements Net. pHost has no per-byte goodput observer, so
 // StartOpts.OnData is ignored; AckedBytes meters progress instead.
-// Connect touches only source-host state — the receiver materializes on
-// the destination's shard when the first data packet arrives (pHost's
-// listen hook) — so the only shard hazard was the flow-id counter, now
-// per source host.
+// Connect touches only source-host state and defers the receiver's
+// construction to the destination's domain the minimum path delay later
+// (phost.Attach), as TCPNet.StartFlow does; the flow id is drawn per
+// source host.
 func (p *PHostNet) StartFlow(src, dst int, size int64, opts StartOpts) Flow {
 	flow := p.src.flowID(src, 1)
 	if size < 0 {

@@ -1,8 +1,6 @@
 package phost
 
 import (
-	"maps"
-	"slices"
 	"testing"
 
 	"ndp/internal/fabric"
@@ -42,15 +40,13 @@ func churn(net *topo.FatTree, ph []Host) *int {
 	return launched
 }
 
-// countReceivers makes every host count each flow's receiver completions:
-// a flow whose receiver completes twice had it opened again by a late
-// packet after its release.
-func countReceivers(ph []Host) map[uint64]int {
-	done := make(map[uint64]int)
+// strayData counts the data packets no host's flow claimed: a receiver
+// released while its sender could still send would leave one.
+func strayData(ph []Host) (n int64) {
 	for i := range ph {
-		ph[i].Listen(func(r *Receiver) { done[r.Flow]++ })
+		n += ph[i].Strays.Data
 	}
-	return done
+	return n
 }
 
 // TestLostFinalAckRecoversByRTO: the case a completed receiver stays in its
@@ -59,7 +55,7 @@ func countReceivers(ph []Host) map[uint64]int {
 // and the receiver, complete since before the drop, must still be there to
 // answer it. Meanwhile every host churns flows, so a receiver released at
 // its own completion would long since have been reused, and the
-// retransmission would open the flow a second time.
+// retransmission would be a stray that no ACK answers.
 func TestLostFinalAckRecoversByRTO(t *testing.T) {
 	net, ph := phostNet(4)
 	cfg := DefaultConfig()
@@ -67,7 +63,6 @@ func TestLostFinalAckRecoversByRTO(t *testing.T) {
 	for i, h := range net.Hosts {
 		ph[i].Init(h, net, cfg)
 	}
-	done := countReceivers(ph)
 	const victim = 1 << 40 // above every id churn hands out
 	var dropped sim.Time
 	inner := net.Hosts[0].Stack
@@ -92,8 +87,8 @@ func TestLostFinalAckRecoversByRTO(t *testing.T) {
 		t.Fatalf("sender completed at %v after %d retransmissions; ACK dropped at %v: want recovery by RTO more than 2*MSL later",
 			doneAt, rtx, dropped)
 	}
-	if done[victim] != 1 {
-		t.Errorf("the flow's receiver completed %d times, want once", done[victim])
+	if n := strayData(ph); n != 0 {
+		t.Errorf("%d stray data packets, want none", n)
 	}
 	if *launched < 1000 {
 		t.Errorf("only %d flows churned: the free-lists had little to reuse", *launched)
@@ -105,11 +100,10 @@ func TestLostFinalAckRecoversByRTO(t *testing.T) {
 // T, because a flow leaves it on both hosts — the sender's entry when its
 // state is reused, the receiver's at the flow's Release — and nothing of it
 // is kept. A receiver kept for the rest of the run (the tombstone this
-// replaced) shows here as a doubling. No receiver is opened twice: none is
-// released while its sender can still send.
+// replaced) shows here as a doubling. No data packet is a stray: no
+// receiver is released while its sender can still send.
 func TestFlowStateStaysChurnSized(t *testing.T) {
 	net, ph := phostNet(4)
-	done := countReceivers(ph)
 	launched := churn(net, ph)
 	caps := func() []int {
 		c := make([]int, len(ph))
@@ -135,9 +129,7 @@ func TestFlowStateStaysChurnSized(t *testing.T) {
 	if byT < 1000 || *launched < 3*byT-100 {
 		t.Errorf("%d flows by T, %d by 3T: the loop did not churn steadily", byT, *launched)
 	}
-	for _, flow := range slices.Sorted(maps.Keys(done)) {
-		if n := done[flow]; n != 1 {
-			t.Errorf("flow %d: its receiver completed %d times", flow, n)
-		}
+	if n := strayData(ph); n != 0 {
+		t.Errorf("%d stray data packets, want none", n)
 	}
 }

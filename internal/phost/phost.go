@@ -26,18 +26,16 @@ func DefaultConfig() Config {
 }
 
 // Host is the per-host pHost agent: its endpoint (the table of the flows
-// the host sends or receives, through which every arrival is dispatched,
-// and the listen hook that opens receivers) plus the shared token pacer. A
-// sender leaves the table when its state is reused, a receiver by its
-// flow's release.
+// the host sends or receives, through which every arrival is dispatched)
+// plus the shared token pacer. A receiver enters the table by its sender's
+// Attach command and leaves it by its flow's release; a sender leaves when
+// its state is reused.
 type Host struct {
 	fabric.Endpoint
 	el      *sim.EventList
 	arena   *fabric.Arena
 	spacing sim.Time
 	cfg     Config
-
-	onReceiverDone func(r *Receiver)
 
 	// queue is the round-robin token queue. The pacer pops the head and
 	// re-pushes the survivor on every transmitted token, the pattern that
@@ -79,32 +77,6 @@ func (ph *Host) Init(h *fabric.Host, net fabric.Cluster, cfg Config) {
 	ph.Endpoint.Init(h, net)
 }
 
-// Listen accepts incoming pHost transfers; onComplete, when set, observes
-// each receiver's completion.
-func (ph *Host) Listen(onComplete func(r *Receiver)) {
-	ph.onReceiverDone = onComplete
-	ph.Accept = ph.listen
-}
-
-// listen opens a receiver from a data packet of a flow with none: pHost
-// announces nothing, so whichever packet of a flow arrives first opens it.
-func (ph *Host) listen(p *fabric.Packet) fabric.Sink {
-	if p.Type != fabric.Data {
-		return nil
-	}
-	r, ok := ph.retiredR.Take(ph.el)
-	if ok {
-		got := r.got
-		got.Reset()
-		*r = Receiver{ph: ph, got: got}
-	} else {
-		r = &Receiver{ph: ph}
-	}
-	r.Flow, r.Peer, r.total, r.OnComplete = p.Flow, p.Src, -1, ph.onReceiverDone
-	ph.Flows.Put(p.Flow, r)
-	return r
-}
-
 // Retire hands a receiver its flow's release took out of the table to the
 // free-list (fabric.Retirer).
 func (r *Receiver) Retire() { r.ph.retiredR.Push(r, retiredFirst) }
@@ -119,9 +91,11 @@ func (s *Sender) Idle(el *sim.EventList) bool {
 	return fabric.Quiet(el, s.CompletedAt) && !s.timer.Pending()
 }
 
-// Connect starts a transfer of size bytes toward the agent dst, whose
-// state only the flow's release touches, on dst's domain. Packets are
-// destination-routed (per-packet ECMP spraying by switches).
+// Connect starts a transfer of size bytes toward the agent dst. Its
+// receiver opens on dst's domain the minimum path delay later, ahead of the
+// first packet, by the sender's Attach command; the flow's release is the
+// only other thing that touches dst's state. Packets are destination-routed
+// (per-packet ECMP spraying by switches).
 func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sender)) *Sender {
 	s, ok := ph.retiredS.Take(ph.el)
 	if ok {
@@ -148,6 +122,8 @@ func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sende
 		s.lastSize = int32(mtu)
 	}
 	ph.Flows.Put(flow, s)
+	from, to := int(ph.Host.ID), int(dst.Host.ID)
+	ph.Net.Defer(from, to, ph.el.Now()+ph.Net.MinPathDelay(from, to), (*Attach)(s), 0)
 	burst := int64(ph.cfg.IW)
 	if s.total < burst {
 		burst = s.total
@@ -159,13 +135,35 @@ func (ph *Host) Connect(dst *Host, flow uint64, size int64, onDone func(s *Sende
 	return s
 }
 
+// Attach is a flow's receiver construction as a deferred command over its
+// pooled Sender, which carries what it reads: the flow id and the two
+// hosts, none rewritten before the sender is reused 2*MSL after it
+// completed, long after its receiver opened.
+type Attach Sender
+
+// OnEvent opens the flow's receiver and puts it in the destination's table
+// (sim.Handler); it runs in the destination's scheduling domain.
+func (a *Attach) OnEvent(uint64) {
+	ph := a.peer
+	r, ok := ph.retiredR.Take(ph.el)
+	if ok {
+		got := r.got
+		got.Reset()
+		*r = Receiver{ph: ph, got: got}
+	} else {
+		r = &Receiver{ph: ph}
+	}
+	r.Flow, r.Peer, r.total = a.Flow, a.ph.Host.ID, -1
+	ph.Flows.Put(a.Flow, r)
+}
+
 // Sender is the sending half of a pHost transfer.
 type Sender struct {
 	Flow uint64
 	Dst  int32
 
 	ph       *Host
-	peer     *Host // the destination, which the flow's release runs on
+	peer     *Host // the destination, which the flow's attach and release run on
 	total    int64
 	lastSize int32
 	next     int64
@@ -318,9 +316,8 @@ type Receiver struct {
 	tokens int64 // pending token count
 	tokSeq int64
 
-	complete   bool
-	queued     bool // present in the host's token round-robin queue
-	OnComplete func(r *Receiver)
+	complete bool
+	queued   bool // present in the host's token round-robin queue
 }
 
 // Receive handles data packets.
@@ -350,9 +347,6 @@ func (r *Receiver) Receive(p *fabric.Packet) {
 	r.ph.Host.Send(a)
 	if r.total >= 0 && r.nGot == r.total && !r.complete {
 		r.complete = true
-		if r.OnComplete != nil {
-			r.OnComplete(r)
-		}
 	} else if !dup && !r.complete {
 		r.addToken()
 	}

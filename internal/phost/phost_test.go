@@ -19,7 +19,6 @@ func phostNet(k int) (*topo.FatTree, []Host) {
 	hosts := make([]Host, net.NumHosts())
 	for i, h := range net.Hosts {
 		hosts[i].Init(h, net, DefaultConfig())
-		hosts[i].Listen(nil)
 	}
 	return net, hosts
 }
@@ -87,14 +86,56 @@ func TestPHostTokensPaceSteadyState(t *testing.T) {
 	}
 }
 
-func TestPHostListenCreatesReceiverLazily(t *testing.T) {
+// receiver returns host's receiver of flow, if it has one.
+func receiver(host *Host, flow uint64) *Receiver {
+	e, _ := host.Flows.Get(flow)
+	r, _ := e.(*Receiver)
+	return r
+}
+
+// TestPHostAttachOpensReceiver: a flow's receiver opens on the destination
+// by the sender's Attach command, the minimum path delay after Connect and
+// so ahead of the first data packet, and takes the whole transfer.
+func TestPHostAttachOpensReceiver(t *testing.T) {
 	net, ph := phostNet(4)
-	done := false
-	ph[0].Listen(func(r *Receiver) { done = true })
 	ph[15].Connect(&ph[0], 7, 90_000, nil)
-	net.EL.RunUntil(50 * sim.Millisecond)
-	if !done {
-		t.Fatal("receiver completion callback not invoked")
+	at := net.MinPathDelay(15, 0)
+	net.EL.RunUntil(at - 1)
+	if receiver(&ph[0], 7) != nil {
+		t.Fatal("the receiver opened before its attach command was due")
 	}
-	_ = net
+	net.EL.RunUntil(at)
+	r := receiver(&ph[0], 7)
+	if r == nil || r.Bytes() != 0 {
+		t.Fatal("the attach command did not open an empty receiver")
+	}
+	net.EL.RunUntil(50 * sim.Millisecond)
+	if !r.Complete() || r.Bytes() != 90_000 || ph[0].Strays.Data != 0 {
+		t.Errorf("complete %v, %d bytes, %d stray data packets: want 90000 bytes and no stray",
+			r.Complete(), r.Bytes(), ph[0].Strays.Data)
+	}
+}
+
+// TestPHostDataAfterReleaseIsStray: once a flow's release has taken its
+// receiver out of the table, nothing opens the flow again: a late data
+// packet is a counted stray and leaves no entry.
+func TestPHostDataAfterReleaseIsStray(t *testing.T) {
+	net, ph := phostNet(4)
+	s := ph[15].Connect(&ph[0], 7, 9000, nil)
+	net.EL.RunUntil(3 * sim.Millisecond) // past completion + 2*MSL: released
+	if !s.Complete() {
+		t.Fatal("the transfer did not complete")
+	}
+	if _, ok := ph[0].Flows.Get(7); ok {
+		t.Fatal("the flow's release did not take its receiver out of the table")
+	}
+	p := fabric.AttachArena(net.EL).NewData(7, 15, 0, 0, 9000)
+	ph[0].Host.Receive(p)
+	if _, ok := ph[0].Flows.Get(7); ok || ph[0].Strays.Data != 1 {
+		t.Errorf("late data packet: entry %v, %d stray data packets; want no entry and one stray", ok, ph[0].Strays.Data)
+	}
+	net.Close()
+	if n := net.PacketsInUse(); n != 0 {
+		t.Errorf("%d packets leaked", n)
+	}
 }

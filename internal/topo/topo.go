@@ -394,8 +394,8 @@ func (n *Network) DrainInbound(shard int) {
 // Defer runs h.OnEvent(arg) at absolute time at in host to's event domain,
 // emitted by host from (whose identity and emission order form the
 // deterministic equal-time key). It is the cross-shard command path for
-// interactions that are not packets: receiver-side flow registration and
-// teardown, closed-loop workload restarts. A command is a value — a handler
+// interactions that are not packets: a flow's attach and release,
+// closed-loop workload restarts. A command is a value — a handler
 // and a word — never a closure: h is a named pointer type over state the
 // caller already owns (a pooled sender half, a connection slot), so a
 // command costs no allocation on either path and nothing in it is bound to

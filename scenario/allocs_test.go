@@ -99,9 +99,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 // benchmark's rpc-churn workload (five one-packet connections per host on
 // the 4:1 oversubscribed FatTree, 64 hosts) starts and retires a few
 // thousand flows in 20 ms more. The marginal objects per completed flow
-// cover the pools' take and retire paths, StartFlow, the deferred
-// registration and teardown commands (values carried by the pooled flow
-// state: none of them may cost an object), FlowTable growth and the
+// cover the pools' take and retire paths, StartFlow, the deferred attach
+// and release commands (values carried by the pooled flow state and the
+// endpoints: none of them may cost an object), FlowTable growth and the
 // completion records. The marginal bytes per completed flow are what a
 // closed loop's memory grows by with simulated time: the completion records
 // every transport keeps (docs/memory.md "Still grows with simulated time"),

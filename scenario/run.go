@@ -41,7 +41,7 @@ type RunStats struct {
 	// Events - SerEndEvents does not.
 	SerEndEvents int64 `json:"ser_end_events"`
 	// CommandEvents is how many deferred commands (topo.Cluster.Defer:
-	// receiver registration and teardown, closed-loop hop-backs and gaps)
+	// a flow's attach and release, closed-loop hop-backs and gaps)
 	// the hosts emitted — each one event of Events once its time has come,
 	// so the few emitted within a path delay or a gap of the deadline are
 	// counted here and not there. The same for every shard layout.

@@ -117,7 +117,7 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 	}
 	if q.data.Len() < q.cfg.DataCapPackets {
 		q.dataBytesQueued += p.Size
-		q.data.Push(p, min(q.cfg.DataCapPackets, ringFirstMax))
+		q.data.Push(p, q.dataFirst())
 		q.NoteDepth(q.Bytes())
 		return
 	}
@@ -128,11 +128,22 @@ func (q *SwitchQueue) Enqueue(p *fabric.Packet) {
 		victim = q.data.PopTail()
 		q.dataBytesQueued -= victim.Size
 		q.dataBytesQueued += p.Size
-		q.data.Push(p, min(q.cfg.DataCapPackets, ringFirstMax))
+		q.data.Push(p, q.dataFirst())
 	}
 	victim.Trim()
 	q.Trims++
 	q.enqueueControl(victim)
+}
+
+// dataFirst is the data ring's first buffer: the queue's bound, up to
+// ringFirstMax.
+func (q *SwitchQueue) dataFirst() int { return min(q.cfg.DataCapPackets, ringFirstMax) }
+
+// CarveRings carves the data ring at dataFirst and the header ring at
+// hdrFirst (fabric.CarvedQueue).
+func (q *SwitchQueue) CarveRings(c fabric.RingCarver) {
+	c.Ring(&q.data, q.dataFirst())
+	c.Ring(&q.hdr, hdrFirst)
 }
 
 func (q *SwitchQueue) enqueueControl(p *fabric.Packet) {

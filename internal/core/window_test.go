@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"ndp/internal/fabric"
@@ -28,11 +29,22 @@ func TestScoreboardStaysWindowSized(t *testing.T) {
 	const T = 2 * sim.Millisecond
 	net.EL.RunUntil(T)
 	atT := caps()
-	// Warm-up call to 4T, measured call to 10T.
-	horizon, steps := T, []sim.Time{3 * T, 6 * T}
+	net.EL.RunUntil(4 * T)
+	// The window allocates nothing of the simulation's, but under load the
+	// runtime allocated there: one 32-byte object (size class 32), while no
+	// GC cycle ended and no other user goroutine ran — a P's timer heap
+	// growing from one slot to two (runtime.(*timers).addHeap in a memory
+	// profile of a failing run) as the runtime's background scavenger, with
+	// memory left to return, kept a timer armed beside the test binary's
+	// -timeout alarm. Returning that memory first leaves the scavenger
+	// nothing to do: loaded 200-run processes of this test counted the
+	// object in 10 of 37 without this call and in 0 of 53 with it.
+	debug.FreeOSMemory()
+	// The warm-up call finds the list at 4T; the measured call runs to 10T.
+	horizon := 4 * T
 	allocs := testing.AllocsPerRun(1, func() {
-		horizon, steps = horizon+steps[0], steps[1:]
 		net.EL.RunUntil(horizon)
+		horizon = 10 * T
 	})
 	if at10T := caps(); at10T != atT {
 		t.Errorf("scoreboard capacities grew with simulated time: %v at T, %v at 10T", atT, at10T)

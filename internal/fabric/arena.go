@@ -31,6 +31,11 @@ func AttachArena(el *sim.EventList) *Arena {
 //
 // A closed network's arenas serve the next network (Recycle): an arena
 // keeps the chunks it grew and the most packets it held at once, its peak.
+//
+// An arena also keeps its domain's ring slabs: every switch-queue, NIC-band
+// and flight ring of a topology's ports takes its first buffer from the slab
+// of the domain the port runs on (CarveRings), so a network built on a
+// recycled domain allocates no port buffer.
 type Arena struct {
 	// free is a LIFO stack, not a fabric.Ring: the packet freed last is the
 	// one still in cache, and order among free packets means nothing.
@@ -38,6 +43,9 @@ type Arena struct {
 	inUse  int64
 	peak   int64
 	chunks []*[arenaChunk]Packet
+
+	queues  ringSlab[*Packet]
+	flights ringSlab[flightEntry]
 }
 
 // arenaChunk is how many packets one slab growth adds. Chunks amortize both
@@ -140,7 +148,8 @@ func (a *Arena) Peak() int64 { return a.peak }
 // the shards' arenas, so a free-list may hold another arena's packets:
 // Recycle is only consistent when every arena of a network whose packets
 // are all settled (no InUse, nothing in a mailbox) is recycled at once,
-// which is what topo.Network.Close does.
+// which is what topo.Network.Close does. The ring slabs are kept, their
+// carved span cleared for the next network's CarveRings.
 func (a *Arena) Recycle() {
 	keep := min(int((a.peak+arenaChunk-1)/arenaChunk), len(a.chunks))
 	clear(a.chunks[keep:])
@@ -158,6 +167,80 @@ func (a *Arena) Recycle() {
 		}
 	}
 	a.inUse, a.peak = 0, 0
+	a.queues.recycle()
+	a.flights.recycle()
+}
+
+// ringSlab is one slab of ring buffers: buf[:used] is carved, one
+// power-of-two run per ring, and every slot past used is zero. need is what
+// the rings counted since the last carve will take.
+type ringSlab[T any] struct {
+	buf        []T
+	used, need int
+}
+
+// count notes a ring that a later carve gives its first buffer.
+func (s *ringSlab[T]) count(first int) { s.need += ringSize(first) }
+
+// carve gives the empty ring r the buffer its first Push would allocate,
+// ringSize(first) slots of the slab. The first carve after a count makes room
+// for everything counted: a slab too small for it is replaced by one of
+// exactly that size, not extended, so the slab grows only when a larger
+// network needs more room, and rings carved from the old one keep it.
+func (s *ringSlab[T]) carve(r *Ring[T], first int) {
+	n := ringSize(first)
+	if need := max(s.need, n); s.used+need > len(s.buf) {
+		s.buf, s.used = make([]T, need), 0
+	}
+	s.need = 0
+	r.Attach(s.buf[s.used : s.used+n : s.used+n])
+	s.used += n
+}
+
+// recycle readies the slab for the next network. A ring that outgrew its
+// slots left its old entries there, and Attach wants zero slots, so the
+// carved span is cleared; past it nothing was ever written.
+func (s *ringSlab[T]) recycle() {
+	clear(s.buf[:s.used])
+	s.used, s.need = 0, 0
+}
+
+// RingCarver gives a queue discipline's rings their first buffers from the
+// slab of the domain its port runs on (CarveRings).
+type RingCarver struct {
+	slab     *ringSlab[*Packet]
+	counting bool
+}
+
+// Ring gives r the buffer its first Push(_, first) would allocate.
+func (c RingCarver) Ring(r *Ring[*Packet], first int) {
+	if c.counting {
+		c.slab.count(first)
+	} else {
+		c.slab.carve(r, first)
+	}
+}
+
+// CarvedQueue is a queue discipline whose rings start in their domain's slab:
+// CarveRings calls c.Ring once for each of them.
+type CarvedQueue interface {
+	CarveRings(c RingCarver)
+}
+
+// CarveRings gives the rings of a topology's ports, in port order, their
+// first buffers from the slabs of each port's own scheduling domain: a
+// port's flight flightCap entries, unless the port is cut (a cut port pushes
+// nothing there), and its queue's rings what its CarveRings asks. Every ring
+// is counted before any is carved, so a domain's slab is allocated at most
+// once per build, and not at all on a domain that served a network as large.
+// Ports built by NewPort are not carved: their rings allocate at their first
+// Push.
+func CarveRings(ports []Port) {
+	for _, counting := range [...]bool{true, false} {
+		for i := range ports {
+			ports[i].carveRings(counting)
+		}
+	}
 }
 
 // park takes a packet that is leaving its shard off its arena's books, and

@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -138,57 +140,277 @@ func TestArenaTransferMovesAccounting(t *testing.T) {
 	}
 }
 
-// FuzzArenaInterleaving replays fuzz-chosen byte strings as get/free
-// programs: even bytes allocate, odd bytes free the (b/2 mod len)-th
-// outstanding packet, or with nothing outstanding recycle the arena, as a
-// closed network's is. The invariant under any program is exact InUse
-// accounting, a peak no lower than it, no aliasing among outstanding
-// packets, and after a recycle a free-list of exactly the packets of the
-// chunks the peak needed, each once, freed and owned by nobody.
-func FuzzArenaInterleaving(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 4, 3, 5})
-	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 1})
-	f.Add([]byte{7})
-	// Two chunks' worth out and back, a recycle (to two chunks), a smaller
-	// run, a recycle (to one) and allocations from the rebuilt list.
-	big := append(bytes.Repeat([]byte{0}, 600), bytes.Repeat([]byte{1}, 601)...)
-	f.Add(append(big, append(bytes.Repeat([]byte{2, 3}, 40), 1, 0, 0, 0)...))
-	f.Fuzz(func(t *testing.T, program []byte) {
-		a := NewArena()
-		var out []*Packet
-		for _, b := range program {
-			if b%2 == 0 {
-				p := a.NewData(uint64(b), 0, 1, int64(len(out)), 1500)
-				for _, q := range out {
-					if q == p {
-						t.Fatal("arena aliased an outstanding packet")
-					}
-				}
-				out = append(out, p)
-			} else if len(out) > 0 {
-				i := int(b/2) % len(out)
+// Arena program ops: a byte b is op b%8 with argument b/8.
+const (
+	opGet     = iota // take a packet
+	opFree           // free the (arg mod n)-th outstanding packet
+	opCount          // count a ring of first size 1<<(arg%7) for the next carve
+	opCarve          // carve every counted ring; with none counted, one uncounted ring
+	opPush           // move an outstanding packet (a new one if none) into ring arg mod n
+	opPop            // pop ring arg mod n into the outstanding packets
+	opGrow           // push new packets into ring arg mod n until it outgrows its slots
+	opRecycle        // free everything, as a network's Close does, and recycle the arena
+)
+
+// op encodes an arena program byte.
+func op(o, arg int) byte { return byte(arg*8 + o) }
+
+// arenaCounts is what an arena program did: the counters its seeds are
+// proved by.
+type arenaCounts struct {
+	carved, uncounted    int // rings carved; carves with nothing counted
+	pushes, pops, grown  int // ring operations that moved a packet; rings that outgrew their slots
+	replacedUnderLive    int // slab replacements while rings carved from the old slab were live
+	recycles, staleSlabs int // recycles; recycles that found a grown ring's entries left in the slab
+	reusedSlab           int // carves after a recycle that took the kept slab
+}
+
+// carvedRing is a ring an arena program carved, and the slots it was given.
+type carvedRing struct {
+	r     Ring[*Packet]
+	slots int
+}
+
+// span is where a buffer's elements are, [lo, hi).
+type span struct{ lo, hi uintptr }
+
+func spanOf[T any](buf []T) span {
+	if len(buf) == 0 {
+		return span{}
+	}
+	lo := uintptr(unsafe.Pointer(&buf[0]))
+	return span{lo, lo + uintptr(len(buf))*unsafe.Sizeof(buf[0])}
+}
+
+func (s span) overlaps(o span) bool { return s.lo < o.hi && o.lo < s.hi }
+
+// runArenaProgram runs an arena program (the op constants) and checks after
+// every step: exact InUse accounting, a peak no lower than it, no aliasing
+// among outstanding packets, no two live rings sharing a slot, and no ring
+// that outgrew its slots holding one of any slab the arena carved from.
+// After a recycle the free-list holds exactly the packets of the chunks the
+// peak needed, each once, freed and owned by nobody, and every slot of both
+// ring slabs is zero.
+func runArenaProgram(t *testing.T, program []byte) (c arenaCounts) {
+	t.Helper()
+	a := NewArena()
+	var out []*Packet
+	var rings []*carvedRing
+	var counted []int          // first sizes counted and not yet carved
+	var slabs [][]*Packet      // every queue slab carved from, held so that its memory is not reused
+	held, recycled := 0, false // packets in rings; nothing carved since a recycle
+	newPacket := func() *Packet {
+		p := a.NewData(uint64(len(out)), 0, 1, int64(held), 1500)
+		for _, q := range out {
+			if q == p {
+				t.Fatal("arena aliased an outstanding packet")
+			}
+		}
+		return p
+	}
+	for _, b := range program {
+		o, arg := int(b%8), int(b/8)
+		switch o {
+		case opGet:
+			out = append(out, newPacket())
+		case opFree:
+			if len(out) > 0 {
+				i := arg % len(out)
 				Free(out[i])
 				out[i] = out[len(out)-1]
 				out = out[:len(out)-1]
-			} else {
-				want := int(a.Peak()+arenaChunk-1) / arenaChunk * arenaChunk
-				a.Recycle()
-				if len(a.free) != want || len(a.chunks)*arenaChunk != want || a.Peak() != 0 {
-					t.Fatalf("recycled to %d free packets in %d chunks with peak %d, want %d free",
-						len(a.free), len(a.chunks), a.Peak(), want)
+			}
+		case opCount:
+			first := 1 << (arg % 7)
+			a.queues.count(first)
+			counted = append(counted, first)
+		case opCarve:
+			if len(counted) == 0 {
+				counted = append(counted, 1<<(arg%7))
+				c.uncounted++
+			}
+			slab, live := spanOf(a.queues.buf), a.queues.used > 0 && len(rings) > 0
+			for _, first := range counted {
+				cr := &carvedRing{slots: ringSize(first)}
+				a.queues.carve(&cr.r, first)
+				rings = append(rings, cr)
+				c.carved++
+			}
+			counted = counted[:0]
+			if spanOf(a.queues.buf) != slab {
+				slabs = append(slabs, a.queues.buf)
+				if live {
+					c.replacedUnderLive++
 				}
-				seen := make(map[*Packet]bool, want)
-				for _, p := range a.free {
-					if seen[p] || !p.freed || p.owner != nil {
-						t.Fatalf("recycled free-list holds %p twice, not freed or still owned", p)
-					}
-					seen[p] = true
+			} else if recycled {
+				c.reusedSlab++
+			}
+			recycled = false
+		case opPush, opPop, opGrow:
+			if len(rings) == 0 {
+				break
+			}
+			cr := rings[arg%len(rings)]
+			switch o {
+			case opPush:
+				p := newPacket()
+				if len(out) > 0 {
+					Free(p)
+					i := arg % len(out)
+					p = out[i]
+					out[i] = out[len(out)-1]
+					out = out[:len(out)-1]
+				}
+				cr.r.Push(p, cr.slots)
+				held++
+				c.pushes++
+			case opPop:
+				if p := cr.r.Pop(); p != nil {
+					out = append(out, p)
+					held--
+					c.pops++
+				}
+			case opGrow:
+				for cr.r.Cap() <= cr.slots {
+					cr.r.Push(newPacket(), cr.slots)
+					held++
+				}
+				c.grown++
+			}
+		case opRecycle:
+			for _, cr := range rings {
+				for cr.r.Len() > 0 {
+					Free(cr.r.Pop())
 				}
 			}
-			if a.InUse() != int64(len(out)) || a.Peak() < a.InUse() {
-				t.Fatalf("InUse()=%d and Peak()=%d with %d outstanding", a.InUse(), a.Peak(), len(out))
+			for _, p := range out {
+				Free(p)
+			}
+			for _, p := range a.queues.buf {
+				if p != nil {
+					c.staleSlabs++
+					break
+				}
+			}
+			out, rings, counted, held = out[:0], nil, counted[:0], 0
+			want := int(a.Peak()+arenaChunk-1) / arenaChunk * arenaChunk
+			a.Recycle()
+			if len(a.free) != want || len(a.chunks)*arenaChunk != want || a.Peak() != 0 {
+				t.Fatalf("recycled to %d free packets in %d chunks with peak %d, want %d free",
+					len(a.free), len(a.chunks), a.Peak(), want)
+			}
+			seen := make(map[*Packet]bool, want)
+			for _, p := range a.free {
+				if seen[p] || !p.freed || p.owner != nil {
+					t.Fatalf("recycled free-list holds %p twice, not freed or still owned", p)
+				}
+				seen[p] = true
+			}
+			for i, p := range a.queues.buf {
+				if p != nil {
+					t.Fatalf("recycled queue slab holds %v in slot %d", p, i)
+				}
+			}
+			for i, e := range a.flights.buf {
+				if e != (flightEntry{}) {
+					t.Fatalf("recycled flight slab holds %+v in slot %d", e, i)
+				}
+			}
+			c.recycles++
+			recycled = true
+		}
+		if a.InUse() != int64(len(out)+held) || a.Peak() < a.InUse() {
+			t.Fatalf("InUse()=%d and Peak()=%d with %d outstanding and %d in rings", a.InUse(), a.Peak(), len(out), held)
+		}
+		if o == opCarve || o == opPush || o == opGrow {
+			checkRings(t, rings, slabs)
+		}
+	}
+	return c
+}
+
+// checkRings fails the test when two live rings share a slot, or a ring
+// that outgrew its slots still holds a slot of a slab.
+func checkRings(t *testing.T, rings []*carvedRing, slabs [][]*Packet) {
+	t.Helper()
+	spans := make([]span, 0, len(rings))
+	for _, cr := range rings {
+		s := spanOf(cr.r.buf)
+		spans = append(spans, s)
+		if cr.r.Cap() > cr.slots {
+			for _, slab := range slabs {
+				if s.overlaps(spanOf(slab)) {
+					t.Fatalf("a ring that grew from %d to %d entries holds a slab slot", cr.slots, cr.r.Cap())
+				}
 			}
 		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].overlaps(spans[i-1]) {
+			t.Fatalf("two live rings share a slot: [%#x, %#x) and [%#x, %#x)", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+}
+
+// arenaSeeds are FuzzArenaInterleaving's named programs, each proved by the
+// counter its reached reads (TestArenaSeedsReachTheirCase).
+var arenaSeeds = []struct {
+	name    string
+	program []byte
+	reached func(arenaCounts) bool
+}{
+	{"gets, frees and a recycle", []byte{op(opGet, 0), op(opGet, 0), op(opFree, 1), op(opGet, 0), op(opFree, 0), op(opFree, 0), op(opRecycle, 0)},
+		func(c arenaCounts) bool { return c.recycles == 1 }},
+	{
+		// Two chunks' worth out and back, a recycle (to two chunks), a
+		// smaller run, a recycle (to one) and allocations from the rebuilt
+		// list.
+		"recycles trim the chunks to the peak",
+		slices.Concat(bytes.Repeat([]byte{op(opGet, 0)}, 600), bytes.Repeat([]byte{op(opFree, 0)}, 600), []byte{op(opRecycle, 0)},
+			bytes.Repeat([]byte{op(opGet, 0), op(opFree, 0)}, 40), []byte{op(opRecycle, 0), op(opGet, 0), op(opGet, 0)}),
+		func(c arenaCounts) bool { return c.recycles == 2 },
+	},
+	{"counted rings carved, pushed and popped",
+		[]byte{op(opCount, 3), op(opCount, 0), op(opCount, 6), op(opCarve, 0), op(opGet, 0), op(opPush, 0), op(opPush, 1), op(opPush, 2), op(opPop, 1), op(opPop, 0), op(opFree, 0)},
+		func(c arenaCounts) bool { return c.carved == 3 && c.uncounted == 0 && c.pushes == 3 && c.pops == 2 }},
+	{"a ring grows past its slots and leaves them stale for the recycle",
+		[]byte{op(opCount, 1), op(opCount, 2), op(opCarve, 0), op(opGrow, 0), op(opPop, 0), op(opPush, 1), op(opRecycle, 0)},
+		func(c arenaCounts) bool { return c.grown == 1 && c.staleSlabs == 1 }},
+	{"a larger carve replaces the slab under live rings",
+		[]byte{op(opCount, 1), op(opCarve, 0), op(opPush, 0), op(opCount, 5), op(opCount, 5), op(opCarve, 0), op(opPush, 1), op(opPush, 2), op(opPop, 0)},
+		func(c arenaCounts) bool { return c.replacedUnderLive == 1 }},
+	{"an uncounted carve",
+		[]byte{op(opCarve, 2), op(opCarve, 4), op(opPush, 0), op(opPush, 1)},
+		func(c arenaCounts) bool { return c.uncounted == 2 }},
+	{"the next network carves the kept slab",
+		[]byte{op(opCount, 4), op(opCount, 4), op(opCarve, 0), op(opGrow, 1), op(opRecycle, 0), op(opCount, 4), op(opCount, 3), op(opCarve, 0), op(opPush, 1), op(opRecycle, 0)},
+		func(c arenaCounts) bool { return c.reusedSlab == 1 && c.staleSlabs == 1 }},
+}
+
+// TestArenaSeedsReachTheirCase runs each named seed of FuzzArenaInterleaving
+// and requires the counter its name promises.
+func TestArenaSeedsReachTheirCase(t *testing.T) {
+	for _, seed := range arenaSeeds {
+		t.Run(seed.name, func(t *testing.T) {
+			if c := runArenaProgram(t, seed.program); !seed.reached(c) {
+				t.Errorf("the program did not reach its case: %+v", c)
+			}
+		})
+	}
+}
+
+// FuzzArenaInterleaving replays fuzz-chosen byte strings as arena programs
+// (runArenaProgram): packets taken and freed, ring slabs counted, carved,
+// pushed, popped and outgrown, and recycles between them, as a closed
+// network's domain is recycled for the next.
+func FuzzArenaInterleaving(f *testing.F) {
+	for _, seed := range arenaSeeds {
+		f.Add(seed.program)
+	}
+	f.Add([]byte{7})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		runArenaProgram(t, program)
 	})
 }
 

@@ -276,8 +276,9 @@ func (p *Port) start(at sim.Time) {
 		p.Cross.AddDelivery(due, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
 		return
 	}
-	// The link sizes the first flight buffer. Worked out only when there is
-	// none yet: as a plain Push argument it cost a division per packet hop.
+	// The link sizes the first flight buffer of a port no topology carved
+	// (NewPort). Worked out only when there is none yet: as a plain Push
+	// argument it cost a division per packet hop.
 	first := 0
 	if p.flight.Cap() == 0 {
 		first = flightCap(p.Delay, p.RateBps)
@@ -285,6 +286,23 @@ func (p *Port) start(at sim.Time) {
 	p.flight.Push(flightEntry{pkt: pkt, due: due}, first)
 	if !p.armed && (p.onDemand || !p.wake) {
 		p.arm()
+	}
+}
+
+// carveRings counts (counting) or carves the port's flight and its queue's
+// rings from its domain's slabs (CarveRings).
+func (p *Port) carveRings(counting bool) {
+	a := AttachArena(p.el)
+	if p.Cross == nil {
+		first := flightCap(p.Delay, p.RateBps)
+		if counting {
+			a.flights.count(first)
+		} else {
+			a.flights.carve(&p.flight, first)
+		}
+	}
+	if q, ok := p.Q.(CarvedQueue); ok {
+		q.CarveRings(RingCarver{slab: &a.queues, counting: counting})
 	}
 }
 

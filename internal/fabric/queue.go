@@ -120,6 +120,9 @@ func (q *FIFOQueue) Enqueue(p *Packet) {
 	q.NoteDepth(q.bytes)
 }
 
+// CarveRings carves the queue's ring at queueFirst (CarvedQueue).
+func (q *FIFOQueue) CarveRings(c RingCarver) { c.Ring(&q.q, queueFirst) }
+
 // Dequeue removes the head packet.
 func (q *FIFOQueue) Dequeue() *Packet {
 	p := q.q.Pop()
@@ -184,6 +187,13 @@ func (q *CtrlPrioQueue) Enqueue(p *Packet) {
 		q.data.Push(p, queueFirst)
 	}
 	q.NoteDepth(q.bytes)
+}
+
+// CarveRings carves the control band at ctrlFirst and the data band at
+// queueFirst (CarvedQueue).
+func (q *CtrlPrioQueue) CarveRings(c RingCarver) {
+	c.Ring(&q.ctrl, ctrlFirst)
+	c.Ring(&q.data, queueFirst)
 }
 
 // Dequeue serves control strictly first.

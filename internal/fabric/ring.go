@@ -12,7 +12,9 @@ package fabric
 //
 // The zero value is an empty queue that owns no memory; the first Push
 // allocates the buffer, at the size its caller passes (what bounds the queue,
-// if the owner knows), and a full ring doubles. Not safe for concurrent use —
+// if the owner knows), and a full ring doubles. A topology's port rings get
+// that first buffer at build instead, carved from their domain's slab
+// (CarveRings). Not safe for concurrent use —
 // a ring belongs to one port, host or pool and is only touched from that
 // scheduling domain.
 //
@@ -124,12 +126,21 @@ func (r *Ring[T]) Attach(buf []T) {
 func (r *Ring[T]) grow(first int) {
 	size := 2 * len(r.buf)
 	if size == 0 {
-		for size = 1; size < first; size *= 2 {
-		}
+		size = ringSize(first)
 	}
 	nb := make([]T, size)
 	// The ring is full: the live span is buf[head:] followed by buf[:head].
 	k := copy(nb, r.buf[r.head:])
 	copy(nb[k:], r.buf[:r.head])
 	r.buf, r.head = nb, 0
+}
+
+// ringSize is the buffer a ring's first Push allocates for a first argument
+// of first: first rounded up to a power of two, and at least one entry.
+func ringSize(first int) int {
+	size := 1
+	for size < first {
+		size *= 2
+	}
+	return size
 }

@@ -191,8 +191,9 @@ func (n *Network) init(cfg Config) {
 // backlogs, cross-shard mailboxes) back into the shard arenas. A run that
 // hits its deadline mid-traffic still ends with PacketsInUse() == 0 unless
 // something truly leaked. A network that settled at zero hands its
-// scheduling domains, each event list with its arena, to the next network
-// built (recycle); a leaky one leaves them to the GC. Idempotent.
+// scheduling domains, each event list with its arena and the arena's ring
+// slabs, to the next network built (recycle); a leaky one leaves them to the
+// GC. Idempotent.
 func (n *Network) Close() {
 	if mr, ok := n.runner.(*sim.MultiRunner); ok {
 		mr.Close()
@@ -552,7 +553,8 @@ func (n *Network) connect(from, to fabric.Sink) *fabric.Port {
 // unbounded control-priority queue of an NDP host (harmless for the other
 // transports), and the switch egresses one factory call, in construction
 // order. The egress seeds are hashed from the labels, without building a
-// name string.
+// name string. Then every port's rings take their first buffers from its
+// shard's slab (fabric.CarveRings).
 func (n *Network) attachQueues() {
 	for i, q := range fabric.CtrlPrioQueues(len(n.Hosts)) {
 		n.Hosts[i].NIC.Q = q
@@ -570,6 +572,7 @@ func (n *Network) attachQueues() {
 			p.Q, qs = qs[0], qs[1:]
 		}
 	}
+	fabric.CarveRings(n.portSlab)
 }
 
 // hashName is FNV-1a over a queue's name: the seed QueueFactory hands its

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -70,8 +71,10 @@ func fuzzSpec(in []byte) Spec {
 // FuzzSpec runs small Specs of every transport, topology and workload at
 // 1, 2 and 4 shards: each must run without error (a panic the run
 // recovers is one), leak no packet, and give the same Metrics and
-// acrossShards stats at every shard count (assertShardInvariant). A Spec
-// that Validate rejects must be rejected as cleanly by Run.
+// acrossShards stats at every shard count (assertShardInvariant), and the
+// same Metrics over two repeats on one worker and on two
+// (assertWorkersInvariant). A Spec that Validate rejects must be rejected
+// as cleanly by Run.
 func FuzzSpec(f *testing.F) {
 	if testing.Short() {
 		f.Skip("runs real simulations")
@@ -91,5 +94,32 @@ func FuzzSpec(f *testing.F) {
 			return
 		}
 		assertShardInvariant(t, spec)
+		assertWorkersInvariant(t, spec)
 	})
+}
+
+// assertWorkersInvariant runs spec at one shard over two repeats, on one
+// worker and then on two, and requires the same Metrics. On two workers the
+// repeats build, run and close their networks at once, so scheduling
+// domains — event lists, arenas and ring slabs — pass between networks
+// concurrently, and nothing of that may reach a result.
+func assertWorkersInvariant(t *testing.T, spec Spec) {
+	t.Helper()
+	var ref []byte
+	for _, workers := range []int{1, 2} {
+		m, err := Run(spec.With(WithShards(1), WithRepeats(2), WithWorkers(workers)))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		blob, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			ref = blob
+		} else if string(blob) != string(ref) {
+			t.Errorf("metrics diverge between workers=1 and workers=%d:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
+				workers, ref, workers, blob)
+		}
+	}
 }
